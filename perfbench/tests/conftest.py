@@ -1,0 +1,9 @@
+"""Make `perfbench` and the package under test (from `src/`) importable."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+for path in (ROOT, os.path.join(ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
