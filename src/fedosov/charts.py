@@ -33,10 +33,10 @@ from importlib import resources
 
 from . import linalg
 from .linalg import is_zero_scalar
-from .models import InfinitesimalModel, standard_omega_tensor
+from .models import InfinitesimalModel, derivation_action, standard_omega_tensor
 from .rationals import Polynomial, RationalFunction, parse_ratfun
 from .reporting import Check, Report
-from .symplectic import COV, CON, SymplecticSpace, Tensor, change_basis
+from .symplectic import COV, CON, SymplecticSpace, Tensor, _contract_slot, change_basis
 
 
 class ChartFormatError(ValueError):
@@ -127,11 +127,16 @@ def omega_is_nondegenerate(chart: Chart) -> bool:
 
 def verify_chart_structure(chart: Chart) -> Report:
     closed, bad = omega_is_closed(chart)
+    nondegenerate = omega_is_nondegenerate(chart)
+    if nondegenerate:
+        kernel_witness = None
+    else:
+        kernel = linalg.nullspace([list(row) for row in chart.omega])[0]
+        kernel_witness = f"omega(v, .) = 0 for v = ({', '.join(str(x) for x in kernel)})"
     return Report(title="chart structure", checks=[
         Check("omega_closed", closed,
               None if closed else f"cyclic partial sum nonzero at {_w(bad)}"),
-        Check("omega_nondegenerate", omega_is_nondegenerate(chart),
-              None),
+        Check("omega_nondegenerate", nondegenerate, kernel_witness),
     ])
 
 
@@ -178,30 +183,22 @@ def chart_curvature(chart: Chart, structure: Tensor | None = None) -> Tensor:
 
 def covariant_derivative(chart: Chart, tensor: Tensor,
                          structure: Tensor | None = None) -> Tensor:
-    """Coordinate covariant derivative; the new covariant slot comes first."""
+    """Coordinate covariant derivative; the new covariant slot comes first.
+
+    nabla_i T = d_i T + Gamma_i . T with Gamma_i[a][b] = christoffel[a][i][b]
+    acting as a derivation.  The partial derivative is added last: the
+    entries are never reduced, and this order keeps them smallest.
+    """
     gamma = _gamma(chart, structure)
     d = chart.dim
-    coords = chart.coords
-
-    def entry(*idx):
-        i, rest = idx[0], idx[1:]
-        total = tensor[rest].partial(coords[i])
-        for slot, kind in enumerate(tensor.valence):
-            for m in range(d):
-                src = list(rest)
-                src[slot] = m
-                value = tensor[tuple(src)]
-                if value.is_zero():
-                    continue
-                if kind == CON:
-                    coeff = gamma[rest[slot]][i][m]
-                else:
-                    coeff = -gamma[m][i][rest[slot]]
-                if not coeff.is_zero():
-                    total = total + coeff * value
-        return total
-
-    return Tensor.build(d, (COV,) + tensor.valence, entry)
+    comps = []
+    for i, coord in enumerate(chart.coords):
+        connection = derivation_action([[gamma[a][i][b] for b in range(d)]
+                                        for a in range(d)], tensor)
+        comps.extend(p if is_zero_scalar(c) else c if p.is_zero() else c + p
+                     for c, p in zip(connection.comps,
+                                     (value.partial(coord) for value in tensor.comps)))
+    return Tensor(d, (COV,) + tensor.valence, comps)
 
 
 def omega_tensor(chart: Chart) -> Tensor:
@@ -297,20 +294,28 @@ def _zero_check(name: str, tensor: Tensor) -> Check:
                  None if hit is None else f"component {_w(hit[0])} = {hit[1]}")
 
 
-def verify_as_conditions(chart: Chart, structure: Tensor) -> Report:
-    """The parallelism conditions for the shifted connection.
+def fedosov_base_checks(chart: Chart) -> list[Check]:
+    """The base connection is Fedosov: omega is parallel and torsion-free."""
+    return [
+        _zero_check("nabla_omega_zero", covariant_derivative(chart, omega_tensor(chart))),
+        _zero_check("torsion_zero", chart_torsion(chart)),
+    ]
 
-    Checks, in order: the base connection is Fedosov (parallel omega,
-    torsion-free), and the shifted connection makes omega, the structure
-    tensor, both curvatures and its own torsion parallel.
-    """
+
+def verify_as_conditions(chart: Chart, structure: Tensor) -> Report:
+    """The Fedosov base checks followed by `parallelism_checks`."""
+    return Report(title="parallelism conditions",
+                  checks=fedosov_base_checks(chart) + parallelism_checks(chart, structure))
+
+
+def parallelism_checks(chart: Chart, structure: Tensor) -> list[Check]:
+    """The shifted connection makes omega, the structure tensor, both
+    curvatures and its own torsion parallel."""
     w = omega_tensor(chart)
     base_r = chart_curvature(chart)
     tilde_r = chart_curvature(chart, structure)
     tilde_t = chart_torsion(chart, structure)
-    checks = [
-        _zero_check("nabla_omega_zero", covariant_derivative(chart, w)),
-        _zero_check("torsion_zero", chart_torsion(chart)),
+    return [
         _zero_check("tilde_nabla_omega_zero", covariant_derivative(chart, w, structure)),
         _zero_check("tilde_nabla_structure_zero",
                     covariant_derivative(chart, structure, structure)),
@@ -321,29 +326,30 @@ def verify_as_conditions(chart: Chart, structure: Tensor) -> Report:
         _zero_check("tilde_nabla_tilde_torsion_zero",
                     covariant_derivative(chart, tilde_t, structure)),
     ]
-    return Report(title="parallelism conditions", checks=checks)
 
 
 def verify_linear_type_suite(chart: Chart, xi: Tensor,
                              xi_perp: Tensor | None = None) -> Report:
+    """The Fedosov base checks followed by `linear_type_checks`."""
+    return Report(title="linear-type identity suite",
+                  checks=fedosov_base_checks(chart) + linear_type_checks(chart, xi, xi_perp))
+
+
+def linear_type_checks(chart: Chart, xi: Tensor,
+                       xi_perp: Tensor | None = None) -> list[Check]:
     """Identity suite for linear-type structures on a Fedosov base.
 
-    Verifies the Fedosov preconditions, the defining covariant-derivative
-    form of xi, the curvature degeneracies forced by it, the two curvature
-    reconstruction identities against a transversal field (user-supplied
-    via `xi_perp` with omega(xi_perp, xi) = 1, or auto-constructed), and
-    the geometric properties of xi (geodesic, symplectic flow, integrable
-    kernel distribution).
+    Verifies the defining covariant-derivative form of xi, the curvature
+    degeneracies forced by it, the two curvature reconstruction identities
+    against a transversal field (user-supplied via `xi_perp` with
+    omega(xi_perp, xi) = 1, or auto-constructed), and the geometric
+    properties of xi (geodesic, symplectic flow, integrable kernel
+    distribution).
     """
     d = chart.dim
-    coords = chart.coords
     zero = chart.rf_zero()
     structure = linear_type_structure(chart, xi)
     checks: list[Check] = []
-
-    checks.append(_zero_check("nabla_omega_zero",
-                              covariant_derivative(chart, omega_tensor(chart))))
-    checks.append(_zero_check("torsion_zero", chart_torsion(chart)))
 
     checks.append(_zero_check("tilde_nabla_xi_zero",
                               covariant_derivative(chart, xi, structure)))
@@ -369,11 +375,7 @@ def verify_linear_type_suite(chart: Chart, xi: Tensor,
                                                 zero))
     checks.append(_zero_check("curvature_xi_slot_symmetry", slot_sym))
 
-    r4 = Tensor.build(d, (COV, COV, COV, COV),
-                      lambda i, j, k, m: sum((r[i, j, k, l] * chart.omega[l][m]
-                                              for l in range(d)
-                                              if not r[i, j, k, l].is_zero()),
-                                             zero))
+    r4 = Tensor(d, (COV, COV, COV, COV), _contract_slot(r, 3, chart.omega))
     pair_sym = Tensor.build(d, (COV, COV, COV, COV),
                             lambda i, j, k, m: r4[i, j, k, m] - r4[i, j, m, k])
     checks.append(_zero_check("curvature_last_pair_symmetry", pair_sym))
@@ -461,8 +463,7 @@ def verify_linear_type_suite(chart: Chart, xi: Tensor,
                               lie_derivative_omega(chart, xi)))
 
     checks.append(integrability_check(chart, xi))
-
-    return Report(title="linear-type identity suite", checks=checks)
+    return checks
 
 
 def integrability_check(chart: Chart, xi: Tensor) -> Check:
@@ -711,6 +712,8 @@ def metric_obstruction(s_point: Tensor, omega_p: list[list[Fraction]]):
         return ObstructionVerdict(obstructed=True, degenerate_input=False,
                                   xi=xi, solution_dimension=0)
 
+    # The determinant of the generic solution is the zero polynomial in the
+    # parameters exactly when it is zero in their rational function field.
     params = [f"t{r + 1}" for r in range(len(solutions))]
     entries = [[Polynomial.constant(0, params) for _ in range(d)] for _ in range(d)]
     for r, sol in enumerate(solutions):
@@ -722,8 +725,8 @@ def metric_obstruction(s_point: Tensor, omega_p: list[list[Fraction]]):
             entries[a][b] = entries[a][b] + mono
             if a != b:
                 entries[b][a] = entries[b][a] + mono
-    determinant = _poly_det(entries)
-    return ObstructionVerdict(obstructed=determinant.is_zero(),
+    determinant = linalg.det([[RationalFunction(e) for e in row] for row in entries])
+    return ObstructionVerdict(obstructed=is_zero_scalar(determinant),
                               degenerate_input=False, xi=xi,
                               solution_dimension=len(solutions))
 
@@ -734,44 +737,6 @@ class ObstructionVerdict:
     degenerate_input: bool
     xi: list | None
     solution_dimension: int
-
-
-def _poly_det(entries) -> Polynomial:
-    d = len(entries)
-    total = None
-    for perm in itertools.permutations(range(d)):
-        sign = _perm_sign(perm)
-        product = None
-        for i in range(d):
-            cell = entries[i][perm[i]]
-            if cell.is_zero():
-                product = None
-                break
-            product = cell if product is None else product * cell
-        if product is None:
-            continue
-        signed = product if sign > 0 else -product
-        total = signed if total is None else total + signed
-    if total is None:
-        return Polynomial.constant(0, entries[0][0].variables)
-    return total
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        pos = start
-        while not seen[pos]:
-            seen[pos] = True
-            pos = perm[pos]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 # -- serialization and the packaged examples -------------------------------------------

@@ -269,8 +269,9 @@ def cmd_verify_chart(args) -> int:
     report = Report(title="chart verification")
     report.extend(ch.verify_chart_structure(chart))
     structure = _structure_for_chart(chart, args)
+    report.checks.extend(ch.fedosov_base_checks(chart))
     if args.suite in ("as", "all"):
-        _extend_unique(report, ch.verify_as_conditions(chart, structure))
+        report.checks.extend(ch.parallelism_checks(chart, structure))
     if args.suite in ("linear-type", "all"):
         xi_name = args.xi or "xi"
         try:
@@ -278,7 +279,7 @@ def cmd_verify_chart(args) -> int:
         except KeyError:
             raise InputError(f"linear-type suite needs the vector field {xi_name!r}") from None
         try:
-            _extend_unique(report, ch.verify_linear_type_suite(chart, xi))
+            report.checks.extend(ch.linear_type_checks(chart, xi))
         except ValueError as err:
             raise InputError(str(err)) from None
         candidate = None
@@ -301,11 +302,6 @@ def cmd_verify_chart(args) -> int:
     return _emit(args, "verify-chart", report)
 
 
-def _extend_unique(report: Report, other: Report) -> None:
-    seen = {c.name for c in report.checks}
-    report.checks.extend(c for c in other.checks if c.name not in seen)
-
-
 def cmd_linear_type(args) -> int:
     chart = _chart_from_args(args)
     xi_name = args.xi or "xi"
@@ -315,9 +311,14 @@ def cmd_linear_type(args) -> int:
         raise InputError(str(err)) from None
     structure = ch.linear_type_structure(chart, xi)
     lowered = cotorsion_lower(structure, omega=chart.omega)
-    symmetric = lowered.is_symmetric_in(0, 1)
+    bad = lowered.first_symmetry_violation(0, 1, anti=False)
+    witness = None
+    if bad is not None:
+        i, j, k = bad
+        witness = (f"S({i + 1},{j + 1},{k + 1}) = {lowered[i, j, k]} but "
+                   f"S({j + 1},{i + 1},{k + 1}) = {lowered[j, i, k]}")
     report = Report(title="linear-type structure", checks=[
-        Check("lowered_form_symmetric", symmetric, None),
+        Check("lowered_form_symmetric", bad is None, witness),
     ])
     comps = {}
     for idx in structure.indices():

@@ -34,7 +34,9 @@ from math import isqrt
 from . import linalg
 from .linalg import is_zero_scalar
 from .reporting import Check, Report
-from .symplectic import COV, CON, SymplecticSpace, Tensor
+from .symplectic import (
+    COV, CON, SymplecticSpace, Tensor, _contract_slot, change_basis, first_symplectic_defect,
+)
 
 
 class ModelError(ValueError):
@@ -86,27 +88,14 @@ def trivial_model(n: int) -> InfinitesimalModel:
 
 def derivation_action(endo, t: Tensor) -> Tensor:
     """Action of an endomorphism (matrix, output index first) on a tensor."""
-    d = t.dim
-
-    def entry(*idx):
-        total = Fraction(0)
-        for slot, kind in enumerate(t.valence):
-            for m in range(d):
-                src = list(idx)
-                src[slot] = m
-                value = t[tuple(src)]
-                if is_zero_scalar(value):
-                    continue
-                if kind == CON:
-                    coeff = endo[idx[slot]][m]
-                else:
-                    coeff = -endo[m][idx[slot]]
-                if is_zero_scalar(coeff):
-                    continue
-                total = total + coeff * value
-        return total
-
-    return Tensor.build(d, t.valence, entry, space=t.space)
+    on_con = linalg.transpose(endo)
+    on_cov = [[-x for x in row] for row in endo]
+    comps = [Fraction(0)] * len(t.comps)
+    for slot, kind in enumerate(t.valence):
+        part = _contract_slot(t, slot, on_con if kind == CON else on_cov)
+        comps = [b if is_zero_scalar(a) else a if is_zero_scalar(b) else a + b
+                 for a, b in zip(comps, part)]
+    return Tensor(t.dim, t.valence, comps, space=t.space)
 
 
 def curvature_endomorphism(r: Tensor, i: int, j: int) -> list[list]:
@@ -275,32 +264,13 @@ def pair_from_model(r_tilde: Tensor, t_tilde: Tensor, s: Tensor) -> tuple[Tensor
 # -- model isomorphism ---------------------------------------------------------------
 
 def push_tensor(f: list[list], t: Tensor, f_inv: list[list] | None = None) -> Tensor:
-    """Push-forward along the invertible matrix f (columns act on vectors)."""
-    d = t.dim
+    """Push-forward along the invertible matrix f (columns act on vectors).
+
+    This is the change of basis to the columns of f^-1.
+    """
     if f_inv is None:
         f_inv = linalg.inverse(f)
-
-    def entry(*idx):
-        total = Fraction(0)
-        ranges = [range(d)] * len(idx)
-        for src in itertools.product(*ranges):
-            value = t[src]
-            if is_zero_scalar(value):
-                continue
-            coeff = Fraction(1)
-            dead = False
-            for slot, kind in enumerate(t.valence):
-                factor = (f[idx[slot]][src[slot]] if kind == CON
-                          else f_inv[src[slot]][idx[slot]])
-                if is_zero_scalar(factor):
-                    dead = True
-                    break
-                coeff = coeff * factor
-            if not dead:
-                total = total + coeff * value
-        return total
-
-    return Tensor.build(d, t.valence, entry, space=t.space)
+    return change_basis(t, f_inv, f)
 
 
 def verify_model_isomorphism(f: list[list], source: InfinitesimalModel,
@@ -333,9 +303,10 @@ def verify_model_isomorphism(f: list[list], source: InfinitesimalModel,
             continue
         push_check(f"aux{pos + 1}_pushforward", a, b)
 
-    from .symplectic import is_symplectic_matrix
-    checks.append(Check("map_is_symplectic",
-                        is_symplectic_matrix(source.space, f), None))
+    defect = first_symplectic_defect(source.space, f)
+    checks.append(Check("map_is_symplectic", defect is None,
+                        None if defect is None else
+                        f"(f^T omega f - omega) at {_idx_witness(defect[0])} is {defect[1]}"))
     return Report(title="model isomorphism", checks=checks)
 
 

@@ -15,6 +15,14 @@ Conventions fixed here and used everywhere else:
   cotorsion-like S(X,Y,Z) = omega(S_Z X, Y)      (symmetric in X, Y exactly
   when each endomorphism S_Z is in the symplectic Lie algebra).
 
+* Every action of a matrix on a tensor -- change of basis, push-forward,
+  derivations, covariant derivatives, raising and lowering -- goes through
+  one kernel, `_contract_slot(t, slot, M)`, which replaces the index in
+  one slot by out[..., a, ...] = sum_l t[..., l, ...] M[l][a]: the slot
+  index meets the matrix's row index and the column index becomes the
+  new slot.  A matrix acting on vectors (row = output) therefore enters a
+  contravariant slot transposed.
+
 Tensors are dense: at n = 4 a (0,3)-tensor has 512 entries, so sparsity
 machinery would be unjustified.  Components may be `Fraction` (constant
 tensors) or `RationalFunction` (coordinate fields); all operations are pure
@@ -207,8 +215,40 @@ def _resolve_omega(t: Tensor, omega):
     return t.space.omega
 
 
-def _omega_inverse(omega) -> list[list]:
+def _resolve_omega_inverse(t: Tensor, omega):
+    omega = _resolve_omega(t, omega)
+    if t.space is not None and omega is t.space.omega:
+        return t.space.omega_inv
     return linalg.inverse([list(row) for row in omega])
+
+
+def _contract_slot(t: Tensor, slot: int, matrix: Sequence[Sequence]) -> list:
+    """Components of t with one slot contracted against the rows of a matrix.
+
+    out[..., a, ...] = sum_l t[..., l, ...] * matrix[l][a], the sum taken
+    over l in increasing order and skipping zero terms; an entry with no
+    term is the zero of t's scalar type.
+    """
+    d = t.dim
+    stride = d ** (len(t.valence) - 1 - slot)
+    comps = t.comps
+    sample = comps[0]
+    zero = Fraction(0) if isinstance(sample, (int, Fraction)) else sample - sample
+    columns = [[(l * stride, row[a]) for l, row in enumerate(matrix)
+                if not is_zero_scalar(row[a])] for a in range(d)]
+    out = []
+    for flat in range(len(comps)):
+        a = flat // stride % d
+        base = flat - a * stride
+        total = None
+        for offset, factor in columns[a]:
+            value = comps[base + offset]
+            if is_zero_scalar(value):
+                continue
+            term = value * factor
+            total = term if total is None else total + term
+        out.append(zero if total is None else total)
+    return out
 
 
 # -- musical isomorphisms ---------------------------------------------------
@@ -243,29 +283,15 @@ def torsion_lower(t: Tensor, omega=None) -> Tensor:
     if bad is not None:
         raise ValueError(f"tensor is not antisymmetric in its arguments at {_one_based(bad)}")
     omega = _resolve_omega(t, omega)
-    d = t.dim
-
-    def entry(i, j, k):
-        return sum((t[i, j, l] * omega[l][k] for l in range(d)
-                    if not is_zero_scalar(t[i, j, l])), Fraction(0))
-
-    return Tensor.build(d, (COV, COV, COV), entry, space=t.space)
+    return Tensor(t.dim, (COV, COV, COV), _contract_slot(t, 2, omega), space=t.space)
 
 
 def torsion_raise(t: Tensor, omega=None) -> Tensor:
     """Inverse of `torsion_lower`."""
     if t.valence != (COV, COV, COV):
         raise ValueError("expected a (0,3)-tensor")
-    omega = _resolve_omega(t, omega)
-    inv = t.space.omega_inv if (t.space is not None and omega is t.space.omega) \
-        else _omega_inverse(omega)
-    d = t.dim
-
-    def entry(i, j, l):
-        return sum((t[i, j, k] * inv[k][l] for k in range(d)
-                    if not is_zero_scalar(t[i, j, k])), Fraction(0))
-
-    return Tensor.build(d, (COV, COV, CON), entry, space=t.space)
+    inv = _resolve_omega_inverse(t, omega)
+    return Tensor(t.dim, (COV, COV, CON), _contract_slot(t, 2, inv), space=t.space)
 
 
 def cotorsion_lower(t: Tensor, omega=None) -> Tensor:
@@ -277,30 +303,19 @@ def cotorsion_lower(t: Tensor, omega=None) -> Tensor:
     if t.valence != (COV, COV, CON):
         raise ValueError("expected a (1,2)-tensor with valence (cov, cov, con)")
     omega = _resolve_omega(t, omega)
-    d = t.dim
-
-    def entry(i, j, k):
-        return sum((t[k, i, l] * omega[l][j] for l in range(d)
-                    if not is_zero_scalar(t[k, i, l])), Fraction(0))
-
-    return Tensor.build(d, (COV, COV, COV), entry, space=t.space)
+    lowered = Tensor(t.dim, (COV, COV, COV), _contract_slot(t, 2, omega))
+    return Tensor.build(t.dim, (COV, COV, COV), lambda i, j, k: lowered[k, i, j],
+                        space=t.space)
 
 
 def cotorsion_raise(t: Tensor, omega=None) -> Tensor:
     """Inverse of `cotorsion_lower`."""
     if t.valence != (COV, COV, COV):
         raise ValueError("expected a (0,3)-tensor")
-    omega = _resolve_omega(t, omega)
-    inv = t.space.omega_inv if (t.space is not None and omega is t.space.omega) \
-        else _omega_inverse(omega)
-    d = t.dim
-
-    def entry(k, i, l):
-        # S(X=i, Y=j, Z=k) = sum_l storage[k][i][l] omega[l][j]
-        return sum((t[i, j, k] * inv[j][l] for j in range(d)
-                    if not is_zero_scalar(t[i, j, k])), Fraction(0))
-
-    return Tensor.build(d, (COV, COV, CON), entry, space=t.space)
+    inv = _resolve_omega_inverse(t, omega)
+    raised = Tensor(t.dim, (COV, CON, COV), _contract_slot(t, 1, inv))
+    return Tensor.build(t.dim, (COV, COV, CON), lambda k, i, l: raised[i, l, k],
+                        space=t.space)
 
 
 # -- contractions -------------------------------------------------------------
@@ -363,37 +378,30 @@ def change_basis(t: Tensor, basis_matrix: Sequence[Sequence], basis_inverse=None
     Covariant slots contract with the matrix, contravariant slots with its
     inverse: T'(a...) = sum T(i...) M[i][a] ... Minv[b][j] ...
     """
-    d = t.dim
     m = [list(row) for row in basis_matrix]
-    minv = [list(row) for row in (basis_inverse if basis_inverse is not None
-                                  else linalg.inverse(m))]
+    minv = basis_inverse if basis_inverse is not None else linalg.inverse(m)
+    minv_t = linalg.transpose(minv)
     current = t
     for slot, kind in enumerate(t.valence):
-        matrix = m if kind == COV else minv
-        comps = []
-        for idx in current.indices():
-            total = Fraction(0)
-            for l in range(d):
-                src = list(idx)
-                src[slot] = l
-                value = current[tuple(src)]
-                if is_zero_scalar(value):
-                    continue
-                factor = matrix[l][idx[slot]] if kind == COV else matrix[idx[slot]][l]
-                if is_zero_scalar(factor):
-                    continue
-                total = total + value * factor
-            comps.append(total)
-        current = Tensor(d, t.valence, comps, space=t.space)
+        current = Tensor(t.dim, t.valence,
+                         _contract_slot(current, slot, m if kind == COV else minv_t),
+                         space=t.space)
     return current
 
 
 def is_symplectic_matrix(space: SymplecticSpace, matrix: Sequence[Sequence]) -> bool:
     """M^T omega M = omega, i.e. the columns form a symplectic basis."""
+    return first_symplectic_defect(space, matrix) is None
+
+
+def first_symplectic_defect(space: SymplecticSpace, matrix: Sequence[Sequence]):
+    """First ((i, j), value) with (M^T omega M - omega)[i][j] = value nonzero, or None."""
     mt = linalg.transpose(matrix)
     product = linalg.matmul(linalg.matmul(mt, [list(r) for r in space.omega]), matrix)
-    return all(product[i][j] == space.omega[i][j]
-               for i in range(space.dim) for j in range(space.dim))
+    for i, j in itertools.product(range(space.dim), repeat=2):
+        if product[i][j] != space.omega[i][j]:
+            return (i, j), product[i][j] - space.omega[i][j]
+    return None
 
 
 # -- serialization --------------------------------------------------------------

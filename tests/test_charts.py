@@ -56,6 +56,16 @@ def test_chart_structure_checks():
         assert report.passed
 
 
+def test_degenerate_omega_carries_kernel_witness():
+    coords = ("x", "y", "u", "v")
+    chart = make_chart(coords, {(0, 1): parse_ratfun("1/x", coords)}, {})
+    report = verify_chart_structure(chart)
+    assert report.check("omega_closed").passed
+    check = report.check("omega_nondegenerate")
+    assert not check.passed
+    assert check.witness == "omega(v, .) = 0 for v = (0, 0, 1, 0)"
+
+
 def test_torsion_symmetric_connection_is_zero():
     assert chart_torsion(load_example(2)).is_zero()
     assert chart_torsion(flat_chart()).is_zero()

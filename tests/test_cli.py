@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 from fedosov.cli import main
+from fedosov.rationals import parse_ratfun
 from fedosov.symplectic import SymplecticSpace, tensor_from_json, tensor_to_json
 from fedosov.decomposition import build_basis, decompose_torsion
 
@@ -165,6 +166,24 @@ def test_linear_type_command(capsys):
     assert comps["2,1,2"] == "(-2)/(x)"
     assert comps["1,1,1"] == "(-1)/(x)"
     assert comps["1,2,2"] == "(1)/(x)"
+
+
+def test_linear_type_asymmetric_lowered_form_has_witness(capsys, monkeypatch):
+    from fedosov import charts
+    from fedosov.symplectic import CON, COV, Tensor
+
+    def broken_structure(chart, xi):
+        # S_{e1} e1 = e1 only: omega(S_Z X, Y) is not symmetric in X, Y
+        one, zero = parse_ratfun("1", chart.coords), chart.rf_zero()
+        return Tensor.build(chart.dim, (COV, COV, CON),
+                            lambda i, j, k: one if i == j == k == 0 else zero)
+
+    monkeypatch.setattr(charts, "linear_type_structure", broken_structure)
+    code, out, err = run_cli(capsys, "--json", "linear-type", "example2")
+    assert code == 1
+    check = json.loads(out)["checks"][0]
+    assert check["name"] == "lowered_form_symmetric" and not check["pass"]
+    assert check["witness"] == "S(1,2,1) = (1)/(x^2) but S(2,1,1) = 0"
 
 
 def test_obstruction_command(capsys):

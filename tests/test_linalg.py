@@ -63,6 +63,36 @@ def test_det_known_values():
     assert linalg.det(frac_matrix([[1, 2], [2, 4]])) == 0
 
 
+def test_det_of_symmetric_parameter_matrices_matches_sympy():
+    # the metric obstruction decides whether such a determinant vanishes
+    import sympy
+
+    from fedosov.rationals import Polynomial, RationalFunction
+
+    params = ("t1", "t2", "t3")
+    symbols = sympy.symbols(params)
+    rng = random.Random(31)
+    for trial in range(12):
+        n = rng.randint(2, 4)
+        coeffs = {}
+        for i in range(n):
+            for j in range(i, n):
+                coeffs[i, j] = coeffs[j, i] = [rng.randint(-2, 2) if rng.random() < 0.6 else 0
+                                               for _ in params]
+        if trial % 4 == 0:  # a repeated row: the determinant is the zero polynomial
+            for j in range(n):
+                coeffs[1, j] = coeffs[j, 1] = coeffs[0, j]
+        ours = linalg.det([[RationalFunction(Polynomial(params, {
+            tuple(int(r == s) for s in range(3)): Fraction(c)
+            for r, c in enumerate(coeffs[i, j])})) for j in range(n)] for i in range(n)])
+        expected = sympy.Matrix(n, n, lambda i, j: sum(
+            c * x for c, x in zip(coeffs[i, j], symbols))).det()
+        ours_sym = (sympy.sympify(str(ours.num).replace("^", "**"))
+                    / sympy.sympify(str(ours.den).replace("^", "**")))
+        assert sympy.cancel(ours_sym - expected) == 0
+        assert ours.is_zero() == (sympy.expand(expected) == 0)
+
+
 def test_det_matches_permutation_expansion():
     rng = random.Random(9)
     import itertools

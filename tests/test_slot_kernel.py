@@ -1,0 +1,213 @@
+"""Differential tests of the slot-contraction kernel against index definitions.
+
+Every tensor action built on `symplectic._contract_slot` is compared with
+an oracle written out from its index formula: the d^r push-forward sum, the
+per-entry derivation sum, the per-entry lowering and raising sums, and the
+per-entry covariant derivative with interleaved connection terms.  Constant
+tensors must agree exactly, component by component; chart fields are
+compared by value, since the order of additions changes how an unreduced
+rational function is written.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from fedosov import linalg
+from fedosov.charts import (
+    chart_curvature, chart_torsion, covariant_derivative, linear_type_structure,
+    load_example, make_chart, omega_tensor,
+)
+from fedosov.models import derivation_action, push_tensor
+from fedosov.rationals import parse_ratfun
+from fedosov.symplectic import (
+    COV, CON, SymplecticSpace, Tensor, change_basis, cotorsion_lower,
+    cotorsion_raise, torsion_lower, torsion_raise,
+)
+
+VALENCES = [(COV, COV), (COV, COV, CON), (COV, COV, COV), (COV, COV, COV, CON)]
+MAX_NONZERO = 24  # keeps the d^r oracle cheap at n = 3, valence (1,3)
+
+
+def random_scalar(rng):
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+
+
+def random_tensor(rng, n, valence):
+    space = SymplecticSpace(n)
+    size = space.dim ** len(valence)
+    comps = [Fraction(0)] * size
+    for flat in rng.sample(range(size), min(size, MAX_NONZERO)):
+        comps[flat] = random_scalar(rng)
+    return Tensor(space.dim, valence, comps, space=space)
+
+
+def random_matrix(rng, d):
+    return [[Fraction(rng.randint(-3, 3)) for _ in range(d)] for _ in range(d)]
+
+
+def random_invertible(rng, d):
+    while True:
+        m = random_matrix(rng, d)
+        if linalg.det(m) != 0:
+            return m
+
+
+def random_omega(rng, space):
+    """A nonstandard symplectic form M^T omega M."""
+    m = random_invertible(rng, space.dim)
+    return linalg.matmul(linalg.matmul(linalg.transpose(m), [list(r) for r in space.omega]), m)
+
+
+# -- oracles -----------------------------------------------------------------------
+
+def oracle_push(f, f_inv, t):
+    """(f_* t)[idx] = sum over all source indices, one factor per slot."""
+    sources = [(src, t[src]) for src in t.indices() if t[src] != 0]
+    comps = []
+    for idx in t.indices():
+        total = Fraction(0)
+        for src, value in sources:
+            for slot, kind in enumerate(t.valence):
+                value *= (f[idx[slot]][src[slot]] if kind == CON
+                          else f_inv[src[slot]][idx[slot]])
+            total += value
+        comps.append(total)
+    return comps
+
+
+def oracle_derivation(a, t):
+    """(A.t)[idx] = sum_slots sum_m (A[idx_s][m] or -A[m][idx_s]) t[idx with m at s]."""
+    d = t.dim
+    comps = []
+    for idx in t.indices():
+        total = Fraction(0)
+        for slot, kind in enumerate(t.valence):
+            for m in range(d):
+                src = idx[:slot] + (m,) + idx[slot + 1:]
+                coeff = a[idx[slot]][m] if kind == CON else -a[m][idx[slot]]
+                total += coeff * t[src]
+        comps.append(total)
+    return comps
+
+
+def oracle_lowering(t, matrix, formula):
+    d = t.dim
+    return [sum((formula(t, matrix, i, j, k, m) for m in range(d)), Fraction(0))
+            for i, j, k in itertools.product(range(d), repeat=3)]
+
+
+# One term of each sum; the first three indices name the output entry and
+# the last one is summed over.
+def torsion_lower_term(t, w, i, j, k, l):
+    return t[i, j, l] * w[l][k]
+
+
+def torsion_raise_term(t, inv, i, j, l, k):
+    return t[i, j, k] * inv[k][l]
+
+
+def cotorsion_lower_term(t, w, i, j, k, l):
+    return t[k, i, l] * w[l][j]
+
+
+def cotorsion_raise_term(t, inv, k, i, l, j):
+    return t[i, j, k] * inv[j][l]
+
+
+def oracle_covariant_derivative(chart, tensor, structure=None):
+    """nabla_i T[rest] = d_i T[rest] + per-slot connection terms, per entry."""
+    gamma = (chart.christoffel if structure is None else
+             [[[chart.christoffel[k][i][j] - structure[i, j, k] for j in range(chart.dim)]
+               for i in range(chart.dim)] for k in range(chart.dim)])
+    d = chart.dim
+
+    def entry(i, *rest):
+        total = tensor[rest].partial(chart.coords[i])
+        for slot, kind in enumerate(tensor.valence):
+            for m in range(d):
+                src = rest[:slot] + (m,) + rest[slot + 1:]
+                coeff = (gamma[rest[slot]][i][m] if kind == CON
+                         else -gamma[m][i][rest[slot]])
+                total = total + coeff * tensor[src]
+        return total
+
+    return Tensor.build(d, (COV,) + tensor.valence, entry)
+
+
+# -- constant tensors: exact equality -----------------------------------------------
+
+CASES = [(n, valence) for n in (1, 2, 3) for valence in VALENCES]
+
+
+@pytest.mark.parametrize("n,valence", CASES)
+def test_change_basis_and_push_tensor_match_push_sum(n, valence):
+    rng = random.Random(f"push:{n}:{valence}")
+    t = random_tensor(rng, n, valence)
+    f = random_invertible(rng, t.dim)
+    f_inv = linalg.inverse(f)
+    expected = oracle_push(f, f_inv, t)
+    assert push_tensor(f, t).comps == expected
+    assert push_tensor(f, t, f_inv).comps == expected
+    assert change_basis(t, f_inv, f).comps == expected
+    assert change_basis(t, f_inv).comps == expected
+
+
+@pytest.mark.parametrize("n,valence", CASES)
+def test_derivation_action_matches_entry_sum(n, valence):
+    rng = random.Random(f"derivation:{n}:{valence}")
+    t = random_tensor(rng, n, valence)
+    a = random_matrix(rng, t.dim)
+    assert derivation_action(a, t).comps == oracle_derivation(a, t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lowering_and_raising_match_entry_sums(n):
+    rng = random.Random(f"lowering:{n}")
+    space = SymplecticSpace(n)
+    s = random_tensor(rng, n, (COV, COV, CON))
+    a = Tensor.build(space.dim, (COV, COV, CON),
+                     lambda i, j, k: s[i, j, k] - s[j, i, k], space=space)
+    c = random_tensor(rng, n, (COV, COV, COV))
+    for omega in (space.omega, random_omega(rng, space)):
+        inv = linalg.inverse(omega)
+        assert torsion_lower(a, omega).comps == oracle_lowering(a, omega, torsion_lower_term)
+        assert cotorsion_lower(s, omega).comps == oracle_lowering(s, omega, cotorsion_lower_term)
+        assert torsion_raise(c, omega).comps == oracle_lowering(c, inv, torsion_raise_term)
+        assert cotorsion_raise(c, omega).comps == oracle_lowering(c, inv, cotorsion_raise_term)
+
+
+# -- chart fields: equality by value -------------------------------------------------
+
+def swell_chart():
+    """omega = dx^dy/(x^2+y^2+1) + du^dv/u^2 with its split symplectic connection."""
+    coords = ("x", "y", "u", "v")
+    q = "(x^2 + y^2 + 1)"
+    gx = parse_ratfun(f"-x/{q}", coords)
+    gy = parse_ratfun(f"-y/{q}", coords)
+    return make_chart(
+        coords,
+        {(0, 1): parse_ratfun(f"1/{q}", coords), (2, 3): parse_ratfun("1/u^2", coords)},
+        {(0, 0, 0): gx, (1, 0, 1): gx, (1, 1, 0): gx,
+         (0, 0, 1): gy, (0, 1, 0): gy, (1, 1, 1): gy,
+         (2, 2, 2): parse_ratfun("-2/u", coords)},
+        fields={"xi": Tensor(4, (CON,), [parse_ratfun(text, coords)
+                                         for text in ("0", "1", "0", "u")])})
+
+
+@pytest.mark.parametrize("name", ["example1", "example1-emended", "example2", "swell-4d"])
+def test_covariant_derivative_matches_entry_formula(name):
+    chart = swell_chart() if name == "swell-4d" else load_example(name)
+    xi = chart.field_tensor("xi")
+    structure = linear_type_structure(chart, xi)
+    fields = [omega_tensor(chart), xi, structure, chart_torsion(chart, structure)]
+    if name != "swell-4d":  # the 4D curvature oracle alone takes seconds
+        fields += [chart_curvature(chart), chart_curvature(chart, structure)]
+    for field in fields:
+        for shift in (None, structure):
+            assert (covariant_derivative(chart, field, shift)
+                    == oracle_covariant_derivative(chart, field, shift))
