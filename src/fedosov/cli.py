@@ -31,11 +31,15 @@ class InputError(Exception):
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from None
     except json.JSONDecodeError as err:
         raise InputError(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object at the top level, "
+                         f"got {type(data).__name__}")
+    return data
 
 
 def _emit(args, command: str, report: Report, artifacts: dict | None = None) -> int:
@@ -127,6 +131,8 @@ def _structure_for_chart(chart: ch.Chart, args) -> Tensor:
 
 
 def cmd_dims(args) -> int:
+    if args.n_max < 1:
+        raise InputError(f"--n-max must be >= 1, got {args.n_max}")
     rows = dec.dimension_table(args.n_max)
     report = Report(title="class dimensions")
     artifacts = {"table": []}

@@ -16,12 +16,23 @@ T1 + T2 + T3 spans the 24-dimensional ambient space while T1 + T2 + T4 only
 reaches 20; `dimension_table` points this out rather than silently adopting
 either reading.
 
-Projection onto the classes is by basis concatenation plus one exact linear
-solve (the concatenated class bases form a square invertible matrix over Q),
-not by closed-form projector operators: with exact arithmetic the solve is
-provably correct and self-validating against the dimension table.  Bases for
-S2, T2, T4 are exact nullspaces of their defining linear conditions; the
-rest come from their generating formulas.
+Projection onto the classes is by closed-form Sp(V)-equivariant maps, with
+C the cyclic sum and s13/t12 the trace contractions:
+
+    S3 = C(S)/3,   S1 = covector_to_cotorsion(-s13(S)),   S2 = S - S1 - S3;
+
+    alt = C(T)/3 (the 3-form part), T3 = omega ^ (C'(alt)/(3(n-1))) with C'
+    the `covector_contraction` (T3 = 0 at n = 1), T4 = alt - T3;
+    R = T - alt, v = t12(R)/(2n+1),
+    T1(X,Y,Z) = 2 omega(X,Y) v(Z) + omega(X,Z) v(Y) - omega(Y,Z) v(X),
+    T2 = R - T1.
+
+Every decomposition re-checks the defining conditions of its remainder
+classes (S2 and T2: zero cyclic sum and zero trace; T4: antisymmetric in
+(2,3) with zero t12), and membership of the generated classes S1, T1, T3
+is P(t) == t for their projector.  The exact bases remain for dimensions
+and tests: S2, T2, T4 are exact nullspaces of their defining linear
+conditions; the rest come from their generating formulas.
 """
 
 from __future__ import annotations
@@ -101,37 +112,52 @@ def _omega_with(space: SymplecticSpace, u: int):
     return [space.omega[x][u] for x in range(space.dim)]
 
 
+# Every generating formula is a sum of terms c * omega(X_p, X_q) * u(X_r)
+# over slot patterns (p, q, r) of (X, Y, Z) = (X_0, X_1, X_2).
+_S1_TERMS = ((1, (2, 1, 0)), (1, (2, 0, 1)))     # omega(Z,Y) u(X) + omega(Z,X) u(Y)
+_T1_TERMS = ((2, (0, 1, 2)), (1, (0, 2, 1)), (-1, (1, 2, 0)))
+_WEDGE_TERMS = ((1, (0, 1, 2)), (1, (1, 2, 0)), (1, (2, 0, 1)))
+
+
+def _omega_covector_form(space: SymplecticSpace, u, terms) -> Tensor:
+    """The (0,3)-tensor sum of c * omega(X_p, X_q) * u(X_r) over `terms`.
+
+    Only the 2n nonzero entries of omega and the nonzero entries of u are
+    visited, so a form costs O(n^2) exact operations, not O(n^3).
+    """
+    d = space.dim
+    comps = [Fraction(0)] * d ** 3
+    pairs = [(a, b, w) for a, row in enumerate(space.omega) for b, w in enumerate(row) if w != 0]
+    entries = [(c, v) for c, v in enumerate(u) if v != 0]
+    idx = [0, 0, 0]
+    for coeff, (p, q, r) in terms:
+        for a, b, w in pairs:
+            cw = coeff * w
+            idx[p], idx[q] = a, b
+            for c, v in entries:
+                idx[r] = c
+                flat = (idx[0] * d + idx[1]) * d + idx[2]
+                comps[flat] += cw * v
+    return Tensor(d, (COV, COV, COV), comps, space=space)
+
+
 def _s1_generator(space: SymplecticSpace, u: int) -> Tensor:
-    w = space.omega
-    wu = _omega_with(space, u)
-    return Tensor.build(space.dim, (COV, COV, COV),
-                        lambda x, y, z: w[z][y] * wu[x] + w[z][x] * wu[y],
-                        space=space)
+    return _omega_covector_form(space, _omega_with(space, u), _S1_TERMS)
 
 
 def _t1_generator(space: SymplecticSpace, u: int) -> Tensor:
-    w = space.omega
-    wu = _omega_with(space, u)
-    return Tensor.build(space.dim, (COV, COV, COV),
-                        lambda x, y, z: 2 * w[x][y] * wu[z] + w[x][z] * wu[y] - w[y][z] * wu[x],
-                        space=space)
+    return _omega_covector_form(space, _omega_with(space, u), _T1_TERMS)
 
 
 def _t3_generator(space: SymplecticSpace, u: int) -> Tensor:
-    w = space.omega
-    wu = _omega_with(space, u)  # omega(e_x, e_u) = -omega(e_u, e_x)
-    return Tensor.build(space.dim, (COV, COV, COV),
-                        lambda x, y, z: -(w[x][y] * wu[z] + w[y][z] * wu[x] + w[z][x] * wu[y]),
-                        space=space)
+    # omega(e_x, e_u) = -omega(e_u, e_x)
+    return _omega_covector_form(space, [-v for v in _omega_with(space, u)], _WEDGE_TERMS)
 
 
 def _w_generator(space: SymplecticSpace, u: int) -> Tensor:
-    w = space.omega
-    wu = _omega_with(space, u)
     n = space.n
-    return Tensor.build(space.dim, (COV, COV, COV),
-                        lambda x, y, z: w[x][y] * wu[z] - n * w[x][z] * wu[y] + n * w[y][z] * wu[x],
-                        space=space)
+    return _omega_covector_form(space, _omega_with(space, u),
+                                ((1, (0, 1, 2)), (-n, (0, 2, 1)), (n, (1, 2, 0))))
 
 
 def _independent_subset(tensors: list[Tensor], kind: str) -> list[Tensor]:
@@ -395,19 +421,79 @@ def class_predicate(label: str, t: Tensor) -> bool:
         if not t.is_antisymmetric_in(0, 1):
             return False
     if label == "S2":
-        return cyclic_sum(t).is_zero() and all(v == 0 for v in contract_s13(t))
+        return cyclic_sum(t).is_zero() and _vanishes(contract_s13(t))
     if label == "S3":
         return t.is_symmetric_in(1, 2)
     if label == "T2":
-        return cyclic_sum(t).is_zero() and all(v == 0 for v in contract_t12(t))
+        return cyclic_sum(t).is_zero() and _vanishes(contract_t12(t))
     if label == "T4":
-        return t.is_antisymmetric_in(1, 2) and all(v == 0 for v in contract_t12(t))
-    # generated classes: exact span membership
-    basis = build_basis(label, n)
-    kind = "cotorsion" if label.startswith("S") else "torsion"
-    vecs = [_vectorize(b, kind) for b in basis.elements]
-    target = _vectorize(t, kind)
+        return t.is_antisymmetric_in(1, 2) and _vanishes(contract_t12(t))
+    if label in _PROJECTORS:
+        return _PROJECTORS[label](t) == t
+    # W is not a summand of either decomposition: exact span membership
+    vecs = [_vectorize(b, "torsion") for b in build_basis(label, n).elements]
+    target = _vectorize(t, "torsion")
     return linalg.rank(vecs) == linalg.rank(vecs + [target])
+
+
+# -- closed-form projectors ---------------------------------------------------------
+#
+# Each class part is an Sp(V)-equivariant map built from the structural maps
+# below; the remainder classes S2, T2, T4 are what is left and get their
+# defining conditions re-checked on every decomposition.
+
+_THIRD = Fraction(1, 3)
+
+
+def _space_of(t: Tensor) -> SymplecticSpace:
+    return t.space if t.space is not None else SymplecticSpace(t.dim // 2)
+
+
+def _vanishes(covector) -> bool:
+    return all(v == 0 for v in covector)
+
+
+def _s1_part(s: Tensor) -> Tensor:
+    """S1 part of a cotorsion-like tensor: the embedding of -s13(S)."""
+    return covector_to_cotorsion(_space_of(s), [-v for v in contract_s13(s)])
+
+
+def _s3_part(s: Tensor) -> Tensor:
+    """S3 part of a cotorsion-like tensor: its total symmetrization C(S)/3."""
+    return cyclic_sum(s).scale(_THIRD)
+
+
+def _alternation(t: Tensor) -> Tensor:
+    """Full antisymmetrization of a torsion-like tensor, its T3 + T4 part."""
+    return cyclic_sum(t).scale(_THIRD)
+
+
+def _t3_part(alt: Tensor) -> Tensor:
+    """T3 part of a 3-form: omega ^ (covector_contraction(alt)/(3(n-1))); 0 at n = 1."""
+    n = alt.dim // 2
+    space = _space_of(alt)
+    if n == 1:
+        return Tensor.zeros(alt.dim, (COV, COV, COV), space=space)
+    scale = omega_wedge_section_scale(n)
+    return omega_wedge(space, [c / scale for c in covector_contraction(alt)])
+
+
+def _t1_part(rest: Tensor) -> Tensor:
+    """T1 part of a tensor in T1 + T2, rebuilt from v = t12(rest)/(2n+1).
+
+    t12 vanishes on T2 and sends the T1 generator of e_u to
+    (2n+1) omega(., e_u), so v is the covector that the T1 formula needs.
+    """
+    n = rest.dim // 2
+    v = [c / (2 * n + 1) for c in contract_t12(rest)]
+    return _omega_covector_form(_space_of(rest), v, _T1_TERMS)
+
+
+_PROJECTORS = {
+    "S1": _s1_part,
+    "T1": lambda t: _t1_part(t - _alternation(t)),
+    "T3": lambda t: _t3_part(_alternation(t)),
+}
 
 
 # -- decomposition ---------------------------------------------------------------
@@ -423,74 +509,46 @@ class DecompositionResult:
         return self.parts[label]
 
 
-@lru_cache(maxsize=None)
-def _solver(kind: str, n: int):
-    labels = COTORSION_LABELS if kind == "cotorsion" else TORSION_LABELS
-    bases = {label: build_basis(label, n) for label in labels}
-    columns = []
-    layout = []  # (label, count)
-    for label in labels:
-        vectors = [_vectorize(t, kind) for t in bases[label].elements]
-        columns.extend(vectors)
-        layout.append((label, len(vectors)))
-    total = sum(count for _, count in layout)
-    ambient = ambient_dimension(kind, n)
-    if total != ambient:
-        raise AssertionError(
-            f"{kind} class dimensions at n={n} sum to {total}, ambient is {ambient}")
-    matrix = linalg.transpose(columns)  # columns become matrix columns
-    inverse = linalg.inverse(matrix)
-    return labels, bases, layout, inverse
+def _require_shape(t: Tensor, *, anti: bool) -> None:
+    if t.valence != (COV, COV, COV):
+        raise ValueError("expected a (0,3)-tensor")
+    bad = t.first_symmetry_violation(0, 1, anti=anti)
+    if bad is not None:
+        raise ValueError(
+            f"tensor is not {'anti' if anti else ''}symmetric in slots (1,2); "
+            f"first violation at {tuple(i + 1 for i in bad)}")
 
 
-def _decompose(t: Tensor, kind: str) -> DecompositionResult:
-    n = t.dim // 2
-    space = t.space if t.space is not None else SymplecticSpace(n)
-    labels, bases, layout, inv = _solver(kind, n)
-    coeffs = linalg.matvec(inv, _vectorize(t, kind))
-    parts = {}
-    nonzero = []
-    pos = 0
-    for label, count in layout:
-        part = Tensor.zeros(t.dim, (COV, COV, COV), space=space)
-        acc = part
-        for c, element in zip(coeffs[pos:pos + count], bases[label].elements):
-            if c != 0:
-                acc = acc + element.scale(c)
-        pos += count
-        parts[label] = acc
-        if not acc.is_zero():
-            nonzero.append(label)
-    total = None
-    for part in parts.values():
-        total = part if total is None else total + part
-    if total != t:
-        raise AssertionError("decomposition parts do not sum back to the input")
-    return DecompositionResult(parts=parts, type_set=frozenset(nonzero))
+def _result(parts: dict) -> DecompositionResult:
+    return DecompositionResult(
+        parts=parts,
+        type_set=frozenset(label for label, part in parts.items() if not part.is_zero()))
 
 
 def decompose_cotorsion(t: Tensor) -> DecompositionResult:
     """Split a (0,3)-tensor symmetric in (1,2) into its S1, S2, S3 parts."""
-    if t.valence != (COV, COV, COV):
-        raise ValueError("expected a (0,3)-tensor")
-    bad = t.first_symmetry_violation(0, 1, anti=False)
-    if bad is not None:
-        raise ValueError(
-            f"tensor is not symmetric in slots (1,2); first violation at "
-            f"{tuple(i + 1 for i in bad)}")
-    return _decompose(t, "cotorsion")
+    _require_shape(t, anti=False)
+    s1, s3 = _s1_part(t), _s3_part(t)
+    s2 = t - s1 - s3
+    if not (cyclic_sum(s2).is_zero() and _vanishes(contract_s13(s2))):
+        raise AssertionError("S2 remainder violates its defining conditions")
+    return _result({"S1": s1, "S2": s2, "S3": s3})
 
 
 def decompose_torsion(t: Tensor) -> DecompositionResult:
     """Split a (0,3)-tensor antisymmetric in (1,2) into its T1..T4 parts."""
-    if t.valence != (COV, COV, COV):
-        raise ValueError("expected a (0,3)-tensor")
-    bad = t.first_symmetry_violation(0, 1, anti=True)
-    if bad is not None:
-        raise ValueError(
-            f"tensor is not antisymmetric in slots (1,2); first violation at "
-            f"{tuple(i + 1 for i in bad)}")
-    return _decompose(t, "torsion")
+    _require_shape(t, anti=True)
+    alt = _alternation(t)
+    t3 = _t3_part(alt)
+    t4 = alt - t3
+    rest = t - alt
+    t1 = _t1_part(rest)
+    t2 = rest - t1
+    if not (cyclic_sum(t2).is_zero() and _vanishes(contract_t12(t2))):
+        raise AssertionError("T2 remainder violates its defining conditions")
+    if not (t4.is_antisymmetric_in(1, 2) and _vanishes(contract_t12(t4))):
+        raise AssertionError("T4 remainder violates its defining conditions")
+    return _result({"T1": t1, "T2": t2, "T3": t3, "T4": t4})
 
 
 # -- structural maps between the pictures ------------------------------------------
@@ -533,11 +591,7 @@ def covector_contraction(t: Tensor) -> list:
 
 def omega_wedge(space: SymplecticSpace, covector) -> Tensor:
     """(omega ^ u)(X,Y,Z) = omega(X,Y) u(Z) + omega(Y,Z) u(X) + omega(Z,X) u(Y)."""
-    w = space.omega
-    u = list(covector)
-    return Tensor.build(space.dim, (COV, COV, COV),
-                        lambda x, y, z: w[x][y] * u[z] + w[y][z] * u[x] + w[z][x] * u[y],
-                        space=space)
+    return _omega_covector_form(space, list(covector), _WEDGE_TERMS)
 
 
 def covector_to_cotorsion(space: SymplecticSpace, covector) -> Tensor:
@@ -548,12 +602,8 @@ def covector_to_cotorsion(space: SymplecticSpace, covector) -> Tensor:
     the unnormalized S1 generator built from a vector U traces to
     (2n+1) omega(U, .) instead.
     """
-    w = space.omega
-    u = list(covector)
     c = Fraction(1, 2 * space.n + 1)
-    return Tensor.build(space.dim, (COV, COV, COV),
-                        lambda x, y, z: c * (w[z][x] * u[y] + w[z][y] * u[x]),
-                        space=space)
+    return _omega_covector_form(space, [c * v for v in covector], _S1_TERMS)
 
 
 def omega_wedge_section_scale(n: int) -> Fraction:
@@ -568,32 +618,25 @@ def omega_wedge_section_scale(n: int) -> Fraction:
 
 
 def symplectify_torsion(t: Tensor) -> Tensor:
-    """Solve A(-S) = T for a cotorsion-like S, for T in the T1 + T2 span.
+    """Solve A(-S) = T for a cotorsion-like S, for T in T1 + T2.
 
-    The solution is the unique one supported on the S1 + S2 bases (no
-    totally-symmetric component), which makes it deterministic.
+    T1 + T2 is the kernel of the cyclic sum, so any other T is rejected
+    with the names of its nonzero T3/T4 parts.  The solution is
+
+        S(X,Y,Z) = (T(X,Z,Y) + T(Y,Z,X)) / 3,
+
+    symmetric in (X,Y) with zero cyclic sum: the unique preimage with no
+    S3 part, which makes it deterministic.
     """
-    result = decompose_torsion(t)
-    outside = [lab for lab in ("T3", "T4") if lab in result.type_set]
-    if outside:
+    _require_shape(t, anti=True)
+    if not cyclic_sum(t).is_zero():
+        type_set = decompose_torsion(t).type_set
+        outside = [label for label in ("T3", "T4") if label in type_set]
         raise ValueError(
             f"no symmetric solution: torsion has nonzero {'+'.join(outside)} part")
-    n = t.dim // 2
-    space = t.space if t.space is not None else SymplecticSpace(n)
-    columns = []
-    elements = []
-    for label in ("S1", "S2"):
-        for element in build_basis(label, n).elements:
-            columns.append(_vectorize(cotorsion_to_torsion(element.scale(-1)), "torsion"))
-            elements.append(element)
-    matrix = linalg.transpose(columns)
-    coeffs = linalg.solve(matrix, _vectorize(t, "torsion"))
-    if coeffs is None:
-        raise ValueError("torsion lies outside the image of the cotorsion space")
-    s = Tensor.zeros(t.dim, (COV, COV, COV), space=space)
-    for c, element in zip(coeffs, elements):
-        if c != 0:
-            s = s + element.scale(c)
+    s = Tensor.build(t.dim, (COV, COV, COV),
+                     lambda x, y, z: (t[x, z, y] + t[y, z, x]) * _THIRD,
+                     space=_space_of(t))
     if cotorsion_to_torsion(s.scale(-1)) != t:
         raise AssertionError("symplectification round trip failed")
     return s

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from . import linalg
@@ -126,6 +127,13 @@ class Tensor:
             flat = flat * self.dim + i
         return flat
 
+    def _unflat(self, flat: int) -> tuple[int, ...]:
+        idx = []
+        for _ in self.valence:
+            flat, i = divmod(flat, self.dim)
+            idx.append(i)
+        return tuple(reversed(idx))
+
     def __getitem__(self, idx: tuple[int, ...]):
         return self.comps[self._flat(idx)]
 
@@ -178,25 +186,20 @@ class Tensor:
 
     # -- symmetry -----------------------------------------------------------
 
-    def _swapped(self, a: int, b: int, idx: tuple[int, ...]) -> tuple[int, ...]:
-        swapped = list(idx)
-        swapped[a], swapped[b] = swapped[b], swapped[a]
-        return tuple(swapped)
-
     def is_symmetric_in(self, a: int, b: int) -> bool:
-        return all(is_zero_scalar(self[idx] - self[self._swapped(a, b, idx)])
-                   for idx in self.indices())
+        return self.first_symmetry_violation(a, b, anti=False) is None
 
     def is_antisymmetric_in(self, a: int, b: int) -> bool:
-        return all(is_zero_scalar(self[idx] + self[self._swapped(a, b, idx)])
-                   for idx in self.indices())
+        return self.first_symmetry_violation(a, b, anti=True) is None
 
     def first_symmetry_violation(self, a: int, b: int, *, anti: bool) -> tuple[int, ...] | None:
-        for idx in self.indices():
-            other = self[self._swapped(a, b, idx)]
-            bad = self[idx] + other if anti else self[idx] - other
+        """First multi-index, in `indices()` order, where swapping slots a, b fails."""
+        comps = self.comps
+        for flat, other in _swap_pairs(self.dim, len(self.valence), a, b, anti):
+            value = comps[flat]
+            bad = value + comps[other] if anti else value - comps[other]
             if not is_zero_scalar(bad):
-                return idx
+                return self._unflat(flat)
         return None
 
     def map_components(self, fn: Callable[[object], object]) -> Tensor:
@@ -205,6 +208,33 @@ class Tensor:
     def __repr__(self):
         nz = sum(1 for c in self.comps if not is_zero_scalar(c))
         return f"Tensor(dim={self.dim}, valence={self.valence}, nonzero={nz})"
+
+
+@lru_cache(maxsize=None)
+def _swap_pairs(dim: int, rank: int, a: int, b: int, anti: bool) -> tuple[tuple[int, int], ...]:
+    """(flat, flat of the index with slots a, b swapped), in increasing flat order.
+
+    A pair fails the (anti)symmetry test exactly when its mirror pair does,
+    so the first failure always sits at flat <= swapped and the mirror
+    half is left out; a fixed point can fail only antisymmetry.
+    """
+    pairs = []
+    for flat, idx in enumerate(itertools.product(range(dim), repeat=rank)):
+        swapped = list(idx)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        other = 0
+        for i in swapped:
+            other = other * dim + i
+        if flat < other or (anti and flat == other):
+            pairs.append((flat, other))
+    return tuple(pairs)
+
+
+@lru_cache(maxsize=None)
+def _cyclic_positions(dim: int) -> tuple[tuple[int, int, int], ...]:
+    """Flat positions of (i,j,k), (j,k,i), (k,i,j) for each (i,j,k) in order."""
+    return tuple(((i * dim + j) * dim + k, (j * dim + k) * dim + i, (k * dim + i) * dim + j)
+                 for i in range(dim) for j in range(dim) for k in range(dim))
 
 
 def _resolve_omega(t: Tensor, omega):
@@ -365,9 +395,9 @@ def cyclic_sum(t: Tensor) -> Tensor:
     """(cyclic_sum A)(X,Y,Z) = A(X,Y,Z) + A(Y,Z,X) + A(Z,X,Y)."""
     if t.valence != (COV, COV, COV):
         raise ValueError("expected a (0,3)-tensor")
-    return Tensor.build(t.dim, t.valence,
-                        lambda i, j, k: t[i, j, k] + t[j, k, i] + t[k, i, j],
-                        space=t.space)
+    c = t.comps
+    return Tensor(t.dim, t.valence, [c[f] + c[g] + c[h] for f, g, h in _cyclic_positions(t.dim)],
+                  space=t.space)
 
 
 # -- change of basis -----------------------------------------------------------

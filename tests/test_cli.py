@@ -4,6 +4,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from fedosov.cli import main
 from fedosov.rationals import parse_ratfun
 from fedosov.symplectic import SymplecticSpace, tensor_from_json, tensor_to_json
@@ -297,3 +299,26 @@ def test_console_entry_point():
     result = subprocess.run([sys.executable, "-m", "fedosov.cli", "dims", "--n-max", "1"],
                             capture_output=True, text=True)
     assert result.returncode == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--space", "cotorsion", "--n", "1"],
+    ["classify", "--space", "torsion", "--n", "1"],
+    ["symplectify", "--n", "1"],
+    ["verify-chart"],
+])
+def test_top_level_json_array_is_input_error(tmp_path, capsys, argv):
+    path = write_json(tmp_path, "array.json", [1, 2])
+    command, *options = argv
+    code, out, err = run_cli(capsys, command, path, *options)
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: {path}: expected a JSON object at the top level, got list\n"
+
+
+@pytest.mark.parametrize("n_max", ["0", "-2"])
+def test_dims_rejects_nonpositive_n_max(capsys, n_max):
+    code, out, err = run_cli(capsys, "dims", "--n-max", n_max)
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: --n-max must be >= 1, got {n_max}\n"

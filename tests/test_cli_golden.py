@@ -1,9 +1,13 @@
-"""Golden-output test: CLI stdout, stderr and exit codes on the built-in charts.
+"""Golden-output test: CLI stdout, stderr and exit codes on fixed inputs.
 
-The snapshot in `data/cli_golden.json` pins the exact bytes of every
-report, including check order, names and witnesses, so a refactor that
-changes a summation order and with it a printed witness is caught here.
-Regenerate it only for an intended output change:
+The inputs are the built-in charts and the seeded tensors in
+`data/tensors/` (decomposition, classification and symplectification at
+n = 1..3, including a failing symplectification with its witness).  The
+snapshot in `data/cli_golden.json` pins the exact bytes of every report,
+including check order, names, witnesses and emitted parts, so a refactor
+that changes a summation order or a projection formula and with it a
+printed value is caught here.  Tensor arguments are recorded relative to
+`data/`.  Regenerate the snapshot only for an intended output change:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -19,7 +23,8 @@ import pytest
 
 from fedosov.cli import main
 
-SNAPSHOT = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
+DATA = pathlib.Path(__file__).parent / "data"
+SNAPSHOT = DATA / "cli_golden.json"
 
 COMMANDS = [
     *(["verify-chart", chart, "--suite", suite]
@@ -29,6 +34,16 @@ COMMANDS = [
     ["model-at-point", "example1-emended", "--at", "x=2,y=1/3"],
     ["obstruction", "example2", "--at", "x=1,y=0"],
     ["linear-type", "example2"],
+    *(["decompose", f"tensors/{space}_n{n}.json", "--space", space, "--n", str(n), "--parts"]
+      for space in ("cotorsion", "torsion") for n in (1, 2, 3)),
+    ["decompose", "tensors/torsion_n2.json", "--space", "torsion", "--n", "2"],
+    *(["classify", f"tensors/{space}_n{n}.json", "--space", space, "--n", str(n)]
+      for space in ("cotorsion", "torsion") for n in (1, 2, 3)),
+    ["symplectify", "tensors/symplectic_torsion_n2.json", "--n", "2"],
+    ["symplectify", "tensors/torsion_n1.json", "--n", "1"],
+    ["symplectify", "tensors/threeform_t3_n2.json", "--n", "2"],
+    ["symplectify", "tensors/torsion_n3.json", "--n", "3"],
+    ["dims", "--n-max", "3"],
 ]
 
 CASES = [argv for command in COMMANDS for argv in (command, ["--json", *command])]
@@ -37,7 +52,7 @@ CASES = [argv for command in COMMANDS for argv in (command, ["--json", *command]
 def run(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        code = main([str(DATA / a) if a.startswith("tensors/") else a for a in argv])
     return {"argv": list(argv), "exit": code, "stdout": out.getvalue(),
             "stderr": err.getvalue()}
 

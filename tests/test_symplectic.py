@@ -252,3 +252,40 @@ def test_tensor_json_sparse_means_zero():
 def test_tensor_json_bad_index_rejected():
     with pytest.raises(ValueError):
         tensor_from_json({"n": 1, "valence": ["cov"], "components": {"5": "1"}})
+
+
+def _first_violation_by_definition(t, a, b, anti):
+    for idx in t.indices():
+        swapped = list(idx)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        other = t[tuple(swapped)]
+        if (t[idx] + other if anti else t[idx] - other) != 0:
+            return idx
+    return None
+
+
+def test_symmetry_scan_and_cyclic_sum_match_index_definitions():
+    # the scans visit only one index of each swapped pair, and cyclic_sum
+    # reads flat positions; both must agree with the per-index definitions
+    rng = random.Random(45)
+    for n in (1, 2):
+        for valence in ((COV, COV, COV), (COV, COV, COV, CON)):
+            for base in (random_symmetric_tensor, random_antisymmetric_tensor):
+                t3 = base(rng, n)
+                d = t3.dim
+                # T(i,j,k,l) = t3(i,j,k) (l+1) keeps the symmetry in slots (1,2)
+                comps = list(t3.comps) if len(valence) == 3 else [
+                    t3.comps[flat // d] * (flat % d + 1) for flat in range(d ** 4)]
+                for _ in range(2):
+                    comps[rng.randrange(len(comps))] += rng.choice((0, 1))
+                t = Tensor(d, valence, comps, space=t3.space)
+                for a in range(len(valence)):
+                    for b in range(len(valence)):
+                        for anti in (False, True):
+                            expected = _first_violation_by_definition(t, a, b, anti)
+                            assert t.first_symmetry_violation(a, b, anti=anti) == expected
+                            checker = t.is_antisymmetric_in if anti else t.is_symmetric_in
+                            assert checker(a, b) == (expected is None)
+                if len(valence) == 3:
+                    assert cyclic_sum(t) == Tensor.build(
+                        t.dim, valence, lambda i, j, k: t[i, j, k] + t[j, k, i] + t[k, i, j])
