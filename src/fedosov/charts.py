@@ -308,11 +308,16 @@ def verify_as_conditions(chart: Chart, structure: Tensor) -> Report:
                   checks=fedosov_base_checks(chart) + parallelism_checks(chart, structure))
 
 
-def parallelism_checks(chart: Chart, structure: Tensor) -> list[Check]:
+def parallelism_checks(chart: Chart, structure: Tensor, *,
+                       base_curvature: Tensor | None = None) -> list[Check]:
     """The shifted connection makes omega, the structure tensor, both
-    curvatures and its own torsion parallel."""
+    curvatures and its own torsion parallel.
+
+    `base_curvature`, when given, is `chart_curvature(chart)` computed once
+    by a caller that also runs `linear_type_checks`.
+    """
     w = omega_tensor(chart)
-    base_r = chart_curvature(chart)
+    base_r = chart_curvature(chart) if base_curvature is None else base_curvature
     tilde_r = chart_curvature(chart, structure)
     tilde_t = chart_torsion(chart, structure)
     return [
@@ -335,8 +340,8 @@ def verify_linear_type_suite(chart: Chart, xi: Tensor,
                   checks=fedosov_base_checks(chart) + linear_type_checks(chart, xi, xi_perp))
 
 
-def linear_type_checks(chart: Chart, xi: Tensor,
-                       xi_perp: Tensor | None = None) -> list[Check]:
+def linear_type_checks(chart: Chart, xi: Tensor, xi_perp: Tensor | None = None, *,
+                       base_curvature: Tensor | None = None) -> list[Check]:
     """Identity suite for linear-type structures on a Fedosov base.
 
     Verifies the defining covariant-derivative form of xi, the curvature
@@ -344,7 +349,7 @@ def linear_type_checks(chart: Chart, xi: Tensor,
     against a transversal field (user-supplied via `xi_perp` with
     omega(xi_perp, xi) = 1, or auto-constructed), and the geometric
     properties of xi (geodesic, symplectic flow, integrable kernel
-    distribution).
+    distribution).  `base_curvature` is as in `parallelism_checks`.
     """
     d = chart.dim
     zero = chart.rf_zero()
@@ -360,7 +365,7 @@ def linear_type_checks(chart: Chart, xi: Tensor,
                                lambda i, k: nabla_xi[i, k] - omega_xi[i] * xi[(k,)])
     checks.append(_zero_check("nabla_xi_linear_form", linear_form))
 
-    r = chart_curvature(chart)
+    r = chart_curvature(chart) if base_curvature is None else base_curvature
     kills = Tensor.build(d, (COV, COV, CON),
                          lambda i, j, l: sum((r[i, j, k, l] * xi[(k,)]
                                               for k in range(d)
@@ -741,13 +746,37 @@ class ObstructionVerdict:
 
 # -- serialization and the packaged examples -------------------------------------------
 
+def _index_key(key: str, arity: int, dim: int, what: str) -> tuple[int, ...]:
+    """0-based indices of a 1-based comma-joined chart key such as ``"1,2"``."""
+    try:
+        idx = tuple(int(p) - 1 for p in key.split(","))
+    except ValueError:
+        idx = ()
+    if len(idx) != arity:
+        raise ChartFormatError(f"bad {what} key {key!r}")
+    if not all(0 <= i < dim for i in idx):
+        raise ChartFormatError(f"{what} key {key!r} out of range")
+    return idx
+
+
+def _entries(data: dict, name: str) -> dict:
+    entries = data.get(name, {})
+    if not isinstance(entries, dict):
+        raise ChartFormatError(f"{name!r} must be a JSON object")
+    return entries
+
+
 def chart_from_json(data: dict) -> Chart:
     try:
-        coords = tuple(data["coords"])
+        coords = data["coords"]
     except KeyError:
         raise ChartFormatError("chart file is missing 'coords'") from None
+    if not isinstance(coords, (list, tuple)) or not all(isinstance(c, str) for c in coords):
+        raise ChartFormatError("'coords' must be a list of variable names")
+    coords = tuple(coords)
     if len(coords) % 2 != 0 or not coords:
         raise ChartFormatError("charts need a positive even number of coordinates")
+    dim = len(coords)
 
     def parse(text, context):
         try:
@@ -756,35 +785,25 @@ def chart_from_json(data: dict) -> Chart:
             raise ChartFormatError(f"{context}: {err}") from None
 
     omega_entries = {}
-    for key, text in data.get("omega", {}).items():
-        parts = key.split(",")
-        if len(parts) != 2:
-            raise ChartFormatError(f"bad omega key {key!r}")
-        i, j = (int(p) - 1 for p in parts)
-        if not (0 <= i < len(coords) and 0 <= j < len(coords)):
-            raise ChartFormatError(f"omega key {key!r} out of range")
-        omega_entries[(i, j)] = parse(text, f"omega[{key}]")
+    for key, text in _entries(data, "omega").items():
+        omega_entries[_index_key(key, 2, dim, "omega")] = parse(text, f"omega[{key}]")
     christoffel_entries = {}
-    for key, text in data.get("christoffel", {}).items():
-        parts = key.split(",")
-        if len(parts) != 3:
-            raise ChartFormatError(f"bad christoffel key {key!r}")
-        k, i, j = (int(p) - 1 for p in parts)
-        if not all(0 <= v < len(coords) for v in (k, i, j)):
-            raise ChartFormatError(f"christoffel key {key!r} out of range")
-        christoffel_entries[(k, i, j)] = parse(text, f"christoffel[{key}]")
+    for key, text in _entries(data, "christoffel").items():
+        christoffel_entries[_index_key(key, 3, dim, "christoffel")] = parse(
+            text, f"christoffel[{key}]")
     fields = {}
-    for name, field_data in data.get("fields", {}).items():
-        valence = tuple(field_data.get("valence", []))
-        dim = len(coords)
+    for name, field_data in _entries(data, "fields").items():
+        if not isinstance(field_data, dict):
+            raise ChartFormatError(f"field {name!r} must be a JSON object")
+        valence = field_data.get("valence", [])
+        if not isinstance(valence, list) or any(kind not in (COV, CON) for kind in valence):
+            raise ChartFormatError(f"field {name!r}: valence must be a list of "
+                                   f"{COV!r}/{CON!r}, got {valence!r}")
         zero = RationalFunction.constant(0, coords)
         comps = [zero] * (dim ** len(valence))
-        for key, text in field_data.get("components", {}).items():
-            idx = tuple(int(p) - 1 for p in key.split(","))
-            if len(idx) != len(valence) or any(i < 0 or i >= dim for i in idx):
-                raise ChartFormatError(f"field {name!r}: bad component key {key!r}")
+        for key, text in _entries(field_data, "components").items():
             flat = 0
-            for i in idx:
+            for i in _index_key(key, len(valence), dim, f"field {name!r} component"):
                 flat = flat * dim + i
             comps[flat] = parse(text, f"fields[{name!r}][{key}]")
         fields[name] = Tensor(dim, valence, comps)

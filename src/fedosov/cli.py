@@ -73,6 +73,8 @@ def _parse_point(text: str) -> dict[str, Fraction]:
 
 
 def _load_tensor_arg(path: str, n: int, space_kind: str) -> Tensor:
+    if n < 1:
+        raise InputError(f"--n must be >= 1, got {n}")
     data = _load_json(path)
     try:
         tensor = tensor_from_json(data)
@@ -276,8 +278,10 @@ def cmd_verify_chart(args) -> int:
     report.extend(ch.verify_chart_structure(chart))
     structure = _structure_for_chart(chart, args)
     report.checks.extend(ch.fedosov_base_checks(chart))
+    # Both suites read the base curvature; build it once for --suite all.
+    base_r = ch.chart_curvature(chart) if args.suite == "all" else None
     if args.suite in ("as", "all"):
-        report.checks.extend(ch.parallelism_checks(chart, structure))
+        report.checks.extend(ch.parallelism_checks(chart, structure, base_curvature=base_r))
     if args.suite in ("linear-type", "all"):
         xi_name = args.xi or "xi"
         try:
@@ -285,7 +289,7 @@ def cmd_verify_chart(args) -> int:
         except KeyError:
             raise InputError(f"linear-type suite needs the vector field {xi_name!r}") from None
         try:
-            report.checks.extend(ch.linear_type_checks(chart, xi))
+            report.checks.extend(ch.linear_type_checks(chart, xi, base_curvature=base_r))
         except ValueError as err:
             raise InputError(str(err)) from None
         candidate = None

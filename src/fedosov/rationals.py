@@ -1,11 +1,13 @@
 """Exact scalar arithmetic: multivariate polynomials over Q and their quotient field.
 
-Coefficients are `fractions.Fraction` (arbitrary precision, always in lowest
-terms with a positive denominator).  A polynomial stores an ordered tuple of
-variable names plus a sparse map from exponent tuples to nonzero
-coefficients; the zero polynomial has an empty map.  Binary operations align
-the two variable tuples by taking their sorted union, so polynomials over
-different variable sets combine transparently.
+Each coefficient is an `int` when it is integral and a `fractions.Fraction`
+(in lowest terms with a positive denominator, never integral) otherwise, so
+the common case -- integer polynomials such as every normalized
+denominator -- runs on machine-speed integer arithmetic.  A polynomial
+stores an ordered tuple of variable names plus a sparse map from exponent
+tuples to nonzero coefficients; the zero polynomial has an empty map.
+Binary operations align the two variable tuples by taking their sorted
+union, so polynomials over different variable sets combine transparently.
 
 Rational functions are numerator/denominator pairs and are *not* reduced to
 lowest terms (there is no multivariate gcd engine): equality and zero tests
@@ -13,6 +15,12 @@ use cross multiplication, which is exact.  A cheap normalization pass --
 common monomial factor, denominator content and sign, a single
 exact-division attempt -- keeps representations from growing during long
 computations such as curvature expansions.
+
+Results that are already in normal form skip the normalization: products
+with a scalar or a constant polynomial scale the coefficients directly,
+negation and scaling of a normalized pair keep it normalized, and sums and
+products of two polynomials (denominator 1) stay polynomials.  Each such
+fast path yields exactly the pair the normalization pass would produce.
 
 The text syntax accepted by `parse_ratfun` covers integer literals, `+`,
 `-`, `*`, `/`, `^` with positive integer exponents, parentheses and
@@ -24,6 +32,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
+from operator import add, sub
 from typing import Iterable, Mapping
 
 Rational = Fraction
@@ -42,9 +52,29 @@ class ParseError(ValueError):
         self.column = column
 
 
+def _canonical(c):
+    """The exact rational `c` (an int or a Fraction) as an int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _quotient(a, b):
+    """Exact a/b of two canonical coefficients, canonical (never a float)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _canonical(a / b)
+
+
+def _canonical_terms(terms: dict) -> dict:
+    """Drop the zero coefficients and make the integral ones ints."""
+    return {exp: c.numerator if c.denominator == 1 else c for exp, c in terms.items() if c}
+
+
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
 
+    A coefficient is an `int` when integral and a `Fraction` otherwise; the
+    public constructor accepts anything `Fraction` accepts and converts it.
     Instances are treated as immutable: no method mutates `self`, and the
     term map must not be modified after construction.
     """
@@ -53,21 +83,26 @@ class Polynomial:
 
     def __init__(self, variables: Iterable[str], terms: Mapping[tuple[int, ...], Fraction]):
         self.variables: tuple[str, ...] = tuple(variables)
-        self.terms: dict[tuple[int, ...], Fraction] = {
-            exp: Fraction(c) for exp, c in terms.items() if c != 0
-        }
+        self.terms: dict[tuple[int, ...], int | Fraction] = _canonical_terms(
+            {exp: Fraction(c) for exp, c in terms.items()})
+
+    @classmethod
+    def _new(cls, variables: tuple[str, ...], terms: dict) -> Polynomial:
+        """Trusted constructor: `terms` is already canonical and owned by the result."""
+        self = object.__new__(cls)
+        self.variables = variables
+        self.terms = terms
+        return self
 
     @classmethod
     def constant(cls, value, variables: Iterable[str] = ()) -> Polynomial:
         variables = tuple(variables)
-        c = Fraction(value)
-        if c == 0:
-            return cls(variables, {})
-        return cls(variables, {(0,) * len(variables): c})
+        c = _canonical(Fraction(value))
+        return cls._new(variables, {(0,) * len(variables): c} if c else {})
 
     @classmethod
     def variable(cls, name: str) -> Polynomial:
-        return cls((name,), {(1,): Fraction(1)})
+        return cls._new((name,), {(1,): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -76,13 +111,13 @@ class Polynomial:
         return len(self.terms) == 1 and self.terms.get((0,) * len(self.variables)) == 1
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exp) for exp in self.terms)
+        return not any(map(any, self.terms))
 
     def constant_value(self) -> Fraction:
         """Value of a constant polynomial (zero polynomial gives 0)."""
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()), Fraction(0))
+        return Fraction(next(iter(self.terms.values()), 0))
 
     def embed(self, variables: Iterable[str]) -> Polynomial:
         """Reindex onto a superset of variables (order taken from `variables`)."""
@@ -94,14 +129,14 @@ class Polynomial:
             if v not in variables:
                 raise ValueError(f"cannot drop variable {v!r}")
             positions.append(variables.index(v))
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms = {}
         width = len(variables)
         for exp, c in self.terms.items():
             new = [0] * width
             for pos, e in zip(positions, exp):
                 new[pos] = e
             terms[tuple(new)] = c
-        return Polynomial(variables, terms)
+        return Polynomial._new(variables, terms)
 
     @staticmethod
     def _aligned(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -117,59 +152,82 @@ class Polynomial:
             return Polynomial.constant(other, self.variables)
         return None
 
+    def _scaled(self, c) -> Polynomial:
+        """self * c for a canonical scalar c, without a polynomial product."""
+        if not c:
+            return Polynomial._new(self.variables, {})
+        if c == 1:
+            return self
+        return Polynomial._new(self.variables,
+                               _canonical_terms({exp: v * c for exp, v in self.terms.items()}))
+
+    def _plus(self, other: Polynomial, negate: bool) -> Polynomial:
+        a, b = Polynomial._aligned(self, other)
+        terms = dict(a.terms)
+        for exp, c in b.terms.items():
+            if negate:
+                c = -c
+            if exp in terms:
+                value = terms[exp] + c
+                if value:
+                    terms[exp] = _canonical(value)
+                else:
+                    del terms[exp]
+            else:
+                terms[exp] = c
+        return Polynomial._new(a.variables, terms)
+
     def __add__(self, other) -> Polynomial:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        a, b = Polynomial._aligned(self, other)
-        terms = dict(a.terms)
-        for exp, c in b.terms.items():
-            value = terms.get(exp, Fraction(0)) + c
-            if value:
-                terms[exp] = value
-            else:
-                terms.pop(exp, None)
-        return Polynomial(a.variables, terms)
+        return self._plus(other, False)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(self.variables, {exp: -c for exp, c in self.terms.items()})
+        return Polynomial._new(self.variables, {exp: -c for exp, c in self.terms.items()})
 
     def __sub__(self, other) -> Polynomial:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, True)
 
     def __rsub__(self, other) -> Polynomial:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._plus(self, True)
 
     def __mul__(self, other) -> Polynomial:
-        other = self._coerced(other)
-        if other is None:
+        if not isinstance(other, Polynomial):
+            if isinstance(other, (int, Fraction)):
+                return self._scaled(_canonical(other))
             return NotImplemented
         a, b = Polynomial._aligned(self, other)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        if len(b.terms) > len(a.terms):
+            a, b = b, a
+        if not b.terms:
+            return b
+        if len(b.terms) == 1:
+            (exp, c), = b.terms.items()
+            if not any(exp):
+                return a._scaled(c)
+        terms: dict = {}
+        get = terms.get
         for ea, ca in a.terms.items():
             for eb, cb in b.terms.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                value = terms.get(exp, Fraction(0)) + ca * cb
-                if value:
-                    terms[exp] = value
-                else:
-                    terms.pop(exp, None)
-        return Polynomial(a.variables, terms)
+                exp = tuple(map(add, ea, eb))
+                terms[exp] = get(exp, 0) + ca * cb
+        return Polynomial._new(a.variables, _canonical_terms(terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> Polynomial:
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = Polynomial.constant(1, self.variables)
+        result = _one(self.variables)
         base = self
         while k:
             if k & 1:
@@ -192,14 +250,12 @@ class Polynomial:
         if var not in self.variables:
             raise ValueError(f"unknown variable {var!r}")
         i = self.variables.index(var)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms = {}
         for exp, c in self.terms.items():
-            if exp[i] == 0:
-                continue
-            new = list(exp)
-            new[i] -= 1
-            terms[tuple(new)] = c * exp[i]
-        return Polynomial(self.variables, terms)
+            e = exp[i]
+            if e:
+                terms[exp[:i] + (e - 1,) + exp[i + 1:]] = _canonical(c * e)
+        return Polynomial._new(self.variables, terms)
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         missing = [v for v in self.variables if v not in point]
@@ -222,11 +278,11 @@ class Polynomial:
         num = 0
         den = 1
         for c in self.terms.values():
-            num = math.gcd(num, abs(c.numerator))
-            den = den * c.denominator // math.gcd(den, c.denominator)
+            num = math.gcd(num, c.numerator)
+            den = math.lcm(den, c.denominator)
         return Fraction(num, den)
 
-    def _leading(self) -> tuple[tuple[int, ...], Fraction]:
+    def _leading(self) -> tuple[tuple[int, ...], int | Fraction]:
         """Lex-maximal term (exponent tuple compared left to right)."""
         exp = max(self.terms)
         return exp, self.terms[exp]
@@ -235,25 +291,19 @@ class Polynomial:
         """Per-variable minimum exponent over all terms (the common monomial factor)."""
         if not self.terms:
             return (0,) * len(self.variables)
-        mins = None
-        for exp in self.terms:
-            if mins is None:
-                mins = list(exp)
-            else:
-                mins = [min(a, b) for a, b in zip(mins, exp)]
-        return tuple(mins)
+        return tuple(map(min, zip(*self.terms)))
 
     def shift_down(self, shift: tuple[int, ...]) -> Polynomial:
         """Divide by the monomial with the given exponents (must divide every term)."""
-        if all(s == 0 for s in shift):
+        if not any(shift):
             return self
         terms = {}
         for exp, c in self.terms.items():
-            new = tuple(e - s for e, s in zip(exp, shift))
-            if any(e < 0 for e in new):
+            new = tuple(map(sub, exp, shift))
+            if min(new) < 0:
                 raise ValueError("monomial does not divide polynomial")
             terms[new] = c
-        return Polynomial(self.variables, terms)
+        return Polynomial._new(self.variables, terms)
 
     def try_exact_div(self, den: Polynomial) -> Polynomial | None:
         """Quotient self/den if the division is exact (lex order), else None."""
@@ -263,23 +313,25 @@ class Polynomial:
         if a.is_zero():
             return a
         lead_exp, lead_c = b._leading()
-        quotient: dict[tuple[int, ...], Fraction] = {}
+        divisor = b.terms.items()
+        # The lex-largest remaining term strictly decreases, so every step
+        # writes a new quotient monomial.
+        quotient = {}
         rest = dict(a.terms)
         while rest:
             exp = max(rest)
-            diff = tuple(x - y for x, y in zip(exp, lead_exp))
+            diff = tuple(map(sub, exp, lead_exp))
             if any(d < 0 for d in diff):
                 return None
-            qc = rest[exp] / lead_c
-            quotient[diff] = quotient.get(diff, Fraction(0)) + qc
-            for eb, cb in b.terms.items():
-                e = tuple(x + y for x, y in zip(diff, eb))
-                value = rest.get(e, Fraction(0)) - qc * cb
+            qc = quotient[diff] = _quotient(rest[exp], lead_c)
+            for eb, cb in divisor:
+                e = tuple(map(add, diff, eb))
+                value = rest.get(e, 0) - qc * cb
                 if value:
-                    rest[e] = value
+                    rest[e] = _canonical(value)
                 else:
                     rest.pop(e, None)
-        return Polynomial(a.variables, quotient)
+        return Polynomial._new(a.variables, quotient)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -314,30 +366,37 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+@lru_cache(maxsize=256)
+def _one(variables: tuple[str, ...]) -> Polynomial:
+    """The shared constant 1 over `variables`: the denominator of every
+    rational function that is a polynomial."""
+    return Polynomial._new(variables, {(0,) * len(variables): 1})
+
+
 class RationalFunction:
     """Element of the quotient field Q(x1, ..., xm), stored as num/den.
 
     The pair is normalized (common monomial stripped, denominator primitive
-    with positive leading coefficient, collapsed to a polynomial when the
-    division happens to be exact) but *not* reduced to lowest terms in
-    general.  Equality is decided by cross multiplication and is therefore
-    exact regardless of representation.
+    with integer coefficients and positive leading coefficient, collapsed to
+    a polynomial over the shared denominator 1 when the division happens to
+    be exact) but *not* reduced to lowest terms in general.  Equality is
+    decided by cross multiplication and is therefore exact regardless of
+    representation.  Operations whose result is normalized by construction
+    (see the module docstring) build it without re-running the normalization.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Polynomial | None = None):
         if den is None:
-            den = Polynomial.constant(1, num.variables)
+            den = _one(num.variables)
         num, den = Polynomial._aligned(num, den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            den = Polynomial.constant(1, num.variables)
+            den = _one(num.variables)
         else:
-            shift = tuple(
-                min(a, b) for a, b in zip(num.min_exponents(), den.min_exponents())
-            )
+            shift = tuple(map(min, num.min_exponents(), den.min_exponents()))
             if any(shift):
                 num = num.shift_down(shift)
                 den = den.shift_down(shift)
@@ -345,24 +404,37 @@ class RationalFunction:
             if den._leading()[1] < 0:
                 scale = -scale
             if scale != 1:
-                inv = 1 / scale
-                num = num * inv
-                den = den * inv
+                inv = _canonical(1 / scale)
+                num = num._scaled(inv)
+                den = den._scaled(inv)
             if not den.is_one():
                 quotient = num.try_exact_div(den)
                 if quotient is not None:
                     num = quotient
-                    den = Polynomial.constant(1, num.variables)
+                    den = _one(num.variables)
         self.num = num
         self.den = den
 
     @classmethod
+    def _new(cls, num: Polynomial, den: Polynomial) -> RationalFunction:
+        """Trusted constructor for a pair that is already normalized."""
+        self = object.__new__(cls)
+        self.num = num
+        self.den = den
+        return self
+
+    @classmethod
+    def _polynomial(cls, num: Polynomial) -> RationalFunction:
+        """`num` over the shared denominator 1 (always normalized)."""
+        return cls._new(num, _one(num.variables))
+
+    @classmethod
     def constant(cls, value, variables: Iterable[str] = ()) -> RationalFunction:
-        return cls(Polynomial.constant(value, variables))
+        return cls._polynomial(Polynomial.constant(value, variables))
 
     @classmethod
     def variable(cls, name: str) -> RationalFunction:
-        return cls(Polynomial.variable(name))
+        return cls._polynomial(Polynomial.variable(name))
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -390,10 +462,21 @@ class RationalFunction:
             return RationalFunction(other)
         return None
 
+    def _scaled(self, c) -> RationalFunction:
+        """self * c for a canonical scalar c.  Scaling the numerator of a
+        normalized pair by a nonzero constant leaves it normalized: the
+        exponents, the denominator and the exactness of the division are
+        unchanged."""
+        if not c:
+            return RationalFunction._polynomial(Polynomial._new(self.variables, {}))
+        return RationalFunction._new(self.num._scaled(c), self.den)
+
     def __add__(self, other) -> RationalFunction:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
+        if self.den.is_one() and other.den.is_one():
+            return RationalFunction._polynomial(self.num + other.num)
         if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(
@@ -403,7 +486,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self) -> RationalFunction:
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._new(-self.num, self.den)
 
     def __sub__(self, other) -> RationalFunction:
         other = self._coerced(other)
@@ -418,9 +501,13 @@ class RationalFunction:
         return other + (-self)
 
     def __mul__(self, other) -> RationalFunction:
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(_canonical(other))
         other = self._coerced(other)
         if other is None:
             return NotImplemented
+        if self.den.is_one() and other.den.is_one():
+            return RationalFunction._polynomial(self.num * other.num)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -444,12 +531,16 @@ class RationalFunction:
             raise ValueError("exponent must be an integer")
         if k < 0:
             return RationalFunction(self.den, self.num) ** (-k)
+        if self.den.is_one():
+            return RationalFunction._polynomial(self.num ** k)
         return RationalFunction(self.num ** k, self.den ** k)
 
     def __eq__(self, other) -> bool:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
+        if self.den.is_one() and other.den.is_one():
+            return self.num == other.num
         return (self.num * other.den - other.num * self.den).is_zero()
 
     __hash__ = None
@@ -460,7 +551,7 @@ class RationalFunction:
             raise ValueError(f"unknown variable {var!r}")
         dn = self.num.partial(var)
         if self.den.is_one():
-            return RationalFunction(dn, self.den)
+            return RationalFunction._new(dn, self.den)
         dd = self.den.partial(var)
         return RationalFunction(dn * self.den - self.num * dd, self.den * self.den)
 

@@ -453,19 +453,33 @@ def tensor_to_json(t: Tensor) -> dict:
 def tensor_from_json(data: dict, *, space: SymplecticSpace | None = None,
                      parse_scalar: Callable[[str], object] | None = None,
                      zero=Fraction(0)) -> Tensor:
-    """Inverse of `tensor_to_json`; `parse_scalar` defaults to Fraction parsing."""
-    n = int(data["n"])
+    """Inverse of `tensor_to_json`; `parse_scalar` defaults to Fraction parsing.
+
+    Malformed input raises `ValueError` (`KeyError` for a missing field): `n`
+    must be a positive integer, `valence` a list, `components` an object
+    whose values are strings.
+    """
+    n = data["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"'n' must be a positive integer, got {n!r}")
     dim = 2 * n
+    if not isinstance(data["valence"], list):
+        raise ValueError(f"'valence' must be a list, got {data['valence']!r}")
     valence = tuple(data["valence"])
+    components = data.get("components", {})
+    if not isinstance(components, dict):
+        raise ValueError("'components' must be a JSON object")
     if space is not None and space.n != n:
         raise ValueError(f"tensor declares n={n} but space has n={space.n}")
     parse = parse_scalar if parse_scalar is not None else Fraction
     t = Tensor.zeros(dim, valence, zero=zero, space=space)
     comps = list(t.comps)
-    for key, text in data.get("components", {}).items():
+    for key, text in components.items():
         idx = tuple(int(part) - 1 for part in key.split(","))
         if len(idx) != len(valence) or any(i < 0 or i >= dim for i in idx):
             raise ValueError(f"bad component index {key!r} for dimension {dim}")
+        if not isinstance(text, str):
+            raise ValueError(f"component {key!r} must be a string, got {type(text).__name__}")
         flat = 0
         for i in idx:
             flat = flat * dim + i

@@ -322,3 +322,67 @@ def test_dims_rejects_nonpositive_n_max(capsys, n_max):
     assert code == 2
     assert out == ""
     assert err == f"input error: --n-max must be >= 1, got {n_max}\n"
+
+
+def test_decompose_nonpositive_n_is_input_error(tmp_path, capsys):
+    path = write_json(tmp_path, "z.json",
+                      {"n": 0, "valence": ["cov", "cov", "cov"], "components": {}})
+    code, out, err = run_cli(capsys, "decompose", path, "--n", "0", "--space", "torsion")
+    assert code == 2
+    assert out == ""
+    assert err == "input error: --n must be >= 1, got 0\n"
+
+
+def test_non_string_component_is_input_error(tmp_path, capsys):
+    path = write_json(tmp_path, "b.json",
+                      {"n": 1, "valence": ["cov", "cov", "cov"],
+                       "components": {"1,2,1": [1]}})
+    code, out, err = run_cli(capsys, "decompose", path, "--n", "1", "--space", "torsion")
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: {path}: component '1,2,1' must be a string, got list\n"
+
+
+def test_non_integer_chart_key_is_input_error(tmp_path, capsys):
+    path = write_json(tmp_path, "c.json",
+                      {"coords": ["x", "y"], "omega": {"a,2": "1"}})
+    code, out, err = run_cli(capsys, "verify-chart", path)
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: {path}: bad omega key 'a,2'\n"
+
+
+_STDLIB_GUARD = """
+import contextlib, io, sys
+before = set(sys.modules)
+import fedosov.cli
+for chart in ("example1", "example1-emended", "example2"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        fedosov.cli.main(["verify-chart", chart, "--suite", "all"])
+allowed = set(sys.stdlib_module_names) | {"fedosov"}
+print("\\n".join(sorted(name for name in set(sys.modules) - before
+                        if name.partition(".")[0] not in allowed)))
+"""
+
+
+def test_cli_imports_only_the_standard_library():
+    # The package has no runtime dependencies: running the CLI on the
+    # built-in fixtures must import nothing outside the stdlib and fedosov.
+    result = subprocess.run([sys.executable, "-c", _STDLIB_GUARD],
+                            capture_output=True, text=True, env=os.environ)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"coords": 5}, "'coords' must be a list of variable names"),
+    ({"coords": ["x", "y"], "omega": [1]}, "'omega' must be a JSON object"),
+    ({"coords": ["x", "y"], "fields": {"xi": {"valence": "foo"}}},
+     "field 'xi': valence must be a list of 'cov'/'con', got 'foo'"),
+])
+def test_malformed_chart_structure_is_input_error(tmp_path, capsys, payload, message):
+    path = write_json(tmp_path, "c.json", payload)
+    code, out, err = run_cli(capsys, "verify-chart", path)
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: {path}: {message}\n"

@@ -1,0 +1,454 @@
+"""Differential tests of the integer-coefficient polynomial kernel.
+
+`rationals.Polynomial` stores a coefficient as an `int` when it is integral
+and as a `Fraction` otherwise, and `RationalFunction` skips its
+normalization pass where the result is normal by construction.  The
+private oracle below is the previous all-`Fraction` arithmetic, which ran
+every result through the full normalization; both must give the same term
+maps and the same printed form, on hypothesis-drawn polynomials and
+rational functions over different variable tuples.  A second test pins the
+coefficient-type invariant itself, and a few seeded cases are checked
+against `sympy.cancel`.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fedosov.rationals import PoleError, Polynomial, RationalFunction
+
+
+# -- the oracle: all-Fraction coefficients, every result normalized -----------------
+
+
+class _OraclePolynomial:
+    def __init__(self, variables, terms):
+        self.variables = tuple(variables)
+        self.terms = {exp: Fraction(c) for exp, c in terms.items() if c != 0}
+
+    @classmethod
+    def constant(cls, value, variables=()):
+        variables = tuple(variables)
+        c = Fraction(value)
+        return cls(variables, {(0,) * len(variables): c} if c else {})
+
+    def is_zero(self):
+        return not self.terms
+
+    def is_one(self):
+        return len(self.terms) == 1 and self.terms.get((0,) * len(self.variables)) == 1
+
+    def embed(self, variables):
+        variables = tuple(variables)
+        if variables == self.variables:
+            return self
+        positions = [variables.index(v) for v in self.variables]
+        terms = {}
+        for exp, c in self.terms.items():
+            new = [0] * len(variables)
+            for pos, e in zip(positions, exp):
+                new[pos] = e
+            terms[tuple(new)] = c
+        return _OraclePolynomial(variables, terms)
+
+    @staticmethod
+    def _aligned(a, b):
+        if a.variables == b.variables:
+            return a, b
+        merged = tuple(sorted(set(a.variables) | set(b.variables)))
+        return a.embed(merged), b.embed(merged)
+
+    def _coerced(self, other):
+        if isinstance(other, _OraclePolynomial):
+            return other
+        return _OraclePolynomial.constant(other, self.variables)
+
+    def __add__(self, other):
+        a, b = _OraclePolynomial._aligned(self, self._coerced(other))
+        terms = dict(a.terms)
+        for exp, c in b.terms.items():
+            value = terms.get(exp, Fraction(0)) + c
+            if value:
+                terms[exp] = value
+            else:
+                terms.pop(exp, None)
+        return _OraclePolynomial(a.variables, terms)
+
+    def __neg__(self):
+        return _OraclePolynomial(self.variables, {exp: -c for exp, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerced(other))
+
+    def __mul__(self, other):
+        a, b = _OraclePolynomial._aligned(self, self._coerced(other))
+        terms = {}
+        for ea, ca in a.terms.items():
+            for eb, cb in b.terms.items():
+                exp = tuple(x + y for x, y in zip(ea, eb))
+                value = terms.get(exp, Fraction(0)) + ca * cb
+                if value:
+                    terms[exp] = value
+                else:
+                    terms.pop(exp, None)
+        return _OraclePolynomial(a.variables, terms)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        result = _OraclePolynomial.constant(1, self.variables)
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def partial(self, var):
+        i = self.variables.index(var)
+        terms = {}
+        for exp, c in self.terms.items():
+            if exp[i]:
+                new = list(exp)
+                new[i] -= 1
+                terms[tuple(new)] = c * exp[i]
+        return _OraclePolynomial(self.variables, terms)
+
+    def evaluate(self, point):
+        total = Fraction(0)
+        for exp, c in self.terms.items():
+            term = c
+            for v, e in zip(self.variables, exp):
+                term *= Fraction(point[v]) ** e
+            total += term
+        return total
+
+    def content(self):
+        if not self.terms:
+            return Fraction(1)
+        num, den = 0, 1
+        for c in self.terms.values():
+            num = math.gcd(num, abs(c.numerator))
+            den = den * c.denominator // math.gcd(den, c.denominator)
+        return Fraction(num, den)
+
+    def min_exponents(self):
+        if not self.terms:
+            return (0,) * len(self.variables)
+        return tuple(min(column) for column in zip(*self.terms))
+
+    def shift_down(self, shift):
+        return _OraclePolynomial(self.variables, {
+            tuple(e - s for e, s in zip(exp, shift)): c for exp, c in self.terms.items()})
+
+    def try_exact_div(self, den):
+        a, b = _OraclePolynomial._aligned(self, den)
+        if a.is_zero():
+            return a
+        lead_exp = max(b.terms)
+        lead_c = b.terms[lead_exp]
+        quotient = {}
+        rest = dict(a.terms)
+        while rest:
+            exp = max(rest)
+            diff = tuple(x - y for x, y in zip(exp, lead_exp))
+            if any(d < 0 for d in diff):
+                return None
+            qc = rest[exp] / lead_c
+            quotient[diff] = quotient.get(diff, Fraction(0)) + qc
+            for eb, cb in b.terms.items():
+                e = tuple(x + y for x, y in zip(diff, eb))
+                value = rest.get(e, Fraction(0)) - qc * cb
+                if value:
+                    rest[e] = value
+                else:
+                    rest.pop(e, None)
+        return _OraclePolynomial(a.variables, quotient)
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        keys = sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
+        pieces = []
+        for exp in keys:
+            c = self.terms[exp]
+            factors = []
+            for v, e in zip(self.variables, exp):
+                if e == 1:
+                    factors.append(v)
+                elif e > 1:
+                    factors.append(f"{v}^{e}")
+            mono = "*".join(factors)
+            if not mono:
+                text = str(abs(c))
+            elif abs(c) == 1:
+                text = mono
+            else:
+                text = f"{abs(c)}*{mono}"
+            pieces.append(("-" if c < 0 else "+", text))
+        out = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
+        for sign, text in pieces[1:]:
+            out += f" {sign} {text}"
+        return out
+
+
+class _OracleRationalFunction:
+    def __init__(self, num, den=None):
+        if den is None:
+            den = _OraclePolynomial.constant(1, num.variables)
+        num, den = _OraclePolynomial._aligned(num, den)
+        if num.is_zero():
+            den = _OraclePolynomial.constant(1, num.variables)
+        else:
+            shift = tuple(min(a, b) for a, b in zip(num.min_exponents(), den.min_exponents()))
+            if any(shift):
+                num = num.shift_down(shift)
+                den = den.shift_down(shift)
+            scale = den.content()
+            if den.terms[max(den.terms)] < 0:
+                scale = -scale
+            if scale != 1:
+                num = num * (1 / scale)
+                den = den * (1 / scale)
+            if not den.is_one():
+                quotient = num.try_exact_div(den)
+                if quotient is not None:
+                    num = quotient
+                    den = _OraclePolynomial.constant(1, num.variables)
+        self.num = num
+        self.den = den
+
+    def _coerced(self, other):
+        if isinstance(other, _OracleRationalFunction):
+            return other
+        return _OracleRationalFunction(_OraclePolynomial.constant(other, self.num.variables))
+
+    def __add__(self, other):
+        other = self._coerced(other)
+        if (self.den - other.den).is_zero():
+            return _OracleRationalFunction(self.num + other.num, self.den)
+        return _OracleRationalFunction(self.num * other.den + other.num * self.den,
+                                       self.den * other.den)
+
+    def __neg__(self):
+        return _OracleRationalFunction(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-self._coerced(other))
+
+    def __mul__(self, other):
+        other = self._coerced(other)
+        return _OracleRationalFunction(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other):
+        other = self._coerced(other)
+        return _OracleRationalFunction(self.num * other.den, self.den * other.num)
+
+    def __pow__(self, k):
+        return _OracleRationalFunction(self.num ** k, self.den ** k)
+
+    def partial(self, var):
+        dn = self.num.partial(var)
+        if self.den.is_one():
+            return _OracleRationalFunction(dn, self.den)
+        dd = self.den.partial(var)
+        return _OracleRationalFunction(dn * self.den - self.num * dd, self.den * self.den)
+
+    def __str__(self):
+        return str(self.num) if self.den.is_one() else f"({self.num})/({self.den})"
+
+
+# -- strategies ----------------------------------------------------------------------
+
+VARIABLE_TUPLES = [(), ("x",), ("y",), ("x", "y"), ("y", "x"), ("u", "x", "y")]
+
+coefficients = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.builds(Fraction, st.integers(min_value=-6, max_value=6),
+              st.integers(min_value=1, max_value=4)),
+)
+
+
+@st.composite
+def term_maps(draw, variables=None):
+    if variables is None:
+        variables = draw(st.sampled_from(VARIABLE_TUPLES))
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=3) for _ in variables])
+    terms = draw(st.dictionaries(exponents, coefficients, max_size=4))
+    return variables, terms
+
+
+def _pair(variables, terms):
+    return Polynomial(variables, terms), _OraclePolynomial(variables, terms)
+
+
+def assert_same_poly(new, old):
+    assert isinstance(new, Polynomial)
+    assert new.variables == old.variables
+    assert new.terms == old.terms
+    assert str(new) == str(old)
+
+
+def assert_same_ratfun(new, old):
+    assert isinstance(new, RationalFunction)
+    assert_same_poly(new.num, old.num)
+    assert_same_poly(new.den, old.den)
+    assert str(new) == str(old)
+
+
+def assert_canonical(p: Polynomial):
+    for c in p.terms.values():
+        assert type(c) in (int, Fraction)
+        assert c != 0
+        assert (type(c) is int) == (Fraction(c).denominator == 1)
+
+
+# -- polynomial operations -------------------------------------------------------------
+
+
+def _poly_results(data):
+    """(new result, oracle result) for every polynomial operation on drawn inputs."""
+    p, op = _pair(*data.draw(term_maps()))
+    q, oq = _pair(*data.draw(term_maps()))
+    scalar = data.draw(coefficients)
+    k = data.draw(st.integers(min_value=0, max_value=3))
+    results = [
+        (p + q, op + oq),
+        (p - q, op - oq),
+        (p * q, op * oq),
+        (p ** k, op ** k),
+        (p * scalar, op * scalar),
+        (scalar * p, scalar * op),
+        (p * Polynomial.constant(scalar, q.variables),
+         op * _OraclePolynomial.constant(scalar, q.variables)),
+        (-p, -op),
+    ]
+    results += [(p.partial(v), op.partial(v)) for v in p.variables]
+    if not q.is_zero():
+        results.append((p.try_exact_div(q), op.try_exact_div(oq)))
+        results.append(((p * q).try_exact_div(q), (op * oq).try_exact_div(oq)))
+    return p, op, results
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_polynomial_operations_match_oracle(data):
+    p, op, results = _poly_results(data)
+    for new, old in results:
+        if old is None:
+            assert new is None
+        else:
+            assert_same_poly(new, old)
+    point = {v: data.draw(coefficients) for v in p.variables}
+    assert p.evaluate(point) == op.evaluate(point)
+
+
+# -- rational-function operations -------------------------------------------------------
+
+
+@st.composite
+def ratfun_pairs(draw):
+    num_vars, num_terms = draw(term_maps())
+    den_vars, den_terms = draw(term_maps())
+    num, onum = _pair(num_vars, num_terms)
+    den, oden = _pair(den_vars, den_terms)
+    if den.is_zero():
+        return RationalFunction(num), _OracleRationalFunction(onum)
+    return RationalFunction(num, den), _OracleRationalFunction(onum, oden)
+
+
+def _ratfun_results(data):
+    a, oa = data.draw(ratfun_pairs())
+    b, ob = data.draw(ratfun_pairs())
+    scalar = data.draw(coefficients)
+    k = data.draw(st.integers(min_value=0, max_value=2))
+    results = [
+        (a, oa),
+        (a + b, oa + ob),
+        (a - b, oa - ob),
+        (a * b, oa * ob),
+        (a * scalar, oa * scalar),
+        (-a, -oa),
+        (a ** k, oa ** k),
+    ]
+    if not b.is_zero():
+        results.append((a / b, oa / ob))
+    results += [(a.partial(v), oa.partial(v)) for v in a.variables]
+    return results
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_rational_function_operations_match_oracle(data):
+    for new, old in _ratfun_results(data):
+        assert_same_ratfun(new, old)
+
+
+# -- the coefficient-type invariant -------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_coefficients_are_int_exactly_when_integral(data):
+    p, _, results = _poly_results(data)
+    for new, _ in results:
+        if new is not None:
+            assert_canonical(new)
+    for new, _ in _ratfun_results(data):
+        assert_canonical(new.num)
+        assert_canonical(new.den)
+        try:
+            value = new.evaluate({v: Fraction(1, 7) + i for i, v in enumerate(new.variables)})
+        except PoleError:
+            value = Fraction(0)
+        assert type(value) is Fraction
+        if new.is_constant():
+            assert type(new.constant_value()) is Fraction
+    point = {v: data.draw(coefficients) for v in p.variables}
+    assert type(p.evaluate(point)) is Fraction
+    if p.is_constant():
+        assert type(p.constant_value()) is Fraction
+
+
+def test_exact_division_quotients_are_never_floats():
+    # 3x / 2x and (2x + 2) / 2: int / int must give an exact Fraction or an int.
+    x = Polynomial(("x",), {(1,): 1})
+    half = (x * 3).try_exact_div(x * 2).terms[(0,)]
+    assert type(half) is Fraction and half == Fraction(3, 2)
+    quotient = (x * 2 + 2).try_exact_div(Polynomial.constant(2, ("x",)))
+    assert quotient.terms == {(1,): 1, (0,): 1}
+    assert all(type(c) is int for c in quotient.terms.values())
+    assert type(Polynomial.constant(Fraction(4, 2)).terms[()]) is int
+
+
+# -- against sympy -------------------------------------------------------------------------
+
+
+def test_seeded_expressions_match_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    x, y, u = sympy.symbols("x y u")
+    symbols = {"x": x, "y": y, "u": u}
+    rng = random.Random(7)
+
+    def to_sympy(value):
+        return sympy.sympify(str(value).replace("^", "**"), locals=symbols)
+
+    def random_pair():
+        variables = rng.choice(VARIABLE_TUPLES[1:])
+        terms = {tuple(rng.randint(0, 2) for _ in variables):
+                 Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)}
+        poly = Polynomial(variables, terms)
+        return poly, to_sympy(poly)
+
+    for _ in range(12):
+        (p, ps), (q, qs), (r, rs) = random_pair(), random_pair(), random_pair()
+        if q.is_zero() or r.is_zero():
+            continue
+        a, b = RationalFunction(p, q), RationalFunction(q, r)
+        for ours, theirs in ((a + b, ps / qs + qs / rs), (a * b, ps / rs),
+                             (a / b, ps * rs / qs ** 2),
+                             (a.partial(q.variables[0]),
+                              sympy.diff(ps / qs, symbols[q.variables[0]]))):
+            assert sympy.cancel(to_sympy(ours) - theirs) == 0
