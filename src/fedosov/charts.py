@@ -572,26 +572,6 @@ def symplectic_basis_matrix(omega_p: list[list[Fraction]]) -> list[list[Fraction
                    for i in range(dim) for j in range(dim)
                    if u[i] != 0 and v[j] != 0 and omega_p[i][j] != 0)
 
-    def independent_subset(vectors, count):
-        kept = []
-        rows = []
-        for v in vectors:
-            vec = list(v)
-            for row in rows:
-                pivot = next(i for i, x in enumerate(row) if x != 0)
-                if vec[pivot] != 0:
-                    factor = vec[pivot]
-                    vec = [a - factor * b for a, b in zip(vec, row)]
-            first = next((i for i, x in enumerate(vec) if x != 0), None)
-            if first is None:
-                continue
-            inv = vec[first]
-            rows.append([x / inv for x in vec])
-            kept.append(v)
-            if len(kept) == count:
-                break
-        return kept
-
     working = [[Fraction(1) if i == j else Fraction(0) for i in range(dim)]
                for j in range(dim)]
     us, ws = [], []
@@ -604,15 +584,18 @@ def symplectic_basis_matrix(omega_p: list[list[Fraction]]) -> list[list[Fraction
         w = [x / scale for x in partner]
         us.append(u)
         ws.append(w)
+        # The projections lie in the (dim - 2k)-dimensional complement, so
+        # the greedy independent subset has at most that many vectors.
+        span = linalg.Echelon()
         projected = []
         for v in working:
             if v is u or v is partner:
                 continue
-            pv = [a - pairing(v, w) * b + pairing(v, u) * c
-                  for a, b, c in zip(v, u, w)]
-            if any(x != 0 for x in pv):
+            vw, vu = pairing(v, w), pairing(v, u)
+            pv = [a - vw * b + vu * c for a, b, c in zip(v, u, w)]
+            if span.add(pv):
                 projected.append(pv)
-        working = independent_subset(projected, dim - 2 * len(us))
+        working = projected
     columns = us + ws
     return [[columns[c][r] for c in range(dim)] for r in range(dim)]
 

@@ -252,6 +252,10 @@ def cmd_transvection(args) -> int:
 
 def cmd_bianchi(args) -> int:
     data = _load_json(args.algebra)
+    # Reject a wrong dimension before building dim^3 constants and the Jacobi scan.
+    dim = data.get("dim")
+    if isinstance(dim, int) and dim != 3:
+        raise InputError("Bianchi classification needs a 3-dimensional algebra")
     try:
         algebra = mo.presentation_from_json(data)
     except (ValueError, KeyError) as err:

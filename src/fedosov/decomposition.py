@@ -160,28 +160,6 @@ def _w_generator(space: SymplecticSpace, u: int) -> Tensor:
                                 ((1, (0, 1, 2)), (-n, (0, 2, 1)), (n, (1, 2, 0))))
 
 
-def _independent_subset(tensors: list[Tensor], kind: str) -> list[Tensor]:
-    """Greedy maximal independent subset, preserving input order."""
-    kept: list[Tensor] = []
-    reduced_rows: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for t in tensors:
-        vec = _vectorize(t, kind)
-        for row, p in zip(reduced_rows, pivots):
-            if vec[p] != 0:
-                factor = vec[p]
-                vec = [a - factor * b for a, b in zip(vec, row)]
-        pivot = next((i for i, v in enumerate(vec) if v != 0), None)
-        if pivot is None:
-            continue
-        inv = vec[pivot]
-        vec = [v / inv for v in vec]
-        reduced_rows.append(vec)
-        pivots.append(pivot)
-        kept.append(t)
-    return kept
-
-
 # -- linear conditions ---------------------------------------------------------
 
 def _sym_lookup(index: dict, x: int, y: int, z: int) -> tuple[int, int]:
@@ -368,8 +346,10 @@ def build_basis(label: str, n: int) -> SubmoduleBasis:
     if label in ("S1", "T1", "T3", "W"):
         gen = {"S1": _s1_generator, "T1": _t1_generator,
                "T3": _t3_generator, "W": _w_generator}[label]
-        elements = _independent_subset([gen(space, u) for u in range(dim)],
-                                       "cotorsion" if label == "S1" else "torsion")
+        kind = "cotorsion" if label == "S1" else "torsion"
+        span = linalg.Echelon()
+        elements = [t for t in (gen(space, u) for u in range(dim))
+                    if span.add(_vectorize(t, kind))]
     elif label == "S3":
         _, index = _sym_coords(dim)
         elements = []
@@ -431,9 +411,10 @@ def class_predicate(label: str, t: Tensor) -> bool:
     if label in _PROJECTORS:
         return _PROJECTORS[label](t) == t
     # W is not a summand of either decomposition: exact span membership
-    vecs = [_vectorize(b, "torsion") for b in build_basis(label, n).elements]
-    target = _vectorize(t, "torsion")
-    return linalg.rank(vecs) == linalg.rank(vecs + [target])
+    span = linalg.Echelon()
+    for b in build_basis(label, n).elements:
+        span.add(_vectorize(b, "torsion"))
+    return _vectorize(t, "torsion") in span
 
 
 # -- closed-form projectors ---------------------------------------------------------

@@ -4,6 +4,13 @@ Entries may be `fractions.Fraction` or `RationalFunction`; the routines only
 use `+`, `-`, `*`, `/` and comparison with zero, and they never pivot by
 magnitude (the first nonzero entry wins), so every result is exact.
 
+`Echelon` grows a span one vector at a time: `add(vec)` keeps `vec` when it
+is independent of the vectors kept so far, and `vec in echelon` tests span
+membership.  It is the only incremental elimination in the package: every
+greedy basis (class generators, symplectic frames, Lie closures, derived
+algebras) and every membership test that needs no coordinates uses it;
+`solve` is left for reading coordinates in a span.
+
 For large matrices over Q there is a fast full-rank certificate: row-scale
 to integers and eliminate modulo a fixed prime.  A maximal minor that is
 nonzero mod p is nonzero over Z, so "full rank mod p" certifies full rank
@@ -61,6 +68,39 @@ def rref(matrix: Sequence[Sequence]) -> tuple[list[list], list[int]]:
 
 def rank(matrix: Sequence[Sequence]) -> int:
     return len(rref(matrix)[1])
+
+
+class Echelon:
+    """Forward row echelon form of the vectors kept so far.
+
+    Each row has pivot entry 1 and zeros at every earlier row's pivot, so
+    reducing a vector against the rows in order clears all pivots; it lies
+    in the span exactly when nothing is left.
+    """
+
+    def __init__(self):
+        self._rows: list[tuple[int, list]] = []  # (pivot column, row)
+
+    def _reduce(self, vec: Sequence) -> list:
+        vec = list(vec)
+        for pivot, row in self._rows:
+            factor = vec[pivot]
+            if not is_zero_scalar(factor):
+                vec = [a - factor * b for a, b in zip(vec, row)]
+        return vec
+
+    def add(self, vec: Sequence) -> bool:
+        """Keep `vec` if it is independent of the kept vectors; report whether."""
+        vec = self._reduce(vec)
+        pivot = next((i for i, x in enumerate(vec) if not is_zero_scalar(x)), None)
+        if pivot is None:
+            return False
+        inv = vec[pivot]
+        self._rows.append((pivot, [x / inv for x in vec]))
+        return True
+
+    def __contains__(self, vec: Sequence) -> bool:
+        return all(is_zero_scalar(x) for x in self._reduce(vec))
 
 
 def nullspace(matrix: Sequence[Sequence], ncols: int | None = None) -> list[list]:

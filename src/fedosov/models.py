@@ -35,7 +35,8 @@ from . import linalg
 from .linalg import is_zero_scalar
 from .reporting import Check, Report
 from .symplectic import (
-    COV, CON, SymplecticSpace, Tensor, _contract_slot, change_basis, first_symplectic_defect,
+    COV, CON, SymplecticSpace, Tensor, _contract_slot, _is_int, change_basis,
+    first_symplectic_defect, parse_fraction, tensor_from_json, tensor_to_json,
 )
 
 
@@ -493,15 +494,13 @@ def transvection_subalgebra(model: InfinitesimalModel) -> list[list[list[Fractio
     """Lie closure of the curvature endomorphisms inside End(V)."""
     d = model.space.dim
     basis: list = []
-    rows: list[list[Fraction]] = []
+    span = linalg.Echelon()
 
     def try_add(endo) -> bool:
-        flat = _flatten_endo(endo)
-        if _coords_in_span(rows, flat) is not None:
-            return False
-        basis.append(endo)
-        rows.append(flat)
-        return True
+        added = span.add(_flatten_endo(endo))
+        if added:
+            basis.append(endo)
+        return added
 
     for i in range(d):
         for j in range(i + 1, d):
@@ -527,11 +526,11 @@ def transvection_algebra(model: InfinitesimalModel) -> LieAlgebraPresentation:
     The containment h0' inside the full stabilizer h0 is re-verified.
     """
     h0p = transvection_subalgebra(model)
-    h0 = model_stabilizer_algebra(model)
-    h0_rows = [_flatten_endo(e) for e in h0]
-    for endo in h0p:
-        if _coords_in_span(h0_rows, _flatten_endo(endo)) is None:
-            raise ModelError("transvection algebra is not contained in the stabilizer")
+    h0 = linalg.Echelon()
+    for endo in model_stabilizer_algebra(model):
+        h0.add(_flatten_endo(endo))
+    if any(_flatten_endo(endo) not in h0 for endo in h0p):
+        raise ModelError("transvection algebra is not contained in the stabilizer")
     return _algebra_from_parts(model, h0p, "h0")
 
 
@@ -571,10 +570,8 @@ def bianchi_classify(p: LieAlgebraPresentation) -> BianchiType:
     unit = [[Fraction(1) if a == b else Fraction(0) for a in range(3)] for b in range(3)]
     brackets = {(i, j): p.bracket(unit[i], unit[j]) for i in range(3) for j in range(i + 1, 3)}
 
-    derived_rows: list[list[Fraction]] = []
-    for vec in brackets.values():
-        if _coords_in_span(derived_rows, vec) is None:
-            derived_rows.append(vec)
+    derived = linalg.Echelon()
+    derived_rows = [vec for vec in brackets.values() if derived.add(vec)]
     dd = len(derived_rows)
 
     if dd == 0:
@@ -598,11 +595,7 @@ def bianchi_classify(p: LieAlgebraPresentation) -> BianchiType:
     u, v = derived_rows
     if any(x != 0 for x in p.bracket(u, v)):
         raise ModelError("derived algebra of a 3-dimensional solvable algebra must be abelian")
-    complement = None
-    for i in range(3):
-        if _coords_in_span(derived_rows, unit[i]) is None:
-            complement = unit[i]
-            break
+    complement = next(e for e in unit if e not in derived)
     cu = _coords_in_span(derived_rows, p.bracket(complement, u))
     cv = _coords_in_span(derived_rows, p.bracket(complement, v))
     if cu is None or cv is None:
@@ -654,13 +647,27 @@ def presentation_to_json(p: LieAlgebraPresentation) -> dict:
 
 
 def presentation_from_json(data: dict) -> LieAlgebraPresentation:
-    dim = int(data["dim"])
-    labels = tuple(data.get("basis_labels") or (f"b{i + 1}" for i in range(dim)))
+    """Inverse of `presentation_to_json`.
+
+    Malformed input raises `ValueError` (`KeyError` for a missing `dim`):
+    `dim` must be a non-negative integer, `basis_labels` a list of strings,
+    `structure_constants` an object of objects whose values are strings and
+    `subspaces` an object of lists of basis indices 1..dim.
+    """
+    dim = data["dim"]
+    if not _is_int(dim) or dim < 0:
+        raise ValueError(f"'dim' must be a non-negative integer, got {dim!r}")
+    labels = data.get("basis_labels") or [f"b{i + 1}" for i in range(dim)]
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise ValueError("'basis_labels' must be a list of strings")
     if len(labels) != dim:
         raise ValueError(f"{len(labels)} basis labels for dimension {dim}")
+    constants = data.get("structure_constants", {})
+    if not isinstance(constants, dict):
+        raise ValueError("'structure_constants' must be a JSON object")
     zero = Fraction(0)
     c = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for key, row in data.get("structure_constants", {}).items():
+    for key, row in constants.items():
         inner = key.strip()
         if not (inner.startswith("[") and inner.endswith("]")):
             raise ValueError(f"bad bracket key {key!r}")
@@ -668,22 +675,29 @@ def presentation_from_json(data: dict) -> LieAlgebraPresentation:
         i, j = int(i_text) - 1, int(j_text) - 1
         if not (0 <= i < dim and 0 <= j < dim) or i == j:
             raise ValueError(f"bad bracket key {key!r}")
+        if not isinstance(row, dict):
+            raise ValueError(f"bracket {key!r} must be a JSON object")
         for k_text, value in row.items():
             k = int(k_text) - 1
             if not 0 <= k < dim:
                 raise ValueError(f"bad component index in {key!r}")
-            c[i][j][k] = Fraction(value)
-            c[j][i][k] = -Fraction(value)
-    subspaces = {name: tuple(i - 1 for i in idx)
-                 for name, idx in data.get("subspaces", {}).items()}
+            if not isinstance(value, str):
+                raise ValueError(f"component {k_text!r} of {key!r} must be a string, "
+                                 f"got {type(value).__name__}")
+            c[i][j][k] = parse_fraction(value)
+            c[j][i][k] = -c[i][j][k]
+    subspaces = data.get("subspaces", {})
+    if not (isinstance(subspaces, dict) and all(
+            isinstance(idx, list) and all(_is_int(i) and 1 <= i <= dim for i in idx)
+            for idx in subspaces.values())):
+        raise ValueError(f"'subspaces' must map names to lists of indices 1..{dim}")
     return LieAlgebraPresentation(
-        dim=dim, basis_labels=labels,
+        dim=dim, basis_labels=tuple(labels),
         structure_constants=tuple(tuple(tuple(row) for row in plane) for plane in c),
-        subspaces=subspaces)
+        subspaces={name: tuple(i - 1 for i in idx) for name, idx in subspaces.items()})
 
 
 def model_to_json(model: InfinitesimalModel) -> dict:
-    from .symplectic import tensor_to_json
     return {
         "n": model.space.n,
         "curvature": tensor_to_json(model.curvature),
@@ -693,10 +707,20 @@ def model_to_json(model: InfinitesimalModel) -> dict:
 
 
 def model_from_json(data: dict) -> InfinitesimalModel:
-    from .symplectic import tensor_from_json
-    n = int(data["n"])
+    """Inverse of `model_to_json`.
+
+    Malformed input raises `ValueError` (`KeyError` for a missing field): `n`
+    must be a positive integer, `curvature` and `torsion` tensors and `aux` a
+    list of tensors, each in the `tensor_from_json` format.
+    """
+    n = data["n"]
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"'n' must be a positive integer, got {n!r}")
+    aux = data.get("aux", [])
+    if not isinstance(aux, list):
+        raise ValueError("'aux' must be a list of tensors")
     space = SymplecticSpace(n)
     curvature = tensor_from_json(data["curvature"], space=space)
     torsion = tensor_from_json(data["torsion"], space=space)
-    aux = tuple(tensor_from_json(item, space=space) for item in data.get("aux", []))
+    aux = tuple(tensor_from_json(item, space=space) for item in aux)
     return InfinitesimalModel(space=space, curvature=curvature, torsion=torsion, aux=aux)

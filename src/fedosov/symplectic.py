@@ -450,17 +450,32 @@ def tensor_to_json(t: Tensor) -> dict:
     return {"n": t.dim // 2, "valence": list(t.valence), "components": components}
 
 
+def _is_int(value) -> bool:
+    """A JSON integer (`bool` is an `int` subclass but not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def parse_fraction(text: str) -> Fraction:
+    """`Fraction(text)`, with a zero denominator reported as `ValueError`."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def tensor_from_json(data: dict, *, space: SymplecticSpace | None = None,
                      parse_scalar: Callable[[str], object] | None = None,
                      zero=Fraction(0)) -> Tensor:
     """Inverse of `tensor_to_json`; `parse_scalar` defaults to Fraction parsing.
 
-    Malformed input raises `ValueError` (`KeyError` for a missing field): `n`
-    must be a positive integer, `valence` a list, `components` an object
-    whose values are strings.
+    Malformed input raises `ValueError` (`KeyError` for a missing field): the
+    tensor must be an object, `n` a positive integer, `valence` a list,
+    `components` an object whose values are strings.
     """
+    if not isinstance(data, dict):
+        raise ValueError(f"a tensor must be a JSON object, got {type(data).__name__}")
     n = data["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"'n' must be a positive integer, got {n!r}")
     dim = 2 * n
     if not isinstance(data["valence"], list):
@@ -471,7 +486,7 @@ def tensor_from_json(data: dict, *, space: SymplecticSpace | None = None,
         raise ValueError("'components' must be a JSON object")
     if space is not None and space.n != n:
         raise ValueError(f"tensor declares n={n} but space has n={space.n}")
-    parse = parse_scalar if parse_scalar is not None else Fraction
+    parse = parse_scalar if parse_scalar is not None else parse_fraction
     t = Tensor.zeros(dim, valence, zero=zero, space=space)
     comps = list(t.comps)
     for key, text in components.items():

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -386,3 +387,45 @@ def test_malformed_chart_structure_is_input_error(tmp_path, capsys, payload, mes
     assert code == 2
     assert out == ""
     assert err == f"input error: {path}: {message}\n"
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+MODEL = json.loads((DATA / "models" / "example2_x1_y0.json").read_text(encoding="utf-8"))
+ALGEBRA = json.loads((DATA / "algebras" / "nomizu_example2_x1_y0.json").read_text(
+    encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("check-model", {"n": 1, "curvature": 5, "torsion": {}},
+     "a tensor must be a JSON object, got int"),
+    ("nomizu", {**MODEL, "aux": [MODEL["aux"][0], 7]}, "a tensor must be a JSON object, got int"),
+    ("transvection", {**MODEL, "aux": 7}, "'aux' must be a list of tensors"),
+    ("check-model", {**MODEL, "n": [1]}, "'n' must be a positive integer, got [1]"),
+    ("check-model", {**MODEL, "torsion": {**MODEL["torsion"], "components": {"1,2,2": "1/0"}}},
+     "zero denominator in '1/0'"),
+    ("bianchi", {**ALGEBRA, "structure_constants": 5}, "'structure_constants' must be a JSON object"),
+    ("bianchi", {**ALGEBRA, "structure_constants": [[1]]},
+     "'structure_constants' must be a JSON object"),
+    ("bianchi", {**ALGEBRA, "structure_constants": {"[1,2]": 5}},
+     "bracket '[1,2]' must be a JSON object"),
+    ("bianchi", {**ALGEBRA, "structure_constants": {"[1,2]": {"2": [1]}}},
+     "component '2' of '[1,2]' must be a string, got list"),
+    ("bianchi", {**ALGEBRA, "basis_labels": 5}, "'basis_labels' must be a list of strings"),
+    ("bianchi", {**ALGEBRA, "subspaces": [1]}, "'subspaces' must map names to lists of indices 1..3"),
+    ("bianchi", {**ALGEBRA, "dim": [3]}, "'dim' must be a non-negative integer, got [3]"),
+])
+def test_malformed_model_or_algebra_is_input_error(tmp_path, capsys, command, payload, message):
+    path = write_json(tmp_path, "m.json", payload)
+    code, out, err = run_cli(capsys, command, path)
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: {path}: {message}\n"
+
+
+def test_bianchi_rejects_wrong_dimension_before_building(tmp_path):
+    # Building a 10^6-dimensional presentation would allocate 10^18 constants.
+    path = write_json(tmp_path, "big.json", {"dim": 1000000})
+    result = subprocess.run([sys.executable, "-m", "fedosov.cli", "bianchi", path],
+                            capture_output=True, text=True, env=os.environ, timeout=30)
+    assert result.returncode == 2
+    assert result.stderr == "input error: Bianchi classification needs a 3-dimensional algebra\n"

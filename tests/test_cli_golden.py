@@ -1,12 +1,16 @@
 """Golden-output test: CLI stdout, stderr and exit codes on fixed inputs.
 
-The inputs are the built-in charts and the seeded tensors in
-`data/tensors/` (decomposition, classification and symplectification at
-n = 1..3, including a failing symplectification with its witness).  The
+The inputs are the built-in charts, the seeded tensors in `data/tensors/`
+(decomposition, classification and symplectification at n = 1..3,
+including a failing symplectification with its witness), the models that
+`model-at-point` emits on two fixtures (`data/models/`, for `check-model`,
+`nomizu` and `transvection`) and the Nomizu and transvection algebras of
+those models (`data/algebras/`, for `bianchi`; the flat transvection
+algebra of example1-emended is 2-dimensional and exits 2).  The
 snapshot in `data/cli_golden.json` pins the exact bytes of every report,
 including check order, names, witnesses and emitted parts, so a refactor
 that changes a summation order or a projection formula and with it a
-printed value is caught here.  Tensor arguments are recorded relative to
+printed value is caught here.  File arguments are recorded relative to
 `data/`.  Regenerate the snapshot only for an intended output change:
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -26,6 +30,9 @@ from fedosov.cli import main
 DATA = pathlib.Path(__file__).parent / "data"
 SNAPSHOT = DATA / "cli_golden.json"
 
+MODELS = ("example2_x1_y0", "example1_emended_x2_y1_3")
+DATA_DIRS = ("tensors/", "models/", "algebras/")
+
 COMMANDS = [
     *(["verify-chart", chart, "--suite", suite]
       for chart in ("example1", "example1-emended", "example2")
@@ -44,6 +51,10 @@ COMMANDS = [
     ["symplectify", "tensors/threeform_t3_n2.json", "--n", "2"],
     ["symplectify", "tensors/torsion_n3.json", "--n", "3"],
     ["dims", "--n-max", "3"],
+    *([command, f"models/{model}.json"]
+      for command in ("check-model", "nomizu", "transvection") for model in MODELS),
+    *(["bianchi", f"algebras/{algebra}_{model}.json"]
+      for algebra in ("nomizu", "transvection") for model in MODELS),
 ]
 
 CASES = [argv for command in COMMANDS for argv in (command, ["--json", *command])]
@@ -52,7 +63,7 @@ CASES = [argv for command in COMMANDS for argv in (command, ["--json", *command]
 def run(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([str(DATA / a) if a.startswith("tensors/") else a for a in argv])
+        code = main([str(DATA / a) if a.startswith(DATA_DIRS) else a for a in argv])
     return {"argv": list(argv), "exit": code, "stdout": out.getvalue(),
             "stderr": err.getvalue()}
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedosov import linalg
 from fedosov.rationals import parse_ratfun
@@ -152,3 +153,52 @@ def test_rank_over_function_field():
     row1 = [g, g * f]
     row2 = [g * g, g * g * f]
     assert linalg.rank([row1, row2]) == 1
+
+
+# -- incremental echelon ---------------------------------------------------------------
+
+SMALL = st.integers(min_value=-3, max_value=3).map(Fraction)
+
+
+@st.composite
+def vector_sequences(draw):
+    """Small-integer vectors mixed with zeros, repeats, multiples and sums of earlier ones."""
+    dim = draw(st.integers(min_value=1, max_value=5))
+    vecs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        kind = draw(st.sampled_from(("fresh", "zero", "repeat", "multiple", "sum")
+                                    if vecs else ("fresh", "zero")))
+        if kind == "fresh":
+            vec = draw(st.lists(SMALL, min_size=dim, max_size=dim))
+        elif kind == "zero":
+            vec = [Fraction(0)] * dim
+        elif kind == "repeat":
+            vec = list(draw(st.sampled_from(vecs)))
+        elif kind == "multiple":
+            scale = draw(st.sampled_from((Fraction(-2), Fraction(1, 2), Fraction(3, 5))))
+            vec = [scale * x for x in draw(st.sampled_from(vecs))]
+        else:
+            a, b = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
+            vec = [x + y for x, y in zip(a, b)]
+        vecs.append(vec)
+    return vecs
+
+
+@settings(max_examples=200, deadline=None)
+@given(vecs=vector_sequences())
+def test_echelon_agrees_with_rank(vecs):
+    echelon = linalg.Echelon()
+    kept = []
+    for vec in vecs:
+        grows = linalg.rank(kept + [vec]) > linalg.rank(kept)
+        assert (vec in echelon) is not grows
+        added = echelon.add(vec)
+        assert added is grows
+        if added:
+            kept.append(vec)
+        assert vec in echelon
+    greedy = []
+    for vec in vecs:
+        if linalg.rank(greedy + [vec]) > len(greedy):
+            greedy.append(vec)
+    assert kept == greedy
