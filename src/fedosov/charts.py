@@ -36,7 +36,7 @@ from .linalg import is_zero_scalar
 from .models import InfinitesimalModel, derivation_action, standard_omega_tensor
 from .rationals import Polynomial, RationalFunction, parse_ratfun
 from .reporting import Check, Report
-from .symplectic import COV, CON, SymplecticSpace, Tensor, _contract_slot, change_basis
+from .symplectic import COV, CON, MAX_N, SymplecticSpace, Tensor, _contract_slot, change_basis
 
 
 class ChartFormatError(ValueError):
@@ -80,6 +80,11 @@ def _rf(chart_coords, value) -> RationalFunction:
     return RationalFunction.constant(value, chart_coords)
 
 
+def _check_coordinate_count(d: int) -> None:
+    if d > 2 * MAX_N:
+        raise ChartFormatError(f"charts have at most {2 * MAX_N} coordinates, got {d}")
+
+
 def make_chart(coords, omega_entries, christoffel_entries, fields=None,
                excluded_locus: str = "") -> Chart:
     """Build a chart from sparse {(i,j): rf} and {(k,i,j): rf} maps (0-based)."""
@@ -87,6 +92,7 @@ def make_chart(coords, omega_entries, christoffel_entries, fields=None,
     d = len(coords)
     if d % 2 != 0:
         raise ChartFormatError("charts need an even number of coordinates")
+    _check_coordinate_count(d)
     zero = RationalFunction.constant(0, coords)
     omega = [[zero] * d for _ in range(d)]
     for (i, j), value in omega_entries.items():
@@ -760,6 +766,7 @@ def chart_from_json(data: dict) -> Chart:
     if len(coords) % 2 != 0 or not coords:
         raise ChartFormatError("charts need a positive even number of coordinates")
     dim = len(coords)
+    _check_coordinate_count(dim)
 
     def parse(text, context):
         try:

@@ -19,7 +19,7 @@ from . import models as mo
 from .rationals import ParseError, PoleError
 from .reporting import Check, Report
 from .symplectic import (
-    COV, CON, SymplecticSpace, Tensor, cotorsion_lower, tensor_from_json,
+    COV, CON, MAX_N, SymplecticSpace, Tensor, cotorsion_lower, tensor_from_json,
     tensor_to_json, torsion_lower,
 )
 
@@ -75,6 +75,8 @@ def _parse_point(text: str) -> dict[str, Fraction]:
 def _load_tensor_arg(path: str, n: int, space_kind: str) -> Tensor:
     if n < 1:
         raise InputError(f"--n must be >= 1, got {n}")
+    if n > MAX_N:
+        raise InputError(f"--n must be at most {MAX_N}, got {n}")
     data = _load_json(path)
     try:
         tensor = tensor_from_json(data)
@@ -135,6 +137,8 @@ def _structure_for_chart(chart: ch.Chart, args) -> Tensor:
 def cmd_dims(args) -> int:
     if args.n_max < 1:
         raise InputError(f"--n-max must be >= 1, got {args.n_max}")
+    if args.n_max > MAX_N:
+        raise InputError(f"--n-max must be at most {MAX_N}, got {args.n_max}")
     rows = dec.dimension_table(args.n_max)
     report = Report(title="class dimensions")
     artifacts = {"table": []}

@@ -27,12 +27,22 @@ C the cyclic sum and s13/t12 the trace contractions:
     T1(X,Y,Z) = 2 omega(X,Y) v(Z) + omega(X,Z) v(Y) - omega(Y,Z) v(X),
     T2 = R - T1.
 
-Every decomposition re-checks the defining conditions of its remainder
-classes (S2 and T2: zero cyclic sum and zero trace; T4: antisymmetric in
-(2,3) with zero t12), and membership of the generated classes S1, T1, T3
-is P(t) == t for their projector.  The exact bases remain for dimensions
-and tests: S2, T2, T4 are exact nullspaces of their defining linear
-conditions; the rest come from their generating formulas.
+Each class has one entry in one table, `_CLASSES`, and is of one of two
+kinds.  A generated class (S1, T1, T3, W) is the span of its generating
+formula applied to the basis vectors.  A conditioned class is the common
+kernel of a few tensor maps on the coordinates of its symmetry type:
+
+    S2: cyclic sum and s13 trace, on cotorsion coordinates (i <= j, k);
+    T2: cyclic sum and t12 trace, on torsion coordinates (i < j, k);
+    T4: t12 trace, on 3-form coordinates (a < b < c);
+    S3: no maps, on totally symmetric coordinates (a <= b <= c).
+
+The entry is read by every consumer: `build_basis` (generator span, or the
+nullspace of the condition matrix that the maps give on coordinate unit
+tensors), `submodule_dimension` (one certified rank), `class_predicate`,
+and the remainder checks of `decompose_*`, which re-verify S2, T2 and T4
+on every decomposition.  Membership of S1, T1, T3 is P(t) == t for their
+projector, and of W exact span membership.
 """
 
 from __future__ import annotations
@@ -42,10 +52,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import Callable, NamedTuple
 
 from . import linalg
 from .symplectic import (
-    COV, SymplecticSpace, Tensor, contract_s13, contract_t12, cyclic_sum,
+    COV, SymplecticSpace, Tensor, _trace_12, _trace_13, contract_s13, contract_t12,
+    cyclic_sum,
 )
 
 COTORSION_LABELS = ("S1", "S2", "S3")
@@ -53,26 +65,49 @@ TORSION_LABELS = ("T1", "T2", "T3", "T4")
 SUBMODULE_LABELS = COTORSION_LABELS + TORSION_LABELS + ("W",)
 
 
-# -- coordinate systems for the two ambient spaces ----------------------------
+# -- coordinate systems -----------------------------------------------------------
 #
-# Symmetric pairs (i <= j) x k for cotorsion-like tensors, strict pairs
-# (i < j) x k for torsion-like tensors; tensors are vectorized onto these
-# independent components for all linear algebra.
+# A symmetry type of (0,3)-tensors is a list of slot swaps (a, b, anti) that
+# fix its tensors, up to sign when `anti`.  Its coordinates are the index
+# triples, in lexicographic order, with idx[a] <= idx[b] for every swap
+# (strictly when `anti`): i <= j, k for cotorsion-like tensors, i < j, k for
+# torsion-like ones, a < b < c for 3-forms and a <= b <= c for totally
+# symmetric tensors.  A tensor of the type is its vector of values there.
+
+_SYMMETRY_TYPES = {
+    "cotorsion": ((0, 1, False),),
+    "torsion": ((0, 1, True),),
+    "threeform": ((0, 1, True), (1, 2, True)),
+    "symmetric": ((0, 1, False), (1, 2, False)),
+}
+
 
 @lru_cache(maxsize=None)
-def _sym_coords(dim: int) -> tuple[tuple[tuple[int, int, int], ...], dict]:
-    coords = [(i, j, k)
-              for i in range(dim) for j in range(i, dim) for k in range(dim)]
-    index = {c: pos for pos, c in enumerate(coords)}
-    return tuple(coords), index
+def _coordinates(dim: int, kind: str) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per coordinate, the (flat position, sign) of each entry it fills, its own first."""
+    swaps = _SYMMETRY_TYPES[kind]
+    coords = []
+    for idx in itertools.product(range(dim), repeat=3):
+        if any(idx[a] > idx[b] or (anti and idx[a] == idx[b]) for a, b, anti in swaps):
+            continue
+        orbit, todo = {idx: 1}, [idx]
+        while todo:
+            current = todo.pop()
+            for a, b, anti in swaps:
+                image = list(current)
+                image[a], image[b] = current[b], current[a]
+                image = tuple(image)
+                if image not in orbit:
+                    orbit[image] = -orbit[current] if anti else orbit[current]
+                    todo.append(image)
+        coords.append(tuple(((x * dim + y) * dim + z, sign)
+                            for (x, y, z), sign in orbit.items()))
+    return tuple(coords)
 
 
-@lru_cache(maxsize=None)
-def _alt_coords(dim: int) -> tuple[tuple[tuple[int, int, int], ...], dict]:
-    coords = [(i, j, k)
-              for i in range(dim) for j in range(i + 1, dim) for k in range(dim)]
-    index = {c: pos for pos, c in enumerate(coords)}
-    return tuple(coords), index
+def _has_symmetry(t: Tensor, kind: str) -> bool:
+    return all(t.first_symmetry_violation(a, b, anti=anti) is None
+               for a, b, anti in _SYMMETRY_TYPES[kind])
 
 
 def ambient_dimension(kind: str, n: int) -> int:
@@ -85,23 +120,22 @@ def ambient_dimension(kind: str, n: int) -> int:
 
 
 def _vectorize(t: Tensor, kind: str) -> list[Fraction]:
-    coords, _ = _sym_coords(t.dim) if kind == "cotorsion" else _alt_coords(t.dim)
-    return [t[c] for c in coords]
+    return [t.comps[orbit[0][0]] for orbit in _coordinates(t.dim, kind)]
 
 
-def _tensor_from_vec(vec, n: int, kind: str, space: SymplecticSpace) -> Tensor:
-    dim = 2 * n
-    coords, _ = _sym_coords(dim) if kind == "cotorsion" else _alt_coords(dim)
-    comps = [Fraction(0)] * dim ** 3
-    for value, (i, j, k) in zip(vec, coords):
-        if value == 0:
-            continue
-        comps[(i * dim + j) * dim + k] = value
-        if kind == "cotorsion":
-            if i != j:
-                comps[(j * dim + i) * dim + k] = value
-        else:
-            comps[(j * dim + i) * dim + k] = -value
+def _tensor_from_vec(vec, kind: str, space: SymplecticSpace) -> Tensor:
+    comps = [Fraction(0)] * space.dim ** 3
+    for value, orbit in zip(vec, _coordinates(space.dim, kind)):
+        if value != 0:
+            for flat, sign in orbit:
+                comps[flat] = value if sign > 0 else -value
+    return Tensor(space.dim, (COV, COV, COV), comps, space=space)
+
+
+def _unit_tensor(orbit, dim: int, one, space: SymplecticSpace | None = None) -> Tensor:
+    comps = [one - one] * dim ** 3
+    for flat, sign in orbit:
+        comps[flat] = one if sign > 0 else -one
     return Tensor(dim, (COV, COV, COV), comps, space=space)
 
 
@@ -160,134 +194,65 @@ def _w_generator(space: SymplecticSpace, u: int) -> Tensor:
                                 ((1, (0, 1, 2)), (-n, (0, 2, 1)), (n, (1, 2, 0))))
 
 
-# -- linear conditions ---------------------------------------------------------
+# -- the classes -----------------------------------------------------------------
 
-def _sym_lookup(index: dict, x: int, y: int, z: int) -> tuple[int, int]:
-    """Position and sign of S(x,y,z) among symmetric coordinates."""
-    if x <= y:
-        return index[(x, y, z)], 1
-    return index[(y, x, z)], 1
+def _cyclic(t: Tensor) -> list:
+    return cyclic_sum(t).comps
 
 
-def _alt_lookup(index: dict, x: int, y: int, z: int) -> tuple[int, int] | None:
-    """Position and sign of T(x,y,z) among antisymmetric coordinates."""
-    if x == y:
-        return None
-    if x < y:
-        return index[(x, y, z)], 1
-    return index[(y, x, z)], -1
+class _Class(NamedTuple):
+    """A generated class (the span of `generator(space, u)` over the basis
+    vectors e_u) or a conditioned one (the common kernel of `conditions`),
+    on the coordinates of its symmetry type."""
+
+    kind: str
+    generator: Callable | None = None
+    conditions: tuple = ()
 
 
-def _cyclic_rows_sym(n: int) -> list[list[Fraction]]:
+_CLASSES = {
+    "S1": _Class("cotorsion", generator=_s1_generator),
+    "S2": _Class("cotorsion", conditions=(_cyclic, _trace_13)),
+    "S3": _Class("symmetric"),
+    "T1": _Class("torsion", generator=_t1_generator),
+    "T2": _Class("torsion", conditions=(_cyclic, _trace_12)),
+    "T3": _Class("torsion", generator=_t3_generator),
+    "T4": _Class("threeform", conditions=(_trace_12,)),
+    "W": _Class("torsion", generator=_w_generator),
+}
+
+
+def _class(label: str) -> _Class:
+    try:
+        return _CLASSES[label]
+    except KeyError:
+        raise ValueError(f"unknown class label {label!r}") from None
+
+
+def _condition_rows(label: str, n: int) -> list[list[Fraction]]:
+    """Matrix of a conditioned class's conditions on its coordinates.
+
+    Column p holds the conditions' outputs on the unit tensor of coordinate
+    p; output rows that are zero or repeat an earlier row up to sign are
+    dropped.  Entries are `Fraction`, so elimination never divides ints.
+    """
+    entry = _CLASSES[label]
     dim = 2 * n
-    coords, index = _sym_coords(dim)
-    rows = []
-    for a in range(dim):
-        for b in range(a, dim):
-            for c in range(b, dim):
-                row = [Fraction(0)] * len(coords)
-                for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
-                    pos, sign = _sym_lookup(index, x, y, z)
-                    row[pos] += sign
-                rows.append(row)
-    return rows
-
-
-def _s13_rows(n: int) -> list[list[Fraction]]:
-    dim = 2 * n
-    coords, index = _sym_coords(dim)
-    rows = []
-    for z in range(dim):
-        row = [Fraction(0)] * len(coords)
-        for i in range(n):
-            pos, sign = _sym_lookup(index, i, z, i + n)
-            row[pos] += sign
-            pos, sign = _sym_lookup(index, i + n, z, i)
-            row[pos] -= sign
-        rows.append(row)
-    return rows
-
-
-def _cyclic_rows_alt(n: int) -> list[list[Fraction]]:
-    dim = 2 * n
-    coords, index = _alt_coords(dim)
-    rows = []
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            for c in range(b + 1, dim):
-                row = [Fraction(0)] * len(coords)
-                for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
-                    hit = _alt_lookup(index, x, y, z)
-                    if hit is not None:
-                        row[hit[0]] += hit[1]
-                rows.append(row)
-    return rows
-
-
-def _cyclic_rows_alt_degenerate(n: int) -> list[list[Fraction]]:
-    # Components of the cyclic sum with a repeated index vanish automatically
-    # for antisymmetric tensors; emitted anyway so the nullspace condition is
-    # literally "cyclic sum = 0" rather than its restriction to strict triples.
-    dim = 2 * n
-    coords, index = _alt_coords(dim)
-    rows = []
-    for a in range(dim):
-        for c in range(dim):
-            row = [Fraction(0)] * len(coords)
-            for (x, y, z) in ((a, a, c), (a, c, a), (c, a, a)):
-                hit = _alt_lookup(index, x, y, z)
-                if hit is not None:
-                    row[hit[0]] += hit[1]
-            if any(v != 0 for v in row):
-                rows.append(row)
-    return rows
-
-
-def _t12_rows(n: int) -> list[list[Fraction]]:
-    dim = 2 * n
-    coords, index = _alt_coords(dim)
-    rows = []
-    for z in range(dim):
-        row = [Fraction(0)] * len(coords)
-        for i in range(n):
-            hit = _alt_lookup(index, i, i + n, z)
-            row[hit[0]] += hit[1]
-        rows.append(row)
-    return rows
-
-
-def _t13_rows(n: int) -> list[list[Fraction]]:
-    dim = 2 * n
-    coords, index = _alt_coords(dim)
-    rows = []
-    for y in range(dim):
-        row = [Fraction(0)] * len(coords)
-        for i in range(n):
-            hit = _alt_lookup(index, i, y, i + n)
-            if hit is not None:
-                row[hit[0]] += hit[1]
-            hit = _alt_lookup(index, i + n, y, i)
-            if hit is not None:
-                row[hit[0]] -= hit[1]
-        rows.append(row)
-    return rows
-
-
-def _antisym23_rows(n: int) -> list[list[Fraction]]:
-    """Rows forcing T(x,y,z) + T(x,z,y) = 0 on antisymmetric coordinates."""
-    dim = 2 * n
-    coords, index = _alt_coords(dim)
-    rows = []
-    for x in range(dim):
-        for y in range(dim):
-            for z in range(y, dim):
-                row = [Fraction(0)] * len(coords)
-                for (a, b, c) in ((x, y, z), (x, z, y)):
-                    hit = _alt_lookup(index, a, b, c)
-                    if hit is not None:
-                        row[hit[0]] += hit[1]
-                if any(v != 0 for v in row):
-                    rows.append(row)
+    columns = []
+    for orbit in _coordinates(dim, entry.kind):
+        unit = _unit_tensor(orbit, dim, 1)
+        columns.append([x for condition in entry.conditions for x in condition(unit)])
+    zero = Fraction(0)
+    rows, seen = [], set()
+    for row in zip(*columns):
+        lead = next(filter(None, row), 0)
+        if lead == 0:
+            continue
+        if lead < 0:
+            row = tuple(-x for x in row)
+        if row not in seen:
+            seen.add(row)
+            rows.append([Fraction(x) if x else zero for x in row])
     return rows
 
 
@@ -336,43 +301,18 @@ def expected_dimension(label: str, n: int) -> int:
 @lru_cache(maxsize=None)
 def build_basis(label: str, n: int) -> SubmoduleBasis:
     """Exact basis for one class; empty bases are allowed (e.g. S2 at n=1)."""
-    if label not in SUBMODULE_LABELS:
-        raise ValueError(f"unknown class label {label!r}")
+    entry = _class(label)
     if n < 1:
         raise ValueError("half-dimension must be >= 1")
     space = SymplecticSpace(n)
-    dim = space.dim
-
-    if label in ("S1", "T1", "T3", "W"):
-        gen = {"S1": _s1_generator, "T1": _t1_generator,
-               "T3": _t3_generator, "W": _w_generator}[label]
-        kind = "cotorsion" if label == "S1" else "torsion"
+    if entry.generator is not None:
         span = linalg.Echelon()
-        elements = [t for t in (gen(space, u) for u in range(dim))
-                    if span.add(_vectorize(t, kind))]
-    elif label == "S3":
-        _, index = _sym_coords(dim)
-        elements = []
-        for a in range(dim):
-            for b in range(a, dim):
-                for c in range(b, dim):
-                    comps = [Fraction(0)] * dim ** 3
-                    for perm in set(itertools.permutations((a, b, c))):
-                        x, y, z = perm
-                        comps[(x * dim + y) * dim + z] = Fraction(1)
-                    elements.append(Tensor(dim, (COV, COV, COV), comps, space=space))
-    elif label == "S2":
-        rows = _cyclic_rows_sym(n) + _s13_rows(n)
-        vecs = linalg.nullspace(rows, ncols=len(_sym_coords(dim)[0]))
-        elements = [_tensor_from_vec(v, n, "cotorsion", space) for v in vecs]
-    elif label == "T2":
-        rows = (_cyclic_rows_alt(n) + _cyclic_rows_alt_degenerate(n) + _t12_rows(n))
-        vecs = linalg.nullspace(rows, ncols=len(_alt_coords(dim)[0]))
-        elements = [_tensor_from_vec(v, n, "torsion", space) for v in vecs]
-    else:  # T4
-        rows = _antisym23_rows(n) + _t12_rows(n)
-        vecs = linalg.nullspace(rows, ncols=len(_alt_coords(dim)[0]))
-        elements = [_tensor_from_vec(v, n, "torsion", space) for v in vecs]
+        elements = [t for t in (entry.generator(space, u) for u in range(space.dim))
+                    if span.add(_vectorize(t, entry.kind))]
+    else:
+        vecs = linalg.nullspace(_condition_rows(label, n),
+                                ncols=len(_coordinates(space.dim, entry.kind)))
+        elements = [_tensor_from_vec(v, entry.kind, space) for v in vecs]
 
     basis = SubmoduleBasis(label, n, tuple(elements))
     if basis.dimension != expected_dimension(label, n):
@@ -380,41 +320,29 @@ def build_basis(label: str, n: int) -> SubmoduleBasis:
             f"{label} at n={n}: computed dimension {basis.dimension} "
             f"!= expected {expected_dimension(label, n)}")
     for element in basis.elements:
-        symmetric_ok = (element.is_symmetric_in(0, 1) if label.startswith("S")
-                        else element.is_antisymmetric_in(0, 1))
         # Span membership of generated classes holds by construction; the
-        # condition-defined classes get their full predicate re-verified.
-        condition_ok = (class_predicate(label, element)
-                        if label in ("S2", "S3", "T2", "T4") else True)
-        if not (symmetric_ok and condition_ok):
+        # conditioned classes get their full predicate re-verified.
+        ok = (_has_symmetry(element, entry.kind) if entry.generator is not None
+              else class_predicate(label, element))
+        if not ok:
             raise AssertionError(f"{label} basis element violates the class predicate")
     return basis
 
 
 def class_predicate(label: str, t: Tensor) -> bool:
     """Defining membership test for one class (exact, tolerance-free)."""
-    n = t.dim // 2
-    if label in ("S1", "S2", "S3"):
-        if not t.is_symmetric_in(0, 1):
-            return False
-    else:
-        if not t.is_antisymmetric_in(0, 1):
-            return False
-    if label == "S2":
-        return cyclic_sum(t).is_zero() and _vanishes(contract_s13(t))
-    if label == "S3":
-        return t.is_symmetric_in(1, 2)
-    if label == "T2":
-        return cyclic_sum(t).is_zero() and _vanishes(contract_t12(t))
-    if label == "T4":
-        return t.is_antisymmetric_in(1, 2) and _vanishes(contract_t12(t))
+    entry = _class(label)
+    if not _has_symmetry(t, entry.kind):
+        return False
+    if entry.generator is None:
+        return all(_vanishes(condition(t)) for condition in entry.conditions)
     if label in _PROJECTORS:
         return _PROJECTORS[label](t) == t
     # W is not a summand of either decomposition: exact span membership
     span = linalg.Echelon()
-    for b in build_basis(label, n).elements:
-        span.add(_vectorize(b, "torsion"))
-    return _vectorize(t, "torsion") in span
+    for b in build_basis(label, t.dim // 2).elements:
+        span.add(_vectorize(b, entry.kind))
+    return _vectorize(t, entry.kind) in span
 
 
 # -- closed-form projectors ---------------------------------------------------------
@@ -500,6 +428,12 @@ def _require_shape(t: Tensor, *, anti: bool) -> None:
             f"first violation at {tuple(i + 1 for i in bad)}")
 
 
+def _check_remainders(parts: dict, labels) -> None:
+    for label in labels:
+        if not class_predicate(label, parts[label]):
+            raise AssertionError(f"{label} remainder violates its defining conditions")
+
+
 def _result(parts: dict) -> DecompositionResult:
     return DecompositionResult(
         parts=parts,
@@ -510,10 +444,9 @@ def decompose_cotorsion(t: Tensor) -> DecompositionResult:
     """Split a (0,3)-tensor symmetric in (1,2) into its S1, S2, S3 parts."""
     _require_shape(t, anti=False)
     s1, s3 = _s1_part(t), _s3_part(t)
-    s2 = t - s1 - s3
-    if not (cyclic_sum(s2).is_zero() and _vanishes(contract_s13(s2))):
-        raise AssertionError("S2 remainder violates its defining conditions")
-    return _result({"S1": s1, "S2": s2, "S3": s3})
+    parts = {"S1": s1, "S2": t - s1 - s3, "S3": s3}
+    _check_remainders(parts, ("S2",))
+    return _result(parts)
 
 
 def decompose_torsion(t: Tensor) -> DecompositionResult:
@@ -524,12 +457,9 @@ def decompose_torsion(t: Tensor) -> DecompositionResult:
     t4 = alt - t3
     rest = t - alt
     t1 = _t1_part(rest)
-    t2 = rest - t1
-    if not (cyclic_sum(t2).is_zero() and _vanishes(contract_t12(t2))):
-        raise AssertionError("T2 remainder violates its defining conditions")
-    if not (t4.is_antisymmetric_in(1, 2) and _vanishes(contract_t12(t4))):
-        raise AssertionError("T4 remainder violates its defining conditions")
-    return _result({"T1": t1, "T2": t2, "T3": t3, "T4": t4})
+    parts = {"T1": t1, "T2": rest - t1, "T3": t3, "T4": t4}
+    _check_remainders(parts, ("T2", "T4"))
+    return _result(parts)
 
 
 # -- structural maps between the pictures ------------------------------------------
@@ -553,11 +483,6 @@ def threeform_part(t: Tensor) -> Tensor:
 def cyclic_symmetrization(s: Tensor) -> Tensor:
     """Totally symmetric image of a cotorsion-like tensor (3x the projection)."""
     return cyclic_sum(s)
-
-
-def cotorsion_trace(s: Tensor) -> list:
-    """Covector-valued trace of a cotorsion-like tensor (equals contract_s13)."""
-    return contract_s13(s)
 
 
 def covector_contraction(t: Tensor) -> list:
@@ -666,55 +591,18 @@ def dimension_table(n_max: int) -> list[DimensionRow]:
 
 
 def submodule_dimension(label: str, n: int) -> int:
-    """Exact class dimension, avoiding full basis construction for large n."""
-    dim = 2 * n
-    if label in ("S1", "T1", "T3", "W"):
-        return len(build_basis(label, n).elements) if n <= 3 else _generator_rank(label, n)
-    if label == "S3":
-        return comb(dim + 2, 3)
-    if label == "S2":
-        rows = _cyclic_rows_sym(n) + _s13_rows(n)
-        return len(_sym_coords(dim)[0]) - linalg.certified_rank(rows)
-    if label == "T2":
-        rows = _cyclic_rows_alt(n) + _t12_rows(n)
-        return len(_alt_coords(dim)[0]) - linalg.certified_rank(rows)
-    if label == "T4":
-        return _threeform_t12_nullity(n)
-    raise ValueError(f"unknown class label {label!r}")
-
-
-def _generator_rank(label: str, n: int) -> int:
+    """Exact class dimension from one certified rank, without building a basis."""
+    entry = _class(label)
     space = SymplecticSpace(n)
-    gen = {"S1": _s1_generator, "T1": _t1_generator,
-           "T3": _t3_generator, "W": _w_generator}[label]
-    kind = "cotorsion" if label == "S1" else "torsion"
-    vecs = [_vectorize(gen(space, u), kind) for u in range(space.dim)]
-    return linalg.certified_rank(vecs)
+    if entry.generator is not None:
+        return linalg.certified_rank([_vectorize(entry.generator(space, u), entry.kind)
+                                      for u in range(space.dim)])
+    return (len(_coordinates(space.dim, entry.kind))
+            - linalg.certified_rank(_condition_rows(label, n)))
 
 
 def threeform_basis(n: int) -> list[Tensor]:
     """Totally antisymmetric (0,3)-tensors e_a ^ e_b ^ e_c for a < b < c."""
-    dim = 2 * n
     space = SymplecticSpace(n)
-    basis = []
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            for c in range(b + 1, dim):
-                comps = [Fraction(0)] * dim ** 3
-                for perm, sign in _SIGNED_PERMS:
-                    x, y, z = (a, b, c)[perm[0]], (a, b, c)[perm[1]], (a, b, c)[perm[2]]
-                    comps[(x * dim + y) * dim + z] = Fraction(sign)
-                basis.append(Tensor(dim, (COV, COV, COV), comps, space=space))
-    return basis
-
-
-_SIGNED_PERMS = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                 ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1))
-
-
-def _threeform_t12_nullity(n: int) -> int:
-    forms = threeform_basis(n)
-    if not forms:
-        return 0
-    rows = linalg.transpose([contract_t12(f) for f in forms])
-    return len(forms) - linalg.certified_rank(rows)
+    return [_unit_tensor(orbit, space.dim, Fraction(1), space)
+            for orbit in _coordinates(space.dim, "threeform")]

@@ -187,17 +187,6 @@ def det(matrix: Sequence[Sequence]):
     return result if sign == 1 else -result
 
 
-def matvec(matrix: Sequence[Sequence], vec: Sequence) -> list:
-    out = []
-    for row in matrix:
-        total = Fraction(0)
-        for a, b in zip(row, vec):
-            if not is_zero_scalar(a) and not is_zero_scalar(b):
-                total = total + a * b
-        out.append(total)
-    return out
-
-
 def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     cols = list(zip(*b))
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols] for row in a]

@@ -35,8 +35,8 @@ from . import linalg
 from .linalg import is_zero_scalar
 from .reporting import Check, Report
 from .symplectic import (
-    COV, CON, SymplecticSpace, Tensor, _contract_slot, _is_int, change_basis,
-    first_symplectic_defect, parse_fraction, tensor_from_json, tensor_to_json,
+    COV, CON, SymplecticSpace, Tensor, _contract_slot, _half_dimension, _is_int,
+    change_basis, first_symplectic_defect, parse_fraction, tensor_from_json, tensor_to_json,
 )
 
 
@@ -103,10 +103,6 @@ def curvature_endomorphism(r: Tensor, i: int, j: int) -> list[list]:
     """R_{e_i e_j} as a matrix (row = output index, column = argument)."""
     d = r.dim
     return [[r[i, j, k, l] for k in range(d)] for l in range(d)]
-
-
-def torsion_vector(t: Tensor, i: int, j: int) -> list:
-    return [t[i, j, k] for k in range(t.dim)]
 
 
 # -- model axioms ----------------------------------------------------------------
@@ -710,12 +706,10 @@ def model_from_json(data: dict) -> InfinitesimalModel:
     """Inverse of `model_to_json`.
 
     Malformed input raises `ValueError` (`KeyError` for a missing field): `n`
-    must be a positive integer, `curvature` and `torsion` tensors and `aux` a
-    list of tensors, each in the `tensor_from_json` format.
+    must be an integer in 1..MAX_N, `curvature` and `torsion` tensors and
+    `aux` a list of tensors, each in the `tensor_from_json` format.
     """
-    n = data["n"]
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"'n' must be a positive integer, got {n!r}")
+    n = _half_dimension(data)
     aux = data.get("aux", [])
     if not isinstance(aux, list):
         raise ValueError("'aux' must be a list of tensors")

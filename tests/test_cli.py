@@ -429,3 +429,38 @@ def test_bianchi_rejects_wrong_dimension_before_building(tmp_path):
                             capture_output=True, text=True, env=os.environ, timeout=30)
     assert result.returncode == 2
     assert result.stderr == "input error: Bianchi classification needs a 3-dimensional algebra\n"
+
+
+# Each limit is checked before anything of size (2n)^rank is allocated, so a
+# few-byte file or flag that asks for billions of entries exits 2 at once.
+# Run in a subprocess with a timeout: a missing check would allocate.
+LIMIT_CASES = [
+    (["dims", "--n-max", "7"], None, "--n-max must be at most 6, got 7"),
+    (["dims", "--n-max", "1000000"], None, "--n-max must be at most 6, got 1000000"),
+    (["decompose", "FILE", "--space", "torsion", "--n", "1000"],
+     {"n": 1, "valence": ["cov", "cov", "cov"]}, "--n must be at most 6, got 1000"),
+    (["classify", "FILE", "--space", "cotorsion", "--n", "2"],
+     {"n": 1000, "valence": ["cov", "cov", "cov"]}, "FILE: 'n' must be at most 6, got 1000"),
+    (["check-model", "FILE"], {"n": 1000, "curvature": {}, "torsion": {}},
+     "FILE: 'n' must be at most 6, got 1000"),
+    (["verify-chart", "FILE"], {"coords": [f"x{i}" for i in range(2000)]},
+     "FILE: charts have at most 12 coordinates, got 2000"),
+]
+
+
+@pytest.mark.parametrize("argv, payload, message", LIMIT_CASES,
+                         ids=[" ".join(case[0]) for case in LIMIT_CASES])
+def test_size_limits_exit_2_before_allocating(tmp_path, argv, payload, message):
+    path = write_json(tmp_path, "big.json", payload) if payload is not None else ""
+    argv = [path if a == "FILE" else a for a in argv]
+    result = subprocess.run([sys.executable, "-m", "fedosov.cli", *argv],
+                            capture_output=True, text=True, env=os.environ, timeout=30)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"input error: {message.replace('FILE', path)}\n"
+
+
+def test_tensor_at_the_size_limit_is_accepted(tmp_path, capsys):
+    path = write_json(tmp_path, "t.json", {"n": 6, "valence": ["cov", "cov", "cov"],
+                                           "components": {"1,7,2": "1", "7,1,2": "-1"}})
+    code, out, err = run_cli(capsys, "classify", path, "--space", "torsion", "--n", "6")
+    assert (code, err) == (0, "")

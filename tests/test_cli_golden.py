@@ -50,7 +50,7 @@ COMMANDS = [
     ["symplectify", "tensors/torsion_n1.json", "--n", "1"],
     ["symplectify", "tensors/threeform_t3_n2.json", "--n", "2"],
     ["symplectify", "tensors/torsion_n3.json", "--n", "3"],
-    ["dims", "--n-max", "3"],
+    *(["dims", "--n-max", str(n)] for n in (3, 4)),
     *([command, f"models/{model}.json"]
       for command in ("check-model", "nomizu", "transvection") for model in MODELS),
     *(["bianchi", f"algebras/{algebra}_{model}.json"]

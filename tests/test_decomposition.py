@@ -364,14 +364,14 @@ def test_subspace_sum_identities(n):
 
     def kernel_vecs(condition):
         # condition maps a torsion-like tensor to a list of scalars
-        from fedosov.decomposition import _alt_coords, _tensor_from_vec
-        coords, _ = _alt_coords(dim)
+        from fedosov.decomposition import _coordinates, _tensor_from_vec
+        coords = _coordinates(dim, kind)
         space = SymplecticSpace(n)
         rows = []
         for pos in range(len(coords)):
             vec = [Fraction(0)] * len(coords)
             vec[pos] = Fraction(1)
-            tensor = _tensor_from_vec(vec, n, kind, space)
+            tensor = _tensor_from_vec(vec, kind, space)
             rows.append(condition(tensor))
         return linalg.nullspace(linalg.transpose(rows), ncols=len(coords))
 

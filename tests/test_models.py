@@ -15,7 +15,7 @@ from fedosov.models import (
 )
 from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor, is_symplectic_matrix
 from conftest import (
-    random_structure_tensor, random_symplectic_matrix, valid_random_model,
+    matvec, random_structure_tensor, random_symplectic_matrix, valid_random_model,
 )
 
 
@@ -300,7 +300,7 @@ def test_nomizu_structure_constants_transport_under_isomorphism():
     h2_rows = [[x for row in e for x in row] for e in h2]
 
     def induced(vec):
-        out_v = linalg.matvec(f, vec[:d])
+        out_v = matvec(f, vec[:d])
         out_h = [Fraction(0)] * len(h2)
         for a, c in enumerate(vec[d:]):
             if c == 0:

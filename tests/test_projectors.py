@@ -27,7 +27,7 @@ from fedosov.decomposition import (
 )
 from fedosov.symplectic import COV, SymplecticSpace, Tensor, cyclic_sum
 
-from conftest import random_antisymmetric_tensor, random_symmetric_tensor
+from conftest import matvec, random_antisymmetric_tensor, random_symmetric_tensor
 
 
 # -- the oracle: basis concatenation plus one exact inverse -------------------------
@@ -44,7 +44,7 @@ def _oracle_solver(kind: str, n: int):
 def oracle_decompose(t: Tensor, kind: str) -> dict:
     n = t.dim // 2
     labels, bases, inverse = _oracle_solver(kind, n)
-    coeffs = iter(linalg.matvec(inverse, _vectorize(t, kind)))
+    coeffs = iter(matvec(inverse, _vectorize(t, kind)))
     parts = {}
     for label in labels:
         part = Tensor.zeros(t.dim, (COV, COV, COV), space=t.space)
