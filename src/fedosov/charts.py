@@ -36,7 +36,10 @@ from .linalg import is_zero_scalar
 from .models import InfinitesimalModel, derivation_action, standard_omega_tensor
 from .rationals import Polynomial, RationalFunction, parse_ratfun
 from .reporting import Check, Report
-from .symplectic import COV, CON, MAX_N, SymplecticSpace, Tensor, _contract_slot, change_basis
+from .symplectic import (
+    COV, CON, MAX_N, MAX_RANK, SymplecticSpace, Tensor, _contract_slot, change_basis,
+    insert_vector,
+)
 
 
 class ChartFormatError(ValueError):
@@ -215,11 +218,7 @@ def pairing_with(chart: Chart, vec: Tensor) -> list:
     """Covector omega(., v): component j is sum_m omega[j][m] v^m."""
     if vec.valence != (CON,):
         raise ValueError("expected a vector field")
-    d = chart.dim
-    zero = chart.rf_zero()
-    return [sum((chart.omega[j][m] * vec[(m,)] for m in range(d)
-                 if not vec[(m,)].is_zero()), zero)
-            for j in range(d)]
+    return insert_vector(omega_tensor(chart), 1, vec.comps).comps
 
 
 def lie_bracket(chart: Chart, x: Tensor, y: Tensor) -> Tensor:
@@ -372,31 +371,19 @@ def linear_type_checks(chart: Chart, xi: Tensor, xi_perp: Tensor | None = None, 
     checks.append(_zero_check("nabla_xi_linear_form", linear_form))
 
     r = chart_curvature(chart) if base_curvature is None else base_curvature
-    kills = Tensor.build(d, (COV, COV, CON),
-                         lambda i, j, l: sum((r[i, j, k, l] * xi[(k,)]
-                                              for k in range(d)
-                                              if not xi[(k,)].is_zero()),
-                                             zero))
-    checks.append(_zero_check("curvature_kills_xi", kills))
+    checks.append(_zero_check("curvature_kills_xi", insert_vector(r, 2, xi.comps)))
 
-    slot_sym = Tensor.build(d, (COV, COV, CON),
-                            lambda j, k, l: sum((xi[(i,)] * (r[i, j, k, l] - r[i, k, j, l])
-                                                 for i in range(d)
-                                                 if not xi[(i,)].is_zero()),
-                                                zero))
-    checks.append(_zero_check("curvature_xi_slot_symmetry", slot_sym))
+    slot_swap = Tensor.build(d, (COV, COV, COV, CON),
+                             lambda i, j, k, l: r[i, j, k, l] - r[i, k, j, l])
+    checks.append(_zero_check("curvature_xi_slot_symmetry",
+                              insert_vector(slot_swap, 0, xi.comps)))
 
     r4 = Tensor(d, (COV, COV, COV, COV), _contract_slot(r, 3, chart.omega))
     pair_sym = Tensor.build(d, (COV, COV, COV, COV),
                             lambda i, j, k, m: r4[i, j, k, m] - r4[i, j, m, k])
     checks.append(_zero_check("curvature_last_pair_symmetry", pair_sym))
 
-    # xi contracted into the first slot of the lowered curvature
-    r_xi = Tensor.build(d, (COV, COV, COV),
-                        lambda z, u, w: sum((xi[(a,)] * r4[a, z, u, w]
-                                             for a in range(d)
-                                             if not xi[(a,)].is_zero()),
-                                            zero))
+    r_xi = insert_vector(r4, 0, xi.comps)
 
     cyclic_identity = Tensor.build(
         d, (COV, COV, COV, COV, COV),
@@ -414,9 +401,8 @@ def linear_type_checks(chart: Chart, xi: Tensor, xi_perp: Tensor | None = None, 
     if xi_perp is not None:
         if xi_perp.valence != (CON,):
             raise ValueError("the transversal field must be a vector field")
-        normalization = sum((xi_perp[(a,)] * omega_xi[a] for a in range(d)
-                             if not xi_perp[(a,)].is_zero()), zero)
-        if not (normalization - 1).is_zero():
+        normalization = insert_vector(Tensor(d, (COV,), omega_xi), 0, xi_perp.comps)
+        if not (normalization.comps[0] - 1).is_zero():
             raise ValueError("the supplied transversal field does not satisfy "
                              "omega(xi_perp, xi) = 1")
         perp = xi_perp
@@ -426,25 +412,13 @@ def linear_type_checks(chart: Chart, xi: Tensor, xi_perp: Tensor | None = None, 
         except ValueError as err:
             raise ValueError(f"linear-type suite needs a nonzero vector field: {err}") from None
 
-    def contract_perp_first(x, u, w):
-        return sum((perp[(a,)] * r4[a, x, u, w] for a in range(d)
-                    if not perp[(a,)].is_zero()), zero)
+    perp_first = insert_vector(r4, 0, perp.comps)
+    perp_second = insert_vector(r4, 1, perp.comps)
 
-    def contract_perp_second(y, u, w):
-        return sum((perp[(b,)] * r4[y, b, u, w] for b in range(d)
-                    if not perp[(b,)].is_zero()), zero)
-
-    # c = R(xi, perp, perp, perp)
-    scalar_c = chart.rf_zero()
-    for b in range(d):
-        if perp[(b,)].is_zero():
-            continue
-        for c in range(d):
-            if perp[(c,)].is_zero():
-                continue
-            for e in range(d):
-                if not perp[(e,)].is_zero():
-                    scalar_c = scalar_c + perp[(b,)] * perp[(c,)] * perp[(e,)] * r_xi[b, c, e]
+    # c = R(xi, perp, perp, perp) as one sum over (b, c, e) in increasing
+    # order, not three nested ones: the grouping fixes the unreduced form of c.
+    weights = [pb * pc * pe for pb, pc, pe in itertools.product(perp.comps, repeat=3)]
+    scalar_c = insert_vector(Tensor(d ** 3, (COV,), r_xi.comps), 0, weights).comps[0]
 
     rank_one = Tensor.build(
         d, (COV, COV, COV),
@@ -458,17 +432,14 @@ def linear_type_checks(chart: Chart, xi: Tensor, xi_perp: Tensor | None = None, 
                      + omega_perp[x] * omega_xi[y]
                      - omega_perp[y] * omega_xi[x])
         value = prefactor * omega_xi[u] * omega_xi[w] * scalar_c
-        value = value - omega_xi[x] * contract_perp_second(y, u, w)
-        value = value - omega_xi[y] * contract_perp_first(x, u, w)
+        value = value - omega_xi[x] * perp_second[y, u, w]
+        value = value - omega_xi[y] * perp_first[x, u, w]
         return r4[x, y, u, w] - value
 
     leafwise = Tensor.build(d, (COV, COV, COV, COV), reconstruction)
     checks.append(_zero_check("curvature_leafwise_flatness", leafwise))
 
-    geodesic = Tensor.build(d, (CON,),
-                            lambda k: sum((xi[(i,)] * nabla_xi[i, k] for i in range(d)
-                                           if not xi[(i,)].is_zero()), zero))
-    checks.append(_zero_check("xi_geodesic", geodesic))
+    checks.append(_zero_check("xi_geodesic", insert_vector(nabla_xi, 0, xi.comps)))
 
     checks.append(_zero_check("xi_flow_preserves_omega",
                               lie_derivative_omega(chart, xi)))
@@ -500,9 +471,7 @@ def integrability_check(chart: Chart, xi: Tensor) -> Check:
     for a in range(len(spanning)):
         for b in range(a + 1, len(spanning)):
             bracket = lie_bracket(chart, spanning[a], spanning[b])
-            value = sum((bracket[(m,)] * beta[m] for m in range(d)
-                         if not bracket[(m,)].is_zero()), Fraction(0))
-            if not is_zero_scalar(value):
+            if not insert_vector(bracket, 0, beta).is_zero():
                 return Check("xi_kernel_integrable", False,
                              f"bracket of spanning fields {a + 1},{b + 1} leaves the kernel")
     return Check("xi_kernel_integrable", True, None)
@@ -527,10 +496,7 @@ def hamiltonian_oneform(chart: Chart, xi: Tensor,
     """
     d = chart.dim
     coords = chart.coords
-    zero = chart.rf_zero()
-    alpha = Tensor.build(d, (COV,),
-                         lambda j: sum((xi[(i,)] * chart.omega[i][j] for i in range(d)
-                                        if not xi[(i,)].is_zero()), zero))
+    alpha = insert_vector(omega_tensor(chart), 0, xi.comps)
     closed = True
     witness = None
     for i in range(d):
@@ -572,11 +538,10 @@ def symplectic_basis_matrix(omega_p: list[list[Fraction]]) -> list[list[Fraction
     P(v) = v - omega(v,w) u + omega(v,u) w, and recurse.
     """
     dim = len(omega_p)
+    omega_t = Tensor(dim, (COV, COV), [x for row in omega_p for x in row])
 
     def pairing(u, v):
-        return sum(u[i] * omega_p[i][j] * v[j]
-                   for i in range(dim) for j in range(dim)
-                   if u[i] != 0 and v[j] != 0 and omega_p[i][j] != 0)
+        return insert_vector(insert_vector(omega_t, 1, v), 0, u).comps[0]
 
     working = [[Fraction(1) if i == j else Fraction(0) for i in range(dim)]
                for j in range(dim)]
@@ -789,6 +754,9 @@ def chart_from_json(data: dict) -> Chart:
         if not isinstance(valence, list) or any(kind not in (COV, CON) for kind in valence):
             raise ChartFormatError(f"field {name!r}: valence must be a list of "
                                    f"{COV!r}/{CON!r}, got {valence!r}")
+        if len(valence) > MAX_RANK:
+            raise ChartFormatError(f"field {name!r}: valence has at most {MAX_RANK} slots, "
+                                   f"got {len(valence)}")
         zero = RationalFunction.constant(0, coords)
         comps = [zero] * (dim ** len(valence))
         for key, text in _entries(field_data, "components").items():

@@ -3,7 +3,8 @@
 Deterministic by construction: no randomness, no timestamps, stable key
 order in machine-readable output.  Exit codes: 0 all checks passed or the
 computation succeeded, 1 at least one verification check failed (the
-report is still emitted), 2 malformed input.
+report is still emitted), 2 malformed input, 3 an internal error (any
+other exception, reported as one `internal error:` line on stderr).
 """
 
 from __future__ import annotations
@@ -529,12 +530,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as err:
+    except (InputError, ParseError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
-    except ParseError as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return 2
+    except Exception as err:  # a fault of the program, never "a check failed"
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

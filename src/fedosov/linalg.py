@@ -199,10 +199,8 @@ def transpose(matrix: Sequence[Sequence]) -> list[list]:
 def _int_rows(matrix: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     out = []
     for row in matrix:
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-        out.append([int(x * scale) for x in row])
+        scale = math.lcm(*{x.denominator for x in row})
+        out.append([x.numerator * (scale // x.denominator) if x else 0 for x in row])
     return out
 
 

@@ -36,7 +36,8 @@ from .linalg import is_zero_scalar
 from .reporting import Check, Report
 from .symplectic import (
     COV, CON, SymplecticSpace, Tensor, _contract_slot, _half_dimension, _is_int,
-    change_basis, first_symplectic_defect, parse_fraction, tensor_from_json, tensor_to_json,
+    change_basis, first_symplectic_defect, insert_vector, parse_fraction, tensor_from_json,
+    tensor_to_json,
 )
 
 
@@ -179,16 +180,7 @@ def check_model_axioms(model: InfinitesimalModel) -> Report:
                         None if second_bad is None else _idx_witness(second_bad)))
 
     for pos, aux in enumerate(model.aux):
-        name = f"curvature_derivation_on_aux{pos + 1}"
-        failed = None
-        for (i, j), endo in endos.items():
-            acted = derivation_action(endo, aux)
-            hit = acted.first_nonzero()
-            if hit is not None:
-                failed = (f"R(e{i + 1},e{j + 1}) acting at "
-                          f"{_idx_witness(hit[0])} gives {hit[1]}")
-                break
-        checks.append(Check(name, failed is None, failed))
+        derivation_check(f"curvature_derivation_on_aux{pos + 1}", aux)
 
     return Report(title="infinitesimal model axioms", checks=checks)
 
@@ -205,6 +197,19 @@ def _structure_endo(s: Tensor, i: int) -> list[list]:
     return [[s[i, m, l] for m in range(d)] for l in range(d)]
 
 
+def _shift_terms(s: Tensor) -> tuple[Tensor, Tensor]:
+    """D_X Y = S_X Y - S_Y X and Q_XY = [S_X, S_Y] - S_{D_X Y} for a structure tensor S."""
+    d = s.dim
+    diff = Tensor.build(d, (COV, COV, CON), lambda i, j, k: s[i, j, k] - s[j, i, k])
+    endos = [_structure_endo(s, i) for i in range(d)]
+    q = []
+    for i, j in itertools.product(range(d), repeat=2):
+        bracket = _commutator(endos[i], endos[j])
+        shift = insert_vector(s, 0, diff.comps[(i * d + j) * d:(i * d + j + 1) * d])
+        q.extend(bracket[l][k] - shift[k, l] for k in range(d) for l in range(d))
+    return diff, Tensor(d, (COV, COV, COV, CON), q)
+
+
 def model_from_pair(r: Tensor, t: Tensor, s: Tensor) -> tuple[Tensor, Tensor]:
     """Curvature and torsion of the connection shifted by the structure tensor.
 
@@ -215,47 +220,14 @@ def model_from_pair(r: Tensor, t: Tensor, s: Tensor) -> tuple[Tensor, Tensor]:
         raise ValueError("torsion input must be antisymmetric")
     if r.first_symmetry_violation(0, 1, anti=True) is not None:
         raise ValueError("curvature input must be antisymmetric in (1,2)")
-    d = s.dim
-    new_t = Tensor.build(d, (COV, COV, CON),
-                         lambda i, j, k: t[i, j, k] - (s[i, j, k] - s[j, i, k]),
-                         space=t.space)
-
-    endos = [_structure_endo(s, i) for i in range(d)]
-
-    def curvature_entry(i, j, k, l):
-        total = r[i, j, k, l]
-        for m in range(d):
-            total += endos[i][l][m] * endos[j][m][k] - endos[j][l][m] * endos[i][m][k]
-        for m in range(d):
-            diff = s[i, j, m] - s[j, i, m]
-            if diff != 0:
-                total -= diff * s[m, k, l]
-        return total
-
-    new_r = Tensor.build(d, (COV, COV, COV, CON), curvature_entry, space=r.space)
-    return new_r, new_t
+    diff, q = _shift_terms(s)
+    return r + q, t - diff
 
 
 def pair_from_model(r_tilde: Tensor, t_tilde: Tensor, s: Tensor) -> tuple[Tensor, Tensor]:
     """Inverse of `model_from_pair` (recovers the base curvature and torsion)."""
-    d = s.dim
-    t = Tensor.build(d, (COV, COV, CON),
-                     lambda i, j, k: t_tilde[i, j, k] + (s[i, j, k] - s[j, i, k]),
-                     space=t_tilde.space)
-    endos = [_structure_endo(s, i) for i in range(d)]
-
-    def curvature_entry(i, j, k, l):
-        total = r_tilde[i, j, k, l]
-        for m in range(d):
-            total -= endos[i][l][m] * endos[j][m][k] - endos[j][l][m] * endos[i][m][k]
-        for m in range(d):
-            diff = s[i, j, m] - s[j, i, m]
-            if diff != 0:
-                total += diff * s[m, k, l]
-        return total
-
-    r = Tensor.build(d, (COV, COV, COV, CON), curvature_entry, space=r_tilde.space)
-    return r, t
+    diff, q = _shift_terms(s)
+    return r_tilde - q, t_tilde + diff
 
 
 # -- model isomorphism ---------------------------------------------------------------

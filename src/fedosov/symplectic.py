@@ -21,7 +21,10 @@ Conventions fixed here and used everywhere else:
   one slot by out[..., a, ...] = sum_l t[..., l, ...] M[l][a]: the slot
   index meets the matrix's row index and the column index becomes the
   new slot.  A matrix acting on vectors (row = output) therefore enters a
-  contravariant slot transposed.
+  contravariant slot transposed.  Vectors go through the same kernel: a
+  d x 1 matrix makes the slot drop out, and `insert_vector(t, slot, v)`
+  is that interior product.  Musical isomorphisms and every chart
+  contraction with a vector field are built on it.
 
 Tensors are dense: at n = 4 a (0,3)-tensor has 512 entries, so sparsity
 machinery would be unjustified.  Components may be `Fraction` (constant
@@ -49,6 +52,11 @@ CON = "con"
 # a 2-core Xeon under Python 3.11; the class conditions grow as n^3 by n^3.
 MAX_N = 6
 
+# Most slots a tensor or chart field read from a file may have: the rank of
+# the curvature, the largest any command reads.  Checked before the
+# dim ** rank components are allocated.
+MAX_RANK = 4
+
 
 class SymplecticSpace:
     """R^{2n} with the standard symplectic form."""
@@ -69,18 +77,6 @@ class SymplecticSpace:
         self.omega = tuple(tuple(row) for row in omega)
         # For the standard block form, omega^2 = -Id.
         self.omega_inv = tuple(tuple(-x for x in row) for row in omega)
-
-    def pairing(self, u: Sequence, v: Sequence):
-        """omega(u, v) for coordinate vectors."""
-        total = Fraction(0)
-        for i, ui in enumerate(u):
-            if is_zero_scalar(ui):
-                continue
-            row = self.omega[i]
-            for j, vj in enumerate(v):
-                if not is_zero_scalar(vj) and row[j] != 0:
-                    total = total + ui * row[j] * vj
-        return total
 
     def __eq__(self, other):
         return isinstance(other, SymplecticSpace) and other.n == self.n
@@ -257,54 +253,54 @@ def _resolve_omega_inverse(t: Tensor, omega):
 
 
 def _contract_slot(t: Tensor, slot: int, matrix: Sequence[Sequence]) -> list:
-    """Components of t with one slot contracted against the rows of a matrix.
+    """Components of t with one slot contracted against the rows of a d x k matrix.
 
-    out[..., a, ...] = sum_l t[..., l, ...] * matrix[l][a], the sum taken
-    over l in increasing order and skipping zero terms; an entry with no
-    term is the zero of t's scalar type.
+    out[..., a, ...] = sum_l t[..., l, ...] * matrix[l][a] for a < k, with
+    k = len(matrix[0]); the slot runs over k values afterwards, so a single
+    column (a vector) makes it drop out.  The sum is taken over l in
+    increasing order, skips zero terms and starts from the first nonzero
+    one; an entry with no term is the zero of t's scalar type.
     """
     d = t.dim
+    k = len(matrix[0])
     stride = d ** (len(t.valence) - 1 - slot)
     comps = t.comps
     sample = comps[0]
     zero = Fraction(0) if isinstance(sample, (int, Fraction)) else sample - sample
     columns = [[(l * stride, row[a]) for l, row in enumerate(matrix)
-                if not is_zero_scalar(row[a])] for a in range(d)]
+                if not is_zero_scalar(row[a])] for a in range(k)]
     out = []
-    for flat in range(len(comps)):
-        a = flat // stride % d
-        base = flat - a * stride
-        total = None
-        for offset, factor in columns[a]:
-            value = comps[base + offset]
-            if is_zero_scalar(value):
-                continue
-            term = value * factor
-            total = term if total is None else total + term
-        out.append(zero if total is None else total)
+    for block in range(0, len(comps), d * stride):
+        for column in columns:
+            for base in range(block, block + stride):
+                total = None
+                for offset, factor in column:
+                    value = comps[base + offset]
+                    if is_zero_scalar(value):
+                        continue
+                    term = value * factor
+                    total = term if total is None else total + term
+                out.append(zero if total is None else total)
     return out
+
+
+def insert_vector(t: Tensor, slot: int, vec: Sequence) -> Tensor:
+    """t with the vector `vec` inserted into one slot, which drops out:
+    out[..., ...] = sum_l t[..., l, ...] * vec[l], summed as in `_contract_slot`."""
+    return Tensor(t.dim, t.valence[:slot] + t.valence[slot + 1:],
+                  _contract_slot(t, slot, [[v] for v in vec]), space=t.space)
 
 
 # -- musical isomorphisms ---------------------------------------------------
 
 def musical_flat(space: SymplecticSpace, vector: Sequence) -> list:
     """X -> X* with X*(Y) = omega(X, Y); returns covector components."""
-    return [space.pairing(vector, _unit(space.dim, j)) for j in range(space.dim)]
+    return _contract_slot(Tensor(space.dim, (CON,), list(vector)), 0, space.omega)
 
 
 def musical_sharp(space: SymplecticSpace, covector: Sequence) -> list:
-    """Inverse of `musical_flat`."""
-    # alpha_j = sum_i X^i omega_ij  =>  X = (omega^T)^{-1} alpha = -omega_inv^T... solved directly:
-    # X^m = sum_j alpha_j (omega^{-1})_jm
-    inv = space.omega_inv
-    return [sum((covector[j] * inv[j][m] for j in range(space.dim)), Fraction(0))
-            for m in range(space.dim)]
-
-
-def _unit(dim: int, i: int) -> list[Fraction]:
-    vec = [Fraction(0)] * dim
-    vec[i] = Fraction(1)
-    return vec
+    """Inverse of `musical_flat`: X^m = sum_j alpha_j (omega^{-1})_jm."""
+    return _contract_slot(Tensor(space.dim, (COV,), list(covector)), 0, space.omega_inv)
 
 
 # -- raising and lowering ----------------------------------------------------
@@ -491,8 +487,8 @@ def tensor_from_json(data: dict, *, space: SymplecticSpace | None = None,
     """Inverse of `tensor_to_json`; `parse_scalar` defaults to Fraction parsing.
 
     Malformed input raises `ValueError` (`KeyError` for a missing field): the
-    tensor must be an object, `n` an integer in 1..MAX_N, `valence` a list,
-    `components` an object whose values are strings.
+    tensor must be an object, `n` an integer in 1..MAX_N, `valence` a list
+    of at most MAX_RANK slots, `components` an object whose values are strings.
     """
     if not isinstance(data, dict):
         raise ValueError(f"a tensor must be a JSON object, got {type(data).__name__}")
@@ -500,6 +496,8 @@ def tensor_from_json(data: dict, *, space: SymplecticSpace | None = None,
     dim = 2 * n
     if not isinstance(data["valence"], list):
         raise ValueError(f"'valence' must be a list, got {data['valence']!r}")
+    if len(data["valence"]) > MAX_RANK:
+        raise ValueError(f"'valence' has at most {MAX_RANK} slots, got {len(data['valence'])}")
     valence = tuple(data["valence"])
     components = data.get("components", {})
     if not isinstance(components, dict):

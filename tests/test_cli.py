@@ -445,6 +445,11 @@ LIMIT_CASES = [
      "FILE: 'n' must be at most 6, got 1000"),
     (["verify-chart", "FILE"], {"coords": [f"x{i}" for i in range(2000)]},
      "FILE: charts have at most 12 coordinates, got 2000"),
+    (["classify", "FILE", "--space", "cotorsion", "--n", "1"],
+     {"n": 1, "valence": ["cov"] * 22}, "FILE: 'valence' has at most 4 slots, got 22"),
+    (["verify-chart", "FILE", "--suite", "all"],
+     {"coords": ["x", "y"], "fields": {"big": {"valence": ["cov"] * 22, "components": {}}}},
+     "FILE: field 'big': valence has at most 4 slots, got 22"),
 ]
 
 
@@ -457,6 +462,15 @@ def test_size_limits_exit_2_before_allocating(tmp_path, argv, payload, message):
                             capture_output=True, text=True, env=os.environ, timeout=30)
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == f"input error: {message.replace('FILE', path)}\n"
+
+
+def test_unexpected_exception_exits_3(capsys, monkeypatch):
+    def broken(n_max):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("fedosov.decomposition.dimension_table", broken)
+    code, out, err = run_cli(capsys, "dims", "--n-max", "1")
+    assert (code, out, err) == (3, "", "internal error: RuntimeError: boom\n")
 
 
 def test_tensor_at_the_size_limit_is_accepted(tmp_path, capsys):

@@ -1,6 +1,9 @@
 """Golden-output test: CLI stdout, stderr and exit codes on fixed inputs.
 
-The inputs are the built-in charts, the seeded tensors in `data/tensors/`
+The inputs are the built-in charts, one chart in `data/charts/` (the second
+worked chart with Christoffel symbol Gamma^1_22 = y, so that
+`curvature_kills_xi`, `curvature_xi_slot_symmetry`, `curvature_xi_rank_one`
+and `xi_geodesic` fail with witnesses), the seeded tensors in `data/tensors/`
 (decomposition, classification and symplectification at n = 1..3,
 including a failing symplectification with its witness), the models that
 `model-at-point` emits on two fixtures (`data/models/`, for `check-model`,
@@ -31,12 +34,13 @@ DATA = pathlib.Path(__file__).parent / "data"
 SNAPSHOT = DATA / "cli_golden.json"
 
 MODELS = ("example2_x1_y0", "example1_emended_x2_y1_3")
-DATA_DIRS = ("tensors/", "models/", "algebras/")
+DATA_DIRS = ("charts/", "tensors/", "models/", "algebras/")
 
 COMMANDS = [
     *(["verify-chart", chart, "--suite", suite]
       for chart in ("example1", "example1-emended", "example2")
       for suite in ("as", "linear-type", "all")),
+    ["verify-chart", "charts/example2_gamma122_y.json", "--suite", "all"],
     ["model-at-point", "example2", "--at", "x=1,y=0"],
     ["model-at-point", "example1-emended", "--at", "x=2,y=1/3"],
     ["obstruction", "example2", "--at", "x=1,y=0"],

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -129,6 +130,22 @@ def test_certified_rank_matches_exact():
         m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
              for _ in range(rows)]
         assert linalg.certified_rank(m) == linalg.rank(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.just(Fraction(0)),
+                                   st.fractions(max_denominator=10 ** 6)),
+                         min_size=1, max_size=8),
+                min_size=1, max_size=5))
+def test_int_rows_matches_fraction_rescaling(matrix):
+    """Each row is scaled by the lcm of its denominators, in integers."""
+    rows = linalg._int_rows(matrix)
+    for row, ints in zip(matrix, rows):
+        scale = 1
+        for x in row:
+            scale = scale * x.denominator // math.gcd(scale, x.denominator)
+        assert ints == [int(x * scale) for x in row]
+        assert all(type(v) is int for v in ints)
 
 
 def test_generic_field_elimination_with_rational_functions():

@@ -2,8 +2,9 @@
 
 Every tensor action built on `symplectic._contract_slot` is compared with
 an oracle written out from its index formula: the d^r push-forward sum, the
-per-entry derivation sum, the per-entry lowering and raising sums, and the
-per-entry covariant derivative with interleaved connection terms.  Constant
+per-entry derivation sum, the per-entry lowering and raising sums, the
+per-entry interior product with a vector, and the per-entry covariant
+derivative with interleaved connection terms.  Constant
 tensors must agree exactly, component by component; chart fields are
 compared by value, since the order of additions changes how an unreduced
 rational function is written.
@@ -26,7 +27,7 @@ from fedosov.models import derivation_action, push_tensor
 from fedosov.rationals import parse_ratfun
 from fedosov.symplectic import (
     COV, CON, SymplecticSpace, Tensor, change_basis, cotorsion_lower,
-    cotorsion_raise, torsion_lower, torsion_raise,
+    cotorsion_raise, insert_vector, torsion_lower, torsion_raise,
 )
 
 VALENCES = [(COV, COV), (COV, COV, CON), (COV, COV, COV), (COV, COV, COV, CON)]
@@ -119,6 +120,14 @@ def cotorsion_raise_term(t, inv, k, i, l, j):
     return t[i, j, k] * inv[j][l]
 
 
+def oracle_insert(t, slot, vec, zero=Fraction(0)):
+    """out[rest] = sum_l t[rest with l at the slot] * vec[l], per entry."""
+    def entry(*rest):
+        return sum((t[rest[:slot] + (l,) + rest[slot:]] * vec[l] for l in range(t.dim)), zero)
+
+    return Tensor.build(t.dim, t.valence[:slot] + t.valence[slot + 1:], entry)
+
+
 def oracle_covariant_derivative(chart, tensor, structure=None):
     """nabla_i T[rest] = d_i T[rest] + per-slot connection terms, per entry."""
     gamma = (chart.christoffel if structure is None else
@@ -163,6 +172,17 @@ def test_derivation_action_matches_entry_sum(n, valence):
     t = random_tensor(rng, n, valence)
     a = random_matrix(rng, t.dim)
     assert derivation_action(a, t).comps == oracle_derivation(a, t)
+
+
+@pytest.mark.parametrize("n,valence", CASES)
+def test_insert_vector_matches_entry_sum(n, valence):
+    rng = random.Random(f"insert:{n}:{valence}")
+    t = random_tensor(rng, n, valence)
+    vec = [random_scalar(rng) if rng.random() < 0.6 else Fraction(0) for _ in range(t.dim)]
+    for slot in range(len(valence)):
+        out = insert_vector(t, slot, vec)
+        expected = oracle_insert(t, slot, vec)
+        assert (out.valence, out.space, out.comps) == (expected.valence, t.space, expected.comps)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -211,3 +231,14 @@ def test_covariant_derivative_matches_entry_formula(name):
         for shift in (None, structure):
             assert (covariant_derivative(chart, field, shift)
                     == oracle_covariant_derivative(chart, field, shift))
+
+
+@pytest.mark.parametrize("name", ["example1-emended", "example2", "swell-4d"])
+def test_insert_vector_on_chart_fields_matches_entry_sum(name):
+    chart = swell_chart() if name == "swell-4d" else load_example(name)
+    xi = chart.field_tensor("xi")
+    structure = linear_type_structure(chart, xi)
+    for field in (omega_tensor(chart), structure, chart_curvature(chart, structure)):
+        for slot in range(len(field.valence)):
+            assert (insert_vector(field, slot, xi.comps)
+                    == oracle_insert(field, slot, xi.comps, chart.rf_zero()))
