@@ -10,6 +10,7 @@ other exception, reported as one `internal error:` line on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -454,9 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="class dimension table")
     p.add_argument("--n-max", type=int, default=3)
-    p.set_defaults(func=cmd_dims)
 
-    for name, func in (("decompose", cmd_decompose), ("classify", cmd_classify)):
+    for name in ("decompose", "classify"):
         p = sub.add_parser(name, help=f"{name} a tensor into invariant classes")
         p.add_argument("tensor", help="tensor JSON file ((0,3) or (1,2))")
         p.add_argument("--space", choices=("torsion", "cotorsion"), required=True,
@@ -464,29 +464,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--parts", action="store_true",
                        help="emit the exact component tensors of every part")
-        p.set_defaults(func=func)
 
     p = sub.add_parser("symplectify",
                        help="solve for a cotorsion structure producing a torsion")
     p.add_argument("tensor")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_symplectify)
 
     p = sub.add_parser("check-model", help="verify the infinitesimal model axioms")
     p.add_argument("model")
-    p.set_defaults(func=cmd_check_model)
 
     p = sub.add_parser("nomizu", help="Nomizu construction of a model")
     p.add_argument("model")
-    p.set_defaults(func=cmd_nomizu)
 
     p = sub.add_parser("transvection", help="transvection algebra of a model")
     p.add_argument("model")
-    p.set_defaults(func=cmd_transvection)
 
     p = sub.add_parser("bianchi", help="classify a 3-dimensional Lie algebra")
     p.add_argument("algebra")
-    p.set_defaults(func=cmd_bianchi)
 
     p = sub.add_parser("verify-chart", help="run chart verification suites")
     p.add_argument("chart", help="chart JSON file or built-in example name")
@@ -496,40 +490,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hamiltonian", metavar="TEXT",
                    help="candidate rational Hamiltonian to verify against the "
                         "contraction 1-form (linear-type suite only)")
-    p.set_defaults(func=cmd_verify_chart)
 
     p = sub.add_parser("linear-type", help="build the linear-type structure field")
     p.add_argument("chart")
     p.add_argument("--xi")
-    p.set_defaults(func=cmd_linear_type)
 
     p = sub.add_parser("obstruction", help="pointwise metric-compatibility obstruction")
     p.add_argument("chart")
     p.add_argument("--at", required=True, help="point, e.g. x=1,y=0")
     p.add_argument("--structure")
     p.add_argument("--xi")
-    p.set_defaults(func=cmd_obstruction)
 
     p = sub.add_parser("model-at-point", help="evaluate a chart into a model")
     p.add_argument("chart")
     p.add_argument("--at", required=True)
     p.add_argument("--structure")
     p.add_argument("--xi")
-    p.set_defaults(func=cmd_model_at_point)
 
     p = sub.add_parser("examples", help="list, show or export the built-in charts")
     p.add_argument("--export", metavar="DIR")
     p.add_argument("--show", metavar="NAME")
-    p.set_defaults(func=cmd_examples)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of `main` and reused by every later one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up when called, not bound into the shared parser, so that a
+    # replaced `cmd_*` function (a test double, a profiler) is the one run.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (InputError, ParseError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2

@@ -8,8 +8,10 @@ magnitude (the first nonzero entry wins), so every result is exact.
 is independent of the vectors kept so far, and `vec in echelon` tests span
 membership.  It is the only incremental elimination in the package: every
 greedy basis (class generators, symplectic frames, Lie closures, derived
-algebras) and every membership test that needs no coordinates uses it;
-`solve` is left for reading coordinates in a span.
+algebras) and every membership test that needs no coordinates uses it.
+`Coordinates` reduces a fixed basis once and then reads the coordinates
+of many vectors in its span, each checked by recombination; `solve` is
+left for one-off linear systems.
 
 For large matrices over Q there is a fast full-rank certificate: row-scale
 to integers and eliminate modulo a fixed prime.  A maximal minor that is
@@ -101,6 +103,46 @@ class Echelon:
 
     def __contains__(self, vec: Sequence) -> bool:
         return all(is_zero_scalar(x) for x in self._reduce(vec))
+
+
+class Coordinates:
+    """Coordinates of rational vectors over fixed independent vectors b_1..b_m.
+
+    One elimination of [b | I] gives rows R = E b with unit pivots p_i; a
+    vector v in the span is sum_i v[p_i] R_i, so its coordinates are
+    c = E^T (v[p_i])_i.  Calling the instance on v returns c when
+    sum_a c_a b_a == v holds exactly, and None when v lies outside the
+    span.  Only nonzero entries are visited, so one reduction serves many
+    sparse vectors.
+    """
+
+    def __init__(self, basis: Sequence[Sequence]):
+        m = len(basis)
+        width = len(basis[0]) if basis else 0
+        one, zero = Fraction(1), Fraction(0)
+        reduced, pivots = rref([list(b) + [one if j == i else zero for j in range(m)]
+                                for i, b in enumerate(basis)])
+        self._pivot_rows = [(p, _nonzero(row[width:])) for p, row in zip(pivots, reduced)
+                            if p < width]
+        self._basis = [_nonzero(b) for b in basis]
+
+    def __call__(self, vec: Sequence) -> list | None:
+        coords = [Fraction(0)] * len(self._basis)
+        for pivot, row in self._pivot_rows:
+            y = vec[pivot]
+            if not is_zero_scalar(y):
+                for a, x in row:
+                    coords[a] += y * x
+        combined = [Fraction(0)] * len(vec)
+        for c, entries in zip(coords, self._basis):
+            if not is_zero_scalar(c):
+                for pos, x in entries:
+                    combined[pos] += c * x
+        return coords if combined == list(vec) else None
+
+
+def _nonzero(vec: Sequence) -> list[tuple[int, object]]:
+    return [(i, x) for i, x in enumerate(vec) if not is_zero_scalar(x)]
 
 
 def nullspace(matrix: Sequence[Sequence], ncols: int | None = None) -> list[list]:

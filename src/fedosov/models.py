@@ -281,38 +281,63 @@ def verify_model_isomorphism(f: list[list], source: InfinitesimalModel,
 
 # -- Nomizu and transvection constructions ----------------------------------------------
 
+def _stabilizer_rows(targets) -> list[list[Fraction]]:
+    """The linear equations A.t = 0 on A in End(V), one row per entry of each t.
+
+    Unknown A[a][b] is column a*d + b.  The rows are read off the nonzero
+    entries, with the `derivation_action` convention: an entry T[j] whose
+    slot s holds c adds T[j] to A[e][c] in row j[s->e] when the slot is
+    contravariant, and subtracts it from A[c][e] when it is covariant.
+    Rows come in target order, then entry order; zero rows are dropped.
+    """
+    zero = Fraction(0)
+    rows = []
+    for t in targets:
+        d, rank = t.dim, len(t.valence)
+        equations: dict[int, dict[int, Fraction]] = {}
+        for flat, value in enumerate(t.comps):
+            if is_zero_scalar(value):
+                continue
+            for slot, kind in enumerate(t.valence):
+                stride = d ** (rank - 1 - slot)
+                c = flat // stride % d
+                base = flat - c * stride
+                for e in range(d):
+                    row = equations.setdefault(base + e * stride, {})
+                    if kind == CON:
+                        row[e * d + c] = row.get(e * d + c, zero) + value
+                    else:
+                        row[c * d + e] = row.get(c * d + e, zero) - value
+        for flat in sorted(equations):
+            dense = [zero] * (d * d)
+            for unknown, coeff in equations[flat].items():
+                dense[unknown] = coeff
+            if any(dense):
+                rows.append(dense)
+    return rows
+
+
 def model_stabilizer_algebra(model: InfinitesimalModel) -> list[list[list[Fraction]]]:
     """Basis of {A in End(V): A annihilates curvature, torsion and aux}.
 
-    Computed as the exact nullspace of the stacked derivation-action
-    conditions; every returned matrix is re-verified to annihilate all
-    model data.
+    Computed as the exact nullspace of the linear equations that
+    `_stabilizer_rows` reads off the nonzero entries of the model data;
+    every returned matrix is re-verified to annihilate all model data
+    through `derivation_action`.
     """
     d = model.space.dim
-    unknowns = [(a, b) for a in range(d) for b in range(d)]  # A[a][b]
-    rows = []
     targets = [model.curvature, model.torsion, *model.aux]
-    unit_actions = []
-    for (a, b) in unknowns:
-        endo = [[Fraction(0)] * d for _ in range(d)]
-        endo[a][b] = Fraction(1)
-        unit_actions.append([derivation_action(endo, t) for t in targets])
-    for t_pos, target in enumerate(targets):
-        for flat, idx in enumerate(target.indices()):
-            row = [unit_actions[u][t_pos][idx] for u in range(len(unknowns))]
-            if any(v != 0 for v in row):
-                rows.append(row)
-    vecs = linalg.nullspace(rows, ncols=len(unknowns))
     basis = []
-    for vec in vecs:
-        endo = [[Fraction(0)] * d for _ in range(d)]
-        for (a, b), v in zip(unknowns, vec):
-            endo[a][b] = v
-        for target in targets:
-            if not derivation_action(endo, target).is_zero():
-                raise AssertionError("stabilizer candidate fails to annihilate model data")
+    for vec in linalg.nullspace(_stabilizer_rows(targets), ncols=d * d):
+        endo = [vec[a * d:(a + 1) * d] for a in range(d)]
+        if not _annihilates(endo, targets):
+            raise AssertionError("stabilizer candidate fails to annihilate model data")
         basis.append(endo)
     return basis
+
+
+def _annihilates(endo, targets) -> bool:
+    return all(derivation_action(endo, t).is_zero() for t in targets)
 
 
 @dataclass(frozen=True)
@@ -332,12 +357,12 @@ class LieAlgebraPresentation:
         c = self.structure_constants
         if len(c) != self.dim or any(len(row) != self.dim for row in c):
             raise ValueError("structure constant array has wrong shape")
+        # a failing pair fails in both orders, so i <= j finds the first one
         for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    if c[i][j][k] != -c[j][i][k]:
-                        raise ValueError(
-                            f"structure constants not antisymmetric at ({i + 1},{j + 1})")
+            for j in range(i, self.dim):
+                if any((x or y) and x != -y for x, y in zip(c[i][j], c[j][i])):
+                    raise ValueError(
+                        f"structure constants not antisymmetric at ({i + 1},{j + 1})")
         bad = self.first_jacobi_failure()
         if bad is not None:
             raise ValueError(f"Jacobi identity fails on basis triple {bad}")
@@ -363,24 +388,22 @@ class LieAlgebraPresentation:
         return [[c[i][j][k] for j in range(self.dim)] for k in range(self.dim)]
 
     def first_jacobi_failure(self) -> tuple[int, int, int] | None:
-        c = self.structure_constants
-        unit = [[Fraction(1) if a == b else Fraction(0) for a in range(self.dim)]
-                for b in range(self.dim)]
+        """First basis triple, 1-based, on which the cyclic Jacobi sum is nonzero.
+
+        sum_cyc [b_a, [b_b, b_c]] = sum_cyc sum_l c[b][c][l] c[a][l], summed
+        over the nonzero structure constants only.
+        """
+        nonzero = [[[(k, x) for k, x in enumerate(row) if x != 0] for row in plane]
+                   for plane in self.structure_constants]
         for i, j, k in itertools.combinations(range(self.dim), 3):
-            total = [Fraction(0)] * self.dim
+            total: dict[int, Fraction] = {}
             for (a, b, cc) in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = c[b][cc]
-                term = self.bracket(unit[a], inner)
-                total = [x + y for x, y in zip(total, term)]
-            if any(v != 0 for v in total):
+                for l, x in nonzero[b][cc]:
+                    for m, y in nonzero[a][l]:
+                        total[m] = total.get(m, 0) + x * y
+            if any(v != 0 for v in total.values()):
                 return (i + 1, j + 1, k + 1)
         return None
-
-
-def _coords_in_span(span_rows: list[list[Fraction]], vec: list[Fraction]) -> list[Fraction] | None:
-    """Coefficients expressing vec over the rows of span_rows, or None."""
-    matrix = linalg.transpose(span_rows)
-    return linalg.solve(matrix, vec) if span_rows else (None if any(v != 0 for v in vec) else [])
 
 
 def _flatten_endo(endo) -> list[Fraction]:
@@ -390,7 +413,7 @@ def _flatten_endo(endo) -> list[Fraction]:
 def _algebra_from_parts(model: InfinitesimalModel, h_basis: list,
                         h_name: str) -> LieAlgebraPresentation:
     d = model.space.dim
-    h_rows = [_flatten_endo(e) for e in h_basis]
+    coords_in_h = linalg.Coordinates([_flatten_endo(e) for e in h_basis])
     m = len(h_basis)
     dim = d + m
     zero = Fraction(0)
@@ -408,7 +431,7 @@ def _algebra_from_parts(model: InfinitesimalModel, h_basis: list,
                 vec[k] = -model.torsion[i, j, k]
             r_flat = _flatten_endo(curvature_endomorphism(model.curvature, i, j))
             if any(v != 0 for v in r_flat):
-                coords = _coords_in_span(h_rows, r_flat)
+                coords = coords_in_h(r_flat)
                 if coords is None:
                     raise ModelError(
                         "curvature endomorphism lies outside the isotropy algebra; "
@@ -430,7 +453,7 @@ def _algebra_from_parts(model: InfinitesimalModel, h_basis: list,
         for b in range(a + 1, m):
             commutator = _commutator(h_basis[a], h_basis[b])
             flat = _flatten_endo(commutator)
-            coords = _coords_in_span(h_rows, flat)
+            coords = coords_in_h(flat)
             if coords is None:
                 raise ModelError("isotropy algebra is not closed under commutators")
             vec = [zero] * dim
@@ -448,9 +471,18 @@ def _algebra_from_parts(model: InfinitesimalModel, h_basis: list,
 
 
 def _commutator(a, b):
+    """AB - BA, summing only the nonzero products."""
     d = len(a)
-    return [[sum((a[i][m] * b[m][j] - b[i][m] * a[m][j] for m in range(d)), Fraction(0))
-             for j in range(d)] for i in range(d)]
+    out = [[Fraction(0)] * d for _ in range(d)]
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        y_rows = [[(j, v) for j, v in enumerate(row) if v != 0] for row in y]
+        for out_row, x_row in zip(out, x):
+            for m, xm in enumerate(x_row):
+                if xm != 0:
+                    xm = sign * xm
+                    for j, v in y_rows[m]:
+                        out_row[j] += xm * v
+    return out
 
 
 def nomizu_algebra(model: InfinitesimalModel) -> LieAlgebraPresentation:
@@ -491,13 +523,12 @@ def transvection_subalgebra(model: InfinitesimalModel) -> list[list[list[Fractio
 def transvection_algebra(model: InfinitesimalModel) -> LieAlgebraPresentation:
     """Algebra V + h0' where h0' is Lie-generated by curvature endomorphisms.
 
-    The containment h0' inside the full stabilizer h0 is re-verified.
+    The containment h0' inside the full stabilizer h0 is re-verified: every
+    element of h0' must annihilate all model data.
     """
     h0p = transvection_subalgebra(model)
-    h0 = linalg.Echelon()
-    for endo in model_stabilizer_algebra(model):
-        h0.add(_flatten_endo(endo))
-    if any(_flatten_endo(endo) not in h0 for endo in h0p):
+    targets = [model.curvature, model.torsion, *model.aux]
+    if not all(_annihilates(endo, targets) for endo in h0p):
         raise ModelError("transvection algebra is not contained in the stabilizer")
     return _algebra_from_parts(model, h0p, "h0")
 
@@ -564,8 +595,9 @@ def bianchi_classify(p: LieAlgebraPresentation) -> BianchiType:
     if any(x != 0 for x in p.bracket(u, v)):
         raise ModelError("derived algebra of a 3-dimensional solvable algebra must be abelian")
     complement = next(e for e in unit if e not in derived)
-    cu = _coords_in_span(derived_rows, p.bracket(complement, u))
-    cv = _coords_in_span(derived_rows, p.bracket(complement, v))
+    coords_in_derived = linalg.Coordinates(derived_rows)
+    cu = coords_in_derived(p.bracket(complement, u))
+    cv = coords_in_derived(p.bracket(complement, v))
     if cu is None or cv is None:
         raise ModelError("adjoint action does not preserve the derived algebra")
     a_matrix = [[cu[0], cv[0]], [cu[1], cv[1]]]

@@ -24,7 +24,8 @@ fast path yields exactly the pair the normalization pass would produce.
 
 The text syntax accepted by `parse_ratfun` covers integer literals, `+`,
 `-`, `*`, `/`, `^` with positive integer exponents, parentheses and
-variable identifiers, e.g. ``-4/(3*x)``.
+variable identifiers, e.g. ``-4/(3*x)``.  A power whose expansion could
+exceed `MAX_POWER_TERMS` terms is rejected with a `ParseError`.
 """
 
 from __future__ import annotations
@@ -570,6 +571,13 @@ class RationalFunction:
         return f"RationalFunction({self})"
 
 
+# Term budget of one `^` in parsed text.  A t-term numerator or denominator
+# raised to the k-th power can have C(k + t - 1, t - 1) terms, and its
+# coefficients grow with k, so both that count and k itself must stay
+# within the budget.  At the limit (x+1)^1000 and (x+y+1)^43 (990 terms)
+# parse in under a second; (x+y+1)^3000 would reach 4.5 million terms.
+MAX_POWER_TERMS = 1000
+
 _TOKEN_RE = re.compile(r"\s+|(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])")
 
 
@@ -679,6 +687,11 @@ class _Parser:
             exponent = int(exp_tok[1])
             if exponent < 1:
                 raise ParseError("exponent must be a positive integer", exp_tok[2], exp_tok[3])
+            terms = max(len(base.num.terms), len(base.den.terms), 1)
+            if (exponent > MAX_POWER_TERMS
+                    or math.comb(exponent + terms - 1, terms - 1) > MAX_POWER_TERMS):
+                raise ParseError(f"power ^{exponent} of a {terms}-term polynomial is over "
+                                 f"the budget of {MAX_POWER_TERMS} terms", exp_tok[2], exp_tok[3])
             return base ** exponent
         return base
 

@@ -450,6 +450,10 @@ LIMIT_CASES = [
     (["verify-chart", "FILE", "--suite", "all"],
      {"coords": ["x", "y"], "fields": {"big": {"valence": ["cov"] * 22, "components": {}}}},
      "FILE: field 'big': valence has at most 4 slots, got 22"),
+    (["verify-chart", "FILE", "--suite", "as"],
+     {"coords": ["x", "y"], "omega": {"1,2": "(x+y+1)^3000"}},
+     "FILE: omega[1,2]: power ^3000 of a 3-term polynomial is over the budget of 1000 terms "
+     "(line 1, column 9)"),
 ]
 
 
@@ -478,3 +482,30 @@ def test_tensor_at_the_size_limit_is_accepted(tmp_path, capsys):
                                            "components": {"1,7,2": "1", "7,1,2": "-1"}})
     code, out, err = run_cli(capsys, "classify", path, "--space", "torsion", "--n", "6")
     assert (code, err) == (0, "")
+
+
+MODEL_FILE = str(DATA / "models" / "example2_x1_y0.json")
+REUSE_SEQUENCES = {
+    "json-then-text": [["--json", "dims", "--n-max", "1"], ["dims", "--n-max", "1"]],
+    "rejected-then-valid": [["decompose", "--n", "1"], ["--json", "examples"],
+                            ["dims", "--n-max", "oops"], ["check-model", MODEL_FILE]],
+    "nomizu-then-transvection": [["nomizu", MODEL_FILE], ["transvection", MODEL_FILE],
+                                 ["--json", "nomizu", MODEL_FILE]],
+}
+
+
+@pytest.mark.parametrize("sequence", REUSE_SEQUENCES.values(), ids=REUSE_SEQUENCES)
+def test_main_calls_in_one_process_match_fresh_processes(monkeypatch, capsys, sequence):
+    # `main` builds its parser once and reuses it: each call must still
+    # print what a fresh interpreter prints, argparse rejections included.
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in sequence:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "fedosov.cli", *argv],
+                               capture_output=True, text=True, env=os.environ, timeout=60)
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv

@@ -219,3 +219,24 @@ def test_echelon_agrees_with_rank(vecs):
         if linalg.rank(greedy + [vec]) > len(greedy):
             greedy.append(vec)
     assert kept == greedy
+
+
+def _coords_by_solve(rows, vec):
+    """Coordinates over independent rows by one fresh solve per vector (the old path)."""
+    if not rows:
+        return None if any(v != 0 for v in vec) else []
+    return linalg.solve(linalg.transpose(rows), vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vecs=vector_sequences(), probe=st.lists(SMALL, min_size=5, max_size=5))
+def test_coordinates_agree_with_solve(vecs, probe):
+    echelon = linalg.Echelon()
+    basis = [vec for vec in vecs if echelon.add(vec)]
+    coords = linalg.Coordinates(basis)
+    dim = len(vecs[0]) if vecs else 3
+    for vec in [*vecs, probe[:dim], [Fraction(0)] * dim]:
+        expected = _coords_by_solve(basis, vec)
+        assert coords(vec) == expected
+        if expected is not None:
+            assert all(isinstance(x, Fraction) for x in coords(vec))

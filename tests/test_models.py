@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedosov import linalg
 from fedosov.models import (
@@ -325,6 +327,61 @@ def test_presentation_rejects_jacobi_failure():
     with pytest.raises(ValueError):
         # [b1,b2] = b3, [b1,b3] = b1, [b2,b3] = b2 fails Jacobi
         presentation({(0, 1): (0, 0, 1), (0, 2): (1, 0, 0), (1, 2): (0, 1, 0)})
+
+
+def _dense_jacobi_failure(c, dim):
+    """The Jacobi scan on dense brackets of unit vectors (the old path)."""
+    def bracket(x, y):
+        out = [Fraction(0)] * dim
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                for k in range(dim):
+                    out[k] += xi * yj * c[i][j][k]
+        return out
+
+    unit = [[Fraction(int(a == b)) for a in range(dim)] for b in range(dim)]
+    for i, j, k in itertools.combinations(range(dim), 3):
+        total = [Fraction(0)] * dim
+        for a, b, cc in ((i, j, k), (j, k, i), (k, i, j)):
+            total = [x + y for x, y in zip(total, bracket(unit[a], c[b][cc]))]
+        if any(total):
+            return (i + 1, j + 1, k + 1)
+    return None
+
+
+def _first_antisymmetry_failure(c, dim):
+    return next(((i + 1, j + 1) for i in range(dim) for j in range(dim)
+                 if any(c[i][j][k] != -c[j][i][k] for k in range(dim))), None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_presentation_checks_match_dense_scans(data):
+    dim = data.draw(st.integers(1, 5))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, Fraction(1, 2)))
+    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(dim):
+                c[i][j][k] = Fraction(data.draw(entry))
+                c[j][i][k] = -c[i][j][k]
+    if data.draw(st.booleans()):  # break antisymmetry in one entry
+        i, j, k = (data.draw(st.integers(0, dim - 1)) for _ in range(3))
+        c[i][j][k] += 1
+    constants = tuple(tuple(tuple(row) for row in plane) for plane in c)
+    bad_pair = _first_antisymmetry_failure(c, dim)
+    bad_triple = _dense_jacobi_failure(c, dim)
+    labels = tuple(f"b{i + 1}" for i in range(dim))
+    if bad_pair is not None:
+        message = f"structure constants not antisymmetric at ({bad_pair[0]},{bad_pair[1]})"
+    elif bad_triple is not None:
+        message = f"Jacobi identity fails on basis triple {bad_triple}"
+    else:
+        LieAlgebraPresentation(dim=dim, basis_labels=labels, structure_constants=constants)
+        return
+    with pytest.raises(ValueError) as err:
+        LieAlgebraPresentation(dim=dim, basis_labels=labels, structure_constants=constants)
+    assert str(err.value) == message
 
 
 def test_presentation_json_round_trip():

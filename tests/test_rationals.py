@@ -126,6 +126,21 @@ def test_parser_rejects_zero_exponent():
         parse_ratfun("x^0", ("x",))
 
 
+@pytest.mark.parametrize("text, accepted", [
+    ("(x+y+1)^43", True),     # C(45, 2) = 990 terms
+    ("(x+y+1)^44", False),    # C(46, 2) = 1035 terms
+    ("x^1000", True), ("x^1001", False),
+    ("1/(x+y)^999", True), ("1/(x+y)^1000", False),
+    ("(x+y+1)^3000", False),
+])
+def test_parser_power_term_budget(text, accepted):
+    if accepted:
+        parse_ratfun(text, ("x", "y"))
+    else:
+        with pytest.raises(ParseError, match="over the budget of 1000 terms"):
+            parse_ratfun(text, ("x", "y"))
+
+
 def test_parser_rejects_trailing_garbage():
     with pytest.raises(ParseError):
         parse_ratfun("x 1", ("x",))
