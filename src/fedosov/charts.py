@@ -15,9 +15,15 @@ Index conventions (all 0-based in code, 1-based in files and witnesses):
   + nabla_Y nabla_X Z -- note this is the OPPOSITE of the most common
   textbook convention; for coordinate fields the bracket term drops.
 * The covariant differential adds its derivative slot FIRST:
-  (nabla T)(X; ...) = (nabla_X T)(...).
+  (nabla T)(X; ...) = (nabla_X T)(...).  `gradient(chart, t)` puts the
+  coordinate partials d_i t in the same first slot, and it is the only
+  place in this module that differentiates: d omega, the curvature's
+  d Gamma, the partial term of nabla, Lie brackets and derivatives, and
+  the Hamiltonian checks all read their partials off it.
 
-A connection shifted by a structure tensor S uses Gamma' = Gamma - S.
+A connection shifted by a structure tensor S uses Gamma' = Gamma - S.  A
+linear-type structure is S_X Y = omega(X,Y) xi - omega(Y,xi) X, written
+once in `_linear_type` for chart fields and for evaluated points alike.
 The built-in example charts are loaded from packaged fixture files; the
 first one ships verbatim (where its printed signs fail the checks) plus an
 emended variant found by exhaustive search over the sign patterns.
@@ -38,7 +44,7 @@ from .rationals import Polynomial, RationalFunction, parse_ratfun
 from .reporting import Check, Report
 from .symplectic import (
     COV, CON, MAX_N, MAX_RANK, SymplecticSpace, Tensor, _contract_slot, change_basis,
-    insert_vector,
+    cyclic_sum, insert_vector,
 )
 
 
@@ -119,15 +125,13 @@ def make_chart(coords, omega_entries, christoffel_entries, fields=None,
 # -- structural checks -----------------------------------------------------------
 
 def omega_is_closed(chart: Chart) -> tuple[bool, tuple | None]:
-    """d omega = 0: the cyclic sum of coordinate partials vanishes exactly."""
-    w = chart.omega
-    for i, j, k in itertools.combinations(range(chart.dim), 3):
-        total = (w[j][k].partial(chart.coords[i])
-                 + w[k][i].partial(chart.coords[j])
-                 + w[i][j].partial(chart.coords[k]))
-        if not total.is_zero():
-            return False, (i, j, k)
-    return True, None
+    """d omega = 0: the cyclic sum of coordinate partials vanishes exactly.
+
+    `make_chart` stores omega[j][i] = -omega[i][j], so the cyclic sum is
+    alternating and its first nonzero entry has i < j < k.
+    """
+    hit = cyclic_sum(gradient(chart, omega_tensor(chart))).first_nonzero()
+    return (True, None) if hit is None else (False, hit[0])
 
 
 def omega_is_nondegenerate(chart: Chart) -> bool:
@@ -150,6 +154,12 @@ def verify_chart_structure(chart: Chart) -> Report:
 
 
 # -- basic chart calculus ----------------------------------------------------------
+
+def gradient(chart: Chart, t: Tensor) -> Tensor:
+    """Coordinate partials d_i t, with i in a new first covariant slot."""
+    return Tensor(chart.dim, (COV,) + t.valence,
+                  [value.partial(coord) for coord in chart.coords for value in t.comps])
+
 
 def tilde_christoffel(chart: Chart, structure: Tensor) -> tuple:
     """Christoffel symbols of the shifted connection Gamma - S."""
@@ -175,11 +185,12 @@ def chart_curvature(chart: Chart, structure: Tensor | None = None) -> Tensor:
     """Curvature (1,3) field under the sign convention in the module docstring."""
     gamma = _gamma(chart, structure)
     d = chart.dim
-    coords = chart.coords
+    # d_gamma[m, i, j, k] = d_m gamma[k][i][j], each partial taken once
+    d_gamma = gradient(chart, Tensor.build(d, (COV, COV, CON),
+                                           lambda i, j, k: gamma[k][i][j]))
 
     def entry(i, j, k, l):
-        total = (-gamma[l][j][k].partial(coords[i])
-                 + gamma[l][i][k].partial(coords[j]))
+        total = -d_gamma[i, j, k, l] + d_gamma[j, i, k, l]
         for m in range(d):
             if not gamma[m][j][k].is_zero():
                 total = total - gamma[m][j][k] * gamma[l][i][m]
@@ -200,13 +211,14 @@ def covariant_derivative(chart: Chart, tensor: Tensor,
     """
     gamma = _gamma(chart, structure)
     d = chart.dim
+    partials = gradient(chart, tensor).comps
+    size = len(tensor.comps)
     comps = []
-    for i, coord in enumerate(chart.coords):
+    for i in range(d):
         connection = derivation_action([[gamma[a][i][b] for b in range(d)]
                                         for a in range(d)], tensor)
         comps.extend(p if is_zero_scalar(c) else c if p.is_zero() else c + p
-                     for c, p in zip(connection.comps,
-                                     (value.partial(coord) for value in tensor.comps)))
+                     for c, p in zip(connection.comps, partials[i * size:(i + 1) * size]))
     return Tensor(d, (COV,) + tensor.valence, comps)
 
 
@@ -225,34 +237,28 @@ def lie_bracket(chart: Chart, x: Tensor, y: Tensor) -> Tensor:
     """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k."""
     if x.valence != (CON,) or y.valence != (CON,):
         raise ValueError("expected vector fields")
-    d = chart.dim
-    coords = chart.coords
-
-    def entry(k):
-        total = chart.rf_zero()
-        for i in range(d):
-            if not x[(i,)].is_zero():
-                total = total + x[(i,)] * y[(k,)].partial(coords[i])
-            if not y[(i,)].is_zero():
-                total = total - y[(i,)] * x[(k,)].partial(coords[i])
-        return total
-
-    return Tensor.build(d, (CON,), entry)
+    return (insert_vector(gradient(chart, y), 0, x.comps)
+            - insert_vector(gradient(chart, x), 0, y.comps))
 
 
 def lie_derivative_omega(chart: Chart, xi: Tensor) -> Tensor:
-    """(L_xi omega)_ij = xi^m d_m w_ij + w_mj d_i xi^m + w_im d_j xi^m."""
+    """(L_xi omega)_ij = xi^m d_m w_ij + w_mj d_i xi^m + w_im d_j xi^m.
+
+    The three terms are added in this order for each m in turn: the
+    entries are never reduced, and this order fixes how they print.
+    """
     d = chart.dim
-    coords = chart.coords
     w = chart.omega
+    d_omega = gradient(chart, omega_tensor(chart))  # [m, i, j] = d_m w_ij
+    d_xi = gradient(chart, xi)                      # [i, m] = d_i xi^m
 
     def entry(i, j):
         total = chart.rf_zero()
         for m in range(d):
             if not xi[(m,)].is_zero():
-                total = total + xi[(m,)] * w[i][j].partial(coords[m])
-            total = total + w[m][j] * xi[(m,)].partial(coords[i])
-            total = total + w[i][m] * xi[(m,)].partial(coords[j])
+                total = total + xi[(m,)] * d_omega[m, i, j]
+            total = total + w[m][j] * d_xi[i, m]
+            total = total + w[i][m] * d_xi[j, m]
         return total
 
     return Tensor.build(d, (COV, COV), entry)
@@ -260,19 +266,26 @@ def lie_derivative_omega(chart: Chart, xi: Tensor) -> Tensor:
 
 # -- linear-type structures -----------------------------------------------------------
 
-def linear_type_structure(chart: Chart, xi: Tensor) -> Tensor:
-    """S_X Y = omega(X,Y) xi - omega(Y,xi) X as a (1,2) field."""
-    if xi.valence != (CON,):
-        raise ValueError("expected a vector field")
-    omega_xi = pairing_with(chart, xi)  # omega(., xi)
+def _linear_type(omega, xi: list) -> Tensor:
+    """S_X Y = omega(X,Y) xi - omega(Y,xi) X for an omega matrix and xi's components."""
+    d = len(xi)
+    omega_xi = insert_vector(Tensor(d, (COV, COV), [w for row in omega for w in row]),
+                             1, xi).comps  # omega(., xi)
 
     def entry(i, j, k):
-        total = chart.omega[i][j] * xi[(k,)]
+        total = omega[i][j] * xi[k]
         if k == i:
             total = total - omega_xi[j]
         return total
 
-    return Tensor.build(chart.dim, (COV, COV, CON), entry)
+    return Tensor.build(d, (COV, COV, CON), entry)
+
+
+def linear_type_structure(chart: Chart, xi: Tensor) -> Tensor:
+    """S_X Y = omega(X,Y) xi - omega(Y,xi) X as a (1,2) field."""
+    if xi.valence != (CON,):
+        raise ValueError("expected a vector field")
+    return _linear_type(chart.omega, xi.comps)
 
 
 def xi_perp_field(chart: Chart, xi: Tensor) -> Tensor:
@@ -494,25 +507,15 @@ def hamiltonian_oneform(chart: Chart, xi: Tensor,
     the machine-checkable statement, and a caller-supplied rational
     candidate H is verified against dH = alpha when present.
     """
-    d = chart.dim
-    coords = chart.coords
     alpha = insert_vector(omega_tensor(chart), 0, xi.comps)
-    closed = True
-    witness = None
-    for i in range(d):
-        for j in range(i + 1, d):
-            value = alpha[(j,)].partial(coords[i]) - alpha[(i,)].partial(coords[j])
-            if not value.is_zero():
-                closed = False
-                witness = (i, j)
-                break
-        if not closed:
-            break
+    # d(alpha)_ij = d_i alpha_j - d_j alpha_i: the first i < j where the
+    # gradient of alpha fails to be symmetric.
+    witness = gradient(chart, alpha).first_symmetry_violation(0, 1, anti=False)
+    closed = witness is None
     matches = None
     if candidate is not None:
-        candidate = candidate.with_variables(coords)
-        matches = all((candidate.partial(coords[j]) - alpha[(j,)]).is_zero()
-                      for j in range(d))
+        rank_zero = Tensor(chart.dim, (), [candidate.with_variables(chart.coords)])
+        matches = gradient(chart, rank_zero) == alpha
     return HamiltonianReport(oneform=alpha, closed=closed,
                              closedness_witness=witness, candidate_matches=matches)
 
@@ -611,11 +614,18 @@ def model_at_point(chart: Chart, structure: Tensor, point: dict):
 def metric_obstruction(s_point: Tensor, omega_p: list[list[Fraction]]):
     """Decide whether any nondegenerate symmetric bilinear form is annihilated.
 
-    Builds the exact solution space of g(S_X Y, Z) + g(Y, S_X Z) = 0 over
-    symmetric matrices, then tests whether the determinant of the generic
-    solution is the zero polynomial in the solution parameters.  A zero
-    structure tensor is reported as a degenerate precondition (any metric
-    works) rather than an obstruction.
+    First reads the linear-type vector xi off S in closed form (omega_p is
+    antisymmetric).  Tracing S_X Y = omega(X,Y) xi - omega(Y,xi) X over X
+    gives omega(e_j, xi) = -sum_a S[a,j,a] / (d+1); any entry omega_ij != 0
+    then gives xi^k = (S[i,j,k] + delta_ki omega(e_j, xi)) / omega_ij.  S is
+    of linear type exactly when it equals the linear-type form of that xi;
+    otherwise (also when omega_p is zero) `NotLinearTypeError` is raised.
+
+    Then builds the exact solution space of g(S_X Y, Z) + g(Y, S_X Z) = 0
+    over symmetric matrices, and tests whether the determinant of the
+    generic solution is the zero polynomial in the solution parameters.  A
+    zero structure tensor is reported as a degenerate precondition (any
+    metric works) rather than an obstruction.
     """
     if s_point.valence != (COV, COV, CON):
         raise ValueError("expected a pointwise (1,2) structure tensor")
@@ -625,27 +635,14 @@ def metric_obstruction(s_point: Tensor, omega_p: list[list[Fraction]]):
         return ObstructionVerdict(obstructed=False, degenerate_input=True,
                                   xi=None, solution_dimension=d * (d + 1) // 2)
 
-    # extract the linear-type vector: S_X Y = omega(X,Y) xi - omega(Y,xi) X
-    rows, rhs = [], []
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                row = []
-                for c in range(d):
-                    coeff = Fraction(0)
-                    if k == c:
-                        coeff += omega_p[i][j]
-                    if k == i:
-                        coeff -= omega_p[j][c]
-                    row.append(coeff)
-                rows.append(row)
-                rhs.append(s_point[i, j, k])
-    xi = linalg.solve(rows, rhs)
-    if xi is None:
+    pivot = next(((i, j) for i in range(d) for j in range(d) if omega_p[i][j] != 0), None)
+    if pivot is None:
         raise NotLinearTypeError("structure tensor is not of linear type")
-    residual_ok = all(
-        sum(r * x for r, x in zip(row, xi)) == b for row, b in zip(rows, rhs))
-    if not residual_ok or all(x == 0 for x in xi):
+    i, j = pivot
+    omega_j_xi = -Fraction(sum(s_point[a, j, a] for a in range(d)), d + 1)
+    xi = [Fraction(s_point[i, j, k] + (omega_j_xi if k == i else 0)) / omega_p[i][j]
+          for k in range(d)]
+    if _linear_type(omega_p, xi) != s_point:
         raise NotLinearTypeError("structure tensor is not of linear type")
 
     unknowns = [(a, b) for a in range(d) for b in range(a, d)]
@@ -815,22 +812,18 @@ def _load_fixture(name: str) -> dict:
     return json.loads(text)
 
 
-def load_example(which: int | str, emended: bool = False) -> Chart:
-    """Load a built-in example chart.
+def load_example(which: int | str) -> Chart:
+    """Load a built-in example chart by number or by `EXAMPLE_FILES` name.
 
     `load_example(1)` is the half-plane chart exactly as printed (whose
     signs fail the torsion-free and parallel-omega checks);
-    `load_example(1, emended=True)` re-runs the exhaustive sign search and
-    returns the unique repaired variant.  `load_example(2)` needs no
+    `load_example("example1-emended")` re-runs the exhaustive sign search
+    and returns the unique repaired variant.  `load_example(2)` needs no
     emendation.
     """
-    key = {1: "example1", 2: "example2",
-           "example1": "example1", "example2": "example2",
-           "example1-emended": "example1-emended"}.get(which)
-    if key is None:
+    key = {1: "example1", 2: "example2"}.get(which, which)
+    if key not in EXAMPLE_FILES:
         raise ValueError(f"unknown example {which!r}")
-    if key == "example1" and emended:
-        return emend_chart_signs(load_example(1))
     if key == "example1-emended":
         return emend_chart_signs(load_example(1))
     return chart_from_json(_load_fixture(EXAMPLE_FILES[key]))

@@ -90,6 +90,8 @@ def trivial_model(n: int) -> InfinitesimalModel:
 
 def derivation_action(endo, t: Tensor) -> Tensor:
     """Action of an endomorphism (matrix, output index first) on a tensor."""
+    if t.is_zero():
+        return Tensor(t.dim, t.valence, list(t.comps), space=t.space)
     on_con = linalg.transpose(endo)
     on_cov = [[-x for x in row] for row in endo]
     comps = [Fraction(0)] * len(t.comps)

@@ -481,10 +481,8 @@ def _half_dimension(data: dict) -> int:
     return n
 
 
-def tensor_from_json(data: dict, *, space: SymplecticSpace | None = None,
-                     parse_scalar: Callable[[str], object] | None = None,
-                     zero=Fraction(0)) -> Tensor:
-    """Inverse of `tensor_to_json`; `parse_scalar` defaults to Fraction parsing.
+def tensor_from_json(data: dict, *, space: SymplecticSpace | None = None) -> Tensor:
+    """Inverse of `tensor_to_json`, with `Fraction` components.
 
     Malformed input raises `ValueError` (`KeyError` for a missing field): the
     tensor must be an object, `n` an integer in 1..MAX_N, `valence` a list
@@ -504,8 +502,7 @@ def tensor_from_json(data: dict, *, space: SymplecticSpace | None = None,
         raise ValueError("'components' must be a JSON object")
     if space is not None and space.n != n:
         raise ValueError(f"tensor declares n={n} but space has n={space.n}")
-    parse = parse_scalar if parse_scalar is not None else parse_fraction
-    t = Tensor.zeros(dim, valence, zero=zero, space=space)
+    t = Tensor.zeros(dim, valence, space=space)
     comps = list(t.comps)
     for key, text in components.items():
         idx = tuple(int(part) - 1 for part in key.split(","))
@@ -516,5 +513,5 @@ def tensor_from_json(data: dict, *, space: SymplecticSpace | None = None,
         flat = 0
         for i in idx:
             flat = flat * dim + i
-        comps[flat] = parse(text)
+        comps[flat] = parse_fraction(text)
     return Tensor(dim, valence, comps, space=space)

@@ -94,7 +94,7 @@ def test_example2_tilde_curvature_values():
 
 
 def test_example1_emended_tilde_curvature_vanishes():
-    chart = load_example(1, emended=True)
+    chart = load_example("example1-emended")
     s = linear_type_structure(chart, chart.field_tensor("xi"))
     assert chart_curvature(chart, s).is_zero()
 
@@ -121,7 +121,7 @@ def test_nabla_xi_equals_linear_form_example2():
 
 
 def test_emendation_is_unique_and_matches_fixture():
-    emended = load_example(1, emended=True)
+    emended = load_example("example1-emended")
     fixture = chart_from_json(
         json.loads(json.dumps(chart_to_json(load_example("example1-emended")))))
     for k in range(2):
@@ -171,7 +171,7 @@ def test_verify_as_example1_verbatim_fails_with_witnesses():
 
 
 def test_verify_as_example1_emended_passes():
-    chart = load_example(1, emended=True)
+    chart = load_example("example1-emended")
     s = linear_type_structure(chart, chart.field_tensor("xi"))
     assert verify_as_conditions(chart, s).passed
 
@@ -192,7 +192,7 @@ def test_linear_type_suite_example2_passes():
 
 
 def test_linear_type_suite_example1_emended_passes():
-    chart = load_example(1, emended=True)
+    chart = load_example("example1-emended")
     assert verify_linear_type_suite(chart, chart.field_tensor("xi")).passed
 
 
@@ -239,7 +239,7 @@ def test_linear_type_structure_zero_xi():
 
 
 def test_linear_type_structure_classifies_as_s1_pointwise():
-    chart = load_example(1, emended=True)
+    chart = load_example("example1-emended")
     s = linear_type_structure(chart, chart.field_tensor("xi"))
     model, basis = model_at_point(chart, s, ORIGIN)
     lowered = cotorsion_lower(model.aux[1])
@@ -248,8 +248,8 @@ def test_linear_type_structure_classifies_as_s1_pointwise():
 
 
 def test_lowered_structure_symmetric_in_function_field():
-    for which in (1, 2):
-        chart = load_example(which, emended=(which == 1))
+    for which in ("example1-emended", 2):
+        chart = load_example(which)
         s = linear_type_structure(chart, chart.field_tensor("xi"))
         lowered = cotorsion_lower(s, omega=chart.omega)
         assert lowered.is_symmetric_in(0, 1)
@@ -296,7 +296,7 @@ def test_xi_perp_normalization():
 
 
 def test_hamiltonian_oneform_example1():
-    chart = load_example(1, emended=True)
+    chart = load_example("example1-emended")
     ham = hamiltonian_oneform(chart, chart.field_tensor("xi"))
     assert ham.oneform[(0,)] == rf(chart, "-1/(3*x)")
     assert ham.oneform[(1,)].is_zero()
@@ -311,7 +311,7 @@ def test_hamiltonian_zero_field():
 
 
 def test_hamiltonian_wrong_candidate_detected():
-    chart = load_example(1, emended=True)
+    chart = load_example("example1-emended")
     ham = hamiltonian_oneform(chart, chart.field_tensor("xi"),
                               candidate=rf(chart, "x"))
     assert ham.candidate_matches is False
@@ -386,7 +386,7 @@ def test_model_at_point_examples():
     assert check_model_axioms(model2).passed
     assert len(transvection_subalgebra(model2)) == 1
 
-    c1 = load_example(1, emended=True)
+    c1 = load_example("example1-emended")
     s1 = linear_type_structure(c1, c1.field_tensor("xi"))
     model1, basis1 = model_at_point(c1, s1, ORIGIN)
     assert check_model_axioms(model1).passed
@@ -521,7 +521,7 @@ def test_parallel_structure_iff_parallel_xi():
     import copy
     from fedosov.charts import _load_fixture
 
-    charts = [load_example(2), load_example(1, emended=True), load_example(1)]
+    charts = [load_example(2), load_example("example1-emended"), load_example(1)]
     base = _load_fixture("example2.json")
     for section, key, value in (("christoffel", "1,1,1", "-3/x"),
                                 ("omega", "1,2", "2/x^2"),
@@ -562,7 +562,7 @@ def test_linear_derivative_form_implies_curvature_kills_xi():
     import copy
     from fedosov.charts import _load_fixture
 
-    charts = [load_example(2), load_example(1, emended=True)]
+    charts = [load_example(2), load_example("example1-emended")]
     base = _load_fixture("example2.json")
     mutations = [
         ("christoffel", "1,1,1", "-3/x"), ("christoffel", "2,1,2", "1/x"),

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from fedosov import charts
 from fedosov.cli import main
 from fedosov.rationals import parse_ratfun
 from fedosov.symplectic import SymplecticSpace, tensor_from_json, tensor_to_json
@@ -373,6 +374,14 @@ def test_cli_imports_only_the_standard_library():
                             capture_output=True, text=True, env=os.environ)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == ""
+
+
+def test_charts_differentiate_in_one_kernel():
+    # `charts.gradient` takes every coordinate partial in the chart
+    # calculus, and `metric_obstruction` reads xi in closed form.
+    source = pathlib.Path(charts.__file__).read_text(encoding="utf-8")
+    assert source.count(".partial(") == 1
+    assert "linalg.solve" not in source
 
 
 @pytest.mark.parametrize("payload, message", [

@@ -9,7 +9,15 @@ including a failing symplectification with its witness), the models that
 `model-at-point` emits on two fixtures (`data/models/`, for `check-model`,
 `nomizu` and `transvection`) and the Nomizu and transvection algebras of
 those models (`data/algebras/`, for `bianchi`; the flat transvection
-algebra of example1-emended is 2-dimensional and exits 2).  The
+algebra of example1-emended is 2-dimensional and exits 2).  Three more
+charts make the remaining chart checks fail with witnesses:
+`nonclosed_4d.json` (omega_closed, at a triple other than the first),
+`hamiltonian_2d.json` (hamiltonian_oneform_closed, a wrong
+`--hamiltonian` candidate, xi_flow_preserves_omega, and a structure field
+`S` that is not of linear type, so `obstruction` exits 2) and
+`contact_4d.json` (xi_kernel_integrable: omega(., xi) = dx + u dy is a
+contact form); the zero model `models/zero_n2.json` has all of gl(V) as
+its stabilizer.  The
 snapshot in `data/cli_golden.json` pins the exact bytes of every report,
 including check order, names, witnesses and emitted parts, so a refactor
 that changes a summation order or a projection formula and with it a
@@ -59,6 +67,13 @@ COMMANDS = [
       for command in ("check-model", "nomizu", "transvection") for model in MODELS),
     *(["bianchi", f"algebras/{algebra}_{model}.json"]
       for algebra in ("nomizu", "transvection") for model in MODELS),
+    ["verify-chart", "charts/nonclosed_4d.json", "--suite", "all"],
+    ["verify-chart", "charts/hamiltonian_2d.json", "--suite", "all", "--hamiltonian", "x*y"],
+    ["verify-chart", "charts/contact_4d.json", "--suite", "all"],
+    ["obstruction", "charts/contact_4d.json", "--at", "x=0,y=0,u=2,v=0"],
+    ["obstruction", "example1-emended", "--at", "x=2,y=1/3"],
+    ["obstruction", "charts/hamiltonian_2d.json", "--at", "x=1,y=2", "--structure", "S"],
+    *([command, "models/zero_n2.json"] for command in ("nomizu", "transvection")),
 ]
 
 CASES = [argv for command in COMMANDS for argv in (command, ["--json", *command])]
