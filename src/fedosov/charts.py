@@ -16,10 +16,13 @@ Index conventions (all 0-based in code, 1-based in files and witnesses):
   textbook convention; for coordinate fields the bracket term drops.
 * The covariant differential adds its derivative slot FIRST:
   (nabla T)(X; ...) = (nabla_X T)(...).  `gradient(chart, t)` puts the
-  coordinate partials d_i t in the same first slot, and it is the only
-  place in this module that differentiates: d omega, the curvature's
-  d Gamma, the partial term of nabla, Lie brackets and derivatives, and
-  the Hamiltonian checks all read their partials off it.
+  coordinate partials d_i t in the same first slot.  Its planes d_i t
+  (`_partial_planes`) are the only place in this module that
+  differentiates: d omega, the curvature's d Gamma, the partial term of
+  nabla, Lie brackets and derivatives, and the Hamiltonian checks all
+  read their partials off them.  The checks that nabla T vanishes draw
+  nabla T one plane nabla_i T at a time and stop at the first nonzero
+  component.
 
 A connection shifted by a structure tensor S uses Gamma' = Gamma - S.  A
 linear-type structure is S_X Y = omega(X,Y) xi - omega(Y,xi) X, written
@@ -43,8 +46,8 @@ from .models import InfinitesimalModel, derivation_action, standard_omega_tensor
 from .rationals import Polynomial, RationalFunction, parse_ratfun
 from .reporting import Check, Report
 from .symplectic import (
-    COV, CON, MAX_N, MAX_RANK, SymplecticSpace, Tensor, _contract_slot, change_basis,
-    cyclic_sum, insert_vector,
+    COV, CON, MAX_N, MAX_RANK, SymplecticSpace, Tensor, _contract_slot, _first_nonzero,
+    change_basis, cyclic_sum, insert_vector,
 )
 
 
@@ -155,10 +158,16 @@ def verify_chart_structure(chart: Chart) -> Report:
 
 # -- basic chart calculus ----------------------------------------------------------
 
+def _partial_planes(chart: Chart, t: Tensor):
+    """The planes d_i t of `gradient`, one coordinate i at a time."""
+    for coord in chart.coords:
+        yield [value.partial(coord) for value in t.comps]
+
+
 def gradient(chart: Chart, t: Tensor) -> Tensor:
     """Coordinate partials d_i t, with i in a new first covariant slot."""
     return Tensor(chart.dim, (COV,) + t.valence,
-                  [value.partial(coord) for coord in chart.coords for value in t.comps])
+                  list(itertools.chain.from_iterable(_partial_planes(chart, t))))
 
 
 def tilde_christoffel(chart: Chart, structure: Tensor) -> tuple:
@@ -201,25 +210,30 @@ def chart_curvature(chart: Chart, structure: Tensor | None = None) -> Tensor:
     return Tensor.build(d, (COV, COV, COV, CON), entry)
 
 
-def covariant_derivative(chart: Chart, tensor: Tensor,
-                         structure: Tensor | None = None) -> Tensor:
-    """Coordinate covariant derivative; the new covariant slot comes first.
+def _covariant_planes(chart: Chart, tensor: Tensor, structure: Tensor | None = None):
+    """The planes nabla_i T of `covariant_derivative`, one coordinate i at a time.
 
     nabla_i T = d_i T + Gamma_i . T with Gamma_i[a][b] = christoffel[a][i][b]
     acting as a derivation.  The partial derivative is added last: the
-    entries are never reduced, and this order keeps them smallest.
+    entries are never reduced, and this order keeps them smallest.  Each
+    plane is a generator: Gamma_i . T and d_i T are taken for the whole
+    plane, and an entry's sum only when it is drawn.
     """
     gamma = _gamma(chart, structure)
     d = chart.dim
-    partials = gradient(chart, tensor).comps
-    size = len(tensor.comps)
-    comps = []
-    for i in range(d):
+    for i, partials in enumerate(_partial_planes(chart, tensor)):
         connection = derivation_action([[gamma[a][i][b] for b in range(d)]
                                         for a in range(d)], tensor)
-        comps.extend(p if is_zero_scalar(c) else c if p.is_zero() else c + p
-                     for c, p in zip(connection.comps, partials[i * size:(i + 1) * size]))
-    return Tensor(d, (COV,) + tensor.valence, comps)
+        yield (p if is_zero_scalar(c) else c if p.is_zero() else c + p
+               for c, p in zip(connection.comps, partials))
+
+
+def covariant_derivative(chart: Chart, tensor: Tensor,
+                         structure: Tensor | None = None) -> Tensor:
+    """Coordinate covariant derivative; the new covariant slot comes first."""
+    return Tensor(chart.dim, (COV,) + tensor.valence,
+                  list(itertools.chain.from_iterable(
+                      _covariant_planes(chart, tensor, structure))))
 
 
 def omega_tensor(chart: Chart) -> Tensor:
@@ -306,17 +320,39 @@ def _w(idx) -> str:
     return "(" + ",".join(str(i + 1) for i in idx) + ")"
 
 
-def _zero_check(name: str, tensor: Tensor) -> Check:
-    hit = tensor.first_nonzero()
+def _zero_check(name: str, hit: tuple | None) -> Check:
+    """A check that a field vanishes, from its first nonzero component.
+
+    `hit` is the (index, value) that `Tensor.first_nonzero` gives on the
+    full field, or None.  A failing check's witness is that component, the
+    first nonzero one in index order; the lazy readers below compute no
+    component after it, so a failing check never costs more than a passing
+    one.
+    """
     return Check(name, hit is None,
                  None if hit is None else f"component {_w(hit[0])} = {hit[1]}")
+
+
+def _lazy_first_nonzero(d: int, rank: int, entry) -> tuple | None:
+    """`Tensor.build(d, valence, entry).first_nonzero()` for a valence of
+    this rank, calling `entry` only up to the first nonzero value."""
+    return _first_nonzero(d, rank, (entry(*idx)
+                                    for idx in itertools.product(range(d), repeat=rank)))
+
+
+def _nabla_first_nonzero(chart: Chart, t: Tensor,
+                         structure: Tensor | None = None) -> tuple | None:
+    """`covariant_derivative(chart, t, structure).first_nonzero()`, drawing
+    one plane nabla_i t at a time up to the first nonzero component."""
+    return _first_nonzero(chart.dim, len(t.valence) + 1,
+                          itertools.chain.from_iterable(_covariant_planes(chart, t, structure)))
 
 
 def fedosov_base_checks(chart: Chart) -> list[Check]:
     """The base connection is Fedosov: omega is parallel and torsion-free."""
     return [
-        _zero_check("nabla_omega_zero", covariant_derivative(chart, omega_tensor(chart))),
-        _zero_check("torsion_zero", chart_torsion(chart)),
+        _zero_check("nabla_omega_zero", _nabla_first_nonzero(chart, omega_tensor(chart))),
+        _zero_check("torsion_zero", chart_torsion(chart).first_nonzero()),
     ]
 
 
@@ -339,15 +375,15 @@ def parallelism_checks(chart: Chart, structure: Tensor, *,
     tilde_r = chart_curvature(chart, structure)
     tilde_t = chart_torsion(chart, structure)
     return [
-        _zero_check("tilde_nabla_omega_zero", covariant_derivative(chart, w, structure)),
+        _zero_check("tilde_nabla_omega_zero", _nabla_first_nonzero(chart, w, structure)),
         _zero_check("tilde_nabla_structure_zero",
-                    covariant_derivative(chart, structure, structure)),
+                    _nabla_first_nonzero(chart, structure, structure)),
         _zero_check("tilde_nabla_base_curvature_zero",
-                    covariant_derivative(chart, base_r, structure)),
+                    _nabla_first_nonzero(chart, base_r, structure)),
         _zero_check("tilde_nabla_tilde_curvature_zero",
-                    covariant_derivative(chart, tilde_r, structure)),
+                    _nabla_first_nonzero(chart, tilde_r, structure)),
         _zero_check("tilde_nabla_tilde_torsion_zero",
-                    covariant_derivative(chart, tilde_t, structure)),
+                    _nabla_first_nonzero(chart, tilde_t, structure)),
     ]
 
 
@@ -375,41 +411,36 @@ def linear_type_checks(chart: Chart, xi: Tensor, xi_perp: Tensor | None = None, 
     checks: list[Check] = []
 
     checks.append(_zero_check("tilde_nabla_xi_zero",
-                              covariant_derivative(chart, xi, structure)))
+                              _nabla_first_nonzero(chart, xi, structure)))
 
     omega_xi = pairing_with(chart, xi)  # omega(d_i, xi)
     nabla_xi = covariant_derivative(chart, xi)
-    linear_form = Tensor.build(d, (COV, CON),
-                               lambda i, k: nabla_xi[i, k] - omega_xi[i] * xi[(k,)])
-    checks.append(_zero_check("nabla_xi_linear_form", linear_form))
+    checks.append(_zero_check("nabla_xi_linear_form", _lazy_first_nonzero(
+        d, 2, lambda i, k: nabla_xi[i, k] - omega_xi[i] * xi[(k,)])))
 
     r = chart_curvature(chart) if base_curvature is None else base_curvature
-    checks.append(_zero_check("curvature_kills_xi", insert_vector(r, 2, xi.comps)))
+    checks.append(_zero_check("curvature_kills_xi",
+                              insert_vector(r, 2, xi.comps).first_nonzero()))
 
     slot_swap = Tensor.build(d, (COV, COV, COV, CON),
                              lambda i, j, k, l: r[i, j, k, l] - r[i, k, j, l])
     checks.append(_zero_check("curvature_xi_slot_symmetry",
-                              insert_vector(slot_swap, 0, xi.comps)))
+                              insert_vector(slot_swap, 0, xi.comps).first_nonzero()))
 
     r4 = Tensor(d, (COV, COV, COV, COV), _contract_slot(r, 3, chart.omega))
-    pair_sym = Tensor.build(d, (COV, COV, COV, COV),
-                            lambda i, j, k, m: r4[i, j, k, m] - r4[i, j, m, k])
-    checks.append(_zero_check("curvature_last_pair_symmetry", pair_sym))
+    checks.append(_zero_check("curvature_last_pair_symmetry", _lazy_first_nonzero(
+        d, 4, lambda i, j, k, m: r4[i, j, k, m] - r4[i, j, m, k])))
 
     r_xi = insert_vector(r4, 0, xi.comps)
 
-    cyclic_identity = Tensor.build(
-        d, (COV, COV, COV, COV, COV),
-        lambda x, y, z, u, w: sum(
+    checks.append(_zero_check("curvature_cyclic_xi_identity", _lazy_first_nonzero(
+        d, 5, lambda x, y, z, u, w: sum(
             (chart.omega[a][b] * r_xi[c, u, w] + omega_xi[a] * r4[b, c, u, w]
              for (a, b, c) in ((x, y, z), (y, z, x), (z, x, y))),
-            zero))
-    checks.append(_zero_check("curvature_cyclic_xi_identity", cyclic_identity))
+            zero))))
 
-    proportionality = Tensor.build(
-        d, (COV, COV, COV, COV),
-        lambda x, y, u, w: omega_xi[x] * r_xi[y, u, w] - omega_xi[y] * r_xi[x, u, w])
-    checks.append(_zero_check("curvature_xi_proportionality", proportionality))
+    checks.append(_zero_check("curvature_xi_proportionality", _lazy_first_nonzero(
+        d, 4, lambda x, y, u, w: omega_xi[x] * r_xi[y, u, w] - omega_xi[y] * r_xi[x, u, w])))
 
     if xi_perp is not None:
         if xi_perp.valence != (CON,):
@@ -433,10 +464,8 @@ def linear_type_checks(chart: Chart, xi: Tensor, xi_perp: Tensor | None = None, 
     weights = [pb * pc * pe for pb, pc, pe in itertools.product(perp.comps, repeat=3)]
     scalar_c = insert_vector(Tensor(d ** 3, (COV,), r_xi.comps), 0, weights).comps[0]
 
-    rank_one = Tensor.build(
-        d, (COV, COV, COV),
-        lambda x, y, z: r_xi[x, y, z] - omega_xi[x] * omega_xi[y] * omega_xi[z] * scalar_c)
-    checks.append(_zero_check("curvature_xi_rank_one", rank_one))
+    checks.append(_zero_check("curvature_xi_rank_one", _lazy_first_nonzero(
+        d, 3, lambda x, y, z: r_xi[x, y, z] - omega_xi[x] * omega_xi[y] * omega_xi[z] * scalar_c)))
 
     omega_perp = pairing_with(chart, perp)  # omega(d_i, perp) = -omega(perp, d_i)
 
@@ -449,13 +478,14 @@ def linear_type_checks(chart: Chart, xi: Tensor, xi_perp: Tensor | None = None, 
         value = value - omega_xi[y] * perp_first[x, u, w]
         return r4[x, y, u, w] - value
 
-    leafwise = Tensor.build(d, (COV, COV, COV, COV), reconstruction)
-    checks.append(_zero_check("curvature_leafwise_flatness", leafwise))
+    checks.append(_zero_check("curvature_leafwise_flatness",
+                              _lazy_first_nonzero(d, 4, reconstruction)))
 
-    checks.append(_zero_check("xi_geodesic", insert_vector(nabla_xi, 0, xi.comps)))
+    checks.append(_zero_check("xi_geodesic",
+                              insert_vector(nabla_xi, 0, xi.comps).first_nonzero()))
 
     checks.append(_zero_check("xi_flow_preserves_omega",
-                              lie_derivative_omega(chart, xi)))
+                              lie_derivative_omega(chart, xi).first_nonzero()))
 
     checks.append(integrability_check(chart, xi))
     return checks
@@ -852,7 +882,7 @@ def emend_chart_signs(chart: Chart) -> Chart:
             excluded_locus=chart.excluded_locus)
         if not chart_torsion(candidate).is_zero():
             continue
-        if not covariant_derivative(candidate, omega_tensor(candidate)).is_zero():
+        if _nabla_first_nonzero(candidate, omega_tensor(candidate)) is not None:
             continue
         winners.append(candidate)
     if len(winners) != 1:

@@ -81,14 +81,16 @@ class Echelon:
     """
 
     def __init__(self):
-        self._rows: list[tuple[int, list]] = []  # (pivot column, row)
+        # (pivot column, the row's nonzero (column, entry) pairs)
+        self._rows: list[tuple[int, list[tuple[int, object]]]] = []
 
     def _reduce(self, vec: Sequence) -> list:
         vec = list(vec)
         for pivot, row in self._rows:
             factor = vec[pivot]
             if not is_zero_scalar(factor):
-                vec = [a - factor * b for a, b in zip(vec, row)]
+                for c, x in row:
+                    vec[c] = vec[c] - factor * x
         return vec
 
     def add(self, vec: Sequence) -> bool:
@@ -98,7 +100,7 @@ class Echelon:
         if pivot is None:
             return False
         inv = vec[pivot]
-        self._rows.append((pivot, [x / inv for x in vec]))
+        self._rows.append((pivot, _nonzero([x / inv for x in vec])))
         return True
 
     def __contains__(self, vec: Sequence) -> bool:

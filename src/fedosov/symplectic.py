@@ -130,13 +130,6 @@ class Tensor:
             flat = flat * self.dim + i
         return flat
 
-    def _unflat(self, flat: int) -> tuple[int, ...]:
-        idx = []
-        for _ in self.valence:
-            flat, i = divmod(flat, self.dim)
-            idx.append(i)
-        return tuple(reversed(idx))
-
     def __getitem__(self, idx: tuple[int, ...]):
         return self.comps[self._flat(idx)]
 
@@ -181,11 +174,7 @@ class Tensor:
 
     def first_nonzero(self) -> tuple[tuple[int, ...], object] | None:
         """First (multi-index, value) with a nonzero value, indices 0-based."""
-        for idx in self.indices():
-            v = self[idx]
-            if not is_zero_scalar(v):
-                return idx, v
-        return None
+        return _first_nonzero(self.dim, len(self.valence), self.comps)
 
     # -- symmetry -----------------------------------------------------------
 
@@ -202,12 +191,33 @@ class Tensor:
             value = comps[flat]
             bad = value + comps[other] if anti else value - comps[other]
             if not is_zero_scalar(bad):
-                return self._unflat(flat)
+                return _unflat(self.dim, len(self.valence), flat)
         return None
 
     def __repr__(self):
         nz = sum(1 for c in self.comps if not is_zero_scalar(c))
         return f"Tensor(dim={self.dim}, valence={self.valence}, nonzero={nz})"
+
+
+def _unflat(dim: int, rank: int, flat: int) -> tuple[int, ...]:
+    """The multi-index at a flat position of a dim^rank array."""
+    idx = []
+    for _ in range(rank):
+        flat, i = divmod(flat, dim)
+        idx.append(i)
+    return tuple(reversed(idx))
+
+
+def _first_nonzero(dim: int, rank: int, comps: Iterable) -> tuple[tuple[int, ...], object] | None:
+    """First (multi-index, value) with a nonzero value in a stream of the
+    dim^rank components in flat order, or None.
+
+    The stream may be lazy: nothing after the returned entry is drawn.
+    """
+    for flat, value in enumerate(comps):
+        if not is_zero_scalar(value):
+            return _unflat(dim, rank, flat), value
+    return None
 
 
 @lru_cache(maxsize=None)

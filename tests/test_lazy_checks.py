@@ -1,0 +1,264 @@
+"""Differential test of the chart checks that stop at their first nonzero component.
+
+The covariant-derivative checks draw one plane nabla_i T at a time, and the
+entrywise linear-type checks compute one component at a time; both stop at
+the first nonzero component.  Each must give the same `Check` (name, verdict
+and witness string) as the first nonzero component of the fully built
+field.  The oracle here builds every field in full, the covariant
+derivative with all partials first, and scans it with a plain loop, so it
+shares no code with the stream kernel or the plane generators.
+
+Mutants of the kernel and of the plane stream show that the comparison
+catches an index that is off by one, a stream that does not cross a plane
+boundary correctly, and a kernel that stops at a zero entry.  A last test
+pins the short circuit itself: under `verify-chart --suite all`, every
+failing covariant-derivative check draws exactly one plane.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import pathlib
+
+import pytest
+
+from fedosov import charts
+from fedosov.charts import (
+    chart_curvature, chart_to_json, chart_torsion, fedosov_base_checks, linear_type_checks,
+    linear_type_structure, load_chart_file, load_example, make_chart, omega_tensor,
+    pairing_with, parallelism_checks, tilde_christoffel, xi_perp_field,
+)
+from fedosov.cli import main
+from fedosov.linalg import is_zero_scalar
+from fedosov.models import derivation_action
+from fedosov.rationals import parse_ratfun
+from fedosov.reporting import Check
+from fedosov.symplectic import (
+    COV, CON, Tensor, _contract_slot, _first_nonzero, _unflat, insert_vector,
+)
+from test_slot_kernel import swell_chart
+
+CHART_DIR = pathlib.Path(__file__).parent / "data" / "charts"
+
+COVARIANT_CHECKS = (
+    "nabla_omega_zero", "tilde_nabla_omega_zero", "tilde_nabla_structure_zero",
+    "tilde_nabla_base_curvature_zero", "tilde_nabla_tilde_curvature_zero",
+    "tilde_nabla_tilde_torsion_zero", "tilde_nabla_xi_zero",
+)
+
+
+def y_chart():
+    """omega = y dx^dy with the flat connection and xi = d_x.
+
+    Nothing depends on x, so every d_x plane of a covariant derivative
+    starts at zero and most checks first fail in the plane i = 2.
+    """
+    coords = ("x", "y")
+    return make_chart(coords, {(0, 1): parse_ratfun("y", coords)}, {},
+                      fields={"xi": Tensor(2, (CON,), [parse_ratfun(text, coords)
+                                                       for text in ("1", "0")])})
+
+
+def all_charts():
+    named = {str(key): load_example(key) for key in (1, "example1-emended", 2)}
+    named.update((path.name, load_chart_file(path)) for path in sorted(CHART_DIR.glob("*.json")))
+    named["swell-4d"] = swell_chart()
+    named["y-chart"] = y_chart()
+    return named
+
+
+def structures(chart):
+    """The linear-type structure of xi, and a chart's own (1,2) field `S`."""
+    out = [("xi", linear_type_structure(chart, chart.field_tensor("xi")))]
+    if "S" in chart.fields:
+        out.append(("S", chart.field_tensor("S")))
+    return out
+
+
+# -- the oracle: full fields, scanned by a plain loop -----------------------------
+
+def scan(name, tensor):
+    for idx in tensor.indices():
+        value = tensor[idx]
+        if not is_zero_scalar(value):
+            return Check(name, False, f"component ({','.join(str(i + 1) for i in idx)}) = {value}")
+    return Check(name, True, None)
+
+
+def full_nabla(chart, t, structure=None):
+    """All partials d_i t first, then d_i t + Gamma_i . t plane by plane."""
+    gamma = chart.christoffel if structure is None else tilde_christoffel(chart, structure)
+    d = chart.dim
+    partials = [value.partial(coord) for coord in chart.coords for value in t.comps]
+    size = len(t.comps)
+    comps = []
+    for i in range(d):
+        connection = derivation_action([[gamma[a][i][b] for b in range(d)]
+                                        for a in range(d)], t)
+        comps.extend(p if is_zero_scalar(c) else c if p.is_zero() else c + p
+                     for c, p in zip(connection.comps, partials[i * size:(i + 1) * size]))
+    return Tensor(d, (COV,) + t.valence, comps)
+
+
+def oracle_fields(chart, structure):
+    """Every lazily checked field, built in full, by check name."""
+    d = chart.dim
+    zero = chart.rf_zero()
+    w = omega_tensor(chart)
+    r = chart_curvature(chart)
+    fields = {
+        "nabla_omega_zero": full_nabla(chart, w),
+        "tilde_nabla_omega_zero": full_nabla(chart, w, structure),
+        "tilde_nabla_structure_zero": full_nabla(chart, structure, structure),
+        "tilde_nabla_base_curvature_zero": full_nabla(chart, r, structure),
+        "tilde_nabla_tilde_curvature_zero":
+            full_nabla(chart, chart_curvature(chart, structure), structure),
+        "tilde_nabla_tilde_torsion_zero":
+            full_nabla(chart, chart_torsion(chart, structure), structure),
+    }
+    xi = chart.field_tensor("xi")
+    omega_xi = pairing_with(chart, xi)
+    nabla_xi = full_nabla(chart, xi)
+    r4 = Tensor(d, (COV,) * 4, _contract_slot(r, 3, chart.omega))
+    r_xi = insert_vector(r4, 0, xi.comps)
+    perp = xi_perp_field(chart, xi)
+    perp_first = insert_vector(r4, 0, perp.comps)
+    perp_second = insert_vector(r4, 1, perp.comps)
+    weights = [pb * pc * pe for pb, pc, pe in itertools.product(perp.comps, repeat=3)]
+    scalar_c = insert_vector(Tensor(d ** 3, (COV,), r_xi.comps), 0, weights).comps[0]
+    omega_perp = pairing_with(chart, perp)
+
+    def reconstruction(x, y, u, w):
+        prefactor = (-chart.omega[x][y]
+                     + omega_perp[x] * omega_xi[y]
+                     - omega_perp[y] * omega_xi[x])
+        value = prefactor * omega_xi[u] * omega_xi[w] * scalar_c
+        value = value - omega_xi[x] * perp_second[y, u, w]
+        value = value - omega_xi[y] * perp_first[x, u, w]
+        return r4[x, y, u, w] - value
+
+    fields.update({
+        "tilde_nabla_xi_zero": full_nabla(chart, xi, linear_type_structure(chart, xi)),
+        "nabla_xi_linear_form": Tensor.build(
+            d, (COV, CON), lambda i, k: nabla_xi[i, k] - omega_xi[i] * xi[(k,)]),
+        "curvature_last_pair_symmetry": Tensor.build(
+            d, (COV,) * 4, lambda i, j, k, m: r4[i, j, k, m] - r4[i, j, m, k]),
+        "curvature_cyclic_xi_identity": Tensor.build(
+            d, (COV,) * 5, lambda x, y, z, u, w: sum(
+                (chart.omega[a][b] * r_xi[c, u, w] + omega_xi[a] * r4[b, c, u, w]
+                 for (a, b, c) in ((x, y, z), (y, z, x), (z, x, y))), zero)),
+        "curvature_xi_proportionality": Tensor.build(
+            d, (COV,) * 4,
+            lambda x, y, u, w: omega_xi[x] * r_xi[y, u, w] - omega_xi[y] * r_xi[x, u, w]),
+        "curvature_xi_rank_one": Tensor.build(
+            d, (COV,) * 3,
+            lambda x, y, z: r_xi[x, y, z] - omega_xi[x] * omega_xi[y] * omega_xi[z] * scalar_c),
+        "curvature_leafwise_flatness": Tensor.build(d, (COV,) * 4, reconstruction),
+    })
+    return fields
+
+
+@pytest.fixture(scope="module")
+def cases():
+    """(label, chart, structure, oracle checks by name) for every chart and structure."""
+    out = []
+    for label, chart in all_charts().items():
+        for kind, structure in structures(chart):
+            oracle = {name: scan(name, field)
+                      for name, field in oracle_fields(chart, structure).items()}
+            out.append((f"{label}/{kind}", chart, structure, oracle))
+    return out
+
+
+def lazy_checks(chart, structure):
+    return (fedosov_base_checks(chart) + parallelism_checks(chart, structure)
+            + linear_type_checks(chart, chart.field_tensor("xi")))
+
+
+def mismatches(cases):
+    bad = []
+    for label, chart, structure, oracle in cases:
+        lazy = {check.name: check for check in lazy_checks(chart, structure)}
+        bad.extend((label, name) for name, expected in oracle.items()
+                   if lazy[name] != expected)
+    return bad
+
+
+def test_lazy_checks_match_full_fields(cases):
+    assert mismatches(cases) == []
+    # The comparison must see failing checks, and covariant derivatives
+    # whose first nonzero component lies past the first plane.
+    failing = [check for _, _, _, oracle in cases
+               for check in oracle.values() if not check.passed]
+    assert len(failing) > 50
+    assert any(check.name in COVARIANT_CHECKS and not check.witness.startswith("component (1,")
+               for check in failing)
+
+
+# -- mutants the comparison must catch ------------------------------------------------
+
+def off_by_one_unflat(dim, rank, comps):
+    for flat, value in enumerate(comps):
+        if not is_zero_scalar(value):
+            return _unflat(dim, rank, flat + 1), value
+    return None
+
+
+def stops_at_zero_entry(dim, rank, comps):
+    """Takes a zero entry for the end of the stream."""
+    for flat, value in enumerate(comps):
+        if is_zero_scalar(value):
+            return None
+        return _unflat(dim, rank, flat), value
+    return None
+
+
+def first_plane_only(chart, t, structure=None):
+    plane = next(charts._covariant_planes(chart, t, structure))
+    return _first_nonzero(chart.dim, len(t.valence) + 1, plane)
+
+
+def skips_entry_after_boundary(chart, t, structure=None):
+    planes = charts._covariant_planes(chart, t, structure)
+    stream = itertools.chain.from_iterable(
+        plane if i == 0 else itertools.islice(plane, 1, None) for i, plane in enumerate(planes))
+    return _first_nonzero(chart.dim, len(t.valence) + 1, stream)
+
+
+@pytest.mark.parametrize("target, mutant", [
+    ("_first_nonzero", off_by_one_unflat),
+    ("_first_nonzero", stops_at_zero_entry),
+    ("_nabla_first_nonzero", first_plane_only),
+    ("_nabla_first_nonzero", skips_entry_after_boundary),
+])
+def test_comparison_catches_mutants(cases, monkeypatch, target, mutant):
+    monkeypatch.setattr(charts, target, mutant)
+    assert mismatches(cases)
+
+
+# -- the short circuit, counted ---------------------------------------------------------
+
+def test_failing_covariant_checks_draw_one_plane(tmp_path, monkeypatch, capsys):
+    chart = swell_chart()
+    path = tmp_path / "swell.json"
+    path.write_text(json.dumps(chart_to_json(chart)))
+    drawn = []
+    planes = charts._covariant_planes
+
+    def counted(*args, **kwargs):
+        drawn.append(0)
+        slot = len(drawn) - 1
+        for plane in planes(*args, **kwargs):
+            drawn[slot] += 1
+            yield plane
+
+    monkeypatch.setattr(charts, "_covariant_planes", counted)
+    assert main(["verify-chart", str(path), "--suite", "all", "--json"]) == 1
+    verdicts = {check["name"]: check["pass"]
+                for check in json.loads(capsys.readouterr().out)["checks"]}
+    expected = [chart.dim if verdicts[name] else 1 for name in COVARIANT_CHECKS]
+    assert expected.count(1) == 5
+    # The last stream is the full nabla xi that the linear-form and
+    # geodesic checks read entry by entry.
+    assert drawn == expected + [chart.dim]
