@@ -16,13 +16,13 @@ Index conventions (all 0-based in code, 1-based in files and witnesses):
   textbook convention; for coordinate fields the bracket term drops.
 * The covariant differential adds its derivative slot FIRST:
   (nabla T)(X; ...) = (nabla_X T)(...).  `gradient(chart, t)` puts the
-  coordinate partials d_i t in the same first slot.  Its planes d_i t
-  (`_partial_planes`) are the only place in this module that
-  differentiates: d omega, the curvature's d Gamma, the partial term of
-  nabla, Lie brackets and derivatives, and the Hamiltonian checks all
-  read their partials off them.  The checks that nabla T vanishes draw
-  nabla T one plane nabla_i T at a time and stop at the first nonzero
-  component.
+  coordinate partials d_i t in the same first slot.  `_partial` is the
+  only place in this module that differentiates: the closedness of
+  omega and the curvature's d Gamma take it entry by entry, and the
+  partial term of nabla, Lie brackets and derivatives, and the
+  Hamiltonian checks read it off the planes d_i t of `_partial_planes`.
+  The checks that nabla T vanishes draw nabla T one entry at a time,
+  plane nabla_i T after plane, and stop at the first nonzero component.
 
 A connection shifted by a structure tensor S uses Gamma' = Gamma - S.  A
 linear-type structure is S_X Y = omega(X,Y) xi - omega(Y,xi) X, written
@@ -42,12 +42,12 @@ from importlib import resources
 
 from . import linalg
 from .linalg import is_zero_scalar
-from .models import InfinitesimalModel, derivation_action, standard_omega_tensor
+from .models import InfinitesimalModel, standard_omega_tensor
 from .rationals import Polynomial, RationalFunction, parse_ratfun
 from .reporting import Check, Report
 from .symplectic import (
-    COV, CON, MAX_N, MAX_RANK, SymplecticSpace, Tensor, _contract_slot, _first_nonzero,
-    change_basis, cyclic_sum, insert_vector,
+    COV, CON, MAX_N, MAX_RANK, SymplecticSpace, Tensor, _contract_slot, _derivation_entries,
+    _first_nonzero, change_basis, insert_vector,
 )
 
 
@@ -130,10 +130,20 @@ def make_chart(coords, omega_entries, christoffel_entries, fields=None,
 def omega_is_closed(chart: Chart) -> tuple[bool, tuple | None]:
     """d omega = 0: the cyclic sum of coordinate partials vanishes exactly.
 
-    `make_chart` stores omega[j][i] = -omega[i][j], so the cyclic sum is
-    alternating and its first nonzero entry has i < j < k.
+    `make_chart` stores omega[j][i] = -omega[i][j], so the cyclic sum
+    d_i w_jk + d_j w_ki + d_k w_ij is alternating: it is formed only for
+    i < j < k, up to the first nonzero one, which is also the first
+    nonzero entry of the full sum.
     """
-    hit = cyclic_sum(gradient(chart, omega_tensor(chart))).first_nonzero()
+    w, coords, zero = chart.omega, chart.coords, chart.rf_zero()
+
+    def entry(i, j, k):
+        if not i < j < k:
+            return zero
+        return (_partial(w[j][k], coords[i]) + _partial(w[k][i], coords[j])
+                + _partial(w[i][j], coords[k]))
+
+    hit = _lazy_first_nonzero(chart.dim, 3, entry)
     return (True, None) if hit is None else (False, hit[0])
 
 
@@ -158,10 +168,16 @@ def verify_chart_structure(chart: Chart) -> Report:
 
 # -- basic chart calculus ----------------------------------------------------------
 
+def _partial(value: RationalFunction, coord: str) -> RationalFunction:
+    """d value / d coord: the only place in this module that differentiates."""
+    return value.partial(coord)
+
+
 def _partial_planes(chart: Chart, t: Tensor):
-    """The planes d_i t of `gradient`, one coordinate i at a time."""
+    """The planes d_i t of `gradient`, one coordinate i at a time; each plane
+    is an iterator that takes one partial per entry drawn."""
     for coord in chart.coords:
-        yield [value.partial(coord) for value in t.comps]
+        yield map(_partial, t.comps, itertools.repeat(coord))
 
 
 def gradient(chart: Chart, t: Tensor) -> Tensor:
@@ -191,23 +207,32 @@ def chart_torsion(chart: Chart, structure: Tensor | None = None) -> Tensor:
 
 
 def chart_curvature(chart: Chart, structure: Tensor | None = None) -> Tensor:
-    """Curvature (1,3) field under the sign convention in the module docstring."""
+    """Curvature (1,3) field under the sign convention in the module docstring.
+
+    The entries (i, j, ...) and (j, i, ...) read the same partials
+    d_i Gamma_j and d_j Gamma_i, so they are formed together: each partial
+    is taken once, and only one pair of them is held at a time.
+    """
     gamma = _gamma(chart, structure)
-    d = chart.dim
-    # d_gamma[m, i, j, k] = d_m gamma[k][i][j], each partial taken once
-    d_gamma = gradient(chart, Tensor.build(d, (COV, COV, CON),
-                                           lambda i, j, k: gamma[k][i][j]))
+    d, coords = chart.dim, chart.coords
+    comps = [None] * d ** 4
 
-    def entry(i, j, k, l):
-        total = -d_gamma[i, j, k, l] + d_gamma[j, i, k, l]
-        for m in range(d):
-            if not gamma[m][j][k].is_zero():
-                total = total - gamma[m][j][k] * gamma[l][i][m]
-            if not gamma[m][i][k].is_zero():
-                total = total + gamma[m][i][k] * gamma[l][j][m]
-        return total
+    def d_gamma(i, j):  # [k][l] = d_i gamma[l][j][k]
+        return [[_partial(gamma[l][j][k], coords[i]) for l in range(d)] for k in range(d)]
 
-    return Tensor.build(d, (COV, COV, COV, CON), entry)
+    for i, j in itertools.combinations_with_replacement(range(d), 2):
+        d_ij = d_gamma(i, j)
+        d_ji = d_ij if i == j else d_gamma(j, i)
+        for (a, b), (d_ab, d_ba) in {(i, j): (d_ij, d_ji), (j, i): (d_ji, d_ij)}.items():
+            for k, l in itertools.product(range(d), repeat=2):
+                total = -d_ab[k][l] + d_ba[k][l]
+                for m in range(d):
+                    if not gamma[m][b][k].is_zero():
+                        total = total - gamma[m][b][k] * gamma[l][a][m]
+                    if not gamma[m][a][k].is_zero():
+                        total = total + gamma[m][a][k] * gamma[l][b][m]
+                comps[((a * d + b) * d + k) * d + l] = total
+    return Tensor(d, (COV, COV, COV, CON), comps)
 
 
 def _covariant_planes(chart: Chart, tensor: Tensor, structure: Tensor | None = None):
@@ -216,16 +241,17 @@ def _covariant_planes(chart: Chart, tensor: Tensor, structure: Tensor | None = N
     nabla_i T = d_i T + Gamma_i . T with Gamma_i[a][b] = christoffel[a][i][b]
     acting as a derivation.  The partial derivative is added last: the
     entries are never reduced, and this order keeps them smallest.  Each
-    plane is a generator: Gamma_i . T and d_i T are taken for the whole
-    plane, and an entry's sum only when it is drawn.
+    plane is a generator that forms one entry per draw, its Gamma_i . T
+    term from `_derivation_entries` and its partial from `_partial_planes`,
+    so a reader that stops at an entry computes nothing after it.
     """
     gamma = _gamma(chart, structure)
     d = chart.dim
     for i, partials in enumerate(_partial_planes(chart, tensor)):
-        connection = derivation_action([[gamma[a][i][b] for b in range(d)]
-                                        for a in range(d)], tensor)
+        connection = _derivation_entries([[gamma[a][i][b] for b in range(d)]
+                                          for a in range(d)], tensor)
         yield (p if is_zero_scalar(c) else c if p.is_zero() else c + p
-               for c, p in zip(connection.comps, partials))
+               for c, p in zip(connection, partials))
 
 
 def covariant_derivative(chart: Chart, tensor: Tensor,

@@ -35,8 +35,8 @@ from . import linalg
 from .linalg import is_zero_scalar
 from .reporting import Check, Report
 from .symplectic import (
-    COV, CON, SymplecticSpace, Tensor, _contract_slot, _half_dimension, _is_int,
-    change_basis, first_symplectic_defect, insert_vector, parse_fraction, tensor_from_json,
+    COV, CON, SymplecticSpace, Tensor, _derivation_entries, _first_nonzero, _half_dimension,
+    _is_int, change_basis, first_symplectic_defect, insert_vector, parse_fraction, tensor_from_json,
     tensor_to_json,
 )
 
@@ -90,16 +90,12 @@ def trivial_model(n: int) -> InfinitesimalModel:
 
 def derivation_action(endo, t: Tensor) -> Tensor:
     """Action of an endomorphism (matrix, output index first) on a tensor."""
-    if t.is_zero():
-        return Tensor(t.dim, t.valence, list(t.comps), space=t.space)
-    on_con = linalg.transpose(endo)
-    on_cov = [[-x for x in row] for row in endo]
-    comps = [Fraction(0)] * len(t.comps)
-    for slot, kind in enumerate(t.valence):
-        part = _contract_slot(t, slot, on_con if kind == CON else on_cov)
-        comps = [b if is_zero_scalar(a) else a if is_zero_scalar(b) else a + b
-                 for a, b in zip(comps, part)]
-    return Tensor(t.dim, t.valence, comps, space=t.space)
+    return Tensor(t.dim, t.valence, list(_derivation_entries(endo, t)), space=t.space)
+
+
+def _derivation_first_nonzero(endo, t: Tensor):
+    """`derivation_action(endo, t).first_nonzero()`, computing no entry after it."""
+    return _first_nonzero(t.dim, len(t.valence), _derivation_entries(endo, t))
 
 
 def curvature_endomorphism(r: Tensor, i: int, j: int) -> list[list]:
@@ -129,8 +125,7 @@ def check_model_axioms(model: InfinitesimalModel) -> Report:
 
     def derivation_check(name: str, target: Tensor):
         for (i, j), endo in endos.items():
-            acted = derivation_action(endo, target)
-            hit = acted.first_nonzero()
+            hit = _derivation_first_nonzero(endo, target)
             if hit is not None:
                 checks.append(Check(name, False,
                                     f"R(e{i + 1},e{j + 1}) acting at "
@@ -343,7 +338,7 @@ def model_stabilizer_algebra(model: InfinitesimalModel) -> list[list[list[Fracti
 
 
 def _annihilates(endo, targets) -> bool:
-    return all(derivation_action(endo, t).is_zero() for t in targets)
+    return all(_derivation_first_nonzero(endo, t) is None for t in targets)
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,17 @@ the first nonzero component.  Each must give the same `Check` (name, verdict
 and witness string) as the first nonzero component of the fully built
 field.  The oracle here builds every field in full, the covariant
 derivative with all partials first, and scans it with a plain loop, so it
-shares no code with the stream kernel or the plane generators.
+shares no code with the stream kernel or the plane generators.  The
+closedness of omega, which forms only the entries i < j < k of its cyclic
+sum, must report the first nonzero triple of the full d^3 sum, on every
+chart and on copies whose omega is made non-closed entry by entry.
 
 Mutants of the kernel and of the plane stream show that the comparison
 catches an index that is off by one, a stream that does not cross a plane
 boundary correctly, and a kernel that stops at a zero entry.  A last test
 pins the short circuit itself: under `verify-chart --suite all`, every
-failing covariant-derivative check draws exactly one plane.
+failing covariant-derivative check draws exactly one plane and forms no
+entry after its witness.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from fedosov.charts import (
 from fedosov.cli import main
 from fedosov.linalg import is_zero_scalar
 from fedosov.models import derivation_action
-from fedosov.rationals import parse_ratfun
+from fedosov.rationals import RationalFunction, parse_ratfun
 from fedosov.reporting import Check
 from fedosov.symplectic import (
     COV, CON, Tensor, _contract_slot, _first_nonzero, _unflat, insert_vector,
@@ -196,6 +200,38 @@ def test_lazy_checks_match_full_fields(cases):
                for check in failing)
 
 
+def full_cyclic_first_nonzero(chart):
+    """First nonzero (i, j, k) of d_i w_jk + d_j w_ki + d_k w_ij over all d^3 triples."""
+    w, coords = chart.omega, chart.coords
+    for i, j, k in itertools.product(range(chart.dim), repeat=3):
+        total = (w[j][k].partial(coords[i]) + w[k][i].partial(coords[j])
+                 + w[i][j].partial(coords[k]))
+        if not total.is_zero():
+            return (i, j, k)
+    return None
+
+
+def perturbed_omegas(chart):
+    """The chart, and copies with coords[c]^2 added to one entry omega[a][b]."""
+    yield chart
+    upper = {(a, b): chart.omega[a][b] for a, b in itertools.combinations(range(chart.dim), 2)}
+    for (a, b), coord in itertools.product(upper, chart.coords):
+        omega = dict(upper)
+        omega[a, b] = omega[a, b] + parse_ratfun(f"{coord}^2", chart.coords)
+        yield make_chart(chart.coords, omega, {})
+
+
+def test_omega_closed_matches_full_cyclic_sum():
+    verdicts = []
+    for chart in all_charts().values():
+        for variant in perturbed_omegas(chart):
+            hit = full_cyclic_first_nonzero(variant)
+            assert charts.omega_is_closed(variant) == (hit is None, hit)
+            verdicts.append(hit)
+    assert verdicts.count(None) >= len(all_charts())
+    assert len({hit for hit in verdicts if hit is not None}) > 3
+
+
 # -- mutants the comparison must catch ------------------------------------------------
 
 def off_by_one_unflat(dim, rank, comps):
@@ -239,6 +275,13 @@ def test_comparison_catches_mutants(cases, monkeypatch, target, mutant):
 
 # -- the short circuit, counted ---------------------------------------------------------
 
+def flat_index(dim, idx):
+    flat = 0
+    for i in idx:
+        flat = flat * dim + i
+    return flat
+
+
 def test_failing_covariant_checks_draw_one_plane(tmp_path, monkeypatch, capsys):
     chart = swell_chart()
     path = tmp_path / "swell.json"
@@ -253,7 +296,36 @@ def test_failing_covariant_checks_draw_one_plane(tmp_path, monkeypatch, capsys):
             drawn[slot] += 1
             yield plane
 
+    # Entries formed: one partial and one derivation entry per entry drawn.
+    formed = {"partials": 0, "entries": 0}
+    partial = RationalFunction.partial
+    kernel = charts._derivation_entries
+
+    def counted_partial(self, var):
+        formed["partials"] += 1
+        return partial(self, var)
+
+    def counted_kernel(*args):
+        for entry in kernel(*args):
+            formed["entries"] += 1
+            yield entry
+
+    streams = []
+    nabla = charts._nabla_first_nonzero
+
+    def counted_nabla(chart, t, structure=None):
+        before = dict(formed)
+        hit = nabla(chart, t, structure)
+        plane = len(t.comps)
+        witness = chart.dim * plane - 1 if hit is None else flat_index(chart.dim, hit[0])
+        streams.append((formed["partials"] - before["partials"],
+                        formed["entries"] - before["entries"], witness + 1, plane))
+        return hit
+
     monkeypatch.setattr(charts, "_covariant_planes", counted)
+    monkeypatch.setattr(RationalFunction, "partial", counted_partial)
+    monkeypatch.setattr(charts, "_derivation_entries", counted_kernel)
+    monkeypatch.setattr(charts, "_nabla_first_nonzero", counted_nabla)
     assert main(["verify-chart", str(path), "--suite", "all", "--json"]) == 1
     verdicts = {check["name"]: check["pass"]
                 for check in json.loads(capsys.readouterr().out)["checks"]}
@@ -262,3 +334,8 @@ def test_failing_covariant_checks_draw_one_plane(tmp_path, monkeypatch, capsys):
     # The last stream is the full nabla xi that the linear-form and
     # geodesic checks read entry by entry.
     assert drawn == expected + [chart.dim]
+    # Each check forms exactly the entries up to its witness, and no more;
+    # some witness lies inside a plane, so forming whole planes would show.
+    assert len(streams) == len(COVARIANT_CHECKS)
+    assert [(p, e) for p, e, _, _ in streams] == [(n, n) for _, _, n, _ in streams]
+    assert any(n % plane for _, _, n, plane in streams)
