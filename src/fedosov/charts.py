@@ -17,10 +17,11 @@ Index conventions (all 0-based in code, 1-based in files and witnesses):
 * The covariant differential adds its derivative slot FIRST:
   (nabla T)(X; ...) = (nabla_X T)(...).  `gradient(chart, t)` puts the
   coordinate partials d_i t in the same first slot.  `_partial` is the
-  only place in this module that differentiates: the closedness of
-  omega and the curvature's d Gamma take it entry by entry, and the
-  partial term of nabla, Lie brackets and derivatives, and the
-  Hamiltonian checks read it off the planes d_i t of `_partial_planes`.
+  only place in this module that differentiates.  The curvature's
+  d Gamma, the partial term of nabla, Lie brackets and derivatives, and
+  the Hamiltonian checks read partials off the planes d_i t of
+  `_partial_planes`; the closedness of omega, which needs single entries
+  of three different planes, calls `_partial` itself.
   The checks that nabla T vanishes draw nabla T one entry at a time,
   plane nabla_i T after plane, and stop at the first nonzero component.
 
@@ -169,7 +170,14 @@ def verify_chart_structure(chart: Chart) -> Report:
 # -- basic chart calculus ----------------------------------------------------------
 
 def _partial(value: RationalFunction, coord: str) -> RationalFunction:
-    """d value / d coord: the only place in this module that differentiates."""
+    """d value / d coord.
+
+    Not a kernel of its own: it is the single call site of
+    `RationalFunction.partial` in this module, which
+    `test_charts_differentiate_in_one_kernel` enforces.  `_partial_planes`
+    maps it over a plane, and `omega_is_closed` calls it per entry, since
+    the three partials of one cyclic-sum entry lie in three planes.
+    """
     return value.partial(coord)
 
 
@@ -207,32 +215,23 @@ def chart_torsion(chart: Chart, structure: Tensor | None = None) -> Tensor:
 
 
 def chart_curvature(chart: Chart, structure: Tensor | None = None) -> Tensor:
-    """Curvature (1,3) field under the sign convention in the module docstring.
-
-    The entries (i, j, ...) and (j, i, ...) read the same partials
-    d_i Gamma_j and d_j Gamma_i, so they are formed together: each partial
-    is taken once, and only one pair of them is held at a time.
-    """
+    """Curvature (1,3) field under the sign convention in the module docstring."""
     gamma = _gamma(chart, structure)
-    d, coords = chart.dim, chart.coords
-    comps = [None] * d ** 4
+    d = chart.dim
+    # d_gamma[m, i, j, k] = d_m gamma[k][i][j], each partial taken once
+    d_gamma = gradient(chart, Tensor.build(d, (COV, COV, CON),
+                                           lambda i, j, k: gamma[k][i][j]))
 
-    def d_gamma(i, j):  # [k][l] = d_i gamma[l][j][k]
-        return [[_partial(gamma[l][j][k], coords[i]) for l in range(d)] for k in range(d)]
+    def entry(i, j, k, l):
+        total = -d_gamma[i, j, k, l] + d_gamma[j, i, k, l]
+        for m in range(d):
+            if not gamma[m][j][k].is_zero():
+                total = total - gamma[m][j][k] * gamma[l][i][m]
+            if not gamma[m][i][k].is_zero():
+                total = total + gamma[m][i][k] * gamma[l][j][m]
+        return total
 
-    for i, j in itertools.combinations_with_replacement(range(d), 2):
-        d_ij = d_gamma(i, j)
-        d_ji = d_ij if i == j else d_gamma(j, i)
-        for (a, b), (d_ab, d_ba) in {(i, j): (d_ij, d_ji), (j, i): (d_ji, d_ij)}.items():
-            for k, l in itertools.product(range(d), repeat=2):
-                total = -d_ab[k][l] + d_ba[k][l]
-                for m in range(d):
-                    if not gamma[m][b][k].is_zero():
-                        total = total - gamma[m][b][k] * gamma[l][a][m]
-                    if not gamma[m][a][k].is_zero():
-                        total = total + gamma[m][a][k] * gamma[l][b][m]
-                comps[((a * d + b) * d + k) * d + l] = total
-    return Tensor(d, (COV, COV, COV, CON), comps)
+    return Tensor.build(d, (COV, COV, COV, CON), entry)
 
 
 def _covariant_planes(chart: Chart, tensor: Tensor, structure: Tensor | None = None):

@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's own code paths: the
 contraction oracles are brute-force double sums written from the index
-definitions, and the linear-solve oracle goes through sympy.
+definitions, the linear-solve oracle goes through sympy, and the
+derivation-action oracle is the whole-list construction that the lazy
+kernel replaced, with its own slot contraction.
 """
 
 from __future__ import annotations
@@ -183,6 +185,50 @@ def oracle_t13(t: Tensor) -> list[Fraction]:
             total += t[i, y, i + n] - t[i + n, y, i]
         out.append(total)
     return out
+
+
+def _zero(x) -> bool:
+    return x == 0 if isinstance(x, (int, Fraction)) else x.is_zero()
+
+
+def old_contract_slot(t: Tensor, slot: int, matrix) -> list:
+    """out[..., a, ...] = sum_l t[..., l, ...] * matrix[l][a] over all entries,
+    l increasing, zero terms skipped, starting from the first nonzero term."""
+    d = t.dim
+    stride = d ** (len(t.valence) - 1 - slot)
+    comps = t.comps
+    sample = comps[0]
+    zero = Fraction(0) if isinstance(sample, (int, Fraction)) else sample - sample
+    columns = [[(l * stride, row[a]) for l, row in enumerate(matrix) if not _zero(row[a])]
+               for a in range(len(matrix[0]))]
+    out = []
+    for block in range(0, len(comps), d * stride):
+        for column in columns:
+            for base in range(block, block + stride):
+                total = None
+                for offset, factor in column:
+                    value = comps[base + offset]
+                    if _zero(value):
+                        continue
+                    term = value * factor
+                    total = term if total is None else total + term
+                out.append(zero if total is None else total)
+    return out
+
+
+def old_derivation_action(endo, t: Tensor) -> Tensor:
+    """The derivation action of `endo` (output index first) on t: one whole
+    slot contraction per slot, merged slot by slot over all entries from
+    Fraction(0).  A zero t is returned as a copy."""
+    if all(_zero(c) for c in t.comps):
+        return Tensor(t.dim, t.valence, list(t.comps), space=t.space)
+    on_con = [list(column) for column in zip(*endo)]
+    on_cov = [[-x for x in row] for row in endo]
+    comps = [Fraction(0)] * len(t.comps)
+    for slot, kind in enumerate(t.valence):
+        part = old_contract_slot(t, slot, on_con if kind == CON else on_cov)
+        comps = [b if _zero(a) else a if _zero(b) else a + b for a, b in zip(comps, part)]
+    return Tensor(t.dim, t.valence, comps, space=t.space)
 
 
 def sympy_solve_columns(columns: list[list[Fraction]], rhs: list[Fraction]):

@@ -31,10 +31,10 @@ from fedosov.charts import (
     omega_tensor, pairing_with,
 )
 from fedosov.linalg import is_zero_scalar
-from fedosov.models import derivation_action
 from fedosov.rationals import Polynomial, RationalFunction, parse_ratfun
 from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor, insert_vector
 
+from conftest import old_derivation_action
 from test_slot_kernel import swell_chart
 
 CHART_FILES = sorted((pathlib.Path(__file__).parent / "data" / "charts").glob("*.json"))
@@ -84,8 +84,8 @@ def oracle_covariant_derivative(chart, tensor, structure=None):
     d = chart.dim
     comps = []
     for i, coord in enumerate(chart.coords):
-        connection = derivation_action([[gamma[a][i][b] for b in range(d)]
-                                        for a in range(d)], tensor)
+        connection = old_derivation_action([[gamma[a][i][b] for b in range(d)]
+                                            for a in range(d)], tensor)
         comps.extend(p if is_zero_scalar(c) else c if p.is_zero() else c + p
                      for c, p in zip(connection.comps,
                                      (value.partial(coord) for value in tensor.comps)))

@@ -377,7 +377,7 @@ def test_cli_imports_only_the_standard_library():
 
 
 def test_charts_differentiate_in_one_kernel():
-    # `charts.gradient` takes every coordinate partial in the chart
+    # `charts._partial` takes every coordinate partial in the chart
     # calculus, and `metric_obstruction` reads xi in closed form.
     source = pathlib.Path(charts.__file__).read_text(encoding="utf-8")
     assert source.count(".partial(") == 1

@@ -3,8 +3,10 @@
 `symplectic._derivation_entries` forms the derivation action of an
 endomorphism one entry at a time, and `charts._covariant_planes` draws each
 entry of nabla_i T from it and from one partial.  The oracles here are the
-constructions they replaced: `derivation_action` as one `_contract_slot`
-per slot merged slot by slot over whole component lists, and the planes
+constructions they replaced: `derivation_action` as one whole slot
+contraction per slot merged slot by slot over whole component lists
+(`conftest.old_derivation_action`, which has its own copy of the old slot
+contraction and so shares no code with the kernel), and the planes
 nabla_i T built with all of Gamma_i . T and d_i T first.  The new code must
 agree with them by value and by printed form, since chart witnesses print
 the unreduced rational function.  The comparison runs on the charts of
@@ -24,7 +26,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedosov import charts, linalg, models, symplectic
+from fedosov import charts, models, symplectic
 from fedosov.charts import (
     _covariant_planes, _gamma, chart_curvature, chart_torsion, omega_tensor,
 )
@@ -32,25 +34,12 @@ from fedosov.linalg import is_zero_scalar
 from fedosov.models import curvature_endomorphism, derivation_action
 from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor, _contract_slot
 
+from conftest import old_derivation_action
 from test_lazy_checks import all_charts, structures, y_chart
 from test_stabilizer import models as drawn_models
 
 
 # -- the oracles: whole component lists ----------------------------------------------
-
-def old_derivation_action(endo, t):
-    """One `_contract_slot` per slot, merged slot by slot over all entries."""
-    if t.is_zero():
-        return Tensor(t.dim, t.valence, list(t.comps), space=t.space)
-    on_con = linalg.transpose(endo)
-    on_cov = [[-x for x in row] for row in endo]
-    comps = [Fraction(0)] * len(t.comps)
-    for slot, kind in enumerate(t.valence):
-        part = _contract_slot(t, slot, on_con if kind == CON else on_cov)
-        comps = [b if is_zero_scalar(a) else a if is_zero_scalar(b) else a + b
-                 for a, b in zip(comps, part)]
-    return Tensor(t.dim, t.valence, comps, space=t.space)
-
 
 def old_covariant_planes(chart, tensor, structure=None):
     """Each plane nabla_i T as a list, Gamma_i . T and d_i T formed in full first."""

@@ -5,11 +5,13 @@ entrywise linear-type checks compute one component at a time; both stop at
 the first nonzero component.  Each must give the same `Check` (name, verdict
 and witness string) as the first nonzero component of the fully built
 field.  The oracle here builds every field in full, the covariant
-derivative with all partials first, and scans it with a plain loop, so it
-shares no code with the stream kernel or the plane generators.  The
-closedness of omega, which forms only the entries i < j < k of its cyclic
-sum, must report the first nonzero triple of the full d^3 sum, on every
-chart and on copies whose omega is made non-closed entry by entry.
+derivative with all partials first and its connection term through
+`conftest.old_derivation_action`, and scans it with a plain loop, so it
+shares no code with the stream kernel, the derivation kernel or the plane
+generators.  The closedness of omega, which forms only the entries
+i < j < k of its cyclic sum, must report the first nonzero triple of the
+full d^3 sum, on every chart and on copies whose omega is made non-closed
+entry by entry.
 
 Mutants of the kernel and of the plane stream show that the comparison
 catches an index that is off by one, a stream that does not cross a plane
@@ -35,12 +37,12 @@ from fedosov.charts import (
 )
 from fedosov.cli import main
 from fedosov.linalg import is_zero_scalar
-from fedosov.models import derivation_action
 from fedosov.rationals import RationalFunction, parse_ratfun
 from fedosov.reporting import Check
 from fedosov.symplectic import (
     COV, CON, Tensor, _contract_slot, _first_nonzero, _unflat, insert_vector,
 )
+from conftest import old_derivation_action
 from test_slot_kernel import swell_chart
 
 CHART_DIR = pathlib.Path(__file__).parent / "data" / "charts"
@@ -98,8 +100,8 @@ def full_nabla(chart, t, structure=None):
     size = len(t.comps)
     comps = []
     for i in range(d):
-        connection = derivation_action([[gamma[a][i][b] for b in range(d)]
-                                        for a in range(d)], t)
+        connection = old_derivation_action([[gamma[a][i][b] for b in range(d)]
+                                            for a in range(d)], t)
         comps.extend(p if is_zero_scalar(c) else c if p.is_zero() else c + p
                      for c, p in zip(connection.comps, partials[i * size:(i + 1) * size]))
     return Tensor(d, (COV,) + t.valence, comps)
