@@ -51,13 +51,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Callable, NamedTuple
 
 from . import linalg
 from .symplectic import (
-    COV, SymplecticSpace, Tensor, _trace_12, _trace_13, contract_s13, contract_t12,
-    cyclic_sum,
+    COV, SymplecticSpace, Tensor, _cyclic_positions, _trace_12, _trace_13, cyclic_sum,
 )
 
 COTORSION_LABELS = ("S1", "S2", "S3")
@@ -157,11 +156,13 @@ def _omega_covector_form(space: SymplecticSpace, u, terms) -> Tensor:
     """The (0,3)-tensor sum of c * omega(X_p, X_q) * u(X_r) over `terms`.
 
     Only the 2n nonzero entries of omega and the nonzero entries of u are
-    visited, so a form costs O(n^2) exact operations, not O(n^3).
+    visited, so a form costs O(n^2) exact operations, not O(n^3).  The
+    entries keep the scalar type of u: int covectors give int tensors.
     """
     d = space.dim
-    comps = [Fraction(0)] * d ** 3
-    pairs = [(a, b, w) for a, row in enumerate(space.omega) for b, w in enumerate(row) if w != 0]
+    comps = [u[0] - u[0]] * d ** 3
+    pairs = [(a, b, int(w)) for a, row in enumerate(space.omega)
+             for b, w in enumerate(row) if w != 0]
     entries = [(c, v) for c, v in enumerate(u) if v != 0]
     idx = [0, 0, 0]
     for coeff, (p, q, r) in terms:
@@ -335,9 +336,12 @@ def class_predicate(label: str, t: Tensor) -> bool:
     if not _has_symmetry(t, entry.kind):
         return False
     if entry.generator is None:
-        return all(_vanishes(condition(t)) for condition in entry.conditions)
-    if label in _PROJECTORS:
-        return _PROJECTORS[label](t) == t
+        return not any(any(condition(t)) for condition in entry.conditions)
+    if label in ("S1", "T1", "T3"):
+        # P(t) == t, read off the kernel as P(x) == factor * x
+        x, _ = _scaled_entries(t)
+        parts, factor = _KERNELS[entry.kind](_space_of(t), x)
+        return parts[label] == [factor * v for v in x]
     # W is not a summand of either decomposition: exact span membership
     span = linalg.Echelon()
     for b in build_basis(label, t.dim // 2).elements:
@@ -347,62 +351,65 @@ def class_predicate(label: str, t: Tensor) -> bool:
 
 # -- closed-form projectors ---------------------------------------------------------
 #
-# Each class part is an Sp(V)-equivariant map built from the structural maps
-# below; the remainder classes S2, T2, T4 are what is left and get their
-# defining conditions re-checked on every decomposition.
+# One kernel per ambient space returns the parts times the projector
+# denominator with only +, - and products by small ints, so on entries scaled
+# to ints by their common denominator D nothing divides until each part entry
+# is built as Fraction(v, D * factor).  The remainder conditions (S2, T2, T4)
+# are homogeneous and linear and are checked on the scaled parts.  Past
+# MAX_SCALE_BITS of D (break-even measured at 3,000-5,000 bits) the closing
+# gcds on D-sized ints cost more than Fraction arithmetic, so the kernel gets
+# the Fraction entries themselves, with D = 1.
+MAX_SCALE_BITS = 4096
 
-_THIRD = Fraction(1, 3)
+_COV3 = (COV, COV, COV)
 
 
 def _space_of(t: Tensor) -> SymplecticSpace:
     return t.space if t.space is not None else SymplecticSpace(t.dim // 2)
 
 
-def _vanishes(covector) -> bool:
-    return all(v == 0 for v in covector)
+def _scaled_entries(t: Tensor) -> tuple[list, int]:
+    """(entries times D, D) for D the lcm of the entry denominators, with int
+    entries; (entries, 1) when D has more than MAX_SCALE_BITS bits."""
+    den = 1
+    for d in {c.denominator for c in t.comps}:
+        den = lcm(den, d)
+        if den.bit_length() > MAX_SCALE_BITS:
+            return list(t.comps), 1
+    return [c.numerator * (den // c.denominator) for c in t.comps], den
 
 
-def _s1_part(s: Tensor) -> Tensor:
-    """S1 part of a cotorsion-like tensor: the embedding of -s13(S)."""
-    return covector_to_cotorsion(_space_of(s), [-v for v in contract_s13(s)])
+def _cotorsion_kernel(space: SymplecticSpace, x: list) -> tuple[dict, int]:
+    """S1, S2, S3 parts of the cotorsion-like entries x, times P = 3(2n+1)."""
+    m = 2 * space.n + 1
+    s = Tensor(space.dim, _COV3, x)
+    s1 = _omega_covector_form(space, [-3 * v for v in _trace_13(s)], _S1_TERMS).comps
+    s3 = [m * v for v in cyclic_sum(s).comps]
+    s2 = [3 * m * v - a - b for v, a, b in zip(x, s1, s3)]
+    return {"S1": s1, "S2": s2, "S3": s3}, 3 * m
 
 
-def _s3_part(s: Tensor) -> Tensor:
-    """S3 part of a cotorsion-like tensor: its total symmetrization C(S)/3."""
-    return cyclic_sum(s).scale(_THIRD)
+def _torsion_kernel(space: SymplecticSpace, x: list) -> tuple[dict, int]:
+    """T1..T4 parts of the torsion-like entries x, times P = 3(2n+1) q.
 
-
-def _alternation(t: Tensor) -> Tensor:
-    """Full antisymmetrization of a torsion-like tensor, its T3 + T4 part."""
-    return cyclic_sum(t).scale(_THIRD)
-
-
-def _t3_part(alt: Tensor) -> Tensor:
-    """T3 part of a 3-form: omega ^ (covector_contraction(alt)/(3(n-1))); 0 at n = 1."""
-    n = alt.dim // 2
-    space = _space_of(alt)
-    if n == 1:
-        return Tensor.zeros(alt.dim, (COV, COV, COV), space=space)
-    scale = omega_wedge_section_scale(n)
-    return omega_wedge(space, [c / scale for c in covector_contraction(alt)])
-
-
-def _t1_part(rest: Tensor) -> Tensor:
-    """T1 part of a tensor in T1 + T2, rebuilt from v = t12(rest)/(2n+1).
-
-    t12 vanishes on T2 and sends the T1 generator of e_u to
-    (2n+1) omega(., e_u), so v is the covector that the T1 formula needs.
+    q = 3(n-1) is the T3 denominator, 1 at n = 1 where the 3-form C(T) and
+    so T3, T4 vanish.  C'(alt) = t12(C(T)): on a 3-form the three terms of
+    `covector_contraction` agree.  t12 sends T2 to 0 and the T1 generator of
+    e_u to (2n+1) omega(., e_u).
     """
-    n = rest.dim // 2
-    v = [c / (2 * n + 1) for c in contract_t12(rest)]
-    return _omega_covector_form(_space_of(rest), v, _T1_TERMS)
+    n, d, m = space.n, space.dim, 2 * space.n + 1
+    q = 3 * (n - 1) or 1
+    cyc = cyclic_sum(Tensor(d, _COV3, x)).comps
+    rest = [3 * v - c for v, c in zip(x, cyc)]  # 3R
+    t1 = _omega_covector_form(
+        space, [q * v for v in _trace_12(Tensor(d, _COV3, rest))], _T1_TERMS).comps
+    t3 = omega_wedge(space, [3 * m * v for v in _trace_12(Tensor(d, _COV3, cyc))]).comps
+    return {"T1": t1, "T2": [m * q * v - a for v, a in zip(rest, t1)],
+            "T3": t3, "T4": [m * q * v - a for v, a in zip(cyc, t3)]}, 3 * m * q
 
 
-_PROJECTORS = {
-    "S1": _s1_part,
-    "T1": lambda t: _t1_part(t - _alternation(t)),
-    "T3": lambda t: _t3_part(_alternation(t)),
-}
+_KERNELS = {"cotorsion": _cotorsion_kernel, "torsion": _torsion_kernel}
+_REMAINDERS = {"cotorsion": ("S2",), "torsion": ("T2", "T4")}
 
 
 # -- decomposition ---------------------------------------------------------------
@@ -419,7 +426,7 @@ class DecompositionResult:
 
 
 def _require_shape(t: Tensor, *, anti: bool) -> None:
-    if t.valence != (COV, COV, COV):
+    if t.valence != _COV3:
         raise ValueError("expected a (0,3)-tensor")
     bad = t.first_symmetry_violation(0, 1, anti=anti)
     if bad is not None:
@@ -428,38 +435,35 @@ def _require_shape(t: Tensor, *, anti: bool) -> None:
             f"first violation at {tuple(i + 1 for i in bad)}")
 
 
-def _check_remainders(parts: dict, labels) -> None:
-    for label in labels:
-        if not class_predicate(label, parts[label]):
+def _divided(t: Tensor, comps: list, den: int) -> Tensor:
+    """comps / den as `Fraction`s: an int / int would be a float, and a
+    Fraction (unscaled past MAX_SCALE_BITS) / den takes gcds of den's size."""
+    zero = Fraction(0)
+    return Tensor(t.dim, _COV3,
+                  [zero if not v else Fraction(v, den) if type(v) is int else v / den
+                   for v in comps], space=_space_of(t))
+
+
+def _result(t: Tensor, kind: str) -> DecompositionResult:
+    x, den = _scaled_entries(t)
+    _require_shape(Tensor(t.dim, t.valence, x), anti=kind == "torsion")
+    parts, factor = _KERNELS[kind](_space_of(t), x)
+    for label in _REMAINDERS[kind]:
+        if not class_predicate(label, Tensor(t.dim, _COV3, parts[label])):
             raise AssertionError(f"{label} remainder violates its defining conditions")
-
-
-def _result(parts: dict) -> DecompositionResult:
     return DecompositionResult(
-        parts=parts,
-        type_set=frozenset(label for label, part in parts.items() if not part.is_zero()))
+        parts={label: _divided(t, comps, den * factor) for label, comps in parts.items()},
+        type_set=frozenset(label for label, comps in parts.items() if any(comps)))
 
 
 def decompose_cotorsion(t: Tensor) -> DecompositionResult:
     """Split a (0,3)-tensor symmetric in (1,2) into its S1, S2, S3 parts."""
-    _require_shape(t, anti=False)
-    s1, s3 = _s1_part(t), _s3_part(t)
-    parts = {"S1": s1, "S2": t - s1 - s3, "S3": s3}
-    _check_remainders(parts, ("S2",))
-    return _result(parts)
+    return _result(t, "cotorsion")
 
 
 def decompose_torsion(t: Tensor) -> DecompositionResult:
     """Split a (0,3)-tensor antisymmetric in (1,2) into its T1..T4 parts."""
-    _require_shape(t, anti=True)
-    alt = _alternation(t)
-    t3 = _t3_part(alt)
-    t4 = alt - t3
-    rest = t - alt
-    t1 = _t1_part(rest)
-    parts = {"T1": t1, "T2": rest - t1, "T3": t3, "T4": t4}
-    _check_remainders(parts, ("T2", "T4"))
-    return _result(parts)
+    return _result(t, "torsion")
 
 
 # -- structural maps between the pictures ------------------------------------------
@@ -471,8 +475,10 @@ def cotorsion_to_torsion(s: Tensor) -> Tensor:
     bad = s.first_symmetry_violation(0, 1, anti=False)
     if bad is not None:
         raise ValueError("input must be symmetric in slots (1,2)")
-    return Tensor.build(s.dim, s.valence,
-                        lambda x, y, z: s[y, z, x] - s[x, z, y], space=s.space)
+    # S(X,Z,Y) = S(Z,X,Y) by the symmetry just checked
+    c = s.comps
+    return Tensor(s.dim, s.valence, [c[g] - c[h] for _, g, h in _cyclic_positions(s.dim)],
+                  space=s.space)
 
 
 def threeform_part(t: Tensor) -> Tensor:
@@ -532,20 +538,21 @@ def symplectify_torsion(t: Tensor) -> Tensor:
         S(X,Y,Z) = (T(X,Z,Y) + T(Y,Z,X)) / 3,
 
     symmetric in (X,Y) with zero cyclic sum: the unique preimage with no
-    S3 part, which makes it deterministic.
+    S3 part, which makes it deterministic.  It is formed as 3D S, as the
+    projectors form their parts.
     """
-    _require_shape(t, anti=True)
-    if not cyclic_sum(t).is_zero():
+    x, den = _scaled_entries(t)
+    _require_shape(Tensor(t.dim, t.valence, x), anti=True)
+    if not cyclic_sum(Tensor(t.dim, _COV3, x)).is_zero():
         type_set = decompose_torsion(t).type_set
         outside = [label for label in ("T3", "T4") if label in type_set]
         raise ValueError(
             f"no symmetric solution: torsion has nonzero {'+'.join(outside)} part")
-    s = Tensor.build(t.dim, (COV, COV, COV),
-                     lambda x, y, z: (t[x, z, y] + t[y, z, x]) * _THIRD,
-                     space=_space_of(t))
-    if cotorsion_to_torsion(s.scale(-1)) != t:
+    # T(X,Z,Y) = -T(Z,X,Y) by the antisymmetry just checked
+    s = Tensor(t.dim, _COV3, [x[g] - x[h] for _, g, h in _cyclic_positions(t.dim)])
+    if cotorsion_to_torsion(s).comps != [-3 * v for v in x]:
         raise AssertionError("symplectification round trip failed")
-    return s
+    return _divided(t, s.comps, 3 * den)
 
 
 # -- dimension table ----------------------------------------------------------------

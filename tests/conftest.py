@@ -4,14 +4,18 @@ The oracles here deliberately avoid the library's own code paths: the
 contraction oracles are brute-force double sums written from the index
 definitions, the linear-solve oracle goes through sympy, and the
 derivation-action oracle is the whole-list construction that the lazy
-kernel replaced, with its own slot contraction.
+kernel replaced, with its own slot contraction, and the projector oracles
+are the Fraction projectors that the integer kernel replaced, written
+entry by entry from their formulas.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
+from fedosov.decomposition import DecompositionResult
 from fedosov.rationals import Polynomial, RationalFunction
 from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor
 
@@ -229,6 +233,103 @@ def old_derivation_action(endo, t: Tensor) -> Tensor:
         part = old_contract_slot(t, slot, on_con if kind == CON else on_cov)
         comps = [b if _zero(a) else a if _zero(b) else a + b for a, b in zip(comps, part)]
     return Tensor(t.dim, t.valence, comps, space=t.space)
+
+
+def coprime_denominators(count: int, bits: int) -> list[int]:
+    """`count` pairwise coprime ints of at least `bits` bits: the smallest
+    power of each of the first `count` primes that is that large."""
+    powers, primes = [], []
+    for c in itertools.count(2):
+        if len(primes) == count:
+            return powers
+        if all(c % p for p in primes if p * p <= c):
+            primes.append(c)
+            power = c
+            while power.bit_length() < bits:
+                power *= c
+            powers.append(power)
+
+
+# -- the Fraction projectors that the integer kernel replaced ------------------------
+
+def _old_omega(n: int, a: int, b: int) -> int:
+    """omega(e_a, e_b) for the standard form."""
+    return 1 if b == a + n else -1 if a == b + n else 0
+
+
+def _old_build(t: Tensor, fn) -> Tensor:
+    return Tensor.build(t.dim, (COV, COV, COV), fn, space=t.space)
+
+
+def _old_cyclic(t: Tensor) -> Tensor:
+    return _old_build(t, lambda x, y, z: t[x, y, z] + t[y, z, x] + t[z, x, y])
+
+
+def _old_require_shape(t: Tensor, anti: bool) -> None:
+    if t.valence != (COV, COV, COV):
+        raise ValueError("expected a (0,3)-tensor")
+    for x, y, z in t.indices():
+        if (t[x, y, z] + t[y, x, z] if anti else t[x, y, z] - t[y, x, z]) != 0:
+            raise ValueError(
+                f"tensor is not {'anti' if anti else ''}symmetric in slots (1,2); "
+                f"first violation at {(x + 1, y + 1, z + 1)}")
+
+
+def _old_result(parts: dict) -> DecompositionResult:
+    return DecompositionResult(parts=parts, type_set=frozenset(
+        label for label, part in parts.items() if not part.is_zero()))
+
+
+def old_decompose_cotorsion(t: Tensor) -> DecompositionResult:
+    """S3 = C(S)/3, S1 = (omega(Z,Y) u(X) + omega(Z,X) u(Y))/(2n+1) for
+    u = -s13(S), S2 = S - S1 - S3, all in Fraction arithmetic."""
+    _old_require_shape(t, anti=False)
+    n = t.dim // 2
+    u = [-v for v in oracle_s13(t)]
+    s1 = _old_build(t, lambda x, y, z: (_old_omega(n, z, y) * u[x] + _old_omega(n, z, x) * u[y])
+                    / (2 * n + 1))
+    cyc = _old_cyclic(t)
+    s3 = _old_build(t, lambda x, y, z: cyc[x, y, z] / 3)
+    return _old_result({"S1": s1, "S2": _old_build(t, lambda *i: t[i] - s1[i] - s3[i]),
+                        "S3": s3})
+
+
+def old_decompose_torsion(t: Tensor) -> DecompositionResult:
+    """alt = C(T)/3, T3 = omega ^ (c(alt)/(3(n-1))) with c the covector
+    contraction (0 at n = 1), T4 = alt - T3, R = T - alt, v = t12(R)/(2n+1),
+    T1 = 2 omega(X,Y) v(Z) + omega(X,Z) v(Y) - omega(Y,Z) v(X), T2 = R - T1."""
+    _old_require_shape(t, anti=True)
+    n = t.dim // 2
+    cyc = _old_cyclic(t)
+    alt = _old_build(t, lambda x, y, z: cyc[x, y, z] / 3)
+    if n == 1:
+        t3 = _old_build(t, lambda *i: Fraction(0))
+    else:
+        w = [sum((alt[i, i + n, z] + alt[z, i, i + n] + alt[i + n, z, i] for i in range(n)),
+                 Fraction(0)) / (3 * (n - 1)) for z in range(t.dim)]
+        t3 = _old_build(t, lambda x, y, z: _old_omega(n, x, y) * w[z]
+                        + _old_omega(n, y, z) * w[x] + _old_omega(n, z, x) * w[y])
+    rest = _old_build(t, lambda *i: t[i] - alt[i])
+    v = [c / (2 * n + 1) for c in oracle_t12(rest)]
+    t1 = _old_build(t, lambda x, y, z: 2 * _old_omega(n, x, y) * v[z]
+                    + _old_omega(n, x, z) * v[y] - _old_omega(n, y, z) * v[x])
+    return _old_result({"T1": t1, "T2": _old_build(t, lambda *i: rest[i] - t1[i]), "T3": t3,
+                        "T4": _old_build(t, lambda *i: alt[i] - t3[i])})
+
+
+def old_symplectify_torsion(t: Tensor) -> Tensor:
+    """S = (T(X,Z,Y) + T(Y,Z,X))/3 when C(T) = 0, checked by A(-S) = T;
+    otherwise ValueError naming the nonzero T3/T4 parts."""
+    _old_require_shape(t, anti=True)
+    if not _old_cyclic(t).is_zero():
+        type_set = old_decompose_torsion(t).type_set
+        outside = [label for label in ("T3", "T4") if label in type_set]
+        raise ValueError(
+            f"no symmetric solution: torsion has nonzero {'+'.join(outside)} part")
+    s = _old_build(t, lambda x, y, z: (t[x, z, y] + t[y, z, x]) / 3)
+    if _old_build(t, lambda x, y, z: s[x, z, y] - s[y, z, x]) != t:
+        raise AssertionError("symplectification round trip failed")
+    return s
 
 
 def sympy_solve_columns(columns: list[list[Fraction]], rhs: list[Fraction]):

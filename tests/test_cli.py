@@ -13,6 +13,8 @@ from fedosov.rationals import parse_ratfun
 from fedosov.symplectic import SymplecticSpace, tensor_from_json, tensor_to_json
 from fedosov.decomposition import build_basis, decompose_torsion
 
+from conftest import coprime_denominators
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -491,6 +493,29 @@ def test_tensor_at_the_size_limit_is_accepted(tmp_path, capsys):
                                            "components": {"1,7,2": "1", "7,1,2": "-1"}})
     code, out, err = run_cli(capsys, "classify", path, "--space", "torsion", "--n", "6")
     assert (code, err) == (0, "")
+
+
+def _coprime_denominator_tensor(n: int, anti: bool) -> dict:
+    """JSON tensor whose independent entries are 1/q, q pairwise coprime of 1000 bits or more."""
+    d = 2 * n
+    coords = [(i, j, k) for i in range(d) for j in range(i + anti, d) for k in range(d)]
+    components = {}
+    for (i, j, k), q in zip(coords, coprime_denominators(len(coords), 1000)):
+        components[f"{i + 1},{j + 1},{k + 1}"] = f"1/{q}"
+        components[f"{j + 1},{i + 1},{k + 1}"] = f"{'-' if anti else ''}1/{q}"
+    return {"n": n, "valence": ["cov", "cov", "cov"], "components": components}
+
+
+@pytest.mark.parametrize("space", ["cotorsion", "torsion"])
+def test_coprime_1000_bit_denominators_decompose_in_time(tmp_path, space):
+    # The common denominator has 795,466 (torsion) or 940,302 bits: scaling the
+    # entries by it puts every closing gcd on numbers that size, which took
+    # 113 s in-process for the cotorsion case (2-vCPU Xeon), far past the timeout.
+    path = write_json(tmp_path, "t.json", _coprime_denominator_tensor(6, space == "torsion"))
+    result = subprocess.run([sys.executable, "-m", "fedosov.cli", "decompose", path,
+                             "--space", space, "--n", "6"],
+                            capture_output=True, text=True, env=os.environ, timeout=30)
+    assert (result.returncode, result.stderr) == (0, "")
 
 
 MODEL_FILE = str(DATA / "models" / "example2_x1_y0.json")
