@@ -17,7 +17,8 @@ Index conventions (all 0-based in code, 1-based in files and witnesses):
 * The covariant differential adds its derivative slot FIRST:
   (nabla T)(X; ...) = (nabla_X T)(...).  `gradient(chart, t)` puts the
   coordinate partials d_i t in the same first slot.  `_partial` is the
-  only place in this module that differentiates.  The curvature's
+  only place in this module that differentiates, and it takes no
+  partial of a zero.  The curvature's
   d Gamma, the partial term of nabla, Lie brackets and derivatives, and
   the Hamiltonian checks read partials off the planes d_i t of
   `_partial_planes`; the closedness of omega, which needs single entries
@@ -48,7 +49,7 @@ from .rationals import Polynomial, RationalFunction, parse_ratfun
 from .reporting import Check, Report
 from .symplectic import (
     COV, CON, MAX_N, MAX_RANK, SymplecticSpace, Tensor, _contract_slot, _derivation_entries,
-    _first_nonzero, change_basis, insert_vector,
+    _first_nonzero, _support, change_basis, insert_vector,
 )
 
 
@@ -170,7 +171,7 @@ def verify_chart_structure(chart: Chart) -> Report:
 # -- basic chart calculus ----------------------------------------------------------
 
 def _partial(value: RationalFunction, coord: str) -> RationalFunction:
-    """d value / d coord.
+    """d value / d coord; a zero value is its own partial, d 0 = 0, and takes none.
 
     Not a kernel of its own: it is the single call site of
     `RationalFunction.partial` in this module, which
@@ -178,12 +179,12 @@ def _partial(value: RationalFunction, coord: str) -> RationalFunction:
     maps it over a plane, and `omega_is_closed` calls it per entry, since
     the three partials of one cyclic-sum entry lie in three planes.
     """
-    return value.partial(coord)
+    return value if value.is_zero() else value.partial(coord)
 
 
 def _partial_planes(chart: Chart, t: Tensor):
     """The planes d_i t of `gradient`, one coordinate i at a time; each plane
-    is an iterator that takes one partial per entry drawn."""
+    is an iterator that takes one partial per nonzero entry drawn."""
     for coord in chart.coords:
         yield map(_partial, t.comps, itertools.repeat(coord))
 
@@ -242,13 +243,17 @@ def _covariant_planes(chart: Chart, tensor: Tensor, structure: Tensor | None = N
     entries are never reduced, and this order keeps them smallest.  Each
     plane is a generator that forms one entry per draw, its Gamma_i . T
     term from `_derivation_entries` and its partial from `_partial_planes`,
-    so a reader that stops at an entry computes nothing after it.
+    so a reader that stops at an entry computes nothing after it.  The
+    support of T is found once and shared by the d planes: Gamma_i . T is
+    summed only where it reaches, and a zero component of T takes no
+    partial.
     """
     gamma = _gamma(chart, structure)
     d = chart.dim
+    support = _support(tensor)
     for i, partials in enumerate(_partial_planes(chart, tensor)):
         connection = _derivation_entries([[gamma[a][i][b] for b in range(d)]
-                                          for a in range(d)], tensor)
+                                          for a in range(d)], tensor, support)
         yield (p if is_zero_scalar(c) else c if p.is_zero() else c + p
                for c, p in zip(connection, partials))
 

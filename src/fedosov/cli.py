@@ -525,6 +525,12 @@ def main(argv=None) -> int:
     # Looked up when called, not bound into the shared parser, so that a
     # replaced `cmd_*` function (a test double, a profiler) is the one run.
     command = globals()["cmd_" + args.command.replace("-", "_")]
+    # Exact answers can have numerators and denominators longer than the
+    # 4300 digits Python converts to text by default, so that limit is
+    # lifted for this run.  Older Pythons have no such limit.
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return command(args)
     except (InputError, ParseError) as err:
@@ -533,6 +539,9 @@ def main(argv=None) -> int:
     except Exception as err:  # a fault of the program, never "a check failed"
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 3
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

@@ -25,10 +25,19 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from .rationals import RationalFunction
+
 _CERT_PRIME = (1 << 61) - 1  # Mersenne prime
 
 
 def is_zero_scalar(x) -> bool:
+    # Exact types first: `isinstance(x, Fraction)` goes through the ABC
+    # machinery, which a `RationalFunction` would pay on every call.
+    cls = type(x)
+    if cls is Fraction or cls is int:
+        return not x
+    if cls is RationalFunction:
+        return x.is_zero()
     if isinstance(x, (int, Fraction)):
         return x == 0
     return x.is_zero()

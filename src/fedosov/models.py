@@ -36,8 +36,8 @@ from .linalg import is_zero_scalar
 from .reporting import Check, Report
 from .symplectic import (
     COV, CON, SymplecticSpace, Tensor, _derivation_entries, _first_nonzero, _half_dimension,
-    _is_int, change_basis, first_symplectic_defect, insert_vector, parse_fraction, tensor_from_json,
-    tensor_to_json,
+    _is_int, _support, change_basis, first_symplectic_defect, insert_vector, parse_fraction,
+    tensor_from_json, tensor_to_json,
 )
 
 
@@ -90,12 +90,20 @@ def trivial_model(n: int) -> InfinitesimalModel:
 
 def derivation_action(endo, t: Tensor) -> Tensor:
     """Action of an endomorphism (matrix, output index first) on a tensor."""
-    return Tensor(t.dim, t.valence, list(_derivation_entries(endo, t)), space=t.space)
+    return Tensor(t.dim, t.valence, list(_derivation_entries(endo, t, _support(t))),
+                  space=t.space)
 
 
-def _derivation_first_nonzero(endo, t: Tensor):
-    """`derivation_action(endo, t).first_nonzero()`, computing no entry after it."""
-    return _first_nonzero(t.dim, len(t.valence), _derivation_entries(endo, t))
+def _derivation_first_nonzero(endo, t: Tensor, support):
+    """`derivation_action(endo, t).first_nonzero()` for `support = _support(t)`,
+    computing no entry after it."""
+    return _first_nonzero(t.dim, len(t.valence), _derivation_entries(endo, t, support))
+
+
+def _targets(model: InfinitesimalModel) -> list[tuple[Tensor, tuple[int, ...]]]:
+    """(tensor, support) for the curvature, the torsion and each aux tensor:
+    the data every stabilizer element must annihilate."""
+    return [(t, _support(t)) for t in (model.curvature, model.torsion, *model.aux)]
 
 
 def curvature_endomorphism(r: Tensor, i: int, j: int) -> list[list]:
@@ -124,8 +132,9 @@ def check_model_axioms(model: InfinitesimalModel) -> Report:
              for i in range(d) for j in range(i + 1, d)}
 
     def derivation_check(name: str, target: Tensor):
+        support = _support(target)
         for (i, j), endo in endos.items():
-            hit = _derivation_first_nonzero(endo, target)
+            hit = _derivation_first_nonzero(endo, target, support)
             if hit is not None:
                 checks.append(Check(name, False,
                                     f"R(e{i + 1},e{j + 1}) acting at "
@@ -136,6 +145,13 @@ def check_model_axioms(model: InfinitesimalModel) -> Report:
     derivation_check("curvature_derivation_on_torsion", t)
     derivation_check("curvature_derivation_on_curvature", r)
 
+    # The Bianchi sums read the components by flat offset and run over the
+    # nonzero T_{e_x e_y} e_m only, listed once per (x, y).  The entries are
+    # Fractions, so each sum is exact in any order.
+    rc, tc = r.comps, t.comps
+    t_rows = [[(m * d * d, tc[xy * d + m]) for m in range(d) if tc[xy * d + m] != 0]
+              for xy in range(d * d)]
+
     # first Bianchi with torsion: cyclic(R_XY Z + T_{T_X Y} Z) = 0.
     # Given the two antisymmetry axioms the cyclic sum is an alternating
     # trilinear form, so unordered index triples cover all cases.
@@ -144,10 +160,9 @@ def check_model_axioms(model: InfinitesimalModel) -> Report:
         for l in range(d):
             total = Fraction(0)
             for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                total += r[x, y, z, l]
-                for m in range(d):
-                    if t[x, y, m] != 0:
-                        total += t[x, y, m] * t[m, z, l]
+                total += rc[((x * d + y) * d + z) * d + l]
+                for m_offset, value in t_rows[x * d + y]:
+                    total += value * tc[m_offset + z * d + l]
             if total != 0:
                 first_bad = (i, j, k, l)
                 break
@@ -163,9 +178,8 @@ def check_model_axioms(model: InfinitesimalModel) -> Report:
             for l in range(d):
                 total = Fraction(0)
                 for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m in range(d):
-                        if t[x, y, m] != 0:
-                            total += t[x, y, m] * r[m, z, w, l]
+                    for m_offset, value in t_rows[x * d + y]:
+                        total += value * rc[(m_offset + z * d + w) * d + l]
                 if total != 0:
                     second_bad = (i, j, k, w, l)
                     break
@@ -325,9 +339,9 @@ def model_stabilizer_algebra(model: InfinitesimalModel) -> list[list[list[Fracti
     model data through `derivation_action`.
     """
     d = model.space.dim
-    targets = [model.curvature, model.torsion, *model.aux]
+    targets = _targets(model)
     span = linalg.Echelon()
-    rows = [row for row in _stabilizer_rows(targets) if span.add(row)]
+    rows = [row for row in _stabilizer_rows([t for t, _ in targets]) if span.add(row)]
     basis = []
     for vec in linalg.nullspace(rows, ncols=d * d):
         endo = [vec[a * d:(a + 1) * d] for a in range(d)]
@@ -338,7 +352,8 @@ def model_stabilizer_algebra(model: InfinitesimalModel) -> list[list[list[Fracti
 
 
 def _annihilates(endo, targets) -> bool:
-    return all(_derivation_first_nonzero(endo, t) is None for t in targets)
+    """Whether endo annihilates every tensor of the (t, support) pairs of `_targets`."""
+    return all(_derivation_first_nonzero(endo, t, support) is None for t, support in targets)
 
 
 @dataclass(frozen=True)
@@ -528,7 +543,7 @@ def transvection_algebra(model: InfinitesimalModel) -> LieAlgebraPresentation:
     element of h0' must annihilate all model data.
     """
     h0p = transvection_subalgebra(model)
-    targets = [model.curvature, model.torsion, *model.aux]
+    targets = _targets(model)
     if not all(_annihilates(endo, targets) for endo in h0p):
         raise ModelError("transvection algebra is not contained in the stabilizer")
     return _algebra_from_parts(model, h0p, "h0")

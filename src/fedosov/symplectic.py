@@ -28,9 +28,11 @@ Conventions fixed here and used everywhere else:
   one such contraction per slot; `_derivation_entries` forms that sum
   one entry at a time, each slot's part summed by the same `_column_sum`,
   so a check that stops at a nonzero entry computes nothing after it.
+  It sums only the entries that the support of its input (`_support`,
+  the nonzero positions) reaches, since model and chart data are sparse.
 
-Tensors are dense: at n = 4 a (0,3)-tensor has 512 entries, so sparsity
-machinery would be unjustified.  Components may be `Fraction` (constant
+Tensors are stored dense: at n = 4 a (0,3)-tensor has 512 entries, so a
+sparse format would be unjustified.  Components may be `Fraction` (constant
 tensors) or `RationalFunction` (coordinate fields); all operations are pure
 and instances are treated as immutable once built.
 """
@@ -168,7 +170,7 @@ class Tensor:
             return NotImplemented
         if self.dim != other.dim or self.valence != other.valence:
             return False
-        return all(is_zero_scalar(a - b) for a, b in zip(self.comps, other.comps))
+        return all(a == b for a, b in zip(self.comps, other.comps))
 
     __hash__ = None
 
@@ -191,9 +193,7 @@ class Tensor:
         """First multi-index, in `indices()` order, where swapping slots a, b fails."""
         comps = self.comps
         for flat, other in _swap_pairs(self.dim, len(self.valence), a, b, anti):
-            value = comps[flat]
-            bad = value + comps[other] if anti else value - comps[other]
-            if not is_zero_scalar(bad):
+            if comps[flat] != (-comps[other] if anti else comps[other]):
                 return _unflat(self.dim, len(self.valence), flat)
         return None
 
@@ -311,31 +311,59 @@ def _column_sum(comps: list, base: int, column: list, zero):
     return zero if total is None else total
 
 
-def _derivation_entries(endo: Sequence[Sequence], t: Tensor):
+def _support(t: Tensor) -> tuple[int, ...]:
+    """The flat positions of t's nonzero entries, increasing.
+
+    Computed once per tensor by the callers of `_derivation_entries` and
+    shared by every endomorphism acting on it.
+    """
+    return tuple(flat for flat, value in enumerate(t.comps) if not is_zero_scalar(value))
+
+
+def _derivation_entries(endo: Sequence[Sequence], t: Tensor, support: Sequence[int]):
     """The entries of the derivation action of `endo` on t, one per draw, in flat order.
 
-    `endo` is a matrix with the output index first.  Entry j sums, in
-    valence order, one part per slot: what `_contract_slot` gives at j
-    with endo^T on a contravariant slot and -endo on a covariant one,
-    summed the same way.  The parts are merged from Fraction(0), skipping
-    zero ones.  Nothing after the drawn entry is computed.  A zero t
-    yields its own entries without that work: `nomizu` on a zero n = 4
-    model re-checks 64 stabilizer elements against it.
+    `endo` is a matrix with the output index first, and `support` is
+    `_support(t)`.  Entry j sums, in valence order, one part per slot:
+    what `_contract_slot` gives at j with endo^T on a contravariant slot
+    and -endo on a covariant one, summed the same way.  The parts are
+    merged from Fraction(0), skipping zero ones.  Only the entries that
+    some nonzero entry of t meets through a nonzero entry of endo are
+    summed; every other entry is the zero of t's scalar type, which is
+    what the sum would give.  Nothing after the drawn entry is computed.
+    A zero t yields its own entries: `nomizu` on a zero n = 4 model
+    re-checks 64 stabilizer elements against it.
     """
     comps = t.comps
-    if t.is_zero():
+    if not support:
         yield from comps
         return
     d, rank = t.dim, len(t.valence)
-    zero = _scalar_zero(t)
     on_con = linalg.transpose(endo)
     on_cov = [[-x for x in row] for row in endo]
     slots = []
+    reached = bytearray(len(comps))
     for slot, kind in enumerate(t.valence):
         stride = d ** (rank - 1 - slot)
-        slots.append((stride, _columns(on_con if kind == CON else on_cov, stride)))
+        columns = _columns(on_con if kind == CON else on_cov, stride)
+        slots.append((stride, columns))
+        # feeds[l]: the output offsets a * stride that slot value l contributes to
+        feeds = [[] for _ in range(d)]
+        for a, column in enumerate(columns):
+            for offset, _ in column:
+                feeds[offset // stride].append(a * stride)
+        for flat in support:
+            l = flat // stride % d
+            base = flat - l * stride
+            for offset in feeds[l]:
+                reached[base + offset] = 1
     start = Fraction(0)
+    # An entry no slot reaches is the last slot's empty part, or `start` for rank 0.
+    zero = _scalar_zero(t) if slots else start
     for flat in range(len(comps)):
+        if not reached[flat]:
+            yield zero
+            continue
         total = start
         for stride, columns in slots:
             a = flat // stride % d

@@ -4,9 +4,11 @@ The oracles here deliberately avoid the library's own code paths: the
 contraction oracles are brute-force double sums written from the index
 definitions, the linear-solve oracle goes through sympy, and the
 derivation-action oracle is the whole-list construction that the lazy
-kernel replaced, with its own slot contraction, and the projector oracles
+kernel replaced, with its own slot contraction, the projector oracles
 are the Fraction projectors that the integer kernel replaced, written
-entry by entry from their formulas.
+entry by entry from their formulas, and the symmetry and Bianchi oracles
+are the subtract-then-test and `Tensor.__getitem__` loops that the model
+checks replaced.
 """
 
 from __future__ import annotations
@@ -233,6 +235,57 @@ def old_derivation_action(endo, t: Tensor) -> Tensor:
         part = old_contract_slot(t, slot, on_con if kind == CON else on_cov)
         comps = [b if _zero(a) else a if _zero(b) else a + b for a, b in zip(comps, part)]
     return Tensor(t.dim, t.valence, comps, space=t.space)
+
+
+def old_symmetry_violation(t: Tensor, a: int, b: int, anti: bool):
+    """First multi-index, in `indices()` order, where t[idx] -/+ t[idx with
+    slots a, b swapped] is nonzero, found by subtracting (adding) and testing."""
+    for idx in t.indices():
+        swapped = list(idx)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        other = t[tuple(swapped)]
+        if not _zero(t[idx] + other if anti else t[idx] - other):
+            return idx
+    return None
+
+
+def old_bianchi(model) -> tuple[tuple | None, tuple | None]:
+    """The first failing (i, j, k, l) of the first Bianchi identity and
+    (i, j, k, w, l) of the second, or None: the loops `check_model_axioms`
+    ran before it read flat offsets, every m read through `Tensor.__getitem__`."""
+    d = model.space.dim
+    r, t = model.curvature, model.torsion
+    first_bad = None
+    for i, j, k in itertools.combinations_with_replacement(range(d), 3):
+        for l in range(d):
+            total = Fraction(0)
+            for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
+                total += r[x, y, z, l]
+                for m in range(d):
+                    if t[x, y, m] != 0:
+                        total += t[x, y, m] * t[m, z, l]
+            if total != 0:
+                first_bad = (i, j, k, l)
+                break
+        if first_bad:
+            break
+    second_bad = None
+    for i, j, k in itertools.combinations_with_replacement(range(d), 3):
+        for w in range(d):
+            for l in range(d):
+                total = Fraction(0)
+                for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m in range(d):
+                        if t[x, y, m] != 0:
+                            total += t[x, y, m] * r[m, z, w, l]
+                if total != 0:
+                    second_bad = (i, j, k, w, l)
+                    break
+            if second_bad:
+                break
+        if second_bad:
+            break
+    return first_bad, second_bad
 
 
 def coprime_denominators(count: int, bits: int) -> list[int]:

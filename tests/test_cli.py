@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from fedosov import charts
+from fedosov import charts, cli
 from fedosov.cli import main
 from fedosov.rationals import parse_ratfun
 from fedosov.symplectic import SymplecticSpace, tensor_from_json, tensor_to_json
@@ -518,7 +518,66 @@ def test_coprime_1000_bit_denominators_decompose_in_time(tmp_path, space):
     assert (result.returncode, result.stderr) == (0, "")
 
 
-MODEL_FILE = str(DATA / "models" / "example2_x1_y0.json")
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                       reason="this Python has no int/str digit limit")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_coprime_1000_bit_torsion_parts_print_and_round_trip(tmp_path, fmt):
+    # Some parts have numerators or denominators of more than 4300 digits,
+    # Python's default limit on converting an int to text.
+    data = _coprime_denominator_tensor(6, anti=True)
+    path = write_json(tmp_path, "t.json", data)
+    flags = ["--json"] if fmt == "json" else []
+    result = subprocess.run([sys.executable, "-m", "fedosov.cli", *flags, "decompose", path,
+                             "--space", "torsion", "--n", "6", "--parts"],
+                            capture_output=True, text=True, env=os.environ, timeout=30)
+    assert (result.returncode, result.stderr) == (0, "")
+    if fmt == "json":
+        parts = json.loads(result.stdout)["artifacts"]["parts"]
+    else:
+        prefix = "artifact parts: "
+        line = next(line for line in result.stdout.splitlines() if line.startswith(prefix))
+        parts = json.loads(line[len(prefix):])
+    assert sorted(parts) == ["T1", "T2", "T3", "T4"]
+    assert max(len(text) for part in parts.values() for text in part["components"].values()) > 4300
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        tensors = [tensor_from_json(part) for part in parts.values()]
+        total = tensors[0]
+        for t in tensors[1:]:
+            total = total + t
+        assert total == tensor_from_json(data)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("command, code", [("dims", 0), ("decompose", 2)])
+def test_main_restores_the_digit_limit(tmp_path, monkeypatch, capsys, command, code):
+    argv = (["dims", "--n-max", "1"] if command == "dims"
+            else ["decompose", str(tmp_path / "missing.json"), "--space", "torsion", "--n", "1"])
+    seen = []
+    dims = cli.cmd_dims
+
+    def watching(args):
+        seen.append(sys.get_int_max_str_digits())
+        return dims(args)
+
+    monkeypatch.setattr(cli, "cmd_dims", watching)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert run_cli(capsys, *argv)[0] == code
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert seen == ([0] if command == "dims" else [])
+
+
+MODEL_FILE =str(DATA / "models" / "example2_x1_y0.json")
 REUSE_SEQUENCES = {
     "json-then-text": [["--json", "dims", "--n-max", "1"], ["dims", "--n-max", "1"]],
     "rejected-then-valid": [["decompose", "--n", "1"], ["--json", "examples"],

@@ -298,7 +298,8 @@ def test_failing_covariant_checks_draw_one_plane(tmp_path, monkeypatch, capsys):
             drawn[slot] += 1
             yield plane
 
-    # Entries formed: one partial and one derivation entry per entry drawn.
+    # Entries formed: one derivation entry per entry drawn, and one partial
+    # per drawn entry whose component of T is nonzero (d_i 0 = 0).
     formed = {"partials": 0, "entries": 0}
     partial = RationalFunction.partial
     kernel = charts._derivation_entries
@@ -320,8 +321,9 @@ def test_failing_covariant_checks_draw_one_plane(tmp_path, monkeypatch, capsys):
         hit = nabla(chart, t, structure)
         plane = len(t.comps)
         witness = chart.dim * plane - 1 if hit is None else flat_index(chart.dim, hit[0])
+        nonzero = sum(not is_zero_scalar(t.comps[flat % plane]) for flat in range(witness + 1))
         streams.append((formed["partials"] - before["partials"],
-                        formed["entries"] - before["entries"], witness + 1, plane))
+                        formed["entries"] - before["entries"], witness + 1, nonzero, plane))
         return hit
 
     monkeypatch.setattr(charts, "_covariant_planes", counted)
@@ -336,8 +338,11 @@ def test_failing_covariant_checks_draw_one_plane(tmp_path, monkeypatch, capsys):
     # The last stream is the full nabla xi that the linear-form and
     # geodesic checks read entry by entry.
     assert drawn == expected + [chart.dim]
-    # Each check forms exactly the entries up to its witness, and no more;
-    # some witness lies inside a plane, so forming whole planes would show.
+    # Each check forms exactly the entries up to its witness, and no more,
+    # and differentiates only the nonzero components among them; some
+    # witness lies inside a plane, so forming whole planes would show, and
+    # some drawn component is zero, so differentiating it would show.
     assert len(streams) == len(COVARIANT_CHECKS)
-    assert [(p, e) for p, e, _, _ in streams] == [(n, n) for _, _, n, _ in streams]
-    assert any(n % plane for _, _, n, plane in streams)
+    assert [(p, e) for p, e, *_ in streams] == [(nz, n) for _, _, n, nz, _ in streams]
+    assert any(n % plane for _, _, n, _, plane in streams)
+    assert any(nz < n for _, _, n, nz, _ in streams)
