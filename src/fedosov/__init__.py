@@ -21,9 +21,9 @@ from .decomposition import (
     DecompositionResult, SubmoduleBasis,
     ambient_dimension, build_basis, class_predicate, closed_form_dimension,
     cotorsion_to_torsion, covector_contraction, covector_to_cotorsion,
-    cyclic_symmetrization, decompose_cotorsion, decompose_torsion,
+    decompose_cotorsion, decompose_torsion,
     dimension_table, expected_dimension, omega_wedge, omega_wedge_section_scale,
-    submodule_dimension, symplectify_torsion, threeform_part,
+    submodule_dimension, symplectify_torsion,
 )
 from .models import (
     BianchiType, InfinitesimalModel, LieAlgebraPresentation, ModelError,

@@ -46,10 +46,10 @@ from . import linalg
 from .linalg import is_zero_scalar
 from .models import InfinitesimalModel, standard_omega_tensor
 from .rationals import Polynomial, RationalFunction, parse_ratfun
-from .reporting import Check, Report
+from .reporting import Check, Report, index_witness
 from .symplectic import (
     COV, CON, MAX_N, MAX_RANK, SymplecticSpace, Tensor, _contract_slot, _derivation_entries,
-    _first_nonzero, _support, change_basis, insert_vector,
+    _first_nonzero, _support, change_basis, insert_vector, tensor_to_json,
 )
 
 
@@ -163,7 +163,7 @@ def verify_chart_structure(chart: Chart) -> Report:
         kernel_witness = f"omega(v, .) = 0 for v = ({', '.join(str(x) for x in kernel)})"
     return Report(title="chart structure", checks=[
         Check("omega_closed", closed,
-              None if closed else f"cyclic partial sum nonzero at {_w(bad)}"),
+              None if closed else f"cyclic partial sum nonzero at {index_witness(bad)}"),
         Check("omega_nondegenerate", nondegenerate, kernel_witness),
     ])
 
@@ -346,10 +346,6 @@ def xi_perp_field(chart: Chart, xi: Tensor) -> Tensor:
 
 # -- verification suites ----------------------------------------------------------------
 
-def _w(idx) -> str:
-    return "(" + ",".join(str(i + 1) for i in idx) + ")"
-
-
 def _zero_check(name: str, hit: tuple | None) -> Check:
     """A check that a field vanishes, from its first nonzero component.
 
@@ -360,7 +356,7 @@ def _zero_check(name: str, hit: tuple | None) -> Check:
     one.
     """
     return Check(name, hit is None,
-                 None if hit is None else f"component {_w(hit[0])} = {hit[1]}")
+                 None if hit is None else f"component {index_witness(hit[0])} = {hit[1]}")
 
 
 def _lazy_first_nonzero(d: int, rank: int, entry) -> tuple | None:
@@ -826,6 +822,14 @@ def chart_from_json(data: dict) -> Chart:
                       excluded_locus=data.get("excluded_locus", ""))
 
 
+def field_to_json(t: Tensor) -> dict:
+    """A chart field in the `tensor_to_json` form, without the `n` that the
+    chart's coordinates already fix."""
+    data = tensor_to_json(t)
+    del data["n"]
+    return data
+
+
 def chart_to_json(chart: Chart) -> dict:
     d = chart.dim
     omega = {}
@@ -839,14 +843,7 @@ def chart_to_json(chart: Chart) -> dict:
             for j in range(d):
                 if not chart.christoffel[k][i][j].is_zero():
                     christoffel[f"{k + 1},{i + 1},{j + 1}"] = str(chart.christoffel[k][i][j])
-    fields = {}
-    for name, tensor in chart.fields.items():
-        comps = {}
-        for idx in tensor.indices():
-            value = tensor[idx]
-            if not value.is_zero():
-                comps[",".join(str(i + 1) for i in idx)] = str(value)
-        fields[name] = {"valence": list(tensor.valence), "components": comps}
+    fields = {name: field_to_json(tensor) for name, tensor in chart.fields.items()}
     out = {"coords": list(chart.coords), "omega": omega, "christoffel": christoffel}
     if fields:
         out["fields"] = fields
@@ -877,15 +874,13 @@ def load_example(which: int | str) -> Chart:
 
     `load_example(1)` is the half-plane chart exactly as printed (whose
     signs fail the torsion-free and parallel-omega checks);
-    `load_example("example1-emended")` re-runs the exhaustive sign search
-    and returns the unique repaired variant.  `load_example(2)` needs no
-    emendation.
+    `load_example("example1-emended")` is the unique repaired variant that
+    `emend_chart_signs(load_example(1))` finds, as shipped.
+    `load_example(2)` needs no emendation.
     """
     key = {1: "example1", 2: "example2"}.get(which, which)
     if key not in EXAMPLE_FILES:
         raise ValueError(f"unknown example {which!r}")
-    if key == "example1-emended":
-        return emend_chart_signs(load_example(1))
     return chart_from_json(_load_fixture(EXAMPLE_FILES[key]))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -30,18 +31,47 @@ class InputError(Exception):
     """Anything wrong with the command inputs (exit code 2)."""
 
 
+# Python converts text to int in time quadratic in the digit count, and
+# the limit it sets on that (4300 digits) is lifted while a command runs,
+# so every number read is bounded here before anything converts it.
+MAX_DIGITS = 4300
+# a run of digits, with the single underscores `Fraction` accepts between them
+_LONG_NUMBER = re.compile(rf"(?<![\d_])\d(?:_?\d){{{MAX_DIGITS}}}")
+
+
+def _bound_digits(text: str, where: str) -> str:
+    if _LONG_NUMBER.search(text):
+        raise InputError(f"{where}: a number has more than {MAX_DIGITS} digits")
+    return text
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            text = handle.read()
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise InputError(f"{path}: not UTF-8 text: {err.reason} at byte {err.start}") from None
+    try:
+        data = json.loads(_bound_digits(text, path))
     except json.JSONDecodeError as err:
         raise InputError(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}") from None
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object at the top level, "
                          f"got {type(data).__name__}")
     return data
+
+
+def _read(path: str, parse):
+    """`parse` applied to the JSON object in the file at `path`: the only way
+    a file argument becomes an object.  A `ValueError` or `KeyError` from
+    `parse` is malformed input, reported after the path."""
+    data = _load_json(path)
+    try:
+        return parse(data)
+    except (ValueError, KeyError) as err:
+        raise InputError(f"{path}: {err}") from None
 
 
 def _emit(args, command: str, report: Report, artifacts: dict | None = None) -> int:
@@ -58,7 +88,7 @@ def _emit(args, command: str, report: Report, artifacts: dict | None = None) -> 
 
 def _parse_point(text: str) -> dict[str, Fraction]:
     point = {}
-    for piece in text.split(","):
+    for piece in _bound_digits(text, "--at").split(","):
         piece = piece.strip()
         if not piece:
             continue
@@ -79,11 +109,7 @@ def _load_tensor_arg(path: str, n: int, space_kind: str) -> Tensor:
         raise InputError(f"--n must be >= 1, got {n}")
     if n > MAX_N:
         raise InputError(f"--n must be at most {MAX_N}, got {n}")
-    data = _load_json(path)
-    try:
-        tensor = tensor_from_json(data)
-    except (ValueError, KeyError) as err:
-        raise InputError(f"{path}: {err}") from None
+    tensor = _read(path, tensor_from_json)
     if tensor.dim != 2 * n:
         raise InputError(
             f"{path}: tensor declares n={tensor.dim // 2} but --n is {n}")
@@ -101,36 +127,33 @@ def _load_tensor_arg(path: str, n: int, space_kind: str) -> Tensor:
 
 
 def _chart_from_args(args) -> ch.Chart:
-    name = getattr(args, "chart", None)
-    if name in ch.EXAMPLE_FILES:
-        return ch.load_example(name)
-    data = _load_json(name)
-    try:
-        return ch.chart_from_json(data)
-    except ch.ChartFormatError as err:
-        raise InputError(f"{name}: {err}") from None
+    if args.chart in ch.EXAMPLE_FILES:
+        return ch.load_example(args.chart)
+    return _read(args.chart, ch.chart_from_json)
 
 
-def _structure_for_chart(chart: ch.Chart, args) -> Tensor:
-    structure_name = getattr(args, "structure", None)
-    xi_name = getattr(args, "xi", None)
-    if structure_name:
-        try:
-            tensor = chart.field_tensor(structure_name)
-        except KeyError as err:
-            raise InputError(str(err)) from None
-        if tensor.valence != (COV, COV, CON):
-            raise InputError(f"field {structure_name!r} is not a (1,2) tensor field")
-        return tensor
-    name = xi_name or "xi"
+def _xi(chart: ch.Chart, args) -> Tensor:
+    """The vector field that `--xi` names, `xi` by default."""
+    name = args.xi or "xi"
     try:
         xi = chart.field_tensor(name)
     except KeyError:
-        raise InputError(
-            f"chart has no vector field {name!r}; pass --xi or --structure") from None
+        raise InputError(f"chart has no vector field {name!r}; name one with --xi") from None
     if xi.valence != (CON,):
         raise InputError(f"field {name!r} is not a vector field")
-    return ch.linear_type_structure(chart, xi)
+    return xi
+
+
+def _structure_for_chart(chart: ch.Chart, args) -> Tensor:
+    if not args.structure:
+        return ch.linear_type_structure(chart, _xi(chart, args))
+    try:
+        tensor = chart.field_tensor(args.structure)
+    except KeyError as err:
+        raise InputError(str(err)) from None
+    if tensor.valence != (COV, COV, CON):
+        raise InputError(f"field {args.structure!r} is not a (1,2) tensor field")
+    return tensor
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -215,21 +238,12 @@ def cmd_symplectify(args) -> int:
 
 
 def cmd_check_model(args) -> int:
-    data = _load_json(args.model)
-    try:
-        model = mo.model_from_json(data)
-    except (ValueError, KeyError) as err:
-        raise InputError(f"{args.model}: {err}") from None
+    model = _read(args.model, mo.model_from_json)
     return _emit(args, "check-model", mo.check_model_axioms(model))
 
 
 def cmd_nomizu(args) -> int:
-    data = _load_json(args.model)
-    try:
-        model = mo.model_from_json(data)
-        algebra = mo.nomizu_algebra(model)
-    except (ValueError, KeyError) as err:
-        raise InputError(f"{args.model}: {err}") from None
+    algebra = _read(args.model, lambda data: mo.nomizu_algebra(mo.model_from_json(data)))
     h0 = algebra.subspaces.get("h0", ())
     report = Report(title="Nomizu construction", checks=[
         Check("jacobi_identity", True, None),
@@ -240,12 +254,7 @@ def cmd_nomizu(args) -> int:
 
 
 def cmd_transvection(args) -> int:
-    data = _load_json(args.model)
-    try:
-        model = mo.model_from_json(data)
-        algebra = mo.transvection_algebra(model)
-    except (ValueError, KeyError) as err:
-        raise InputError(f"{args.model}: {err}") from None
+    algebra = _read(args.model, lambda data: mo.transvection_algebra(mo.model_from_json(data)))
     h0p = algebra.subspaces.get("h0", ())
     report = Report(title="transvection construction", checks=[
         Check("jacobi_identity", True, None),
@@ -256,16 +265,16 @@ def cmd_transvection(args) -> int:
                  {"presentation": mo.presentation_to_json(algebra)})
 
 
-def cmd_bianchi(args) -> int:
-    data = _load_json(args.algebra)
+def _three_dimensional_presentation(data: dict) -> mo.LieAlgebraPresentation:
     # Reject a wrong dimension before building dim^3 constants and the Jacobi scan.
     dim = data.get("dim")
     if isinstance(dim, int) and dim != 3:
         raise InputError("Bianchi classification needs a 3-dimensional algebra")
-    try:
-        algebra = mo.presentation_from_json(data)
-    except (ValueError, KeyError) as err:
-        raise InputError(f"{args.algebra}: {err}") from None
+    return mo.presentation_from_json(data)
+
+
+def cmd_bianchi(args) -> int:
+    algebra = _read(args.algebra, _three_dimensional_presentation)
     try:
         result = mo.bianchi_classify(algebra)
     except ValueError as err:
@@ -293,11 +302,7 @@ def cmd_verify_chart(args) -> int:
     if args.suite in ("as", "all"):
         report.checks.extend(ch.parallelism_checks(chart, structure, base_curvature=base_r))
     if args.suite in ("linear-type", "all"):
-        xi_name = args.xi or "xi"
-        try:
-            xi = chart.field_tensor(xi_name)
-        except KeyError:
-            raise InputError(f"linear-type suite needs the vector field {xi_name!r}") from None
+        xi = _xi(chart, args)
         try:
             report.checks.extend(ch.linear_type_checks(chart, xi, base_curvature=base_r))
         except ValueError as err:
@@ -306,7 +311,8 @@ def cmd_verify_chart(args) -> int:
         if args.hamiltonian:
             from .rationals import parse_ratfun
             try:
-                candidate = parse_ratfun(args.hamiltonian, chart.coords)
+                candidate = parse_ratfun(_bound_digits(args.hamiltonian, "--hamiltonian"),
+                                         chart.coords)
             except ParseError as err:
                 raise InputError(f"--hamiltonian: {err}") from None
         ham = ch.hamiltonian_oneform(chart, xi, candidate=candidate)
@@ -324,12 +330,7 @@ def cmd_verify_chart(args) -> int:
 
 def cmd_linear_type(args) -> int:
     chart = _chart_from_args(args)
-    xi_name = args.xi or "xi"
-    try:
-        xi = chart.field_tensor(xi_name)
-    except KeyError as err:
-        raise InputError(str(err)) from None
-    structure = ch.linear_type_structure(chart, xi)
+    structure = ch.linear_type_structure(chart, _xi(chart, args))
     lowered = cotorsion_lower(structure, omega=chart.omega)
     bad = lowered.first_symmetry_violation(0, 1, anti=False)
     witness = None
@@ -340,13 +341,7 @@ def cmd_linear_type(args) -> int:
     report = Report(title="linear-type structure", checks=[
         Check("lowered_form_symmetric", bad is None, witness),
     ])
-    comps = {}
-    for idx in structure.indices():
-        value = structure[idx]
-        if not value.is_zero():
-            comps[",".join(str(i + 1) for i in idx)] = str(value)
-    artifact = {"valence": list(structure.valence), "components": comps}
-    return _emit(args, "linear-type", report, {"structure_field": artifact})
+    return _emit(args, "linear-type", report, {"structure_field": ch.field_to_json(structure)})
 
 
 def cmd_obstruction(args) -> int:
@@ -356,9 +351,7 @@ def cmd_obstruction(args) -> int:
     try:
         s_point = ch.evaluate_tensor(structure, point)
         omega_p = ch.evaluate_matrix(chart.omega, point)
-    except PoleError as err:
-        raise InputError(str(err)) from None
-    except ValueError as err:
+    except (PoleError, ValueError) as err:
         raise InputError(str(err)) from None
     try:
         verdict = ch.metric_obstruction(s_point, omega_p)
@@ -388,9 +381,7 @@ def cmd_model_at_point(args) -> int:
     structure = _structure_for_chart(chart, args)
     try:
         model, basis = ch.model_at_point(chart, structure, point)
-    except PoleError as err:
-        raise InputError(str(err)) from None
-    except ValueError as err:
+    except (PoleError, ValueError) as err:
         raise InputError(str(err)) from None
     report = mo.check_model_axioms(model)
     artifacts = {

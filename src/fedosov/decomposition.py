@@ -481,16 +481,6 @@ def cotorsion_to_torsion(s: Tensor) -> Tensor:
                   space=s.space)
 
 
-def threeform_part(t: Tensor) -> Tensor:
-    """Full antisymmetrization of a torsion-like tensor (its wedge-cube image)."""
-    return cyclic_sum(t)
-
-
-def cyclic_symmetrization(s: Tensor) -> Tensor:
-    """Totally symmetric image of a cotorsion-like tensor (3x the projection)."""
-    return cyclic_sum(s)
-
-
 def covector_contraction(t: Tensor) -> list:
     """C(T)(Z) = sum_i (T(e_i,e_{i+n},Z) + T(Z,e_i,e_{i+n}) + T(e_{i+n},Z,e_i))."""
     if t.valence != (COV, COV, COV):

@@ -33,7 +33,7 @@ from math import isqrt
 
 from . import linalg
 from .linalg import is_zero_scalar
-from .reporting import Check, Report
+from .reporting import Check, Report, index_witness
 from .symplectic import (
     COV, CON, SymplecticSpace, Tensor, _derivation_entries, _first_nonzero, _half_dimension,
     _is_int, _support, change_basis, first_symplectic_defect, insert_vector, parse_fraction,
@@ -122,11 +122,11 @@ def check_model_axioms(model: InfinitesimalModel) -> Report:
 
     bad = t.first_symmetry_violation(0, 1, anti=True)
     checks.append(Check("torsion_antisymmetry", bad is None,
-                        None if bad is None else _idx_witness(bad)))
+                        None if bad is None else index_witness(bad)))
 
     bad = r.first_symmetry_violation(0, 1, anti=True)
     checks.append(Check("curvature_antisymmetry", bad is None,
-                        None if bad is None else _idx_witness(bad)))
+                        None if bad is None else index_witness(bad)))
 
     endos = {(i, j): curvature_endomorphism(r, i, j)
              for i in range(d) for j in range(i + 1, d)}
@@ -138,7 +138,7 @@ def check_model_axioms(model: InfinitesimalModel) -> Report:
             if hit is not None:
                 checks.append(Check(name, False,
                                     f"R(e{i + 1},e{j + 1}) acting at "
-                                    f"{_idx_witness(hit[0])} gives {hit[1]}"))
+                                    f"{index_witness(hit[0])} gives {hit[1]}"))
                 return
         checks.append(Check(name, True, None))
 
@@ -169,7 +169,7 @@ def check_model_axioms(model: InfinitesimalModel) -> Report:
         if first_bad:
             break
     checks.append(Check("first_bianchi", first_bad is None,
-                        None if first_bad is None else _idx_witness(first_bad)))
+                        None if first_bad is None else index_witness(first_bad)))
 
     # second Bianchi consequence: cyclic R_{T_X Y, Z} = 0 as endomorphisms
     second_bad = None
@@ -188,16 +188,12 @@ def check_model_axioms(model: InfinitesimalModel) -> Report:
         if second_bad:
             break
     checks.append(Check("second_bianchi", second_bad is None,
-                        None if second_bad is None else _idx_witness(second_bad)))
+                        None if second_bad is None else index_witness(second_bad)))
 
     for pos, aux in enumerate(model.aux):
         derivation_check(f"curvature_derivation_on_aux{pos + 1}", aux)
 
     return Report(title="infinitesimal model axioms", checks=checks)
-
-
-def _idx_witness(idx) -> str:
-    return "(" + ",".join(str(i + 1) for i in idx) + ")"
 
 
 # -- conversion between connection pictures ----------------------------------------
@@ -272,7 +268,7 @@ def verify_model_isomorphism(f: list[list], source: InfinitesimalModel,
         diff = (pushed - b).first_nonzero()
         checks.append(Check(name, diff is None,
                             None if diff is None else
-                            f"component {_idx_witness(diff[0])} differs by {diff[1]}"))
+                            f"component {index_witness(diff[0])} differs by {diff[1]}"))
 
     push_check("curvature_pushforward", source.curvature, target.curvature)
     push_check("torsion_pushforward", source.torsion, target.torsion)
@@ -286,7 +282,7 @@ def verify_model_isomorphism(f: list[list], source: InfinitesimalModel,
     defect = first_symplectic_defect(source.space, f)
     checks.append(Check("map_is_symplectic", defect is None,
                         None if defect is None else
-                        f"(f^T omega f - omega) at {_idx_witness(defect[0])} is {defect[1]}"))
+                        f"(f^T omega f - omega) at {index_witness(defect[0])} is {defect[1]}"))
     return Report(title="model isomorphism", checks=checks)
 
 

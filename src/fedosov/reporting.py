@@ -10,6 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+def index_witness(idx) -> str:
+    """A 0-based multi-index as the 1-based "(1,2,3)" that witnesses print."""
+    return "(" + ",".join(str(i + 1) for i in idx) + ")"
+
+
 @dataclass(frozen=True)
 class Check:
     name: str

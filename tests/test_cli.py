@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import pathlib
@@ -287,6 +288,28 @@ def test_verify_chart_unknown_field_is_input_error(capsys):
     assert code == 2
 
 
+HAMILTONIAN_2D = str(pathlib.Path(__file__).parent / "data" / "charts" / "hamiltonian_2d.json")
+NO_XI = "chart has no vector field 'nope'; name one with --xi"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # `S` is the chart's (1,2) field: it used to reach `linear_type_structure`
+    # unchecked and exit 3
+    (["linear-type", HAMILTONIAN_2D, "--xi", "S"], "field 'S' is not a vector field"),
+    (["verify-chart", HAMILTONIAN_2D, "--suite", "linear-type", "--xi", "S"],
+     "field 'S' is not a vector field"),
+    (["linear-type", "example2", "--xi", "nope"], NO_XI),
+    (["verify-chart", "example2", "--suite", "linear-type", "--xi", "nope"], NO_XI),
+    (["verify-chart", HAMILTONIAN_2D, "--suite", "linear-type", "--structure", "S",
+      "--xi", "nope"], NO_XI),
+    (["obstruction", "example2", "--at", "x=1,y=0", "--xi", "nope"], NO_XI),
+], ids=["linear-type-tensor", "verify-chart-tensor", "linear-type-missing",
+        "verify-chart-missing", "verify-chart-structure-missing", "obstruction-missing"])
+def test_xi_must_name_a_vector_field(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
 def test_verify_chart_hamiltonian_candidate(capsys):
     # a rational candidate can only be wrong here (the true primitive is a
     # logarithm), and the mismatch is a named failing check
@@ -376,6 +399,23 @@ def test_cli_imports_only_the_standard_library():
                             capture_output=True, text=True, env=os.environ)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == ""
+
+
+def _callers(source: str, name: str) -> list[str]:
+    """Names of the top-level functions of `source` that call `name`."""
+    return sorted(func.name for func in ast.parse(source).body
+                  if isinstance(func, ast.FunctionDef)
+                  for node in ast.walk(func)
+                  if isinstance(node, ast.Call)
+                  and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def test_cli_reads_files_and_fields_in_one_place():
+    # `_read` turns every file argument into an object, and `_xi` and
+    # `_structure_for_chart` look up every chart field a flag names.
+    source = pathlib.Path(cli.__file__).read_text(encoding="utf-8")
+    assert _callers(source, "_load_json") == ["_read"]
+    assert _callers(source, "field_tensor") == ["_structure_for_chart", "_xi"]
 
 
 def test_charts_differentiate_in_one_kernel():
@@ -516,6 +556,51 @@ def test_coprime_1000_bit_denominators_decompose_in_time(tmp_path, space):
                              "--space", space, "--n", "6"],
                             capture_output=True, text=True, env=os.environ, timeout=30)
     assert (result.returncode, result.stderr) == (0, "")
+
+
+LONG = "7" * 20000
+DIGIT_CASES = {
+    "file": (["decompose", "FILE", "--space", "torsion", "--n", "1"],
+             {"n": 1, "valence": ["cov", "cov", "cov"], "components": {"1,2,1": f"1/{LONG}"}},
+             "FILE: a number has more than 4300 digits"),
+    "file-underscores": (["check-model", "FILE"],
+                         {"n": 1, "curvature": {}, "torsion": {"components": {
+                             "1,2,1": "1" + "_1" * 4300}}},
+                         "FILE: a number has more than 4300 digits"),
+    "at": (["obstruction", "example2", "--at", f"x=1,y={LONG}"], None,
+           "--at: a number has more than 4300 digits"),
+    "hamiltonian": (["verify-chart", "example2", "--suite", "linear-type",
+                     "--hamiltonian", f"x+{LONG}"], None,
+                    "--hamiltonian: a number has more than 4300 digits"),
+}
+
+
+@pytest.mark.parametrize("argv, payload, message", DIGIT_CASES.values(), ids=DIGIT_CASES)
+def test_long_numbers_exit_2_before_conversion(tmp_path, argv, payload, message):
+    # Python's str -> int conversion is quadratic in the digit count, and its
+    # own 4300-digit limit is lifted while a command runs.
+    path = write_json(tmp_path, "long.json", payload) if payload is not None else ""
+    argv = [path if a == "FILE" else a for a in argv]
+    result = subprocess.run([sys.executable, "-m", "fedosov.cli", *argv],
+                            capture_output=True, text=True, env=os.environ, timeout=30)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"input error: {message.replace('FILE', path)}\n"
+
+
+def test_number_at_the_digit_bound_is_accepted(tmp_path, capsys):
+    q = "7" * 4300
+    path = write_json(tmp_path, "t.json", {"n": 1, "valence": ["cov", "cov", "cov"],
+                                           "components": {"1,2,1": f"1/{q}", "2,1,1": f"1/{q}"}})
+    code, out, err = run_cli(capsys, "classify", path, "--space", "cotorsion", "--n", "1")
+    assert (code, err) == (0, "")
+
+
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": "\xff"}')
+    code, out, err = run_cli(capsys, "check-model", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"input error: {path}: not UTF-8 text: invalid start byte at byte 7\n"
 
 
 needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
