@@ -18,11 +18,11 @@ Index conventions (all 0-based in code, 1-based in files and witnesses):
   (nabla T)(X; ...) = (nabla_X T)(...).  `gradient(chart, t)` puts the
   coordinate partials d_i t in the same first slot.  `_partial` is the
   only place in this module that differentiates, and it takes no
-  partial of a zero.  The curvature's
-  d Gamma, the partial term of nabla, Lie brackets and derivatives, and
-  the Hamiltonian checks read partials off the planes d_i t of
-  `_partial_planes`; the closedness of omega, which needs single entries
-  of three different planes, calls `_partial` itself.
+  partial of a zero.  The partial term of nabla, Lie brackets and
+  derivatives, and the Hamiltonian checks read partials off the planes
+  d_i t of `_partial_planes`; the closedness of omega and the curvature's
+  d Gamma, which need single entries of different planes, call `_partial`
+  themselves.
   The checks that nabla T vanishes draw nabla T one entry at a time,
   plane nabla_i T after plane, and stop at the first nonzero component.
 
@@ -210,35 +210,61 @@ def _gamma(chart: Chart, structure: Tensor | None):
 
 def chart_torsion(chart: Chart, structure: Tensor | None = None) -> Tensor:
     """Torsion (1,2) field: T(i,j) = Gamma[k][i][j] - Gamma[k][j][i]."""
-    gamma = _gamma(chart, structure)
+    return _torsion(chart, _gamma(chart, structure))
+
+
+def _torsion(chart: Chart, gamma) -> Tensor:
+    """`chart_torsion` of the connection with Christoffel array `gamma`."""
     return Tensor.build(chart.dim, (COV, COV, CON),
                         lambda i, j, k: gamma[k][i][j] - gamma[k][j][i])
 
 
 def chart_curvature(chart: Chart, structure: Tensor | None = None) -> Tensor:
-    """Curvature (1,3) field under the sign convention in the module docstring."""
-    gamma = _gamma(chart, structure)
+    """Curvature (1,3) field under the sign convention in the module docstring:
+    R[i,j,k,l] = -d_i Gamma[l][j][k] + d_j Gamma[l][i][k]
+    + sum_m (-Gamma[m][j][k] Gamma[l][i][m] + Gamma[m][i][k] Gamma[l][j][m]).
+
+    R is antisymmetric in (i, j), so one loop over the pairs i < j forms
+    each partial and each nonzero product p = Gamma[m][j][k] Gamma[l][i][m],
+    q = Gamma[m][i][k] Gamma[l][j][m] once and sums it into both R[i,j,k,l]
+    (-p, then +q, for each m in turn) and R[j,i,k,l] (-q, then +p); a
+    product with a zero factor is skipped.  The diagonal i = j is zero.
+    """
+    return _curvature(chart, _gamma(chart, structure))
+
+
+def _curvature(chart: Chart, gamma) -> Tensor:
+    """`chart_curvature` of the connection with Christoffel array `gamma`."""
     d = chart.dim
-    # d_gamma[m, i, j, k] = d_m gamma[k][i][j], each partial taken once
-    d_gamma = gradient(chart, Tensor.build(d, (COV, COV, CON),
-                                           lambda i, j, k: gamma[k][i][j]))
+    coords = chart.coords
+    comps = [chart.rf_zero()] * d ** 4
+    for i, j in itertools.combinations(range(d), 2):
+        for k in range(d):
+            jk = [gamma[m][j][k] for m in range(d)]
+            ik = [gamma[m][i][k] for m in range(d)]
+            for l in range(d):
+                a = _partial(gamma[l][j][k], coords[i])
+                b = _partial(gamma[l][i][k], coords[j])
+                r_ij, r_ji = -a + b, -b + a
+                for x, y, u, v in zip(jk, gamma[l][i], ik, gamma[l][j]):
+                    p = None if x.is_zero() or y.is_zero() else x * y
+                    q = None if u.is_zero() or v.is_zero() else u * v
+                    if p is not None:
+                        r_ij = r_ij - p
+                    if q is not None:
+                        r_ij, r_ji = r_ij + q, r_ji - q
+                    if p is not None:
+                        r_ji = r_ji + p
+                comps[((i * d + j) * d + k) * d + l] = r_ij
+                comps[((j * d + i) * d + k) * d + l] = r_ji
+    return Tensor(d, (COV, COV, COV, CON), comps)
 
-    def entry(i, j, k, l):
-        total = -d_gamma[i, j, k, l] + d_gamma[j, i, k, l]
-        for m in range(d):
-            if not gamma[m][j][k].is_zero():
-                total = total - gamma[m][j][k] * gamma[l][i][m]
-            if not gamma[m][i][k].is_zero():
-                total = total + gamma[m][i][k] * gamma[l][j][m]
-        return total
 
-    return Tensor.build(d, (COV, COV, COV, CON), entry)
+def _covariant_planes(chart: Chart, tensor: Tensor, gamma):
+    """The planes nabla_i T of `covariant_derivative`, one coordinate i at a
+    time, for the connection with Christoffel array `gamma`.
 
-
-def _covariant_planes(chart: Chart, tensor: Tensor, structure: Tensor | None = None):
-    """The planes nabla_i T of `covariant_derivative`, one coordinate i at a time.
-
-    nabla_i T = d_i T + Gamma_i . T with Gamma_i[a][b] = christoffel[a][i][b]
+    nabla_i T = d_i T + Gamma_i . T with Gamma_i[a][b] = gamma[a][i][b]
     acting as a derivation.  The partial derivative is added last: the
     entries are never reduced, and this order keeps them smallest.  Each
     plane is a generator that forms one entry per draw, its Gamma_i . T
@@ -248,7 +274,6 @@ def _covariant_planes(chart: Chart, tensor: Tensor, structure: Tensor | None = N
     summed only where it reaches, and a zero component of T takes no
     partial.
     """
-    gamma = _gamma(chart, structure)
     d = chart.dim
     support = _support(tensor)
     for i, partials in enumerate(_partial_planes(chart, tensor)):
@@ -263,7 +288,7 @@ def covariant_derivative(chart: Chart, tensor: Tensor,
     """Coordinate covariant derivative; the new covariant slot comes first."""
     return Tensor(chart.dim, (COV,) + tensor.valence,
                   list(itertools.chain.from_iterable(
-                      _covariant_planes(chart, tensor, structure))))
+                      _covariant_planes(chart, tensor, _gamma(chart, structure)))))
 
 
 def omega_tensor(chart: Chart) -> Tensor:
@@ -366,18 +391,18 @@ def _lazy_first_nonzero(d: int, rank: int, entry) -> tuple | None:
                                     for idx in itertools.product(range(d), repeat=rank)))
 
 
-def _nabla_first_nonzero(chart: Chart, t: Tensor,
-                         structure: Tensor | None = None) -> tuple | None:
-    """`covariant_derivative(chart, t, structure).first_nonzero()`, drawing
-    one plane nabla_i t at a time up to the first nonzero component."""
+def _nabla_first_nonzero(chart: Chart, t: Tensor, gamma) -> tuple | None:
+    """The first nonzero component of nabla t for the connection with
+    Christoffel array `gamma`, drawing one plane nabla_i t at a time up to it."""
     return _first_nonzero(chart.dim, len(t.valence) + 1,
-                          itertools.chain.from_iterable(_covariant_planes(chart, t, structure)))
+                          itertools.chain.from_iterable(_covariant_planes(chart, t, gamma)))
 
 
 def fedosov_base_checks(chart: Chart) -> list[Check]:
     """The base connection is Fedosov: omega is parallel and torsion-free."""
     return [
-        _zero_check("nabla_omega_zero", _nabla_first_nonzero(chart, omega_tensor(chart))),
+        _zero_check("nabla_omega_zero",
+                    _nabla_first_nonzero(chart, omega_tensor(chart), chart.christoffel)),
         _zero_check("torsion_zero", chart_torsion(chart).first_nonzero()),
     ]
 
@@ -397,19 +422,20 @@ def parallelism_checks(chart: Chart, structure: Tensor, *,
     by a caller that also runs `linear_type_checks`.
     """
     w = omega_tensor(chart)
+    gamma = tilde_christoffel(chart, structure)
     base_r = chart_curvature(chart) if base_curvature is None else base_curvature
-    tilde_r = chart_curvature(chart, structure)
-    tilde_t = chart_torsion(chart, structure)
+    tilde_r = _curvature(chart, gamma)
+    tilde_t = _torsion(chart, gamma)
     return [
-        _zero_check("tilde_nabla_omega_zero", _nabla_first_nonzero(chart, w, structure)),
+        _zero_check("tilde_nabla_omega_zero", _nabla_first_nonzero(chart, w, gamma)),
         _zero_check("tilde_nabla_structure_zero",
-                    _nabla_first_nonzero(chart, structure, structure)),
+                    _nabla_first_nonzero(chart, structure, gamma)),
         _zero_check("tilde_nabla_base_curvature_zero",
-                    _nabla_first_nonzero(chart, base_r, structure)),
+                    _nabla_first_nonzero(chart, base_r, gamma)),
         _zero_check("tilde_nabla_tilde_curvature_zero",
-                    _nabla_first_nonzero(chart, tilde_r, structure)),
+                    _nabla_first_nonzero(chart, tilde_r, gamma)),
         _zero_check("tilde_nabla_tilde_torsion_zero",
-                    _nabla_first_nonzero(chart, tilde_t, structure)),
+                    _nabla_first_nonzero(chart, tilde_t, gamma)),
     ]
 
 
@@ -436,8 +462,8 @@ def linear_type_checks(chart: Chart, xi: Tensor, xi_perp: Tensor | None = None, 
     structure = linear_type_structure(chart, xi)
     checks: list[Check] = []
 
-    checks.append(_zero_check("tilde_nabla_xi_zero",
-                              _nabla_first_nonzero(chart, xi, structure)))
+    checks.append(_zero_check("tilde_nabla_xi_zero", _nabla_first_nonzero(
+        chart, xi, tilde_christoffel(chart, structure))))
 
     omega_xi = pairing_with(chart, xi)  # omega(d_i, xi)
     nabla_xi = covariant_derivative(chart, xi)
@@ -642,8 +668,9 @@ def model_at_point(chart: Chart, structure: Tensor, point: dict):
     if missing:
         raise ValueError(f"point does not assign coordinates {missing}")
     omega_p = evaluate_matrix(chart.omega, point)
-    tilde_r = evaluate_tensor(chart_curvature(chart, structure), point)
-    tilde_t = evaluate_tensor(chart_torsion(chart, structure), point)
+    gamma = tilde_christoffel(chart, structure)
+    tilde_r = evaluate_tensor(_curvature(chart, gamma), point)
+    tilde_t = evaluate_tensor(_torsion(chart, gamma), point)
     s_p = evaluate_tensor(structure, point)
 
     m = symplectic_basis_matrix(omega_p)
@@ -907,7 +934,8 @@ def emend_chart_signs(chart: Chart) -> Chart:
             excluded_locus=chart.excluded_locus)
         if not chart_torsion(candidate).is_zero():
             continue
-        if _nabla_first_nonzero(candidate, omega_tensor(candidate)) is not None:
+        if _nabla_first_nonzero(candidate, omega_tensor(candidate),
+                                candidate.christoffel) is not None:
             continue
         winners.append(candidate)
     if len(winners) != 1:

@@ -22,8 +22,8 @@ from . import models as mo
 from .rationals import ParseError, PoleError
 from .reporting import Check, Report
 from .symplectic import (
-    COV, CON, MAX_N, SymplecticSpace, Tensor, cotorsion_lower, tensor_from_json,
-    tensor_to_json, torsion_lower,
+    COV, CON, MAX_N, SymplecticSpace, Tensor, cotorsion_lower, parse_fraction,
+    tensor_from_json, tensor_to_json, torsion_lower,
 )
 
 
@@ -96,8 +96,8 @@ def _parse_point(text: str) -> dict[str, Fraction]:
             raise InputError(f"bad point assignment {piece!r}; expected name=value")
         name, value = piece.split("=", 1)
         try:
-            point[name.strip()] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError):
+            point[name.strip()] = parse_fraction(value.strip())
+        except ValueError:
             raise InputError(f"bad rational value in {piece!r}") from None
     if not point:
         raise InputError("empty point specification")
@@ -145,8 +145,12 @@ def _xi(chart: ch.Chart, args) -> Tensor:
 
 
 def _structure_for_chart(chart: ch.Chart, args) -> Tensor:
-    if not args.structure:
-        return ch.linear_type_structure(chart, _xi(chart, args))
+    """The `--structure` field, or the linear-type structure of `--xi`; a
+    given `--xi` is checked either way."""
+    if args.xi or not args.structure:
+        xi = _xi(chart, args)
+        if not args.structure:
+            return ch.linear_type_structure(chart, xi)
     try:
         tensor = chart.field_tensor(args.structure)
     except KeyError as err:

@@ -18,9 +18,11 @@ computations such as curvature expansions.
 
 Results that are already in normal form skip the normalization: products
 with a scalar or a constant polynomial scale the coefficients directly,
-negation and scaling of a normalized pair keep it normalized, and sums and
-products of two polynomials (denominator 1) stay polynomials.  Each such
-fast path yields exactly the pair the normalization pass would produce.
+negation and scaling of a normalized pair keep it normalized, sums and
+products of two polynomials (denominator 1) stay polynomials, and a zero
+operand over the same variables makes a sum the other operand and a
+product zero.  Each such fast path yields exactly the pair the
+normalization pass would produce.
 
 The text syntax accepted by `parse_ratfun` covers integer literals, `+`,
 `-`, `*`, `/`, `^` with positive integer exponents, parentheses and
@@ -476,6 +478,9 @@ class RationalFunction:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
+        if not (self.num.terms and other.num.terms) and \
+                self.num.variables == other.num.variables:
+            return other if other.num.terms else self
         if self.den.is_one() and other.den.is_one():
             return RationalFunction._polynomial(self.num + other.num)
         if self.den == other.den:
@@ -507,6 +512,9 @@ class RationalFunction:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
+        if not (self.num.terms and other.num.terms) and \
+                self.num.variables == other.num.variables:
+            return RationalFunction._polynomial(Polynomial._new(self.variables, {}))
         if self.den.is_one() and other.den.is_one():
             return RationalFunction._polynomial(self.num * other.num)
         return RationalFunction(self.num * other.num, self.den * other.den)

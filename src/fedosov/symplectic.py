@@ -553,7 +553,14 @@ def _is_int(value) -> bool:
 
 
 def parse_fraction(text: str) -> Fraction:
-    """`Fraction(text)`, with a zero denominator reported as `ValueError`."""
+    """`Fraction(text)`, with a zero denominator reported as `ValueError`.
+
+    The exponent form (`1e5`) is rejected: `Fraction` expands the power
+    of ten in time that grows with the exponent, which no bound on the
+    length of the text limits.
+    """
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent form {text!r} is not accepted")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -303,8 +303,17 @@ NO_XI = "chart has no vector field 'nope'; name one with --xi"
     (["verify-chart", HAMILTONIAN_2D, "--suite", "linear-type", "--structure", "S",
       "--xi", "nope"], NO_XI),
     (["obstruction", "example2", "--at", "x=1,y=0", "--xi", "nope"], NO_XI),
+    # a given --xi is checked even where --structure makes it unused
+    (["verify-chart", HAMILTONIAN_2D, "--suite", "as", "--structure", "S", "--xi", "nope"],
+     NO_XI),
+    (["obstruction", HAMILTONIAN_2D, "--at", "x=1,y=1", "--structure", "S", "--xi", "nope"],
+     NO_XI),
+    (["model-at-point", HAMILTONIAN_2D, "--at", "x=1,y=1", "--structure", "S",
+      "--xi", "nope"], NO_XI),
 ], ids=["linear-type-tensor", "verify-chart-tensor", "linear-type-missing",
-        "verify-chart-missing", "verify-chart-structure-missing", "obstruction-missing"])
+        "verify-chart-missing", "verify-chart-structure-missing", "obstruction-missing",
+        "verify-chart-as-structure-missing", "obstruction-structure-missing",
+        "model-at-point-structure-missing"])
 def test_xi_must_name_a_vector_field(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"input error: {message}\n")
@@ -505,6 +514,13 @@ LIMIT_CASES = [
      {"coords": ["x", "y"], "omega": {"1,2": "(x+y+1)^3000"}},
      "FILE: omega[1,2]: power ^3000 of a 3-term polynomial is over the budget of 1000 terms "
      "(line 1, column 9)"),
+    # `Fraction` expands an exponent in time that grows with it: a 90-byte
+    # file with these two entries ran for 6 s
+    (["classify", "FILE", "--space", "torsion", "--n", "1"],
+     {"n": 1, "valence": ["cov", "cov", "cov"],
+      "components": {"1,2,1": "1e5000000", "2,1,1": "-1e5000000"}},
+     "FILE: exponent form '1e5000000' is not accepted"),
+    (["obstruction", "example2", "--at", "x=1e3,y=0"], None, "bad rational value in 'x=1e3'"),
 ]
 
 

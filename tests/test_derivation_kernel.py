@@ -83,7 +83,7 @@ def chart_fields():
 def chart_mismatches(cases):
     bad = []
     for label, chart, field, shift in cases:
-        planes = [list(plane) for plane in _covariant_planes(chart, field, shift)]
+        planes = [list(plane) for plane in _covariant_planes(chart, field, _gamma(chart, shift))]
         expected = list(old_covariant_planes(chart, field, shift))
         if len(planes) != len(expected) or not all(map(same, planes, expected)):
             bad.append(label)

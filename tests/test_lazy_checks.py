@@ -252,13 +252,13 @@ def stops_at_zero_entry(dim, rank, comps):
     return None
 
 
-def first_plane_only(chart, t, structure=None):
-    plane = next(charts._covariant_planes(chart, t, structure))
+def first_plane_only(chart, t, gamma):
+    plane = next(charts._covariant_planes(chart, t, gamma))
     return _first_nonzero(chart.dim, len(t.valence) + 1, plane)
 
 
-def skips_entry_after_boundary(chart, t, structure=None):
-    planes = charts._covariant_planes(chart, t, structure)
+def skips_entry_after_boundary(chart, t, gamma):
+    planes = charts._covariant_planes(chart, t, gamma)
     stream = itertools.chain.from_iterable(
         plane if i == 0 else itertools.islice(plane, 1, None) for i, plane in enumerate(planes))
     return _first_nonzero(chart.dim, len(t.valence) + 1, stream)
@@ -316,9 +316,9 @@ def test_failing_covariant_checks_draw_one_plane(tmp_path, monkeypatch, capsys):
     streams = []
     nabla = charts._nabla_first_nonzero
 
-    def counted_nabla(chart, t, structure=None):
+    def counted_nabla(chart, t, gamma):
         before = dict(formed)
-        hit = nabla(chart, t, structure)
+        hit = nabla(chart, t, gamma)
         plane = len(t.comps)
         witness = chart.dim * plane - 1 if hit is None else flat_index(chart.dim, hit[0])
         nonzero = sum(not is_zero_scalar(t.comps[flat % plane]) for flat in range(witness + 1))

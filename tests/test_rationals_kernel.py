@@ -7,7 +7,8 @@ private oracle below is the previous all-`Fraction` arithmetic, which ran
 every result through the full normalization; both must give the same term
 maps and the same printed form, on hypothesis-drawn polynomials and
 rational functions over different variable tuples.  A second test pins the
-coefficient-type invariant itself, and a few seeded cases are checked
+coefficient-type invariant itself, a third compares the zero-operand fast
+paths with the normalizing constructor, and a few seeded cases are checked
 against `sympy.cancel`.
 """
 
@@ -21,6 +22,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedosov.rationals import PoleError, Polynomial, RationalFunction
+
+from test_chart_derivatives import COORDS as CHART_COORDS, random_entry
 
 
 # -- the oracle: all-Fraction coefficients, every result normalized -----------------
@@ -421,6 +424,41 @@ def test_exact_division_quotients_are_never_floats():
     assert quotient.terms == {(1,): 1, (0,): 1}
     assert all(type(c) is int for c in quotient.terms.values())
     assert type(Polynomial.constant(Fraction(4, 2)).terms[()]) is int
+
+
+# -- the zero-operand fast paths -----------------------------------------------------------
+
+
+def slow_sum(a, b, sign):
+    return RationalFunction(a.num * b.den + b.num * a.den * sign, a.den * b.den)
+
+
+def slow_product(a, b):
+    return RationalFunction(a.num * b.num, a.den * b.den)
+
+
+def ratfun_key(f):
+    return f.variables, f.num.terms, f.den.terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32))
+def test_zero_operands_match_the_constructor(seed):
+    # A zero over the same variables makes a sum the other operand and a
+    # product zero, without normalizing; over other variables (a permutation
+    # included) the result is still over the merged tuple.
+    x = random_entry(random.Random(seed))
+    for variables in (CHART_COORDS, CHART_COORDS[::-1], ("x",), ("w",)):
+        z = RationalFunction.constant(0, variables)
+        merged = CHART_COORDS if variables == CHART_COORDS else \
+            tuple(sorted(set(CHART_COORDS) | set(variables)))
+        for got, want in ((x + z, slow_sum(x, z, 1)), (z + x, slow_sum(z, x, 1)),
+                          (x - z, slow_sum(x, z, -1)), (z - x, slow_sum(z, x, -1)),
+                          (x * z, slow_product(x, z)), (z * x, slow_product(z, x))):
+            assert ratfun_key(got) == ratfun_key(want)
+            assert got.variables == merged
+    z = RationalFunction.constant(0, CHART_COORDS)
+    assert x + z is x and z + x is x
 
 
 # -- against sympy -------------------------------------------------------------------------
