@@ -45,7 +45,7 @@ from importlib import resources
 from . import linalg
 from .linalg import is_zero_scalar
 from .models import InfinitesimalModel, standard_omega_tensor
-from .rationals import Polynomial, RationalFunction, parse_ratfun
+from .rationals import Polynomial, RationalFunction, ScaledPoint, parse_ratfun
 from .reporting import Check, Report, index_witness
 from .symplectic import (
     COV, CON, MAX_N, MAX_RANK, SymplecticSpace, Tensor, _contract_slot, _derivation_entries,
@@ -604,13 +604,16 @@ def hamiltonian_oneform(chart: Chart, xi: Tensor,
 
 # -- pointwise operations -----------------------------------------------------------------
 
-def evaluate_tensor(t: Tensor, point: dict) -> Tensor:
+def evaluate_tensor(t: Tensor, point: dict | ScaledPoint) -> Tensor:
+    """Entries evaluated at the point, which is read once for all of them."""
+    point = ScaledPoint.of(point)
     return Tensor(t.dim, t.valence,
                   [c.evaluate(point) if isinstance(c, RationalFunction) else Fraction(c)
                    for c in t.comps])
 
 
-def evaluate_matrix(matrix, point: dict) -> list[list[Fraction]]:
+def evaluate_matrix(matrix, point: dict | ScaledPoint) -> list[list[Fraction]]:
+    point = ScaledPoint.of(point)
     return [[x.evaluate(point) if isinstance(x, RationalFunction) else Fraction(x)
              for x in row] for row in matrix]
 
@@ -667,6 +670,7 @@ def model_at_point(chart: Chart, structure: Tensor, point: dict):
     missing = [c for c in chart.coords if c not in point]
     if missing:
         raise ValueError(f"point does not assign coordinates {missing}")
+    point = ScaledPoint(point)
     omega_p = evaluate_matrix(chart.omega, point)
     gamma = tilde_christoffel(chart, structure)
     tilde_r = evaluate_tensor(_curvature(chart, gamma), point)

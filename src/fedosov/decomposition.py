@@ -51,10 +51,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 from typing import Callable, NamedTuple
 
 from . import linalg
+from .rationals import divided, scaled_entries
 from .symplectic import (
     COV, SymplecticSpace, Tensor, _cyclic_positions, _trace_12, _trace_13, cyclic_sum,
 )
@@ -339,7 +340,7 @@ def class_predicate(label: str, t: Tensor) -> bool:
         return not any(any(condition(t)) for condition in entry.conditions)
     if label in ("S1", "T1", "T3"):
         # P(t) == t, read off the kernel as P(x) == factor * x
-        x, _ = _scaled_entries(t)
+        x, _ = _scaled(t)
         parts, factor = _KERNELS[entry.kind](_space_of(t), x)
         return parts[label] == [factor * v for v in x]
     # W is not a summand of either decomposition: exact span membership
@@ -352,14 +353,12 @@ def class_predicate(label: str, t: Tensor) -> bool:
 # -- closed-form projectors ---------------------------------------------------------
 #
 # One kernel per ambient space returns the parts times the projector
-# denominator with only +, - and products by small ints, so on entries scaled
-# to ints by their common denominator D nothing divides until each part entry
-# is built as Fraction(v, D * factor).  The remainder conditions (S2, T2, T4)
-# are homogeneous and linear and are checked on the scaled parts.  Past
-# MAX_SCALE_BITS of D (break-even measured at 3,000-5,000 bits) the closing
-# gcds on D-sized ints cost more than Fraction arithmetic, so the kernel gets
-# the Fraction entries themselves, with D = 1.
-MAX_SCALE_BITS = 4096
+# denominator with only +, - and products by small ints, so it runs on the
+# entries scaled to ints by `rationals.scaled_entries` and each part entry is
+# divided once by D * factor.  The remainder conditions (S2, T2, T4) are
+# homogeneous and linear and are checked on the scaled parts.  Past
+# `rationals.MAX_SCALE_BITS` of D the kernel gets the Fraction entries
+# themselves, with D = 1.
 
 _COV3 = (COV, COV, COV)
 
@@ -368,15 +367,9 @@ def _space_of(t: Tensor) -> SymplecticSpace:
     return t.space if t.space is not None else SymplecticSpace(t.dim // 2)
 
 
-def _scaled_entries(t: Tensor) -> tuple[list, int]:
-    """(entries times D, D) for D the lcm of the entry denominators, with int
-    entries; (entries, 1) when D has more than MAX_SCALE_BITS bits."""
-    den = 1
-    for d in {c.denominator for c in t.comps}:
-        den = lcm(den, d)
-        if den.bit_length() > MAX_SCALE_BITS:
-            return list(t.comps), 1
-    return [c.numerator * (den // c.denominator) for c in t.comps], den
+def _scaled(t: Tensor) -> tuple[list, int]:
+    """`scaled_entries` of t's entries, or (entries, 1) past the bound."""
+    return scaled_entries(t.comps) or (list(t.comps), 1)
 
 
 def _cotorsion_kernel(space: SymplecticSpace, x: list) -> tuple[dict, int]:
@@ -436,16 +429,11 @@ def _require_shape(t: Tensor, *, anti: bool) -> None:
 
 
 def _divided(t: Tensor, comps: list, den: int) -> Tensor:
-    """comps / den as `Fraction`s: an int / int would be a float, and a
-    Fraction (unscaled past MAX_SCALE_BITS) / den takes gcds of den's size."""
-    zero = Fraction(0)
-    return Tensor(t.dim, _COV3,
-                  [zero if not v else Fraction(v, den) if type(v) is int else v / den
-                   for v in comps], space=_space_of(t))
+    return Tensor(t.dim, _COV3, divided(comps, den), space=_space_of(t))
 
 
 def _result(t: Tensor, kind: str) -> DecompositionResult:
-    x, den = _scaled_entries(t)
+    x, den = _scaled(t)
     _require_shape(Tensor(t.dim, t.valence, x), anti=kind == "torsion")
     parts, factor = _KERNELS[kind](_space_of(t), x)
     for label in _REMAINDERS[kind]:
@@ -531,7 +519,7 @@ def symplectify_torsion(t: Tensor) -> Tensor:
     S3 part, which makes it deterministic.  It is formed as 3D S, as the
     projectors form their parts.
     """
-    x, den = _scaled_entries(t)
+    x, den = _scaled(t)
     _require_shape(Tensor(t.dim, t.valence, x), anti=True)
     if not cyclic_sum(Tensor(t.dim, _COV3, x)).is_zero():
         type_set = decompose_torsion(t).type_set

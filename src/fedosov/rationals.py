@@ -24,6 +24,14 @@ operand over the same variables makes a sum the other operand and a
 product zero.  Each such fast path yields exactly the pair the
 normalization pass would produce.
 
+Kernels built from sums and products run on scaled integers through one
+adapter: `scaled_entries` multiplies exact rationals by the lcm of their
+denominators, and `divided` builds each result once as a `Fraction`.  The
+Sp(V) projectors and `symplectic.change_basis` use it, and so does
+evaluation, which sums integer terms homogenized by each variable's top
+degree over one denominator (`ScaledPoint`).  Past `MAX_SCALE_BITS` bits of
+a denominator the same kernels run on the `Fraction` values.
+
 The text syntax accepted by `parse_ratfun` covers integer literals, `+`,
 `-`, `*`, `/`, `^` with positive integer exponents, parentheses and
 variable identifiers, e.g. ``-4/(3*x)``.  A power whose expansion could
@@ -36,7 +44,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from operator import add, getitem, sub
 from typing import Iterable, Mapping
 
 Rational = Fraction
@@ -71,6 +79,71 @@ def _quotient(a, b):
 def _canonical_terms(terms: dict) -> dict:
     """Drop the zero coefficients and make the integral ones ints."""
     return {exp: c.numerator if c.denominator == 1 else c for exp, c in terms.items() if c}
+
+
+# -- scaled integers ----------------------------------------------------------------
+#
+# A kernel built from +, - and products gives D times its result on entries
+# scaled to ints by their common denominator D, so nothing divides until each
+# result entry is built as Fraction(v, D * ...).  Past MAX_SCALE_BITS of D
+# (break-even measured at 3,000-5,000 bits on the Sp(V) projectors) the
+# closing gcds on D-sized ints cost more than Fraction arithmetic, so the
+# kernel gets the values themselves.
+MAX_SCALE_BITS = 4096
+
+
+def scaled_entries(values) -> tuple[list, int] | None:
+    """(values times D, D) for D the lcm of their denominators, with int
+    entries; None when a value is not an int or Fraction (a `RationalFunction`
+    entry) or D has more than MAX_SCALE_BITS bits."""
+    try:
+        denominators = {c.denominator for c in values}
+    except AttributeError:
+        return None
+    den = 1
+    for d in denominators:
+        den = math.lcm(den, d)
+        if den.bit_length() > MAX_SCALE_BITS:
+            return None
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def divided(values, den: int) -> list[Fraction]:
+    """values / den as `Fraction`s: an int / int would be a float, and a
+    Fraction (left unscaled) / den takes gcds of den's size."""
+    zero = Fraction(0)
+    return [zero if not v else Fraction(v, den) if type(v) is int else v / den for v in values]
+
+
+class ScaledPoint:
+    """A point of Q^m for the integer evaluation kernel of `Polynomial`.
+
+    Each coordinate p = a/b is read (through `Fraction`) when a polynomial
+    first needs it, and its table [a^e b^(T-e) for e <= T] under a top
+    degree T is formed once and shared by every entry evaluated at the
+    point.  A coordinate whose denominator has more than MAX_SCALE_BITS bits
+    enters as the Fraction p over b = 1.  `point` is the mapping given.
+    """
+
+    __slots__ = ("point", "_tables")
+
+    def __init__(self, point: Mapping[str, Fraction]):
+        self.point = point
+        self._tables: dict = {}
+
+    @classmethod
+    def of(cls, point) -> ScaledPoint:
+        return point if isinstance(point, ScaledPoint) else cls(point)
+
+    def table(self, var: str, top: int) -> list:
+        table = self._tables.get((var, top))
+        if table is None:
+            value = Fraction(self.point[var])
+            a, b = value.numerator, value.denominator
+            if b.bit_length() > MAX_SCALE_BITS:
+                a, b = value, 1
+            table = self._tables[var, top] = [a ** e * b ** (top - e) for e in range(top + 1)]
+        return table
 
 
 class Polynomial:
@@ -260,19 +333,25 @@ class Polynomial:
                 terms[exp[:i] + (e - 1,) + exp[i + 1:]] = _canonical(c * e)
         return Polynomial._new(self.variables, terms)
 
-    def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        missing = [v for v in self.variables if v not in point]
+    def evaluate(self, point: Mapping[str, Fraction] | ScaledPoint) -> Fraction:
+        return Fraction(*self._scaled_value(ScaledPoint.of(point)))
+
+    def _scaled_value(self, point: ScaledPoint) -> tuple:
+        """(s, e) with value s / e at p_i = a_i/b_i: s sums c L prod a_i^e_i
+        b_i^(T_i - e_i) over the terms c x^e, and e = L prod b_i^T_i, for L
+        the lcm of the coefficient denominators and T_i the top degree of x_i."""
+        missing = [v for v in self.variables if v not in point.point]
         if missing:
             raise ValueError(f"unassigned variables: {missing}")
-        total = Fraction(0)
-        values = [Fraction(point[v]) for v in self.variables]
-        for exp, c in self.terms.items():
-            term = c
-            for v, e in zip(values, exp):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
+        if not self.terms:
+            return 0, 1
+        coeffs, den = scaled_entries(self.terms.values()) or (list(self.terms.values()), 1)
+        tables = list(map(point.table, self.variables, map(max, zip(*self.terms))))
+        total = sum(math.prod(map(getitem, tables, exp), start=c)
+                    for exp, c in zip(self.terms, coeffs))
+        for table in tables:
+            den *= table[0]
+        return total, den
 
     def content(self) -> Fraction:
         """Positive rational content: gcd of coefficient numerators over lcm of denominators."""
@@ -564,11 +643,14 @@ class RationalFunction:
         dd = self.den.partial(var)
         return RationalFunction(dn * self.den - self.num * dd, self.den * self.den)
 
-    def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        den = self.den.evaluate(point)
-        if den == 0:
-            raise PoleError(f"denominator vanishes at {dict(point)}")
-        return self.num.evaluate(point) / den
+    def evaluate(self, point: Mapping[str, Fraction] | ScaledPoint) -> Fraction:
+        """num(p) / den(p) as one Fraction of the two scaled values."""
+        point = ScaledPoint.of(point)
+        d_num, d_den = (1, 1) if self.den.is_one() else self.den._scaled_value(point)
+        if not d_num:
+            raise PoleError(f"denominator vanishes at {dict(point.point)}")
+        n_num, n_den = self.num._scaled_value(point)
+        return Fraction(n_num * d_den, d_num * n_den)
 
     def __str__(self) -> str:
         if self.den.is_one():

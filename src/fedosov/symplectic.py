@@ -30,6 +30,10 @@ Conventions fixed here and used everywhere else:
   so a check that stops at a nonzero entry computes nothing after it.
   It sums only the entries that the support of its input (`_support`,
   the nonzero positions) reaches, since model and chart data are sparse.
+  `change_basis` (and so every push-forward) runs the same kernel on
+  scaled ints when the tensor and both matrices are constant: each is
+  scaled by the lcm of its denominators (`rationals.scaled_entries`), and
+  each result entry is divided once.
 
 Tensors are stored dense: at n = 4 a (0,3)-tensor has 512 entries, so a
 sparse format would be unjustified.  Components may be `Fraction` (constant
@@ -46,6 +50,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import linalg
 from .linalg import is_zero_scalar
+from .rationals import divided, scaled_entries
 
 COV = "cov"
 CON = "con"
@@ -504,16 +509,35 @@ def change_basis(t: Tensor, basis_matrix: Sequence[Sequence], basis_inverse=None
 
     Covariant slots contract with the matrix, contravariant slots with its
     inverse: T'(a...) = sum T(i...) M[i][a] ... Minv[b][j] ...
+
+    On constant entries the contractions run on D t, d_M M and d_Minv Minv
+    as ints, and each entry is divided once by D d_M^#cov d_Minv^#con.
     """
     m = [list(row) for row in basis_matrix]
     minv = basis_inverse if basis_inverse is not None else linalg.inverse(m)
     minv_t = linalg.transpose(minv)
-    current = t
+    scaled = scaled_entries(t.comps)
+    comps = t.comps
+    if scaled is not None:
+        comps, den = scaled
+        (m, d_cov), (minv_t, d_con) = _scaled_matrix(m), _scaled_matrix(minv_t)
+        den *= d_cov ** t.valence.count(COV) * d_con ** t.valence.count(CON)
     for slot, kind in enumerate(t.valence):
-        current = Tensor(t.dim, t.valence,
-                         _contract_slot(current, slot, m if kind == COV else minv_t),
-                         space=t.space)
-    return current
+        comps = _contract_slot(Tensor(t.dim, t.valence, comps), slot,
+                               m if kind == COV else minv_t)
+    if scaled is not None:
+        comps = divided(comps, den)
+    return Tensor(t.dim, t.valence, comps, space=t.space)
+
+
+def _scaled_matrix(matrix: list[list]) -> tuple[list[list], int]:
+    """`scaled_entries` of a matrix, kept as rows, or (matrix, 1)."""
+    scaled = scaled_entries([x for row in matrix for x in row])
+    if scaled is None:
+        return matrix, 1
+    flat, den = scaled
+    width = len(matrix[0])
+    return [flat[i:i + width] for i in range(0, len(flat), width)], den
 
 
 def is_symplectic_matrix(space: SymplecticSpace, matrix: Sequence[Sequence]) -> bool:

@@ -6,9 +6,10 @@ definitions, the linear-solve oracle goes through sympy, and the
 derivation-action oracle is the whole-list construction that the lazy
 kernel replaced, with its own slot contraction, the projector oracles
 are the Fraction projectors that the integer kernel replaced, written
-entry by entry from their formulas, and the symmetry and Bianchi oracles
+entry by entry from their formulas, the symmetry and Bianchi oracles
 are the subtract-then-test and `Tensor.__getitem__` loops that the model
-checks replaced.
+checks replaced, and the change-of-basis and evaluation oracles are the
+Fraction loops that the scaled-integer kernels replaced.
 """
 
 from __future__ import annotations
@@ -17,9 +18,20 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
+from fedosov import rationals
 from fedosov.decomposition import DecompositionResult
-from fedosov.rationals import Polynomial, RationalFunction
+from fedosov.rationals import PoleError, Polynomial, RationalFunction
 from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor
+
+
+@pytest.fixture(params=["scaled", "unscaled"])
+def scale_bound(request, monkeypatch):
+    """Runs a test as it is and again with every input left unscaled."""
+    if request.param == "unscaled":
+        monkeypatch.setattr(rationals, "MAX_SCALE_BITS", 0)
+    return request.param
 
 
 def random_symmetric_tensor(rng: random.Random, n: int, bound: int = 9) -> Tensor:
@@ -399,3 +411,40 @@ def sympy_solve_columns(columns: list[list[Fraction]], rhs: list[Fraction]):
 def matvec(matrix, vec) -> list[Fraction]:
     """Matrix times column vector, exact."""
     return [sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in matrix]
+
+
+# -- the Fraction loops that the scaled-integer kernels replaced ---------------------
+
+def old_change_basis(t: Tensor, m, minv) -> Tensor:
+    """One `old_contract_slot` per slot on the entries as they are: covariant
+    slots with m, contravariant ones with minv transposed."""
+    minv_t = [list(col) for col in zip(*minv)]
+    current = t
+    for slot, kind in enumerate(t.valence):
+        current = Tensor(t.dim, t.valence,
+                         old_contract_slot(current, slot, m if kind == COV else minv_t),
+                         space=t.space)
+    return current
+
+
+def old_polynomial_evaluate(p: Polynomial, point) -> Fraction:
+    """sum c prod Fraction(point[v]) ** e, term by term."""
+    missing = [v for v in p.variables if v not in point]
+    if missing:
+        raise ValueError(f"unassigned variables: {missing}")
+    total = Fraction(0)
+    values = [Fraction(point[v]) for v in p.variables]
+    for exp, c in p.terms.items():
+        term = c
+        for v, e in zip(values, exp):
+            if e:
+                term *= v ** e
+        total += term
+    return total
+
+
+def old_ratfun_evaluate(f: RationalFunction, point) -> Fraction:
+    den = old_polynomial_evaluate(f.den, point)
+    if den == 0:
+        raise PoleError(f"denominator vanishes at {dict(point)}")
+    return old_polynomial_evaluate(f.num, point) / den

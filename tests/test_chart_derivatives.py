@@ -26,9 +26,9 @@ from hypothesis import given, settings, strategies as st
 from fedosov import linalg
 from fedosov.charts import (
     NotLinearTypeError, chart_curvature, chart_torsion, covariant_derivative,
-    hamiltonian_oneform, lie_bracket, lie_derivative_omega, linear_type_structure,
-    load_chart_file, load_example, make_chart, metric_obstruction, omega_is_closed,
-    omega_tensor, pairing_with,
+    hamiltonian_oneform, lie_bracket, lie_derivative_omega, linear_type_checks,
+    linear_type_structure, load_chart_file, load_example, make_chart, metric_obstruction,
+    omega_is_closed, omega_tensor, pairing_with,
 )
 from fedosov.linalg import is_zero_scalar
 from fedosov.rationals import Polynomial, RationalFunction, parse_ratfun
@@ -220,6 +220,24 @@ def coordinate_field(chart, a, scale="1"):
                                       for k in range(chart.dim)])
 
 
+def order_chart():
+    """A variant of the swell chart on which the order of the two products
+    summed into the mirrored curvature entry R[j,i,k,l] (-q before +p) shows
+    in its printed form: R[2,1,2,1] prints with a degree-11 denominator,
+    and with a degree-7 one when +p comes first."""
+    coords = ("x", "y", "u", "v")
+    q = "(x^2 + y^2 + 1)"
+    gx = parse_ratfun(f"-x/{q}", coords)
+    gy = parse_ratfun(f"-y/{q}", coords)
+    return make_chart(
+        coords,
+        {(0, 1): parse_ratfun(f"1/{q}", coords), (2, 3): parse_ratfun("1/u^2", coords)},
+        {(1, 0, 1): gx, (0, 0, 1): gy, (1, 1, 1): gy,
+         (0, 1, 1): parse_ratfun("1/(y + 1)", coords)},
+        fields={"xi": Tensor(4, (CON,), [parse_ratfun(text, coords)
+                                         for text in ("0", "1", "0", "u")])})
+
+
 NAMED_CHARTS = ["example1", "example1-emended", "example2", "swell-4d",
                 *(path.name for path in CHART_FILES)]
 
@@ -240,6 +258,33 @@ def test_chart_calculus_matches_partial_loops(name):
     coords = chart.coords
     for candidate in (None, parse_ratfun(f"{coords[0]}*{coords[1]}", coords)):
         check_chart(chart, xi, other, candidate)
+
+
+# -- the summation order of the mirrored curvature entry ------------------------------
+
+ORDER_WITNESS = (
+    "component (1,2,1) = (x^9 + x^8*y + 4*x^7*y^2 + 3*x^6*y^3 + 6*x^5*y^4 + 3*x^4*y^5 + "
+    "4*x^3*y^6 + x^2*y^7 + x*y^8 + x^8 + 3*x^6*y^2 + 3*x^4*y^4 + x^2*y^6 + 4*x^7 + 4*x^6*y + "
+    "12*x^5*y^2 + 9*x^4*y^3 + 12*x^3*y^4 + 6*x^2*y^5 + 4*x*y^6 + y^7 + 4*x^6 + 9*x^4*y^2 + "
+    "6*x^2*y^4 + y^6 + 6*x^5 + 6*x^4*y + 12*x^3*y^2 + 9*x^2*y^3 + 6*x*y^4 + 3*y^5 + 6*x^4 + "
+    "9*x^2*y^2 + 3*y^4 + 4*x^3 + 4*x^2*y + 4*x*y^2 + 3*y^3 + 4*x^2 + 3*y^2 + x + y + "
+    "1)/(x^10*y + 5*x^8*y^3 + 10*x^6*y^5 + 10*x^4*y^7 + 5*x^2*y^9 + y^11 + x^10 + 5*x^8*y^2 +"
+    " 10*x^6*y^4 + 10*x^4*y^6 + 5*x^2*y^8 + y^10 + 5*x^8*y + 20*x^6*y^3 + 30*x^4*y^5 + "
+    "20*x^2*y^7 + 5*y^9 + 5*x^8 + 20*x^6*y^2 + 30*x^4*y^4 + 20*x^2*y^6 + 5*y^8 + 10*x^6*y + "
+    "30*x^4*y^3 + 30*x^2*y^5 + 10*y^7 + 10*x^6 + 30*x^4*y^2 + 30*x^2*y^4 + 10*y^6 + 10*x^4*y "
+    "+ 20*x^2*y^3 + 10*y^5 + 10*x^4 + 20*x^2*y^2 + 10*y^4 + 5*x^2*y + 5*y^3 + 5*x^2 + 5*y^2 +"
+    " y + 1)")
+
+
+def test_mirrored_curvature_entry_keeps_its_summation_order():
+    # R[j,i,k,l] sums -q before +p for each m; with +p first, R[2,1,2,1] and
+    # so this witness print over (y + 1)(x^2 + y^2 + 1)^3, not ^5
+    chart = order_chart()
+    xi = chart.field_tensor("xi")
+    for shift in (None, linear_type_structure(chart, xi)):
+        assert_identical(chart_curvature(chart, shift), oracle_chart_curvature(chart, shift))
+    checks = {check.name: check for check in linear_type_checks(chart, xi)}
+    assert checks["curvature_xi_slot_symmetry"].witness == ORDER_WITNESS
 
 
 def test_hamiltonian_candidate_that_matches():

@@ -17,7 +17,8 @@ charts make the remaining chart checks fail with witnesses:
 `S` that is not of linear type, so `obstruction` exits 2) and
 `contact_4d.json` (xi_kernel_integrable: omega(., xi) = dx + u dy is a
 contact form); the zero model `models/zero_n2.json` has all of gl(V) as
-its stabilizer.  The
+its stabilizer; and `model-at-point` and `obstruction` at x = 0 on the
+second worked chart exit 2 on a vanishing denominator.  The
 snapshot in `data/cli_golden.json` pins the exact bytes of every report,
 including check order, names, witnesses and emitted parts, so a refactor
 that changes a summation order or a projection formula and with it a
@@ -52,6 +53,8 @@ COMMANDS = [
     ["model-at-point", "example2", "--at", "x=1,y=0"],
     ["model-at-point", "example1-emended", "--at", "x=2,y=1/3"],
     ["obstruction", "example2", "--at", "x=1,y=0"],
+    ["model-at-point", "example2", "--at", "x=0,y=1"],
+    ["obstruction", "example2", "--at", "x=0,y=1"],
     ["linear-type", "example2"],
     *(["decompose", f"tensors/{space}_n{n}.json", "--space", space, "--n", str(n), "--parts"]
       for space in ("cotorsion", "torsion") for n in (1, 2, 3)),

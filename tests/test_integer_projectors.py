@@ -21,7 +21,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedosov import decomposition
+from fedosov import rationals
 from fedosov.decomposition import (
     COTORSION_LABELS, TORSION_LABELS, build_basis, class_predicate, decompose_cotorsion,
     decompose_torsion, symplectify_torsion,
@@ -104,14 +104,6 @@ def assert_all_match(sym: Tensor, anti: Tensor) -> None:
 
 
 # -- integer, fractional and zero inputs ------------------------------------------------
-
-@pytest.fixture(params=["scaled", "unscaled"])
-def scale_bound(request, monkeypatch):
-    """Runs a test as it is and again with every input left unscaled."""
-    if request.param == "unscaled":
-        monkeypatch.setattr(decomposition, "MAX_SCALE_BITS", 0)
-    return request.param
-
 
 @pytest.mark.parametrize("n,samples", [(1, 6), (2, 4), (3, 2), (4, 1)])
 def test_seeded_integer_tensors_match(scale_bound, n, samples):
@@ -205,14 +197,14 @@ def test_symplectify_error_names_t3_and_t4():
 @pytest.mark.parametrize("n", [1, 2])
 def test_above_bound_inputs_match(n):
     sym, anti = coprime_tensor(n, False, 2500, seed=n), coprime_tensor(n, True, 2500, seed=n)
-    assert _denominator_bits(sym) > decomposition.MAX_SCALE_BITS
-    assert _denominator_bits(anti) > decomposition.MAX_SCALE_BITS
+    assert _denominator_bits(sym) > rationals.MAX_SCALE_BITS
+    assert _denominator_bits(anti) > rationals.MAX_SCALE_BITS
     assert_all_match(sym, anti)
 
 
 def test_above_bound_inputs_match_when_scaled(monkeypatch):
     # the same inputs through the int path, D of some 15,000 bits
-    monkeypatch.setattr(decomposition, "MAX_SCALE_BITS", 10 ** 6)
+    monkeypatch.setattr(rationals, "MAX_SCALE_BITS", 10 ** 6)
     assert_all_match(coprime_tensor(1, False, 2500), coprime_tensor(1, True, 2500))
 
 
@@ -221,7 +213,7 @@ def test_int_entries_among_unscaled_fractions_stay_fractions():
     # parts must not be divided as int / int
     t = coprime_tensor(1, False, 2500)
     t.comps[:2] = [5, -3]
-    assert _denominator_bits(t) > decomposition.MAX_SCALE_BITS
+    assert _denominator_bits(t) > rationals.MAX_SCALE_BITS
     expected = old_decompose_cotorsion(Tensor(t.dim, t.valence, [Fraction(c) for c in t.comps]))
     for label, part in decompose_cotorsion(t).parts.items():
         assert _strs(part) == _strs(expected.part(label)), label
