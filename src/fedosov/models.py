@@ -17,6 +17,16 @@ torsion form:
 
     cyclic(R_XY Z + T_{T_X Y} Z) = 0,       cyclic(R_{T_X Y, Z}) = 0.
 
+Model data are sparse exact constants, and the checks touch only nonzero
+entries.  A derivation check scatters each nonzero entry of the target
+through the nonzero entries of the endomorphism (`_derivation_scatter`)
+and reads the smallest reached position with a nonzero sum.  The Bianchi
+checks pair nonzero entries into F = R + T.T and G = T.R, and evaluate
+each cyclic sum only at the sorted rotations (i <= j <= k) of nonzero F
+and G positions, in the lexicographic order in which the witness is
+defined.  Since the entries are exact, neither changes a value or a
+witness; the dense checks they replaced are the oracles in the tests.
+
 The Nomizu construction builds the transitive Lie algebra g0 = V + h0,
 where h0 is the exact annihilator of all model data inside End(V), with
 brackets [A,B] = AB - BA, [A,X] = AX and [X,Y] = -T_X Y + R_XY.  The
@@ -29,15 +39,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from . import linalg
 from .linalg import is_zero_scalar
 from .reporting import Check, Report, index_witness
 from .symplectic import (
-    COV, CON, SymplecticSpace, Tensor, _derivation_entries, _first_nonzero, _half_dimension,
-    _is_int, _support, change_basis, first_symplectic_defect, insert_vector, parse_fraction,
-    tensor_from_json, tensor_to_json,
+    COV, CON, SymplecticSpace, Tensor, _cyclic_positions, _derivation_entries, _half_dimension,
+    _is_int, _support, _unflat, change_basis, first_symplectic_defect, insert_vector,
+    parse_fraction, tensor_from_json, tensor_to_json,
 )
 
 
@@ -94,10 +105,49 @@ def derivation_action(endo, t: Tensor) -> Tensor:
                   space=t.space)
 
 
+def _derivation_scatter(endo, t: Tensor, support) -> dict[int, object]:
+    """{flat: value} of `derivation_action(endo, t)` at the positions it reaches.
+
+    `support` is `_support(t)`.  Each nonzero t[flat] is scattered through
+    the nonzero entries of endo, slot by slot: a contravariant slot holding
+    l sends t[flat] * endo[a][l] to the entry with a in that slot, a
+    covariant one sends -t[flat] * endo[l][a].  Positions no product
+    reaches are absent (their entry is zero); a reached one may still sum
+    to zero.  Model entries are exact constants, so the order in which the
+    products are summed changes no value.
+    """
+    d, rank, comps = t.dim, len(t.valence), t.comps
+    slots = []
+    for slot, kind in enumerate(t.valence):
+        stride = d ** (rank - 1 - slot)
+        # moves[l]: the (flat shift, factor) pairs for slot value l
+        if kind == CON:
+            moves = [[((a - l) * stride, row[l]) for a, row in enumerate(endo)
+                      if not is_zero_scalar(row[l])] for l in range(d)]
+        else:
+            moves = [[((a - l) * stride, -x) for a, x in enumerate(endo[l])
+                      if not is_zero_scalar(x)] for l in range(d)]
+        slots.append((stride, moves))
+    out: dict[int, object] = {}
+    for flat in support:
+        value = comps[flat]
+        for stride, moves in slots:
+            for shift, factor in moves[flat // stride % d]:
+                target = flat + shift
+                term = value * factor
+                out[target] = out[target] + term if target in out else term
+    return out
+
+
 def _derivation_first_nonzero(endo, t: Tensor, support):
     """`derivation_action(endo, t).first_nonzero()` for `support = _support(t)`,
-    computing no entry after it."""
-    return _first_nonzero(t.dim, len(t.valence), _derivation_entries(endo, t, support))
+    read off `_derivation_scatter`."""
+    entries = _derivation_scatter(endo, t, support)
+    nonzero = [flat for flat, value in entries.items() if not is_zero_scalar(value)]
+    if not nonzero:
+        return None
+    flat = min(nonzero)
+    return _unflat(t.dim, len(t.valence), flat), entries[flat]
 
 
 def _targets(model: InfinitesimalModel) -> list[tuple[Tensor, tuple[int, ...]]]:
@@ -115,7 +165,16 @@ def curvature_endomorphism(r: Tensor, i: int, j: int) -> list[list]:
 # -- model axioms ----------------------------------------------------------------
 
 def check_model_axioms(model: InfinitesimalModel) -> Report:
-    """Exact per-axiom verification; failures carry the first bad basis triple."""
+    """Exact per-axiom verification; failures carry the first bad basis triple.
+
+    Only nonzero data is touched: each derivation check is read off
+    `_derivation_scatter` per curvature endomorphism R(e_i, e_j), i < j,
+    and each Bianchi identity is evaluated by `_first_cyclic_failure` at
+    the sorted rotations of the nonzero entries of F = R + T.T or G = T.R.
+    The witness is the first failure in (i, j) order and then flat order,
+    and for the Bianchi identities the lexicographically first
+    (i <= j <= k, l) or (i <= j <= k, w, l).
+    """
     d = model.space.dim
     r, t = model.curvature, model.torsion
     checks = []
@@ -131,8 +190,7 @@ def check_model_axioms(model: InfinitesimalModel) -> Report:
     endos = {(i, j): curvature_endomorphism(r, i, j)
              for i in range(d) for j in range(i + 1, d)}
 
-    def derivation_check(name: str, target: Tensor):
-        support = _support(target)
+    def derivation_check(name: str, target: Tensor, support):
         for (i, j), endo in endos.items():
             hit = _derivation_first_nonzero(endo, target, support)
             if hit is not None:
@@ -142,58 +200,95 @@ def check_model_axioms(model: InfinitesimalModel) -> Report:
                 return
         checks.append(Check(name, True, None))
 
-    derivation_check("curvature_derivation_on_torsion", t)
-    derivation_check("curvature_derivation_on_curvature", r)
+    t_support, r_support = _support(t), _support(r)
+    derivation_check("curvature_derivation_on_torsion", t, t_support)
+    derivation_check("curvature_derivation_on_curvature", r, r_support)
 
-    # The Bianchi sums read the components by flat offset and run over the
-    # nonzero T_{e_x e_y} e_m only, listed once per (x, y).  The entries are
-    # Fractions, so each sum is exact in any order.
-    rc, tc = r.comps, t.comps
-    t_rows = [[(m * d * d, tc[xy * d + m]) for m in range(d) if tc[xy * d + m] != 0]
-              for xy in range(d * d)]
-
-    # first Bianchi with torsion: cyclic(R_XY Z + T_{T_X Y} Z) = 0.
+    # first Bianchi with torsion: cyclic(R_XY Z + T_{T_X Y} Z) = 0, the
+    # cyclic sum of F_xyz^l = R_xyz^l + sum_m T_xy^m T_mz^l over (x, y, z).
     # Given the two antisymmetry axioms the cyclic sum is an alternating
-    # trilinear form, so unordered index triples cover all cases.
-    first_bad = None
-    for i, j, k in itertools.combinations_with_replacement(range(d), 3):
-        for l in range(d):
-            total = Fraction(0)
-            for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                total += rc[((x * d + y) * d + z) * d + l]
-                for m_offset, value in t_rows[x * d + y]:
-                    total += value * tc[m_offset + z * d + l]
-            if total != 0:
-                first_bad = (i, j, k, l)
-                break
-        if first_bad:
-            break
-    checks.append(Check("first_bianchi", first_bad is None,
-                        None if first_bad is None else index_witness(first_bad)))
+    # trilinear form, so index triples i <= j <= k cover all cases.
+    t_entries = {flat: t.comps[flat] for flat in t_support}
+    r_entries = {flat: r.comps[flat] for flat in r_support}
+    f = _pair_through_first_slot(t_entries, t_entries, d, d * d)
+    for flat, value in r_entries.items():
+        f[flat] = f[flat] + value if flat in f else value
+    bad = _first_cyclic_failure(f, d, d)
+    checks.append(Check("first_bianchi", bad is None,
+                        None if bad is None else index_witness(_unflat(d, 4, bad))))
 
-    # second Bianchi consequence: cyclic R_{T_X Y, Z} = 0 as endomorphisms
-    second_bad = None
-    for i, j, k in itertools.combinations_with_replacement(range(d), 3):
-        for w in range(d):
-            for l in range(d):
-                total = Fraction(0)
-                for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m_offset, value in t_rows[x * d + y]:
-                        total += value * rc[(m_offset + z * d + w) * d + l]
-                if total != 0:
-                    second_bad = (i, j, k, w, l)
-                    break
-            if second_bad:
-                break
-        if second_bad:
-            break
-    checks.append(Check("second_bianchi", second_bad is None,
-                        None if second_bad is None else index_witness(second_bad)))
+    # second Bianchi consequence: cyclic R_{T_X Y, Z} = 0 as endomorphisms,
+    # the cyclic sum of G_xyzw^l = sum_m T_xy^m R_mzw^l over (x, y, z).
+    g = _pair_through_first_slot(t_entries, r_entries, d, d ** 3)
+    bad = _first_cyclic_failure(g, d, d * d)
+    checks.append(Check("second_bianchi", bad is None,
+                        None if bad is None else index_witness(_unflat(d, 5, bad))))
 
     for pos, aux in enumerate(model.aux):
-        derivation_check(f"curvature_derivation_on_aux{pos + 1}", aux)
+        derivation_check(f"curvature_derivation_on_aux{pos + 1}", aux, _support(aux))
 
     return Report(title="infinitesimal model axioms", checks=checks)
+
+
+def _pair_through_first_slot(left: dict, right: dict, d: int, block: int) -> dict[int, object]:
+    """{flat: sum_m left[.., m] right[m, ..]} from the nonzero entries of both.
+
+    `left` holds entries at flat = head * d + m, `right` at flat = m * block
+    + rest, with absent meaning zero; each product lands at head * block +
+    rest.  Positions no product reaches are absent.
+    """
+    by_first = [[] for _ in range(d)]
+    for flat, value in right.items():
+        m, rest = divmod(flat, block)
+        by_first[m].append((rest, value))
+    out: dict[int, object] = {}
+    for flat, a in left.items():
+        head, m = divmod(flat, d)
+        base = head * block
+        for rest, b in by_first[m]:
+            target = base + rest
+            term = a * b
+            out[target] = out[target] + term if target in out else term
+    return out
+
+
+@lru_cache(maxsize=None)
+def _sorted_rotations(d: int) -> tuple[int | None, ...]:
+    """For each flat (x, y, z) of a d^3 array, the flat of the rotation of
+    (x, y, z) that has i <= j <= k, or None when no rotation does."""
+    table: list[int | None] = [None] * d ** 3
+    rotations = _cyclic_positions(d)
+    for i, j, k in itertools.combinations_with_replacement(range(d), 3):
+        ijk = (i * d + j) * d + k
+        for rot in rotations[ijk]:
+            table[rot] = ijk
+    return tuple(table)
+
+
+def _first_cyclic_failure(entries: dict, d: int, tail: int) -> int | None:
+    """The first flat ijk * tail + rest, i <= j <= k, in increasing order, at
+    which the cyclic sum over (i, j, k) of an array of d^3 * tail entries is
+    nonzero, or None.  `entries` maps flat positions to values, absent
+    meaning zero.
+
+    A nonzero cyclic sum has a nonzero term, so only the sorted rotations
+    of the positions in `entries` are evaluated.  Flat order is the
+    lexicographic order on (i, j, k, rest).
+    """
+    sorted_rotation = _sorted_rotations(d)
+    candidates = set()
+    for flat in entries:
+        xyz, rest = divmod(flat, tail)
+        ijk = sorted_rotation[xyz]
+        if ijk is not None:
+            candidates.add(ijk * tail + rest)
+    rotations = _cyclic_positions(d)
+    for flat in sorted(candidates):
+        ijk, rest = divmod(flat, tail)
+        total = sum(entries.get(rot * tail + rest, 0) for rot in rotations[ijk])
+        if not is_zero_scalar(total):
+            return flat
+    return None
 
 
 # -- conversion between connection pictures ----------------------------------------
@@ -332,7 +427,7 @@ def model_stabilizer_algebra(model: InfinitesimalModel) -> list[list[list[Fracti
     kept only while independent of the rows before them (at most d^2 of
     them): the reduced echelon form, and so the basis, depends only on the
     row space.  Every returned matrix is re-verified to annihilate all
-    model data through `derivation_action`.
+    model data through `_annihilates`.
     """
     d = model.space.dim
     targets = _targets(model)
@@ -348,7 +443,8 @@ def model_stabilizer_algebra(model: InfinitesimalModel) -> list[list[list[Fracti
 
 
 def _annihilates(endo, targets) -> bool:
-    """Whether endo annihilates every tensor of the (t, support) pairs of `_targets`."""
+    """Whether endo annihilates every tensor of the (t, support) pairs of
+    `_targets`, read off `_derivation_scatter`."""
     return all(_derivation_first_nonzero(endo, t, support) is None for t, support in targets)
 
 

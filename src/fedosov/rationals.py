@@ -648,7 +648,8 @@ class RationalFunction:
         point = ScaledPoint.of(point)
         d_num, d_den = (1, 1) if self.den.is_one() else self.den._scaled_value(point)
         if not d_num:
-            raise PoleError(f"denominator vanishes at {dict(point.point)}")
+            at = ", ".join(f"{var}={value}" for var, value in point.point.items())
+            raise PoleError(f"denominator vanishes at {at}")
         n_num, n_den = self.num._scaled_value(point)
         return Fraction(n_num * d_den, d_num * n_den)
 

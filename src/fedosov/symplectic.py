@@ -29,7 +29,13 @@ Conventions fixed here and used everywhere else:
   one entry at a time, each slot's part summed by the same `_column_sum`,
   so a check that stops at a nonzero entry computes nothing after it.
   It sums only the entries that the support of its input (`_support`,
-  the nonzero positions) reaches, since model and chart data are sparse.
+  the nonzero positions) reaches, since chart data are sparse.  Its
+  fixed summation order is what keeps the unreduced `RationalFunction`
+  witnesses of the chart suites stable; the chart path
+  (`charts._covariant_planes`) is its only internal reader, and the
+  public `models.derivation_action` is built on it.  The model checks,
+  whose entries are exact constants, scatter the nonzero model data
+  instead (`models._derivation_scatter`).
   `change_basis` (and so every push-forward) runs the same kernel on
   scaled ints when the tensor and both matrices are constant: each is
   scaled by the lcm of its denominators (`rationals.scaled_entries`), and
@@ -320,7 +326,8 @@ def _support(t: Tensor) -> tuple[int, ...]:
     """The flat positions of t's nonzero entries, increasing.
 
     Computed once per tensor by the callers of `_derivation_entries` and
-    shared by every endomorphism acting on it.
+    `models._derivation_scatter`, and shared by every endomorphism acting
+    on it.
     """
     return tuple(flat for flat, value in enumerate(t.comps) if not is_zero_scalar(value))
 
@@ -335,9 +342,10 @@ def _derivation_entries(endo: Sequence[Sequence], t: Tensor, support: Sequence[i
     merged from Fraction(0), skipping zero ones.  Only the entries that
     some nonzero entry of t meets through a nonzero entry of endo are
     summed; every other entry is the zero of t's scalar type, which is
-    what the sum would give.  Nothing after the drawn entry is computed.
-    A zero t yields its own entries: `nomizu` on a zero n = 4 model
-    re-checks 64 stabilizer elements against it.
+    what the sum would give.  Nothing after the drawn entry is computed,
+    and a zero t yields its own entries.  The chart path is the only
+    internal reader: its witnesses print the unreduced `RationalFunction`,
+    so the order of summation above is fixed.
     """
     comps = t.comps
     if not support:

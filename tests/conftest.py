@@ -8,8 +8,11 @@ kernel replaced, with its own slot contraction, the projector oracles
 are the Fraction projectors that the integer kernel replaced, written
 entry by entry from their formulas, the symmetry and Bianchi oracles
 are the subtract-then-test and `Tensor.__getitem__` loops that the model
-checks replaced, and the change-of-basis and evaluation oracles are the
-Fraction loops that the scaled-integer kernels replaced.
+checks replaced, the model-report and annihilation oracles are the dense
+checks that every entry of each derivation action and every index triple
+went through before the model checks read only the nonzero data, and the
+change-of-basis and evaluation oracles are the Fraction loops that the
+scaled-integer kernels replaced.
 """
 
 from __future__ import annotations
@@ -300,6 +303,52 @@ def old_bianchi(model) -> tuple[tuple | None, tuple | None]:
     return first_bad, second_bad
 
 
+def old_derivation_first_nonzero(endo, t: Tensor):
+    """First (multi-index, value) of `old_derivation_action(endo, t)` with a
+    nonzero value, scanned over every entry, or None."""
+    acted = old_derivation_action(endo, t)
+    for idx in acted.indices():
+        if not _zero(acted[idx]):
+            return idx, acted[idx]
+    return None
+
+
+def old_check_model_axioms(model):
+    """The model report from the dense loops: subtract-then-test symmetry,
+    every entry of each derivation action, and `old_bianchi`."""
+    from fedosov.models import curvature_endomorphism
+    from fedosov.reporting import Check, Report, index_witness
+
+    d = model.space.dim
+    r, t = model.curvature, model.torsion
+    checks = []
+    for name, tensor in (("torsion_antisymmetry", t), ("curvature_antisymmetry", r)):
+        bad = old_symmetry_violation(tensor, 0, 1, anti=True)
+        checks.append(Check(name, bad is None, None if bad is None else index_witness(bad)))
+
+    def derivation(name, target):
+        for i, j in itertools.combinations(range(d), 2):
+            hit = old_derivation_first_nonzero(curvature_endomorphism(r, i, j), target)
+            if hit is not None:
+                return Check(name, False, f"R(e{i + 1},e{j + 1}) acting at "
+                                          f"{index_witness(hit[0])} gives {hit[1]}")
+        return Check(name, True, None)
+
+    checks.append(derivation("curvature_derivation_on_torsion", t))
+    checks.append(derivation("curvature_derivation_on_curvature", r))
+    for name, bad in zip(("first_bianchi", "second_bianchi"), old_bianchi(model)):
+        checks.append(Check(name, bad is None, None if bad is None else index_witness(bad)))
+    for pos, aux in enumerate(model.aux):
+        checks.append(derivation(f"curvature_derivation_on_aux{pos + 1}", aux))
+    return Report(title="infinitesimal model axioms", checks=checks)
+
+
+def old_annihilates(endo, targets) -> bool:
+    """`models._annihilates` from whole derivation actions: every entry of
+    endo acting on each tensor of the (tensor, support) pairs is zero."""
+    return all(old_derivation_first_nonzero(endo, t) is None for t, _ in targets)
+
+
 def coprime_denominators(count: int, bits: int) -> list[int]:
     """`count` pairwise coprime ints of at least `bits` bits: the smallest
     power of each of the first `count` primes that is that large."""
@@ -446,5 +495,6 @@ def old_polynomial_evaluate(p: Polynomial, point) -> Fraction:
 def old_ratfun_evaluate(f: RationalFunction, point) -> Fraction:
     den = old_polynomial_evaluate(f.den, point)
     if den == 0:
-        raise PoleError(f"denominator vanishes at {dict(point)}")
+        raise PoleError("denominator vanishes at "
+                        + ", ".join(f"{var}={value}" for var, value in point.items()))
     return old_polynomial_evaluate(f.num, point) / den

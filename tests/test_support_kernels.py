@@ -3,8 +3,9 @@
 `symplectic._derivation_entries` sums only the entries of the derivation
 action that the support of t (its nonzero positions) reaches through a
 nonzero entry of the endomorphism; `charts._partial_planes` takes no
-partial of a zero component; the Bianchi checks of `check_model_axioms`
-run over the nonzero torsion entries only; `Tensor.first_symmetry_violation`
+partial of a zero component; the derivation and Bianchi checks of
+`check_model_axioms` read only the nonzero model entries;
+`Tensor.first_symmetry_violation`
 and `Tensor.__eq__` compare entries instead of testing a difference for
 zero.  Each must agree with the construction it replaced, from
 `conftest.py`, which shares no code with it:
@@ -16,8 +17,9 @@ zero.  Each must agree with the construction it replaced, from
 * the covariant derivative and the gradient with an oracle that
   differentiates every entry (`test_lazy_checks.full_nabla`);
 * the model report (check names, verdicts and witnesses) with the old
-  symmetry, derivation and `Tensor.__getitem__` Bianchi loops, on
-  `valid_random_model` and on mutants of it that fail each Bianchi check;
+  symmetry, derivation and `Tensor.__getitem__` Bianchi loops
+  (`old_check_model_axioms`), on `valid_random_model` and on mutants of it
+  that fail each Bianchi check;
 * the symmetry witness and tensor equality with subtract-then-test.
 """
 
@@ -30,14 +32,14 @@ from fractions import Fraction
 import pytest
 
 from fedosov.charts import covariant_derivative, gradient, linear_type_structure, omega_tensor
-from fedosov.models import InfinitesimalModel, check_model_axioms, curvature_endomorphism
+from fedosov.models import InfinitesimalModel, check_model_axioms
 from fedosov.models import derivation_action
 from fedosov.rationals import RationalFunction, parse_ratfun
 from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor
 
 from conftest import (
-    _zero, old_bianchi, old_derivation_action, old_symmetry_violation, random_rational_function,
-    valid_random_model,
+    _zero, old_check_model_axioms, old_derivation_action, old_symmetry_violation,
+    random_rational_function, valid_random_model,
 )
 from test_lazy_checks import full_nabla, y_chart
 from test_slot_kernel import swell_chart
@@ -137,37 +139,6 @@ def test_gradient_matches_partial_on_every_entry():
 
 # -- the model checks ---------------------------------------------------------------------
 
-def witness(idx) -> str:
-    return "(" + ",".join(str(i + 1) for i in idx) + ")"
-
-
-def old_model_checks(model) -> list[tuple]:
-    """(name, verdict, witness) of every model check, from the old loops."""
-    d = model.space.dim
-    r, t = model.curvature, model.torsion
-    checks = []
-    for name, tensor in (("torsion_antisymmetry", t), ("curvature_antisymmetry", r)):
-        bad = old_symmetry_violation(tensor, 0, 1, anti=True)
-        checks.append((name, bad is None, None if bad is None else witness(bad)))
-
-    def derivation(name, target):
-        for i, j in itertools.combinations(range(d), 2):
-            acted = old_derivation_action(curvature_endomorphism(r, i, j), target)
-            for idx in acted.indices():
-                if not _zero(acted[idx]):
-                    return (name, False,
-                            f"R(e{i + 1},e{j + 1}) acting at {witness(idx)} gives {acted[idx]}")
-        return (name, True, None)
-
-    checks.append(derivation("curvature_derivation_on_torsion", t))
-    checks.append(derivation("curvature_derivation_on_curvature", r))
-    for name, bad in zip(("first_bianchi", "second_bianchi"), old_bianchi(model)):
-        checks.append((name, bad is None, None if bad is None else witness(bad)))
-    for pos, aux in enumerate(model.aux):
-        checks.append(derivation(f"curvature_derivation_on_aux{pos + 1}", aux))
-    return checks
-
-
 def mutants(rng, model):
     """Copies of the model with one curvature or torsion entry pair moved,
     antisymmetrically in the first two slots, and one moved alone."""
@@ -196,10 +167,9 @@ def test_model_checks_match_old_loops():
         for _ in range(4 if n < 3 else 2):
             model = valid_random_model(rng, n)
             for case in (model, *mutants(rng, model)):
-                report = check_model_axioms(case)
-                got = [(c.name, c.passed, c.witness) for c in report.checks]
-                assert got == old_model_checks(case)
-                failed.update(name for name, passed, _ in got if not passed)
+                got = check_model_axioms(case).to_json()
+                assert got == old_check_model_axioms(case).to_json()
+                failed.update(check["name"] for check in got if not check["pass"])
                 cases += 1
     assert cases == 10 * 7
     assert {"first_bianchi", "second_bianchi", "torsion_antisymmetry",
