@@ -29,6 +29,10 @@ Index conventions (all 0-based in code, 1-based in files and witnesses):
 A connection shifted by a structure tensor S uses Gamma' = Gamma - S.  A
 linear-type structure is S_X Y = omega(X,Y) xi - omega(Y,xi) X, written
 once in `_linear_type` for chart fields and for evaluated points alike.
+The suites are methods of one `ChartRun` per verification, which keeps the
+fields that two readers share, Gamma' and the base curvature R; the shifted
+curvature and torsion, and Gamma' of xi's structure when the run checks
+another one, have one reader each and are not kept.
 The built-in example charts are loaded from packaged fixture files; the
 first one ships verbatim (where its printed signs fail the checks) plus an
 emended variant found by exhaustive search over the sign patterns.
@@ -36,6 +40,7 @@ emended variant found by exhaustive search over the sign patterns.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -205,7 +210,7 @@ def tilde_christoffel(chart: Chart, structure: Tensor) -> tuple:
 
 
 def _gamma(chart: Chart, structure: Tensor | None):
-    return chart.christoffel if structure is None else tilde_christoffel(chart, structure)
+    return chart.christoffel if structure is None else ChartRun(chart, structure).tilde_gamma
 
 
 def chart_torsion(chart: Chart, structure: Tensor | None = None) -> Tensor:
@@ -398,149 +403,152 @@ def _nabla_first_nonzero(chart: Chart, t: Tensor, gamma) -> tuple | None:
                           itertools.chain.from_iterable(_covariant_planes(chart, t, gamma)))
 
 
-def fedosov_base_checks(chart: Chart) -> list[Check]:
-    """The base connection is Fedosov: omega is parallel and torsion-free."""
-    return [
-        _zero_check("nabla_omega_zero",
-                    _nabla_first_nonzero(chart, omega_tensor(chart), chart.christoffel)),
-        _zero_check("torsion_zero", chart_torsion(chart).first_nonzero()),
-    ]
+class ChartRun:
+    """One verification of a chart against a structure tensor: the given
+    (1,2) field or, by default, the linear-type structure of the vector
+    field `xi`, formed on first use, so that `base_checks` needs neither.
+    The shifted Christoffel array `tilde_gamma` and the base curvature
+    `curvature` are kept from their first use."""
 
+    def __init__(self, chart: Chart, structure: Tensor | None = None, xi: Tensor | None = None):
+        self.chart, self.xi, self._given = chart, xi, structure
 
-def verify_as_conditions(chart: Chart, structure: Tensor) -> Report:
-    """The Fedosov base checks followed by `parallelism_checks`."""
-    return Report(title="parallelism conditions",
-                  checks=fedosov_base_checks(chart) + parallelism_checks(chart, structure))
+    @functools.cached_property
+    def structure(self) -> Tensor:
+        if self._given is not None:
+            return self._given
+        return linear_type_structure(self.chart, self.xi)
 
+    @functools.cached_property
+    def tilde_gamma(self) -> tuple:
+        return tilde_christoffel(self.chart, self.structure)
 
-def parallelism_checks(chart: Chart, structure: Tensor, *,
-                       base_curvature: Tensor | None = None) -> list[Check]:
-    """The shifted connection makes omega, the structure tensor, both
-    curvatures and its own torsion parallel.
+    @functools.cached_property
+    def curvature(self) -> Tensor:
+        return chart_curvature(self.chart)
 
-    `base_curvature`, when given, is `chart_curvature(chart)` computed once
-    by a caller that also runs `linear_type_checks`.
-    """
-    w = omega_tensor(chart)
-    gamma = tilde_christoffel(chart, structure)
-    base_r = chart_curvature(chart) if base_curvature is None else base_curvature
-    tilde_r = _curvature(chart, gamma)
-    tilde_t = _torsion(chart, gamma)
-    return [
-        _zero_check("tilde_nabla_omega_zero", _nabla_first_nonzero(chart, w, gamma)),
-        _zero_check("tilde_nabla_structure_zero",
-                    _nabla_first_nonzero(chart, structure, gamma)),
-        _zero_check("tilde_nabla_base_curvature_zero",
-                    _nabla_first_nonzero(chart, base_r, gamma)),
-        _zero_check("tilde_nabla_tilde_curvature_zero",
-                    _nabla_first_nonzero(chart, tilde_r, gamma)),
-        _zero_check("tilde_nabla_tilde_torsion_zero",
-                    _nabla_first_nonzero(chart, tilde_t, gamma)),
-    ]
+    def base_checks(self) -> list[Check]:
+        """The base connection is Fedosov: omega is parallel and torsion-free."""
+        chart = self.chart
+        return [
+            _zero_check("nabla_omega_zero",
+                        _nabla_first_nonzero(chart, omega_tensor(chart), chart.christoffel)),
+            _zero_check("torsion_zero", chart_torsion(chart).first_nonzero()),
+        ]
 
+    def parallelism_checks(self) -> list[Check]:
+        """The shifted connection makes omega, the structure tensor, both
+        curvatures and its own torsion parallel."""
+        chart, gamma = self.chart, self.tilde_gamma
+        return [
+            _zero_check("tilde_nabla_omega_zero",
+                        _nabla_first_nonzero(chart, omega_tensor(chart), gamma)),
+            _zero_check("tilde_nabla_structure_zero",
+                        _nabla_first_nonzero(chart, self.structure, gamma)),
+            _zero_check("tilde_nabla_base_curvature_zero",
+                        _nabla_first_nonzero(chart, self.curvature, gamma)),
+            _zero_check("tilde_nabla_tilde_curvature_zero",
+                        _nabla_first_nonzero(chart, _curvature(chart, gamma), gamma)),
+            _zero_check("tilde_nabla_tilde_torsion_zero",
+                        _nabla_first_nonzero(chart, _torsion(chart, gamma), gamma)),
+        ]
 
-def verify_linear_type_suite(chart: Chart, xi: Tensor,
-                             xi_perp: Tensor | None = None) -> Report:
-    """The Fedosov base checks followed by `linear_type_checks`."""
-    return Report(title="linear-type identity suite",
-                  checks=fedosov_base_checks(chart) + linear_type_checks(chart, xi, xi_perp))
+    def linear_type_checks(self, xi_perp: Tensor | None = None) -> list[Check]:
+        """Identity suite for the linear-type structure of xi on a Fedosov base.
 
+        Verifies the defining covariant-derivative form of xi, the curvature
+        degeneracies forced by it, the two curvature reconstruction
+        identities against a transversal field (user-supplied via `xi_perp`
+        with omega(xi_perp, xi) = 1, or auto-constructed), and the geometric
+        properties of xi (geodesic, symplectic flow, integrable kernel
+        distribution).
+        """
+        chart, xi = self.chart, self.xi
+        d = chart.dim
+        zero = chart.rf_zero()
+        xi_run = self if self._given is None else ChartRun(chart, xi=xi)
+        checks: list[Check] = []
 
-def linear_type_checks(chart: Chart, xi: Tensor, xi_perp: Tensor | None = None, *,
-                       base_curvature: Tensor | None = None) -> list[Check]:
-    """Identity suite for linear-type structures on a Fedosov base.
+        checks.append(_zero_check("tilde_nabla_xi_zero", _nabla_first_nonzero(
+            chart, xi, xi_run.tilde_gamma)))
 
-    Verifies the defining covariant-derivative form of xi, the curvature
-    degeneracies forced by it, the two curvature reconstruction identities
-    against a transversal field (user-supplied via `xi_perp` with
-    omega(xi_perp, xi) = 1, or auto-constructed), and the geometric
-    properties of xi (geodesic, symplectic flow, integrable kernel
-    distribution).  `base_curvature` is as in `parallelism_checks`.
-    """
-    d = chart.dim
-    zero = chart.rf_zero()
-    structure = linear_type_structure(chart, xi)
-    checks: list[Check] = []
+        omega_xi = pairing_with(chart, xi)  # omega(d_i, xi)
+        nabla_xi = covariant_derivative(chart, xi)
+        checks.append(_zero_check("nabla_xi_linear_form", _lazy_first_nonzero(
+            d, 2, lambda i, k: nabla_xi[i, k] - omega_xi[i] * xi[(k,)])))
 
-    checks.append(_zero_check("tilde_nabla_xi_zero", _nabla_first_nonzero(
-        chart, xi, tilde_christoffel(chart, structure))))
+        r = self.curvature
+        checks.append(_zero_check("curvature_kills_xi",
+                                  insert_vector(r, 2, xi.comps).first_nonzero()))
 
-    omega_xi = pairing_with(chart, xi)  # omega(d_i, xi)
-    nabla_xi = covariant_derivative(chart, xi)
-    checks.append(_zero_check("nabla_xi_linear_form", _lazy_first_nonzero(
-        d, 2, lambda i, k: nabla_xi[i, k] - omega_xi[i] * xi[(k,)])))
+        slot_swap = Tensor.build(d, (COV, COV, COV, CON),
+                                 lambda i, j, k, l: r[i, j, k, l] - r[i, k, j, l])
+        checks.append(_zero_check("curvature_xi_slot_symmetry",
+                                  insert_vector(slot_swap, 0, xi.comps).first_nonzero()))
 
-    r = chart_curvature(chart) if base_curvature is None else base_curvature
-    checks.append(_zero_check("curvature_kills_xi",
-                              insert_vector(r, 2, xi.comps).first_nonzero()))
+        r4 = Tensor(d, (COV, COV, COV, COV), _contract_slot(r, 3, chart.omega))
+        checks.append(_zero_check("curvature_last_pair_symmetry", _lazy_first_nonzero(
+            d, 4, lambda i, j, k, m: r4[i, j, k, m] - r4[i, j, m, k])))
 
-    slot_swap = Tensor.build(d, (COV, COV, COV, CON),
-                             lambda i, j, k, l: r[i, j, k, l] - r[i, k, j, l])
-    checks.append(_zero_check("curvature_xi_slot_symmetry",
-                              insert_vector(slot_swap, 0, xi.comps).first_nonzero()))
+        r_xi = insert_vector(r4, 0, xi.comps)
 
-    r4 = Tensor(d, (COV, COV, COV, COV), _contract_slot(r, 3, chart.omega))
-    checks.append(_zero_check("curvature_last_pair_symmetry", _lazy_first_nonzero(
-        d, 4, lambda i, j, k, m: r4[i, j, k, m] - r4[i, j, m, k])))
+        checks.append(_zero_check("curvature_cyclic_xi_identity", _lazy_first_nonzero(
+            d, 5, lambda x, y, z, u, w: sum(
+                (chart.omega[a][b] * r_xi[c, u, w] + omega_xi[a] * r4[b, c, u, w]
+                 for (a, b, c) in ((x, y, z), (y, z, x), (z, x, y))),
+                zero))))
 
-    r_xi = insert_vector(r4, 0, xi.comps)
+        checks.append(_zero_check("curvature_xi_proportionality", _lazy_first_nonzero(
+            d, 4, lambda x, y, u, w: omega_xi[x] * r_xi[y, u, w] - omega_xi[y] * r_xi[x, u, w])))
 
-    checks.append(_zero_check("curvature_cyclic_xi_identity", _lazy_first_nonzero(
-        d, 5, lambda x, y, z, u, w: sum(
-            (chart.omega[a][b] * r_xi[c, u, w] + omega_xi[a] * r4[b, c, u, w]
-             for (a, b, c) in ((x, y, z), (y, z, x), (z, x, y))),
-            zero))))
+        if xi_perp is not None:
+            if xi_perp.valence != (CON,):
+                raise ValueError("the transversal field must be a vector field")
+            normalization = insert_vector(Tensor(d, (COV,), omega_xi), 0, xi_perp.comps)
+            if not (normalization.comps[0] - 1).is_zero():
+                raise ValueError("the supplied transversal field does not satisfy "
+                                 "omega(xi_perp, xi) = 1")
+            perp = xi_perp
+        else:
+            try:
+                perp = xi_perp_field(chart, xi)
+            except ValueError as err:
+                raise ValueError(f"linear-type suite needs a nonzero vector field: {err}") from None
 
-    checks.append(_zero_check("curvature_xi_proportionality", _lazy_first_nonzero(
-        d, 4, lambda x, y, u, w: omega_xi[x] * r_xi[y, u, w] - omega_xi[y] * r_xi[x, u, w])))
+        perp_first = insert_vector(r4, 0, perp.comps)
+        perp_second = insert_vector(r4, 1, perp.comps)
 
-    if xi_perp is not None:
-        if xi_perp.valence != (CON,):
-            raise ValueError("the transversal field must be a vector field")
-        normalization = insert_vector(Tensor(d, (COV,), omega_xi), 0, xi_perp.comps)
-        if not (normalization.comps[0] - 1).is_zero():
-            raise ValueError("the supplied transversal field does not satisfy "
-                             "omega(xi_perp, xi) = 1")
-        perp = xi_perp
-    else:
-        try:
-            perp = xi_perp_field(chart, xi)
-        except ValueError as err:
-            raise ValueError(f"linear-type suite needs a nonzero vector field: {err}") from None
+        # c = R(xi, perp, perp, perp) as one sum over (b, c, e) in increasing
+        # order, not three nested ones: the grouping fixes the unreduced form of c.
+        weights = [pb * pc * pe for pb, pc, pe in itertools.product(perp.comps, repeat=3)]
+        scalar_c = insert_vector(Tensor(d ** 3, (COV,), r_xi.comps), 0, weights).comps[0]
 
-    perp_first = insert_vector(r4, 0, perp.comps)
-    perp_second = insert_vector(r4, 1, perp.comps)
+        checks.append(_zero_check("curvature_xi_rank_one", _lazy_first_nonzero(
+            d, 3, lambda x, y, z: (r_xi[x, y, z]
+                                   - omega_xi[x] * omega_xi[y] * omega_xi[z] * scalar_c))))
 
-    # c = R(xi, perp, perp, perp) as one sum over (b, c, e) in increasing
-    # order, not three nested ones: the grouping fixes the unreduced form of c.
-    weights = [pb * pc * pe for pb, pc, pe in itertools.product(perp.comps, repeat=3)]
-    scalar_c = insert_vector(Tensor(d ** 3, (COV,), r_xi.comps), 0, weights).comps[0]
+        omega_perp = pairing_with(chart, perp)  # omega(d_i, perp) = -omega(perp, d_i)
 
-    checks.append(_zero_check("curvature_xi_rank_one", _lazy_first_nonzero(
-        d, 3, lambda x, y, z: r_xi[x, y, z] - omega_xi[x] * omega_xi[y] * omega_xi[z] * scalar_c)))
+        def reconstruction(x, y, u, w):
+            prefactor = (-chart.omega[x][y]
+                         + omega_perp[x] * omega_xi[y]
+                         - omega_perp[y] * omega_xi[x])
+            value = prefactor * omega_xi[u] * omega_xi[w] * scalar_c
+            value = value - omega_xi[x] * perp_second[y, u, w]
+            value = value - omega_xi[y] * perp_first[x, u, w]
+            return r4[x, y, u, w] - value
 
-    omega_perp = pairing_with(chart, perp)  # omega(d_i, perp) = -omega(perp, d_i)
+        checks.append(_zero_check("curvature_leafwise_flatness",
+                                  _lazy_first_nonzero(d, 4, reconstruction)))
 
-    def reconstruction(x, y, u, w):
-        prefactor = (-chart.omega[x][y]
-                     + omega_perp[x] * omega_xi[y]
-                     - omega_perp[y] * omega_xi[x])
-        value = prefactor * omega_xi[u] * omega_xi[w] * scalar_c
-        value = value - omega_xi[x] * perp_second[y, u, w]
-        value = value - omega_xi[y] * perp_first[x, u, w]
-        return r4[x, y, u, w] - value
+        checks.append(_zero_check("xi_geodesic",
+                                  insert_vector(nabla_xi, 0, xi.comps).first_nonzero()))
 
-    checks.append(_zero_check("curvature_leafwise_flatness",
-                              _lazy_first_nonzero(d, 4, reconstruction)))
+        checks.append(_zero_check("xi_flow_preserves_omega",
+                                  lie_derivative_omega(chart, xi).first_nonzero()))
 
-    checks.append(_zero_check("xi_geodesic",
-                              insert_vector(nabla_xi, 0, xi.comps).first_nonzero()))
-
-    checks.append(_zero_check("xi_flow_preserves_omega",
-                              lie_derivative_omega(chart, xi).first_nonzero()))
-
-    checks.append(integrability_check(chart, xi))
-    return checks
+        checks.append(integrability_check(chart, xi))
+        return checks
 
 
 def integrability_check(chart: Chart, xi: Tensor) -> Check:
@@ -936,12 +944,8 @@ def emend_chart_signs(chart: Chart) -> Chart:
              for (k, i, j), s in zip(entries, signs)},
             fields=chart.fields,
             excluded_locus=chart.excluded_locus)
-        if not chart_torsion(candidate).is_zero():
-            continue
-        if _nabla_first_nonzero(candidate, omega_tensor(candidate),
-                                candidate.christoffel) is not None:
-            continue
-        winners.append(candidate)
+        if all(check.passed for check in ChartRun(candidate).base_checks()):
+            winners.append(candidate)
     if len(winners) != 1:
         raise ValueError(f"sign search found {len(winners)} admissible variants, "
                          "expected exactly one")

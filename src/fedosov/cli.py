@@ -144,20 +144,20 @@ def _xi(chart: ch.Chart, args) -> Tensor:
     return xi
 
 
-def _structure_for_chart(chart: ch.Chart, args) -> Tensor:
-    """The `--structure` field, or the linear-type structure of `--xi`; a
-    given `--xi` is checked either way."""
-    if args.xi or not args.structure:
-        xi = _xi(chart, args)
-        if not args.structure:
-            return ch.linear_type_structure(chart, xi)
+def _structure_for_chart(chart: ch.Chart, args, needs_xi: bool = False) -> ch.ChartRun:
+    """The run on the `--structure` field, or on the linear-type structure of
+    `--xi`.  A given `--xi` is checked first either way; a run that
+    `needs_xi` reads the default `xi` after the structure."""
+    xi = _xi(chart, args) if args.xi or not args.structure else None
+    if not args.structure:
+        return ch.ChartRun(chart, xi=xi)
     try:
         tensor = chart.field_tensor(args.structure)
     except KeyError as err:
-        raise InputError(str(err)) from None
+        raise InputError(err.args[0]) from None
     if tensor.valence != (COV, COV, CON):
         raise InputError(f"field {args.structure!r} is not a (1,2) tensor field")
-    return tensor
+    return ch.ChartRun(chart, tensor, _xi(chart, args) if needs_xi and xi is None else xi)
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -299,16 +299,13 @@ def cmd_verify_chart(args) -> int:
     chart = _chart_from_args(args)
     report = Report(title="chart verification")
     report.extend(ch.verify_chart_structure(chart))
-    structure = _structure_for_chart(chart, args)
-    report.checks.extend(ch.fedosov_base_checks(chart))
-    # Both suites read the base curvature; build it once for --suite all.
-    base_r = ch.chart_curvature(chart) if args.suite == "all" else None
+    run = _structure_for_chart(chart, args, needs_xi=args.suite != "as")
+    report.checks.extend(run.base_checks())
     if args.suite in ("as", "all"):
-        report.checks.extend(ch.parallelism_checks(chart, structure, base_curvature=base_r))
+        report.checks.extend(run.parallelism_checks())
     if args.suite in ("linear-type", "all"):
-        xi = _xi(chart, args)
         try:
-            report.checks.extend(ch.linear_type_checks(chart, xi, base_curvature=base_r))
+            report.checks.extend(run.linear_type_checks())
         except ValueError as err:
             raise InputError(str(err)) from None
         candidate = None
@@ -319,7 +316,7 @@ def cmd_verify_chart(args) -> int:
                                          chart.coords)
             except ParseError as err:
                 raise InputError(f"--hamiltonian: {err}") from None
-        ham = ch.hamiltonian_oneform(chart, xi, candidate=candidate)
+        ham = ch.hamiltonian_oneform(chart, run.xi, candidate=candidate)
         report.checks.append(Check(
             "hamiltonian_oneform_closed", ham.closed,
             None if ham.closed else
@@ -351,7 +348,7 @@ def cmd_linear_type(args) -> int:
 def cmd_obstruction(args) -> int:
     chart = _chart_from_args(args)
     point = _parse_point(args.at)
-    structure = _structure_for_chart(chart, args)
+    structure = _structure_for_chart(chart, args).structure
     try:
         s_point = ch.evaluate_tensor(structure, point)
         omega_p = ch.evaluate_matrix(chart.omega, point)
@@ -382,7 +379,7 @@ def cmd_obstruction(args) -> int:
 def cmd_model_at_point(args) -> int:
     chart = _chart_from_args(args)
     point = _parse_point(args.at)
-    structure = _structure_for_chart(chart, args)
+    structure = _structure_for_chart(chart, args).structure
     try:
         model, basis = ch.model_at_point(chart, structure, point)
     except (PoleError, ValueError) as err:

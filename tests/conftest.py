@@ -12,7 +12,8 @@ checks replaced, the model-report and annihilation oracles are the dense
 checks that every entry of each derivation action and every index triple
 went through before the model checks read only the nonzero data, and the
 change-of-basis and evaluation oracles are the Fraction loops that the
-scaled-integer kernels replaced.
+scaled-integer kernels replaced.  `chart_suite` runs the chart suites of
+one `ChartRun` into one report.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from fractions import Fraction
 import pytest
 
 from fedosov import rationals
+from fedosov.charts import ChartRun
 from fedosov.decomposition import DecompositionResult
 from fedosov.rationals import PoleError, Polynomial, RationalFunction
+from fedosov.reporting import Report
 from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor
 
 
@@ -35,6 +38,14 @@ def scale_bound(request, monkeypatch):
     if request.param == "unscaled":
         monkeypatch.setattr(rationals, "MAX_SCALE_BITS", 0)
     return request.param
+
+
+def chart_suite(chart, structure=None, xi=None, xi_perp=None) -> Report:
+    """The Fedosov base checks, then the linear-type suite of `xi` when it is
+    given, or else the parallelism suite of `structure`."""
+    run = ChartRun(chart, structure, xi)
+    suite = run.parallelism_checks() if xi is None else run.linear_type_checks(xi_perp)
+    return Report(title="chart suites", checks=run.base_checks() + suite)
 
 
 def random_symmetric_tensor(rng: random.Random, n: int, bound: int = 9) -> Tensor:

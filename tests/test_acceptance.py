@@ -16,8 +16,7 @@ from fedosov.charts import (
     _load_fixture, chart_curvature, chart_from_json, chart_torsion,
     covariant_derivative, emend_chart_signs, evaluate_matrix, evaluate_tensor,
     linear_type_structure, load_example, metric_obstruction, model_at_point,
-    omega_tensor, verify_as_conditions, verify_chart_structure,
-    verify_linear_type_suite,
+    omega_tensor, verify_chart_structure,
 )
 from fedosov.decomposition import (
     COTORSION_LABELS, TORSION_LABELS,
@@ -36,7 +35,7 @@ from fedosov.symplectic import (
     contract_t13, cyclic_sum,
 )
 from conftest import (
-    oracle_s13, oracle_t12, random_antisymmetric_tensor, random_symmetric_tensor,
+    chart_suite, oracle_s13, oracle_t12, random_antisymmetric_tensor, random_symmetric_tensor,
 )
 
 ORIGIN = {"x": Fraction(1), "y": Fraction(0)}
@@ -210,8 +209,8 @@ def test_criterion_6_example2_end_to_end():
     structure = linear_type_structure(chart, xi)
 
     assert verify_chart_structure(chart).passed
-    assert verify_as_conditions(chart, structure).passed
-    assert verify_linear_type_suite(chart, xi).passed
+    assert chart_suite(chart, structure).passed
+    assert chart_suite(chart, xi=xi).passed
 
     # curvature values of the shifted connection: R(xi,eta)eta = -2 xi and
     # R(xi,eta)xi = 0 with eta = x d/dx + y d/dy
@@ -254,7 +253,7 @@ def test_criterion_7_example1_end_to_end():
     verbatim = load_example(1)
     xi = verbatim.field_tensor("xi")
     structure = linear_type_structure(verbatim, xi)
-    verbatim_report = verify_as_conditions(verbatim, structure)
+    verbatim_report = chart_suite(verbatim, structure)
     assert not verbatim_report.passed
     failed = {c.name: c for c in verbatim_report.checks if not c.passed}
     assert "torsion_zero" in failed and "nabla_omega_zero" in failed
@@ -284,8 +283,8 @@ def test_criterion_7_example1_end_to_end():
     structure_e = linear_type_structure(emended, xi_e)
     assert chart_torsion(emended).is_zero()
     assert covariant_derivative(emended, omega_tensor(emended)).is_zero()
-    assert verify_as_conditions(emended, structure_e).passed
-    assert verify_linear_type_suite(emended, xi_e).passed
+    assert chart_suite(emended, structure_e).passed
+    assert chart_suite(emended, xi=xi_e).passed
     assert chart_curvature(emended, structure_e).is_zero()
     _report(7, "emended chart (unique among 8 sign patterns) passes T=0, "
                "parallel omega, the full suite, and has flat shifted "
@@ -340,8 +339,8 @@ def test_criterion_9_mutation_sensitivity():
         structure = linear_type_structure(chart, xi)
         failures = []
         for report in (verify_chart_structure(chart),
-                       verify_as_conditions(chart, structure),
-                       verify_linear_type_suite(chart, xi)):
+                       chart_suite(chart, structure),
+                       chart_suite(chart, xi=xi)):
             failures.extend(c for c in report.checks if not c.passed)
         assert failures, f"mutation {name} was not detected"
         assert all(c.witness for c in failures), \

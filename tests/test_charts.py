@@ -10,14 +10,14 @@ from fedosov.charts import (
     hamiltonian_oneform, lie_bracket, lie_derivative_omega,
     linear_type_structure, load_example, make_chart, metric_obstruction,
     model_at_point, omega_is_closed, omega_tensor, symplectic_basis_matrix,
-    verify_as_conditions, verify_chart_structure, verify_linear_type_suite,
-    xi_perp_field,
+    verify_chart_structure, xi_perp_field,
 )
 from fedosov.models import check_model_axioms, transvection_subalgebra
 from fedosov.decomposition import decompose_cotorsion
 from fedosov.rationals import PoleError, parse_ratfun
 from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor, cotorsion_lower
 from fedosov import linalg
+from conftest import chart_suite
 
 ORIGIN = {"x": Fraction(1), "y": Fraction(0)}
 
@@ -137,20 +137,20 @@ def test_emendation_fails_when_no_variant_works():
 def test_verify_as_example2_passes():
     chart = load_example(2)
     s = linear_type_structure(chart, chart.field_tensor("xi"))
-    assert verify_as_conditions(chart, s).passed
+    assert chart_suite(chart, s).passed
 
 
 def test_verify_as_flat_chart_with_zero_structure():
     chart = flat_chart()
     zero_s = Tensor.zeros(2, (COV, COV, CON),
                           zero=chart.rf_zero())
-    assert verify_as_conditions(chart, zero_s).passed
+    assert chart_suite(chart, zero_s).passed
 
 
 def test_verify_as_example1_verbatim_fails_with_witnesses():
     chart = load_example(1)
     s = linear_type_structure(chart, chart.field_tensor("xi"))
-    report = verify_as_conditions(chart, s)
+    report = chart_suite(chart, s)
     assert not report.passed
     assert not report.check("torsion_zero").passed
     assert not report.check("nabla_omega_zero").passed
@@ -162,14 +162,14 @@ def test_verify_as_example1_verbatim_fails_with_witnesses():
 def test_verify_as_example1_emended_passes():
     chart = load_example("example1-emended")
     s = linear_type_structure(chart, chart.field_tensor("xi"))
-    assert verify_as_conditions(chart, s).passed
+    assert chart_suite(chart, s).passed
 
 
 def test_mutated_xi_breaks_as_conditions():
     chart = load_example(2)
     wrong_xi = Tensor(2, (CON,), [chart.rf_zero(), rf(chart, "1")])  # d/dy instead of x d/dy
     s = linear_type_structure(chart, wrong_xi)
-    report = verify_as_conditions(chart, s)
+    report = chart_suite(chart, s)
     assert not report.passed
     failing = [c for c in report.checks if not c.passed]
     assert failing and all(c.witness for c in failing)
@@ -177,12 +177,12 @@ def test_mutated_xi_breaks_as_conditions():
 
 def test_linear_type_suite_example2_passes():
     chart = load_example(2)
-    assert verify_linear_type_suite(chart, chart.field_tensor("xi")).passed
+    assert chart_suite(chart, xi=chart.field_tensor("xi")).passed
 
 
 def test_linear_type_suite_example1_emended_passes():
     chart = load_example("example1-emended")
-    assert verify_linear_type_suite(chart, chart.field_tensor("xi")).passed
+    assert chart_suite(chart, xi=chart.field_tensor("xi")).passed
 
 
 def test_linear_type_suite_accepts_supplied_transversal():
@@ -190,7 +190,7 @@ def test_linear_type_suite_accepts_supplied_transversal():
     xi = chart.field_tensor("xi")
     # omega(d/dx, xi) = 1/x, so x * d/dx is a valid transversal
     perp = Tensor(2, (CON,), [rf(chart, "x"), chart.rf_zero()])
-    report = verify_linear_type_suite(chart, xi, xi_perp=perp)
+    report = chart_suite(chart, xi=xi, xi_perp=perp)
     assert report.passed
 
 
@@ -199,14 +199,14 @@ def test_linear_type_suite_rejects_unnormalized_transversal():
     xi = chart.field_tensor("xi")
     bad = Tensor(2, (CON,), [rf(chart, "1"), chart.rf_zero()])  # pairing 1/x, not 1
     with pytest.raises(ValueError):
-        verify_linear_type_suite(chart, xi, xi_perp=bad)
+        chart_suite(chart, xi=xi, xi_perp=bad)
 
 
 def test_linear_type_suite_rejects_zero_xi():
     chart = flat_chart()
     zero_xi = Tensor.zeros(2, (CON,), zero=chart.rf_zero())
     with pytest.raises(ValueError):
-        verify_linear_type_suite(chart, zero_xi)
+        chart_suite(chart, xi=zero_xi)
 
 
 def test_linear_type_suite_detects_scaled_omega_mismatch():
@@ -217,7 +217,7 @@ def test_linear_type_suite_detects_scaled_omega_mismatch():
                        {(0, 1): base.omega[0][1].__mul__(2)},
                        {(0, 0, 0): base.christoffel[0][0][0]},
                        fields=base.fields)
-    report = verify_linear_type_suite(chart, chart.field_tensor("xi"))
+    report = chart_suite(chart, xi=chart.field_tensor("xi"))
     assert not report.passed
 
 
@@ -450,7 +450,7 @@ def test_flat_4d_chart_as_conditions_with_zero_structure():
     chart = flat_chart_4d()
     zero_s = Tensor.zeros(4, (COV, COV, CON), zero=chart.rf_zero())
     assert verify_chart_structure(chart).passed
-    assert verify_as_conditions(chart, zero_s).passed
+    assert chart_suite(chart, zero_s).passed
 
 
 def test_integrability_check_positive_4d():
@@ -491,7 +491,7 @@ def test_fedosov_chart_with_quadratic_denominators():
          (0, 0, 1): parse_ratfun(f"-2*y/{u}", coords),
          (0, 1, 0): parse_ratfun(f"-2*y/{u}", coords)})
     zero_s = Tensor.zeros(2, (COV, COV, CON), zero=chart.rf_zero())
-    report = verify_as_conditions(chart, zero_s)
+    report = chart_suite(chart, zero_s)
     assert report.check("nabla_omega_zero").passed
     assert report.check("torsion_zero").passed
     curvature_check = report.check("tilde_nabla_base_curvature_zero")
@@ -565,7 +565,7 @@ def test_linear_derivative_form_implies_curvature_kills_xi():
     implication_checked = 0
     for chart in charts:
         xi = chart.field_tensor("xi")
-        report = verify_linear_type_suite(chart, xi)
+        report = chart_suite(chart, xi=xi)
         prerequisites = all(report.check(name).passed for name in
                             ("nabla_omega_zero", "torsion_zero",
                              "nabla_xi_linear_form"))

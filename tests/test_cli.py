@@ -2,6 +2,7 @@ import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ from fedosov.symplectic import SymplecticSpace, tensor_from_json, tensor_to_json
 from fedosov.decomposition import build_basis, decompose_torsion
 
 from conftest import coprime_denominators
+from test_slot_kernel import swell_chart
 
 
 def run_cli(capsys, *argv):
@@ -319,6 +321,22 @@ def test_xi_must_name_a_vector_field(capsys, argv, message):
     assert (code, out, err) == (2, "", f"input error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-chart", "example2", "--structure", "nope"],
+    ["obstruction", "example2", "--at", "x=1,y=0", "--structure", "nope"],
+    ["model-at-point", "example2", "--at", "x=1,y=0", "--structure", "nope"],
+    # the structure is looked up before the xi that the linear-type suite reads
+    ["verify-chart", "no-xi", "--suite", "linear-type", "--structure", "nope"],
+    ["verify-chart", "no-xi", "--suite", "all", "--structure", "nope"],
+], ids=["verify-chart", "obstruction", "model-at-point", "no-xi-linear-type", "no-xi-all"])
+def test_structure_must_name_a_chart_field(tmp_path, capsys, argv):
+    data = charts.chart_to_json(charts.load_example(2))
+    del data["fields"]
+    no_xi = write_json(tmp_path, "no_xi.json", data)
+    code, out, err = run_cli(capsys, *(no_xi if a == "no-xi" else a for a in argv))
+    assert (code, out, err) == (2, "", "input error: chart has no field named 'nope'\n")
+
+
 def test_verify_chart_hamiltonian_candidate(capsys):
     # a rational candidate can only be wrong here (the true primitive is a
     # logarithm), and the mismatch is a named failing check
@@ -411,10 +429,11 @@ def test_cli_imports_only_the_standard_library():
 
 
 def _callers(source: str, name: str) -> list[str]:
-    """Names of the top-level functions of `source` that call `name`."""
-    return sorted(func.name for func in ast.parse(source).body
-                  if isinstance(func, ast.FunctionDef)
-                  for node in ast.walk(func)
+    """Names of the top-level functions and classes of `source` that call
+    `name`, once per call."""
+    return sorted(top.name for top in ast.parse(source).body
+                  if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                  for node in ast.walk(top)
                   if isinstance(node, ast.Call)
                   and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
@@ -425,6 +444,60 @@ def test_cli_reads_files_and_fields_in_one_place():
     source = pathlib.Path(cli.__file__).read_text(encoding="utf-8")
     assert _callers(source, "_load_json") == ["_read"]
     assert _callers(source, "field_tensor") == ["_structure_for_chart", "_xi"]
+
+
+def test_chart_runs_form_the_shared_fields():
+    # One `ChartRun` forms the structure and its shifted connection for
+    # every suite; `model_at_point` shifts the connection of the structure
+    # it is given, and `linear_type_structure` stays the public wrapper.
+    source = pathlib.Path(charts.__file__).read_text(encoding="utf-8")
+    assert _callers(source, "tilde_christoffel") == ["ChartRun", "model_at_point"]
+    assert _callers(source, "linear_type_structure") == ["ChartRun"]
+    assert _callers(source, "_linear_type") == ["linear_type_structure", "metric_obstruction"]
+    # the removed plumbing and wrappers; `\b` keeps the check name
+    # `tilde_nabla_base_curvature_zero` out of the match
+    gone = re.compile(r"\b(base_curvature|verify_as_conditions|verify_linear_type_suite)\b")
+    for path in pathlib.Path(charts.__file__).parent.glob("*.py"):
+        assert not gone.search(path.read_text(encoding="utf-8")), path.name
+
+
+def _count_shared_fields(monkeypatch) -> dict:
+    """Counts of `linear_type_structure`, `tilde_christoffel` and the
+    base-connection `_curvature` calls, patched by module attribute."""
+    counts = {"structure": 0, "tilde_gamma": 0, "base_curvature": 0}
+
+    def counted(key, fn, base_only=False):
+        def wrapper(chart, arg):
+            if not base_only or arg is chart.christoffel:
+                counts[key] += 1
+            return fn(chart, arg)
+        return wrapper
+
+    monkeypatch.setattr(charts, "linear_type_structure",
+                        counted("structure", charts.linear_type_structure))
+    monkeypatch.setattr(charts, "tilde_christoffel",
+                        counted("tilde_gamma", charts.tilde_christoffel))
+    monkeypatch.setattr(charts, "_curvature",
+                        counted("base_curvature", charts._curvature, base_only=True))
+    return counts
+
+
+@pytest.mark.parametrize("chart, argv, expected", [
+    # two readers each of the structure, Gamma' and R under --suite all
+    ("swell", ["--suite", "all"], (1, 1, 1)),
+    ("swell", ["--suite", "linear-type"], (1, 1, 1)),
+    ("swell", ["--suite", "as"], (1, 1, 1)),
+    # S and xi's structure are two structures, so two shifted connections
+    (HAMILTONIAN_2D, ["--suite", "all", "--structure", "S"], (1, 2, 1)),
+    (HAMILTONIAN_2D, ["--suite", "as", "--structure", "S"], (0, 1, 1)),
+], ids=["swell-all", "swell-linear-type", "swell-as", "structure-all", "structure-as"])
+def test_verify_chart_forms_each_shared_field_once(tmp_path, monkeypatch, capsys,
+                                                  chart, argv, expected):
+    if chart == "swell":
+        chart = write_json(tmp_path, "swell.json", charts.chart_to_json(swell_chart()))
+    counts = _count_shared_fields(monkeypatch)
+    assert main(["verify-chart", chart, *argv]) in (0, 1)
+    assert (counts["structure"], counts["tilde_gamma"], counts["base_curvature"]) == expected
 
 
 def test_charts_differentiate_in_one_kernel():

@@ -14,7 +14,11 @@ charts make the remaining chart checks fail with witnesses:
 `nonclosed_4d.json` (omega_closed, at a triple other than the first),
 `hamiltonian_2d.json` (hamiltonian_oneform_closed, a wrong
 `--hamiltonian` candidate, xi_flow_preserves_omega, and a structure field
-`S` that is not of linear type, so `obstruction` exits 2) and
+`S` that is not of linear type, so `obstruction` exits 2; with
+`--structure S` it is the one case where the structure that the suites
+and `model-at-point` read is not the linear-type structure of xi, run
+through all three suites, which fail with witnesses, and through
+`model-at-point`, which passes) and
 `contact_4d.json` (xi_kernel_integrable: omega(., xi) = dx + u dy is a
 contact form); the zero model `models/zero_n2.json` has all of gl(V) as
 its stabilizer; and `model-at-point` and `obstruction` at x = 0 on the
@@ -76,6 +80,9 @@ COMMANDS = [
     ["obstruction", "charts/contact_4d.json", "--at", "x=0,y=0,u=2,v=0"],
     ["obstruction", "example1-emended", "--at", "x=2,y=1/3"],
     ["obstruction", "charts/hamiltonian_2d.json", "--at", "x=1,y=2", "--structure", "S"],
+    *(["verify-chart", "charts/hamiltonian_2d.json", "--suite", suite, "--structure", "S"]
+      for suite in ("as", "linear-type", "all")),
+    ["model-at-point", "charts/hamiltonian_2d.json", "--at", "x=1,y=2", "--structure", "S"],
     *([command, "models/zero_n2.json"] for command in ("nomizu", "transvection")),
 ]
 

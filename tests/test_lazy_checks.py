@@ -31,9 +31,9 @@ import pytest
 
 from fedosov import charts
 from fedosov.charts import (
-    chart_curvature, chart_to_json, chart_torsion, fedosov_base_checks, linear_type_checks,
-    linear_type_structure, load_chart_file, load_example, make_chart, omega_tensor,
-    pairing_with, parallelism_checks, tilde_christoffel, xi_perp_field,
+    ChartRun, chart_curvature, chart_to_json, chart_torsion, linear_type_structure,
+    load_chart_file, load_example, make_chart, omega_tensor, pairing_with,
+    tilde_christoffel, xi_perp_field,
 )
 from fedosov.cli import main
 from fedosov.linalg import is_zero_scalar
@@ -178,8 +178,8 @@ def cases():
 
 
 def lazy_checks(chart, structure):
-    return (fedosov_base_checks(chart) + parallelism_checks(chart, structure)
-            + linear_type_checks(chart, chart.field_tensor("xi")))
+    run = ChartRun(chart, structure, chart.field_tensor("xi"))
+    return run.base_checks() + run.parallelism_checks() + run.linear_type_checks()
 
 
 def mismatches(cases):
