@@ -18,13 +18,13 @@ Index conventions (all 0-based in code, 1-based in files and witnesses):
   (nabla T)(X; ...) = (nabla_X T)(...).  `gradient(chart, t)` puts the
   coordinate partials d_i t in the same first slot.  `_partial` is the
   only place in this module that differentiates, and it takes no
-  partial of a zero.  The partial term of nabla, Lie brackets and
-  derivatives, and the Hamiltonian checks read partials off the planes
-  d_i t of `_partial_planes`; the closedness of omega and the curvature's
-  d Gamma, which need single entries of different planes, call `_partial`
-  themselves.
+  partial of a zero.  Lie brackets and derivatives and the Hamiltonian
+  checks read partials off the planes d_i t of `_partial_planes`; the
+  covariant derivative, the closedness of omega and the curvature's
+  d Gamma, which need single entries, call `_partial` themselves.
   The checks that nabla T vanishes draw nabla T one entry at a time,
-  plane nabla_i T after plane, and stop at the first nonzero component.
+  plane nabla_i T after plane, visiting only the positions where a
+  component can be nonzero, and stop at the first nonzero component.
 
 A connection shifted by a structure tensor S uses Gamma' = Gamma - S.  A
 linear-type structure is S_X Y = omega(X,Y) xi - omega(Y,xi) X, written
@@ -54,7 +54,7 @@ from .rationals import Polynomial, RationalFunction, ScaledPoint, parse_ratfun
 from .reporting import Check, Report, index_witness
 from .symplectic import (
     COV, CON, MAX_N, MAX_RANK, SymplecticSpace, Tensor, _contract_slot, _derivation_entries,
-    _first_nonzero, _support, change_basis, insert_vector, tensor_to_json,
+    _first_nonzero, _support, _unflat, change_basis, insert_vector, tensor_to_json,
 )
 
 
@@ -181,8 +181,9 @@ def _partial(value: RationalFunction, coord: str) -> RationalFunction:
     Not a kernel of its own: it is the single call site of
     `RationalFunction.partial` in this module, which
     `test_charts_differentiate_in_one_kernel` enforces.  `_partial_planes`
-    maps it over a plane, and `omega_is_closed` calls it per entry, since
-    the three partials of one cyclic-sum entry lie in three planes.
+    maps it over a plane, `_nabla_entries` calls it at the positions it
+    visits, and `omega_is_closed` calls it per entry, since the three
+    partials of one cyclic-sum entry lie in three planes.
     """
     return value if value.is_zero() else value.partial(coord)
 
@@ -265,35 +266,40 @@ def _curvature(chart: Chart, gamma) -> Tensor:
     return Tensor(d, (COV, COV, COV, CON), comps)
 
 
-def _covariant_planes(chart: Chart, tensor: Tensor, gamma):
-    """The planes nabla_i T of `covariant_derivative`, one coordinate i at a
-    time, for the connection with Christoffel array `gamma`.
+def _nabla_entries(chart: Chart, t: Tensor, gamma):
+    """(flat, value) for the components of nabla t that can be nonzero, in
+    flat order, one per draw, for the connection with Christoffel array `gamma`.
 
-    nabla_i T = d_i T + Gamma_i . T with Gamma_i[a][b] = gamma[a][i][b]
-    acting as a derivation.  The partial derivative is added last: the
-    entries are never reduced, and this order keeps them smallest.  Each
-    plane is a generator that forms one entry per draw, its Gamma_i . T
-    term from `_derivation_entries` and its partial from `_partial_planes`,
-    so a reader that stops at an entry computes nothing after it.  The
-    support of T is found once and shared by the d planes: Gamma_i . T is
-    summed only where it reaches, and a zero component of T takes no
-    partial.
+    nabla_i t = Gamma_i . t + d_i t with Gamma_i[a][b] = gamma[a][i][b]
+    acting as a derivation.  Plane i walks the positions that
+    `_derivation_entries` reaches together with the support of t, the only
+    positions with a nonzero partial; every other component is t's own
+    zero there.  At each position the connection term c is formed first,
+    then the partial p, and the value is c + p, the partial added last:
+    the entries are never reduced, and this order keeps them smallest.  A
+    zero t yields nothing.
     """
-    d = chart.dim
-    support = _support(tensor)
-    for i, partials in enumerate(_partial_planes(chart, tensor)):
-        connection = _derivation_entries([[gamma[a][i][b] for b in range(d)]
-                                          for a in range(d)], tensor, support)
-        yield (p if is_zero_scalar(c) else c if p.is_zero() else c + p
-               for c, p in zip(connection, partials))
+    d, comps = chart.dim, t.comps
+    support = _support(t)
+    if not support:
+        return
+    size = len(comps)
+    for i, coord in enumerate(chart.coords):
+        connection = _derivation_entries([[gamma[a][i][b] for b in range(d)] for a in range(d)],
+                                         t, support, with_support=True)
+        for flat, c in connection:
+            p = _partial(comps[flat], coord)
+            yield i * size + flat, (p if c is None or is_zero_scalar(c)
+                                    else c if p.is_zero() else c + p)
 
 
 def covariant_derivative(chart: Chart, tensor: Tensor,
                          structure: Tensor | None = None) -> Tensor:
     """Coordinate covariant derivative; the new covariant slot comes first."""
-    return Tensor(chart.dim, (COV,) + tensor.valence,
-                  list(itertools.chain.from_iterable(
-                      _covariant_planes(chart, tensor, _gamma(chart, structure)))))
+    comps = list(tensor.comps) * chart.dim
+    for flat, value in _nabla_entries(chart, tensor, _gamma(chart, structure)):
+        comps[flat] = value
+    return Tensor(chart.dim, (COV,) + tensor.valence, comps)
 
 
 def omega_tensor(chart: Chart) -> Tensor:
@@ -398,9 +404,13 @@ def _lazy_first_nonzero(d: int, rank: int, entry) -> tuple | None:
 
 def _nabla_first_nonzero(chart: Chart, t: Tensor, gamma) -> tuple | None:
     """The first nonzero component of nabla t for the connection with
-    Christoffel array `gamma`, drawing one plane nabla_i t at a time up to it."""
-    return _first_nonzero(chart.dim, len(t.valence) + 1,
-                          itertools.chain.from_iterable(_covariant_planes(chart, t, gamma)))
+    Christoffel array `gamma`, summed in the order of `_nabla_entries`,
+    which it draws up to that component: no connection entry and no
+    partial after it is formed, and a zero t forms none at all."""
+    for flat, value in _nabla_entries(chart, t, gamma):
+        if not is_zero_scalar(value):
+            return _unflat(chart.dim, len(t.valence) + 1, flat), value
+    return None
 
 
 class ChartRun:

@@ -86,7 +86,9 @@ def _emit(args, command: str, report: Report, artifacts: dict | None = None) -> 
     return 0 if report.passed else 1
 
 
-def _parse_point(text: str) -> dict[str, Fraction]:
+def _parse_point(text: str, coords: tuple[str, ...]) -> dict[str, Fraction]:
+    """The point `--at` assigns: one value for each of the chart's `coords`
+    and for nothing else."""
     point = {}
     for piece in _bound_digits(text, "--at").split(","):
         piece = piece.strip()
@@ -95,12 +97,21 @@ def _parse_point(text: str) -> dict[str, Fraction]:
         if "=" not in piece:
             raise InputError(f"bad point assignment {piece!r}; expected name=value")
         name, value = piece.split("=", 1)
+        name = name.strip()
+        if name not in coords:
+            raise InputError(f"--at: {name} is not a coordinate of the chart "
+                             f"({', '.join(coords)})")
+        if name in point:
+            raise InputError(f"--at: {name} is given twice")
         try:
-            point[name.strip()] = parse_fraction(value.strip())
+            point[name] = parse_fraction(value.strip())
         except ValueError:
             raise InputError(f"bad rational value in {piece!r}") from None
     if not point:
         raise InputError("empty point specification")
+    missing = [c for c in coords if c not in point]
+    if missing:
+        raise InputError(f"--at: no value for {', '.join(missing)}")
     return point
 
 
@@ -296,6 +307,8 @@ def cmd_bianchi(args) -> int:
 
 
 def cmd_verify_chart(args) -> int:
+    if args.hamiltonian is not None and args.suite == "as":
+        raise InputError("--hamiltonian needs --suite linear-type or all")
     chart = _chart_from_args(args)
     report = Report(title="chart verification")
     report.extend(ch.verify_chart_structure(chart))
@@ -309,7 +322,7 @@ def cmd_verify_chart(args) -> int:
         except ValueError as err:
             raise InputError(str(err)) from None
         candidate = None
-        if args.hamiltonian:
+        if args.hamiltonian is not None:
             from .rationals import parse_ratfun
             try:
                 candidate = parse_ratfun(_bound_digits(args.hamiltonian, "--hamiltonian"),
@@ -347,7 +360,7 @@ def cmd_linear_type(args) -> int:
 
 def cmd_obstruction(args) -> int:
     chart = _chart_from_args(args)
-    point = _parse_point(args.at)
+    point = _parse_point(args.at, chart.coords)
     structure = _structure_for_chart(chart, args).structure
     try:
         s_point = ch.evaluate_tensor(structure, point)
@@ -378,7 +391,7 @@ def cmd_obstruction(args) -> int:
 
 def cmd_model_at_point(args) -> int:
     chart = _chart_from_args(args)
-    point = _parse_point(args.at)
+    point = _parse_point(args.at, chart.coords)
     structure = _structure_for_chart(chart, args).structure
     try:
         model, basis = ch.model_at_point(chart, structure, point)

@@ -47,7 +47,7 @@ from .linalg import is_zero_scalar
 from .reporting import Check, Report, index_witness
 from .symplectic import (
     COV, CON, SymplecticSpace, Tensor, _cyclic_positions, _derivation_entries, _half_dimension,
-    _is_int, _support, _unflat, change_basis, first_symplectic_defect, insert_vector,
+    _is_int, _scalar_zero, _support, _unflat, change_basis, first_symplectic_defect, insert_vector,
     parse_fraction, tensor_from_json, tensor_to_json,
 )
 
@@ -100,9 +100,19 @@ def trivial_model(n: int) -> InfinitesimalModel:
 # -- derivation action ---------------------------------------------------------
 
 def derivation_action(endo, t: Tensor) -> Tensor:
-    """Action of an endomorphism (matrix, output index first) on a tensor."""
-    return Tensor(t.dim, t.valence, list(_derivation_entries(endo, t, _support(t))),
-                  space=t.space)
+    """Action of an endomorphism (matrix, output index first) on a tensor.
+
+    The entries `_derivation_entries` yields are written over zeros of t's
+    scalar type (Fraction(0) for a scalar); a zero t acts to a copy of itself.
+    """
+    support = _support(t)
+    if not support:
+        comps = list(t.comps)
+    else:
+        comps = [_scalar_zero(t) if t.valence else Fraction(0)] * len(t.comps)
+    for flat, value in _derivation_entries(endo, t, support):
+        comps[flat] = value
+    return Tensor(t.dim, t.valence, comps, space=t.space)
 
 
 def _derivation_scatter(endo, t: Tensor, support) -> dict[int, object]:

@@ -24,16 +24,19 @@ Conventions fixed here and used everywhere else:
   contravariant slot transposed.  Vectors go through the same kernel: a
   d x 1 matrix makes the slot drop out, and `insert_vector(t, slot, v)`
   is that interior product.  Musical isomorphisms and every chart
-  contraction with a vector field are built on it.  A derivation sums
-  one such contraction per slot; `_derivation_entries` forms that sum
-  one entry at a time, each slot's part summed by the same `_column_sum`,
-  so a check that stops at a nonzero entry computes nothing after it.
-  It sums only the entries that the support of its input (`_support`,
-  the nonzero positions) reaches, since chart data are sparse.  Its
-  fixed summation order is what keeps the unreduced `RationalFunction`
-  witnesses of the chart suites stable; the chart path
-  (`charts._covariant_planes`) is its only internal reader, and the
-  public `models.derivation_action` is built on it.  The model checks,
+  contraction with a vector field are built on it.  The kernel scatters
+  each nonzero entry of t, in flat order, through the nonzero entries of
+  its matrix row, so every output entry sums its terms over l in
+  increasing order, and zero entries of t cost one test each.
+  A derivation sums one such contraction per slot; `_derivation_entries`
+  forms that sum one entry at a time, in the same order, and yields only
+  the entries that the support of its input (`_support`, the nonzero
+  positions) reaches, since chart data are sparse; a check that stops at
+  a nonzero entry computes nothing after it.  Its fixed summation order is
+  what keeps the unreduced `RationalFunction` witnesses of the chart
+  suites stable.  Its readers are the chart covariant derivatives
+  (`charts._nabla_entries`, which adds the partials on the support of its
+  field) and the public `models.derivation_action`.  The model checks,
   whose entries are exact constants, scatter the nonzero model data
   instead (`models._derivation_scatter`).
   `change_basis` (and so every push-forward) runs the same kernel on
@@ -281,19 +284,36 @@ def _contract_slot(t: Tensor, slot: int, matrix: Sequence[Sequence]) -> list:
 
     out[..., a, ...] = sum_l t[..., l, ...] * matrix[l][a] for a < k, with
     k = len(matrix[0]); the slot runs over k values afterwards, so a single
-    column (a vector) makes it drop out.  The sum is taken over l in
+    column (a vector) makes it drop out.  Each nonzero t[flat], in flat
+    order, is scattered through the nonzero entries of the matrix row of
+    its slot value.  An output entry therefore sums its terms over l in
     increasing order, skips zero terms and starts from the first nonzero
-    one; an entry with no term is the zero of t's scalar type.
+    one; an entry no term reaches is the zero of t's scalar type.
     """
     d = t.dim
+    k = len(matrix[0])
     stride = d ** (len(t.valence) - 1 - slot)
     comps = t.comps
+    # moves[l]: the (output offset, matrix[l][a]) pairs of row l with a nonzero
+    # entry, a increasing; the offset (a - l) * stride moves the slot from l to a
+    moves = [[((a - l) * stride, x) for a, x in enumerate(row) if not is_zero_scalar(x)]
+             for l, row in enumerate(matrix)]
+    # a k-column matrix shifts each block of d * stride entries by (k - d) * stride
+    block, shift = d * stride, (k - d) * stride
     zero = _scalar_zero(t)
-    columns = _columns(matrix, stride)
-    return [_column_sum(comps, base, column, zero)
-            for block in range(0, len(comps), d * stride)
-            for column in columns
-            for base in range(block, block + stride)]
+    # Every term is a new product object, so an entry is still `zero` itself
+    # exactly when no term has reached it.
+    out = [zero] * (len(comps) // d * k)
+    for flat, value in enumerate(comps):
+        terms = moves[flat // stride % d]
+        if not terms or is_zero_scalar(value):
+            continue
+        base = flat + flat // block * shift
+        for offset, factor in terms:
+            term = value * factor
+            total = out[base + offset]
+            out[base + offset] = term if total is zero else total + term
+    return out
 
 
 def _scalar_zero(t: Tensor):
@@ -302,23 +322,15 @@ def _scalar_zero(t: Tensor):
     return Fraction(0) if isinstance(sample, (int, Fraction)) else sample - sample
 
 
-def _columns(matrix: Sequence[Sequence], stride: int) -> list:
-    """Per column a of the matrix, the (l * stride, matrix[l][a]) pairs with a
-    nonzero entry, l increasing: the terms of a slot contraction."""
-    return [[(l * stride, row[a]) for l, row in enumerate(matrix) if not is_zero_scalar(row[a])]
-            for a in range(len(matrix[0]))]
-
-
-def _column_sum(comps: list, base: int, column: list, zero):
-    """sum comps[base + offset] * factor over a column of `_columns`, skipping
-    zero terms and starting from the first nonzero one; `zero` if none."""
+def _column_sum(comps: list, nonzero: bytearray, base: int, column: list, zero):
+    """sum comps[base + offset] * factor over the (offset, factor) terms of a
+    column, in order, skipping the terms whose component `nonzero` marks as
+    zero and starting from the first nonzero one; `zero` if none."""
     total = None
     for offset, factor in column:
-        value = comps[base + offset]
-        if is_zero_scalar(value):
-            continue
-        term = value * factor
-        total = term if total is None else total + term
+        if nonzero[base + offset]:
+            term = comps[base + offset] * factor
+            total = term if total is None else total + term
     return zero if total is None else total
 
 
@@ -332,33 +344,45 @@ def _support(t: Tensor) -> tuple[int, ...]:
     return tuple(flat for flat, value in enumerate(t.comps) if not is_zero_scalar(value))
 
 
-def _derivation_entries(endo: Sequence[Sequence], t: Tensor, support: Sequence[int]):
-    """The entries of the derivation action of `endo` on t, one per draw, in flat order.
+def _derivation_entries(endo: Sequence[Sequence], t: Tensor, support: Sequence[int], *,
+                        with_support: bool = False):
+    """(flat, value) for the entries of the derivation action of `endo` on t
+    that some nonzero entry of t meets through a nonzero entry of endo, in
+    increasing flat order, one entry formed per draw.
 
     `endo` is a matrix with the output index first, and `support` is
     `_support(t)`.  Entry j sums, in valence order, one part per slot:
     what `_contract_slot` gives at j with endo^T on a contravariant slot
-    and -endo on a covariant one, summed the same way.  The parts are
-    merged from Fraction(0), skipping zero ones.  Only the entries that
-    some nonzero entry of t meets through a nonzero entry of endo are
-    summed; every other entry is the zero of t's scalar type, which is
-    what the sum would give.  Nothing after the drawn entry is computed,
-    and a zero t yields its own entries.  The chart path is the only
-    internal reader: its witnesses print the unreduced `RationalFunction`,
-    so the order of summation above is fixed.
+    and -endo on a covariant one, summed over l in increasing order by
+    `_column_sum`, zero components of t skipped.  The parts are merged
+    from Fraction(0), skipping zero ones.  A reached entry may still sum
+    to zero; every entry not yielded is the zero of t's scalar type (for
+    a zero t, its own entries), which is what the sum would give.
+
+    With `with_support`, the positions of `support` that no entry reaches
+    come in the same walk with value None, so that a reader adding a term
+    that lives on the support (the partials of a covariant derivative)
+    never draws an entry ahead of its position.  Nothing after the drawn
+    pair is computed.  The chart path reads these entries unreduced in its
+    witnesses, so the order of summation above is fixed.
     """
     comps = t.comps
-    if not support:
-        yield from comps
-        return
     d, rank = t.dim, len(t.valence)
-    on_con = linalg.transpose(endo)
-    on_cov = [[-x for x in row] for row in endo]
+    nonzero = bytearray(len(comps))
+    for flat in support:
+        nonzero[flat] = 1
+    # walk[flat]: 2 where some entry of t reaches flat, 1 where only the support is walked
+    walk = bytearray(nonzero) if with_support else bytearray(len(comps))
     slots = []
-    reached = bytearray(len(comps))
     for slot, kind in enumerate(t.valence):
         stride = d ** (rank - 1 - slot)
-        columns = _columns(on_con if kind == CON else on_cov, stride)
+        # columns[a]: the (l * stride, factor) terms of slot value a, l increasing
+        if kind == CON:  # endo^T: factor endo[a][l]
+            columns = [[(l * stride, x) for l, x in enumerate(endo[a]) if not is_zero_scalar(x)]
+                       for a in range(d)]
+        else:  # -endo: factor -endo[l][a]
+            columns = [[(l * stride, -endo[l][a]) for l in range(d)
+                        if not is_zero_scalar(endo[l][a])] for a in range(d)]
         slots.append((stride, columns))
         # feeds[l]: the output offsets a * stride that slot value l contributes to
         feeds = [[] for _ in range(d)]
@@ -369,21 +393,21 @@ def _derivation_entries(endo: Sequence[Sequence], t: Tensor, support: Sequence[i
             l = flat // stride % d
             base = flat - l * stride
             for offset in feeds[l]:
-                reached[base + offset] = 1
-    start = Fraction(0)
-    # An entry no slot reaches is the last slot's empty part, or `start` for rank 0.
-    zero = _scalar_zero(t) if slots else start
-    for flat in range(len(comps)):
-        if not reached[flat]:
-            yield zero
+                walk[base + offset] = 2
+    zero = _scalar_zero(t)
+    for flat in itertools.compress(range(len(comps)), walk):
+        if walk[flat] != 2:
+            yield flat, None
             continue
-        total = start
+        total = None  # Fraction(0), the start of the merge, which a zero part replaces
         for stride, columns in slots:
             a = flat // stride % d
-            part = _column_sum(comps, flat - a * stride, columns[a], zero)
-            total = (part if is_zero_scalar(total) else total if is_zero_scalar(part)
-                     else total + part)
-        yield total
+            part = _column_sum(comps, nonzero, flat - a * stride, columns[a], zero)
+            if total is None or is_zero_scalar(total):
+                total = part
+            elif not is_zero_scalar(part):
+                total = total + part
+        yield flat, total
 
 
 def insert_vector(t: Tensor, slot: int, vec: Sequence) -> Tensor:

@@ -31,6 +31,17 @@ from fedosov.rationals import PoleError, Polynomial, RationalFunction
 from fedosov.reporting import Report
 from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor
 
+# The 4D product of the second worked chart with itself, with the block sum
+# `S` of its linear-type structures; its shifted curvature is zero.
+PRODUCT_CHART = {
+    "coords": ["x", "y", "u", "v"],
+    "omega": {"1,2": "1/x^2", "3,4": "1/u^2"},
+    "christoffel": {"1,1,1": "-2/x", "3,3,3": "-2/u"},
+    "fields": {"S": {"valence": ["cov", "cov", "con"],
+                     "components": {"1,1,1": "-1/x", "1,2,2": "1/x", "2,1,2": "-2/x",
+                                    "3,3,3": "-1/u", "3,4,4": "1/u", "4,3,4": "-2/u"}}},
+}
+
 
 @pytest.fixture(params=["scaled", "unscaled"])
 def scale_bound(request, monkeypatch):

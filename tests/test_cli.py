@@ -349,6 +349,31 @@ def test_verify_chart_hamiltonian_candidate(capsys):
     assert not by_name["hamiltonian_candidate_matches"]["pass"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-chart", HAMILTONIAN_2D, "--suite", "as", "--hamiltonian", "x"],
+    ["--json", "verify-chart", HAMILTONIAN_2D, "--suite", "as", "--hamiltonian", "x"],
+    ["verify-chart", HAMILTONIAN_2D, "--hamiltonian", "x*y"],
+    ["verify-chart", HAMILTONIAN_2D, "--suite", "as", "--hamiltonian", ""],
+], ids=["as", "as-json", "default-suite", "as-empty"])
+def test_hamiltonian_outside_a_linear_type_suite_is_input_error(capsys, monkeypatch, argv):
+    # the `as` suite used to run in full and never read the candidate
+    ran = []
+    monkeypatch.setattr(charts, "verify_chart_structure", lambda *args: ran.append(args))
+    monkeypatch.setattr(charts, "ChartRun", lambda *args, **kwargs: ran.append(args))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "input error: --hamiltonian needs --suite "
+                                       "linear-type or all\n")
+    assert ran == []
+
+
+def test_empty_hamiltonian_is_input_error(capsys):
+    # an empty candidate used to be dropped silently, where a blank one is a parse error
+    code, out, err = run_cli(capsys, "verify-chart", HAMILTONIAN_2D, "--suite", "linear-type",
+                             "--hamiltonian", "")
+    assert (code, out) == (2, "")
+    assert err == "input error: --hamiltonian: unexpected end of input (line 1, column 1)\n"
+
+
 def test_console_entry_point():
     result = subprocess.run([sys.executable, "-m", "fedosov.cli", "dims", "--n-max", "1"],
                             capture_output=True, text=True)

@@ -22,7 +22,9 @@ through all three suites, which fail with witnesses, and through
 `contact_4d.json` (xi_kernel_integrable: omega(., xi) = dx + u dy is a
 contact form); the zero model `models/zero_n2.json` has all of gl(V) as
 its stabilizer; and `model-at-point` and `obstruction` at x = 0 on the
-second worked chart exit 2 on a vanishing denominator.  The
+second worked chart exit 2 on a vanishing denominator, and on a point
+that names a coordinate the chart does not have, names one twice or
+leaves one out.  The
 snapshot in `data/cli_golden.json` pins the exact bytes of every report,
 including check order, names, witnesses and emitted parts, so a refactor
 that changes a summation order or a projection formula and with it a
@@ -84,6 +86,10 @@ COMMANDS = [
       for suite in ("as", "linear-type", "all")),
     ["model-at-point", "charts/hamiltonian_2d.json", "--at", "x=1,y=2", "--structure", "S"],
     *([command, "models/zero_n2.json"] for command in ("nomizu", "transvection")),
+    ["model-at-point", "example2", "--at", "x=1,y=2,z=3"],
+    ["obstruction", "example2", "--at", "x=1,y=0,z=5"],
+    ["model-at-point", "example2", "--at", "x=1,x=2,y=0"],
+    ["obstruction", "example2", "--at", "x=1"],
 ]
 
 CASES = [argv for command in COMMANDS for argv in (command, ["--json", *command])]

@@ -1,17 +1,21 @@
 """Differential test of the entry-by-entry derivation kernel against whole planes.
 
 `symplectic._derivation_entries` forms the derivation action of an
-endomorphism one entry at a time, and `charts._covariant_planes` draws each
-entry of nabla_i T from it and from one partial.  The oracles here are the
-constructions they replaced: `derivation_action` as one whole slot
-contraction per slot merged slot by slot over whole component lists
-(`conftest.old_derivation_action`, which has its own copy of the old slot
-contraction and so shares no code with the kernel), and the planes
-nabla_i T built with all of Gamma_i . T and d_i T first.  The new code must
-agree with them by value and by printed form, since chart witnesses print
-the unreduced rational function.  The comparison runs on the charts of
-`test_lazy_checks`, on hypothesis-drawn Fraction models for n = 1..3, on
-zero tensors and on tensors whose first slot contributes nothing.
+endomorphism one reached entry at a time, and `charts._nabla_entries`
+draws each component of nabla_i T that can be nonzero from it and from one
+partial; `covariant_derivative` and `_nabla_first_nonzero` read that
+stream.  The oracles here are the constructions they replaced:
+`derivation_action` as one whole slot contraction per slot merged slot by
+slot over whole component lists (`conftest.old_derivation_action`, which
+has its own copy of the old slot contraction and so shares no code with
+the kernel), and the planes nabla_i T built with all of Gamma_i . T and
+d_i T first.  The new code must agree with them by value and by printed
+form, since chart witnesses print the unreduced rational function.  The
+comparison runs on the charts of `test_lazy_checks`, on seeded swell
+charts, on the flat product chart, on copies of the fields changed at
+several positions so that their covariant derivatives fail there, on
+hypothesis-drawn Fraction models for n = 1..3, on zero tensors and on
+tensors whose first slot contributes nothing.
 
 Two mutants of the kernel's own source, the slots merged in reverse order
 and endo acting untransposed on contravariant slots, must each be caught.
@@ -20,6 +24,7 @@ and endo acting untransposed on contravariant slots, must each be caught.
 from __future__ import annotations
 
 import inspect
+import random
 import textwrap
 from fractions import Fraction
 
@@ -28,14 +33,17 @@ from hypothesis import given, settings, strategies as st
 
 from fedosov import charts, models, symplectic
 from fedosov.charts import (
-    _covariant_planes, _gamma, chart_curvature, chart_torsion, omega_tensor,
+    _gamma, _nabla_first_nonzero, chart_curvature, chart_from_json, chart_torsion,
+    covariant_derivative, omega_tensor,
 )
 from fedosov.linalg import is_zero_scalar
 from fedosov.models import curvature_endomorphism, derivation_action
-from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor, _contract_slot
+from fedosov.rationals import parse_ratfun
+from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor, _contract_slot, _unflat
 
-from conftest import old_derivation_action
+from conftest import PRODUCT_CHART, old_derivation_action
 from test_lazy_checks import all_charts, structures, y_chart
+from test_slot_kernel import swell_chart
 from test_stabilizer import models as drawn_models
 
 
@@ -62,17 +70,49 @@ def same(new, old) -> bool:
 
 # -- chart fields ------------------------------------------------------------------------
 
+def charts_and_structures():
+    """(label, chart, structure kind, structure) over every chart under test."""
+    named = all_charts()
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        named[f"swell-seed{seed}"] = swell_chart(*(rng.randint(1, 3) for _ in range(3)))
+    for label, chart in named.items():
+        for kind, structure in structures(chart):
+            yield label, chart, kind, structure
+    product = chart_from_json(PRODUCT_CHART)
+    yield "product", product, "S", product.field_tensor("S")
+
+
 def chart_cases():
     """(label, chart, field, shift) for the fields the chart suites differentiate."""
-    for label, chart in all_charts().items():
-        for kind, structure in structures(chart):
-            fields = {"omega": omega_tensor(chart), "xi": chart.field_tensor("xi"),
-                      "structure": structure, "tilde_torsion": chart_torsion(chart, structure),
-                      "curvature": chart_curvature(chart),
-                      "tilde_curvature": chart_curvature(chart, structure)}
-            for name, field in fields.items():
-                for shift in (None, structure):
-                    yield f"{label}/{kind}/{name}/{'tilde' if shift else 'base'}", chart, field, shift
+    for label, chart, kind, structure in charts_and_structures():
+        fields = {"omega": omega_tensor(chart), "structure": structure,
+                  "tilde_torsion": chart_torsion(chart, structure),
+                  "curvature": chart_curvature(chart),
+                  "tilde_curvature": chart_curvature(chart, structure)}
+        if "xi" in chart.fields:
+            fields["xi"] = chart.field_tensor("xi")
+        for name, field in fields.items():
+            for shift in (None, structure):
+                yield f"{label}/{kind}/{name}/{'tilde' if shift else 'base'}", chart, field, shift
+
+
+def changed_at(chart, field, flat, coord):
+    """The field with coord^2 added to its component at `flat`."""
+    comps = list(field.comps)
+    comps[flat] = comps[flat] + parse_ratfun(f"{coord}^2", chart.coords)
+    return Tensor(field.dim, field.valence, comps)
+
+
+def changed_cases():
+    """Copies of the fields of `chart_cases` changed at their first, middle
+    and last positions, so that their covariant derivatives fail there."""
+    for label, chart, field, shift in chart_cases():
+        if shift is not None and ("/tilde_curvature/" in label or "/omega/" in label):
+            size = len(field.comps)
+            for k, flat in enumerate((0, size // 2, size - 1)):
+                yield (f"{label}/changed@{flat}", chart,
+                       changed_at(chart, field, flat, chart.coords[-1 - k % chart.dim]), shift)
 
 
 @pytest.fixture(scope="module")
@@ -80,12 +120,26 @@ def chart_fields():
     return list(chart_cases())
 
 
+def first_nonzero(comps, dim, rank):
+    for flat, value in enumerate(comps):
+        if not is_zero_scalar(value):
+            return _unflat(dim, rank, flat), str(value)
+    return None
+
+
 def chart_mismatches(cases):
+    """Labels where `covariant_derivative` or `_nabla_first_nonzero` differs
+    from the whole planes of the oracle."""
     bad = []
     for label, chart, field, shift in cases:
-        planes = [list(plane) for plane in _covariant_planes(chart, field, _gamma(chart, shift))]
-        expected = list(old_covariant_planes(chart, field, shift))
-        if len(planes) != len(expected) or not all(map(same, planes, expected)):
+        expected = [entry for plane in old_covariant_planes(chart, field, shift)
+                    for entry in plane]
+        got = covariant_derivative(chart, field, shift)
+        hit = _nabla_first_nonzero(chart, field, _gamma(chart, shift))
+        rank = len(field.valence) + 1
+        if (not same(got.comps, expected)
+                or (hit and (hit[0], str(hit[1])))
+                != first_nonzero(expected, chart.dim, rank)):
             bad.append(label)
     return bad
 
@@ -93,6 +147,16 @@ def chart_mismatches(cases):
 def test_covariant_planes_match_whole_planes(chart_fields):
     assert chart_mismatches(chart_fields) == []
     assert len(chart_fields) > 100
+
+
+def test_changed_fields_fail_where_the_whole_planes_do():
+    cases = list(changed_cases())
+    assert chart_mismatches(cases) == []
+    # the changes move the first failure across planes and positions
+    hits = {_nabla_first_nonzero(chart, field, _gamma(chart, shift))[0]
+            for _, chart, field, shift in cases}
+    assert len(cases) > 50
+    assert len({idx[0] for idx in hits}) > 1 and len(hits) > 12
 
 
 def test_derivation_action_matches_merge_on_chart_fields(chart_fields):
@@ -175,7 +239,8 @@ def mutant_kernel(old: str, new: str):
 MUTANTS = {
     "merge-order-reversed": ("for stride, columns in slots:",
                              "for stride, columns in reversed(slots):"),
-    "on-con-untransposed": ("on_con = linalg.transpose(endo)", "on_con = endo"),
+    "on-con-untransposed": ("for l, x in enumerate(endo[a])",
+                            "for l, x in enumerate(row[a] for row in endo)"),
 }
 
 

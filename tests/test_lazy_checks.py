@@ -7,18 +7,20 @@ and witness string) as the first nonzero component of the fully built
 field.  The oracle here builds every field in full, the covariant
 derivative with all partials first and its connection term through
 `conftest.old_derivation_action`, and scans it with a plain loop, so it
-shares no code with the stream kernel, the derivation kernel or the plane
-generators.  The closedness of omega, which forms only the entries
+shares no code with the stream kernel, the derivation kernel or the nabla
+stream.  The closedness of omega, which forms only the entries
 i < j < k of its cyclic sum, must report the first nonzero triple of the
 full d^3 sum, on every chart and on copies whose omega is made non-closed
 entry by entry.
 
-Mutants of the kernel and of the plane stream show that the comparison
+Mutants of the kernel and of the nabla stream show that the comparison
 catches an index that is off by one, a stream that does not cross a plane
-boundary correctly, and a kernel that stops at a zero entry.  A last test
-pins the short circuit itself: under `verify-chart --suite all`, every
-failing covariant-derivative check draws exactly one plane and forms no
-entry after its witness.
+boundary correctly, and a kernel that stops at a zero entry.  The last
+tests pin the short circuit itself: under `verify-chart --suite all`,
+every failing covariant-derivative check draws exactly one plane, forms
+the connection entries only at the positions its field reaches and the
+partials only at its nonzero components, and none after its witness; a
+zero field forms none at all.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ import pytest
 
 from fedosov import charts
 from fedosov.charts import (
-    ChartRun, chart_curvature, chart_to_json, chart_torsion, linear_type_structure,
-    load_chart_file, load_example, make_chart, omega_tensor, pairing_with,
+    ChartRun, chart_curvature, chart_from_json, chart_to_json, chart_torsion,
+    linear_type_structure, load_chart_file, load_example, make_chart, omega_tensor, pairing_with,
     tilde_christoffel, xi_perp_field,
 )
 from fedosov.cli import main
@@ -42,7 +44,7 @@ from fedosov.reporting import Check
 from fedosov.symplectic import (
     COV, CON, Tensor, _contract_slot, _first_nonzero, _unflat, insert_vector,
 )
-from conftest import old_derivation_action
+from conftest import PRODUCT_CHART, old_derivation_action
 from test_slot_kernel import swell_chart
 
 CHART_DIR = pathlib.Path(__file__).parent / "data" / "charts"
@@ -252,16 +254,30 @@ def stops_at_zero_entry(dim, rank, comps):
     return None
 
 
+def first_in(dim, rank, entries):
+    """The first nonzero (index, value) of a stream of (flat, value) pairs."""
+    for flat, value in entries:
+        if not is_zero_scalar(value):
+            return _unflat(dim, rank, flat), value
+    return None
+
+
 def first_plane_only(chart, t, gamma):
-    plane = next(charts._covariant_planes(chart, t, gamma))
-    return _first_nonzero(chart.dim, len(t.valence) + 1, plane)
+    size = len(t.comps)
+    return first_in(chart.dim, len(t.valence) + 1,
+                    itertools.takewhile(lambda entry: entry[0] < size,
+                                        charts._nabla_entries(chart, t, gamma)))
 
 
 def skips_entry_after_boundary(chart, t, gamma):
-    planes = charts._covariant_planes(chart, t, gamma)
+    """Drops the first entry the stream yields in each plane after the first."""
+    size = len(t.comps)
+    planes = itertools.groupby(charts._nabla_entries(chart, t, gamma),
+                               lambda entry: entry[0] // size)
     stream = itertools.chain.from_iterable(
-        plane if i == 0 else itertools.islice(plane, 1, None) for i, plane in enumerate(planes))
-    return _first_nonzero(chart.dim, len(t.valence) + 1, stream)
+        entries if plane == 0 else itertools.islice(entries, 1, None)
+        for plane, entries in planes)
+    return first_in(chart.dim, len(t.valence) + 1, stream)
 
 
 @pytest.mark.parametrize("target, mutant", [
@@ -284,23 +300,33 @@ def flat_index(dim, idx):
     return flat
 
 
+def reached_positions(chart, t, gamma, i):
+    """The positions of the plane Gamma_i . t that some nonzero component of
+    t meets through a nonzero entry of Gamma_i[a][b] = gamma[a][i][b]."""
+    d, rank = chart.dim, len(t.valence)
+    out = set()
+    for flat, value in enumerate(t.comps):
+        if is_zero_scalar(value):
+            continue
+        idx = _unflat(d, rank, flat)
+        for slot, kind in enumerate(t.valence):
+            l = idx[slot]
+            for a in range(d):
+                factor = gamma[a][i][l] if kind == CON else gamma[l][i][a]
+                if not is_zero_scalar(factor):
+                    out.add(flat_index(d, idx[:slot] + (a,) + idx[slot + 1:]))
+    return out
+
+
 def test_failing_covariant_checks_draw_one_plane(tmp_path, monkeypatch, capsys):
     chart = swell_chart()
     path = tmp_path / "swell.json"
     path.write_text(json.dumps(chart_to_json(chart)))
+    # Planes drawn per covariant derivative: one `_derivation_entries` call each.
     drawn = []
-    planes = charts._covariant_planes
-
-    def counted(*args, **kwargs):
-        drawn.append(0)
-        slot = len(drawn) - 1
-        for plane in planes(*args, **kwargs):
-            drawn[slot] += 1
-            yield plane
-
-    # Entries formed: one derivation entry per entry drawn, and one partial
-    # per drawn entry whose component of T is nonzero (d_i 0 = 0).
-    formed = {"partials": 0, "entries": 0}
+    # Entries formed: one derivation entry per reached position drawn, and one
+    # partial per drawn position whose component of T is nonzero (d_i 0 = 0).
+    formed = {"partials": 0, "entries": []}
     partial = RationalFunction.partial
     kernel = charts._derivation_entries
 
@@ -308,28 +334,40 @@ def test_failing_covariant_checks_draw_one_plane(tmp_path, monkeypatch, capsys):
         formed["partials"] += 1
         return partial(self, var)
 
-    def counted_kernel(*args):
-        for entry in kernel(*args):
-            formed["entries"] += 1
-            yield entry
+    def counted_kernel(endo, t, support, **kwargs):
+        plane = drawn[-1]
+        drawn[-1] += 1
+        for flat, value in kernel(endo, t, support, **kwargs):
+            if value is not None:
+                formed["entries"].append(plane * len(t.comps) + flat)
+            yield flat, value
+
+    def opens_a_stream(function):
+        def counted(*args, **kwargs):
+            drawn.append(0)
+            return function(*args, **kwargs)
+        return counted
 
     streams = []
-    nabla = charts._nabla_first_nonzero
+    nabla = opens_a_stream(charts._nabla_first_nonzero)
 
     def counted_nabla(chart, t, gamma):
-        before = dict(formed)
+        partials, entries = formed["partials"], len(formed["entries"])
         hit = nabla(chart, t, gamma)
         plane = len(t.comps)
         witness = chart.dim * plane - 1 if hit is None else flat_index(chart.dim, hit[0])
         nonzero = sum(not is_zero_scalar(t.comps[flat % plane]) for flat in range(witness + 1))
-        streams.append((formed["partials"] - before["partials"],
-                        formed["entries"] - before["entries"], witness + 1, nonzero, plane))
+        reached = sorted(i * plane + flat for i in range(chart.dim)
+                         for flat in reached_positions(chart, t, gamma, i))
+        streams.append((formed["partials"] - partials, formed["entries"][entries:],
+                        witness, nonzero, reached, plane))
         return hit
 
-    monkeypatch.setattr(charts, "_covariant_planes", counted)
     monkeypatch.setattr(RationalFunction, "partial", counted_partial)
     monkeypatch.setattr(charts, "_derivation_entries", counted_kernel)
     monkeypatch.setattr(charts, "_nabla_first_nonzero", counted_nabla)
+    monkeypatch.setattr(charts, "covariant_derivative",
+                        opens_a_stream(charts.covariant_derivative))
     assert main(["verify-chart", str(path), "--suite", "all", "--json"]) == 1
     verdicts = {check["name"]: check["pass"]
                 for check in json.loads(capsys.readouterr().out)["checks"]}
@@ -338,11 +376,31 @@ def test_failing_covariant_checks_draw_one_plane(tmp_path, monkeypatch, capsys):
     # The last stream is the full nabla xi that the linear-form and
     # geodesic checks read entry by entry.
     assert drawn == expected + [chart.dim]
-    # Each check forms exactly the entries up to its witness, and no more,
-    # and differentiates only the nonzero components among them; some
-    # witness lies inside a plane, so forming whole planes would show, and
-    # some drawn component is zero, so differentiating it would show.
+    # Each check forms exactly the connection entries at the reached
+    # positions up to its witness, in flat order, and no more, and
+    # differentiates only the nonzero components up to it.  Some witness
+    # lies inside a plane with a reached position after it, so forming
+    # whole planes would show, and some position up to a witness holds a
+    # zero component, so differentiating it would show.
     assert len(streams) == len(COVARIANT_CHECKS)
-    assert [(p, e) for p, e, *_ in streams] == [(nz, n) for _, _, n, nz, _ in streams]
-    assert any(n % plane for _, _, n, _, plane in streams)
-    assert any(nz < n for _, _, n, nz, _ in streams)
+    for partials, entries, witness, nonzero, reached, _ in streams:
+        assert entries == [flat for flat in reached if flat <= witness]
+        assert partials == nonzero
+    assert any(witness % plane != plane - 1
+               and any(witness < flat < (witness // plane + 1) * plane for flat in reached)
+               for _, _, witness, _, reached, plane in streams)
+    assert any(nonzero < witness + 1 for _, _, witness, nonzero, _, _ in streams)
+
+
+def test_zero_field_forms_no_entry_and_no_partial(monkeypatch):
+    """The product chart is flat: the covariant derivative check of its
+    curvature differentiates nothing and draws no plane."""
+    chart = chart_from_json(PRODUCT_CHART)
+    r = chart_curvature(chart)
+    assert r.is_zero()
+    calls = []
+    monkeypatch.setattr(RationalFunction, "partial", lambda *args: calls.append(args))
+    monkeypatch.setattr(charts, "_derivation_entries", lambda *args, **kw: calls.append(args))
+    gamma = tilde_christoffel(chart, chart.field_tensor("S"))
+    assert charts._nabla_first_nonzero(chart, r, gamma) is None
+    assert calls == []

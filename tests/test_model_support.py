@@ -50,23 +50,14 @@ from fedosov.models import (
 from fedosov.symplectic import Tensor
 
 from conftest import (
-    old_annihilates, old_check_model_axioms, old_derivation_action,
+    PRODUCT_CHART, old_annihilates, old_check_model_axioms, old_derivation_action,
     old_derivation_first_nonzero, valid_random_model,
 )
 from test_lazy_checks import y_chart
 from test_stabilizer import zero_model
 from test_support_kernels import mutants as random_mutants, same
 
-# The 4D product of the second worked chart with itself, and the points at
-# which the seed-1 `chart-to-model` workload takes its models.
-PRODUCT_CHART = {
-    "coords": ["x", "y", "u", "v"],
-    "omega": {"1,2": "1/x^2", "3,4": "1/u^2"},
-    "christoffel": {"1,1,1": "-2/x", "3,3,3": "-2/u"},
-    "fields": {"S": {"valence": ["cov", "cov", "con"],
-                     "components": {"1,1,1": "-1/x", "1,2,2": "1/x", "2,1,2": "-2/x",
-                                    "3,3,3": "-1/u", "3,4,4": "1/u", "4,3,4": "-2/u"}}},
-}
+# The points at which the seed-1 `chart-to-model` workload takes its models.
 WORKLOAD_POINTS = [
     ("example1-emended", {"x": Fraction(-1, 4), "y": Fraction(-3, 2)}),
     ("example1-emended", {"x": Fraction(-5), "y": Fraction(-2)}),

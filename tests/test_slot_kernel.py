@@ -8,17 +8,25 @@ derivative with interleaved connection terms.  Constant
 tensors must agree exactly, component by component; chart fields are
 compared by value, since the order of additions changes how an unreduced
 rational function is written.
+
+The kernel itself scatters each nonzero entry through a matrix row; it is
+compared with the dense column sum it replaced (`conftest.old_contract_slot`)
+by printed form and by type, on every slot of seeded `Fraction`, `int` and
+`RationalFunction` tensors, and a mutant that sums each entry's terms in
+decreasing order must be caught.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
 
-from fedosov import linalg
+from fedosov import linalg, symplectic
 from fedosov.charts import (
     chart_curvature, chart_torsion, covariant_derivative, linear_type_structure,
     load_example, make_chart, omega_tensor,
@@ -26,9 +34,11 @@ from fedosov.charts import (
 from fedosov.models import derivation_action, push_tensor
 from fedosov.rationals import parse_ratfun
 from fedosov.symplectic import (
-    COV, CON, SymplecticSpace, Tensor, change_basis, cotorsion_lower,
+    COV, CON, SymplecticSpace, Tensor, _contract_slot, change_basis, cotorsion_lower,
     cotorsion_raise, insert_vector, torsion_lower, torsion_raise,
 )
+
+from conftest import old_contract_slot
 
 VALENCES = [(COV, COV), (COV, COV, CON), (COV, COV, COV), (COV, COV, COV, CON)]
 MAX_NONZERO = 24  # keeps the d^r oracle cheap at n = 3, valence (1,3)
@@ -203,12 +213,13 @@ def test_lowering_and_raising_match_entry_sums(n):
 
 # -- chart fields: equality by value -------------------------------------------------
 
-def swell_chart():
-    """omega = dx^dy/(x^2+y^2+1) + du^dv/u^2 with its split symplectic connection."""
+def swell_chart(a=1, b=1, c=1):
+    """omega = dx^dy/q + du^dv/u^2, q = a x^2 + b y^2 + c, with its split
+    symplectic connection."""
     coords = ("x", "y", "u", "v")
-    q = "(x^2 + y^2 + 1)"
-    gx = parse_ratfun(f"-x/{q}", coords)
-    gy = parse_ratfun(f"-y/{q}", coords)
+    q = f"({a}*x^2 + {b}*y^2 + {c})"
+    gx = parse_ratfun(f"-{a}*x/{q}", coords)
+    gy = parse_ratfun(f"-{b}*y/{q}", coords)
     return make_chart(
         coords,
         {(0, 1): parse_ratfun(f"1/{q}", coords), (2, 3): parse_ratfun("1/u^2", coords)},
@@ -242,3 +253,94 @@ def test_insert_vector_on_chart_fields_matches_entry_sum(name):
         for slot in range(len(field.valence)):
             assert (insert_vector(field, slot, xi.comps)
                     == oracle_insert(field, slot, xi.comps, chart.rf_zero()))
+
+
+# -- the scatter kernel against the dense column sum -----------------------------------
+
+RF_COORDS = ("x", "y")
+RF_POOL = ["1/x", "1/x", "-1/x", "y", "1/y", "x/(y + 1)", "1/(x + 1)", "x^2 - y"]
+ONES = {"fraction": Fraction(1), "int": 1, "ratfun": parse_ratfun("1", RF_COORDS)}
+
+
+def contraction_scalars(rng, kind):
+    """A draw of the given kind, zero about half the time."""
+    if kind == "ratfun":
+        text = rng.choice(RF_POOL) if rng.random() < 0.5 else "0"
+        return parse_ratfun(text, RF_COORDS)
+    value = rng.randint(-3, 3) if rng.random() < 0.5 else 0
+    return value if kind == "int" else Fraction(value, rng.randint(1, 3))
+
+
+def order_case():
+    """A (cov) RationalFunction tensor whose column sum prints differently
+    when its terms are summed in decreasing order: 1/(x + 1) + 1/(x + 1)
+    shares a denominator, 1/y + 1/(x + 1) does not."""
+    t = Tensor(4, (COV,), [parse_ratfun(text, RF_COORDS)
+                           for text in ("1/(x + 1)", "1/(x + 1)", "1/y", "0")])
+    ones = [[parse_ratfun("1", RF_COORDS)] for _ in range(4)]
+    forward = (t.comps[0] + t.comps[1]) + t.comps[2]
+    backward = (t.comps[2] + t.comps[1]) + t.comps[0]
+    assert forward == backward and str(forward) != str(backward)
+    return "order", t, 0, ones
+
+
+def contraction_cases():
+    """(label, tensor, slot, matrix) over every slot of seeded tensors, with
+    d x 1 and d x d matrices, a matrix with zero rows, zero tensors and
+    entries that cancel."""
+    rng = random.Random("scatter")
+    for kind in ("fraction", "int", "ratfun"):
+        for d, valence in ((2, (COV,)), (2, (CON, COV)), (4, (COV, CON)), (2, (COV, COV, CON)),
+                           (4, (COV, COV, CON))):
+            zero = ONES[kind] * 0
+            tensors = {"seeded": Tensor(d, valence, [contraction_scalars(rng, kind)
+                                                     for _ in range(d ** len(valence))]),
+                       "zero": Tensor(d, valence, [zero] * d ** len(valence))}
+            matrices = {
+                "column": [[contraction_scalars(rng, kind)] for _ in range(d)],
+                "square": [[contraction_scalars(rng, kind) for _ in range(d)] for _ in range(d)],
+                "zero-rows": [[contraction_scalars(rng, kind) if l == d - 1 else zero
+                               for _ in range(d)] for l in range(d)],
+            }
+            for (tname, t), (mname, m) in itertools.product(tensors.items(), matrices.items()):
+                for slot in range(len(valence)):
+                    yield f"{kind}/{d}/{valence}/{tname}/{mname}/{slot}", t, slot, m
+        # t[0] * 1 + t[1] * -1 cancels at every entry of the output
+        one = ONES[kind]
+        value = parse_ratfun("1/x", RF_COORDS) if kind == "ratfun" else one * 3
+        yield (f"{kind}/cancel", Tensor(2, (COV, CON), [value] * 4), 0,
+               [[one, one], [-one, -one]])
+    yield order_case()
+
+
+CONTRACTION_CASES = list(contraction_cases())
+
+
+def contraction_mismatches(cases):
+    bad = []
+    for label, t, slot, matrix in cases:
+        got = symplectic._contract_slot(t, slot, matrix)
+        want = old_contract_slot(t, slot, matrix)
+        if ([str(x) for x in got] != [str(x) for x in want]
+                or list(map(type, got)) != list(map(type, want)) or got != want):
+            bad.append(label)
+    return bad
+
+
+def test_scatter_contraction_matches_column_sum():
+    assert contraction_mismatches(CONTRACTION_CASES) == []
+    assert len(CONTRACTION_CASES) > 150
+    # the cases contain entries that sum to zero from nonzero terms
+    cancel = [case for case in CONTRACTION_CASES if case[0].endswith("/cancel")]
+    assert all(all(linalg.is_zero_scalar(x) for x in _contract_slot(t, slot, m))
+               for _, t, slot, m in cancel) and len(cancel) == 3
+
+
+def test_comparison_catches_decreasing_summation(monkeypatch):
+    source = textwrap.dedent(inspect.getsource(symplectic._contract_slot))
+    old = "for flat, value in enumerate(comps):"
+    assert source.count(old) == 1
+    namespace = dict(vars(symplectic))
+    exec(source.replace(old, "for flat, value in reversed(list(enumerate(comps))):"), namespace)
+    monkeypatch.setattr(symplectic, "_contract_slot", namespace["_contract_slot"])
+    assert "order" in contraction_mismatches(CONTRACTION_CASES)
