@@ -25,6 +25,11 @@ Index conventions (all 0-based in code, 1-based in files and witnesses):
   The checks that nabla T vanishes draw nabla T one entry at a time,
   plane nabla_i T after plane, visiting only the positions where a
   component can be nonzero, and stop at the first nonzero component.
+* The linear-type identities are linear in the curvature R, which is
+  sparse.  Each identity check forms its entries, in flat order, only at
+  the positions that R's support (or that of a contraction of R) or a
+  nonzero omega or omega(., xi) factor can reach, and stops at the first
+  nonzero one; at every other position each term has a zero factor.
 
 A connection shifted by a structure tensor S uses Gamma' = Gamma - S.  A
 linear-type structure is S_X Y = omega(X,Y) xi - omega(Y,xi) X, written
@@ -54,7 +59,7 @@ from .rationals import Polynomial, RationalFunction, ScaledPoint, parse_ratfun
 from .reporting import Check, Report, index_witness
 from .symplectic import (
     COV, CON, MAX_N, MAX_RANK, SymplecticSpace, Tensor, _contract_slot, _derivation_entries,
-    _first_nonzero, _support, _unflat, change_basis, insert_vector, tensor_to_json,
+    _support, _unflat, change_basis, insert_vector, tensor_to_json,
 )
 
 
@@ -142,15 +147,14 @@ def omega_is_closed(chart: Chart) -> tuple[bool, tuple | None]:
     i < j < k, up to the first nonzero one, which is also the first
     nonzero entry of the full sum.
     """
-    w, coords, zero = chart.omega, chart.coords, chart.rf_zero()
+    w, coords, d = chart.omega, chart.coords, chart.dim
 
     def entry(i, j, k):
-        if not i < j < k:
-            return zero
         return (_partial(w[j][k], coords[i]) + _partial(w[k][i], coords[j])
                 + _partial(w[i][j], coords[k]))
 
-    hit = _lazy_first_nonzero(chart.dim, 3, entry)
+    ordered = ((i * d + j) * d + k for i, j, k in itertools.combinations(range(d), 3))
+    hit = _first_nonzero_at(d, 3, ordered, entry)
     return (True, None) if hit is None else (False, hit[0])
 
 
@@ -387,19 +391,52 @@ def _zero_check(name: str, hit: tuple | None) -> Check:
 
     `hit` is the (index, value) that `Tensor.first_nonzero` gives on the
     full field, or None.  A failing check's witness is that component, the
-    first nonzero one in index order; the lazy readers below compute no
+    first nonzero one in index order; the readers below compute no
     component after it, so a failing check never costs more than a passing
-    one.
+    one.  The covariant derivatives visit only the positions that a nonzero
+    component reaches, and the linear-type identities only those that the
+    curvature's support or a nonzero omega or omega(., xi) factor reaches:
+    every other component has a zero factor in each term.
     """
     return Check(name, hit is None,
                  None if hit is None else f"component {index_witness(hit[0])} = {hit[1]}")
 
 
-def _lazy_first_nonzero(d: int, rank: int, entry) -> tuple | None:
-    """`Tensor.build(d, valence, entry).first_nonzero()` for a valence of
-    this rank, calling `entry` only up to the first nonzero value."""
-    return _first_nonzero(d, rank, (entry(*idx)
-                                    for idx in itertools.product(range(d), repeat=rank)))
+def _first_nonzero_at(d: int, rank: int, positions, entry) -> tuple | None:
+    """The first nonzero (multi-index, value) of the d^rank field whose
+    component at an index is `entry(*index)`, or None.
+
+    `positions` are increasing flat positions outside which every component
+    is zero; `entry` is called only there, and only up to the first nonzero
+    value.
+    """
+    for flat in positions:
+        idx = _unflat(d, rank, flat)
+        value = entry(*idx)
+        if not is_zero_scalar(value):
+            return idx, value
+    return None
+
+
+def _positions(d: int, *families) -> list[int]:
+    """The distinct flat positions of the multi-indices in some families, increasing."""
+    flats = set()
+    for idx in itertools.chain(*families):
+        flat = 0
+        for i in idx:
+            flat = flat * d + i
+        flats.add(flat)
+    return sorted(flats)
+
+
+def _support_indices(t: Tensor) -> list[tuple[int, ...]]:
+    """The multi-indices of t's nonzero entries, in flat order."""
+    return [_unflat(t.dim, len(t.valence), flat) for flat in _support(t)]
+
+
+def _nonzero_indices(values) -> list[int]:
+    """The indices of the nonzero values, increasing."""
+    return [a for a, value in enumerate(values) if not is_zero_scalar(value)]
 
 
 def _nabla_first_nonzero(chart: Chart, t: Tensor, gamma) -> tuple | None:
@@ -475,6 +512,12 @@ class ChartRun:
         """
         chart, xi = self.chart, self.xi
         d = chart.dim
+        if xi_perp is not None:
+            if xi_perp.valence != (CON,):
+                raise ValueError("the transversal field must be a vector field")
+            if xi_perp.dim != d:
+                raise ValueError(f"the transversal field must have {d} components, "
+                                 f"got {xi_perp.dim}")
         zero = chart.rf_zero()
         xi_run = self if self._given is None else ChartRun(chart, xi=xi)
         checks: list[Check] = []
@@ -483,37 +526,54 @@ class ChartRun:
             chart, xi, xi_run.tilde_gamma)))
 
         omega_xi = pairing_with(chart, xi)  # omega(d_i, xi)
+        omega_pairs = _support_indices(omega_tensor(chart))
+        xi_rows = _nonzero_indices(omega_xi)
         nabla_xi = covariant_derivative(chart, xi)
-        checks.append(_zero_check("nabla_xi_linear_form", _lazy_first_nonzero(
-            d, 2, lambda i, k: nabla_xi[i, k] - omega_xi[i] * xi[(k,)])))
+        checks.append(_zero_check("nabla_xi_linear_form", _first_nonzero_at(
+            d, 2, _positions(d, _support_indices(nabla_xi),
+                             itertools.product(xi_rows, _nonzero_indices(xi.comps))),
+            lambda i, k: nabla_xi[i, k] - omega_xi[i] * xi[(k,)])))
 
         r = self.curvature
         checks.append(_zero_check("curvature_kills_xi",
                                   insert_vector(r, 2, xi.comps).first_nonzero()))
 
-        slot_swap = Tensor.build(d, (COV, COV, COV, CON),
-                                 lambda i, j, k, l: r[i, j, k, l] - r[i, k, j, l])
+        # r[i,j,k,l] - r[i,k,j,l] is nonzero only on R's support and its (j, k) mirror
+        r_support = _support_indices(r)
+        slot_swap = Tensor(d, (COV, COV, COV, CON), [zero] * d ** 4)
+        for flat in _positions(d, r_support, ((i, k, j, l) for i, j, k, l in r_support)):
+            i, j, k, l = _unflat(d, 4, flat)
+            slot_swap.comps[flat] = r[i, j, k, l] - r[i, k, j, l]
         checks.append(_zero_check("curvature_xi_slot_symmetry",
                                   insert_vector(slot_swap, 0, xi.comps).first_nonzero()))
 
         r4 = Tensor(d, (COV, COV, COV, COV), _contract_slot(r, 3, chart.omega))
-        checks.append(_zero_check("curvature_last_pair_symmetry", _lazy_first_nonzero(
-            d, 4, lambda i, j, k, m: r4[i, j, k, m] - r4[i, j, m, k])))
+        r4_support = _support_indices(r4)
+        checks.append(_zero_check("curvature_last_pair_symmetry", _first_nonzero_at(
+            d, 4, _positions(d, r4_support, ((i, j, m, k) for i, j, k, m in r4_support)),
+            lambda i, j, k, m: r4[i, j, k, m] - r4[i, j, m, k])))
 
         r_xi = insert_vector(r4, 0, xi.comps)
+        r_xi_support = _support_indices(r_xi)
 
-        checks.append(_zero_check("curvature_cyclic_xi_identity", _lazy_first_nonzero(
-            d, 5, lambda x, y, z, u, w: sum(
+        # The nonzero terms omega[a][b] r_xi[c,u,w] and omega_xi[a] r4[b,c,u,w],
+        # each at its three rotations (a,b,c), (c,a,b), (b,c,a) of (x,y,z).
+        terms = [(a, b) + s for a, b in omega_pairs for s in r_xi_support]
+        terms += [(a,) + s for a in xi_rows for s in r4_support]
+        checks.append(_zero_check("curvature_cyclic_xi_identity", _first_nonzero_at(
+            d, 5, _positions(d, (rotation for a, b, c, u, w in terms for rotation in (
+                (a, b, c, u, w), (c, a, b, u, w), (b, c, a, u, w)))),
+            lambda x, y, z, u, w: sum(
                 (chart.omega[a][b] * r_xi[c, u, w] + omega_xi[a] * r4[b, c, u, w]
                  for (a, b, c) in ((x, y, z), (y, z, x), (z, x, y))),
                 zero))))
 
-        checks.append(_zero_check("curvature_xi_proportionality", _lazy_first_nonzero(
-            d, 4, lambda x, y, u, w: omega_xi[x] * r_xi[y, u, w] - omega_xi[y] * r_xi[x, u, w])))
+        checks.append(_zero_check("curvature_xi_proportionality", _first_nonzero_at(
+            d, 4, _positions(d, ((x,) + s for x in xi_rows for s in r_xi_support),
+                             ((s[0], y) + s[1:] for y in xi_rows for s in r_xi_support)),
+            lambda x, y, u, w: omega_xi[x] * r_xi[y, u, w] - omega_xi[y] * r_xi[x, u, w])))
 
         if xi_perp is not None:
-            if xi_perp.valence != (CON,):
-                raise ValueError("the transversal field must be a vector field")
             normalization = insert_vector(Tensor(d, (COV,), omega_xi), 0, xi_perp.comps)
             if not (normalization.comps[0] - 1).is_zero():
                 raise ValueError("the supplied transversal field does not satisfy "
@@ -532,10 +592,13 @@ class ChartRun:
         # order, not three nested ones: the grouping fixes the unreduced form of c.
         weights = [pb * pc * pe for pb, pc, pe in itertools.product(perp.comps, repeat=3)]
         scalar_c = insert_vector(Tensor(d ** 3, (COV,), r_xi.comps), 0, weights).comps[0]
+        # the omega_xi products of the two checks below carry the factor c
+        xi_products = [] if is_zero_scalar(scalar_c) else xi_rows
 
-        checks.append(_zero_check("curvature_xi_rank_one", _lazy_first_nonzero(
-            d, 3, lambda x, y, z: (r_xi[x, y, z]
-                                   - omega_xi[x] * omega_xi[y] * omega_xi[z] * scalar_c))))
+        checks.append(_zero_check("curvature_xi_rank_one", _first_nonzero_at(
+            d, 3, _positions(d, r_xi_support, itertools.product(xi_products, repeat=3)),
+            lambda x, y, z: (r_xi[x, y, z]
+                             - omega_xi[x] * omega_xi[y] * omega_xi[z] * scalar_c))))
 
         omega_perp = pairing_with(chart, perp)  # omega(d_i, perp) = -omega(perp, d_i)
 
@@ -548,8 +611,13 @@ class ChartRun:
             value = value - omega_xi[y] * perp_first[x, u, w]
             return r4[x, y, u, w] - value
 
-        checks.append(_zero_check("curvature_leafwise_flatness",
-                                  _lazy_first_nonzero(d, 4, reconstruction)))
+        checks.append(_zero_check("curvature_leafwise_flatness", _first_nonzero_at(
+            d, 4, _positions(
+                d, r4_support,
+                ((x,) + s for x in xi_rows for s in _support_indices(perp_second)),
+                ((s[0], y) + s[1:] for y in xi_rows for s in _support_indices(perp_first)),
+                itertools.product(range(d), range(d), xi_products, xi_products)),
+            reconstruction)))
 
         checks.append(_zero_check("xi_geodesic",
                                   insert_vector(nabla_xi, 0, xi.comps).first_nonzero()))

@@ -202,6 +202,15 @@ def test_linear_type_suite_rejects_unnormalized_transversal():
         chart_suite(chart, xi=xi, xi_perp=bad)
 
 
+@pytest.mark.parametrize("texts", [["x", "0", "1"], ["x"]])
+def test_linear_type_suite_rejects_transversal_of_wrong_dimension(texts):
+    chart = load_example(2)
+    perp = Tensor(len(texts), (CON,), [rf(chart, text) for text in texts])
+    with pytest.raises(ValueError, match=f"^the transversal field must have 2 components, "
+                                         f"got {len(texts)}$"):
+        chart_suite(chart, xi=chart.field_tensor("xi"), xi_perp=perp)
+
+
 def test_linear_type_suite_rejects_zero_xi():
     chart = flat_chart()
     zero_xi = Tensor.zeros(2, (CON,), zero=chart.rf_zero())

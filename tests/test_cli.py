@@ -633,6 +633,34 @@ def test_size_limits_exit_2_before_allocating(tmp_path, argv, payload, message):
     assert result.stderr == f"input error: {message.replace('FILE', path)}\n"
 
 
+def block_chart(planes: int) -> dict:
+    """omega = dx0^dy0/x0^2 + dx1^dy1 + ... with Gamma^1_11 = -2/x0 and
+    xi = x0 d_y0: the block of the second worked chart times flat planes.
+    Its base curvature is zero, and it passes every linear-type check."""
+    coords = [f"{axis}{i}" for i in range(planes) for axis in "xy"]
+    omega = {"1,2": "1/x0^2", **{f"{2 * i + 1},{2 * i + 2}": "1" for i in range(1, planes)}}
+    return {"coords": coords, "omega": omega, "christoffel": {"1,1,1": "-2/x0"},
+            "fields": {"xi": {"valence": ["con"], "components": {"2": "x0"}}}}
+
+
+def test_block_chart_file_is_the_two_plane_block_chart():
+    path = pathlib.Path(__file__).parent / "data" / "charts" / "block_4d.json"
+    assert json.loads(path.read_text(encoding="utf-8")) == block_chart(2)
+
+
+def test_twelve_coordinate_block_chart_verifies_in_time(tmp_path):
+    # The linear-type identities are formed only where the zero curvature
+    # reaches: nowhere.  Scanning every one of the 12^5 cyclic-identity
+    # positions took about 5 s here.
+    path = write_json(tmp_path, "block.json", block_chart(6))
+    result = subprocess.run([sys.executable, "-m", "fedosov.cli", "--json", "verify-chart",
+                             path, "--suite", "all"],
+                            capture_output=True, text=True, env=os.environ, timeout=3)
+    assert (result.returncode, result.stderr) == (0, "")
+    checks = json.loads(result.stdout)["checks"]
+    assert len(checks) == 22 and all(check["pass"] for check in checks)
+
+
 def test_unexpected_exception_exits_3(capsys, monkeypatch):
     def broken(n_max):
         raise RuntimeError("boom")

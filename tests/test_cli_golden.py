@@ -20,7 +20,8 @@ and `model-at-point` read is not the linear-type structure of xi, run
 through all three suites, which fail with witnesses, and through
 `model-at-point`, which passes) and
 `contact_4d.json` (xi_kernel_integrable: omega(., xi) = dx + u dy is a
-contact form); the zero model `models/zero_n2.json` has all of gl(V) as
+contact form), while `block_4d.json` (the second worked chart's block
+times a flat plane, with zero base curvature) passes every check; the zero model `models/zero_n2.json` has all of gl(V) as
 its stabilizer; and `model-at-point` and `obstruction` at x = 0 on the
 second worked chart exit 2 on a vanishing denominator, and on a point
 that names a coordinate the chart does not have, names one twice or
@@ -79,6 +80,7 @@ COMMANDS = [
     ["verify-chart", "charts/nonclosed_4d.json", "--suite", "all"],
     ["verify-chart", "charts/hamiltonian_2d.json", "--suite", "all", "--hamiltonian", "x*y"],
     ["verify-chart", "charts/contact_4d.json", "--suite", "all"],
+    ["verify-chart", "charts/block_4d.json", "--suite", "all"],
     ["obstruction", "charts/contact_4d.json", "--at", "x=0,y=0,u=2,v=0"],
     ["obstruction", "example1-emended", "--at", "x=2,y=1/3"],
     ["obstruction", "charts/hamiltonian_2d.json", "--at", "x=1,y=2", "--structure", "S"],

@@ -1,33 +1,43 @@
 """Differential test of the chart checks that stop at their first nonzero component.
 
 The covariant-derivative checks draw one plane nabla_i T at a time, and the
-entrywise linear-type checks compute one component at a time; both stop at
-the first nonzero component.  Each must give the same `Check` (name, verdict
-and witness string) as the first nonzero component of the fully built
-field.  The oracle here builds every field in full, the covariant
-derivative with all partials first and its connection term through
+linear-type identity checks compute one component at a time, only at the
+positions that the curvature's support or a nonzero omega, omega(., xi)
+factor reaches; both stop at the first nonzero component.  Each must give
+the same `Check` (name, verdict and witness string) as the first nonzero
+component of the fully built field.  The oracle here builds every field in
+full, over all d^rank positions, the covariant derivative with all
+partials first and its connection term through
 `conftest.old_derivation_action`, and scans it with a plain loop, so it
-shares no code with the stream kernel, the derivation kernel or the nabla
-stream.  The closedness of omega, which forms only the entries
+shares no code with the position walker, the derivation kernel or the
+nabla stream.  The cases are the built-in charts, every file in
+`data/charts/` (the zero-curvature block chart among them), the 4D swell
+chart, seeded swell charts with a varied xi, and runs with a supplied
+transversal field.  The closedness of omega, which forms only the entries
 i < j < k of its cyclic sum, must report the first nonzero triple of the
 full d^3 sum, on every chart and on copies whose omega is made non-closed
 entry by entry.
 
-Mutants of the kernel and of the nabla stream show that the comparison
-catches an index that is off by one, a stream that does not cross a plane
-boundary correctly, and a kernel that stops at a zero entry.  The last
-tests pin the short circuit itself: under `verify-chart --suite all`,
-every failing covariant-derivative check draws exactly one plane, forms
-the connection entries only at the positions its field reaches and the
-partials only at its nonzero components, and none after its witness; a
-zero field forms none at all.
+Mutants of the walker, of the nabla stream and of the linear-type
+suite's position sets show that the comparison catches an index that is
+off by one, a walker that stops at a zero entry, a stream that does not
+cross a plane boundary correctly, a dropped cyclic rotation and a missing
+perp_first family.  The last tests pin the short circuit itself: under
+`verify-chart --suite all`, every failing covariant-derivative check
+draws exactly one plane, forms the connection entries only at the
+positions its field reaches and the partials only at its nonzero
+components, and none after its witness; a zero field forms none at all.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import itertools
 import json
 import pathlib
+import random
+import textwrap
 
 import pytest
 
@@ -42,7 +52,7 @@ from fedosov.linalg import is_zero_scalar
 from fedosov.rationals import RationalFunction, parse_ratfun
 from fedosov.reporting import Check
 from fedosov.symplectic import (
-    COV, CON, Tensor, _contract_slot, _first_nonzero, _unflat, insert_vector,
+    COV, CON, Tensor, _contract_slot, _unflat, insert_vector,
 )
 from conftest import PRODUCT_CHART, old_derivation_action
 from test_slot_kernel import swell_chart
@@ -68,12 +78,43 @@ def y_chart():
                                                        for text in ("1", "0")])})
 
 
+XI_TEXTS = ("0", "1", "-1", "x", "y", "u", "v", "x*y", "u^2", "x + v", "2*u - y")
+
+
+def varied_xi_swell_charts(count=6, seed=11):
+    """Seeded swell charts with a seeded nonzero polynomial xi."""
+    rng = random.Random(seed)
+    out = {}
+    for k in range(count):
+        chart = swell_chart(*(rng.randint(1, 3) for _ in range(3)))
+        texts = ["0"] * 4
+        while texts == ["0"] * 4:
+            texts = [rng.choice(XI_TEXTS) for _ in range(4)]
+        xi = Tensor(4, (CON,), [parse_ratfun(text, chart.coords) for text in texts])
+        out[f"swell-xi-{k}"] = dataclasses.replace(chart, fields={"xi": xi})
+    return out
+
+
 def all_charts():
     named = {str(key): load_example(key) for key in (1, "example1-emended", 2)}
     named.update((path.name, load_chart_file(path)) for path in sorted(CHART_DIR.glob("*.json")))
     named["swell-4d"] = swell_chart()
     named["y-chart"] = y_chart()
     return named
+
+
+def shifted_transversal(chart, shift):
+    """`xi_perp_field` plus `shift` times xi: omega(xi, xi) = 0, so it still
+    pairs to 1 with xi, and its curvature contractions differ."""
+    xi = chart.field_tensor("xi")
+    s = parse_ratfun(shift, chart.coords)
+    return Tensor(chart.dim, (CON,), [p + s * x for p, x in
+                                      zip(xi_perp_field(chart, xi).comps, xi.comps)])
+
+
+# (chart label, shift): linear-type runs with a supplied transversal field
+SUPPLIED_PERPS = (("2", "x"), ("swell-4d", "x + u"), ("swell-xi-4", "u"), ("block_4d.json", "x1"),
+                  ("contact_4d.json", "u"))
 
 
 def structures(chart):
@@ -109,28 +150,33 @@ def full_nabla(chart, t, structure=None):
     return Tensor(d, (COV,) + t.valence, comps)
 
 
-def oracle_fields(chart, structure):
-    """Every lazily checked field, built in full, by check name."""
+def oracle_fields(chart, structure, perp=None):
+    """Every lazily checked field, built in full, by check name: those of
+    the linear-type suite, with the transversal field `perp` or else
+    `xi_perp_field`, and, given a structure, the covariant checks of the
+    other two suites."""
     d = chart.dim
     zero = chart.rf_zero()
     w = omega_tensor(chart)
     r = chart_curvature(chart)
-    fields = {
-        "nabla_omega_zero": full_nabla(chart, w),
-        "tilde_nabla_omega_zero": full_nabla(chart, w, structure),
-        "tilde_nabla_structure_zero": full_nabla(chart, structure, structure),
-        "tilde_nabla_base_curvature_zero": full_nabla(chart, r, structure),
-        "tilde_nabla_tilde_curvature_zero":
-            full_nabla(chart, chart_curvature(chart, structure), structure),
-        "tilde_nabla_tilde_torsion_zero":
-            full_nabla(chart, chart_torsion(chart, structure), structure),
-    }
+    fields = {}
+    if structure is not None:
+        fields.update({
+            "nabla_omega_zero": full_nabla(chart, w),
+            "tilde_nabla_omega_zero": full_nabla(chart, w, structure),
+            "tilde_nabla_structure_zero": full_nabla(chart, structure, structure),
+            "tilde_nabla_base_curvature_zero": full_nabla(chart, r, structure),
+            "tilde_nabla_tilde_curvature_zero":
+                full_nabla(chart, chart_curvature(chart, structure), structure),
+            "tilde_nabla_tilde_torsion_zero":
+                full_nabla(chart, chart_torsion(chart, structure), structure),
+        })
     xi = chart.field_tensor("xi")
     omega_xi = pairing_with(chart, xi)
     nabla_xi = full_nabla(chart, xi)
     r4 = Tensor(d, (COV,) * 4, _contract_slot(r, 3, chart.omega))
     r_xi = insert_vector(r4, 0, xi.comps)
-    perp = xi_perp_field(chart, xi)
+    perp = xi_perp_field(chart, xi) if perp is None else perp
     perp_first = insert_vector(r4, 0, perp.comps)
     perp_second = insert_vector(r4, 1, perp.comps)
     weights = [pb * pc * pe for pb, pc, pe in itertools.product(perp.comps, repeat=3)]
@@ -150,6 +196,9 @@ def oracle_fields(chart, structure):
         "tilde_nabla_xi_zero": full_nabla(chart, xi, linear_type_structure(chart, xi)),
         "nabla_xi_linear_form": Tensor.build(
             d, (COV, CON), lambda i, k: nabla_xi[i, k] - omega_xi[i] * xi[(k,)]),
+        "curvature_xi_slot_symmetry": insert_vector(Tensor.build(
+            d, (COV, COV, COV, CON), lambda i, j, k, l: r[i, j, k, l] - r[i, k, j, l]),
+            0, xi.comps),
         "curvature_last_pair_symmetry": Tensor.build(
             d, (COV,) * 4, lambda i, j, k, m: r4[i, j, k, m] - r4[i, j, m, k]),
         "curvature_cyclic_xi_identity": Tensor.build(
@@ -169,25 +218,34 @@ def oracle_fields(chart, structure):
 
 @pytest.fixture(scope="module")
 def cases():
-    """(label, chart, structure, oracle checks by name) for every chart and structure."""
-    out = []
-    for label, chart in all_charts().items():
-        for kind, structure in structures(chart):
-            oracle = {name: scan(name, field)
-                      for name, field in oracle_fields(chart, structure).items()}
-            out.append((f"{label}/{kind}", chart, structure, oracle))
-    return out
+    """(label, chart, structure, supplied transversal or None, oracle checks
+    by name) for every chart and structure; the charts with a varied xi and
+    the supplied transversals run the linear-type suite alone (structure None)."""
+    named = all_charts()
+    runs = [(f"{label}/{kind}", chart, structure, None)
+            for label, chart in named.items() for kind, structure in structures(chart)]
+    varied = varied_xi_swell_charts()
+    runs += [(f"{label}/linear-type", chart, None, None) for label, chart in varied.items()]
+    named.update(varied)
+    runs += [(f"{label}/linear-type/perp", named[label], None,
+              shifted_transversal(named[label], shift)) for label, shift in SUPPLIED_PERPS]
+    return [(label, chart, structure, perp,
+             {name: scan(name, field)
+              for name, field in oracle_fields(chart, structure, perp).items()})
+            for label, chart, structure, perp in runs]
 
 
-def lazy_checks(chart, structure):
+def lazy_checks(chart, structure, perp=None):
+    """The three suites, or the linear-type suite alone when `structure` is None."""
     run = ChartRun(chart, structure, chart.field_tensor("xi"))
-    return run.base_checks() + run.parallelism_checks() + run.linear_type_checks()
+    covariant = [] if structure is None else run.base_checks() + run.parallelism_checks()
+    return covariant + run.linear_type_checks(perp)
 
 
 def mismatches(cases):
     bad = []
-    for label, chart, structure, oracle in cases:
-        lazy = {check.name: check for check in lazy_checks(chart, structure)}
+    for label, chart, structure, perp, oracle in cases:
+        lazy = {check.name: check for check in lazy_checks(chart, structure, perp)}
         bad.extend((label, name) for name, expected in oracle.items()
                    if lazy[name] != expected)
     return bad
@@ -197,8 +255,7 @@ def test_lazy_checks_match_full_fields(cases):
     assert mismatches(cases) == []
     # The comparison must see failing checks, and covariant derivatives
     # whose first nonzero component lies past the first plane.
-    failing = [check for _, _, _, oracle in cases
-               for check in oracle.values() if not check.passed]
+    failing = [check for *_, oracle in cases for check in oracle.values() if not check.passed]
     assert len(failing) > 50
     assert any(check.name in COVARIANT_CHECKS and not check.witness.startswith("component (1,")
                for check in failing)
@@ -238,16 +295,18 @@ def test_omega_closed_matches_full_cyclic_sum():
 
 # -- mutants the comparison must catch ------------------------------------------------
 
-def off_by_one_unflat(dim, rank, comps):
-    for flat, value in enumerate(comps):
+def off_by_one_unflat(dim, rank, positions, entry):
+    for flat in positions:
+        value = entry(*_unflat(dim, rank, flat))
         if not is_zero_scalar(value):
             return _unflat(dim, rank, flat + 1), value
     return None
 
 
-def stops_at_zero_entry(dim, rank, comps):
-    """Takes a zero entry for the end of the stream."""
-    for flat, value in enumerate(comps):
+def stops_at_zero_entry(dim, rank, positions, entry):
+    """Takes a zero entry for the end of the positions."""
+    for flat in positions:
+        value = entry(*_unflat(dim, rank, flat))
         if is_zero_scalar(value):
             return None
         return _unflat(dim, rank, flat), value
@@ -281,13 +340,36 @@ def skips_entry_after_boundary(chart, t, gamma):
 
 
 @pytest.mark.parametrize("target, mutant", [
-    ("_first_nonzero", off_by_one_unflat),
-    ("_first_nonzero", stops_at_zero_entry),
+    ("_first_nonzero_at", off_by_one_unflat),
+    ("_first_nonzero_at", stops_at_zero_entry),
     ("_nabla_first_nonzero", first_plane_only),
     ("_nabla_first_nonzero", skips_entry_after_boundary),
 ])
 def test_comparison_catches_mutants(cases, monkeypatch, target, mutant):
     monkeypatch.setattr(charts, target, mutant)
+    assert mismatches(cases)
+
+
+def mutant_suite(old: str, new: str):
+    """`ChartRun.linear_type_checks` with one source line changed, in the module's namespace."""
+    source = textwrap.dedent(inspect.getsource(ChartRun.linear_type_checks))
+    assert source.count(old) == 1
+    namespace = dict(vars(charts))
+    exec(source.replace(old, new), namespace)
+    return namespace["linear_type_checks"]
+
+
+POSITION_MUTANTS = {
+    "dropped-cyclic-rotation": ("(a, b, c, u, w), (c, a, b, u, w), (b, c, a, u, w)",
+                                "(a, b, c, u, w), (c, a, b, u, w)"),
+    "missing-perp-first-family": (
+        "((s[0], y) + s[1:] for y in xi_rows for s in _support_indices(perp_first)),", ""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POSITION_MUTANTS))
+def test_comparison_catches_position_mutants(cases, monkeypatch, name):
+    monkeypatch.setattr(ChartRun, "linear_type_checks", mutant_suite(*POSITION_MUTANTS[name]))
     assert mismatches(cases)
 
 
