@@ -55,7 +55,7 @@ from importlib import resources
 from . import linalg
 from .linalg import is_zero_scalar
 from .models import InfinitesimalModel, standard_omega_tensor
-from .rationals import Polynomial, RationalFunction, ScaledPoint, parse_ratfun
+from .rationals import RationalFunction, ScaledPoint, parse_ratfun
 from .reporting import Check, Report, index_witness
 from .symplectic import (
     COV, CON, MAX_N, MAX_RANK, SymplecticSpace, Tensor, _contract_slot, _derivation_entries,
@@ -104,9 +104,12 @@ def _rf(chart_coords, value) -> RationalFunction:
     return RationalFunction.constant(value, chart_coords)
 
 
-def _check_coordinate_count(d: int) -> None:
-    if d > 2 * MAX_N:
-        raise ChartFormatError(f"charts have at most {2 * MAX_N} coordinates, got {d}")
+def _check_coordinates(coords: tuple) -> None:
+    if len(coords) > 2 * MAX_N:
+        raise ChartFormatError(f"charts have at most {2 * MAX_N} coordinates, got {len(coords)}")
+    repeated = next((c for pos, c in enumerate(coords) if c in coords[:pos]), None)
+    if repeated is not None:
+        raise ChartFormatError(f"coordinate {repeated!r} appears more than once")
 
 
 def make_chart(coords, omega_entries, christoffel_entries, fields=None,
@@ -116,7 +119,7 @@ def make_chart(coords, omega_entries, christoffel_entries, fields=None,
     d = len(coords)
     if d % 2 != 0:
         raise ChartFormatError("charts need an even number of coordinates")
-    _check_coordinate_count(d)
+    _check_coordinates(coords)
     zero = RationalFunction.constant(0, coords)
     omega = [[zero] * d for _ in range(d)]
     for (i, j), value in omega_entries.items():
@@ -631,30 +634,32 @@ class ChartRun:
 
 def integrability_check(chart: Chart, xi: Tensor) -> Check:
     """omega([X,Y], xi) = 0 for a spanning set of the kernel distribution of
-    omega(., xi); the spanning fields are d_j - (beta_j / beta_a) d_a for a
-    pivot index a with beta_a nonzero.  In dimension 2 the kernel is a line
-    and there is nothing to bracket."""
-    d = chart.dim
+    beta = omega(., xi); the spanning fields are X_j = d_j - (beta_j / beta_a) d_a,
+    j != a, for the first index a with beta_a nonzero.
+
+    No field is formed and none bracketed (Frobenius).  For X and Y in the
+    kernel, beta([X,Y]) = X beta(Y) - Y beta(X) - d beta(X,Y) = -d beta(X,Y),
+    and with the antisymmetric D_jk = d_j beta_k - d_k beta_j,
+    beta_a d beta(X_j, X_k) = beta_a D_jk + beta_j D_ka + beta_k D_aj.  The
+    pairs are tested in the order of the spanning fields, and a failing pair
+    is named by their 1-based positions among them.  In dimension 2 the
+    kernel is a line and no partial is taken.
+    """
+    d, coords = chart.dim, chart.coords
     beta = pairing_with(chart, xi)
-    pivot = next((a for a in range(d) if not beta[a].is_zero()), None)
-    if pivot is None:
+    a = next((a for a in range(d) if not beta[a].is_zero()), None)
+    if a is None:
         return Check("xi_kernel_integrable", False, "vector field vanishes identically")
-    one = RationalFunction.constant(1, chart.coords)
-    spanning = []
-    for j in range(d):
-        if j == pivot:
-            continue
-        ratio = beta[j] / beta[pivot]
-        spanning.append(Tensor.build(
-            d, (CON,),
-            lambda k, j=j, ratio=ratio: (one if k == j
-                                         else (-ratio if k == pivot else chart.rf_zero()))))
-    for a in range(len(spanning)):
-        for b in range(a + 1, len(spanning)):
-            bracket = lie_bracket(chart, spanning[a], spanning[b])
-            if not insert_vector(bracket, 0, beta).is_zero():
-                return Check("xi_kernel_integrable", False,
-                             f"bracket of spanning fields {a + 1},{b + 1} leaves the kernel")
+
+    @functools.cache
+    def curl(j, k):  # D_jk
+        return _partial(beta[k], coords[j]) - _partial(beta[j], coords[k])
+
+    others = [j for j in range(d) if j != a]
+    for (s, j), (t, k) in itertools.combinations(enumerate(others, 1), 2):
+        if not (beta[a] * curl(j, k) - beta[j] * curl(a, k) + beta[k] * curl(a, j)).is_zero():
+            return Check("xi_kernel_integrable", False,
+                         f"bracket of spanning fields {s},{t} leaves the kernel")
     return Check("xi_kernel_integrable", True, None)
 
 
@@ -709,7 +714,10 @@ def symplectic_basis_matrix(omega_p: list[list[Fraction]]) -> list[list[Fraction
 
     Iterative hyperbolic-pair extraction: pick u, find w with omega(u,w) = 1
     after rescaling, project the rest onto the symplectic complement with
-    P(v) = v - omega(v,w) u + omega(v,u) w, and recurse.
+    P(v) = v - omega(v,w) u + omega(v,u) w, and recurse.  The working vectors
+    stay independent: those other than u and its partner are independent
+    modulo span(u, partner), and P moves each only within that span, so the
+    projections are a basis of the complement.
     """
     dim = len(omega_p)
     omega_t = Tensor(dim, (COV, COV), [x for row in omega_p for x in row])
@@ -729,17 +737,11 @@ def symplectic_basis_matrix(omega_p: list[list[Fraction]]) -> list[list[Fraction
         w = [x / scale for x in partner]
         us.append(u)
         ws.append(w)
-        # The projections lie in the (dim - 2k)-dimensional complement, so
-        # the greedy independent subset has at most that many vectors.
-        span = linalg.Echelon()
         projected = []
-        for v in working:
-            if v is u or v is partner:
-                continue
-            vw, vu = pairing(v, w), pairing(v, u)
-            pv = [a - vw * b + vu * c for a, b, c in zip(v, u, w)]
-            if span.add(pv):
-                projected.append(pv)
+        for v in working[1:]:
+            if v is not partner:
+                vw, vu = pairing(v, w), pairing(v, u)
+                projected.append([a - vw * b + vu * c for a, b, c in zip(v, u, w)])
         working = projected
     columns = us + ws
     return [[columns[c][r] for c in range(dim)] for r in range(dim)]
@@ -764,12 +766,13 @@ def model_at_point(chart: Chart, structure: Tensor, point: dict):
     s_p = evaluate_tensor(structure, point)
 
     m = symplectic_basis_matrix(omega_p)
-    m_inv = linalg.inverse(m)
     n = chart.n
     space = SymplecticSpace(n)
-    product = linalg.matmul(linalg.matmul(linalg.transpose(m), omega_p), m)
+    pulled = linalg.matmul(linalg.transpose(m), omega_p)
+    product = linalg.matmul(pulled, m)
     if any(product[i][j] != space.omega[i][j] for i in range(2 * n) for j in range(2 * n)):
         raise AssertionError("change of basis failed to reach the standard form")
+    m_inv = linalg.matmul(space.omega_inv, pulled)  # m^T omega_p m = Omega
 
     def standardize(t: Tensor) -> Tensor:
         out = change_basis(t, m, m_inv)
@@ -789,16 +792,27 @@ def metric_obstruction(s_point: Tensor, omega_p: list[list[Fraction]]):
 
     First reads the linear-type vector xi off S in closed form (omega_p is
     antisymmetric).  Tracing S_X Y = omega(X,Y) xi - omega(Y,xi) X over X
-    gives omega(e_j, xi) = -sum_a S[a,j,a] / (d+1); any entry omega_ij != 0
-    then gives xi^k = (S[i,j,k] + delta_ki omega(e_j, xi)) / omega_ij.  S is
-    of linear type exactly when it equals the linear-type form of that xi;
-    otherwise (also when omega_p is zero) `NotLinearTypeError` is raised.
+    gives b_j = omega(e_j, xi) = -sum_a S[a,j,a] / (d+1); any entry
+    omega_ij != 0 then gives xi^k = (S[i,j,k] + delta_ki b_j) / omega_ij.  S
+    is of linear type exactly when it equals the linear-type form of that
+    xi; otherwise (also when omega_p is zero) `NotLinearTypeError` is raised.
 
-    Then builds the exact solution space of g(S_X Y, Z) + g(Y, S_X Z) = 0
-    over symmetric matrices, and tests whether the determinant of the
-    generic solution is the zero polynomial in the solution parameters.  A
-    zero structure tensor is reported as a degenerate precondition (any
-    metric works) rather than an obstruction.
+    Then decides in closed form.  A symmetric g is annihilated when
+    g(S_X Y, Z) + g(Y, S_X Z) = 0 for all X, Y, Z; with h = g(xi, .) that is
+    omega(X,Y) h(Z) + omega(X,Z) h(Y) - b(Y) g(X,Z) - b(Z) g(X,Y) = 0.
+    * If b != 0: Y = Z = xi gives 2 b(X) h(xi) = 0, as b(xi) = 0, so
+      h(xi) = 0; then Z = xi gives b(X) h(Y) - b(Y) h(X) = 0, so h = c b.
+      What is left says b(Z) A_X(Y) + b(Y) A_X(Z) = 0 for the covectors
+      A_X = (c omega - g)(X, .), so A_X = 0 for every X and g = c omega,
+      which is symmetric only when g = 0.
+    * If b = 0: Y = Z puts every Z with h(Z) != 0 into the kernel of
+      omega_p, which is not everything, so h = 0, and h = 0 solves it.  The
+      solutions are the symmetric forms with xi != 0 (S is not zero) in
+      their kernel, a space of dimension d(d-1)/2.
+    So every solution is degenerate: `obstructed` is true and
+    `solution_dimension` is 0 or d(d-1)/2.  A zero structure tensor is
+    reported as a degenerate precondition (any metric works) rather than
+    an obstruction.
     """
     if s_point.valence != (COV, COV, CON):
         raise ValueError("expected a pointwise (1,2) structure tensor")
@@ -812,52 +826,13 @@ def metric_obstruction(s_point: Tensor, omega_p: list[list[Fraction]]):
     if pivot is None:
         raise NotLinearTypeError("structure tensor is not of linear type")
     i, j = pivot
-    omega_j_xi = -Fraction(sum(s_point[a, j, a] for a in range(d)), d + 1)
-    xi = [Fraction(s_point[i, j, k] + (omega_j_xi if k == i else 0)) / omega_p[i][j]
+    b = [-Fraction(sum(s_point[a, c, a] for a in range(d)), d + 1) for c in range(d)]
+    xi = [Fraction(s_point[i, j, k] + (b[j] if k == i else 0)) / omega_p[i][j]
           for k in range(d)]
     if _linear_type(omega_p, xi) != s_point:
         raise NotLinearTypeError("structure tensor is not of linear type")
-
-    unknowns = [(a, b) for a in range(d) for b in range(a, d)]
-    position = {pair: pos for pos, pair in enumerate(unknowns)}
-
-    def add(row, a, b, value):
-        row[position[(min(a, b), max(a, b))]] += value
-
-    grows = []
-    for i in range(d):
-        for j in range(d):
-            for k in range(j, d):
-                row = [Fraction(0)] * len(unknowns)
-                for m in range(d):
-                    if s_point[i, j, m] != 0:
-                        add(row, m, k, s_point[i, j, m])
-                    if s_point[i, k, m] != 0:
-                        add(row, j, m, s_point[i, k, m])
-                if any(v != 0 for v in row):
-                    grows.append(row)
-    solutions = linalg.nullspace(grows, ncols=len(unknowns))
-    if not solutions:
-        return ObstructionVerdict(obstructed=True, degenerate_input=False,
-                                  xi=xi, solution_dimension=0)
-
-    # The determinant of the generic solution is the zero polynomial in the
-    # parameters exactly when it is zero in their rational function field.
-    params = [f"t{r + 1}" for r in range(len(solutions))]
-    entries = [[Polynomial.constant(0, params) for _ in range(d)] for _ in range(d)]
-    for r, sol in enumerate(solutions):
-        exp = tuple(1 if s == r else 0 for s in range(len(solutions)))
-        for (a, b), value in zip(unknowns, sol):
-            if value == 0:
-                continue
-            mono = Polynomial(params, {exp: value})
-            entries[a][b] = entries[a][b] + mono
-            if a != b:
-                entries[b][a] = entries[b][a] + mono
-    determinant = linalg.det([[RationalFunction(e) for e in row] for row in entries])
-    return ObstructionVerdict(obstructed=is_zero_scalar(determinant),
-                              degenerate_input=False, xi=xi,
-                              solution_dimension=len(solutions))
+    return ObstructionVerdict(obstructed=True, degenerate_input=False, xi=xi,
+                              solution_dimension=0 if any(b) else d * (d - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -871,12 +846,13 @@ class ObstructionVerdict:
 # -- serialization and the packaged examples -------------------------------------------
 
 def _index_key(key: str, arity: int, dim: int, what: str) -> tuple[int, ...]:
-    """0-based indices of a 1-based comma-joined chart key such as ``"1,2"``."""
+    """0-based indices of a 1-based comma-joined chart key such as ``"1,2"``;
+    the empty key is the empty index of a scalar."""
     try:
-        idx = tuple(int(p) - 1 for p in key.split(","))
+        idx = tuple(int(p) - 1 for p in key.split(",")) if key else ()
     except ValueError:
-        idx = ()
-    if len(idx) != arity:
+        idx = None
+    if idx is None or len(idx) != arity:
         raise ChartFormatError(f"bad {what} key {key!r}")
     if not all(0 <= i < dim for i in idx):
         raise ChartFormatError(f"{what} key {key!r} out of range")
@@ -901,7 +877,7 @@ def chart_from_json(data: dict) -> Chart:
     if len(coords) % 2 != 0 or not coords:
         raise ChartFormatError("charts need a positive even number of coordinates")
     dim = len(coords)
-    _check_coordinate_count(dim)
+    _check_coordinates(coords)
 
     def parse(text, context):
         try:

@@ -770,7 +770,9 @@ def presentation_from_json(data: dict) -> LieAlgebraPresentation:
     Malformed input raises `ValueError` (`KeyError` for a missing `dim`):
     `dim` must be a non-negative integer, `basis_labels` a list of strings,
     `structure_constants` an object of objects whose values are strings and
-    `subspaces` an object of lists of basis indices 1..dim.
+    `subspaces` an object of lists of basis indices 1..dim.  A pair given
+    under both orders, such as `[1,2]` and `[2,1]`, must give brackets that
+    are negatives of each other.
     """
     dim = data["dim"]
     if not _is_int(dim) or dim < 0:
@@ -785,25 +787,36 @@ def presentation_from_json(data: dict) -> LieAlgebraPresentation:
         raise ValueError("'structure_constants' must be a JSON object")
     zero = Fraction(0)
     c = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    keys = {}  # (i, j) with i < j -> the key that gave [e_i, e_j]
     for key, row in constants.items():
         inner = key.strip()
-        if not (inner.startswith("[") and inner.endswith("]")):
-            raise ValueError(f"bad bracket key {key!r}")
-        i_text, j_text = inner[1:-1].split(",")
-        i, j = int(i_text) - 1, int(j_text) - 1
-        if not (0 <= i < dim and 0 <= j < dim) or i == j:
+        try:  # a part that is no integer, or not two parts
+            i, j = (int(part) - 1 for part in inner[1:-1].split(","))
+        except ValueError:
+            i = j = -1
+        if not (inner.startswith("[") and inner.endswith("]")
+                and 0 <= i < dim and 0 <= j < dim and i != j):
             raise ValueError(f"bad bracket key {key!r}")
         if not isinstance(row, dict):
             raise ValueError(f"bracket {key!r} must be a JSON object")
+        bracket = [zero] * dim
         for k_text, value in row.items():
-            k = int(k_text) - 1
+            try:
+                k = int(k_text) - 1
+            except ValueError:
+                k = -1
             if not 0 <= k < dim:
                 raise ValueError(f"bad component index in {key!r}")
             if not isinstance(value, str):
                 raise ValueError(f"component {k_text!r} of {key!r} must be a string, "
                                  f"got {type(value).__name__}")
-            c[i][j][k] = parse_fraction(value)
-            c[j][i][k] = -c[i][j][k]
+            bracket[k] = parse_fraction(value)
+        if i > j:
+            i, j, bracket = j, i, [-x for x in bracket]
+        if (i, j) in keys and c[i][j] != bracket:
+            raise ValueError(f"brackets {keys[i, j]!r} and {key!r} disagree")
+        keys[i, j] = key
+        c[i][j], c[j][i] = bracket, [-x for x in bracket]
     subspaces = data.get("subspaces", {})
     if not (isinstance(subspaces, dict) and all(
             isinstance(idx, list) and all(_is_int(i) and 1 <= i <= dim for i in idx)

@@ -657,8 +657,11 @@ def tensor_from_json(data: dict, *, space: SymplecticSpace | None = None) -> Ten
     t = Tensor.zeros(dim, valence, space=space)
     comps = list(t.comps)
     for key, text in components.items():
-        idx = tuple(int(part) - 1 for part in key.split(","))
-        if len(idx) != len(valence) or any(i < 0 or i >= dim for i in idx):
+        try:
+            idx = tuple(int(part) - 1 for part in key.split(",")) if key else ()
+        except ValueError:
+            idx = None
+        if idx is None or len(idx) != len(valence) or any(i < 0 or i >= dim for i in idx):
             raise ValueError(f"bad component index {key!r} for dimension {dim}")
         if not isinstance(text, str):
             raise ValueError(f"component {key!r} must be a string, got {type(text).__name__}")

@@ -12,8 +12,12 @@ checks replaced, the model-report and annihilation oracles are the dense
 checks that every entry of each derivation action and every index triple
 went through before the model checks read only the nonzero data, and the
 change-of-basis and evaluation oracles are the Fraction loops that the
-scaled-integer kernels replaced.  `chart_suite` runs the chart suites of
-one `ChartRun` into one report.
+scaled-integer kernels replaced.  The integrability, symplectic-basis,
+model-at-point and metric-obstruction oracles are the Lie brackets of
+spanning fields, the independence filter, the matrix inverse and the
+nullspace-and-determinant solve that the closed forms of the chart module
+replaced.  `chart_suite` runs the chart suites of one `ChartRun` into one
+report.
 """
 
 from __future__ import annotations
@@ -24,12 +28,17 @@ from fractions import Fraction
 
 import pytest
 
-from fedosov import rationals
-from fedosov.charts import ChartRun
+from fedosov import linalg, rationals
+from fedosov.charts import (
+    Chart, ChartRun, NotLinearTypeError, ObstructionVerdict, _curvature, _linear_type, _torsion,
+    evaluate_matrix, evaluate_tensor, lie_bracket, pairing_with, tilde_christoffel,
+)
 from fedosov.decomposition import DecompositionResult
-from fedosov.rationals import PoleError, Polynomial, RationalFunction
-from fedosov.reporting import Report
-from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor
+from fedosov.linalg import is_zero_scalar
+from fedosov.models import InfinitesimalModel, standard_omega_tensor
+from fedosov.rationals import PoleError, Polynomial, RationalFunction, ScaledPoint
+from fedosov.reporting import Check, Report
+from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor, change_basis, insert_vector
 
 # The 4D product of the second worked chart with itself, with the block sum
 # `S` of its linear-type structures; its shifted curvature is zero.
@@ -520,3 +529,190 @@ def old_ratfun_evaluate(f: RationalFunction, point) -> Fraction:
         raise PoleError("denominator vanishes at "
                         + ", ".join(f"{var}={value}" for var, value in point.items()))
     return old_polynomial_evaluate(f.num, point) / den
+
+
+# -- the generic solves that the closed forms of the chart module replaced ----------
+
+def old_integrability_check(chart: Chart, xi: Tensor) -> Check:
+    """omega([X,Y], xi) = 0 for a spanning set of the kernel distribution of
+    omega(., xi); the spanning fields are d_j - (beta_j / beta_a) d_a for a
+    pivot index a with beta_a nonzero.  In dimension 2 the kernel is a line
+    and there is nothing to bracket."""
+    d = chart.dim
+    beta = pairing_with(chart, xi)
+    pivot = next((a for a in range(d) if not beta[a].is_zero()), None)
+    if pivot is None:
+        return Check("xi_kernel_integrable", False, "vector field vanishes identically")
+    one = RationalFunction.constant(1, chart.coords)
+    spanning = []
+    for j in range(d):
+        if j == pivot:
+            continue
+        ratio = beta[j] / beta[pivot]
+        spanning.append(Tensor.build(
+            d, (CON,),
+            lambda k, j=j, ratio=ratio: (one if k == j
+                                         else (-ratio if k == pivot else chart.rf_zero()))))
+    for a in range(len(spanning)):
+        for b in range(a + 1, len(spanning)):
+            bracket = lie_bracket(chart, spanning[a], spanning[b])
+            if not insert_vector(bracket, 0, beta).is_zero():
+                return Check("xi_kernel_integrable", False,
+                             f"bracket of spanning fields {a + 1},{b + 1} leaves the kernel")
+    return Check("xi_kernel_integrable", True, None)
+
+
+def old_symplectic_basis_matrix(omega_p: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Columns form a basis in which the form becomes the standard one.
+
+    Iterative hyperbolic-pair extraction: pick u, find w with omega(u,w) = 1
+    after rescaling, project the rest onto the symplectic complement with
+    P(v) = v - omega(v,w) u + omega(v,u) w, and recurse.
+    """
+    dim = len(omega_p)
+    omega_t = Tensor(dim, (COV, COV), [x for row in omega_p for x in row])
+
+    def pairing(u, v):
+        return insert_vector(insert_vector(omega_t, 1, v), 0, u).comps[0]
+
+    working = [[Fraction(1) if i == j else Fraction(0) for i in range(dim)]
+               for j in range(dim)]
+    us, ws = [], []
+    while working:
+        u = working[0]
+        partner = next((w for w in working[1:] if pairing(u, w) != 0), None)
+        if partner is None:
+            raise ValueError("the evaluated form is degenerate at this point")
+        scale = pairing(u, partner)
+        w = [x / scale for x in partner]
+        us.append(u)
+        ws.append(w)
+        # The projections lie in the (dim - 2k)-dimensional complement, so
+        # the greedy independent subset has at most that many vectors.
+        span = linalg.Echelon()
+        projected = []
+        for v in working:
+            if v is u or v is partner:
+                continue
+            vw, vu = pairing(v, w), pairing(v, u)
+            pv = [a - vw * b + vu * c for a, b, c in zip(v, u, w)]
+            if span.add(pv):
+                projected.append(pv)
+        working = projected
+    columns = us + ws
+    return [[columns[c][r] for c in range(dim)] for r in range(dim)]
+
+
+def old_model_at_point(chart: Chart, structure: Tensor, point: dict):
+    """Evaluate the shifted connection's data at a point into a model.
+
+    Returns (model, basis_matrix): the model lives over the standard
+    symplectic space reached by the returned change of basis, and its aux
+    list is (omega, structure tensor).  Raises `PoleError` at poles.
+    """
+    point = {k: Fraction(v) for k, v in point.items()}
+    missing = [c for c in chart.coords if c not in point]
+    if missing:
+        raise ValueError(f"point does not assign coordinates {missing}")
+    point = ScaledPoint(point)
+    omega_p = evaluate_matrix(chart.omega, point)
+    gamma = tilde_christoffel(chart, structure)
+    tilde_r = evaluate_tensor(_curvature(chart, gamma), point)
+    tilde_t = evaluate_tensor(_torsion(chart, gamma), point)
+    s_p = evaluate_tensor(structure, point)
+
+    m = old_symplectic_basis_matrix(omega_p)
+    m_inv = linalg.inverse(m)
+    n = chart.n
+    space = SymplecticSpace(n)
+    product = linalg.matmul(linalg.matmul(linalg.transpose(m), omega_p), m)
+    if any(product[i][j] != space.omega[i][j] for i in range(2 * n) for j in range(2 * n)):
+        raise AssertionError("change of basis failed to reach the standard form")
+
+    def standardize(t: Tensor) -> Tensor:
+        out = change_basis(t, m, m_inv)
+        return Tensor(out.dim, out.valence, out.comps, space=space)
+
+    model = InfinitesimalModel(
+        space=space,
+        curvature=standardize(tilde_r),
+        torsion=standardize(tilde_t),
+        aux=(standard_omega_tensor(space), standardize(s_p)),
+    )
+    return model, m
+
+
+def old_metric_obstruction(s_point: Tensor, omega_p: list[list[Fraction]]):
+    """Decide whether any nondegenerate symmetric bilinear form is annihilated.
+
+    First reads the linear-type vector xi off S in closed form (omega_p is
+    antisymmetric).  Tracing S_X Y = omega(X,Y) xi - omega(Y,xi) X over X
+    gives omega(e_j, xi) = -sum_a S[a,j,a] / (d+1); any entry omega_ij != 0
+    then gives xi^k = (S[i,j,k] + delta_ki omega(e_j, xi)) / omega_ij.  S is
+    of linear type exactly when it equals the linear-type form of that xi;
+    otherwise (also when omega_p is zero) `NotLinearTypeError` is raised.
+
+    Then builds the exact solution space of g(S_X Y, Z) + g(Y, S_X Z) = 0
+    over symmetric matrices, and tests whether the determinant of the
+    generic solution is the zero polynomial in the solution parameters.  A
+    zero structure tensor is reported as a degenerate precondition (any
+    metric works) rather than an obstruction.
+    """
+    if s_point.valence != (COV, COV, CON):
+        raise ValueError("expected a pointwise (1,2) structure tensor")
+    d = s_point.dim
+
+    if s_point.is_zero():
+        return ObstructionVerdict(obstructed=False, degenerate_input=True,
+                                  xi=None, solution_dimension=d * (d + 1) // 2)
+
+    pivot = next(((i, j) for i in range(d) for j in range(d) if omega_p[i][j] != 0), None)
+    if pivot is None:
+        raise NotLinearTypeError("structure tensor is not of linear type")
+    i, j = pivot
+    omega_j_xi = -Fraction(sum(s_point[a, j, a] for a in range(d)), d + 1)
+    xi = [Fraction(s_point[i, j, k] + (omega_j_xi if k == i else 0)) / omega_p[i][j]
+          for k in range(d)]
+    if _linear_type(omega_p, xi) != s_point:
+        raise NotLinearTypeError("structure tensor is not of linear type")
+
+    unknowns = [(a, b) for a in range(d) for b in range(a, d)]
+    position = {pair: pos for pos, pair in enumerate(unknowns)}
+
+    def add(row, a, b, value):
+        row[position[(min(a, b), max(a, b))]] += value
+
+    grows = []
+    for i in range(d):
+        for j in range(d):
+            for k in range(j, d):
+                row = [Fraction(0)] * len(unknowns)
+                for m in range(d):
+                    if s_point[i, j, m] != 0:
+                        add(row, m, k, s_point[i, j, m])
+                    if s_point[i, k, m] != 0:
+                        add(row, j, m, s_point[i, k, m])
+                if any(v != 0 for v in row):
+                    grows.append(row)
+    solutions = linalg.nullspace(grows, ncols=len(unknowns))
+    if not solutions:
+        return ObstructionVerdict(obstructed=True, degenerate_input=False,
+                                  xi=xi, solution_dimension=0)
+
+    # The determinant of the generic solution is the zero polynomial in the
+    # parameters exactly when it is zero in their rational function field.
+    params = [f"t{r + 1}" for r in range(len(solutions))]
+    entries = [[Polynomial.constant(0, params) for _ in range(d)] for _ in range(d)]
+    for r, sol in enumerate(solutions):
+        exp = tuple(1 if s == r else 0 for s in range(len(solutions)))
+        for (a, b), value in zip(unknowns, sol):
+            if value == 0:
+                continue
+            mono = Polynomial(params, {exp: value})
+            entries[a][b] = entries[a][b] + mono
+            if a != b:
+                entries[b][a] = entries[b][a] + mono
+    determinant = linalg.det([[RationalFunction(e) for e in row] for row in entries])
+    return ObstructionVerdict(obstructed=is_zero_scalar(determinant),
+                              degenerate_input=False, xi=xi,
+                              solution_dimension=len(solutions))

@@ -538,6 +538,11 @@ def test_charts_differentiate_in_one_kernel():
     ({"coords": ["x", "y"], "omega": [1]}, "'omega' must be a JSON object"),
     ({"coords": ["x", "y"], "fields": {"xi": {"valence": "foo"}}},
      "field 'xi': valence must be a list of 'cov'/'con', got 'foo'"),
+    # read as one coordinate, this chart verified with exit 1
+    ({"coords": ["x", "x"], "omega": {"1,2": "1/x"}}, "coordinate 'x' appears more than once"),
+    ({"coords": ["x", "y", "u", "y"]}, "coordinate 'y' appears more than once"),
+    ({"coords": ["x", "y"], "fields": {"f": {"valence": [], "components": {"hello": "1"}}}},
+     "bad field 'f' component key 'hello'"),
 ])
 def test_malformed_chart_structure_is_input_error(tmp_path, capsys, payload, message):
     path = write_json(tmp_path, "c.json", payload)
@@ -571,6 +576,19 @@ ALGEBRA = json.loads((DATA / "algebras" / "nomizu_example2_x1_y0.json").read_tex
     ("bianchi", {**ALGEBRA, "basis_labels": 5}, "'basis_labels' must be a list of strings"),
     ("bianchi", {**ALGEBRA, "subspaces": [1]}, "'subspaces' must map names to lists of indices 1..3"),
     ("bianchi", {**ALGEBRA, "dim": [3]}, "'dim' must be a non-negative integer, got [3]"),
+    ("bianchi", {**ALGEBRA, "structure_constants": {"[1 2]": {"3": "1"}}},
+     "bad bracket key '[1 2]'"),
+    ("bianchi", {**ALGEBRA, "structure_constants": {"[1,x]": {"3": "1"}}},
+     "bad bracket key '[1,x]'"),
+    ("bianchi", {**ALGEBRA, "structure_constants": {"[1,2,3]": {"3": "1"}}},
+     "bad bracket key '[1,2,3]'"),
+    ("bianchi", {**ALGEBRA, "structure_constants": {"[1,2]": {"x": "1"}}},
+     "bad component index in '[1,2]'"),
+    # once merged into [e1,e2] = -e1 + e3, which classified as type III
+    ("bianchi", {**ALGEBRA, "structure_constants": {"[1,2]": {"3": "1"}, "[2,1]": {"1": "1"}}},
+     "brackets '[1,2]' and '[2,1]' disagree"),
+    ("check-model", {**MODEL, "torsion": {**MODEL["torsion"], "components": {"1,x,2": "1"}}},
+     "bad component index '1,x,2' for dimension 2"),
 ])
 def test_malformed_model_or_algebra_is_input_error(tmp_path, capsys, command, payload, message):
     path = write_json(tmp_path, "m.json", payload)

@@ -390,6 +390,9 @@ def test_presentation_json_round_trip():
     again = presentation_from_json(data)
     assert again.structure_constants == alg.structure_constants
     assert again.basis_labels == alg.basis_labels
+    # a pair may also be given under both orders, when they agree
+    data["structure_constants"]["[2,1]"] = {"2": "-3", "3": "-1"}
+    assert presentation_from_json(data).structure_constants == alg.structure_constants
 
 
 def test_model_json_round_trip():

@@ -239,6 +239,9 @@ def test_tensor_json_round_trip():
     assert data["valence"] == ["cov", "cov", "cov"]
     again = tensor_from_json(data, space=space)
     assert again == t
+    # a scalar's one component has the empty key
+    scalar = Tensor(4, (), [Fraction(3)])
+    assert tensor_from_json(tensor_to_json(scalar)) == scalar
 
 
 def test_tensor_json_sparse_means_zero():
