@@ -7,7 +7,9 @@ classification of the resulting 3-dimensional algebras, and symbolic
 chart-level verification of Fedosov and parallelism conditions.
 """
 
-from .rationals import ParseError, PoleError, Polynomial, Rational, RationalFunction, parse_ratfun
+from .rationals import (
+    DegreeError, ParseError, PoleError, Polynomial, Rational, RationalFunction, parse_ratfun,
+)
 from .reporting import Check, Report
 from .symplectic import (
     COV, CON, SymplecticSpace, Tensor,

@@ -258,7 +258,7 @@ def _curvature(chart: Chart, gamma) -> Tensor:
             for l in range(d):
                 a = _partial(gamma[l][j][k], coords[i])
                 b = _partial(gamma[l][i][k], coords[j])
-                r_ij, r_ji = -a + b, -b + a
+                r_ij, r_ji = (a, a) if a.is_zero() and b.is_zero() else (-a + b, -b + a)
                 for x, y, u, v in zip(jk, gamma[l][i], ik, gamma[l][j]):
                     p = None if x.is_zero() or y.is_zero() else x * y
                     q = None if u.is_zero() or v.is_zero() else u * v

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import charts as ch
 from . import decomposition as dec
 from . import models as mo
-from .rationals import ParseError, PoleError
+from .rationals import DegreeError, ParseError, PoleError
 from .reporting import Check, Report
 from .symplectic import (
     COV, CON, MAX_N, SymplecticSpace, Tensor, cotorsion_lower, parse_fraction,
@@ -538,7 +538,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return command(args)
-    except (InputError, ParseError) as err:
+    except (InputError, ParseError, DegreeError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # a fault of the program, never "a check failed"

@@ -4,10 +4,22 @@ Each coefficient is an `int` when it is integral and a `fractions.Fraction`
 (in lowest terms with a positive denominator, never integral) otherwise, so
 the common case -- integer polynomials such as every normalized
 denominator -- runs on machine-speed integer arithmetic.  A polynomial
-stores an ordered tuple of variable names plus a sparse map from exponent
-tuples to nonzero coefficients; the zero polynomial has an empty map.
-Binary operations align the two variable tuples by taking their sorted
-union, so polynomials over different variable sets combine transparently.
+stores an ordered tuple of variable names plus a sparse map from packed
+exponent vectors to nonzero coefficients; the zero polynomial has an empty
+map.  Binary operations align the two variable tuples by taking their
+sorted union, so polynomials over different variable sets combine
+transparently.
+
+A monomial's exponent vector is packed into one int (after M. Monagan and
+R. Pearce, *Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors*, CASC 2007): one 16-bit field per variable, the first
+variable most significant, so int order is the lex order of the exponent
+tuples.  Multiplying monomials adds their keys and dividing subtracts them.
+The top bit of each field is a guard bit that no stored exponent sets, so
+an exponent is at most `MAX_DEGREE` (32767): a product that sets a guard
+bit raises `DegreeError`, never wraps, and an exact division rejects a
+field that would borrow.  Printing, evaluation, re-indexing and the public
+tuple-keyed constructor unpack and pack through one pair of helpers.
 
 Rational functions are numerator/denominator pairs and are *not* reduced to
 lowest terms (there is no multivariate gcd engine): equality and zero tests
@@ -43,8 +55,9 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
-from operator import add, getitem, sub
+from functools import lru_cache, reduce
+from itertools import chain
+from operator import getitem, lshift, or_
 from typing import Iterable, Mapping
 
 Rational = Fraction
@@ -52,6 +65,10 @@ Rational = Fraction
 
 class PoleError(ArithmeticError):
     """Raised when a rational function is evaluated at a zero of its denominator."""
+
+
+class DegreeError(ArithmeticError):
+    """Raised when an exponent would pass `MAX_DEGREE`, in given terms or in a product."""
 
 
 class ParseError(ValueError):
@@ -79,6 +96,38 @@ def _quotient(a, b):
 def _canonical_terms(terms: dict) -> dict:
     """Drop the zero coefficients and make the integral ones ints."""
     return {exp: c.numerator if c.denominator == 1 else c for exp, c in terms.items() if c}
+
+
+# -- packed exponent vectors ----------------------------------------------------------
+_FIELD_BITS = 16
+MAX_DEGREE = (1 << _FIELD_BITS - 1) - 1
+_FIELD = (1 << _FIELD_BITS) - 1
+
+
+@lru_cache(maxsize=None)
+def _masks(width: int) -> tuple[int, int]:
+    """(guards, lows) over `width` fields: the guard bit of every field, and
+    MAX_DEGREE in every field."""
+    guards = sum(1 << _FIELD_BITS * i + _FIELD_BITS - 1 for i in range(width))
+    return guards, guards - (guards >> _FIELD_BITS - 1)
+
+
+def _pack(exponents: Iterable[int]) -> int:
+    """The key of an exponent vector, the first exponent most significant."""
+    key = 0
+    for e in exponents:
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
+        if e > MAX_DEGREE:
+            raise DegreeError(f"exponent {e} is over the degree limit of {MAX_DEGREE}")
+        key = key << _FIELD_BITS | e
+    return key
+
+
+def _unpacked(keys: Iterable[int], width: int) -> list[tuple[int, ...]]:
+    """The exponent tuples of packed keys over `width` variables."""
+    shifts = range(_FIELD_BITS * (width - 1), -1, -_FIELD_BITS)
+    return [tuple([key >> s & _FIELD for s in shifts]) for key in keys]
 
 
 # -- scaled integers ----------------------------------------------------------------
@@ -151,16 +200,25 @@ class Polynomial:
 
     A coefficient is an `int` when integral and a `Fraction` otherwise; the
     public constructor accepts anything `Fraction` accepts and converts it.
-    Instances are treated as immutable: no method mutates `self`, and the
-    term map must not be modified after construction.
+    `terms` maps packed exponent vectors (see the module docstring) to the
+    coefficients; the constructor takes exponent tuples, packs them and
+    raises `DegreeError` for an exponent above MAX_DEGREE (32767), and
+    `exponent_terms` gives the map back keyed by tuples.  Instances are
+    treated as immutable: no method mutates `self`, and the term map must not
+    be modified after construction.
     """
 
     __slots__ = ("variables", "terms")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[tuple[int, ...], Fraction]):
         self.variables: tuple[str, ...] = tuple(variables)
-        self.terms: dict[tuple[int, ...], int | Fraction] = _canonical_terms(
-            {exp: Fraction(c) for exp, c in terms.items()})
+        width = len(self.variables)
+        packed = {}
+        for exp, c in terms.items():
+            if len(exp) != width:
+                raise ValueError(f"exponent tuple {exp} does not match {width} variables")
+            packed[_pack(exp)] = Fraction(c)
+        self.terms: dict[int, int | Fraction] = _canonical_terms(packed)
 
     @classmethod
     def _new(cls, variables: tuple[str, ...], terms: dict) -> Polynomial:
@@ -174,20 +232,24 @@ class Polynomial:
     def constant(cls, value, variables: Iterable[str] = ()) -> Polynomial:
         variables = tuple(variables)
         c = _canonical(Fraction(value))
-        return cls._new(variables, {(0,) * len(variables): c} if c else {})
+        return cls._new(variables, {0: c} if c else {})
 
     @classmethod
     def variable(cls, name: str) -> Polynomial:
-        return cls._new((name,), {(1,): 1})
+        return cls._new((name,), {1: 1})
+
+    def exponent_terms(self) -> dict[tuple[int, ...], int | Fraction]:
+        """The term map keyed by exponent tuples, in the same order."""
+        return dict(zip(_unpacked(self.terms, len(self.variables)), self.terms.values()))
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_one(self) -> bool:
-        return len(self.terms) == 1 and self.terms.get((0,) * len(self.variables)) == 1
+        return len(self.terms) == 1 and self.terms.get(0) == 1
 
     def is_constant(self) -> bool:
-        return not any(map(any, self.terms))
+        return not any(self.terms)
 
     def constant_value(self) -> Fraction:
         """Value of a constant polynomial (zero polynomial gives 0)."""
@@ -200,18 +262,13 @@ class Polynomial:
         variables = tuple(variables)
         if variables == self.variables:
             return self
-        positions = []
+        shifts = []
         for v in self.variables:
             if v not in variables:
                 raise ValueError(f"cannot drop variable {v!r}")
-            positions.append(variables.index(v))
-        terms = {}
-        width = len(variables)
-        for exp, c in self.terms.items():
-            new = [0] * width
-            for pos, e in zip(positions, exp):
-                new[pos] = e
-            terms[tuple(new)] = c
+            shifts.append(_FIELD_BITS * (len(variables) - 1 - variables.index(v)))
+        terms = {sum(map(lshift, exp, shifts)): c
+                 for exp, c in self.exponent_terms().items()}
         return Polynomial._new(variables, terms)
 
     @staticmethod
@@ -288,14 +345,22 @@ class Polynomial:
             return b
         if len(b.terms) == 1:
             (exp, c), = b.terms.items()
-            if not any(exp):
+            if not exp:
                 return a._scaled(c)
         terms: dict = {}
         get = terms.get
         for ea, ca in a.terms.items():
             for eb, cb in b.terms.items():
-                exp = tuple(map(add, ea, eb))
+                exp = ea + eb
                 terms[exp] = get(exp, 0) + ca * cb
+        # Each field of a key sum is at most 2 * MAX_DEGREE, so it carries
+        # into no other field and its guard bit is set exactly when it is
+        # over the limit.  A variable's top degree in a product is the sum of
+        # its factors', so the raw keys over-reach exactly when the product does.
+        if reduce(or_, terms) & _masks(len(a.variables))[0]:
+            top, var = max(zip(map(max, zip(*_unpacked(terms, len(a.variables)))), a.variables))
+            raise DegreeError(f"a product has degree {top} in {var}, "
+                              f"over the limit of {MAX_DEGREE} per variable")
         return Polynomial._new(a.variables, _canonical_terms(terms))
 
     __rmul__ = __mul__
@@ -308,8 +373,9 @@ class Polynomial:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:  # no square past the top bit, which could pass MAX_DEGREE
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -325,12 +391,13 @@ class Polynomial:
         """Exact partial derivative; `var` must be one of the variables."""
         if var not in self.variables:
             raise ValueError(f"unknown variable {var!r}")
-        i = self.variables.index(var)
+        shift = _FIELD_BITS * (len(self.variables) - 1 - self.variables.index(var))
+        one = 1 << shift
         terms = {}
         for exp, c in self.terms.items():
-            e = exp[i]
+            e = exp >> shift & _FIELD
             if e:
-                terms[exp[:i] + (e - 1,) + exp[i + 1:]] = _canonical(c * e)
+                terms[exp - one] = _canonical(c * e)
         return Polynomial._new(self.variables, terms)
 
     def evaluate(self, point: Mapping[str, Fraction] | ScaledPoint) -> Fraction:
@@ -346,9 +413,10 @@ class Polynomial:
         if not self.terms:
             return 0, 1
         coeffs, den = scaled_entries(self.terms.values()) or (list(self.terms.values()), 1)
-        tables = list(map(point.table, self.variables, map(max, zip(*self.terms))))
+        exponents = _unpacked(self.terms, len(self.variables))
+        tables = list(map(point.table, self.variables, map(max, zip(*exponents))))
         total = sum(math.prod(map(getitem, tables, exp), start=c)
-                    for exp, c in zip(self.terms, coeffs))
+                    for exp, c in zip(exponents, coeffs))
         for table in tables:
             den *= table[0]
         return total, den
@@ -364,8 +432,8 @@ class Polynomial:
             den = math.lcm(den, c.denominator)
         return Fraction(num, den)
 
-    def _leading(self) -> tuple[tuple[int, ...], int | Fraction]:
-        """Lex-maximal term (exponent tuple compared left to right)."""
+    def _leading(self) -> tuple[int, int | Fraction]:
+        """Lex-maximal term (packed key: the exponent tuple compared left to right)."""
         exp = max(self.terms)
         return exp, self.terms[exp]
 
@@ -373,18 +441,18 @@ class Polynomial:
         """Per-variable minimum exponent over all terms (the common monomial factor)."""
         if not self.terms:
             return (0,) * len(self.variables)
-        return tuple(map(min, zip(*self.terms)))
+        return tuple(map(min, zip(*_unpacked(self.terms, len(self.variables)))))
 
-    def shift_down(self, shift: tuple[int, ...]) -> Polynomial:
-        """Divide by the monomial with the given exponents (must divide every term)."""
-        if not any(shift):
+    def shift_down(self, shift: int) -> Polynomial:
+        """Divide by the monomial with packed key `shift` (must divide every term)."""
+        if not shift:
             return self
+        guards = _masks(len(self.variables))[0]
         terms = {}
         for exp, c in self.terms.items():
-            new = tuple(map(sub, exp, shift))
-            if min(new) < 0:
+            if ((exp | guards) - shift) & guards != guards:
                 raise ValueError("monomial does not divide polynomial")
-            terms[new] = c
+            terms[exp - shift] = c
         return Polynomial._new(self.variables, terms)
 
     def try_exact_div(self, den: Polynomial) -> Polynomial | None:
@@ -396,18 +464,22 @@ class Polynomial:
             return a
         lead_exp, lead_c = b._leading()
         divisor = b.terms.items()
+        guards = _masks(len(a.variables))[0]
         # The lex-largest remaining term strictly decreases, so every step
-        # writes a new quotient monomial.
+        # writes a new quotient monomial.  A remainder term may pass
+        # MAX_DEGREE (a divisor term can be higher than the lead in some
+        # variable), but the division is then not exact: such a term, or one
+        # whose field would borrow when the lead is taken off, ends it.
         quotient = {}
         rest = dict(a.terms)
         while rest:
             exp = max(rest)
-            diff = tuple(map(sub, exp, lead_exp))
-            if any(d < 0 for d in diff):
+            if exp & guards or ((exp | guards) - lead_exp) & guards != guards:
                 return None
+            diff = exp - lead_exp
             qc = quotient[diff] = _quotient(rest[exp], lead_c)
             for eb, cb in divisor:
-                e = tuple(map(add, diff, eb))
+                e = diff + eb
                 value = rest.get(e, 0) - qc * cb
                 if value:
                     rest[e] = _canonical(value)
@@ -419,10 +491,11 @@ class Polynomial:
         if not self.terms:
             return "0"
         # Deterministic order: total degree then lex, descending.
-        keys = sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
+        terms = self.exponent_terms()
+        keys = sorted(terms, key=lambda e: (sum(e), e), reverse=True)
         pieces = []
         for exp in keys:
-            c = self.terms[exp]
+            c = terms[exp]
             factors = []
             for v, e in zip(self.variables, exp):
                 if e == 1:
@@ -452,7 +525,7 @@ class Polynomial:
 def _one(variables: tuple[str, ...]) -> Polynomial:
     """The shared constant 1 over `variables`: the denominator of every
     rational function that is a polynomial."""
-    return Polynomial._new(variables, {(0,) * len(variables): 1})
+    return Polynomial._new(variables, {0: 1})
 
 
 class RationalFunction:
@@ -478,8 +551,17 @@ class RationalFunction:
         if num.is_zero():
             den = _one(num.variables)
         else:
-            shift = tuple(map(min, num.min_exponents(), den.min_exponents()))
-            if any(shift):
+            # A field of k + lows has its guard bit set exactly when the
+            # exponent is nonzero, so `common` keeps the variables that divide
+            # every term of both; most pairs have none and never unpack.
+            guards, lows = _masks(len(num.variables))
+            common = guards
+            for exp in chain(num.terms, den.terms):
+                common &= exp + lows
+                if not common:
+                    break
+            if common:
+                shift = _pack(map(min, num.min_exponents(), den.min_exponents()))
                 num = num.shift_down(shift)
                 den = den.shift_down(shift)
             scale = den.content()
@@ -729,7 +811,11 @@ class _Parser:
             raise ParseError(f"expected {op!r}, found {tok[1]!r}", tok[2], tok[3])
 
     def parse(self) -> RationalFunction:
-        value = self.expr()
+        try:
+            value = self.expr()
+        except DegreeError as err:  # raised by the operation that ends at the last token read
+            tok = self.tokens[self.pos - 1]
+            raise ParseError(str(err), tok[2], tok[3]) from None
         tok = self._peek()
         if tok is not None:
             raise ParseError(f"unexpected token {tok[1]!r}", tok[2], tok[3])

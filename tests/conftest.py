@@ -514,7 +514,7 @@ def old_polynomial_evaluate(p: Polynomial, point) -> Fraction:
         raise ValueError(f"unassigned variables: {missing}")
     total = Fraction(0)
     values = [Fraction(point[v]) for v in p.variables]
-    for exp, c in p.terms.items():
+    for exp, c in p.exponent_terms().items():
         term = c
         for v, e in zip(values, exp):
             if e:

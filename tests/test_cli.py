@@ -637,6 +637,17 @@ LIMIT_CASES = [
       "components": {"1,2,1": "1e5000000", "2,1,1": "-1e5000000"}},
      "FILE: exponent form '1e5000000' is not accepted"),
     (["obstruction", "example2", "--at", "x=1e3,y=0"], None, "bad rational value in 'x=1e3'"),
+    # Each `^` is within the budget, but nesting multiplies the exponents:
+    # x^(10^9) would make evaluation tabulate 10^9 + 1 powers of x.
+    (["model-at-point", "FILE", "--at", "x=1,y=1"],
+     {"coords": ["x", "y"], "christoffel": {"1,1,1": "((x^1000)^1000)^1000"}},
+     "FILE: christoffel[1,1,1]: a product has degree 40000 in x, over the limit of 32767 "
+     "per variable (line 1, column 11)"),
+    # parsed within the limit, but the suite's products pass it
+    (["verify-chart", "FILE", "--xi", "xi"],
+     {"coords": ["x", "y"], "omega": {"1,2": "1"}, "christoffel": {"1,1,1": "(x^1000)^20"},
+      "fields": {"xi": {"valence": ["con"], "components": {"2": "1"}}}},
+     "a product has degree 40000 in x, over the limit of 32767 per variable"),
 ]
 
 

@@ -9,7 +9,10 @@ maps and the same printed form, on hypothesis-drawn polynomials and
 rational functions over different variable tuples.  A second test pins the
 coefficient-type invariant itself, a third compares the zero-operand fast
 paths with the normalizing constructor, and a few seeded cases are checked
-against `sympy.cancel`.
+against `sympy.cancel`.  The oracle keys terms by exponent tuples and has no
+degree limit, so seeded draws over 1-12 variables with exponents up to the
+limit check the packed keys of `Polynomial`: their order, borrows in exact
+division, the guard bits of products and the common-factor mask.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedosov.rationals import PoleError, Polynomial, RationalFunction
+from fedosov.rationals import (
+    MAX_DEGREE, DegreeError, ParseError, PoleError, Polynomial, RationalFunction, parse_ratfun,
+)
 
 from test_chart_derivatives import COORDS as CHART_COORDS, random_entry
 
@@ -290,8 +295,15 @@ def _pair(variables, terms):
 def assert_same_poly(new, old):
     assert isinstance(new, Polynomial)
     assert new.variables == old.variables
-    assert new.terms == old.terms
+    assert new.exponent_terms() == old.terms
     assert str(new) == str(old)
+
+
+def assert_same_quotient(new, old):
+    if old is None:
+        assert new is None
+    else:
+        assert_same_poly(new, old)
 
 
 def assert_same_ratfun(new, old):
@@ -340,10 +352,7 @@ def _poly_results(data):
 def test_polynomial_operations_match_oracle(data):
     p, op, results = _poly_results(data)
     for new, old in results:
-        if old is None:
-            assert new is None
-        else:
-            assert_same_poly(new, old)
+        assert_same_quotient(new, old)
     point = {v: data.draw(coefficients) for v in p.variables}
     assert p.evaluate(point) == op.evaluate(point)
 
@@ -418,12 +427,12 @@ def test_coefficients_are_int_exactly_when_integral(data):
 def test_exact_division_quotients_are_never_floats():
     # 3x / 2x and (2x + 2) / 2: int / int must give an exact Fraction or an int.
     x = Polynomial(("x",), {(1,): 1})
-    half = (x * 3).try_exact_div(x * 2).terms[(0,)]
+    half = (x * 3).try_exact_div(x * 2).exponent_terms()[(0,)]
     assert type(half) is Fraction and half == Fraction(3, 2)
     quotient = (x * 2 + 2).try_exact_div(Polynomial.constant(2, ("x",)))
-    assert quotient.terms == {(1,): 1, (0,): 1}
+    assert quotient.exponent_terms() == {(1,): 1, (0,): 1}
     assert all(type(c) is int for c in quotient.terms.values())
-    assert type(Polynomial.constant(Fraction(4, 2)).terms[()]) is int
+    assert type(Polynomial.constant(Fraction(4, 2)).exponent_terms()[()]) is int
 
 
 # -- the zero-operand fast paths -----------------------------------------------------------
@@ -459,6 +468,120 @@ def test_zero_operands_match_the_constructor(seed):
             assert got.variables == merged
     z = RationalFunction.constant(0, CHART_COORDS)
     assert x + z is x and z + x is x
+
+
+# -- packed exponent vectors ----------------------------------------------------------------
+
+# exponents at and just below the limit, and pairs that sum to it or past it
+HIGH_EXPONENTS = (16383, 16384, 32766, MAX_DEGREE)
+
+
+def _drawn_terms(rng, variables, size, high):
+    """1 to `size` terms with exponents 0-3 and, when `high`, one field of
+    one term drawn from HIGH_EXPONENTS."""
+    terms = {}
+    for _ in range(rng.randint(1, size)):
+        exp = [rng.choice((0, 0, 1, 2, 3)) for _ in variables]
+        terms[tuple(exp)] = Fraction(rng.choice((-3, -2, -1, 1, 2, 5)), rng.choice((1, 1, 2, 3)))
+    if high and variables:
+        exp = list(rng.choice(list(terms)))
+        exp[rng.randrange(len(variables))] = rng.choice(HIGH_EXPONENTS)
+        terms[tuple(exp)] = Fraction(rng.choice((-1, 1, 7)))
+    return terms
+
+
+def _degree(p):
+    return max((max(exp, default=0) for exp in p.terms), default=0)
+
+
+def _checked_product(p, q, op, oq):
+    """p * q against the oracle: the same polynomial, or DegreeError exactly
+    when an exponent of the true product passes MAX_DEGREE."""
+    want = op * oq
+    if _degree(want) > MAX_DEGREE:
+        with pytest.raises(DegreeError, match="over the limit of 32767 per variable"):
+            p * q
+        return None
+    got = p * q
+    assert_same_poly(got, want)
+    return got, want
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_packed_polynomials_match_oracle(width):
+    rng = random.Random(9100 + width)
+    variables = tuple(f"x{i}" for i in range(width))
+    for _ in range(40):
+        # q over a random subset in random order, so that aligning re-packs
+        q_vars = tuple(rng.sample(variables, rng.randint(1, width)))
+        p, op = _pair(variables, _drawn_terms(rng, variables, 3, high=True))
+        r, o_r = _pair(variables, _drawn_terms(rng, variables, 1, high=True))
+        q, oq = _pair(q_vars, _drawn_terms(rng, q_vars, 3, high=False))
+        small, o_small = _pair(variables, _drawn_terms(rng, variables, 3, high=False))
+        assert_same_poly(p + q, op + oq)
+        assert_same_poly(p - q, op - oq)
+        assert_same_poly(-p, -op)
+        for v in variables:
+            assert_same_poly(p.partial(v), op.partial(v))
+        for a, b, oa, ob in ((p, q, op, oq), (p, r, op, o_r), (r, r, o_r, o_r), (p, p, op, op)):
+            product = _checked_product(a, b, oa, ob)
+            if product is not None and not b.is_zero():
+                assert_same_quotient(product[0].try_exact_div(b), product[1].try_exact_div(ob))
+        # a monomial divisor is often smaller as an int than a term while
+        # some field of it is larger: those divisions must give None
+        for a, b, oa, ob in ((p, r, op, o_r), (small, r, o_small, o_r), (q, r, oq, o_r),
+                             (small, q, o_small, oq)):
+            assert_same_quotient(a.try_exact_div(b), oa.try_exact_div(ob))
+        # normalization: the common monomial (through the nonzero-field mask)
+        # and the sign of the lex-leading denominator term
+        one, o_one = _pair(variables, {(0,) * width: 1})
+        pairs = [(one, q, o_one, oq), (small, q, o_small, oq), (p, r, op, o_r)]
+        if _degree(op * o_r) <= MAX_DEGREE:
+            pairs.append((p * r, r * 3, op * o_r, o_r * 3))
+        for num, den, o_num, o_den in pairs:
+            assert_same_ratfun(RationalFunction(num, den), _OracleRationalFunction(o_num, o_den))
+
+
+def test_packed_keys_at_the_degree_limit():
+    x, y = Polynomial(("x",), {(1,): 1}), Polynomial(("y",), {(1,): 1})
+    top = Polynomial(("x",), {(MAX_DEGREE,): 2})
+    assert top.exponent_terms() == {(32767,): 2}
+    assert str(top.partial("x")) == "65534*x^32766"
+    assert (Polynomial(("x",), {(16384,): 1}) * Polynomial(("x",), {(16383,): 1})
+            ).exponent_terms() == {(32767,): 1}
+    with pytest.raises(DegreeError, match="a product has degree 32768 in x"):
+        top * x
+    with pytest.raises(DegreeError, match="a product has degree 32768 in x"):
+        (top + y) * (x + y)
+    with pytest.raises(DegreeError, match="exponent 32768 is over the degree limit"):
+        Polynomial(("x", "y"), {(0, 32768): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial(("x",), {(-1,): 1})
+    with pytest.raises(ValueError, match="does not match 2 variables"):
+        Polynomial(("x", "y"), {(1,): 1})
+    # a power squares its base only while bits remain: x^32000 = (x^20)^1600
+    # never forms x^40960
+    assert (Polynomial(("x",), {(20,): 1}) ** 1600).exponent_terms() == {(32000,): 1}
+    with pytest.raises(DegreeError):
+        Polynomial(("x",), {(20,): 1}) ** 1639
+    # x has the larger key, y^5 the larger y field: neither divides the other
+    assert x.try_exact_div(y ** 5) is None
+    assert (y ** 5).try_exact_div(x) is None
+    assert (x * y ** 5).try_exact_div(y ** 5).exponent_terms() == {(1, 0): 1}
+    # the lex-leading term of a denominator is the largest key: x, not y
+    assert str(RationalFunction(Polynomial.constant(1, ("x", "y")), y - x)) == "(-1)/(x - y)"
+    # An inexact division whose remainder passes the limit: its second step
+    # would take y^65534 as a quotient term, and the third carries y^98301
+    # into the x field, where it cancels -x*y^32765 and empties the remainder.
+    a = {(2, MAX_DEGREE): 1, (1, 32765): -1}
+    b = {(1, 0): 1, (0, MAX_DEGREE): 1}
+    assert Polynomial(("x", "y"), a).try_exact_div(Polynomial(("x", "y"), b)) is None
+    assert _OraclePolynomial(("x", "y"), a).try_exact_div(_OraclePolynomial(("x", "y"), b)) is None
+    assert str(RationalFunction(Polynomial(("x", "y"), {(1, MAX_DEGREE): 1}),
+                                Polynomial(("x", "y"), {(0, MAX_DEGREE): 1, (1, 16384): 1}))
+               ) == "(x*y^16383)/(y^16383 + x)"
+    with pytest.raises(ParseError, match=r"degree 40000 in x.* \(line 1, column 11\)"):
+        parse_ratfun("((x^1000)^1000)^1000")
 
 
 # -- against sympy -------------------------------------------------------------------------
