@@ -190,7 +190,11 @@ def _partial(value: RationalFunction, coord: str) -> RationalFunction:
     `test_charts_differentiate_in_one_kernel` enforces.  `_partial_planes`
     maps it over a plane, `_nabla_entries` calls it at the positions it
     visits, and `omega_is_closed` calls it per entry, since the three
-    partials of one cyclic-sum entry lie in three planes.
+    partials of one cyclic-sum entry lie in three planes.  Each entry keeps
+    its partials, so the readers of one entry -- the omega checks and the
+    Lie derivative, or R and the shifted R for a Gamma entry that S leaves
+    unchanged -- share one formed partial; `chart_from_json` makes equal
+    entries one object, which shares them too.
     """
     return value if value.is_zero() else value.partial(coord)
 
@@ -561,14 +565,19 @@ class ChartRun:
 
         # The nonzero terms omega[a][b] r_xi[c,u,w] and omega_xi[a] r4[b,c,u,w],
         # each at its three rotations (a,b,c), (c,a,b), (b,c,a) of (x,y,z).
+        # A position's rotations are the rotated positions' too: each is formed once.
         terms = [(a, b) + s for a, b in omega_pairs for s in r_xi_support]
         terms += [(a,) + s for a in xi_rows for s in r4_support]
+
+        @functools.cache
+        def rotated(a, b, c, u, w):
+            return chart.omega[a][b] * r_xi[c, u, w] + omega_xi[a] * r4[b, c, u, w]
+
         checks.append(_zero_check("curvature_cyclic_xi_identity", _first_nonzero_at(
             d, 5, _positions(d, (rotation for a, b, c, u, w in terms for rotation in (
                 (a, b, c, u, w), (c, a, b, u, w), (b, c, a, u, w)))),
             lambda x, y, z, u, w: sum(
-                (chart.omega[a][b] * r_xi[c, u, w] + omega_xi[a] * r4[b, c, u, w]
-                 for (a, b, c) in ((x, y, z), (y, z, x), (z, x, y))),
+                (rotated(a, b, c, u, w) for (a, b, c) in ((x, y, z), (y, z, x), (z, x, y))),
                 zero))))
 
         checks.append(_zero_check("curvature_xi_proportionality", _first_nonzero_at(
@@ -605,11 +614,14 @@ class ChartRun:
 
         omega_perp = pairing_with(chart, perp)  # omega(d_i, perp) = -omega(perp, d_i)
 
+        @functools.cache
+        def prefactor(x, y):
+            return (-chart.omega[x][y]
+                    + omega_perp[x] * omega_xi[y]
+                    - omega_perp[y] * omega_xi[x])
+
         def reconstruction(x, y, u, w):
-            prefactor = (-chart.omega[x][y]
-                         + omega_perp[x] * omega_xi[y]
-                         - omega_perp[y] * omega_xi[x])
-            value = prefactor * omega_xi[u] * omega_xi[w] * scalar_c
+            value = prefactor(x, y) * omega_xi[u] * omega_xi[w] * scalar_c
             value = value - omega_xi[x] * perp_second[y, u, w]
             value = value - omega_xi[y] * perp_first[x, u, w]
             return r4[x, y, u, w] - value
@@ -879,11 +891,17 @@ def chart_from_json(data: dict) -> Chart:
     dim = len(coords)
     _check_coordinates(coords)
 
+    parsed = {}
+
     def parse(text, context):
-        try:
-            return parse_ratfun(str(text), coords)
-        except ValueError as err:
-            raise ChartFormatError(f"{context}: {err}") from None
+        # equal texts give one shared entry, whose partials are formed once
+        text = str(text)
+        if text not in parsed:
+            try:
+                parsed[text] = parse_ratfun(text, coords)
+            except ValueError as err:
+                raise ChartFormatError(f"{context}: {err}") from None
+        return parsed[text]
 
     omega_entries = {}
     for key, text in _entries(data, "omega").items():

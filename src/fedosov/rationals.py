@@ -26,7 +26,9 @@ lowest terms (there is no multivariate gcd engine): equality and zero tests
 use cross multiplication, which is exact.  A cheap normalization pass --
 common monomial factor, denominator content and sign, a single
 exact-division attempt -- keeps representations from growing during long
-computations such as curvature expansions.
+computations such as curvature expansions.  The division ends at the first
+quotient term that an exact quotient could not have: a term of q = a/b has,
+in each variable, at most a's degree less b's.
 
 Results that are already in normal form skip the normalization: products
 with a scalar or a constant polynomial scale the coefficients directly,
@@ -34,7 +36,17 @@ negation and scaling of a normalized pair keep it normalized, sums and
 products of two polynomials (denominator 1) stay polynomials, and a zero
 operand over the same variables makes a sum the other operand and a
 product zero.  Each such fast path yields exactly the pair the
-normalization pass would produce.
+normalization pass would produce.  Sums, products, powers and partials
+over one variable tuple have a denominator that is a product of normalized
+ones.  By Gauss's lemma (D. E. Knuth, *TAOCP* Vol. 2, 4.6.1) it is
+primitive, and its lex-leading coefficient is a product of positive ones,
+so their pass skips the content and the sign.  A quotient, whose
+denominator holds a numerator, a result over merged variables, the public
+constructor and `with_variables` take the full pass.
+
+A rational function forms each partial derivative once: the instance keeps
+it and returns the same object on every later call, which is safe because
+instances are immutable.
 
 Kernels built from sums and products run on scaled integers through one
 adapter: `scaled_entries` multiplies exact rationals by the lcm of their
@@ -57,7 +69,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain
-from operator import getitem, lshift, or_
+from operator import getitem, lshift, or_, sub
 from typing import Iterable, Mapping
 
 Rational = Fraction
@@ -130,6 +142,11 @@ def _unpacked(keys: Iterable[int], width: int) -> list[tuple[int, ...]]:
     return [tuple([key >> s & _FIELD for s in shifts]) for key in keys]
 
 
+def _top_degrees(p: Polynomial) -> list[int]:
+    """The top degree of each variable in the nonzero polynomial p."""
+    return list(map(max, zip(*_unpacked(p.terms, len(p.variables)))))
+
+
 # -- scaled integers ----------------------------------------------------------------
 #
 # A kernel built from +, - and products gives D times its result on entries
@@ -164,14 +181,30 @@ def divided(values, den: int) -> list[Fraction]:
     return [zero if not v else Fraction(v, den) if type(v) is int else v / den for v in values]
 
 
+class _PowerTable(dict):
+    """{e: a^e b^(top-e)}, each entry formed when it is first read."""
+
+    __slots__ = ("a", "b", "top")
+
+    def __init__(self, a, b, top: int):
+        super().__init__()
+        self.a, self.b, self.top = a, b, top
+
+    def __missing__(self, e: int):
+        value = self[e] = self.a ** e * self.b ** (self.top - e)
+        return value
+
+
 class ScaledPoint:
     """A point of Q^m for the integer evaluation kernel of `Polynomial`.
 
     Each coordinate p = a/b is read (through `Fraction`) when a polynomial
     first needs it, and its table [a^e b^(T-e) for e <= T] under a top
-    degree T is formed once and shared by every entry evaluated at the
-    point.  A coordinate whose denominator has more than MAX_SCALE_BITS bits
-    enters as the Fraction p over b = 1.  `point` is the mapping given.
+    degree T is shared by every entry evaluated at the point.  A table forms
+    an entry when it is first read, so only the powers that some term uses,
+    and b^T, are ever formed.  A coordinate whose denominator has more than
+    MAX_SCALE_BITS bits enters as the Fraction p over b = 1.  `point` is the
+    mapping given.
     """
 
     __slots__ = ("point", "_tables")
@@ -184,14 +217,14 @@ class ScaledPoint:
     def of(cls, point) -> ScaledPoint:
         return point if isinstance(point, ScaledPoint) else cls(point)
 
-    def table(self, var: str, top: int) -> list:
+    def table(self, var: str, top: int) -> dict:
         table = self._tables.get((var, top))
         if table is None:
             value = Fraction(self.point[var])
             a, b = value.numerator, value.denominator
             if b.bit_length() > MAX_SCALE_BITS:
                 a, b = value, 1
-            table = self._tables[var, top] = [a ** e * b ** (top - e) for e in range(top + 1)]
+            table = self._tables[var, top] = _PowerTable(a, b, top)
         return table
 
 
@@ -466,17 +499,27 @@ class Polynomial:
         divisor = b.terms.items()
         guards = _masks(len(a.variables))[0]
         # The lex-largest remaining term strictly decreases, so every step
-        # writes a new quotient monomial.  A remainder term may pass
-        # MAX_DEGREE (a divisor term can be higher than the lead in some
-        # variable), but the division is then not exact: such a term, or one
-        # whose field would borrow when the lead is taken off, ends it.
+        # writes a new quotient monomial t, a term of the quotient q when the
+        # division is exact.  Then deg_v(t) + deg_v(b) <= deg_v(q b) = deg_v(a)
+        # in every variable v: a t past `room`, a's per-field maxima less b's,
+        # ends the division, and so does a borrow when the lead is taken off.
+        # Each remainder term is then within a's maxima, so none passes
+        # MAX_DEGREE.  The maxima are unpacked only once a first step passes.
+        room = None
         quotient = {}
         rest = dict(a.terms)
         while rest:
             exp = max(rest)
-            if exp & guards or ((exp | guards) - lead_exp) & guards != guards:
+            if ((exp | guards) - lead_exp) & guards != guards:
                 return None
             diff = exp - lead_exp
+            if room is None:
+                room = list(map(sub, _top_degrees(a), _top_degrees(b)))
+                if any(r < 0 for r in room):
+                    return None
+                room = _pack(room) | guards
+            if (room - diff) & guards != guards:
+                return None
             qc = quotient[diff] = _quotient(rest[exp], lead_c)
             for eb, cb in divisor:
                 e = diff + eb
@@ -528,6 +571,48 @@ def _one(variables: tuple[str, ...]) -> Polynomial:
     return Polynomial._new(variables, {0: 1})
 
 
+def _normalized(num: Polynomial, den: Polynomial,
+                primitive: bool) -> tuple[Polynomial, Polynomial]:
+    """The normal form of num/den over one variable tuple, den nonzero.
+
+    The common monomial is stripped, den is made primitive with integer
+    coefficients and a positive lex-leading coefficient, and an exact
+    division collapses the pair onto the denominator 1.  A `primitive` den is
+    a product of normalized denominators over the same variables: by Gauss's
+    lemma its content is 1, and its leading coefficient is the product of
+    theirs, so the content pass is skipped.  Stripping a monomial changes
+    neither.
+    """
+    if num.is_zero():
+        return num, _one(num.variables)
+    # A field of k + lows has its guard bit set exactly when the exponent is
+    # nonzero, so `common` keeps the variables that divide every term of
+    # both; most pairs have none and never unpack.
+    guards, lows = _masks(len(num.variables))
+    common = guards
+    for exp in chain(num.terms, den.terms):
+        common &= exp + lows
+        if not common:
+            break
+    if common:
+        shift = _pack(map(min, num.min_exponents(), den.min_exponents()))
+        num = num.shift_down(shift)
+        den = den.shift_down(shift)
+    if not primitive:
+        scale = den.content()
+        if den._leading()[1] < 0:
+            scale = -scale
+        if scale != 1:
+            inv = _canonical(1 / scale)
+            num = num._scaled(inv)
+            den = den._scaled(inv)
+    if not den.is_one():
+        quotient = num.try_exact_div(den)
+        if quotient is not None:
+            return quotient, _one(num.variables)
+    return num, den
+
+
 class RationalFunction:
     """Element of the quotient field Q(x1, ..., xm), stored as num/den.
 
@@ -540,7 +625,7 @@ class RationalFunction:
     (see the module docstring) build it without re-running the normalization.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_partials")
 
     def __init__(self, num: Polynomial, den: Polynomial | None = None):
         if den is None:
@@ -548,36 +633,7 @@ class RationalFunction:
         num, den = Polynomial._aligned(num, den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            den = _one(num.variables)
-        else:
-            # A field of k + lows has its guard bit set exactly when the
-            # exponent is nonzero, so `common` keeps the variables that divide
-            # every term of both; most pairs have none and never unpack.
-            guards, lows = _masks(len(num.variables))
-            common = guards
-            for exp in chain(num.terms, den.terms):
-                common &= exp + lows
-                if not common:
-                    break
-            if common:
-                shift = _pack(map(min, num.min_exponents(), den.min_exponents()))
-                num = num.shift_down(shift)
-                den = den.shift_down(shift)
-            scale = den.content()
-            if den._leading()[1] < 0:
-                scale = -scale
-            if scale != 1:
-                inv = _canonical(1 / scale)
-                num = num._scaled(inv)
-                den = den._scaled(inv)
-            if not den.is_one():
-                quotient = num.try_exact_div(den)
-                if quotient is not None:
-                    num = quotient
-                    den = _one(num.variables)
-        self.num = num
-        self.den = den
+        self.num, self.den = _normalized(num, den, primitive=False)
 
     @classmethod
     def _new(cls, num: Polynomial, den: Polynomial) -> RationalFunction:
@@ -586,6 +642,23 @@ class RationalFunction:
         self.num = num
         self.den = den
         return self
+
+    @classmethod
+    def _primitive(cls, num: Polynomial, den: Polynomial) -> RationalFunction:
+        """num/den for a `den` over num's variables that is a product of
+        normalized denominators over those variables, normalized without the
+        content pass (see `_normalized`)."""
+        return cls._new(*_normalized(num, den, primitive=True))
+
+    def _joined(self, other: RationalFunction, num: Polynomial,
+                den: Polynomial) -> RationalFunction:
+        """num/den for a result of `self` and `other` whose `den` is a product
+        of their denominators.  Aligning two variable tuples can re-order the
+        lex order that fixed the sign of each denominator, so a result over
+        merged variables takes the full normalization."""
+        if self.num.variables == other.num.variables:
+            return RationalFunction._primitive(num, den)
+        return RationalFunction(num, den)
 
     @classmethod
     def _polynomial(cls, num: Polynomial) -> RationalFunction:
@@ -645,10 +718,9 @@ class RationalFunction:
         if self.den.is_one() and other.den.is_one():
             return RationalFunction._polynomial(self.num + other.num)
         if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+            return self._joined(other, self.num + other.num, self.den)
+        return self._joined(other, self.num * other.den + other.num * self.den,
+                            self.den * other.den)
 
     __radd__ = __add__
 
@@ -678,7 +750,7 @@ class RationalFunction:
             return RationalFunction._polynomial(Polynomial._new(self.variables, {}))
         if self.den.is_one() and other.den.is_one():
             return RationalFunction._polynomial(self.num * other.num)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return self._joined(other, self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -703,7 +775,7 @@ class RationalFunction:
             return RationalFunction(self.den, self.num) ** (-k)
         if self.den.is_one():
             return RationalFunction._polynomial(self.num ** k)
-        return RationalFunction(self.num ** k, self.den ** k)
+        return RationalFunction._primitive(self.num ** k, self.den ** k)
 
     def __eq__(self, other) -> bool:
         other = self._coerced(other)
@@ -716,14 +788,26 @@ class RationalFunction:
     __hash__ = None
 
     def partial(self, var: str) -> RationalFunction:
-        """Exact partial derivative via the quotient rule."""
-        if var not in self.variables:
-            raise ValueError(f"unknown variable {var!r}")
-        dn = self.num.partial(var)
-        if self.den.is_one():
-            return RationalFunction._new(dn, self.den)
-        dd = self.den.partial(var)
-        return RationalFunction(dn * self.den - self.num * dd, self.den * self.den)
+        """Exact partial derivative via the quotient rule, formed once per
+        variable: the instance keeps it, and every later call returns the
+        same object."""
+        try:
+            memo = self._partials
+        except AttributeError:
+            memo = self._partials = {}
+        value = memo.get(var)
+        if value is None:
+            if var not in self.variables:
+                raise ValueError(f"unknown variable {var!r}")
+            dn = self.num.partial(var)
+            if self.den.is_one():
+                value = RationalFunction._new(dn, self.den)
+            else:
+                dd = self.den.partial(var)
+                value = RationalFunction._primitive(dn * self.den - self.num * dd,
+                                                    self.den * self.den)
+            memo[var] = value
+        return value
 
     def evaluate(self, point: Mapping[str, Fraction] | ScaledPoint) -> Fraction:
         """num(p) / den(p) as one Fraction of the two scaled values."""

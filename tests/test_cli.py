@@ -643,6 +643,12 @@ LIMIT_CASES = [
      {"coords": ["x", "y"], "christoffel": {"1,1,1": "((x^1000)^1000)^1000"}},
      "FILE: christoffel[1,1,1]: a product has degree 40000 in x, over the limit of 32767 "
      "per variable (line 1, column 11)"),
+    # An exact division's remainder stays within the dividend's degrees: an
+    # inexact one that walked on would grow like a binomial expansion for
+    # hours before the missing field is reported
+    (["verify-chart", "FILE", "--suite", "linear-type"],
+     {"coords": ["x", "y"], "christoffel": {"1,1,1": "(x^1000)^32/(x+y+1)"}},
+     "chart has no vector field 'xi'; name one with --xi"),
     # parsed within the limit, but the suite's products pass it
     (["verify-chart", "FILE", "--xi", "xi"],
      {"coords": ["x", "y"], "omega": {"1,2": "1"}, "christoffel": {"1,1,1": "(x^1000)^20"},
@@ -660,6 +666,21 @@ def test_size_limits_exit_2_before_allocating(tmp_path, argv, payload, message):
                             capture_output=True, text=True, env=os.environ, timeout=30)
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == f"input error: {message.replace('FILE', path)}\n"
+
+
+def test_model_at_point_forms_only_the_powers_it_uses(tmp_path):
+    # Evaluating x^1000 at a 400-digit x needs x^1000 and x^0 and not the
+    # 999 powers between them: tabulating all of them took about 40 s and
+    # 185 MB on a 2-vCPU Xeon.
+    # What is left is mostly printing model entries of up to 400,000 digits.
+    path = write_json(tmp_path, "power.json", {
+        "coords": ["x", "y"], "omega": {"1,2": "1"}, "christoffel": {"1,1,1": "x^1000"},
+        "fields": {"xi": {"valence": ["con"], "components": {"2": "1"}}}})
+    result = subprocess.run([sys.executable, "-m", "fedosov.cli", "model-at-point", path,
+                             "--xi", "xi", "--at", f"x={'9' * 400}/7,y=1"],
+                            capture_output=True, text=True, env=os.environ, timeout=30)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert "=> all checks passed" in result.stdout
 
 
 def block_chart(planes: int) -> dict:

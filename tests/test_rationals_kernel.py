@@ -12,11 +12,16 @@ paths with the normalizing constructor, and a few seeded cases are checked
 against `sympy.cancel`.  The oracle keys terms by exponent tuples and has no
 degree limit, so seeded draws over 1-12 variables with exponents up to the
 limit check the packed keys of `Polynomial`: their order, borrows in exact
-division, the guard bits of products and the common-factor mask.
+division, the guard bits of products and the common-factor mask.  Seeded
+tests check that the results normalized without the content pass have the
+keys the full normalization gives, that partials are kept per instance, and
+that exact division, which stops past the dividend's degrees, still finds
+every exact quotient.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -470,6 +475,84 @@ def test_zero_operands_match_the_constructor(seed):
     assert x + z is x and z + x is x
 
 
+# -- normalization without the content pass ------------------------------------------------
+
+
+def _seeded_ratfun(rng):
+    """A rational function over a tuple of VARIABLE_TUPLES, the unsorted one
+    included.  Its numerator and denominator often share a monomial, and its
+    denominator a content, such as 1/(2*x + 4), so that the normalized
+    numerator has Fraction coefficients."""
+    variables = rng.choice(VARIABLE_TUPLES[1:])
+
+    def poly(size):
+        return Polynomial(variables, {
+            tuple(rng.randint(0, 2) for _ in variables):
+                Fraction(rng.choice((-3, -2, -1, 1, 2, 4)), rng.choice((1, 1, 2, 3)))
+            for _ in range(rng.randint(1, size))})
+
+    num, den = poly(3), poly(3)
+    if den.is_zero():
+        den = Polynomial.constant(1, variables)
+    monomial = Polynomial(variables, {tuple(rng.randint(0, 1) for _ in variables): 1})
+    if rng.random() < 0.5:
+        num, den = num * monomial, den * monomial
+    return RationalFunction(num, den * rng.choice((1, 2, -2, 6, Fraction(1, 2))))
+
+
+def _raw_sum(a, b):
+    """The pair that a + b normalizes: one of its two branches."""
+    if a.den == b.den:
+        return a.num + b.num, a.den
+    return a.num * b.den + b.num * a.den, a.den * b.den
+
+
+def _raw_results(a, b, k):
+    """(result, raw num, raw den) of each operation on normalized operands."""
+    yield a * b, a.num * b.num, a.den * b.den
+    yield (a + b, *_raw_sum(a, b))
+    yield (a - b, *_raw_sum(a, -b))
+    yield a ** k, a.num ** k, a.den ** k
+    if not b.is_zero():
+        yield a / b, a.num * b.den, a.den * b.num
+    for v in a.variables:
+        dn, dd = a.num.partial(v), a.den.partial(v)
+        yield a.partial(v), dn * a.den - a.num * dd, a.den * a.den
+
+
+def test_results_match_the_full_normalization():
+    # Products, sums, powers and partials normalize a denominator that is a
+    # product of normalized ones without the content pass; a quotient, whose
+    # denominator holds a numerator, and a result over merged variables,
+    # whose lex order can differ from an operand's, take the full pass.
+    rng = random.Random(9300)
+    # over ("y", "x") the lex-leading term of y - x is y; over ("x", "y") it is -x
+    flipped = RationalFunction(Polynomial.constant(1, ("y", "x")),
+                               Polynomial(("y", "x"), {(1, 0): 1, (0, 1): -1}))
+    pool = [flipped, RationalFunction.variable("x")] + [_seeded_ratfun(rng) for _ in range(24)]
+    assert any(type(c) is Fraction for f in pool for c in f.num.terms.values())
+    for a, b in itertools.product(pool, repeat=2):
+        for got, num, den in _raw_results(a, b, rng.randint(0, 3)):
+            assert ratfun_key(got) == ratfun_key(RationalFunction(num, den))
+            assert got.den.content() == 1 and got.den._leading()[1] > 0
+
+
+def test_partials_are_formed_once_per_instance():
+    rng = random.Random(9400)
+    for _ in range(30):
+        f = _seeded_ratfun(rng)
+        oracle = _OracleRationalFunction(
+            _OraclePolynomial(f.variables, f.num.exponent_terms()),
+            _OraclePolynomial(f.variables, f.den.exponent_terms()))
+        for v in f.variables:
+            first = f.partial(v)
+            assert_same_ratfun(first, oracle.partial(v))
+            assert f.partial(v) is first
+            for variables in (f.variables, tuple(sorted(set(f.variables) | {"w"}))):
+                other = f.with_variables(variables)
+                assert other.partial(v) is not first and other.partial(v) == first
+
+
 # -- packed exponent vectors ----------------------------------------------------------------
 
 # exponents at and just below the limit, and pairs that sum to it or past it
@@ -540,6 +623,29 @@ def test_packed_polynomials_match_oracle(width):
             pairs.append((p * r, r * 3, op * o_r, o_r * 3))
         for num, den, o_num, o_den in pairs:
             assert_same_ratfun(RationalFunction(num, den), _OracleRationalFunction(o_num, o_den))
+
+
+def test_exact_division_stops_past_the_dividend_degrees():
+    # A term t of an exact quotient q = a/b has deg_v(t) + deg_v(b) <= deg_v(a)
+    # in every variable v, so the division ends at the first quotient term
+    # past that bound.  Exact divisions still find their quotients, and the
+    # inexact ones give None as the oracle's unbounded division does.
+    rng = random.Random(9500)
+    variables = ("u", "x", "y")
+    for _ in range(200):
+        p_vars = tuple(rng.sample(variables, rng.randint(1, 3)))
+        q_vars = tuple(rng.sample(variables, rng.randint(1, 3)))
+        p, op = _pair(p_vars, _drawn_terms(rng, p_vars, 4, high=False))
+        q, oq = _pair(q_vars, _drawn_terms(rng, q_vars, 3, high=False))
+        assert_same_quotient((p * q).try_exact_div(q), (op * oq).try_exact_div(oq))
+        assert_same_quotient(p.try_exact_div(q), op.try_exact_div(oq))
+        assert_same_quotient((p * q).try_exact_div(p), (op * oq).try_exact_div(op))
+    x, y = Polynomial(("x", "y"), {(1, 0): 1}), Polynomial(("x", "y"), {(0, 1): 1})
+    for k in (1, 2, 7, 30):
+        assert_same_quotient((x ** k).try_exact_div(x + y + 1),
+                             _OraclePolynomial(("x", "y"), {(k, 0): 1}).try_exact_div(
+                                 _OraclePolynomial(("x", "y"), {(1, 0): 1, (0, 1): 1, (0, 0): 1})))
+        assert ((x + y + 1) ** k).try_exact_div(x + y + 1) == (x + y + 1) ** (k - 1)
 
 
 def test_packed_keys_at_the_degree_limit():

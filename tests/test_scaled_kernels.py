@@ -213,6 +213,32 @@ def test_drawn_evaluation_matches_oracle(data):
         assert_same_evaluation(RationalFunction(p, q), point)
 
 
+def test_tables_hold_only_the_powers_in_use(scale_bound):
+    # Sparse high degrees share one point: each (variable, top degree) table
+    # holds b^T and the powers that some term evaluated there uses, each
+    # the integer a^e b^(T-e) of the full table.
+    rng = random.Random(9650)
+    point = _point(rng)
+    shared = ScaledPoint(point)
+    used: dict = {}
+    for _ in range(40):
+        p = Polynomial(VARIABLES, {tuple(rng.choice((0, 0, 1, 5, 40, 300)) for _ in VARIABLES):
+                                   _fraction(rng, 0.1) for _ in range(rng.randint(1, 4))})
+        assert_same_value(p.evaluate(shared), old_polynomial_evaluate(p, point))
+        exponents = list(p.exponent_terms())
+        if exponents:
+            for v, column in zip(VARIABLES, zip(*exponents)):
+                used.setdefault((v, max(column)), {0}).update(column)
+    assert {key: set(table) for key, table in shared._tables.items()} == used
+    for (v, top), table in shared._tables.items():
+        value = Fraction(point[v])
+        a, b = value.numerator, value.denominator
+        if b.bit_length() > rationals.MAX_SCALE_BITS:
+            a, b = value, 1
+        assert table == {e: a ** e * b ** (top - e) for e in used[v, top]}
+    assert sum(map(len, shared._tables.values())) < sum(top + 1 for _, top in used)
+
+
 @pytest.mark.parametrize("text, point", [
     ("1/(4*x^2 - 1)", {"x": Fraction(1, 2)}),
     ("1/(4*x^2 - 1)", {"x": Fraction(-1, 2), "z": "junk"}),

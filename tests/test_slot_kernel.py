@@ -14,25 +14,30 @@ compared with the dense column sum it replaced (`conftest.old_contract_slot`)
 by printed form and by type, on every slot of seeded `Fraction`, `int` and
 `RationalFunction` tensors, and a mutant that sums each entry's terms in
 decreasing order must be caught.
+
+One test counts the polynomial products, content passes and partials of
+one `verify-chart --suite all` on the benchmark's seed-1 swell chart, so
+that undoing the sharing of chart quantities fails here.
 """
 
 from __future__ import annotations
 
 import inspect
 import itertools
+import json
 import random
 import textwrap
 from fractions import Fraction
 
 import pytest
 
-from fedosov import linalg, symplectic
+from fedosov import cli, linalg, symplectic
 from fedosov.charts import (
-    chart_curvature, chart_torsion, covariant_derivative, linear_type_structure,
-    load_example, make_chart, omega_tensor,
+    chart_curvature, chart_from_json, chart_torsion, covariant_derivative,
+    linear_type_structure, load_example, omega_tensor,
 )
 from fedosov.models import derivation_action, push_tensor
-from fedosov.rationals import parse_ratfun
+from fedosov.rationals import Polynomial, parse_ratfun
 from fedosov.symplectic import (
     COV, CON, SymplecticSpace, Tensor, _contract_slot, change_basis, cotorsion_lower,
     cotorsion_raise, insert_vector, torsion_lower, torsion_raise,
@@ -213,21 +218,51 @@ def test_lowering_and_raising_match_entry_sums(n):
 
 # -- chart fields: equality by value -------------------------------------------------
 
-def swell_chart(a=1, b=1, c=1):
-    """omega = dx^dy/q + du^dv/u^2, q = a x^2 + b y^2 + c, with its split
-    symplectic connection."""
-    coords = ("x", "y", "u", "v")
+def swell_json(a=1, b=1, c=1) -> dict:
+    """The chart file of omega = dx^dy/q + du^dv/u^2, q = a x^2 + b y^2 + c,
+    with its split symplectic connection and xi = d_y + u d_v, written as
+    the benchmark's `chart-swell-4d` workload writes it."""
     q = f"({a}*x^2 + {b}*y^2 + {c})"
-    gx = parse_ratfun(f"-{a}*x/{q}", coords)
-    gy = parse_ratfun(f"-{b}*y/{q}", coords)
-    return make_chart(
-        coords,
-        {(0, 1): parse_ratfun(f"1/{q}", coords), (2, 3): parse_ratfun("1/u^2", coords)},
-        {(0, 0, 0): gx, (1, 0, 1): gx, (1, 1, 0): gx,
-         (0, 0, 1): gy, (0, 1, 0): gy, (1, 1, 1): gy,
-         (2, 2, 2): parse_ratfun("-2/u", coords)},
-        fields={"xi": Tensor(4, (CON,), [parse_ratfun(text, coords)
-                                         for text in ("0", "1", "0", "u")])})
+    gx, gy = f"-{a}*x/{q}", f"-{b}*y/{q}"
+    return {"coords": ["x", "y", "u", "v"],
+            "omega": {"1,2": f"1/{q}", "3,4": "1/u^2"},
+            "christoffel": {"1,1,1": gx, "2,1,2": gx, "2,2,1": gx,
+                            "1,1,2": gy, "1,2,1": gy, "2,2,2": gy, "3,3,3": "-2/u"},
+            "fields": {"xi": {"valence": ["con"], "components": {"2": "1", "4": "u"}}}}
+
+
+def swell_chart(a=1, b=1, c=1):
+    return chart_from_json(swell_json(a, b, c))
+
+
+# Parent-commit counts in one `verify-chart --suite all` on the seed-1
+# benchmark chart, where every sum, product, partial and power ran the
+# content pass and every partial was formed again at each reader.
+SHARING_PARENT = {"Polynomial.__mul__": 1061, "Polynomial.content": 448,
+                  "Polynomial.partial": 294}
+SHARING_BOUNDS = {"Polynomial.__mul__": 802, "Polynomial.content": 13,
+                  "Polynomial.partial": 176}
+
+
+def test_swell_verification_forms_each_quantity_once(tmp_path, monkeypatch, capsys):
+    # a = b = 1, c = 2 is the chart of the benchmark's seed 1
+    path = tmp_path / "swell.json"
+    path.write_text(json.dumps(swell_json(1, 1, 2)), encoding="utf-8")
+    counts = dict.fromkeys(SHARING_BOUNDS, 0)
+    for name in SHARING_BOUNDS:
+        method = name.split(".")[1]
+        original = getattr(Polynomial, method)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(Polynomial, method, counted)
+    assert cli.main(["verify-chart", str(path), "--suite", "all"]) == 1
+    capsys.readouterr()
+    over = {name: count for name, count in counts.items() if count > SHARING_BOUNDS[name]}
+    assert not over, (f"counts {over} passed their bounds {SHARING_BOUNDS}; the parent "
+                      f"commit of the sharing took {SHARING_PARENT}")
 
 
 @pytest.mark.parametrize("name", ["example1", "example1-emended", "example2", "swell-4d"])
