@@ -709,16 +709,20 @@ def hamiltonian_oneform(chart: Chart, xi: Tensor,
 
 def evaluate_tensor(t: Tensor, point: dict | ScaledPoint) -> Tensor:
     """Entries evaluated at the point, which is read once for all of them."""
-    point = ScaledPoint.of(point)
-    return Tensor(t.dim, t.valence,
-                  [c.evaluate(point) if isinstance(c, RationalFunction) else Fraction(c)
-                   for c in t.comps])
+    return Tensor(t.dim, t.valence, _evaluated(t.comps, ScaledPoint.of(point)))
 
 
 def evaluate_matrix(matrix, point: dict | ScaledPoint) -> list[list[Fraction]]:
     point = ScaledPoint.of(point)
-    return [[x.evaluate(point) if isinstance(x, RationalFunction) else Fraction(x)
-             for x in row] for row in matrix]
+    return [_evaluated(row, point) for row in matrix]
+
+
+def _evaluated(entries, point: ScaledPoint) -> list[Fraction]:
+    """A zero entry is Fraction(0) unevaluated: a zero `RationalFunction` has
+    denominator 1, so it has no pole to raise."""
+    zero = Fraction(0)
+    return [zero if is_zero_scalar(c) else c.evaluate(point) if isinstance(c, RationalFunction)
+            else Fraction(c) for c in entries]
 
 
 def symplectic_basis_matrix(omega_p: list[list[Fraction]]) -> list[list[Fraction]]:

@@ -1,8 +1,29 @@
 """Exact dense linear algebra over any field with exact Python arithmetic.
 
-Entries may be `fractions.Fraction` or `RationalFunction`; the routines only
-use `+`, `-`, `*`, `/` and comparison with zero, and they never pivot by
-magnitude (the first nonzero entry wins), so every result is exact.
+Entries may be `int`, `fractions.Fraction` or `RationalFunction`; the
+routines never pivot by magnitude (the first nonzero entry wins), so every
+result is exact.
+
+Over Q the work runs on integer rows.  `_int_rows` scales each row by the
+lcm of its denominators (`rationals.scaled_entries`), which changes neither
+the row space nor the reduced echelon form.  The `rref` kernel then
+eliminates fraction-free: in each column the first nonzero row at or below
+the current one is the pivot row, and only the rows with a nonzero entry f
+in that column are updated, row <- (a/g) row - (f/g) pivot_row with a the
+pivot entry and g = gcd(a, f), and divided by their content (after
+Bareiss, Math. Comp. 22 (1968) 565-578, but without rescaling the rows
+that the step leaves alone).  Each pivot row is divided by its pivot only
+at the end, so `Fraction`s are formed once, for the output.  The reduced
+row echelon form is unique, so the result is the one that elimination
+over Q gives.  `nullspace`, `solve`, `inverse`, `rank` and `Coordinates`
+all go through `rref`; `Echelon` keeps primitive integer rows, and
+`matmul` multiplies the two scaled operands in integers.  An entry that is
+not an int or a Fraction (a `RationalFunction`), or a row whose lcm has
+more than `rationals.MAX_SCALE_BITS` bits, sends the whole call to the
+generic field loops, which use only `+`, `-`, `*`, `/` and the zero test;
+an `Echelon` row or vector reduced that way stays in field arithmetic.
+`det` always takes the generic loop.  Every output entry of a call on Q
+input is a `Fraction`.
 
 `Echelon` grows a span one vector at a time: `add(vec)` keeps `vec` when it
 is independent of the vectors kept so far, and `vec in echelon` tests span
@@ -23,9 +44,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .rationals import RationalFunction
+from .rationals import RationalFunction, scaled_entries
 
 _CERT_PRIME = (1 << 61) - 1  # Mersenne prime
 
@@ -45,10 +67,13 @@ def is_zero_scalar(x) -> bool:
 
 def rref(matrix: Sequence[Sequence]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+    if not matrix:
+        return [], []
+    ncols = len(matrix[0])
+    ints = _int_rows(matrix)
+    if ints is not None:
+        return _rref_ints(ints, ncols)
+    rows = [[Fraction(x) if type(x) is int else x for x in row] for row in matrix]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -77,6 +102,34 @@ def rref(matrix: Sequence[Sequence]) -> tuple[list[list], list[int]]:
     return rows, pivots
 
 
+def _rref_ints(rows: list[list[int]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """`rref` of integer rows, fraction-free until each pivot row is divided
+    by its pivot at the end."""
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r]
+        a = pivot[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                g = math.gcd(a, f)
+                row = [a // g * x - f // g * y for x, y in zip(row, pivot)]
+                g = math.gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    zero = Fraction(0)
+    return ([[Fraction(x, row[p]) if x else zero for x in row] for row, p in zip(rows, pivots)]
+            + [[zero] * ncols for _ in rows[r:]]), pivots
+
+
 def rank(matrix: Sequence[Sequence]) -> int:
     return len(rref(matrix)[1])
 
@@ -84,36 +137,65 @@ def rank(matrix: Sequence[Sequence]) -> int:
 class Echelon:
     """Forward row echelon form of the vectors kept so far.
 
-    Each row has pivot entry 1 and zeros at every earlier row's pivot, so
-    reducing a vector against the rows in order clears all pivots; it lies
-    in the span exactly when nothing is left.
+    Each row has zeros at every earlier row's pivot, so reducing a vector
+    against the rows in order clears all pivots; it lies in the span
+    exactly when nothing is left.  A vector over Q is reduced as its scaled
+    integer entries against the primitive integer rows (positive pivot a),
+    by v <- (a/g) v - (f/g) row for f = v[pivot] and g = gcd(a, f); any
+    other vector, and any vector that meets a row kept in field arithmetic
+    (pivot 1), is reduced by v <- v - (f/a) row.
     """
 
     def __init__(self):
-        # (pivot column, the row's nonzero (column, entry) pairs)
-        self._rows: list[tuple[int, list[tuple[int, object]]]] = []
+        # (pivot column, the pivot entry of an integer row or None for a
+        # field row with pivot 1, the row's nonzero (column, entry) pairs)
+        self._rows: list[tuple] = []
 
-    def _reduce(self, vec: Sequence) -> list:
-        vec = list(vec)
-        for pivot, row in self._rows:
-            factor = vec[pivot]
-            if not is_zero_scalar(factor):
+    def _reduce(self, vec: Sequence) -> tuple[list, bool]:
+        """The reduced vector, and whether it is still integer-scaled."""
+        scaled = scaled_entries(vec)
+        exact = scaled is not None
+        vec = scaled[0] if exact else list(vec)
+        for pivot, a, row in self._rows:
+            f = vec[pivot]
+            if exact and a is not None:
+                if f:
+                    g = math.gcd(a, f)
+                    if a != g:
+                        vec = [a // g * x for x in vec]
+                    f //= g
+                    for c, x in row:
+                        vec[c] -= f * x
+            elif not is_zero_scalar(f):
+                exact = False
+                if a is not None:
+                    f = Fraction(f, a) if type(f) is int else f / a
                 for c, x in row:
-                    vec[c] = vec[c] - factor * x
-        return vec
+                    vec[c] = vec[c] - f * x
+        return vec, exact
 
     def add(self, vec: Sequence) -> bool:
         """Keep `vec` if it is independent of the kept vectors; report whether."""
-        vec = self._reduce(vec)
+        vec, exact = self._reduce(vec)
+        if exact:
+            g = math.gcd(*vec)
+            if not g:
+                return False
+            row = [(c, x // g) for c, x in enumerate(vec) if x]
+            if row[0][1] < 0:
+                row = [(c, -x) for c, x in row]
+            self._rows.append((row[0][0], row[0][1], row))
+            return True
         pivot = next((i for i, x in enumerate(vec) if not is_zero_scalar(x)), None)
         if pivot is None:
             return False
-        inv = vec[pivot]
-        self._rows.append((pivot, _nonzero([x / inv for x in vec])))
+        a = Fraction(vec[pivot]) if type(vec[pivot]) is int else vec[pivot]
+        self._rows.append((pivot, None, _nonzero([x / a for x in vec])))
         return True
 
     def __contains__(self, vec: Sequence) -> bool:
-        return all(is_zero_scalar(x) for x in self._reduce(vec))
+        vec, exact = self._reduce(vec)
+        return not any(vec) if exact else all(is_zero_scalar(x) for x in vec)
 
 
 class Coordinates:
@@ -197,6 +279,8 @@ def solve(matrix: Sequence[Sequence], rhs: Sequence) -> list | None:
 
 def inverse(matrix: Sequence[Sequence]) -> list[list]:
     n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
     one = Fraction(1)
     zero = Fraction(0)
     augmented = [
@@ -241,20 +325,31 @@ def det(matrix: Sequence[Sequence]):
 
 
 def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    cols = list(zip(*b))
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols] for row in a]
+    scaled_a = scaled_entries([x for row in a for x in row])
+    scaled_b = scaled_entries([x for row in b for x in row])
+    if scaled_a is None or scaled_b is None:
+        cols = list(zip(*b))
+        return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols]
+                for row in a]
+    # (A da)(B db) / (da db), one Fraction per nonzero entry
+    den = scaled_a[1] * scaled_b[1]
+    ints_a, ints_b = iter(scaled_a[0]), iter(scaled_b[0])
+    rows = [[next(ints_a) for _ in row] for row in a]
+    cols = list(zip(*[[next(ints_b) for _ in row] for row in b]))
+    zero = Fraction(0)
+    return [[Fraction(s, den) if (s := sum(map(mul, row, col))) else zero for col in cols]
+            for row in rows]
 
 
 def transpose(matrix: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*matrix)]
 
 
-def _int_rows(matrix: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    out = []
-    for row in matrix:
-        scale = math.lcm(*{x.denominator for x in row})
-        out.append([x.numerator * (scale // x.denominator) if x else 0 for x in row])
-    return out
+def _int_rows(matrix: Sequence[Sequence]) -> list[list[int]] | None:
+    """Each row times the lcm of its denominators, in ints; None when an
+    entry is not an int or Fraction, or a row's lcm passes MAX_SCALE_BITS."""
+    scaled = [scaled_entries(row) for row in matrix]
+    return None if None in scaled else [ints for ints, _ in scaled]
 
 
 def _rank_mod_p(rows: list[list[int]], p: int) -> int:
@@ -291,7 +386,7 @@ def certified_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
     if not rows:
         return 0
     full = min(len(rows), len(rows[0]))
-    modular = _rank_mod_p(_int_rows(rows), _CERT_PRIME)
-    if modular == full:
-        return modular
+    ints = _int_rows(rows)
+    if ints is not None and _rank_mod_p(ints, _CERT_PRIME) == full:
+        return full
     return rank(rows)

@@ -349,9 +349,17 @@ def push_tensor(f: list[list], t: Tensor, f_inv: list[list] | None = None) -> Te
 
     This is the change of basis to the columns of f^-1.
     """
+    _require_square_map(f, t.dim)
     if f_inv is None:
         f_inv = linalg.inverse(f)
     return change_basis(t, f_inv, f)
+
+
+def _require_square_map(f: list[list], dim: int) -> None:
+    widths = sorted({len(row) for row in f})
+    if len(f) != dim or widths != [dim]:
+        shape = f"{len(f)}x{'/'.join(map(str, widths)) or 0}"
+        raise ValueError(f"the linear map is {shape}, not {dim}x{dim}")
 
 
 def verify_model_isomorphism(f: list[list], source: InfinitesimalModel,
@@ -361,6 +369,7 @@ def verify_model_isomorphism(f: list[list], source: InfinitesimalModel,
         raise ValueError("models have different dimensions")
     if len(source.aux) != len(target.aux):
         raise ValueError("models carry different numbers of auxiliary tensors")
+    _require_square_map(f, source.space.dim)
     try:
         f_inv = linalg.inverse(f)
     except ValueError:

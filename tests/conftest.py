@@ -16,8 +16,10 @@ scaled-integer kernels replaced.  The integrability, symplectic-basis,
 model-at-point and metric-obstruction oracles are the Lie brackets of
 spanning fields, the independence filter, the matrix inverse and the
 nullspace-and-determinant solve that the closed forms of the chart module
-replaced.  `chart_suite` runs the chart suites of one `ChartRun` into one
-report.
+replaced.  The elimination oracles `old_rref`, `OldEchelon` and
+`old_matmul` are the field loops over `Fraction`s that the integer
+elimination kernel of `linalg` replaced for rational input.  `chart_suite`
+runs the chart suites of one `ChartRun` into one report.
 """
 
 from __future__ import annotations
@@ -716,3 +718,73 @@ def old_metric_obstruction(s_point: Tensor, omega_p: list[list[Fraction]]):
     return ObstructionVerdict(obstructed=is_zero_scalar(determinant),
                               degenerate_input=False, xi=xi,
                               solution_dimension=len(solutions))
+
+
+# -- the Fraction loops that the integer elimination of linalg replaced --------------
+
+def old_rref(matrix):
+    """Reduced row echelon form by field elimination; (rows, pivot columns)."""
+    rows = [list(r) for r in matrix]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if not is_zero_scalar(rows[i][c]):
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c]
+        if not (isinstance(inv, (int, Fraction)) and inv == 1):
+            rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i == r:
+                continue
+            factor = rows[i][c]
+            if is_zero_scalar(factor):
+                continue
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+class OldEchelon:
+    """Forward row echelon form with unit pivots, reduced in field arithmetic."""
+
+    def __init__(self):
+        self._rows = []
+
+    def _reduce(self, vec):
+        vec = list(vec)
+        for pivot, row in self._rows:
+            factor = vec[pivot]
+            if not is_zero_scalar(factor):
+                for c, x in row:
+                    vec[c] = vec[c] - factor * x
+        return vec
+
+    def add(self, vec) -> bool:
+        vec = self._reduce(vec)
+        pivot = next((i for i, x in enumerate(vec) if not is_zero_scalar(x)), None)
+        if pivot is None:
+            return False
+        inv = vec[pivot]
+        self._rows.append((pivot, [(i, x / inv) for i, x in enumerate(vec)
+                                   if not is_zero_scalar(x)]))
+        return True
+
+    def __contains__(self, vec) -> bool:
+        return all(is_zero_scalar(x) for x in self._reduce(vec))
+
+
+def old_matmul(a, b):
+    cols = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols] for row in a]

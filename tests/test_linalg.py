@@ -1,13 +1,22 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedosov import linalg
-from fedosov.rationals import parse_ratfun
-from conftest import random_rational_function
+from fedosov import linalg, rationals
+from fedosov.charts import chart_from_json, model_at_point
+from fedosov.models import (
+    InfinitesimalModel, nomizu_algebra, push_tensor, transvection_subalgebra,
+    verify_model_isomorphism,
+)
+from fedosov.rationals import RationalFunction, parse_ratfun
+from conftest import (
+    PRODUCT_CHART, OldEchelon, old_matmul, old_rref, random_rational_function,
+    random_symplectic_matrix,
+)
 
 
 def frac_matrix(rows):
@@ -240,3 +249,234 @@ def test_coordinates_agree_with_solve(vecs, probe):
         assert coords(vec) == expected
         if expected is not None:
             assert all(isinstance(x, Fraction) for x in coords(vec))
+
+
+# -- the integer elimination kernel against the field loops it replaced ---------------
+
+HUGE = 2 ** (rationals.MAX_SCALE_BITS + 3) + 1  # one such denominator passes MAX_SCALE_BITS
+
+
+def drawn_entry(rng, kind):
+    if rng.random() < 0.4:
+        return 0 if kind == "int" else Fraction(0)
+    n = rng.randint(-6, 6)
+    return n if kind == "int" else Fraction(n, rng.randint(1, 6))
+
+
+def drawn_matrix(rng, kind, rows=None, cols=None):
+    """Seeded matrix of `kind` int, frac or huge (int or frac entries and one
+    denominator above MAX_SCALE_BITS): sparse, often rank-deficient (a
+    product through fewer columns), with zero, duplicate and negated rows."""
+    rows = rng.randint(0, 8) if rows is None else rows
+    cols = rng.randint(0, 10) if cols is None else cols
+    base = rng.choice(("int", "frac")) if kind == "huge" else kind
+    if rows and cols and rng.random() < 0.4:
+        k = rng.randint(0, min(rows, cols) - 1)
+        left = [[drawn_entry(rng, base) for _ in range(k)] for _ in range(rows)]
+        right = [[drawn_entry(rng, base) for _ in range(cols)] for _ in range(k)]
+        m = [[sum((left[i][t] * right[t][j] for t in range(k)), 0 if base == "int" else
+                  Fraction(0)) for j in range(cols)] for i in range(rows)]
+    else:
+        m = [[drawn_entry(rng, base) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(rng.randint(0, 2) if rows > 1 else 0):
+        i, j = rng.sample(range(rows), 2)
+        m[i] = rng.choice((list(m[j]), [-x for x in m[j]], [x * 0 for x in m[j]]))
+    if kind == "huge" and rows and cols:
+        m[rng.randrange(rows)][rng.randrange(cols)] = Fraction(rng.choice((-5, 3, 7)), HUGE)
+    return m
+
+
+def as_fractions(m):
+    return [[Fraction(x) for x in row] for row in m]
+
+
+def assert_fractions(rows):
+    assert all(type(c) is Fraction for row in rows for c in row)
+
+
+def drawn_matrices(seed, count=60):
+    rng = random.Random(seed)
+    for t in range(count):
+        yield drawn_matrix(rng, ("int", "frac", "huge")[t % 3])
+
+
+def with_old_rref(fn, *args, **kwargs):
+    """`fn` run with `linalg.rref` swapped for the field-loop oracle."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "rref", old_rref)
+        return fn(*args, **kwargs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rref_matches_the_field_loops(seed, scale_bound):
+    for m in drawn_matrices(seed):
+        reduced, pivots = linalg.rref(m)
+        assert (reduced, pivots) == old_rref(as_fractions(m))
+        assert_fractions(reduced)
+        assert linalg.rank(m) == len(pivots)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_nullspace_and_solve_match_the_field_loops(seed, scale_bound):
+    rng = random.Random(100 + seed)
+    for m in drawn_matrices(seed):
+        ncols = len(m[0]) if m else rng.randint(0, 10)
+        basis = linalg.nullspace(m, ncols=ncols)
+        assert basis == with_old_rref(linalg.nullspace, as_fractions(m), ncols=ncols)
+        assert_fractions(basis)
+        if not m:
+            continue
+        # a consistent right-hand side, then an arbitrary one
+        x = [drawn_entry(rng, "frac") for _ in range(ncols)]
+        for rhs in ([sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in m],
+                    [drawn_entry(rng, "int") for _ in m]):
+            solution = linalg.solve(m, rhs)
+            assert solution == with_old_rref(linalg.solve, as_fractions(m),
+                                             [Fraction(v) for v in rhs])
+            if solution is not None:
+                assert_fractions([solution])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_inverse_matches_the_field_loops(seed, scale_bound):
+    rng = random.Random(200 + seed)
+    for t in range(60):
+        n = rng.randint(0, 7)
+        m = drawn_matrix(rng, ("int", "frac", "huge")[t % 3], n, n)
+        try:
+            expected = with_old_rref(linalg.inverse, as_fractions(m))
+        except ValueError as err:
+            with pytest.raises(ValueError, match=str(err)):
+                linalg.inverse(m)
+            continue
+        inv = linalg.inverse(m)
+        assert inv == expected
+        assert_fractions(inv)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_coordinates_match_the_field_loops(seed, scale_bound):
+    rng = random.Random(300 + seed)
+    for m in drawn_matrices(seed, 40):
+        span = OldEchelon()
+        basis = [row for row in as_fractions(m) if span.add(row)]
+        if not basis:
+            continue
+        coords = linalg.Coordinates(basis)
+        expected = with_old_rref(linalg.Coordinates, basis)
+        weights = [drawn_entry(rng, "frac") for _ in basis]
+        inside = [sum((w * b[j] for w, b in zip(weights, basis)), Fraction(0))
+                  for j in range(len(basis[0]))]
+        outside = [drawn_entry(rng, "frac") for _ in basis[0]]
+        for vec in (*basis, inside, outside):
+            assert coords(vec) == expected(vec)
+            assert (coords(vec) is None) is (vec not in span)
+            if coords(vec) is not None:
+                assert_fractions([coords(vec)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matmul_matches_the_field_loops(seed, scale_bound):
+    rng = random.Random(400 + seed)
+    for t in range(60):
+        kind = ("int", "frac", "huge")[t % 3]
+        rows, inner, cols = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        a = drawn_matrix(rng, kind, rows, inner)
+        b = drawn_matrix(rng, rng.choice(("int", "frac")), inner, cols)
+        product = linalg.matmul(a, b)
+        assert product == old_matmul(as_fractions(a), as_fractions(b))
+        assert_fractions(product)
+
+
+def drawn_vector(rng, kind, dim):
+    if kind == "ratfun":
+        return [random_rational_function(rng) if rng.random() < 0.6 else
+                RationalFunction.constant(0, ("x", "y")) for _ in range(dim)]
+    vec = [drawn_entry(rng, "int" if kind == "int" else "frac") for _ in range(dim)]
+    if kind == "huge":
+        vec[rng.randrange(dim)] = Fraction(rng.choice((-5, 3, 7)), HUGE)
+    return vec
+
+
+@pytest.mark.parametrize("kinds", [("int",), ("frac",), ("int", "frac", "huge"),
+                                   ("int", "frac", "huge", "ratfun")], ids="-".join)
+@pytest.mark.parametrize("seed", range(3))
+def test_echelon_matches_the_field_loops(kinds, seed, scale_bound):
+    """Greedy bases and span tests equal the field loops' over every mix of
+    vector kinds: repeats, multiples and sums of earlier vectors included."""
+    rng = random.Random(500 + seed)
+    small = "ratfun" in kinds  # elimination over Q(x, y) swells without a gcd
+    for _ in range(25):
+        dim = rng.randint(1, 4 if small else 7)
+        echelon, oracle = linalg.Echelon(), OldEchelon()
+        vecs = []
+        for _ in range(rng.randint(0, 6 if small else 12)):
+            choice = rng.random()
+            if vecs and choice < 0.3:
+                scale = rng.choice((-2, 3, Fraction(-1, 3)))
+                vec = [x * scale for x in rng.choice(vecs)]
+            elif len(vecs) > 1 and choice < 0.5:
+                u, v = rng.sample(vecs, 2)
+                vec = [x + y * rng.randint(-2, 2) for x, y in zip(u, v)]
+            else:
+                vec = drawn_vector(rng, rng.choice(kinds), dim)
+            vecs.append(vec)
+            exact = [Fraction(x) if type(x) is int else x for x in vec]
+            probe = drawn_vector(rng, rng.choice(kinds), dim)
+            probe_exact = [Fraction(x) if type(x) is int else x for x in probe]
+            assert (probe in echelon) is (probe_exact in oracle)
+            assert (vec in echelon) is (exact in oracle)
+            assert echelon.add(vec) is oracle.add(exact)
+            assert vec in echelon
+
+
+def test_rational_function_input_takes_the_field_loops():
+    rng = random.Random(7)
+    for _ in range(20):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 4)
+        m = [drawn_vector(rng, "ratfun", cols) for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.5:
+            m[1] = [x * m[0][0] for x in m[0]]
+        reduced, pivots = linalg.rref(m)
+        assert (reduced, pivots) == old_rref(m)
+        assert all(type(c) is RationalFunction for row in reduced[:len(pivots)] for c in row)
+        assert linalg.matmul(m, linalg.transpose(m)) == old_matmul(m, linalg.transpose(m))
+
+
+FRACTION_CODES = {Fraction.__new__.__code__: "Fraction.__new__",
+                  Fraction._mul.__code__: "Fraction._mul",
+                  Fraction._div.__code__: "Fraction._div"}
+ELIMINATION_PARENT = {"Fraction.__new__": 5382, "Fraction._mul": 1356, "Fraction._div": 608}
+ELIMINATION_BOUNDS = {"Fraction.__new__": 2551, "Fraction._mul": 390, "Fraction._div": 8}
+
+
+def product_pipeline():
+    """One product-chart model and the calls of its `chart-to-model` steps."""
+    chart = chart_from_json(PRODUCT_CHART)
+    point = {"x": Fraction(2), "y": Fraction(-1, 3), "u": Fraction(5, 7), "v": Fraction(3)}
+    model, _ = model_at_point(chart, chart.field_tensor("S"), point)
+    nomizu_algebra(model)
+    transvection_subalgebra(model)
+    f = random_symplectic_matrix(random.Random(1), model.space)
+    pushed = InfinitesimalModel(space=model.space, curvature=push_tensor(f, model.curvature),
+                                torsion=push_tensor(f, model.torsion),
+                                aux=tuple(push_tensor(f, t) for t in model.aux))
+    assert verify_model_isomorphism(f, model, pushed).passed
+
+
+def test_product_pipeline_forms_few_fractions():
+    product_pipeline()  # fill the caches, so that only the pipeline's own work is counted
+    counts = dict.fromkeys(ELIMINATION_BOUNDS, 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in FRACTION_CODES:
+            counts[FRACTION_CODES[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        product_pipeline()
+    finally:
+        sys.setprofile(None)
+    over = {name: count for name, count in counts.items() if count > ELIMINATION_BOUNDS[name]}
+    assert not over, (f"counts {over} passed their bounds {ELIMINATION_BOUNDS}; before the "
+                      f"integer elimination kernel the pipeline took {ELIMINATION_PARENT}")

@@ -169,6 +169,40 @@ def test_isomorphism_rejects_singular_map():
         verify_model_isomorphism(f, model, model)
 
 
+NON_SQUARE_MAPS = {
+    "2x3": [[1, 0, 0], [0, 1, 0]],
+    "3x2": [[1, 0], [0, 1], [0, 0]],
+    "1x1": [[1]],
+    "3x3": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+}
+
+
+@pytest.mark.parametrize("shape", NON_SQUARE_MAPS)
+def test_maps_of_the_wrong_shape_are_rejected(shape):
+    # before, a 2x3 map passed all five checks on a 2D model, a 1x1 map
+    # raised IndexError and a 3x3 map a component-count error
+    model = trivial_model(1)
+    f = [[Fraction(x) for x in row] for row in NON_SQUARE_MAPS[shape]]
+    message = f"the linear map is {shape}, not 2x2"
+    with pytest.raises(ValueError, match=message):
+        verify_model_isomorphism(f, model, model)
+    for t in (model.curvature, model.torsion, *model.aux):
+        with pytest.raises(ValueError, match=message):
+            push_tensor(f, t)
+    if shape[0] != shape[2]:
+        with pytest.raises(ValueError, match="matrix is not square"):
+            linalg.inverse(f)
+
+
+def test_ragged_map_is_rejected():
+    model = trivial_model(1)
+    f = [[Fraction(1), Fraction(0)], [Fraction(1)]]
+    with pytest.raises(ValueError, match="the linear map is 2x1/2, not 2x2"):
+        verify_model_isomorphism(f, model, model)
+    with pytest.raises(ValueError, match="matrix is not square"):
+        linalg.inverse(f)
+
+
 def test_isomorphism_between_generator_models_via_explicit_map():
     # two torsion-only models built from the T1 generating formula, one from
     # U = e1 and one from its image under an explicit symplectic swap map;

@@ -9,8 +9,10 @@ and divide once.  Past `rationals.MAX_SCALE_BITS` the same kernels take the
 Fraction values.  The oracles in conftest are the old Fraction loops.
 Results must agree by value and by `str`, every returned entry must be a
 `Fraction`, and poles and unassigned variables must raise the same errors
-with the same messages, on both sides of the bound.  A last test pins that
-the adapter lives in `rationals` alone.
+with the same messages, on both sides of the bound.  Zero entries are read
+as Fraction(0) without evaluation, which keeps every pole because a zero
+`RationalFunction` has denominator 1.  A last test pins that the adapter
+lives in `rationals` alone.
 """
 
 from __future__ import annotations
@@ -25,13 +27,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fedosov import linalg, rationals
-from fedosov.charts import evaluate_matrix, evaluate_tensor
+from fedosov.charts import (
+    _curvature, chart_from_json, evaluate_matrix, evaluate_tensor, tilde_christoffel,
+)
 from fedosov.models import push_tensor
 from fedosov.rationals import PoleError, Polynomial, RationalFunction, ScaledPoint, parse_ratfun
 from fedosov.symplectic import CON, COV, Tensor, change_basis
 
 from conftest import (
-    coprime_denominators, old_change_basis, old_polynomial_evaluate, old_ratfun_evaluate,
+    PRODUCT_CHART, coprime_denominators, old_change_basis, old_polynomial_evaluate,
+    old_ratfun_evaluate,
 )
 
 VARIABLES = ("u", "x", "y")
@@ -299,6 +304,43 @@ def test_evaluate_tensor_and_matrix_match_oracle(scale_bound):
         assert evaluate_matrix([entries[:4], entries[4:]], shared) == matrix
 
 
+def test_zero_rational_functions_have_denominator_one():
+    """Point evaluation skips zero entries; no pole is lost because a zero
+    RationalFunction, however it was formed, has denominator 1."""
+    rng = random.Random(11)
+    one = Polynomial.constant(1, VARIABLES)
+    for _ in range(200):
+        f, g = RationalFunction(_polynomial(rng), _polynomial(rng) + 1), _polynomial(rng)
+        zeros = [f - f, f * 0, 0 * f, f * (g - g), (f - f) / (f + 1), f + (-f),
+                 RationalFunction.constant(0, VARIABLES), RationalFunction(g - g, g + 1)]
+        zeros += [z.partial(v) for z in (f - f, RationalFunction.constant(3, VARIABLES))
+                  for v in VARIABLES]
+        for z in zeros:
+            z = RationalFunction(z) if isinstance(z, Polynomial) else z
+            assert z.is_zero() and z.den == one
+    for text in ("0/(x - 1)", "(x - x)/(y^2 + 1)", "0*u/(u*x - y)"):
+        assert parse_ratfun(text, VARIABLES).den == one
+
+
+def test_zero_entries_are_not_evaluated(monkeypatch):
+    # the product chart's shifted curvature has 4 nonzero entries of 256
+    chart = chart_from_json(PRODUCT_CHART)
+    curvature = _curvature(chart, tilde_christoffel(chart, chart.field_tensor("S")))
+    point = {"x": Fraction(2), "y": Fraction(-1, 3), "u": Fraction(5, 7), "v": Fraction(3)}
+    expected = [old_ratfun_evaluate(c, point) for c in curvature.comps]
+    calls = []
+    evaluate = RationalFunction.evaluate
+    monkeypatch.setattr(RationalFunction, "evaluate",
+                        lambda self, p: calls.append(self) or evaluate(self, p))
+    assert_same_tensor(evaluate_tensor(curvature, point),
+                       Tensor(chart.dim, curvature.valence, expected))
+    assert len(calls) == sum(not c.is_zero() for c in curvature.comps) == 4
+    calls.clear()
+    assert evaluate_matrix(chart.omega, point) == [
+        [old_ratfun_evaluate(c, point) for c in row] for row in chart.omega]
+    assert len(calls) == sum(not c.is_zero() for row in chart.omega for c in row) == 4
+
+
 # -- evaluation above the bit bound --------------------------------------------------------
 
 def test_point_above_bound_matches_oracle():
@@ -349,18 +391,18 @@ def _lcm_callers(tree: ast.Module) -> set[str]:
 
 
 def test_scaling_is_defined_in_rationals_alone():
-    # the bound and the lcm-of-denominators scaling live in `rationals`;
-    # `decomposition` and `symplectic` import them, and the only other lcm is
-    # the per-row scaling of the modular rank, which never divides back
+    # the bound and the lcm-of-denominators scaling live in `rationals`, and
+    # `decomposition`, `symplectic` and `linalg` import them
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in pathlib.Path(rationals.__file__).parent.glob("*.py")}
     for name, tree in trees.items():
         found = _definitions(tree) & set(ADAPTER)
         assert found == (set(ADAPTER) if name == "rationals" else set()), name
     assert {name: callers for name, tree in trees.items()
-            if (callers := _lcm_callers(tree))} == {
-        "rationals": {"content", "scaled_entries"}, "linalg": {"_int_rows"}}
-    for name in ("decomposition", "symplectic"):
+            if (callers := _lcm_callers(tree))} == {"rationals": {"content", "scaled_entries"}}
+    adapter = {"scaled_entries", "divided"}
+    for name, used in (("decomposition", adapter), ("symplectic", adapter),
+                       ("linalg", {"scaled_entries"})):
         imported = {alias.name for node in trees[name].body if isinstance(node, ast.ImportFrom)
                     and node.module == "rationals" and node.level == 1 for alias in node.names}
-        assert {"scaled_entries", "divided"} <= imported, name
+        assert used <= imported, name
