@@ -36,13 +36,15 @@ from .models import (
     transvection_subalgebra, trivial_model, verify_model_isomorphism,
 )
 from .charts import (
-    Chart, ChartFormatError, ChartRun, HamiltonianReport, NotLinearTypeError,
-    ObstructionVerdict, chart_curvature, chart_from_json, chart_to_json,
+    Chart, ChartFormatError, ChartRun, chart_curvature, chart_from_json, chart_to_json,
     chart_torsion, covariant_derivative, emend_chart_signs, evaluate_matrix,
-    evaluate_tensor, hamiltonian_oneform, integrability_check, lie_bracket,
-    lie_derivative_omega, linear_type_structure, load_chart_file, load_example,
-    make_chart, metric_obstruction, model_at_point, omega_is_closed, omega_tensor,
-    symplectic_basis_matrix, verify_chart_structure, xi_perp_field,
+    evaluate_tensor, lie_bracket, linear_type_structure, load_chart_file, load_example,
+    make_chart, model_at_point, omega_is_closed, omega_tensor,
+    symplectic_basis_matrix, verify_chart_structure,
+)
+from .lineartype import (
+    HamiltonianReport, NotLinearTypeError, ObstructionVerdict, hamiltonian_oneform,
+    integrability_check, lie_derivative_omega, metric_obstruction, xi_perp_field,
 )
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from . import charts as ch
 from . import decomposition as dec
+from . import lineartype as lt
 from . import models as mo
 from .rationals import DegreeError, ParseError, PoleError
 from .reporting import Check, Report
@@ -244,6 +245,9 @@ def cmd_symplectify(args) -> int:
     try:
         s = dec.symplectify_torsion(tensor)
     except ValueError as err:
+        # not antisymmetric in slots (1,2) is malformed input, as for `decompose`
+        if tensor.first_symmetry_violation(0, 1, anti=True) is not None:
+            raise InputError(str(err)) from None
         report = Report(title="symplectification",
                         checks=[Check("solvable_in_cotorsion_space", False, str(err))])
         return _emit(args, "symplectify", report)
@@ -318,7 +322,7 @@ def cmd_verify_chart(args) -> int:
         report.checks.extend(run.parallelism_checks())
     if args.suite in ("linear-type", "all"):
         try:
-            report.checks.extend(run.linear_type_checks())
+            report.checks.extend(lt.linear_type_checks(run))
         except ValueError as err:
             raise InputError(str(err)) from None
         candidate = None
@@ -329,7 +333,7 @@ def cmd_verify_chart(args) -> int:
                                          chart.coords)
             except ParseError as err:
                 raise InputError(f"--hamiltonian: {err}") from None
-        ham = ch.hamiltonian_oneform(chart, run.xi, candidate=candidate)
+        ham = lt.hamiltonian_oneform(chart, run.xi, candidate=candidate)
         report.checks.append(Check(
             "hamiltonian_oneform_closed", ham.closed,
             None if ham.closed else
@@ -368,8 +372,8 @@ def cmd_obstruction(args) -> int:
     except (PoleError, ValueError) as err:
         raise InputError(str(err)) from None
     try:
-        verdict = ch.metric_obstruction(s_point, omega_p)
-    except ch.NotLinearTypeError as err:
+        verdict = lt.metric_obstruction(s_point, omega_p)
+    except lt.NotLinearTypeError as err:
         raise InputError(str(err)) from None
     if verdict.degenerate_input:
         witness = "structure tensor vanishes; any nondegenerate metric works"

@@ -39,7 +39,7 @@ kernel of a few tensor maps on the coordinates of its symmetry type:
 
 The entry is read by every consumer: `build_basis` (generator span, or the
 nullspace of the condition matrix that the maps give on coordinate unit
-tensors), `submodule_dimension` (one certified rank), `class_predicate`,
+tensors), `submodule_dimension` (one exact rank), `class_predicate`,
 and the remainder checks of `decompose_*`, which re-verify S2, T2 and T4
 on every decomposition.  Membership of S1, T1, T3 is P(t) == t for their
 projector, and of W exact span membership.
@@ -576,14 +576,14 @@ def dimension_table(n_max: int) -> list[DimensionRow]:
 
 
 def submodule_dimension(label: str, n: int) -> int:
-    """Exact class dimension from one certified rank, without building a basis."""
+    """Exact class dimension from one rank, without building a basis."""
     entry = _class(label)
     space = SymplecticSpace(n)
     if entry.generator is not None:
-        return linalg.certified_rank([_vectorize(entry.generator(space, u), entry.kind)
-                                      for u in range(space.dim)])
+        return linalg.rank([_vectorize(entry.generator(space, u), entry.kind)
+                            for u in range(space.dim)])
     return (len(_coordinates(space.dim, entry.kind))
-            - linalg.certified_rank(_condition_rows(label, n)))
+            - linalg.rank(_condition_rows(label, n)))
 
 
 def threeform_basis(n: int) -> list[Tensor]:

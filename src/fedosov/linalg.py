@@ -33,11 +33,6 @@ algebras) and every membership test that needs no coordinates uses it.
 `Coordinates` reduces a fixed basis once and then reads the coordinates
 of many vectors in its span, each checked by recombination; `solve` is
 left for one-off linear systems.
-
-For large matrices over Q there is a fast full-rank certificate: row-scale
-to integers and eliminate modulo a fixed prime.  A maximal minor that is
-nonzero mod p is nonzero over Z, so "full rank mod p" certifies full rank
-over Q exactly; a deficient modular rank only triggers the exact fallback.
 """
 
 from __future__ import annotations
@@ -48,8 +43,6 @@ from operator import mul
 from typing import Sequence
 
 from .rationals import RationalFunction, scaled_entries
-
-_CERT_PRIME = (1 << 61) - 1  # Mersenne prime
 
 
 def is_zero_scalar(x) -> bool:
@@ -350,43 +343,3 @@ def _int_rows(matrix: Sequence[Sequence]) -> list[list[int]] | None:
     entry is not an int or Fraction, or a row's lcm passes MAX_SCALE_BITS."""
     scaled = [scaled_entries(row) for row in matrix]
     return None if None in scaled else [ints for ints, _ in scaled]
-
-
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    rows = [[x % p for x in row] for row in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(r + 1, len(rows)):
-            factor = rows[i][c]
-            if factor:
-                pivot_vals = rows[r]
-                rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], pivot_vals)]
-        r += 1
-        if r == len(rows):
-            break
-    return r
-
-
-def certified_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank: modular fast path when full, exact elimination otherwise."""
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return 0
-    full = min(len(rows), len(rows[0]))
-    ints = _int_rows(rows)
-    if ints is not None and _rank_mod_p(ints, _CERT_PRIME) == full:
-        return full
-    return rank(rows)

@@ -15,8 +15,8 @@ change-of-basis and evaluation oracles are the Fraction loops that the
 scaled-integer kernels replaced.  The integrability, symplectic-basis,
 model-at-point and metric-obstruction oracles are the Lie brackets of
 spanning fields, the independence filter, the matrix inverse and the
-nullspace-and-determinant solve that the closed forms of the chart module
-replaced.  The elimination oracles `old_rref`, `OldEchelon` and
+nullspace-and-determinant solve that the closed forms of the chart and
+linear-type modules replaced.  The elimination oracles `old_rref`, `OldEchelon` and
 `old_matmul` are the field loops over `Fraction`s that the integer
 elimination kernel of `linalg` replaced for rational input.  `chart_suite`
 runs the chart suites of one `ChartRun` into one report.
@@ -32,10 +32,13 @@ import pytest
 
 from fedosov import linalg, rationals
 from fedosov.charts import (
-    Chart, ChartRun, NotLinearTypeError, ObstructionVerdict, _curvature, _linear_type, _torsion,
-    evaluate_matrix, evaluate_tensor, lie_bracket, pairing_with, tilde_christoffel,
+    Chart, ChartRun, _curvature, _linear_type, _torsion, evaluate_matrix, evaluate_tensor,
+    lie_bracket, tilde_christoffel,
 )
 from fedosov.decomposition import DecompositionResult
+from fedosov.lineartype import (
+    NotLinearTypeError, ObstructionVerdict, linear_type_checks, pairing_with,
+)
 from fedosov.linalg import is_zero_scalar
 from fedosov.models import InfinitesimalModel, standard_omega_tensor
 from fedosov.rationals import PoleError, Polynomial, RationalFunction, ScaledPoint
@@ -66,7 +69,7 @@ def chart_suite(chart, structure=None, xi=None, xi_perp=None) -> Report:
     """The Fedosov base checks, then the linear-type suite of `xi` when it is
     given, or else the parallelism suite of `structure`."""
     run = ChartRun(chart, structure, xi)
-    suite = run.parallelism_checks() if xi is None else run.linear_type_checks(xi_perp)
+    suite = run.parallelism_checks() if xi is None else linear_type_checks(run, xi_perp)
     return Report(title="chart suites", checks=run.base_checks() + suite)
 
 
@@ -533,7 +536,7 @@ def old_ratfun_evaluate(f: RationalFunction, point) -> Fraction:
     return old_polynomial_evaluate(f.num, point) / den
 
 
-# -- the generic solves that the closed forms of the chart module replaced ----------
+# -- the generic solves that the closed forms of the chart modules replaced ---------
 
 def old_integrability_check(chart: Chart, xi: Tensor) -> Check:
     """omega([X,Y], xi) = 0 for a spanning set of the kernel distribution of

@@ -15,9 +15,9 @@ from fedosov import linalg
 from fedosov.charts import (
     _load_fixture, chart_curvature, chart_from_json, chart_torsion,
     covariant_derivative, emend_chart_signs, evaluate_matrix, evaluate_tensor,
-    linear_type_structure, load_example, metric_obstruction, model_at_point,
-    omega_tensor, verify_chart_structure,
+    linear_type_structure, load_example, model_at_point, omega_tensor, verify_chart_structure,
 )
+from fedosov.lineartype import metric_obstruction
 from fedosov.decomposition import (
     COTORSION_LABELS, TORSION_LABELS,
     ambient_dimension, build_basis, class_predicate, closed_form_dimension,

@@ -25,10 +25,13 @@ from hypothesis import given, settings, strategies as st
 
 from fedosov import linalg
 from fedosov.charts import (
-    ChartRun, NotLinearTypeError, chart_curvature, chart_torsion, covariant_derivative,
-    hamiltonian_oneform, lie_bracket, lie_derivative_omega,
-    linear_type_structure, load_chart_file, load_example, make_chart, metric_obstruction,
-    omega_is_closed, omega_tensor, pairing_with,
+    ChartRun, chart_curvature, chart_torsion, covariant_derivative, lie_bracket,
+    linear_type_structure, load_chart_file, load_example, make_chart, omega_is_closed,
+    omega_tensor,
+)
+from fedosov.lineartype import (
+    NotLinearTypeError, hamiltonian_oneform, lie_derivative_omega, linear_type_checks,
+    metric_obstruction, pairing_with,
 )
 from fedosov.linalg import is_zero_scalar
 from fedosov.rationals import Polynomial, RationalFunction, parse_ratfun
@@ -283,7 +286,7 @@ def test_mirrored_curvature_entry_keeps_its_summation_order():
     xi = chart.field_tensor("xi")
     for shift in (None, linear_type_structure(chart, xi)):
         assert_identical(chart_curvature(chart, shift), oracle_chart_curvature(chart, shift))
-    checks = {check.name: check for check in ChartRun(chart, xi=xi).linear_type_checks()}
+    checks = {check.name: check for check in linear_type_checks(ChartRun(chart, xi=xi))}
     assert checks["curvature_xi_slot_symmetry"].witness == ORDER_WITNESS
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from fedosov import charts, cli
+from fedosov import charts, cli, lineartype
 from fedosov.cli import main
 from fedosov.rationals import parse_ratfun
 from fedosov.symplectic import SymplecticSpace, tensor_from_json, tensor_to_json
@@ -125,6 +125,20 @@ def test_symplectify_success_and_failure(tmp_path, capsys):
     assert code == 1
     payload = json.loads(out)
     assert not payload["checks"][0]["pass"]
+
+
+@pytest.mark.parametrize("valence, message", [
+    (["cov", "cov", "cov"], "tensor is not antisymmetric in slots (1,2); first violation at "
+                            "(1, 1, 1)"),
+    (["cov", "cov", "con"], "{path}: tensor is not antisymmetric in its arguments at (1, 1, 1)"),
+], ids=["0-3", "1-2"])
+def test_symplectify_malformed_torsion_is_input_error(tmp_path, capsys, valence, message):
+    # the (0,3) form used to exit 1 with a failed `solvable_in_cotorsion_space`
+    path = write_json(tmp_path, "t.json",
+                      {"n": 1, "valence": valence, "components": {"1,1,1": "1"}})
+    expected = (2, "", f"input error: {message.format(path=path)}\n")
+    assert run_cli(capsys, "symplectify", path, "--n", "1") == expected
+    assert run_cli(capsys, "decompose", path, "--space", "torsion", "--n", "1") == expected
 
 
 def test_verify_chart_builtin_and_file(tmp_path, capsys):
@@ -473,12 +487,16 @@ def test_cli_reads_files_and_fields_in_one_place():
 
 def test_chart_runs_form_the_shared_fields():
     # One `ChartRun` forms the structure and its shifted connection for
-    # every suite; `model_at_point` shifts the connection of the structure
-    # it is given, and `linear_type_structure` stays the public wrapper.
+    # every suite, the linear-type suite included; `model_at_point` and the
+    # calculus behind `_gamma` shift the connection of the structure they
+    # are given, and `linear_type_structure` stays the public wrapper.
     source = pathlib.Path(charts.__file__).read_text(encoding="utf-8")
-    assert _callers(source, "tilde_christoffel") == ["ChartRun", "model_at_point"]
+    suite = pathlib.Path(lineartype.__file__).read_text(encoding="utf-8")
+    assert _callers(source, "tilde_christoffel") == ["ChartRun", "_gamma", "model_at_point"]
     assert _callers(source, "linear_type_structure") == ["ChartRun"]
-    assert _callers(source, "_linear_type") == ["linear_type_structure", "metric_obstruction"]
+    assert _callers(source, "_linear_type") == ["linear_type_structure"]
+    assert _callers(suite, "tilde_christoffel") == _callers(suite, "linear_type_structure") == []
+    assert _callers(suite, "_linear_type") == ["metric_obstruction"]
     # the removed plumbing and wrappers; `\b` keeps the check name
     # `tilde_nabla_base_curvature_zero` out of the match
     gone = re.compile(r"\b(base_curvature|verify_as_conditions|verify_linear_type_suite)\b")
@@ -527,10 +545,13 @@ def test_verify_chart_forms_each_shared_field_once(tmp_path, monkeypatch, capsys
 
 def test_charts_differentiate_in_one_kernel():
     # `charts._partial` takes every coordinate partial in the chart
-    # calculus, and `metric_obstruction` reads xi in closed form.
+    # calculus and the linear-type suite, and `metric_obstruction` reads xi
+    # in closed form.
     source = pathlib.Path(charts.__file__).read_text(encoding="utf-8")
+    suite = pathlib.Path(lineartype.__file__).read_text(encoding="utf-8")
     assert source.count(".partial(") == 1
-    assert "linalg.solve" not in source
+    assert suite.count(".partial(") == 0
+    assert "linalg.solve" not in source + suite
 
 
 @pytest.mark.parametrize("payload, message", [

@@ -1,4 +1,4 @@
-"""Closed forms of the chart module against the generic solves they replaced.
+"""Closed forms of the chart and linear-type modules against the generic solves they replaced.
 
 `integrability_check` reads the Frobenius form of d beta on pairs of kernel
 fields, `symplectic_basis_matrix` keeps every projection, `model_at_point`
@@ -26,12 +26,12 @@ from fractions import Fraction
 
 import pytest
 
-from fedosov import charts, linalg
+from fedosov import charts, lineartype, linalg
 from fedosov.charts import (
-    NotLinearTypeError, chart_from_json, evaluate_matrix, evaluate_tensor, integrability_check,
-    linear_type_structure, load_chart_file, load_example, make_chart, metric_obstruction,
-    model_at_point, symplectic_basis_matrix,
+    chart_from_json, evaluate_matrix, evaluate_tensor, linear_type_structure, load_chart_file,
+    load_example, make_chart, model_at_point, symplectic_basis_matrix,
 )
+from fedosov.lineartype import NotLinearTypeError, integrability_check, metric_obstruction
 from fedosov.rationals import PoleError, parse_ratfun
 from fedosov.symplectic import COV, CON, Tensor
 
@@ -312,13 +312,13 @@ def test_obstruction_at_a_degenerate_8d_point_is_prompt(tmp_path):
 
 
 def test_closed_forms_call_no_generic_solve():
-    source = pathlib.Path(charts.__file__).read_text(encoding="utf-8")
+    tops = [top for module in (charts, lineartype)
+            for top in ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8")).body]
     closed = {"metric_obstruction", "integrability_check", "model_at_point",
               "symplectic_basis_matrix"}
     called = {top.name: {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                          for node in ast.walk(top) if isinstance(node, ast.Call)}
-              for top in ast.parse(source).body
-              if isinstance(top, ast.FunctionDef) and top.name in closed}
+              for top in tops if isinstance(top, ast.FunctionDef) and top.name in closed}
     assert set(called) == closed
     for name, calls in called.items():
         assert not calls & {"nullspace", "det", "inverse", "Echelon", "lie_bracket"}, name

@@ -37,16 +37,16 @@ import itertools
 import json
 import pathlib
 import random
-import textwrap
 
 import pytest
 
-from fedosov import charts
+from fedosov import charts, lineartype
 from fedosov.charts import (
     ChartRun, chart_curvature, chart_from_json, chart_to_json, chart_torsion,
-    linear_type_structure, load_chart_file, load_example, make_chart, omega_tensor, pairing_with,
-    tilde_christoffel, xi_perp_field,
+    linear_type_structure, load_chart_file, load_example, make_chart, omega_tensor,
+    tilde_christoffel,
 )
+from fedosov.lineartype import pairing_with, xi_perp_field
 from fedosov.cli import main
 from fedosov.linalg import is_zero_scalar
 from fedosov.rationals import RationalFunction, parse_ratfun
@@ -239,7 +239,7 @@ def lazy_checks(chart, structure, perp=None):
     """The three suites, or the linear-type suite alone when `structure` is None."""
     run = ChartRun(chart, structure, chart.field_tensor("xi"))
     covariant = [] if structure is None else run.base_checks() + run.parallelism_checks()
-    return covariant + run.linear_type_checks(perp)
+    return covariant + lineartype.linear_type_checks(run, perp)
 
 
 def mismatches(cases):
@@ -351,10 +351,10 @@ def test_comparison_catches_mutants(cases, monkeypatch, target, mutant):
 
 
 def mutant_suite(old: str, new: str):
-    """`ChartRun.linear_type_checks` with one source line changed, in the module's namespace."""
-    source = textwrap.dedent(inspect.getsource(ChartRun.linear_type_checks))
+    """`lineartype.linear_type_checks` with one source line changed, in the module's namespace."""
+    source = inspect.getsource(lineartype.linear_type_checks)
     assert source.count(old) == 1
-    namespace = dict(vars(charts))
+    namespace = dict(vars(lineartype))
     exec(source.replace(old, new), namespace)
     return namespace["linear_type_checks"]
 
@@ -369,7 +369,7 @@ POSITION_MUTANTS = {
 
 @pytest.mark.parametrize("name", sorted(POSITION_MUTANTS))
 def test_comparison_catches_position_mutants(cases, monkeypatch, name):
-    monkeypatch.setattr(ChartRun, "linear_type_checks", mutant_suite(*POSITION_MUTANTS[name]))
+    monkeypatch.setattr(lineartype, "linear_type_checks", mutant_suite(*POSITION_MUTANTS[name]))
     assert mismatches(cases)
 
 

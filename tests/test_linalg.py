@@ -131,16 +131,6 @@ def test_det_matches_permutation_expansion():
         assert linalg.det(m) == expected
 
 
-def test_certified_rank_matches_exact():
-    rng = random.Random(21)
-    for _ in range(30):
-        rows = rng.randint(1, 6)
-        cols = rng.randint(1, 6)
-        m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
-             for _ in range(rows)]
-        assert linalg.certified_rank(m) == linalg.rank(m)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(st.one_of(st.just(Fraction(0)),
                                    st.fractions(max_denominator=10 ** 6)),
