@@ -54,8 +54,8 @@ from .models import InfinitesimalModel, standard_omega_tensor
 from .rationals import RationalFunction, ScaledPoint, parse_ratfun
 from .reporting import Check, Report, index_witness
 from .symplectic import (
-    COV, CON, MAX_N, MAX_RANK, SymplecticSpace, Tensor, _derivation_entries,
-    _support, _unflat, change_basis, insert_vector, tensor_to_json,
+    COV, CON, MAX_N, MAX_RANK, SymplecticSpace, Tensor, _derivation_entries, _unflat,
+    change_basis, insert_vector, tensor_to_json,
 )
 
 
@@ -275,21 +275,19 @@ def _nabla_entries(chart: Chart, t: Tensor, gamma):
 
     nabla_i t = Gamma_i . t + d_i t with Gamma_i[a][b] = gamma[a][i][b]
     acting as a derivation.  Plane i walks the positions that
-    `_derivation_entries` reaches together with the support of t, the only
-    positions with a nonzero partial; every other component is t's own
-    zero there.  At each position the connection term c is formed first,
-    then the partial p, and the value is c + p, the partial added last:
-    the entries are never reduced, and this order keeps them smallest.  A
-    zero t yields nothing.
+    `_derivation_entries` draws: those its connection term reaches and
+    `t.support`, the only positions with a nonzero partial; every other
+    component is t's own zero there.  At each position the connection
+    term c is formed first, then the partial p, and the value is c + p,
+    the partial added last: the entries are never reduced, and this order
+    keeps them smallest.  A zero t yields nothing.
     """
     d, comps = chart.dim, t.comps
-    support = _support(t)
-    if not support:
+    if t.is_zero():
         return
     size = len(comps)
     for i, coord in enumerate(chart.coords):
-        connection = _derivation_entries([[gamma[a][i][b] for b in range(d)] for a in range(d)],
-                                         t, support, with_support=True)
+        connection = _derivation_entries([[gamma[a][i][b] for b in range(d)] for a in range(d)], t)
         for flat, c in connection:
             p = _partial(comps[flat], coord)
             yield i * size + flat, (p if c is None or is_zero_scalar(c)

@@ -117,6 +117,8 @@ def _parse_point(text: str, coords: tuple[str, ...]) -> dict[str, Fraction]:
 
 
 def _load_tensor_arg(path: str, n: int, space_kind: str) -> Tensor:
+    """The file's tensor as a (0,3) tensor, lowered from (1,2) if need be,
+    checked to be antisymmetric (torsion) or symmetric in slots (1,2)."""
     if n < 1:
         raise InputError(f"--n must be >= 1, got {n}")
     if n > MAX_N:
@@ -127,15 +129,15 @@ def _load_tensor_arg(path: str, n: int, space_kind: str) -> Tensor:
             f"{path}: tensor declares n={tensor.dim // 2} but --n is {n}")
     space = SymplecticSpace(n)
     tensor = Tensor(tensor.dim, tensor.valence, tensor.comps, space=space)
-    if tensor.valence == (COV, COV, COV):
-        return tensor
-    if tensor.valence == (COV, COV, CON):
-        lower = torsion_lower if space_kind == "torsion" else cotorsion_lower
-        try:
-            return lower(tensor)
-        except ValueError as err:
-            raise InputError(f"{path}: {err}") from None
-    raise InputError(f"{path}: expected a (0,3) or (1,2) tensor")
+    if tensor.valence not in ((COV, COV, COV), (COV, COV, CON)):
+        raise InputError(f"{path}: expected a (0,3) or (1,2) tensor")
+    try:
+        if tensor.valence == (COV, COV, CON):
+            tensor = (torsion_lower if space_kind == "torsion" else cotorsion_lower)(tensor)
+        dec._require_shape(tensor, anti=space_kind == "torsion")
+    except ValueError as err:
+        raise InputError(f"{path}: {err}") from None
+    return tensor
 
 
 def _chart_from_args(args) -> ch.Chart:
@@ -212,11 +214,8 @@ def cmd_dims(args) -> int:
 
 def cmd_decompose(args, classify_only: bool = False) -> int:
     tensor = _load_tensor_arg(args.tensor, args.n, args.space)
-    try:
-        result = (dec.decompose_torsion(tensor) if args.space == "torsion"
-                  else dec.decompose_cotorsion(tensor))
-    except ValueError as err:
-        raise InputError(str(err)) from None
+    result = (dec.decompose_torsion(tensor) if args.space == "torsion"
+              else dec.decompose_cotorsion(tensor))
     labels = dec.TORSION_LABELS if args.space == "torsion" else dec.COTORSION_LABELS
     report = Report(title=f"{args.space} decomposition")
     for label in labels:
@@ -245,9 +244,6 @@ def cmd_symplectify(args) -> int:
     try:
         s = dec.symplectify_torsion(tensor)
     except ValueError as err:
-        # not antisymmetric in slots (1,2) is malformed input, as for `decompose`
-        if tensor.first_symmetry_violation(0, 1, anti=True) is not None:
-            raise InputError(str(err)) from None
         report = Report(title="symplectification",
                         checks=[Check("solvable_in_cotorsion_space", False, str(err))])
         return _emit(args, "symplectify", report)

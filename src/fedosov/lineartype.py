@@ -29,7 +29,7 @@ from . import charts
 from .linalg import is_zero_scalar
 from .rationals import RationalFunction
 from .reporting import Check
-from .symplectic import COV, CON, Tensor, _contract_slot, _support, _unflat, insert_vector
+from .symplectic import COV, CON, Tensor, _contract_slot, _unflat, insert_vector
 
 
 class NotLinearTypeError(ValueError):
@@ -91,7 +91,7 @@ def _positions(d: int, *families) -> list[int]:
 
 def _support_indices(t: Tensor) -> list[tuple[int, ...]]:
     """The multi-indices of t's nonzero entries, in flat order."""
-    return [_unflat(t.dim, len(t.valence), flat) for flat in _support(t)]
+    return [_unflat(t.dim, len(t.valence), flat) for flat in t.support]
 
 
 def _nonzero_indices(values) -> list[int]:
@@ -138,12 +138,12 @@ def linear_type_checks(run: charts.ChartRun, xi_perp: Tensor | None = None) -> l
 
     # r[i,j,k,l] - r[i,k,j,l] is nonzero only on R's support and its (j, k) mirror
     r_support = _support_indices(r)
-    slot_swap = Tensor(d, (COV, COV, COV, CON), [zero] * d ** 4)
+    slot_swap = [zero] * d ** 4
     for flat in _positions(d, r_support, ((i, k, j, l) for i, j, k, l in r_support)):
         i, j, k, l = _unflat(d, 4, flat)
-        slot_swap.comps[flat] = r[i, j, k, l] - r[i, k, j, l]
-    checks.append(charts._zero_check("curvature_xi_slot_symmetry",
-                                     insert_vector(slot_swap, 0, xi.comps).first_nonzero()))
+        slot_swap[flat] = r[i, j, k, l] - r[i, k, j, l]
+    checks.append(charts._zero_check("curvature_xi_slot_symmetry", insert_vector(
+        Tensor(d, (COV, COV, COV, CON), slot_swap), 0, xi.comps).first_nonzero()))
 
     r4 = Tensor(d, (COV, COV, COV, COV), _contract_slot(r, 3, chart.omega))
     r4_support = _support_indices(r4)

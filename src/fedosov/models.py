@@ -47,7 +47,7 @@ from .linalg import is_zero_scalar
 from .reporting import Check, Report, index_witness
 from .symplectic import (
     COV, CON, SymplecticSpace, Tensor, _cyclic_positions, _derivation_entries, _half_dimension,
-    _is_int, _scalar_zero, _support, _unflat, change_basis, first_symplectic_defect, insert_vector,
+    _is_int, _scalar_zero, _unflat, change_basis, first_symplectic_defect, insert_vector,
     parse_fraction, tensor_from_json, tensor_to_json,
 )
 
@@ -102,29 +102,30 @@ def trivial_model(n: int) -> InfinitesimalModel:
 def derivation_action(endo, t: Tensor) -> Tensor:
     """Action of an endomorphism (matrix, output index first) on a tensor.
 
-    The entries `_derivation_entries` yields are written over zeros of t's
-    scalar type (Fraction(0) for a scalar); a zero t acts to a copy of itself.
+    The entries `_derivation_entries` yields with a value are written over
+    zeros of t's scalar type (Fraction(0) for a scalar); a zero t acts to a
+    copy of itself.
     """
-    support = _support(t)
-    if not support:
+    if t.is_zero():
         comps = list(t.comps)
     else:
         comps = [_scalar_zero(t) if t.valence else Fraction(0)] * len(t.comps)
-    for flat, value in _derivation_entries(endo, t, support):
-        comps[flat] = value
+    for flat, value in _derivation_entries(endo, t):
+        if value is not None:
+            comps[flat] = value
     return Tensor(t.dim, t.valence, comps, space=t.space)
 
 
-def _derivation_scatter(endo, t: Tensor, support) -> dict[int, object]:
+def _derivation_scatter(endo, t: Tensor) -> dict[int, object]:
     """{flat: value} of `derivation_action(endo, t)` at the positions it reaches.
 
-    `support` is `_support(t)`.  Each nonzero t[flat] is scattered through
-    the nonzero entries of endo, slot by slot: a contravariant slot holding
-    l sends t[flat] * endo[a][l] to the entry with a in that slot, a
-    covariant one sends -t[flat] * endo[l][a].  Positions no product
-    reaches are absent (their entry is zero); a reached one may still sum
-    to zero.  Model entries are exact constants, so the order in which the
-    products are summed changes no value.
+    Each t[flat] of `t.support` is scattered through the nonzero entries
+    of endo, slot by slot: a contravariant slot holding l sends t[flat] *
+    endo[a][l] to the entry with a in that slot, a covariant one sends
+    -t[flat] * endo[l][a].  Positions no product reaches are absent (their
+    entry is zero); a reached one may still sum to zero.  Model entries
+    are exact constants, so the order in which the products are summed
+    changes no value.
     """
     d, rank, comps = t.dim, len(t.valence), t.comps
     slots = []
@@ -139,7 +140,7 @@ def _derivation_scatter(endo, t: Tensor, support) -> dict[int, object]:
                       if not is_zero_scalar(x)] for l in range(d)]
         slots.append((stride, moves))
     out: dict[int, object] = {}
-    for flat in support:
+    for flat in t.support:
         value = comps[flat]
         for stride, moves in slots:
             for shift, factor in moves[flat // stride % d]:
@@ -149,10 +150,9 @@ def _derivation_scatter(endo, t: Tensor, support) -> dict[int, object]:
     return out
 
 
-def _derivation_first_nonzero(endo, t: Tensor, support):
-    """`derivation_action(endo, t).first_nonzero()` for `support = _support(t)`,
-    read off `_derivation_scatter`."""
-    entries = _derivation_scatter(endo, t, support)
+def _derivation_first_nonzero(endo, t: Tensor):
+    """`derivation_action(endo, t).first_nonzero()`, read off `_derivation_scatter`."""
+    entries = _derivation_scatter(endo, t)
     nonzero = [flat for flat, value in entries.items() if not is_zero_scalar(value)]
     if not nonzero:
         return None
@@ -160,10 +160,10 @@ def _derivation_first_nonzero(endo, t: Tensor, support):
     return _unflat(t.dim, len(t.valence), flat), entries[flat]
 
 
-def _targets(model: InfinitesimalModel) -> list[tuple[Tensor, tuple[int, ...]]]:
-    """(tensor, support) for the curvature, the torsion and each aux tensor:
-    the data every stabilizer element must annihilate."""
-    return [(t, _support(t)) for t in (model.curvature, model.torsion, *model.aux)]
+def _targets(model: InfinitesimalModel) -> list[Tensor]:
+    """The curvature, the torsion and each aux tensor: the data every
+    stabilizer element must annihilate."""
+    return [model.curvature, model.torsion, *model.aux]
 
 
 def curvature_endomorphism(r: Tensor, i: int, j: int) -> list[list]:
@@ -200,9 +200,9 @@ def check_model_axioms(model: InfinitesimalModel) -> Report:
     endos = {(i, j): curvature_endomorphism(r, i, j)
              for i in range(d) for j in range(i + 1, d)}
 
-    def derivation_check(name: str, target: Tensor, support):
+    def derivation_check(name: str, target: Tensor):
         for (i, j), endo in endos.items():
-            hit = _derivation_first_nonzero(endo, target, support)
+            hit = _derivation_first_nonzero(endo, target)
             if hit is not None:
                 checks.append(Check(name, False,
                                     f"R(e{i + 1},e{j + 1}) acting at "
@@ -210,16 +210,15 @@ def check_model_axioms(model: InfinitesimalModel) -> Report:
                 return
         checks.append(Check(name, True, None))
 
-    t_support, r_support = _support(t), _support(r)
-    derivation_check("curvature_derivation_on_torsion", t, t_support)
-    derivation_check("curvature_derivation_on_curvature", r, r_support)
+    derivation_check("curvature_derivation_on_torsion", t)
+    derivation_check("curvature_derivation_on_curvature", r)
 
     # first Bianchi with torsion: cyclic(R_XY Z + T_{T_X Y} Z) = 0, the
     # cyclic sum of F_xyz^l = R_xyz^l + sum_m T_xy^m T_mz^l over (x, y, z).
     # Given the two antisymmetry axioms the cyclic sum is an alternating
     # trilinear form, so index triples i <= j <= k cover all cases.
-    t_entries = {flat: t.comps[flat] for flat in t_support}
-    r_entries = {flat: r.comps[flat] for flat in r_support}
+    t_entries = {flat: t.comps[flat] for flat in t.support}
+    r_entries = {flat: r.comps[flat] for flat in r.support}
     f = _pair_through_first_slot(t_entries, t_entries, d, d * d)
     for flat, value in r_entries.items():
         f[flat] = f[flat] + value if flat in f else value
@@ -235,7 +234,7 @@ def check_model_axioms(model: InfinitesimalModel) -> Report:
                         None if bad is None else index_witness(_unflat(d, 5, bad))))
 
     for pos, aux in enumerate(model.aux):
-        derivation_check(f"curvature_derivation_on_aux{pos + 1}", aux, _support(aux))
+        derivation_check(f"curvature_derivation_on_aux{pos + 1}", aux)
 
     return Report(title="infinitesimal model axioms", checks=checks)
 
@@ -416,9 +415,8 @@ def _stabilizer_rows(targets) -> list[list[Fraction]]:
     for t in targets:
         d, rank = t.dim, len(t.valence)
         equations: dict[int, dict[int, Fraction]] = {}
-        for flat, value in enumerate(t.comps):
-            if is_zero_scalar(value):
-                continue
+        for flat in t.support:
+            value = t.comps[flat]
             for slot, kind in enumerate(t.valence):
                 stride = d ** (rank - 1 - slot)
                 c = flat // stride % d
@@ -451,7 +449,7 @@ def model_stabilizer_algebra(model: InfinitesimalModel) -> list[list[list[Fracti
     d = model.space.dim
     targets = _targets(model)
     span = linalg.Echelon()
-    rows = [row for row in _stabilizer_rows([t for t, _ in targets]) if span.add(row)]
+    rows = [row for row in _stabilizer_rows(targets) if span.add(row)]
     basis = []
     for vec in linalg.nullspace(rows, ncols=d * d):
         endo = [vec[a * d:(a + 1) * d] for a in range(d)]
@@ -462,9 +460,9 @@ def model_stabilizer_algebra(model: InfinitesimalModel) -> list[list[list[Fracti
 
 
 def _annihilates(endo, targets) -> bool:
-    """Whether endo annihilates every tensor of the (t, support) pairs of
-    `_targets`, read off `_derivation_scatter`."""
-    return all(_derivation_first_nonzero(endo, t, support) is None for t, support in targets)
+    """Whether endo annihilates every tensor of `_targets`, read off
+    `_derivation_scatter`."""
+    return all(_derivation_first_nonzero(endo, t) is None for t in targets)
 
 
 @dataclass(frozen=True)

@@ -25,20 +25,20 @@ Conventions fixed here and used everywhere else:
   d x 1 matrix makes the slot drop out, and `insert_vector(t, slot, v)`
   is that interior product.  Musical isomorphisms and every chart
   contraction with a vector field are built on it.  The kernel scatters
-  each nonzero entry of t, in flat order, through the nonzero entries of
-  its matrix row, so every output entry sums its terms over l in
-  increasing order, and zero entries of t cost one test each.
+  each entry of t's support (`Tensor.support`, the nonzero positions,
+  found once per tensor) through the nonzero entries of its matrix row,
+  so every output entry sums its terms over l in increasing order.
   A derivation sums one such contraction per slot; `_derivation_entries`
-  forms that sum one entry at a time, in the same order, and yields only
-  the entries that the support of its input (`_support`, the nonzero
-  positions) reaches, since chart data are sparse; a check that stops at
-  a nonzero entry computes nothing after it.  Its fixed summation order is
-  what keeps the unreduced `RationalFunction` witnesses of the chart
-  suites stable.  Its readers are the chart covariant derivatives
-  (`charts._nabla_entries`, which adds the partials on the support of its
-  field) and the public `models.derivation_action`.  The model checks,
-  whose entries are exact constants, scatter the nonzero model data
-  instead (`models._derivation_scatter`).
+  forms that sum one entry at a time, in the same order, and forms only
+  the entries that the support of its input reaches, since chart data are
+  sparse; a check that stops at a nonzero entry computes nothing after
+  it.  Its fixed summation order is what keeps the unreduced
+  `RationalFunction` witnesses of the chart suites stable.  Its readers
+  are the chart covariant derivatives (`charts._nabla_entries`, which
+  adds the partials on the support of its field) and the public
+  `models.derivation_action`.  The model checks, whose entries are exact
+  constants, scatter the nonzero model data instead
+  (`models._derivation_scatter`).
   `change_basis` (and so every push-forward) runs the same kernel on
   scaled ints when the tensor and both matrices are constant: each is
   scaled by the lcm of its denominators (`rationals.scaled_entries`), and
@@ -46,8 +46,7 @@ Conventions fixed here and used everywhere else:
 
 Tensors are stored dense: at n = 4 a (0,3)-tensor has 512 entries, so a
 sparse format would be unjustified.  Components may be `Fraction` (constant
-tensors) or `RationalFunction` (coordinate fields); all operations are pure
-and instances are treated as immutable once built.
+tensors) or `RationalFunction` (coordinate fields); all operations are pure.
 """
 
 from __future__ import annotations
@@ -108,9 +107,13 @@ class SymplecticSpace:
 
 
 class Tensor:
-    """Dense multi-index array with a declared covariant/contravariant valence."""
+    """Dense multi-index array with a declared covariant/contravariant valence.
 
-    __slots__ = ("dim", "valence", "comps", "space")
+    Instances are immutable once built: `support` is found on first read
+    and kept, so writing into `comps` afterwards would leave it stale.
+    """
+
+    __slots__ = ("dim", "valence", "comps", "space", "_support")
 
     def __init__(self, dim: int, valence: Sequence[str], comps: list,
                  space: SymplecticSpace | None = None):
@@ -124,6 +127,7 @@ class Tensor:
             raise ValueError(f"expected {expected} components, got {len(comps)}")
         self.comps = comps
         self.space = space
+        self._support = None
         if space is not None and space.dim != dim:
             raise ValueError("space dimension does not match tensor dimension")
 
@@ -188,12 +192,23 @@ class Tensor:
 
     __hash__ = None
 
+    @property
+    def support(self) -> tuple[int, ...]:
+        """The flat positions of the nonzero entries, increasing."""
+        if self._support is None:
+            self._support = tuple(flat for flat, value in enumerate(self.comps)
+                                  if not is_zero_scalar(value))
+        return self._support
+
     def is_zero(self) -> bool:
-        return all(is_zero_scalar(c) for c in self.comps)
+        return not self.support
 
     def first_nonzero(self) -> tuple[tuple[int, ...], object] | None:
         """First (multi-index, value) with a nonzero value, indices 0-based."""
-        return _first_nonzero(self.dim, len(self.valence), self.comps)
+        if not self.support:
+            return None
+        flat = self.support[0]
+        return _unflat(self.dim, len(self.valence), flat), self.comps[flat]
 
     # -- symmetry -----------------------------------------------------------
 
@@ -212,8 +227,7 @@ class Tensor:
         return None
 
     def __repr__(self):
-        nz = sum(1 for c in self.comps if not is_zero_scalar(c))
-        return f"Tensor(dim={self.dim}, valence={self.valence}, nonzero={nz})"
+        return f"Tensor(dim={self.dim}, valence={self.valence}, nonzero={len(self.support)})"
 
 
 def _unflat(dim: int, rank: int, flat: int) -> tuple[int, ...]:
@@ -223,18 +237,6 @@ def _unflat(dim: int, rank: int, flat: int) -> tuple[int, ...]:
         flat, i = divmod(flat, dim)
         idx.append(i)
     return tuple(reversed(idx))
-
-
-def _first_nonzero(dim: int, rank: int, comps: Iterable) -> tuple[tuple[int, ...], object] | None:
-    """First (multi-index, value) with a nonzero value in a stream of the
-    dim^rank components in flat order, or None.
-
-    The stream may be lazy: nothing after the returned entry is drawn.
-    """
-    for flat, value in enumerate(comps):
-        if not is_zero_scalar(value):
-            return _unflat(dim, rank, flat), value
-    return None
 
 
 @lru_cache(maxsize=None)
@@ -284,9 +286,9 @@ def _contract_slot(t: Tensor, slot: int, matrix: Sequence[Sequence]) -> list:
 
     out[..., a, ...] = sum_l t[..., l, ...] * matrix[l][a] for a < k, with
     k = len(matrix[0]); the slot runs over k values afterwards, so a single
-    column (a vector) makes it drop out.  Each nonzero t[flat], in flat
-    order, is scattered through the nonzero entries of the matrix row of
-    its slot value.  An output entry therefore sums its terms over l in
+    column (a vector) makes it drop out.  Each t[flat] of `t.support`, in
+    flat order, is scattered through the nonzero entries of the matrix row
+    of its slot value.  An output entry therefore sums its terms over l in
     increasing order, skips zero terms and starts from the first nonzero
     one; an entry no term reaches is the zero of t's scalar type.
     """
@@ -304,10 +306,11 @@ def _contract_slot(t: Tensor, slot: int, matrix: Sequence[Sequence]) -> list:
     # Every term is a new product object, so an entry is still `zero` itself
     # exactly when no term has reached it.
     out = [zero] * (len(comps) // d * k)
-    for flat, value in enumerate(comps):
+    for flat in t.support:
         terms = moves[flat // stride % d]
-        if not terms or is_zero_scalar(value):
+        if not terms:
             continue
+        value = comps[flat]
         base = flat + flat // block * shift
         for offset, factor in terms:
             term = value * factor
@@ -334,45 +337,34 @@ def _column_sum(comps: list, nonzero: bytearray, base: int, column: list, zero):
     return zero if total is None else total
 
 
-def _support(t: Tensor) -> tuple[int, ...]:
-    """The flat positions of t's nonzero entries, increasing.
+def _derivation_entries(endo: Sequence[Sequence], t: Tensor):
+    """(flat, value) for the derivation action of `endo` on t, in increasing
+    flat order, one entry formed per draw, at the positions of `t.support`
+    and those that some nonzero entry of t meets through a nonzero entry of
+    endo.
 
-    Computed once per tensor by the callers of `_derivation_entries` and
-    `models._derivation_scatter`, and shared by every endomorphism acting
-    on it.
-    """
-    return tuple(flat for flat, value in enumerate(t.comps) if not is_zero_scalar(value))
-
-
-def _derivation_entries(endo: Sequence[Sequence], t: Tensor, support: Sequence[int], *,
-                        with_support: bool = False):
-    """(flat, value) for the entries of the derivation action of `endo` on t
-    that some nonzero entry of t meets through a nonzero entry of endo, in
-    increasing flat order, one entry formed per draw.
-
-    `endo` is a matrix with the output index first, and `support` is
-    `_support(t)`.  Entry j sums, in valence order, one part per slot:
-    what `_contract_slot` gives at j with endo^T on a contravariant slot
-    and -endo on a covariant one, summed over l in increasing order by
-    `_column_sum`, zero components of t skipped.  The parts are merged
-    from Fraction(0), skipping zero ones.  A reached entry may still sum
-    to zero; every entry not yielded is the zero of t's scalar type (for
-    a zero t, its own entries), which is what the sum would give.
-
-    With `with_support`, the positions of `support` that no entry reaches
-    come in the same walk with value None, so that a reader adding a term
+    `endo` is a matrix with the output index first.  Entry j sums, in
+    valence order, one part per slot: what `_contract_slot` gives at j with
+    endo^T on a contravariant slot and -endo on a covariant one, summed
+    over l in increasing order by `_column_sum`, zero components of t
+    skipped.  The parts are merged from Fraction(0), skipping zero ones.
+    A reached entry may still sum to zero; a support position that no
+    entry reaches comes with value None, so that a reader adding a term
     that lives on the support (the partials of a covariant derivative)
-    never draws an entry ahead of its position.  Nothing after the drawn
+    never draws an entry ahead of its position.  Every entry not yielded
+    with a value is the zero of t's scalar type (for a zero t, its own
+    entries), which is what the sum would give.  Nothing after the drawn
     pair is computed.  The chart path reads these entries unreduced in its
     witnesses, so the order of summation above is fixed.
     """
     comps = t.comps
     d, rank = t.dim, len(t.valence)
+    support = t.support
     nonzero = bytearray(len(comps))
     for flat in support:
         nonzero[flat] = 1
     # walk[flat]: 2 where some entry of t reaches flat, 1 where only the support is walked
-    walk = bytearray(nonzero) if with_support else bytearray(len(comps))
+    walk = bytearray(nonzero)
     slots = []
     for slot, kind in enumerate(t.valence):
         stride = d ** (rank - 1 - slot)
@@ -595,11 +587,9 @@ def _one_based(idx: Iterable[int]) -> tuple[int, ...]:
 
 def tensor_to_json(t: Tensor) -> dict:
     """JSON form: 1-based comma-joined index keys, `p/q` strings, zeros omitted."""
-    components = {}
-    for idx in t.indices():
-        v = t[idx]
-        if not is_zero_scalar(v):
-            components[",".join(str(i + 1) for i in idx)] = str(v)
+    rank = len(t.valence)
+    components = {",".join(str(i + 1) for i in _unflat(t.dim, rank, flat)): str(t.comps[flat])
+                  for flat in t.support}
     return {"n": t.dim // 2, "valence": list(t.valence), "components": components}
 
 

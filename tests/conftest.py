@@ -381,8 +381,8 @@ def old_check_model_axioms(model):
 
 def old_annihilates(endo, targets) -> bool:
     """`models._annihilates` from whole derivation actions: every entry of
-    endo acting on each tensor of the (tensor, support) pairs is zero."""
-    return all(old_derivation_first_nonzero(endo, t) is None for t, _ in targets)
+    endo acting on each tensor of `targets` is zero."""
+    return all(old_derivation_first_nonzero(endo, t) is None for t in targets)
 
 
 def coprime_denominators(count: int, bits: int) -> list[int]:

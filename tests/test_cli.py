@@ -128,8 +128,8 @@ def test_symplectify_success_and_failure(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("valence, message", [
-    (["cov", "cov", "cov"], "tensor is not antisymmetric in slots (1,2); first violation at "
-                            "(1, 1, 1)"),
+    (["cov", "cov", "cov"], "{path}: tensor is not antisymmetric in slots (1,2); first violation "
+                            "at (1, 1, 1)"),
     (["cov", "cov", "con"], "{path}: tensor is not antisymmetric in its arguments at (1, 1, 1)"),
 ], ids=["0-3", "1-2"])
 def test_symplectify_malformed_torsion_is_input_error(tmp_path, capsys, valence, message):
@@ -139,6 +139,19 @@ def test_symplectify_malformed_torsion_is_input_error(tmp_path, capsys, valence,
     expected = (2, "", f"input error: {message.format(path=path)}\n")
     assert run_cli(capsys, "symplectify", path, "--n", "1") == expected
     assert run_cli(capsys, "decompose", path, "--space", "torsion", "--n", "1") == expected
+
+
+@pytest.mark.parametrize("valence, key", [
+    (["cov", "cov", "cov"], "1,2,1"),
+    (["cov", "cov", "con"], "1,1,1"),
+], ids=["0-3", "1-2"])
+def test_malformed_cotorsion_names_the_file(tmp_path, capsys, valence, key):
+    # a (1,2) file is checked after lowering, so both report the (0,3) violation
+    path = write_json(tmp_path, "s.json", {"n": 1, "valence": valence, "components": {key: "1"}})
+    expected = (2, "", f"input error: {path}: tensor is not symmetric in slots (1,2); "
+                       "first violation at (1, 2, 1)\n")
+    for command in ("decompose", "classify"):
+        assert run_cli(capsys, command, path, "--space", "cotorsion", "--n", "1") == expected
 
 
 def test_verify_chart_builtin_and_file(tmp_path, capsys):

@@ -416,10 +416,10 @@ def test_failing_covariant_checks_draw_one_plane(tmp_path, monkeypatch, capsys):
         formed["partials"] += 1
         return partial(self, var)
 
-    def counted_kernel(endo, t, support, **kwargs):
+    def counted_kernel(endo, t):
         plane = drawn[-1]
         drawn[-1] += 1
-        for flat, value in kernel(endo, t, support, **kwargs):
+        for flat, value in kernel(endo, t):
             if value is not None:
                 formed["entries"].append(plane * len(t.comps) + flat)
             yield flat, value

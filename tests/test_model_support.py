@@ -214,14 +214,14 @@ def test_derivation_witnesses_are_the_same_fractions(cases, no_dense_kernel):
         for i in range(d):
             for j in range(i + 1, d):
                 endo = curvature_endomorphism(model.curvature, i, j)
-                for t, support in targets:
-                    hit = _derivation_first_nonzero(endo, t, support)
+                for t in targets:
+                    hit = _derivation_first_nonzero(endo, t)
                     if d <= 4:
                         assert hit == old_derivation_first_nonzero(endo, t), label
                     if hit is not None:
                         assert type(hit[1]) is Fraction
                         seen += 1
-                    assert _annihilates(endo, [(t, support)]) == (hit is None)
+                    assert _annihilates(endo, [t]) == (hit is None)
     assert seen > 100
 
 

@@ -1,7 +1,10 @@
 """Differential tests of the kernels that read only the nonzero entries of their input.
 
-`symplectic._derivation_entries` sums only the entries of the derivation
-action that the support of t (its nonzero positions) reaches through a
+`Tensor.support` (the nonzero positions, found once and kept) and the
+`is_zero` and `first_nonzero` read off it must equal a dense scan, and no
+module may write into a built tensor's `comps`, which would leave the
+kept support stale; `symplectic._derivation_entries` sums only the
+entries of the derivation action that the support of t reaches through a
 nonzero entry of the endomorphism; `charts._partial_planes` takes no
 partial of a zero component; the derivation and Bianchi checks of
 `check_model_axioms` read only the nonzero model entries;
@@ -25,7 +28,9 @@ zero.  Each must agree with the construction it replaced, from
 
 from __future__ import annotations
 
+import ast
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
@@ -74,6 +79,100 @@ def scalars(kind: str, variables=("x", "y")):
 def seeded_entries(rng, count: int, density: str, kind: str, variables=("x", "y")) -> list:
     zero, draw = scalars(kind, variables)
     return [draw(rng) if rng.random() < DENSITY[density] else zero for _ in range(count)]
+
+
+# -- the support of a tensor ---------------------------------------------------------------
+
+def drawn_tensors():
+    """Zero, sparse and dense tensors of Fraction, int and RationalFunction
+    entries, and `Tensor.zeros` of each scalar type."""
+    rng = random.Random("support")
+    for kind in ("fraction", "int", "ratfun"):
+        for d, valence in [(2, ()), (2, (CON,)), (4, (COV, CON)), (2, (COV, COV, CON)),
+                           (4, (COV, COV, COV))]:
+            size = d ** len(valence)
+            for density in DENSITY:
+                for _ in range(2):
+                    if kind == "int":
+                        comps = [rng.randint(-3, 3) if rng.random() < DENSITY[density] else 0
+                                 for _ in range(size)]
+                    else:
+                        comps = seeded_entries(rng, size, density, kind)
+                    yield Tensor(d, valence, comps)
+            zero = {"fraction": Fraction(0), "int": 0}.get(kind, scalars("ratfun")[0])
+            yield Tensor.zeros(d, valence, zero=zero)
+
+
+def test_support_matches_dense_scan():
+    kinds = set()
+    zeros = 0
+    for t in drawn_tensors():
+        nonzero = [flat for flat, value in enumerate(t.comps) if not _zero(value)]
+        support = t.support
+        assert support == tuple(nonzero), t.comps
+        assert t.support is support
+        assert t.is_zero() == (not nonzero)
+        first = next(((idx, t[idx]) for idx in t.indices() if not _zero(t[idx])), None)
+        assert t.first_nonzero() == first
+        if first is not None:
+            assert t.first_nonzero()[1] is first[1]
+        kinds.add(type(t.comps[0]))
+        zeros += not nonzero
+    assert kinds == {Fraction, int, RationalFunction} and zeros > 15
+
+
+MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
+            "__setitem__", "__delitem__", "__iadd__", "__imul__"}
+
+
+def comps_writes(source: str) -> list[int]:
+    """Lines that write into `<expr>.comps`: an (augmented) assignment to or
+    `del` of a subscript of it, or a call of a mutating list method on it."""
+    def is_comps(node):
+        return isinstance(node, ast.Attribute) and node.attr == "comps"
+
+    def targets(node):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            found = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            found = [node.target]
+        else:
+            return []
+        flat = []
+        while found:
+            target = found.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                found.extend(target.elts)
+            elif isinstance(target, ast.Starred):
+                found.append(target.value)
+            else:
+                flat.append(target)
+        return flat
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if any(isinstance(t, ast.Subscript) and is_comps(t.value) for t in targets(node)):
+            lines.append(node.lineno)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATORS and is_comps(node.func.value)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_writes_into_a_built_tensor():
+    package = pathlib.Path(__file__).parent.parent / "src" / "fedosov"
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 5
+    writes = {path.name: comps_writes(path.read_text(encoding="utf-8")) for path in modules}
+    assert {name: lines for name, lines in writes.items() if lines} == {}
+
+
+def test_comps_write_guard_sees_each_form():
+    forms = ["t.comps[0] = x", "t.comps[0] += x", "a, t.comps[1] = x, y", "del t.comps[0]",
+             "t.comps[0]: int = x", "t.comps.append(x)", "run.r.comps.sort()",
+             "t.comps.__setitem__(0, x)"]
+    assert [comps_writes(form) for form in forms] == [[1]] * len(forms)
+    assert comps_writes("comps[0] = x\nx = t.comps[0]\nt.comps.index(x)\nc = list(t.comps)") == []
 
 
 # -- the derivation kernel ---------------------------------------------------------------
