@@ -23,7 +23,7 @@ from . import models as mo
 from .rationals import DegreeError, ParseError, PoleError
 from .reporting import Check, Report
 from .symplectic import (
-    COV, CON, MAX_N, SymplecticSpace, Tensor, cotorsion_lower, parse_fraction,
+    COV, CON, MAX_N, SymplecticSpace, Tensor, _require_shape, cotorsion_lower, parse_fraction,
     tensor_from_json, tensor_to_json, torsion_lower,
 )
 
@@ -134,7 +134,7 @@ def _load_tensor_arg(path: str, n: int, space_kind: str) -> Tensor:
     try:
         if tensor.valence == (COV, COV, CON):
             tensor = (torsion_lower if space_kind == "torsion" else cotorsion_lower)(tensor)
-        dec._require_shape(tensor, anti=space_kind == "torsion")
+        _require_shape(tensor, anti=space_kind == "torsion")
     except ValueError as err:
         raise InputError(f"{path}: {err}") from None
     return tensor

@@ -57,7 +57,8 @@ from typing import Callable, NamedTuple
 from . import linalg
 from .rationals import divided, scaled_entries
 from .symplectic import (
-    COV, SymplecticSpace, Tensor, _cyclic_positions, _trace_12, _trace_13, cyclic_sum,
+    COV, SymplecticSpace, Tensor, _cyclic_positions, _require_shape, _trace_12, _trace_13,
+    cyclic_sum,
 )
 
 COTORSION_LABELS = ("S1", "S2", "S3")
@@ -231,12 +232,12 @@ def _class(label: str) -> _Class:
         raise ValueError(f"unknown class label {label!r}") from None
 
 
-def _condition_rows(label: str, n: int) -> list[list[Fraction]]:
+def _condition_rows(label: str, n: int) -> list[list[int]]:
     """Matrix of a conditioned class's conditions on its coordinates.
 
-    Column p holds the conditions' outputs on the unit tensor of coordinate
-    p; output rows that are zero or repeat an earlier row up to sign are
-    dropped.  Entries are `Fraction`, so elimination never divides ints.
+    Column p holds the conditions' outputs on the int unit tensor of
+    coordinate p; output rows that are zero or repeat an earlier row up to
+    sign are dropped.  Entries are ints: `linalg` returns `Fraction`s.
     """
     entry = _CLASSES[label]
     dim = 2 * n
@@ -244,7 +245,6 @@ def _condition_rows(label: str, n: int) -> list[list[Fraction]]:
     for orbit in _coordinates(dim, entry.kind):
         unit = _unit_tensor(orbit, dim, 1)
         columns.append([x for condition in entry.conditions for x in condition(unit)])
-    zero = Fraction(0)
     rows, seen = [], set()
     for row in zip(*columns):
         lead = next(filter(None, row), 0)
@@ -254,7 +254,7 @@ def _condition_rows(label: str, n: int) -> list[list[Fraction]]:
             row = tuple(-x for x in row)
         if row not in seen:
             seen.add(row)
-            rows.append([Fraction(x) if x else zero for x in row])
+            rows.append(list(row))
     return rows
 
 
@@ -418,16 +418,6 @@ class DecompositionResult:
         return self.parts[label]
 
 
-def _require_shape(t: Tensor, *, anti: bool) -> None:
-    if t.valence != _COV3:
-        raise ValueError("expected a (0,3)-tensor")
-    bad = t.first_symmetry_violation(0, 1, anti=anti)
-    if bad is not None:
-        raise ValueError(
-            f"tensor is not {'anti' if anti else ''}symmetric in slots (1,2); "
-            f"first violation at {tuple(i + 1 for i in bad)}")
-
-
 def _divided(t: Tensor, comps: list, den: int) -> Tensor:
     return Tensor(t.dim, _COV3, divided(comps, den), space=_space_of(t))
 
@@ -458,11 +448,7 @@ def decompose_torsion(t: Tensor) -> DecompositionResult:
 
 def cotorsion_to_torsion(s: Tensor) -> Tensor:
     """A(S)(X,Y,Z) = S(Y,Z,X) - S(X,Z,Y): sends S1 -> T1, S2 -> T2, S3 -> 0."""
-    if s.valence != (COV, COV, COV):
-        raise ValueError("expected a (0,3)-tensor")
-    bad = s.first_symmetry_violation(0, 1, anti=False)
-    if bad is not None:
-        raise ValueError("input must be symmetric in slots (1,2)")
+    _require_shape(s, anti=False)
     # S(X,Z,Y) = S(Z,X,Y) by the symmetry just checked
     c = s.comps
     return Tensor(s.dim, s.valence, [c[g] - c[h] for _, g, h in _cyclic_positions(s.dim)],
@@ -522,8 +508,8 @@ def symplectify_torsion(t: Tensor) -> Tensor:
     x, den = _scaled(t)
     _require_shape(Tensor(t.dim, t.valence, x), anti=True)
     if not cyclic_sum(Tensor(t.dim, _COV3, x)).is_zero():
-        type_set = decompose_torsion(t).type_set
-        outside = [label for label in ("T3", "T4") if label in type_set]
+        parts, _ = _torsion_kernel(_space_of(t), x)
+        outside = [label for label in ("T3", "T4") if any(parts[label])]
         raise ValueError(
             f"no symmetric solution: torsion has nonzero {'+'.join(outside)} part")
     # T(X,Z,Y) = -T(Z,X,Y) by the antisymmetry just checked

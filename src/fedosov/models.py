@@ -440,18 +440,17 @@ def model_stabilizer_algebra(model: InfinitesimalModel) -> list[list[list[Fracti
     """Basis of {A in End(V): A annihilates curvature, torsion and aux}.
 
     Computed as the exact nullspace of the linear equations that
-    `_stabilizer_rows` reads off the nonzero entries of the model data,
-    kept only while independent of the rows before them (at most d^2 of
-    them): the reduced echelon form, and so the basis, depends only on the
-    row space.  Every returned matrix is re-verified to annihilate all
-    model data through `_annihilates`.
+    `_stabilizer_rows` reads off the nonzero entries of the model data.
+    There can be far more of them than the d^2 unknowns; `linalg.rref`
+    keeps only the rows independent of those before them (at most d^2)
+    in its forward pass and back-substitutes those alone.  Every returned
+    matrix is re-verified to annihilate all model data through
+    `_annihilates`.
     """
     d = model.space.dim
     targets = _targets(model)
-    span = linalg.Echelon()
-    rows = [row for row in _stabilizer_rows(targets) if span.add(row)]
     basis = []
-    for vec in linalg.nullspace(rows, ncols=d * d):
+    for vec in linalg.nullspace(_stabilizer_rows(targets), ncols=d * d):
         endo = [vec[a * d:(a + 1) * d] for a in range(d)]
         if not _annihilates(endo, targets):
             raise AssertionError("stabilizer candidate fails to annihilate model data")

@@ -474,16 +474,14 @@ def _require_n(t: Tensor) -> int:
     return t.dim // 2
 
 
-def _checked(t: Tensor, anti: bool) -> Tensor:
-    """t, after checking it is a (0,3)-tensor (anti)symmetric in slots (1,2)."""
+def _require_shape(t: Tensor, *, anti: bool) -> None:
+    """Raise ValueError unless t is a (0,3)-tensor (anti)symmetric in slots (1,2)."""
     if t.valence != (COV, COV, COV):
         raise ValueError("expected a (0,3)-tensor")
     bad = t.first_symmetry_violation(0, 1, anti=anti)
     if bad is not None:
-        raise ValueError(f"tensor is not {'anti' if anti else ''}symmetric in slots (1,2) "
-                         f"at {_one_based(bad)}")
-    _require_n(t)
-    return t
+        raise ValueError(f"tensor is not {'anti' if anti else ''}symmetric in slots (1,2); "
+                         f"first violation at {_one_based(bad)}")
 
 
 # The unchecked traces sum from int 0, so they keep the scalar type of the
@@ -504,17 +502,23 @@ def _trace_13(t: Tensor) -> list:
 
 def contract_s13(t: Tensor) -> list:
     """s13(S)(Z) = sum_i (S(e_i, Z, e_{i+n}) - S(e_{i+n}, Z, e_i)) for symmetric S."""
-    return _trace_13(_checked(t, anti=False))
+    _require_shape(t, anti=False)
+    _require_n(t)
+    return _trace_13(t)
 
 
 def contract_t12(t: Tensor) -> list:
     """t12(T)(Z) = sum_i T(e_i, e_{i+n}, Z) for T antisymmetric in (1,2)."""
-    return _trace_12(_checked(t, anti=True))
+    _require_shape(t, anti=True)
+    _require_n(t)
+    return _trace_12(t)
 
 
 def contract_t13(t: Tensor) -> list:
     """t13(T)(Y) = sum_i (T(e_i, Y, e_{i+n}) - T(e_{i+n}, Y, e_i)) for antisymmetric T."""
-    return _trace_13(_checked(t, anti=True))
+    _require_shape(t, anti=True)
+    _require_n(t)
+    return _trace_13(t)
 
 
 def cyclic_sum(t: Tensor) -> Tensor:

@@ -1,4 +1,5 @@
-import math
+import ast
+import pathlib
 import random
 import sys
 from fractions import Fraction
@@ -129,22 +130,6 @@ def test_det_matches_permutation_expansion():
                 term *= m[i][perm[i]]
             expected += term
         assert linalg.det(m) == expected
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(st.one_of(st.just(Fraction(0)),
-                                   st.fractions(max_denominator=10 ** 6)),
-                         min_size=1, max_size=8),
-                min_size=1, max_size=5))
-def test_int_rows_matches_fraction_rescaling(matrix):
-    """Each row is scaled by the lcm of its denominators, in integers."""
-    rows = linalg._int_rows(matrix)
-    for row, ints in zip(matrix, rows):
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-        assert ints == [int(x * scale) for x in row]
-        assert all(type(v) is int for v in ints)
 
 
 def test_generic_field_elimination_with_rational_functions():
@@ -432,6 +417,66 @@ def test_rational_function_input_takes_the_field_loops():
         assert all(type(c) is RationalFunction for row in reduced[:len(pivots)] for c in row)
         assert linalg.matmul(m, linalg.transpose(m)) == old_matmul(m, linalg.transpose(m))
 
+
+def shuffled_pivot_matrix(rng, kinds):
+    """Rows with leading columns in random order, each of a kind drawn from
+    `kinds`, with sums of multiples of earlier rows mixed in.  The forward
+    pass keeps the leading columns as its pivots, out of column order, and
+    drops the dependent rows."""
+    small = "ratfun" in kinds
+    cols = rng.randint(2, 4 if small else 8)
+    leads = rng.sample(range(cols), rng.randint(1, min(cols, 3 if small else 6)))
+    rows = []
+    for lead in leads:
+        kind = rng.choice(kinds)
+        row = drawn_vector(rng, kind, cols)
+        while linalg.is_zero_scalar(row[lead]):
+            row[lead] = drawn_vector(rng, kind, 1)[0]
+        rows.append([x * 0 for x in row[:lead]] + row[lead:])
+        if rng.random() < 0.5:
+            u, v = rng.choice(rows), rng.choice(rows)
+            a, b = rng.choice((-2, 1, 3)), rng.choice((-1, 2))
+            rows.append([x * a + y * b for x, y in zip(u, v)])
+    return rows, leads
+
+
+@pytest.mark.parametrize("kinds", [("int",), ("int", "frac", "huge"), ("ratfun",)],
+                         ids="-".join)
+@pytest.mark.parametrize("seed", range(2))
+def test_back_pass_matches_the_field_loops(kinds, seed, scale_bound):
+    """Integer and field rows mix in both passes; `rref` still equals the field
+    loops' reduced form, with its trailing zero rows."""
+    rng = random.Random(600 + seed)
+    for _ in range(12 if "ratfun" in kinds else 60):
+        m, leads = shuffled_pivot_matrix(rng, kinds)
+        forward = linalg.Echelon()
+        for row in m:
+            forward.add(row)
+        assert [pivot for pivot, _, _ in forward._rows] == leads
+        reduced, pivots = linalg.rref(m)
+        assert pivots == sorted(leads) and linalg.rank(m) == len(leads)
+        if "ratfun" in kinds:
+            assert (reduced, pivots) == old_rref(m)
+            assert all(type(c) is RationalFunction for row in reduced[:len(pivots)] for c in row)
+        else:
+            assert (reduced, pivots) == old_rref(as_fractions(m))
+            assert_fractions(reduced)
+
+
+def test_one_fraction_free_elimination():
+    """`Echelon` is the only code in `linalg` that eliminates with gcds."""
+    tree = ast.parse(pathlib.Path(linalg.__file__).read_text(encoding="utf-8"))
+    functions = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            functions.update((f"{node.name}.{func.name}", func) for func in node.body
+                             if isinstance(func, ast.FunctionDef))
+    assert {name for name, func in functions.items() for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+            and "gcd" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            } == {"Echelon._reduce", "Echelon.add"}
 
 FRACTION_CODES = {Fraction.__new__.__code__: "Fraction.__new__",
                   Fraction._mul.__code__: "Fraction._mul",
