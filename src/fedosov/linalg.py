@@ -16,20 +16,29 @@ integer and field rows mix in one `Echelon`.
 
 `rref` is two passes of that kernel.  The forward pass adds the rows in
 order; the rows it keeps are a basis of the row space, each with zeros at
-the pivots kept before it, so `rank` is their number.  The back pass adds
-those rows, last to first, to a second `Echelon`, which clears from each
-the pivots of the rows already final.  Sorted by pivot column, each row is
-divided by its pivot, one division per output entry, so `Fraction`s are
-formed once, for the output.  The reduced row echelon form is unique, so
-the result is the one that elimination over Q gives: on Q input every
-output entry is a `Fraction`, and the rows past the rank are zero rows.
-`nullspace`, `solve`, `inverse` and `Coordinates` go through `rref`, and
-every greedy basis (class generators, symplectic frames, Lie closures,
-derived algebras) and every membership test that needs no coordinates
-through `Echelon`.  `Coordinates` reduces a fixed basis once and then
-reads the coordinates of many vectors in its span, each checked by
-recombination; `solve` is left for one-off linear systems.  `matmul`
-multiplies the two scaled operands in integers.
+the pivots kept before it, so `rank` is their number.  The back pass
+(`Echelon._reduced`) adds those rows, last to first, to a second
+`Echelon`, which clears from each the pivots of the rows already final.
+Sorted by pivot column, each row is divided by its pivot, one division per
+output entry, so `Fraction`s are formed once, for the output.  The reduced
+row echelon form is unique, so the result is the one that elimination over
+Q gives: on Q input every output entry is a `Fraction`, and the rows past
+the rank are zero rows.  `nullspace`, `solve`, `inverse` and `Coordinates`
+go through these two passes, and every greedy basis (class generators,
+symplectic frames, Lie closures, derived algebras) and every membership
+test that needs no coordinates through `Echelon`.  `nullspace` negates
+only the nonzero entries of the reduced rows.  `Coordinates` reduces a
+fixed basis once and then reads the coordinates of many vectors in its
+span, each checked by recombination; `solve` is left for one-off linear
+systems.  `matmul` multiplies the two scaled operands in integers.
+
+`Echelon.add(vec, _ints=True)` is the private int-row entry: `vec` is a
+list of ints, taken as its own scaled form without a `scaled_entries`
+pass, and reduced in place.  It has two callers.  The back pass hands it
+each integer row of the forward pass, which is primitive ints already.
+`models.model_stabilizer_algebra` hands it the stabilizer equations, ints
+over each model tensor's denominator, and takes their nullspace from the
+`Echelon` it filled (`Echelon._nullspace`).
 
 `det` keeps its own fraction-producing loop, the only other elimination
 here.  Its callers need a value: the signs of a Killing form's leading
@@ -67,27 +76,13 @@ def rref(matrix: Sequence[Sequence]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     if not matrix:
         return [], []
-    ncols = len(matrix[0])
-    forward, back = Echelon(), Echelon()
+    forward = Echelon()
     for row in matrix:
         forward.add(row)
-    for _, _, row in reversed(forward._rows):
-        vec = [0] * ncols
-        for c, x in row:
-            vec[c] = x
-        back.add(vec)
-    back._rows.sort(key=lambda kept: kept[0])
-    zero = Fraction(0)
-    rows = []
-    for _, a, row in back._rows:
-        # a field row has pivot 1 already: it keeps its entries, and its
-        # zeros take the type of its pivot
-        vec = [zero if a is not None else row[0][1] * 0] * ncols
-        for c, x in row:
-            vec[c] = x if a is None else Fraction(x, a)
-        rows.append(vec)
-    rows += ([zero] * ncols for _ in range(len(matrix) - len(rows)))
-    return rows, [p for p, _, _ in back._rows]
+    ncols = len(matrix[0])
+    rows, pivots = forward._reduced(ncols)
+    rows += ([Fraction(0)] * ncols for _ in range(len(matrix) - len(rows)))
+    return rows, pivots
 
 
 def rank(matrix: Sequence[Sequence]) -> int:
@@ -112,9 +107,10 @@ class Echelon:
         # field row with pivot 1, the row's nonzero (column, entry) pairs)
         self._rows: list[tuple] = []
 
-    def _reduce(self, vec: Sequence) -> tuple[list, bool]:
-        """The reduced vector, and whether it is still integer-scaled."""
-        scaled = scaled_entries(vec)
+    def _reduce(self, vec: Sequence, ints: bool = False) -> tuple[list, bool]:
+        """The reduced vector, and whether it is still integer-scaled; a
+        list of `ints` is taken as its own scaled form and reduced in place."""
+        scaled = (vec, 1) if ints else scaled_entries(vec)
         exact = scaled is not None
         vec = scaled[0] if exact else list(vec)
         for pivot, a, row in self._rows:
@@ -135,9 +131,13 @@ class Echelon:
                     vec[c] = vec[c] - f * x
         return vec, exact
 
-    def add(self, vec: Sequence) -> bool:
-        """Keep `vec` if it is independent of the kept vectors; report whether."""
-        vec, exact = self._reduce(vec)
+    def add(self, vec: Sequence, *, _ints: bool = False) -> bool:
+        """Keep `vec` if it is independent of the kept vectors; report whether.
+
+        `_ints=True` is the private int-row entry: `vec` is a list of ints,
+        reduced in place without `scaled_entries`.
+        """
+        vec, exact = self._reduce(vec, _ints)
         if exact:
             g = math.gcd(*vec)
             if not g:
@@ -157,6 +157,44 @@ class Echelon:
     def __contains__(self, vec: Sequence) -> bool:
         vec, exact = self._reduce(vec)
         return not any(vec) if exact else all(is_zero_scalar(x) for x in vec)
+
+    def _reduced(self, ncols: int) -> tuple[list[list], list[int]]:
+        """The nonzero rows of the reduced row echelon form of the kept
+        vectors, and their pivots: the back pass of `rref`."""
+        back = Echelon()
+        for _, a, row in reversed(self._rows):
+            vec = [0] * ncols
+            for c, x in row:
+                vec[c] = x
+            back.add(vec, _ints=a is not None)
+        back._rows.sort(key=lambda kept: kept[0])
+        zero = Fraction(0)
+        rows = []
+        for _, a, row in back._rows:
+            # a field row has pivot 1 already: it keeps its entries, and its
+            # zeros take the type of its pivot
+            vec = [zero if a is not None else row[0][1] * 0] * ncols
+            for c, x in row:
+                vec[c] = x if a is None else Fraction(x, a)
+            rows.append(vec)
+        return rows, [p for p, _, _ in back._rows]
+
+    def _nullspace(self, ncols: int) -> list[list]:
+        """`nullspace` of the kept vectors, one vector per free column."""
+        reduced, pivots = self._reduced(ncols)
+        pivot_set = set(pivots)
+        zero, one = Fraction(0), Fraction(1)
+        basis = []
+        for f in range(ncols):
+            if f in pivot_set:
+                continue
+            vec = [zero] * ncols
+            vec[f] = one
+            for row, p in zip(reduced, pivots):
+                if x := row[f]:  # a Fraction zero stays `zero`
+                    vec[p] = -x
+            basis.append(vec)
+        return basis
 
 
 class Coordinates:
@@ -206,20 +244,10 @@ def nullspace(matrix: Sequence[Sequence], ncols: int | None = None) -> list[list
         if not rows:
             raise ValueError("ncols required for an empty row list")
         ncols = len(rows[0])
-    if not rows:
-        return [[Fraction(1) if j == i else Fraction(0) for j in range(ncols)] for i in range(ncols)]
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    zero = Fraction(0)
-    basis = []
-    for f in free_cols:
-        vec = [zero] * ncols
-        vec[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -reduced[i][f]
-        basis.append(vec)
-    return basis
+    span = Echelon()
+    for row in rows:
+        span.add(row)
+    return span._nullspace(ncols)
 
 
 def solve(matrix: Sequence[Sequence], rhs: Sequence) -> list | None:

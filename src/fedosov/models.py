@@ -17,15 +17,27 @@ torsion form:
 
     cyclic(R_XY Z + T_{T_X Y} Z) = 0,       cyclic(R_{T_X Y, Z}) = 0.
 
-Model data are sparse exact constants, and the checks touch only nonzero
-entries.  A derivation check scatters each nonzero entry of the target
-through the nonzero entries of the endomorphism (`_derivation_scatter`)
-and reads the smallest reached position with a nonzero sum.  The Bianchi
-checks pair nonzero entries into F = R + T.T and G = T.R, and evaluate
-each cyclic sum only at the sorted rotations (i <= j <= k) of nonzero F
-and G positions, in the lexicographic order in which the witness is
-defined.  Since the entries are exact, neither changes a value or a
-witness; the dense checks they replaced are the oracles in the tests.
+Model data are sparse exact constants, and every check reads them as ints
+over one denominator: each tensor t as D_t, the lcm of the denominators of
+its nonzero entries, and {flat: D_t t[flat]} (`_scaled`, built once per
+public entry point).  A derivation check scatters each nonzero int entry
+of the target through the nonzero entries of a curvature endomorphism,
+scaled once by D_R (`_derivation_scatter`), and reads the smallest reached
+position with a nonzero sum, D_R D_t times the entry of the action.  The
+Bianchi checks pair nonzero entries into F = R + T.T, over the common
+denominator D_R D_T^2, and G = T.R, over D_T D_R, and evaluate each cyclic
+sum only at the sorted rotations (i <= j <= k) of nonzero F and G
+positions, in the lexicographic order in which the witness is defined.
+The stabilizer equations of each target are D_t times its equations, so
+they go to `linalg.Echelon` as int rows with the same nullspace.  The
+isomorphism check compares the undivided ints of each push-forward with
+the target only where either is nonzero.  A positive scale changes no
+zero test, so no verdict or witness position moves; `Fraction`s are
+formed only for witness values (the same value, hence the same text),
+bases, structure constants and JSON.  The denominators are not bounded
+by `rationals.MAX_SCALE_BITS`: model tensors have few entries, so one int
+path serves every size.  The `Fraction` paths these replaced are the
+oracles in the tests.
 
 The Nomizu construction builds the transitive Lie algebra g0 = V + h0,
 where h0 is the exact annihilator of all model data inside End(V), with
@@ -41,13 +53,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 from . import linalg
-from .linalg import is_zero_scalar
+from .rationals import _scaled_ints
 from .reporting import Check, Report, index_witness
 from .symplectic import (
     COV, CON, SymplecticSpace, Tensor, _cyclic_positions, _derivation_entries, _half_dimension,
-    _is_int, _scalar_zero, _unflat, change_basis, first_symplectic_defect, insert_vector,
+    _changed_comps, _is_int, _scalar_zero, _unflat, change_basis, first_symplectic_defect,
+    insert_vector,
     parse_fraction, tensor_from_json, tensor_to_json,
 )
 
@@ -116,54 +130,71 @@ def derivation_action(endo, t: Tensor) -> Tensor:
     return Tensor(t.dim, t.valence, comps, space=t.space)
 
 
-def _derivation_scatter(endo, t: Tensor) -> dict[int, object]:
-    """{flat: value} of `derivation_action(endo, t)` at the positions it reaches.
-
-    Each t[flat] of `t.support` is scattered through the nonzero entries
-    of endo, slot by slot: a contravariant slot holding l sends t[flat] *
-    endo[a][l] to the entry with a in that slot, a covariant one sends
-    -t[flat] * endo[l][a].  Positions no product reaches are absent (their
-    entry is zero); a reached one may still sum to zero.  Model entries
-    are exact constants, so the order in which the products are summed
-    changes no value.
-    """
-    d, rank, comps = t.dim, len(t.valence), t.comps
-    slots = []
-    for slot, kind in enumerate(t.valence):
-        stride = d ** (rank - 1 - slot)
-        # moves[l]: the (flat shift, factor) pairs for slot value l
-        if kind == CON:
-            moves = [[((a - l) * stride, row[l]) for a, row in enumerate(endo)
-                      if not is_zero_scalar(row[l])] for l in range(d)]
-        else:
-            moves = [[((a - l) * stride, -x) for a, x in enumerate(endo[l])
-                      if not is_zero_scalar(x)] for l in range(d)]
-        slots.append((stride, moves))
-    out: dict[int, object] = {}
-    for flat in t.support:
-        value = comps[flat]
-        for stride, moves in slots:
-            for shift, factor in moves[flat // stride % d]:
-                target = flat + shift
-                term = value * factor
-                out[target] = out[target] + term if target in out else term
-    return out
+class _Scaled(NamedTuple):
+    """A model tensor over one denominator: `den`, the lcm of the
+    denominators of its nonzero entries, and {flat: den * entry} as ints."""
+    tensor: Tensor
+    den: int
+    entries: dict[int, int]
 
 
-def _derivation_first_nonzero(endo, t: Tensor):
-    """`derivation_action(endo, t).first_nonzero()`, read off `_derivation_scatter`."""
-    entries = _derivation_scatter(endo, t)
-    nonzero = [flat for flat, value in entries.items() if not is_zero_scalar(value)]
-    if not nonzero:
-        return None
-    flat = min(nonzero)
-    return _unflat(t.dim, len(t.valence), flat), entries[flat]
+def _scaled(t: Tensor) -> _Scaled:
+    ints, den = _scaled_ints([t.comps[flat] for flat in t.support])
+    return _Scaled(t, den, dict(zip(t.support, ints)))
 
 
 def _targets(model: InfinitesimalModel) -> list[Tensor]:
     """The curvature, the torsion and each aux tensor: the data every
     stabilizer element must annihilate."""
     return [model.curvature, model.torsion, *model.aux]
+
+
+def _scaled_targets(model: InfinitesimalModel) -> list[_Scaled]:
+    return [_scaled(t) for t in _targets(model)]
+
+
+def _derivation_scatter(endo: list[list[int]], target: _Scaled) -> dict[int, int]:
+    """{flat: value} of den_endo * den * `derivation_action`, for `endo` the
+    int matrix den_endo * A and `target` den * t, at the positions it reaches.
+
+    Each nonzero entry of the target is scattered through the nonzero
+    entries of endo, slot by slot: a contravariant slot holding l sends
+    t[flat] * endo[a][l] to the entry with a in that slot, a covariant one
+    sends -t[flat] * endo[l][a].  Positions no product reaches are absent
+    (their entry is zero); a reached one may still sum to zero.
+    """
+    t = target.tensor
+    d, rank = t.dim, len(t.valence)
+    slots = []
+    for slot, kind in enumerate(t.valence):
+        stride = d ** (rank - 1 - slot)
+        # moves[l]: the (flat shift, factor) pairs for slot value l
+        if kind == CON:
+            moves = [[((a - l) * stride, row[l]) for a, row in enumerate(endo) if row[l]]
+                     for l in range(d)]
+        else:
+            moves = [[((a - l) * stride, -x) for a, x in enumerate(endo[l]) if x]
+                     for l in range(d)]
+        slots.append((stride, moves))
+    out: dict[int, int] = {}
+    for flat, value in target.entries.items():
+        for stride, moves in slots:
+            for shift, factor in moves[flat // stride % d]:
+                target_flat = flat + shift
+                out[target_flat] = out.get(target_flat, 0) + value * factor
+    return out
+
+
+def _derivation_first_nonzero(endo: list[list[int]], endo_den: int, target: _Scaled):
+    """`derivation_action(endo / endo_den, t).first_nonzero()` for the scaled
+    target t, read off `_derivation_scatter`; the value is a `Fraction`."""
+    entries = _derivation_scatter(endo, target)
+    nonzero = [flat for flat, value in entries.items() if value]
+    if not nonzero:
+        return None
+    flat = min(nonzero)
+    t = target.tensor
+    return _unflat(t.dim, len(t.valence), flat), Fraction(entries[flat], endo_den * target.den)
 
 
 def curvature_endomorphism(r: Tensor, i: int, j: int) -> list[list]:
@@ -177,7 +208,9 @@ def curvature_endomorphism(r: Tensor, i: int, j: int) -> list[list]:
 def check_model_axioms(model: InfinitesimalModel) -> Report:
     """Exact per-axiom verification; failures carry the first bad basis triple.
 
-    Only nonzero data is touched: each derivation check is read off
+    Only nonzero data is touched, as ints over one denominator per tensor:
+    each antisymmetry check pairs the nonzero entries with their swaps
+    (`_first_antisymmetry_violation`), each derivation check is read off
     `_derivation_scatter` per curvature endomorphism R(e_i, e_j), i < j,
     and each Bianchi identity is evaluated by `_first_cyclic_failure` at
     the sorted rotations of the nonzero entries of F = R + T.T or G = T.R.
@@ -189,20 +222,16 @@ def check_model_axioms(model: InfinitesimalModel) -> Report:
     r, t = model.curvature, model.torsion
     checks = []
 
-    bad = t.first_symmetry_violation(0, 1, anti=True)
-    checks.append(Check("torsion_antisymmetry", bad is None,
-                        None if bad is None else index_witness(bad)))
+    r_s, t_s = _scaled(r), _scaled(t)
+    for name, target in (("torsion_antisymmetry", t_s), ("curvature_antisymmetry", r_s)):
+        bad = _first_antisymmetry_violation(target)
+        checks.append(Check(name, bad is None, None if bad is None else index_witness(bad)))
 
-    bad = r.first_symmetry_violation(0, 1, anti=True)
-    checks.append(Check("curvature_antisymmetry", bad is None,
-                        None if bad is None else index_witness(bad)))
+    endos = _curvature_endos(r_s)
 
-    endos = {(i, j): curvature_endomorphism(r, i, j)
-             for i in range(d) for j in range(i + 1, d)}
-
-    def derivation_check(name: str, target: Tensor):
+    def derivation_check(name: str, target: _Scaled):
         for (i, j), endo in endos.items():
-            hit = _derivation_first_nonzero(endo, target)
+            hit = _derivation_first_nonzero(endo, r_s.den, target)
             if hit is not None:
                 checks.append(Check(name, False,
                                     f"R(e{i + 1},e{j + 1}) acting at "
@@ -210,36 +239,66 @@ def check_model_axioms(model: InfinitesimalModel) -> Report:
                 return
         checks.append(Check(name, True, None))
 
-    derivation_check("curvature_derivation_on_torsion", t)
-    derivation_check("curvature_derivation_on_curvature", r)
+    derivation_check("curvature_derivation_on_torsion", t_s)
+    derivation_check("curvature_derivation_on_curvature", r_s)
 
     # first Bianchi with torsion: cyclic(R_XY Z + T_{T_X Y} Z) = 0, the
     # cyclic sum of F_xyz^l = R_xyz^l + sum_m T_xy^m T_mz^l over (x, y, z).
     # Given the two antisymmetry axioms the cyclic sum is an alternating
-    # trilinear form, so index triples i <= j <= k cover all cases.
-    t_entries = {flat: t.comps[flat] for flat in t.support}
-    r_entries = {flat: r.comps[flat] for flat in r.support}
-    f = _pair_through_first_slot(t_entries, t_entries, d, d * d)
-    for flat, value in r_entries.items():
-        f[flat] = f[flat] + value if flat in f else value
+    # trilinear form, so index triples i <= j <= k cover all cases.  F is
+    # read over the common denominator r.den * t.den^2.
+    f = _pair_through_first_slot(t_s.entries, t_s.entries, d, d * d)
+    f = {flat: r_s.den * value for flat, value in f.items()}
+    for flat, value in r_s.entries.items():
+        f[flat] = f.get(flat, 0) + t_s.den ** 2 * value
     bad = _first_cyclic_failure(f, d, d)
     checks.append(Check("first_bianchi", bad is None,
                         None if bad is None else index_witness(_unflat(d, 4, bad))))
 
     # second Bianchi consequence: cyclic R_{T_X Y, Z} = 0 as endomorphisms,
-    # the cyclic sum of G_xyzw^l = sum_m T_xy^m R_mzw^l over (x, y, z).
-    g = _pair_through_first_slot(t_entries, r_entries, d, d ** 3)
+    # the cyclic sum of G_xyzw^l = sum_m T_xy^m R_mzw^l over (x, y, z), over
+    # the denominator t.den * r.den of each product.
+    g = _pair_through_first_slot(t_s.entries, r_s.entries, d, d ** 3)
     bad = _first_cyclic_failure(g, d, d * d)
     checks.append(Check("second_bianchi", bad is None,
                         None if bad is None else index_witness(_unflat(d, 5, bad))))
 
     for pos, aux in enumerate(model.aux):
-        derivation_check(f"curvature_derivation_on_aux{pos + 1}", aux)
+        derivation_check(f"curvature_derivation_on_aux{pos + 1}", _scaled(aux))
 
     return Report(title="infinitesimal model axioms", checks=checks)
 
 
-def _pair_through_first_slot(left: dict, right: dict, d: int, block: int) -> dict[int, object]:
+def _first_antisymmetry_violation(target: _Scaled) -> tuple[int, ...] | None:
+    """`first_symmetry_violation(0, 1, anti=True)` of the target, read off
+    its nonzero ints: a failing pair has a nonzero entry, and the first
+    failure is the smaller flat of the first failing pair."""
+    t, entries = target.tensor, target.entries
+    d, rank = t.dim, len(t.valence)
+    block = d ** (rank - 2)
+    bad = []
+    for flat, value in entries.items():
+        (i, j), rest = divmod(flat // block, d), flat % block
+        other = (j * d + i) * block + rest
+        if value + entries.get(other, 0):
+            bad.append(min(flat, other))
+    return _unflat(d, rank, min(bad)) if bad else None
+
+
+def _curvature_endos(r: _Scaled) -> dict[tuple[int, int], list[list[int]]]:
+    """{(i, j): r.den R(e_i, e_j)} for each i < j at which it is nonzero, in
+    (i, j) order, as int matrices laid out as `curvature_endomorphism`'s;
+    a zero endomorphism annihilates everything, so it is left out."""
+    d = r.tensor.dim
+    endos: dict = {}
+    for flat, value in r.entries.items():  # flat order: (i, j) order
+        i, j, k, l = _unflat(d, 4, flat)
+        if i < j:
+            endos.setdefault((i, j), [[0] * d for _ in range(d)])[l][k] = value
+    return endos
+
+
+def _pair_through_first_slot(left: dict, right: dict, d: int, block: int) -> dict[int, int]:
     """{flat: sum_m left[.., m] right[m, ..]} from the nonzero entries of both.
 
     `left` holds entries at flat = head * d + m, `right` at flat = m * block
@@ -250,14 +309,13 @@ def _pair_through_first_slot(left: dict, right: dict, d: int, block: int) -> dic
     for flat, value in right.items():
         m, rest = divmod(flat, block)
         by_first[m].append((rest, value))
-    out: dict[int, object] = {}
+    out: dict[int, int] = {}
     for flat, a in left.items():
         head, m = divmod(flat, d)
         base = head * block
         for rest, b in by_first[m]:
             target = base + rest
-            term = a * b
-            out[target] = out[target] + term if target in out else term
+            out[target] = out.get(target, 0) + a * b
     return out
 
 
@@ -294,8 +352,7 @@ def _first_cyclic_failure(entries: dict, d: int, tail: int) -> int | None:
     rotations = _cyclic_positions(d)
     for flat in sorted(candidates):
         ijk, rest = divmod(flat, tail)
-        total = sum(entries.get(rot * tail + rest, 0) for rot in rotations[ijk])
-        if not is_zero_scalar(total):
+        if sum(entries.get(rot * tail + rest, 0) for rot in rotations[ijk]):
             return flat
     return None
 
@@ -377,8 +434,15 @@ def verify_model_isomorphism(f: list[list], source: InfinitesimalModel,
     checks = []
 
     def push_check(name: str, a: Tensor, b: Tensor):
-        pushed = push_tensor(f, a, f_inv)
-        diff = (pushed - b).first_nonzero()
+        # pushed = comps / den, compared with b only where either is nonzero
+        comps, den = _changed_comps(a, f_inv, f)
+        den = den or 1
+        b_s = _scaled(b)
+        diff = None
+        for flat in sorted({flat for flat, x in enumerate(comps) if x}.union(b_s.entries)):
+            if x := comps[flat] * b_s.den - b_s.entries.get(flat, 0) * den:
+                diff = _unflat(b.dim, len(b.valence), flat), Fraction(x, den * b_s.den)
+                break
         checks.append(Check(name, diff is None,
                             None if diff is None else
                             f"component {index_witness(diff[0])} differs by {diff[1]}"))
@@ -401,22 +465,23 @@ def verify_model_isomorphism(f: list[list], source: InfinitesimalModel,
 
 # -- Nomizu and transvection constructions ----------------------------------------------
 
-def _stabilizer_rows(targets) -> list[list[Fraction]]:
+def _stabilizer_rows(targets: list[_Scaled]) -> list[list[int]]:
     """The linear equations A.t = 0 on A in End(V), one row per entry of each t.
 
     Unknown A[a][b] is column a*d + b.  The rows are read off the nonzero
     entries, with the `derivation_action` convention: an entry T[j] whose
     slot s holds c adds T[j] to A[e][c] in row j[s->e] when the slot is
     contravariant, and subtracts it from A[c][e] when it is covariant.
-    Rows come in target order, then entry order; zero rows are dropped.
+    Each target's rows are read off its scaled entries, so they are its
+    denominator times its equations, as ints: the same nullspace.  Rows
+    come in target order, then entry order; zero rows are dropped.
     """
-    zero = Fraction(0)
     rows = []
-    for t in targets:
+    for target in targets:
+        t = target.tensor
         d, rank = t.dim, len(t.valence)
-        equations: dict[int, dict[int, Fraction]] = {}
-        for flat in t.support:
-            value = t.comps[flat]
+        equations: dict[int, dict[int, int]] = {}
+        for flat, value in target.entries.items():
             for slot, kind in enumerate(t.valence):
                 stride = d ** (rank - 1 - slot)
                 c = flat // stride % d
@@ -424,11 +489,11 @@ def _stabilizer_rows(targets) -> list[list[Fraction]]:
                 for e in range(d):
                     row = equations.setdefault(base + e * stride, {})
                     if kind == CON:
-                        row[e * d + c] = row.get(e * d + c, zero) + value
+                        row[e * d + c] = row.get(e * d + c, 0) + value
                     else:
-                        row[c * d + e] = row.get(c * d + e, zero) - value
+                        row[c * d + e] = row.get(c * d + e, 0) - value
         for flat in sorted(equations):
-            dense = [zero] * (d * d)
+            dense = [0] * (d * d)
             for unknown, coeff in equations[flat].items():
                 dense[unknown] = coeff
             if any(dense):
@@ -441,16 +506,19 @@ def model_stabilizer_algebra(model: InfinitesimalModel) -> list[list[list[Fracti
 
     Computed as the exact nullspace of the linear equations that
     `_stabilizer_rows` reads off the nonzero entries of the model data.
-    There can be far more of them than the d^2 unknowns; `linalg.rref`
-    keeps only the rows independent of those before them (at most d^2)
-    in its forward pass and back-substitutes those alone.  Every returned
-    matrix is re-verified to annihilate all model data through
-    `_annihilates`.
+    There can be far more of them than the d^2 unknowns; they enter
+    `linalg.Echelon` as ints, which keeps only the rows independent of
+    those before them (at most d^2), and its back pass reduces those
+    alone.  Every returned matrix is re-verified to annihilate all model
+    data through `_annihilates`.
     """
     d = model.space.dim
-    targets = _targets(model)
+    targets = _scaled_targets(model)
+    span = linalg.Echelon()
+    for row in _stabilizer_rows(targets):
+        span.add(row, _ints=True)
     basis = []
-    for vec in linalg.nullspace(_stabilizer_rows(targets), ncols=d * d):
+    for vec in span._nullspace(d * d):
         endo = [vec[a * d:(a + 1) * d] for a in range(d)]
         if not _annihilates(endo, targets):
             raise AssertionError("stabilizer candidate fails to annihilate model data")
@@ -458,10 +526,13 @@ def model_stabilizer_algebra(model: InfinitesimalModel) -> list[list[list[Fracti
     return basis
 
 
-def _annihilates(endo, targets) -> bool:
-    """Whether endo annihilates every tensor of `_targets`, read off
-    `_derivation_scatter`."""
-    return all(_derivation_first_nonzero(endo, t) is None for t in targets)
+def _annihilates(endo, targets: list[_Scaled]) -> bool:
+    """Whether the rational matrix endo annihilates every scaled target,
+    read off `_derivation_scatter` on its lcm-scaled ints."""
+    ints, _ = _scaled_ints([x for row in endo for x in row])
+    d = len(endo)
+    endo = [ints[a * d:(a + 1) * d] for a in range(d)]
+    return not any(any(_derivation_scatter(endo, t).values()) for t in targets)
 
 
 @dataclass(frozen=True)
@@ -651,7 +722,7 @@ def transvection_algebra(model: InfinitesimalModel) -> LieAlgebraPresentation:
     element of h0' must annihilate all model data.
     """
     h0p = transvection_subalgebra(model)
-    targets = _targets(model)
+    targets = _scaled_targets(model)
     if not all(_annihilates(endo, targets) for endo in h0p):
         raise ModelError("transvection algebra is not contained in the stabilizer")
     return _algebra_from_parts(model, h0p, "h0")

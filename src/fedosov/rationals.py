@@ -174,6 +174,13 @@ def scaled_entries(values) -> tuple[list, int] | None:
     return [c.numerator * (den // c.denominator) for c in values], den
 
 
+def _scaled_ints(values) -> tuple[list[int], int]:
+    """`scaled_entries` of ints and Fractions past any bound: constant data
+    that stay few in number (model tensors) keep one int path at every size."""
+    den = math.lcm(*{c.denominator for c in values})
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
 def divided(values, den: int) -> list[Fraction]:
     """values / den as `Fraction`s: an int / int would be a float, and a
     Fraction (left unscaled) / den takes gcds of den's size."""

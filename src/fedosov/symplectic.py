@@ -37,12 +37,13 @@ Conventions fixed here and used everywhere else:
   are the chart covariant derivatives (`charts._nabla_entries`, which
   adds the partials on the support of its field) and the public
   `models.derivation_action`.  The model checks, whose entries are exact
-  constants, scatter the nonzero model data instead
+  constants, scatter the nonzero model data instead, as ints
   (`models._derivation_scatter`).
   `change_basis` (and so every push-forward) runs the same kernel on
   scaled ints when the tensor and both matrices are constant: each is
   scaled by the lcm of its denominators (`rationals.scaled_entries`), and
-  each result entry is divided once.
+  each result entry is divided once.  `models.verify_model_isomorphism`
+  reads the undivided ints (`_changed_comps`).
 
 Tensors are stored dense: at n = 4 a (0,3)-tensor has 512 entries, so a
 sparse format would be unjustified.  Components may be `Fraction` (constant
@@ -541,21 +542,24 @@ def change_basis(t: Tensor, basis_matrix: Sequence[Sequence], basis_inverse=None
     On constant entries the contractions run on D t, d_M M and d_Minv Minv
     as ints, and each entry is divided once by D d_M^#cov d_Minv^#con.
     """
+    comps, den = _changed_comps(t, basis_matrix, basis_inverse)
+    return Tensor(t.dim, t.valence, comps if den is None else divided(comps, den), space=t.space)
+
+
+def _changed_comps(t: Tensor, basis_matrix: Sequence[Sequence], basis_inverse=None):
+    """(comps, den): `change_basis`'s entries times den as ints, or the
+    entries themselves and None when they do not scale to ints."""
     m = [list(row) for row in basis_matrix]
     minv = basis_inverse if basis_inverse is not None else linalg.inverse(m)
     minv_t = linalg.transpose(minv)
-    scaled = scaled_entries(t.comps)
-    comps = t.comps
-    if scaled is not None:
-        comps, den = scaled
+    comps, den = scaled_entries(t.comps) or (t.comps, None)
+    if den is not None:
         (m, d_cov), (minv_t, d_con) = _scaled_matrix(m), _scaled_matrix(minv_t)
         den *= d_cov ** t.valence.count(COV) * d_con ** t.valence.count(CON)
     for slot, kind in enumerate(t.valence):
         comps = _contract_slot(Tensor(t.dim, t.valence, comps), slot,
                                m if kind == COV else minv_t)
-    if scaled is not None:
-        comps = divided(comps, den)
-    return Tensor(t.dim, t.valence, comps, space=t.space)
+    return comps, den
 
 
 def _scaled_matrix(matrix: list[list]) -> tuple[list[list], int]:

@@ -10,9 +10,11 @@ entry by entry from their formulas, the symmetry and Bianchi oracles
 are the subtract-then-test and `Tensor.__getitem__` loops that the model
 checks replaced, the model-report and annihilation oracles are the dense
 checks that every entry of each derivation action and every index triple
-went through before the model checks read only the nonzero data, and the
-change-of-basis and evaluation oracles are the Fraction loops that the
-scaled-integer kernels replaced.  The integrability, symplectic-basis,
+went through before the model checks read only the nonzero data, the
+stabilizer-row, stabilizer, transvection and isomorphism oracles are the
+`Fraction` paths that the one-denominator int kernels of `models`
+replaced, and the change-of-basis and evaluation oracles are the Fraction
+loops that the scaled-integer kernels replaced.  The integrability, symplectic-basis,
 model-at-point and metric-obstruction oracles are the Lie brackets of
 spanning fields, the independence filter, the matrix inverse and the
 nullspace-and-determinant solve that the closed forms of the chart and
@@ -383,6 +385,90 @@ def old_annihilates(endo, targets) -> bool:
     """`models._annihilates` from whole derivation actions: every entry of
     endo acting on each tensor of `targets` is zero."""
     return all(old_derivation_first_nonzero(endo, t) is None for t in targets)
+
+
+# -- the Fraction model paths that the one-denominator int kernels replaced ----------
+
+def old_stabilizer_rows(targets) -> list[tuple[int, list[Fraction]]]:
+    """(target position, row) for the equations A.t = 0 read off the nonzero
+    `Fraction` entries of each tensor of `targets`, densified to d^2
+    `Fraction`s; zero rows are dropped."""
+    rows = []
+    for pos, t in enumerate(targets):
+        d, rank = t.dim, len(t.valence)
+        equations: dict[int, dict[int, Fraction]] = {}
+        for flat in t.support:
+            value = t.comps[flat]
+            for slot, kind in enumerate(t.valence):
+                stride = d ** (rank - 1 - slot)
+                c = flat // stride % d
+                base = flat - c * stride
+                for e in range(d):
+                    row = equations.setdefault(base + e * stride, {})
+                    unknown = e * d + c if kind == CON else c * d + e
+                    row[unknown] = row.get(unknown, Fraction(0)) + (value if kind == CON
+                                                                    else -value)
+        for flat in sorted(equations):
+            dense = [Fraction(0)] * (d * d)
+            for unknown, coeff in equations[flat].items():
+                dense[unknown] = coeff
+            if any(dense):
+                rows.append((pos, dense))
+    return rows
+
+
+def old_model_stabilizer_algebra(model) -> list[list[list[Fraction]]]:
+    """The nullspace of the `Fraction` rows, each element re-verified by
+    `old_annihilates`."""
+    d = model.space.dim
+    targets = [model.curvature, model.torsion, *model.aux]
+    basis = []
+    for vec in linalg.nullspace([row for _, row in old_stabilizer_rows(targets)], ncols=d * d):
+        endo = [vec[a * d:(a + 1) * d] for a in range(d)]
+        if not old_annihilates(endo, targets):
+            raise AssertionError("stabilizer candidate fails to annihilate model data")
+        basis.append(endo)
+    return basis
+
+
+def old_transvection_algebra(model):
+    """`transvection_algebra` with the containment checked by `old_annihilates`."""
+    from fedosov.models import ModelError, _algebra_from_parts, transvection_subalgebra
+
+    h0p = transvection_subalgebra(model)
+    targets = [model.curvature, model.torsion, *model.aux]
+    if not all(old_annihilates(endo, targets) for endo in h0p):
+        raise ModelError("transvection algebra is not contained in the stabilizer")
+    return _algebra_from_parts(model, h0p, "h0")
+
+
+def old_verify_model_isomorphism(f, source, target) -> Report:
+    """The isomorphism report from whole push-forwards: the first nonzero
+    entry of the dense difference `push_tensor(f, a) - b` per tensor."""
+    from fedosov.models import push_tensor
+    from fedosov.reporting import index_witness
+    from fedosov.symplectic import first_symplectic_defect
+
+    f_inv = linalg.inverse(f)
+    checks = []
+
+    def push_check(name, a, b):
+        diff = (push_tensor(f, a, f_inv) - b).first_nonzero()
+        checks.append(Check(name, diff is None, None if diff is None else
+                            f"component {index_witness(diff[0])} differs by {diff[1]}"))
+
+    push_check("curvature_pushforward", source.curvature, target.curvature)
+    push_check("torsion_pushforward", source.torsion, target.torsion)
+    for pos, (a, b) in enumerate(zip(source.aux, target.aux)):
+        if a.valence != b.valence:
+            checks.append(Check(f"aux{pos + 1}_pushforward", False,
+                                "auxiliary tensors have different valences"))
+            continue
+        push_check(f"aux{pos + 1}_pushforward", a, b)
+    defect = first_symplectic_defect(source.space, f)
+    checks.append(Check("map_is_symplectic", defect is None, None if defect is None else
+                        f"(f^T omega f - omega) at {index_witness(defect[0])} is {defect[1]}"))
+    return Report(title="model isomorphism", checks=checks)
 
 
 def coprime_denominators(count: int, bits: int) -> list[int]:

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from fedosov import linalg, rationals
 from fedosov.charts import chart_from_json, model_at_point
 from fedosov.models import (
-    InfinitesimalModel, nomizu_algebra, push_tensor, transvection_subalgebra,
-    verify_model_isomorphism,
+    InfinitesimalModel, check_model_axioms, nomizu_algebra, push_tensor, transvection_algebra,
+    transvection_subalgebra, verify_model_isomorphism,
 )
 from fedosov.rationals import RationalFunction, parse_ratfun
 from conftest import (
@@ -482,14 +482,22 @@ FRACTION_CODES = {Fraction.__new__.__code__: "Fraction.__new__",
                   Fraction._mul.__code__: "Fraction._mul",
                   Fraction._div.__code__: "Fraction._div"}
 ELIMINATION_PARENT = {"Fraction.__new__": 5382, "Fraction._mul": 1356, "Fraction._div": 608}
-ELIMINATION_BOUNDS = {"Fraction.__new__": 2551, "Fraction._mul": 390, "Fraction._div": 8}
+ELIMINATION_BOUNDS = {"Fraction.__new__": 1551, "Fraction._mul": 372, "Fraction._div": 8}
+# `check-model` and `transvection` on one product-chart model, before the
+# model kernels read their data as ints over one denominator
+MODEL_PARENT = {"Fraction.__new__": 466, "Fraction._mul": 52, "Fraction._div": 0}
+MODEL_BOUNDS = {"Fraction.__new__": 154, "Fraction._mul": 8, "Fraction._div": 0}
+
+
+def product_model() -> InfinitesimalModel:
+    chart = chart_from_json(PRODUCT_CHART)
+    point = {"x": Fraction(2), "y": Fraction(-1, 3), "u": Fraction(5, 7), "v": Fraction(3)}
+    return model_at_point(chart, chart.field_tensor("S"), point)[0]
 
 
 def product_pipeline():
     """One product-chart model and the calls of its `chart-to-model` steps."""
-    chart = chart_from_json(PRODUCT_CHART)
-    point = {"x": Fraction(2), "y": Fraction(-1, 3), "u": Fraction(5, 7), "v": Fraction(3)}
-    model, _ = model_at_point(chart, chart.field_tensor("S"), point)
+    model = product_model()
     nomizu_algebra(model)
     transvection_subalgebra(model)
     f = random_symplectic_matrix(random.Random(1), model.space)
@@ -499,9 +507,11 @@ def product_pipeline():
     assert verify_model_isomorphism(f, model, pushed).passed
 
 
-def test_product_pipeline_forms_few_fractions():
-    product_pipeline()  # fill the caches, so that only the pipeline's own work is counted
-    counts = dict.fromkeys(ELIMINATION_BOUNDS, 0)
+def fraction_counts(run) -> dict[str, int]:
+    """The `Fraction` constructions, products and quotients of one call of
+    `run`, after a first call has filled the caches."""
+    run()
+    counts = dict.fromkeys(FRACTION_CODES.values(), 0)
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in FRACTION_CODES:
@@ -509,9 +519,27 @@ def test_product_pipeline_forms_few_fractions():
 
     sys.setprofile(profile)
     try:
-        product_pipeline()
+        run()
     finally:
         sys.setprofile(None)
+    return counts
+
+
+def test_product_pipeline_forms_few_fractions():
+    counts = fraction_counts(product_pipeline)
     over = {name: count for name, count in counts.items() if count > ELIMINATION_BOUNDS[name]}
     assert not over, (f"counts {over} passed their bounds {ELIMINATION_BOUNDS}; before the "
                       f"integer elimination kernel the pipeline took {ELIMINATION_PARENT}")
+
+
+def test_model_steps_form_few_fractions():
+    model = product_model()
+
+    def steps():
+        assert check_model_axioms(model).passed
+        transvection_algebra(model)
+
+    counts = fraction_counts(steps)
+    over = {name: count for name, count in counts.items() if count > MODEL_BOUNDS[name]}
+    assert not over, (f"counts {over} passed their bounds {MODEL_BOUNDS}; before the "
+                      f"one-denominator model kernels the steps took {MODEL_PARENT}")

@@ -1,15 +1,17 @@
 """Differential test of the model checks that read only nonzero model data.
 
-`check_model_axioms` forms each derivation check from
-`models._derivation_scatter`, which scatters the nonzero entries of a
-tensor through the nonzero entries of an endomorphism, and runs each
+`check_model_axioms` reads each tensor over one denominator, as ints
+(`models._scaled`), forms each derivation check from
+`models._derivation_scatter`, which scatters the nonzero int entries of a
+tensor through the nonzero entries of an int endomorphism, and runs each
 Bianchi identity only at the sorted rotations (i <= j <= k) of the nonzero
 entries of F = R + T.T and G = T.R.  `nomizu_algebra` and
 `transvection_algebra` re-verify their isotropy bases through the same
-scatter (`models._annihilates`).  The oracles are the dense checks they
-replaced, in `conftest.py`: `old_check_model_axioms` (every entry of each
-derivation action from `old_derivation_action`, every index triple of
-`old_bianchi`) and `old_annihilates`.  They must agree on the report
+scatter (`models._annihilates`).  The oracles are the dense `Fraction`
+checks they replaced, in `conftest.py`: `old_check_model_axioms` (every
+entry of each derivation action from `old_derivation_action`, every index
+triple of `old_bianchi`), `old_annihilates`, and the `Fraction` stabilizer
+and transvection paths built on it.  They must agree on the report
 (names, verdicts and witnesses), on the first nonzero entry of every
 curvature derivation at n <= 2 (every witness value, at any n, must be a
 `Fraction`), and on the algebras, for:
@@ -22,8 +24,8 @@ curvature derivation at n <= 2 (every witness value, at any n, must be a
   and one where two rotations cancel before a later failure.
 
 Two mutants must be caught: one rotation dropped from the Bianchi
-candidates, and the contravariant and covariant branches of the scatter
-swapped.  A structural guard makes `_derivation_entries` raise and shows
+candidates, and the contravariant and covariant branches of the int
+scatter swapped.  A structural guard makes `_derivation_entries` raise and shows
 that the model checks and algebras never reach it, while the public
 `derivation_action` still does and still matches the oracle on chart fields.
 """
@@ -43,15 +45,16 @@ from fedosov.charts import (
     omega_tensor,
 )
 from fedosov.models import (
-    InfinitesimalModel, _annihilates, _derivation_first_nonzero, _targets,
-    check_model_axioms, curvature_endomorphism, derivation_action, nomizu_algebra,
-    presentation_to_json, transvection_algebra, trivial_model,
+    InfinitesimalModel, _annihilates, _curvature_endos, _derivation_first_nonzero, _scaled,
+    _scaled_targets, _targets, check_model_axioms, curvature_endomorphism, derivation_action,
+    presentation_to_json, trivial_model,
 )
 from fedosov.symplectic import Tensor
 
 from conftest import (
     PRODUCT_CHART, old_annihilates, old_check_model_axioms, old_derivation_action,
-    old_derivation_first_nonzero, valid_random_model,
+    old_derivation_first_nonzero, old_model_stabilizer_algebra, old_transvection_algebra,
+    valid_random_model,
 )
 from test_lazy_checks import y_chart
 from test_stabilizer import zero_model
@@ -145,19 +148,23 @@ def algebra_outcome(build, model):
 
 
 def algebra_outcomes(cases) -> list:
-    """Both algebras per case; at n = 3 only for the unperturbed models,
-    since the isotropy solve of a perturbed one takes most of a second."""
-    return [(algebra_outcome(nomizu_algebra, model), algebra_outcome(transvection_algebra, model))
+    """Both algebras per case, as `models` binds them when called; at n = 3
+    only for the unperturbed models, since the isotropy solve of a perturbed
+    one takes most of a second."""
+    return [(algebra_outcome(models.nomizu_algebra, model),
+             algebra_outcome(models.transvection_algebra, model))
             for label, model in cases
             if model.space.n < 3 or label.startswith(("valid", "trivial", "zero"))]
 
 
 @pytest.fixture(scope="module")
 def expected(cases):
-    """Per case, the dense report, and the algebras with the dense annihilation check."""
+    """Per case, the dense report, and the algebras from the `Fraction`
+    stabilizer and the dense annihilation check."""
     reports = [old_check_model_axioms(model).to_json() for _, model in cases]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(models, "_annihilates", old_annihilates)
+        patch.setattr(models, "model_stabilizer_algebra", old_model_stabilizer_algebra)
+        patch.setattr(models, "transvection_algebra", old_transvection_algebra)
         algebras = algebra_outcomes(cases)
     return reports, algebras
 
@@ -210,18 +217,18 @@ def test_derivation_witnesses_are_the_same_fractions(cases, no_dense_kernel):
     seen = 0
     for label, model in cases:
         d = model.space.dim
-        targets = _targets(model)
-        for i in range(d):
-            for j in range(i + 1, d):
-                endo = curvature_endomorphism(model.curvature, i, j)
-                for t in targets:
-                    hit = _derivation_first_nonzero(endo, t)
-                    if d <= 4:
-                        assert hit == old_derivation_first_nonzero(endo, t), label
-                    if hit is not None:
-                        assert type(hit[1]) is Fraction
-                        seen += 1
-                    assert _annihilates(endo, [t]) == (hit is None)
+        r = _scaled(model.curvature)
+        for (i, j), ints in _curvature_endos(r).items():
+            endo = curvature_endomorphism(model.curvature, i, j)
+            for t in _targets(model):
+                target = _scaled(t)
+                hit = _derivation_first_nonzero(ints, r.den, target)
+                if d <= 4:
+                    assert hit == old_derivation_first_nonzero(endo, t), label
+                if hit is not None:
+                    assert type(hit[1]) is Fraction
+                    seen += 1
+                assert _annihilates(endo, [target]) == (hit is None)
     assert seen > 100
 
 
@@ -234,7 +241,7 @@ def test_annihilation_matches_on_drawn_endomorphisms(cases, no_dense_kernel):
         for _ in range(3):
             endo = [[Fraction(rng.choice([0, 0, 0, 1, -1, 2])) for _ in range(d)]
                     for _ in range(d)]
-            verdict = _annihilates(endo, targets)
+            verdict = _annihilates(endo, _scaled_targets(model))
             assert verdict == old_annihilates(endo, targets)
             verdicts.add(verdict)
     assert verdicts == {True, False}

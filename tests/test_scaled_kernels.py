@@ -392,17 +392,19 @@ def _lcm_callers(tree: ast.Module) -> set[str]:
 
 def test_scaling_is_defined_in_rationals_alone():
     # the bound and the lcm-of-denominators scaling live in `rationals`, and
-    # `decomposition`, `symplectic` and `linalg` import them
+    # `decomposition`, `symplectic` and `linalg` import them; `models` imports
+    # the unbounded `_scaled_ints`
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in pathlib.Path(rationals.__file__).parent.glob("*.py")}
     for name, tree in trees.items():
         found = _definitions(tree) & set(ADAPTER)
         assert found == (set(ADAPTER) if name == "rationals" else set()), name
     assert {name: callers for name, tree in trees.items()
-            if (callers := _lcm_callers(tree))} == {"rationals": {"content", "scaled_entries"}}
+            if (callers := _lcm_callers(tree))} == {
+                "rationals": {"content", "scaled_entries", "_scaled_ints"}}
     adapter = {"scaled_entries", "divided"}
     for name, used in (("decomposition", adapter), ("symplectic", adapter),
-                       ("linalg", {"scaled_entries"})):
+                       ("linalg", {"scaled_entries"}), ("models", {"_scaled_ints"})):
         imported = {alias.name for node in trees[name].body if isinstance(node, ast.ImportFrom)
                     and node.module == "rationals" and node.level == 1 for alias in node.names}
         assert used <= imported, name

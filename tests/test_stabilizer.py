@@ -5,9 +5,11 @@ off the nonzero entries of each model tensor.  The oracle here is the
 construction it replaced: apply each of the d^2 unit endomorphisms as a
 full `derivation_action` to every target and read row `idx` of the
 equations as the `idx` entries of those d^2 results, dropping zero rows.
-Both must give the same rows in the same order, hence the same nullspace
-basis, on random sparse models and zero models for n = 1..3 and valid
-random models for n = 1, 2, each with and without aux tensors.  The transvection containment check
+`_stabilizer_rows` reads each target t over its own denominator D_t, so
+each of its rows must be D_t times the oracle's row of t, as ints, in the
+same order, and the nullspace basis must be the same, on random sparse
+models and zero models for n = 1..3 and valid random models for n = 1, 2,
+each with and without aux tensors.  The transvection containment check
 (every element of h0' annihilates the model data) must fail exactly when
 h0' leaves the span of the oracle's stabilizer basis.
 """
@@ -22,20 +24,21 @@ from hypothesis import given, settings, strategies as st
 
 from fedosov import linalg
 from fedosov.models import (
-    InfinitesimalModel, ModelError, _stabilizer_rows, derivation_action,
+    InfinitesimalModel, ModelError, _scaled, _stabilizer_rows, derivation_action,
     model_stabilizer_algebra, standard_omega_tensor, transvection_algebra,
     transvection_subalgebra,
 )
 from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor
 
-from conftest import valid_random_model
+from conftest import old_stabilizer_rows, valid_random_model
 
 CURVATURE, TORSION = (COV, COV, COV, CON), (COV, COV, CON)
 AUX_VALENCES = ((COV, COV), (COV, COV, CON), (CON,), (COV, CON))
 
 
-def dense_rows(targets) -> list[list[Fraction]]:
-    """The d^2 unit endomorphisms applied as derivations to every target."""
+def dense_rows(targets) -> list[tuple[int, list[Fraction]]]:
+    """(target position, row) from the d^2 unit endomorphisms applied as
+    derivations to every target."""
     d = targets[0].dim
     unit_actions = []
     for a in range(d):
@@ -48,7 +51,7 @@ def dense_rows(targets) -> list[list[Fraction]]:
         for idx in target.indices():
             row = [actions[pos][idx] for actions in unit_actions]
             if any(v != 0 for v in row):
-                rows.append(row)
+                rows.append((pos, row))
     return rows
 
 
@@ -93,8 +96,14 @@ def models(draw):
 def check_against_oracle(model: InfinitesimalModel):
     d = model.space.dim
     targets = [model.curvature, model.torsion, *model.aux]
-    rows = dense_rows(targets)
-    assert _stabilizer_rows(targets) == rows
+    oracle = dense_rows(targets)
+    assert old_stabilizer_rows(targets) == oracle
+    # each target's rows come over its own denominator, as ints
+    scaled = [_scaled(t) for t in targets]
+    got = _stabilizer_rows(scaled)
+    assert got == [[scaled[pos].den * x for x in row] for pos, row in oracle]
+    assert all(type(x) is int for row in got for x in row)
+    rows = [row for _, row in oracle]
     basis = model_stabilizer_algebra(model)
     assert basis == [[vec[a * d:(a + 1) * d] for a in range(d)]
                      for vec in linalg.nullspace(rows, ncols=d * d)]
