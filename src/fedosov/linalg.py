@@ -29,16 +29,19 @@ symplectic frames, Lie closures, derived algebras) and every membership
 test that needs no coordinates through `Echelon`.  `nullspace` negates
 only the nonzero entries of the reduced rows.  `Coordinates` reduces a
 fixed basis once and then reads the coordinates of many vectors in its
-span, each checked by recombination; `solve` is left for one-off linear
-systems.  `matmul` multiplies the two scaled operands in integers.
+span, each checked by recombination in integers; `solve` is left for
+one-off linear systems.  `matmul` multiplies the two scaled operands in
+integers.
 
 `Echelon.add(vec, _ints=True)` is the private int-row entry: `vec` is a
 list of ints, taken as its own scaled form without a `scaled_entries`
-pass, and reduced in place.  It has two callers.  The back pass hands it
-each integer row of the forward pass, which is primitive ints already.
+pass, and reduced in place.  It has three callers.  The back pass hands
+it each integer row of the forward pass, which is primitive ints already.
 `models.model_stabilizer_algebra` hands it the stabilizer equations, ints
 over each model tensor's denominator, and takes their nullspace from the
-`Echelon` it filled (`Echelon._nullspace`).
+`Echelon` it filled (`Echelon._nullspace`); `models.transvection_subalgebra`
+hands it each curvature endomorphism and commutator, ints over its own
+denominator.
 
 `det` keeps its own fraction-producing loop, the only other elimination
 here.  Its callers need a value: the signs of a Killing form's leading
@@ -56,7 +59,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .rationals import RationalFunction, scaled_entries
+from .rationals import RationalFunction, _scaled_ints, scaled_entries
 
 
 def is_zero_scalar(x) -> bool:
@@ -204,8 +207,11 @@ class Coordinates:
     vector v in the span is sum_i v[p_i] R_i, so its coordinates are
     c = E^T (v[p_i])_i.  Calling the instance on v returns c when
     sum_a c_a b_a == v holds exactly, and None when v lies outside the
-    span.  Only nonzero entries are visited, so one reduction serves many
-    sparse vectors.
+    span.  E is kept as ints over one denominator L and the b_a as ints
+    over one denominator B (`rationals._scaled_ints`), so a vector read as
+    ints over its own denominator (`_ints`) is put in coordinates and
+    checked in integers, visiting only the nonzero entries of E and b; a
+    `Fraction` is formed once per nonzero coordinate.
     """
 
     def __init__(self, basis: Sequence[Sequence]):
@@ -214,23 +220,34 @@ class Coordinates:
         one, zero = Fraction(1), Fraction(0)
         reduced, pivots = rref([list(b) + [one if j == i else zero for j in range(m)]
                                 for i, b in enumerate(basis)])
-        self._pivot_rows = [(p, _nonzero(row[width:])) for p, row in zip(pivots, reduced)
-                            if p < width]
-        self._basis = [_nonzero(b) for b in basis]
+        rows = [(p, row[width:]) for p, row in zip(pivots, reduced) if p < width]
+        ints, self._den = _scaled_ints([x for _, row in rows for x in row])
+        self._pivot_rows = [(p, _nonzero(ints[r * m:(r + 1) * m]))
+                            for r, (p, _) in enumerate(rows)]
+        ints, self._basis_den = _scaled_ints([x for b in basis for x in b])
+        self._basis = [_nonzero(ints[a * width:(a + 1) * width]) for a in range(m)]
 
     def __call__(self, vec: Sequence) -> list | None:
-        coords = [Fraction(0)] * len(self._basis)
+        found = self._ints(*_scaled_ints(vec))
+        return None if found is None else [Fraction(s, found[1]) for s in found[0]]
+
+    def _ints(self, vec: list[int], den: int = 1) -> tuple[list[int], int] | None:
+        """(sums, D), the coordinates of vec / den times D as ints, for `vec`
+        a list of ints, or None when vec lies outside the span."""
+        sums = [0] * len(self._basis)  # L den c
         for pivot, row in self._pivot_rows:
-            y = vec[pivot]
-            if not is_zero_scalar(y):
+            if y := vec[pivot]:
                 for a, x in row:
-                    coords[a] += y * x
-        combined = [Fraction(0)] * len(vec)
-        for c, entries in zip(coords, self._basis):
-            if not is_zero_scalar(c):
+                    sums[a] += y * x
+        combined = [0] * len(vec)  # L den B sum_a c_a b_a
+        for s, entries in zip(sums, self._basis):
+            if s:
                 for pos, x in entries:
-                    combined[pos] += c * x
-        return coords if combined == list(vec) else None
+                    combined[pos] += s * x
+        scale = self._den * self._basis_den
+        if combined != [scale * v for v in vec]:
+            return None
+        return sums, self._den * den
 
 
 def _nonzero(vec: Sequence) -> list[tuple[int, object]]:

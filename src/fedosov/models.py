@@ -30,28 +30,38 @@ sum only at the sorted rotations (i <= j <= k) of nonzero F and G
 positions, in the lexicographic order in which the witness is defined.
 The stabilizer equations of each target are D_t times its equations, so
 they go to `linalg.Echelon` as int rows with the same nullspace.  The
-isomorphism check compares the undivided ints of each push-forward with
-the target only where either is nonzero.  A positive scale changes no
-zero test, so no verdict or witness position moves; `Fraction`s are
-formed only for witness values (the same value, hence the same text),
-bases, structure constants and JSON.  The denominators are not bounded
-by `rationals.MAX_SCALE_BITS`: model tensors have few entries, so one int
-path serves every size.  The `Fraction` paths these replaced are the
-oracles in the tests.
+isomorphism check compares the undivided ints of each push-forward
+(`symplectic._changed_comps`, {flat: int} over one denominator) with the
+target only where either is nonzero.  A positive scale changes no zero
+test, so no verdict or witness position moves.  The denominators are not
+bounded by `rationals.MAX_SCALE_BITS`: model tensors have few entries, so
+one int path serves every size.
 
 The Nomizu construction builds the transitive Lie algebra g0 = V + h0,
 where h0 is the exact annihilator of all model data inside End(V), with
 brackets [A,B] = AB - BA, [A,X] = AX and [X,Y] = -T_X Y + R_XY.  The
 transvection algebra replaces h0 by the Lie closure of the curvature
-endomorphisms; it is always contained in h0 for a valid model.
+endomorphisms; it is always contained in h0 for a valid model.  Both run
+on ints too: the closure brackets int matrices, each over its own
+denominator, and tries only the pairs that include an element added in
+the previous round; `_algebra_from_parts` reads [X,Y] off the scaled
+torsion and the nonzero curvature endomorphisms and puts each curvature
+endomorphism and each [A,B] in coordinates on h from its ints
+(`linalg.Coordinates._ints`).  A presentation checks antisymmetry and the
+Jacobi identity on its nonzero constants, as ints over the lcm of their
+denominators, and `bianchi_classify` reads each bracket and the Killing
+form off the constants.  `Fraction`s are formed only for what is kept or
+printed: witness values (the same value, hence the same text), bases,
+structure constants and JSON.  The `Fraction` paths these replaced are
+the oracles in the tests.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
@@ -59,10 +69,10 @@ from . import linalg
 from .rationals import _scaled_ints
 from .reporting import Check, Report, index_witness
 from .symplectic import (
-    COV, CON, SymplecticSpace, Tensor, _cyclic_positions, _derivation_entries, _half_dimension,
-    _changed_comps, _is_int, _scalar_zero, _unflat, change_basis, first_symplectic_defect,
-    insert_vector,
-    parse_fraction, tensor_from_json, tensor_to_json,
+    COV, CON, SymplecticSpace, Tensor, _changed_comps, _derivation_entries,
+    _first_antisymmetry_violation, _first_cyclic_failure, _half_dimension, _is_int,
+    _pair_through_first_slot, _scalar_zero, _unflat, change_basis, first_symplectic_defect,
+    insert_vector, parse_fraction, tensor_from_json, tensor_to_json,
 )
 
 
@@ -224,7 +234,7 @@ def check_model_axioms(model: InfinitesimalModel) -> Report:
 
     r_s, t_s = _scaled(r), _scaled(t)
     for name, target in (("torsion_antisymmetry", t_s), ("curvature_antisymmetry", r_s)):
-        bad = _first_antisymmetry_violation(target)
+        bad = _first_antisymmetry_violation(target.entries, d, len(target.tensor.valence))
         checks.append(Check(name, bad is None, None if bad is None else index_witness(bad)))
 
     endos = _curvature_endos(r_s)
@@ -269,22 +279,6 @@ def check_model_axioms(model: InfinitesimalModel) -> Report:
     return Report(title="infinitesimal model axioms", checks=checks)
 
 
-def _first_antisymmetry_violation(target: _Scaled) -> tuple[int, ...] | None:
-    """`first_symmetry_violation(0, 1, anti=True)` of the target, read off
-    its nonzero ints: a failing pair has a nonzero entry, and the first
-    failure is the smaller flat of the first failing pair."""
-    t, entries = target.tensor, target.entries
-    d, rank = t.dim, len(t.valence)
-    block = d ** (rank - 2)
-    bad = []
-    for flat, value in entries.items():
-        (i, j), rest = divmod(flat // block, d), flat % block
-        other = (j * d + i) * block + rest
-        if value + entries.get(other, 0):
-            bad.append(min(flat, other))
-    return _unflat(d, rank, min(bad)) if bad else None
-
-
 def _curvature_endos(r: _Scaled) -> dict[tuple[int, int], list[list[int]]]:
     """{(i, j): r.den R(e_i, e_j)} for each i < j at which it is nonzero, in
     (i, j) order, as int matrices laid out as `curvature_endomorphism`'s;
@@ -298,83 +292,19 @@ def _curvature_endos(r: _Scaled) -> dict[tuple[int, int], list[list[int]]]:
     return endos
 
 
-def _pair_through_first_slot(left: dict, right: dict, d: int, block: int) -> dict[int, int]:
-    """{flat: sum_m left[.., m] right[m, ..]} from the nonzero entries of both.
-
-    `left` holds entries at flat = head * d + m, `right` at flat = m * block
-    + rest, with absent meaning zero; each product lands at head * block +
-    rest.  Positions no product reaches are absent.
-    """
-    by_first = [[] for _ in range(d)]
-    for flat, value in right.items():
-        m, rest = divmod(flat, block)
-        by_first[m].append((rest, value))
-    out: dict[int, int] = {}
-    for flat, a in left.items():
-        head, m = divmod(flat, d)
-        base = head * block
-        for rest, b in by_first[m]:
-            target = base + rest
-            out[target] = out.get(target, 0) + a * b
-    return out
-
-
-@lru_cache(maxsize=None)
-def _sorted_rotations(d: int) -> tuple[int | None, ...]:
-    """For each flat (x, y, z) of a d^3 array, the flat of the rotation of
-    (x, y, z) that has i <= j <= k, or None when no rotation does."""
-    table: list[int | None] = [None] * d ** 3
-    rotations = _cyclic_positions(d)
-    for i, j, k in itertools.combinations_with_replacement(range(d), 3):
-        ijk = (i * d + j) * d + k
-        for rot in rotations[ijk]:
-            table[rot] = ijk
-    return tuple(table)
-
-
-def _first_cyclic_failure(entries: dict, d: int, tail: int) -> int | None:
-    """The first flat ijk * tail + rest, i <= j <= k, in increasing order, at
-    which the cyclic sum over (i, j, k) of an array of d^3 * tail entries is
-    nonzero, or None.  `entries` maps flat positions to values, absent
-    meaning zero.
-
-    A nonzero cyclic sum has a nonzero term, so only the sorted rotations
-    of the positions in `entries` are evaluated.  Flat order is the
-    lexicographic order on (i, j, k, rest).
-    """
-    sorted_rotation = _sorted_rotations(d)
-    candidates = set()
-    for flat in entries:
-        xyz, rest = divmod(flat, tail)
-        ijk = sorted_rotation[xyz]
-        if ijk is not None:
-            candidates.add(ijk * tail + rest)
-    rotations = _cyclic_positions(d)
-    for flat in sorted(candidates):
-        ijk, rest = divmod(flat, tail)
-        if sum(entries.get(rot * tail + rest, 0) for rot in rotations[ijk]):
-            return flat
-    return None
-
-
 # -- conversion between connection pictures ----------------------------------------
-
-def _structure_endo(s: Tensor, i: int) -> list[list]:
-    """S_{e_i} as a matrix (row = output, column = argument)."""
-    d = s.dim
-    return [[s[i, m, l] for m in range(d)] for l in range(d)]
-
 
 def _shift_terms(s: Tensor) -> tuple[Tensor, Tensor]:
     """D_X Y = S_X Y - S_Y X and Q_XY = [S_X, S_Y] - S_{D_X Y} for a structure tensor S."""
     d = s.dim
     diff = Tensor.build(d, (COV, COV, CON), lambda i, j, k: s[i, j, k] - s[j, i, k])
-    endos = [_structure_endo(s, i) for i in range(d)]
+    # S_{e_i} as a matrix (row = output, column = argument)
+    endos = [_sparse_rows([[s[i, m, l] for m in range(d)] for l in range(d)]) for i in range(d)]
     q = []
     for i, j in itertools.product(range(d), repeat=2):
         bracket = _commutator(endos[i], endos[j])
         shift = insert_vector(s, 0, diff.comps[(i * d + j) * d:(i * d + j + 1) * d])
-        q.extend(bracket[l][k] - shift[k, l] for k in range(d) for l in range(d))
+        q.extend(bracket[l * d + k] - shift[k, l] for k in range(d) for l in range(d))
     return diff, Tensor(d, (COV, COV, COV, CON), q)
 
 
@@ -434,13 +364,13 @@ def verify_model_isomorphism(f: list[list], source: InfinitesimalModel,
     checks = []
 
     def push_check(name: str, a: Tensor, b: Tensor):
-        # pushed = comps / den, compared with b only where either is nonzero
-        comps, den = _changed_comps(a, f_inv, f)
-        den = den or 1
+        # pushed = entries / den, compared with b only where either is nonzero
+        entries, den = _changed_comps(a, f_inv, f)
+        den = den or 1  # a map past the int path: the pushed entries themselves
         b_s = _scaled(b)
         diff = None
-        for flat in sorted({flat for flat, x in enumerate(comps) if x}.union(b_s.entries)):
-            if x := comps[flat] * b_s.den - b_s.entries.get(flat, 0) * den:
+        for flat in sorted(entries.keys() | b_s.entries.keys()):
+            if x := entries.get(flat, 0) * b_s.den - b_s.entries.get(flat, 0) * den:
                 diff = _unflat(b.dim, len(b.valence), flat), Fraction(x, den * b_s.den)
                 break
         checks.append(Check(name, diff is None,
@@ -550,15 +480,15 @@ class LieAlgebraPresentation:
 
     def __post_init__(self):
         c = self.structure_constants
-        if len(c) != self.dim or any(len(row) != self.dim for row in c):
+        if len(c) != self.dim or any(len(plane) != self.dim or any(
+                len(row) != self.dim for row in plane) for plane in c):
             raise ValueError("structure constant array has wrong shape")
-        # a failing pair fails in both orders, so i <= j finds the first one
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                if any((x or y) and x != -y for x, y in zip(c[i][j], c[j][i])):
-                    raise ValueError(
-                        f"structure constants not antisymmetric at ({i + 1},{j + 1})")
-        bad = self.first_jacobi_failure()
+        constants = _constant_ints(c)
+        bad = _first_antisymmetry_violation(constants, self.dim, 3)
+        if bad is not None:
+            i, j, _ = bad
+            raise ValueError(f"structure constants not antisymmetric at ({i + 1},{j + 1})")
+        bad = _first_jacobi_failure(constants, self.dim)
         if bad is not None:
             raise ValueError(f"Jacobi identity fails on basis triple {bad}")
 
@@ -577,106 +507,129 @@ class LieAlgebraPresentation:
                         out[k] += xi * yj * row[k]
         return out
 
-    def adjoint_matrix(self, i: int) -> list[list[Fraction]]:
-        """ad(b_i) with columns indexed by the argument basis vector."""
-        c = self.structure_constants
-        return [[c[i][j][k] for j in range(self.dim)] for k in range(self.dim)]
-
     def first_jacobi_failure(self) -> tuple[int, int, int] | None:
-        """First basis triple, 1-based, on which the cyclic Jacobi sum is nonzero.
+        """First basis triple, 1-based, on which the cyclic Jacobi sum is nonzero."""
+        return _first_jacobi_failure(_constant_ints(self.structure_constants), self.dim)
 
-        sum_cyc [b_a, [b_b, b_c]] = sum_cyc sum_l c[b][c][l] c[a][l], summed
-        over the nonzero structure constants only.
-        """
-        nonzero = [[[(k, x) for k, x in enumerate(row) if x != 0] for row in plane]
-                   for plane in self.structure_constants]
-        for i, j, k in itertools.combinations(range(self.dim), 3):
-            total: dict[int, Fraction] = {}
-            for (a, b, cc) in ((i, j, k), (j, k, i), (k, i, j)):
-                for l, x in nonzero[b][cc]:
-                    for m, y in nonzero[a][l]:
-                        total[m] = total.get(m, 0) + x * y
-            if any(v != 0 for v in total.values()):
-                return (i + 1, j + 1, k + 1)
-        return None
+
+def _constant_ints(c) -> dict[int, int]:
+    """{(i * dim + j) * dim + k: L c[i][j][k]} over the nonzero constants,
+    as ints over L, the lcm of their denominators."""
+    dim = len(c)
+    nonzero = {ij * dim + k: x for ij, row in enumerate(itertools.chain.from_iterable(c))
+               for k, x in enumerate(row) if x}
+    return dict(zip(nonzero, _scaled_ints(nonzero.values())[0]))
+
+
+def _first_jacobi_failure(constants: dict, dim: int) -> tuple[int, int, int] | None:
+    """The first triple i < j < k, 1-based and in `combinations` order, whose
+    cyclic sum [b_i, [b_j, b_k]] + [b_j, [b_k, b_i]] + [b_k, [b_i, b_j]] is
+    nonzero, for antisymmetric constants {flat: int}.
+
+    By antisymmetry [b_a, [b_b, b_c]]_m = -sum_l c[b][c][l] c[l][a][m], the
+    constants paired through their first slot (`_pair_through_first_slot`)
+    at (b, c, a, m); the cyclic sum of that over (b, c, a) is minus the
+    Jacobi sum of the triple, and vanishes where two indices are equal.
+    """
+    paired = _pair_through_first_slot(constants, constants, dim, dim * dim)
+    bad = _first_cyclic_failure(paired, dim, dim)
+    return None if bad is None else tuple(i + 1 for i in _unflat(dim, 4, bad)[:3])
 
 
 def _flatten_endo(endo) -> list[Fraction]:
     return [x for row in endo for x in row]
 
 
+def _endo_ints(endo) -> tuple[list, int]:
+    """A rational matrix A as (`_sparse_rows` of den A, as ints, den), den
+    the lcm of its denominators."""
+    d = len(endo)
+    ints, den = _scaled_ints(_flatten_endo(endo))
+    return _sparse_rows([ints[a * d:(a + 1) * d] for a in range(d)]), den
+
+
 def _algebra_from_parts(model: InfinitesimalModel, h_basis: list,
                         h_name: str) -> LieAlgebraPresentation:
+    """The presentation of V + h, h spanned by the rational matrices h_basis.
+
+    Every bracket is read off int data and only its nonzero constants are
+    formed: [X, Y] = -T_X Y + R_XY from the scaled torsion and the nonzero
+    curvature endomorphisms, [A, X] = A X from the entries of A, and
+    [A, B] = AB - BA as an int matrix over den_A den_B.  A curvature
+    endomorphism or a commutator is put in coordinates on h from its ints
+    (`linalg.Coordinates._ints`), and c[j][i] negates the nonzero entries of
+    c[i][j].
+    """
     d = model.space.dim
+    r, t = _scaled(model.curvature), _scaled(model.torsion)
     coords_in_h = linalg.Coordinates([_flatten_endo(e) for e in h_basis])
     m = len(h_basis)
-    dim = d + m
-    zero = Fraction(0)
-    c = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
 
-    def set_bracket(i: int, j: int, vec: list[Fraction]):
-        c[i][j] = list(vec)
-        c[j][i] = [-v for v in vec]
+    def in_h(i: int, j: int, flat: list[int], den: int, error: str):
+        found = coords_in_h._ints(flat, den)
+        if found is None:
+            raise ModelError(error)
+        sums, den = found
+        brackets.setdefault((i, j), {}).update(
+            (d + a, Fraction(s, den)) for a, s in enumerate(sums) if s)
 
     # [X, Y] = -T_X Y + R_XY
-    for i in range(d):
-        for j in range(i + 1, d):
-            vec = [zero] * dim
-            for k in range(d):
-                vec[k] = -model.torsion[i, j, k]
-            r_flat = _flatten_endo(curvature_endomorphism(model.curvature, i, j))
-            if any(v != 0 for v in r_flat):
-                coords = coords_in_h(r_flat)
-                if coords is None:
-                    raise ModelError(
-                        "curvature endomorphism lies outside the isotropy algebra; "
-                        "the model does not satisfy its axioms")
-                for a, value in enumerate(coords):
-                    vec[d + a] = value
-            set_bracket(i, j, vec)
+    for flat, value in t.entries.items():
+        i, j, k = _unflat(d, 3, flat)
+        if i < j:
+            brackets.setdefault((i, j), {})[k] = Fraction(-value, t.den)
+    for (i, j), endo in _curvature_endos(r).items():
+        in_h(i, j, _flatten_endo(endo), r.den,
+             "curvature endomorphism lies outside the isotropy algebra; "
+             "the model does not satisfy its axioms")
 
     # [A, X] = A X
     for a, endo in enumerate(h_basis):
         for j in range(d):
-            vec = [zero] * dim
-            for l in range(d):
-                vec[l] = endo[l][j]
-            set_bracket(d + a, j, vec)
+            if column := {l: row[j] for l, row in enumerate(endo) if row[j]}:
+                brackets[d + a, j] = column
 
     # [A, B] = AB - BA
-    for a in range(m):
+    h_ints = [_endo_ints(endo) for endo in h_basis]
+    for a, (x, dx) in enumerate(h_ints):
         for b in range(a + 1, m):
-            commutator = _commutator(h_basis[a], h_basis[b])
-            flat = _flatten_endo(commutator)
-            coords = coords_in_h(flat)
-            if coords is None:
-                raise ModelError("isotropy algebra is not closed under commutators")
-            vec = [zero] * dim
-            for pos, value in enumerate(coords):
-                vec[d + pos] = value
-            set_bracket(d + a, d + b, vec)
+            y, dy = h_ints[b]
+            in_h(d + a, d + b, _commutator(x, y), dx * dy,
+                 "isotropy algebra is not closed under commutators")
 
+    dim, zero = d + m, Fraction(0)
+    c = [[(zero,) * dim] * dim for _ in range(dim)]
+    for (i, j), vec in brackets.items():
+        row, negated = [zero] * dim, [zero] * dim
+        for k, value in vec.items():
+            row[k], negated[k] = value, -value
+        c[i][j], c[j][i] = tuple(row), tuple(negated)
     labels = tuple(f"e{i + 1}" for i in range(d)) + tuple(f"A{a + 1}" for a in range(m))
     return LieAlgebraPresentation(
         dim=dim,
         basis_labels=labels,
-        structure_constants=tuple(tuple(tuple(row) for row in plane) for plane in c),
+        structure_constants=tuple(map(tuple, c)),
         subspaces={"V": tuple(range(d)), h_name: tuple(range(d, dim))},
     )
 
 
-def _commutator(a, b):
-    """AB - BA, summing only the nonzero products."""
+def _sparse_rows(matrix) -> list[list[tuple[int, object]]]:
+    """The (column, entry) pairs of the nonzero entries of each row."""
+    return [[(j, v) for j, v in enumerate(row) if v != 0] for row in matrix]
+
+
+def _commutator(a: list, b: list) -> list:
+    """AB - BA as a flat row-major list, for a and b given as `_sparse_rows`;
+    each entry sums its nonzero products from 0, so int matrices give ints."""
     d = len(a)
-    out = [[Fraction(0)] * d for _ in range(d)]
+    out = [0] * (d * d)
     for x, y, sign in ((a, b, 1), (b, a, -1)):
-        y_rows = [[(j, v) for j, v in enumerate(row) if v != 0] for row in y]
-        for out_row, x_row in zip(out, x):
-            for m, xm in enumerate(x_row):
-                if xm != 0:
-                    xm = sign * xm
-                    for j, v in y_rows[m]:
-                        out_row[j] += xm * v
+        for i, row in enumerate(x):
+            for m, xm in row:
+                xm = sign * xm
+                for j, v in y[m]:
+                    out[i * d + j] += xm * v
     return out
 
 
@@ -686,32 +639,44 @@ def nomizu_algebra(model: InfinitesimalModel) -> LieAlgebraPresentation:
 
 
 def transvection_subalgebra(model: InfinitesimalModel) -> list[list[list[Fraction]]]:
-    """Lie closure of the curvature endomorphisms inside End(V)."""
+    """Lie closure of the curvature endomorphisms inside End(V).
+
+    The closure runs on int matrices, each element A kept as (den A, den):
+    the nonzero curvature endomorphisms in (i, j) order, then in each round
+    the commutators of the pairs a < b, in order, that include an element
+    added in the previous round, each kept when it is independent of the
+    elements before it (`linalg.Echelon`, on its ints).  A pair of older
+    elements was tried against a smaller span in an earlier round, and
+    spans only grow, so bracketing every pair would add the same elements.
+    """
     d = model.space.dim
-    basis: list = []
+    r = _scaled(model.curvature)
+    basis: list[tuple[list, int, list]] = []  # (`_sparse_rows` of den A, den, den A)
     span = linalg.Echelon()
 
-    def try_add(endo) -> bool:
-        added = span.add(_flatten_endo(endo))
-        if added:
-            basis.append(endo)
-        return added
+    def try_add(flat: list[int], den: int):
+        if span.add(list(flat), _ints=True):
+            g = math.gcd(den, *flat)
+            rows = [[x // g for x in flat[a * d:(a + 1) * d]] for a in range(d)]
+            basis.append((_sparse_rows(rows), den // g, rows))
 
-    for i in range(d):
-        for j in range(i + 1, d):
-            try_add(curvature_endomorphism(model.curvature, i, j))
+    for endo in _curvature_endos(r).values():
+        try_add(_flatten_endo(endo), r.den)
     limit = d * d
+    start = 0  # the first element added in the previous round
     for _ in range(limit + 1):
-        added = False
-        snapshot = list(basis)
-        for a in range(len(snapshot)):
-            for b in range(a + 1, len(snapshot)):
-                if try_add(_commutator(snapshot[a], snapshot[b])):
-                    added = True
-        if not added:
-            return basis
+        end = len(basis)
+        for a in range(end):
+            for b in range(max(a + 1, start), end):
+                (x, dx, _), (y, dy, _) = basis[a], basis[b]
+                try_add(_commutator(x, y), dx * dy)
+        if len(basis) == end:
+            zero = Fraction(0)
+            return [[[Fraction(x, den) if x else zero for x in row] for row in rows]
+                    for _, den, rows in basis]
         if len(basis) > limit:
             raise ModelError("Lie closure exceeded the dimension of End(V)")
+        start = end
     raise ModelError("Lie closure did not stabilize inside End(V)")
 
 
@@ -761,21 +726,21 @@ def bianchi_classify(p: LieAlgebraPresentation) -> BianchiType:
     """Standard decision tree on the derived algebra and adjoint spectra."""
     if p.dim != 3:
         raise ValueError("Bianchi classification needs a 3-dimensional algebra")
+    c = p.structure_constants
     unit = [[Fraction(1) if a == b else Fraction(0) for a in range(3)] for b in range(3)]
-    brackets = {(i, j): p.bracket(unit[i], unit[j]) for i in range(3) for j in range(i + 1, 3)}
-
     derived = linalg.Echelon()
-    derived_rows = [vec for vec in brackets.values() if derived.add(vec)]
+    derived_rows = [list(c[i][j]) for i, j in ((0, 1), (0, 2), (1, 2)) if derived.add(c[i][j])]
     dd = len(derived_rows)
 
     if dd == 0:
         return BianchiType(tag="I")
 
     if dd == 3:
-        ad = [p.adjoint_matrix(i) for i in range(3)]
-        killing = [[sum((linalg.matmul(ad[i], ad[j])[k][k] for k in range(3)), Fraction(0))
-                    for j in range(3)] for i in range(3)]
-        neg = [[-x for x in row] for row in killing]
+        def killing(i: int, j: int) -> Fraction:  # tr(ad b_i ad b_j)
+            return sum((c[i][l][k] * c[j][k][l] for k in range(3) for l in range(3)
+                        if c[i][l][k] and c[j][k][l]), Fraction(0))
+
+        neg = [[-killing(i, j) for j in range(3)] for i in range(3)]
         minors = [linalg.det([row[:k] for row in neg[:k]]) for k in (1, 2, 3)]
         negative_definite = all(m > 0 for m in minors)
         return BianchiType(tag="IX" if negative_definite else "VIII")
@@ -807,9 +772,7 @@ def bianchi_classify(p: LieAlgebraPresentation) -> BianchiType:
     if discriminant == 0:
         scalar = (a_matrix[0][1] == 0 and a_matrix[1][0] == 0
                   and a_matrix[0][0] == a_matrix[1][1])
-        if scalar:
-            return BianchiType(tag="V", invariant=invariant)
-        return BianchiType(tag="IV", invariant=invariant)
+        return BianchiType(tag="V" if scalar else "IV", invariant=invariant)
     if discriminant > 0:
         root = _fraction_sqrt(discriminant)
         params = None

@@ -967,11 +967,12 @@ class _Parser:
         tok = self._next()
         kind, chunk, line, col = tok
         if kind == "int":
-            return RationalFunction.constant(int(chunk))
+            return RationalFunction.constant(int(chunk), self.variables or ())
         if kind == "ident":
             if self.variables is not None and chunk not in self.variables:
                 raise ParseError(f"unknown variable {chunk!r}", line, col)
-            return RationalFunction.variable(chunk)
+            variable = Polynomial.variable(chunk)
+            return RationalFunction._polynomial(variable.embed(self.variables or (chunk,)))
         if kind == "op" and chunk == "(":
             value = self.expr()
             self._expect_op(")")
@@ -983,11 +984,8 @@ def parse_ratfun(text: str, variables: Iterable[str] | None = None) -> RationalF
     """Parse a rational-function literal.
 
     When `variables` is given, identifiers outside the list raise
-    `ParseError` and the result is embedded over exactly those variables
-    (so partial derivatives with respect to any of them are defined).
+    `ParseError` and the result is over exactly those variables (so partial
+    derivatives with respect to any of them are defined): every atom is
+    built over them, so no operation aligns two variable tuples.
     """
-    variables = tuple(variables) if variables is not None else None
-    value = _Parser(text, variables).parse()
-    if variables is not None:
-        value = value.with_variables(variables)
-    return value
+    return _Parser(text, tuple(variables) if variables is not None else None).parse()

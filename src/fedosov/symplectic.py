@@ -39,11 +39,25 @@ Conventions fixed here and used everywhere else:
   `models.derivation_action`.  The model checks, whose entries are exact
   constants, scatter the nonzero model data instead, as ints
   (`models._derivation_scatter`).
-  `change_basis` (and so every push-forward) runs the same kernel on
-  scaled ints when the tensor and both matrices are constant: each is
-  scaled by the lcm of its denominators (`rationals.scaled_entries`), and
-  each result entry is divided once.  `models.verify_model_isomorphism`
-  reads the undivided ints (`_changed_comps`).
+  `change_basis` (and so every push-forward) contracts scaled ints when
+  the tensor and both matrices are constant: each is scaled by the lcm of
+  its denominators (`rationals.scaled_entries`), the tensor's nonzero
+  entries are kept as {flat: int}, and each slot scatters every one of
+  them through the nonzero entries of its matrix row (`_changed_comps`),
+  so only nonzero coordinates are visited; each result entry is divided
+  once, and the result's support is known without a scan.
+  `models.verify_model_isomorphism` reads the undivided ints.  Other
+  entries (`RationalFunction`s, or a denominator past
+  `rationals.MAX_SCALE_BITS`) go through `_contract_slot`.
+
+* Three kernels read sparse arrays, {flat: value} with absent meaning
+  zero: the first antisymmetry failure in the first two slots
+  (`_first_antisymmetry_violation`), the pairing of two arrays through a
+  shared index (`_pair_through_first_slot`), and the first nonzero cyclic
+  sum over three slots (`_first_cyclic_failure`).  The model axioms
+  (antisymmetry, both Bianchi identities) and the Lie-algebra
+  presentations of `models` (antisymmetry, and Jacobi as a cyclic sum of
+  paired constants) share them.
 
 Tensors are stored dense: at n = 4 a (0,3)-tensor has 512 entries, so a
 sparse format would be unjustified.  Components may be `Fraction` (constant
@@ -265,6 +279,67 @@ def _cyclic_positions(dim: int) -> tuple[tuple[int, int, int], ...]:
     """Flat positions of (i,j,k), (j,k,i), (k,i,j) for each (i,j,k) in order."""
     return tuple(((i * dim + j) * dim + k, (j * dim + k) * dim + i, (k * dim + i) * dim + j)
                  for i in range(dim) for j in range(dim) for k in range(dim))
+
+
+# -- sparse kernels on {flat: value} entries, absent meaning zero -------------------
+
+def _first_antisymmetry_violation(entries: dict, d: int, rank: int) -> tuple[int, ...] | None:
+    """`first_symmetry_violation(0, 1, anti=True)` of a d^rank array, read
+    off its nonzero entries {flat: value}: a failing pair has a nonzero
+    entry, and the first failure is the smaller flat of the first failing pair."""
+    block = d ** (rank - 2)
+    bad = []
+    for flat, value in entries.items():
+        (i, j), rest = divmod(flat // block, d), flat % block
+        other = (j * d + i) * block + rest
+        if value + entries.get(other, 0):
+            bad.append(min(flat, other))
+    return _unflat(d, rank, min(bad)) if bad else None
+
+
+def _pair_through_first_slot(left: dict, right: dict, d: int, block: int) -> dict[int, int]:
+    """{flat: sum_m left[.., m] right[m, ..]} from the nonzero entries of both.
+
+    `left` holds entries at flat = head * d + m, `right` at flat = m * block
+    + rest, with absent meaning zero; each product lands at head * block +
+    rest.  Positions no product reaches are absent.
+    """
+    by_first = [[] for _ in range(d)]
+    for flat, value in right.items():
+        m, rest = divmod(flat, block)
+        by_first[m].append((rest, value))
+    out: dict[int, int] = {}
+    for flat, a in left.items():
+        head, m = divmod(flat, d)
+        base = head * block
+        for rest, b in by_first[m]:
+            target = base + rest
+            out[target] = out.get(target, 0) + a * b
+    return out
+
+
+def _first_cyclic_failure(entries: dict, d: int, tail: int) -> int | None:
+    """The first flat ijk * tail + rest, i <= j <= k, in increasing order, at
+    which the cyclic sum over (i, j, k) of an array of d^3 * tail entries is
+    nonzero, or None.  `entries` maps flat positions to values, absent
+    meaning zero.
+
+    Each entry is added to the sum of the rotation of its (x, y, z) that
+    has i <= j <= k, if there is one: a sum with three equal indices takes
+    its one entry once, not three times, which changes no zero test.  Flat
+    order is the lexicographic order on (i, j, k, rest).
+    """
+    sums: dict[int, int] = {}
+    for flat, value in entries.items():
+        xyz, rest = divmod(flat, tail)
+        x, y, z = xyz // (d * d), xyz // d % d, xyz % d
+        for i, j, k in ((x, y, z), (y, z, x), (z, x, y)):
+            if i <= j <= k:
+                key = ((i * d + j) * d + k) * tail + rest
+                sums[key] = sums.get(key, 0) + value
+                break
+    bad = [flat for flat, value in sums.items() if value]
+    return min(bad) if bad else None
 
 
 def _resolve_omega(t: Tensor, omega):
@@ -542,31 +617,61 @@ def change_basis(t: Tensor, basis_matrix: Sequence[Sequence], basis_inverse=None
     On constant entries the contractions run on D t, d_M M and d_Minv Minv
     as ints, and each entry is divided once by D d_M^#cov d_Minv^#con.
     """
-    comps, den = _changed_comps(t, basis_matrix, basis_inverse)
-    return Tensor(t.dim, t.valence, comps if den is None else divided(comps, den), space=t.space)
+    entries, den = _changed_comps(t, basis_matrix, basis_inverse)
+    comps = [0 if den else _scalar_zero(t)] * len(t.comps)
+    for flat, value in entries.items():
+        comps[flat] = value
+    out = Tensor(t.dim, t.valence, divided(comps, den) if den else comps, space=t.space)
+    out._support = tuple(sorted(entries))
+    return out
 
 
 def _changed_comps(t: Tensor, basis_matrix: Sequence[Sequence], basis_inverse=None):
-    """(comps, den): `change_basis`'s entries times den as ints, or the
-    entries themselves and None when they do not scale to ints."""
+    """(entries, den): the nonzero entries of `change_basis`'s result as
+    {flat: value}, times den as ints when t and both matrices scale to
+    ints, and otherwise as they are, with den None.
+
+    On ints each slot is contracted by scattering every nonzero entry
+    through the nonzero entries of its scaled matrix row, so only nonzero
+    coordinates are visited; other entries go through `_contract_slot`.
+    """
     m = [list(row) for row in basis_matrix]
     minv = basis_inverse if basis_inverse is not None else linalg.inverse(m)
     minv_t = linalg.transpose(minv)
-    comps, den = scaled_entries(t.comps) or (t.comps, None)
-    if den is not None:
-        (m, d_cov), (minv_t, d_con) = _scaled_matrix(m), _scaled_matrix(minv_t)
-        den *= d_cov ** t.valence.count(COV) * d_con ** t.valence.count(CON)
+    # the type test keeps a zero `RationalFunction` tensor, whose support is
+    # empty, off the int path
+    scaled = isinstance(t.comps[0], (int, Fraction)) and scaled_entries(
+        [t.comps[flat] for flat in t.support])
+    on_cov, on_con = _scaled_matrix(m), _scaled_matrix(minv_t)
+    if not (scaled and on_cov and on_con):
+        comps = t.comps
+        for slot, kind in enumerate(t.valence):
+            comps = _contract_slot(Tensor(t.dim, t.valence, comps), slot,
+                                   m if kind == COV else minv_t)
+        return {flat: x for flat, x in enumerate(comps) if not is_zero_scalar(x)}, None
+    ints, den = scaled
+    entries = dict(zip(t.support, ints))
+    d, rank = t.dim, len(t.valence)
     for slot, kind in enumerate(t.valence):
-        comps = _contract_slot(Tensor(t.dim, t.valence, comps), slot,
-                               m if kind == COV else minv_t)
-    return comps, den
+        matrix, scale = on_cov if kind == COV else on_con
+        den *= scale
+        stride = d ** (rank - 1 - slot)
+        # moves[l]: the (flat shift, factor) pairs of row l with a nonzero entry
+        moves = [[((a - l) * stride, x) for a, x in enumerate(row) if x]
+                 for l, row in enumerate(matrix)]
+        out: dict[int, int] = {}
+        for flat, value in entries.items():
+            for shift, factor in moves[flat // stride % d]:
+                out[flat + shift] = out.get(flat + shift, 0) + value * factor
+        entries = {flat: value for flat, value in out.items() if value}
+    return entries, den
 
 
-def _scaled_matrix(matrix: list[list]) -> tuple[list[list], int]:
-    """`scaled_entries` of a matrix, kept as rows, or (matrix, 1)."""
+def _scaled_matrix(matrix: list[list]) -> tuple[list[list], int] | None:
+    """`scaled_entries` of a matrix, kept as rows, or None."""
     scaled = scaled_entries([x for row in matrix for x in row])
     if scaled is None:
-        return matrix, 1
+        return None
     flat, den = scaled
     width = len(matrix[0])
     return [flat[i:i + width] for i in range(0, len(flat), width)], den
@@ -652,8 +757,8 @@ def tensor_from_json(data: dict, *, space: SymplecticSpace | None = None) -> Ten
         raise ValueError("'components' must be a JSON object")
     if space is not None and space.n != n:
         raise ValueError(f"tensor declares n={n} but space has n={space.n}")
-    t = Tensor.zeros(dim, valence, space=space)
-    comps = list(t.comps)
+    comps = list(Tensor.zeros(dim, valence, space=space).comps)
+    given = set()
     for key, text in components.items():
         try:
             idx = tuple(int(part) - 1 for part in key.split(",")) if key else ()
@@ -667,4 +772,7 @@ def tensor_from_json(data: dict, *, space: SymplecticSpace | None = None) -> Ten
         for i in idx:
             flat = flat * dim + i
         comps[flat] = parse_fraction(text)
-    return Tensor(dim, valence, comps, space=space)
+        given.add(flat)
+    t = Tensor(dim, valence, comps, space=space)
+    t._support = tuple(sorted(flat for flat in given if comps[flat]))  # no scan of the zeros
+    return t

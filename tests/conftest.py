@@ -20,8 +20,14 @@ spanning fields, the independence filter, the matrix inverse and the
 nullspace-and-determinant solve that the closed forms of the chart and
 linear-type modules replaced.  The elimination oracles `old_rref`, `OldEchelon` and
 `old_matmul` are the field loops over `Fraction`s that the integer
-elimination kernel of `linalg` replaced for rational input.  `chart_suite`
-runs the chart suites of one `ChartRun` into one report.
+elimination kernel of `linalg` replaced for rational input.  The algebra
+oracles (`OldCoordinates`, `old_commutator`, `old_transvection_subalgebra`,
+`old_presentation_failure`, `old_algebra_from_parts`, `old_nomizu_algebra`,
+`old_bianchi_classify`) are the dense `Fraction` paths that the sparse int
+kernels of the Nomizu, transvection and Bianchi steps replaced, and
+`old_parse_ratfun` is the parser that built each atom over its own
+variables and aligned them operation by operation.  `chart_suite` runs
+the chart suites of one `ChartRun` into one report.
 """
 
 from __future__ import annotations
@@ -432,14 +438,16 @@ def old_model_stabilizer_algebra(model) -> list[list[list[Fraction]]]:
 
 
 def old_transvection_algebra(model):
-    """`transvection_algebra` with the containment checked by `old_annihilates`."""
-    from fedosov.models import ModelError, _algebra_from_parts, transvection_subalgebra
+    """`transvection_algebra` from `old_transvection_subalgebra`, with the
+    containment checked by `old_annihilates` and the presentation built by
+    `old_algebra_from_parts`."""
+    from fedosov.models import ModelError
 
-    h0p = transvection_subalgebra(model)
+    h0p = old_transvection_subalgebra(model)
     targets = [model.curvature, model.torsion, *model.aux]
     if not all(old_annihilates(endo, targets) for endo in h0p):
         raise ModelError("transvection algebra is not contained in the stabilizer")
-    return _algebra_from_parts(model, h0p, "h0")
+    return old_algebra_from_parts(model, h0p, "h0")
 
 
 def old_verify_model_isomorphism(f, source, target) -> Report:
@@ -596,6 +604,31 @@ def old_change_basis(t: Tensor, m, minv) -> Tensor:
                          old_contract_slot(current, slot, m if kind == COV else minv_t),
                          space=t.space)
     return current
+
+
+class OldParser(rationals._Parser):
+    """The parser with each atom over its own variables: a constant over
+    (), an identifier over (name,)."""
+
+    def atom(self) -> RationalFunction:
+        tok = self._peek()
+        if tok is None or tok[0] not in ("int", "ident"):
+            return super().atom()  # a parenthesis, or an error
+        kind, chunk, line, col = tok
+        self.pos += 1
+        if kind == "int":
+            return RationalFunction.constant(int(chunk))
+        if self.variables is not None and chunk not in self.variables:
+            raise rationals.ParseError(f"unknown variable {chunk!r}", line, col)
+        return RationalFunction.variable(chunk)
+
+
+def old_parse_ratfun(text: str, variables=None) -> RationalFunction:
+    """`parse_ratfun` through `OldParser`, the value then re-embedded over
+    `variables` by `with_variables`."""
+    variables = tuple(variables) if variables is not None else None
+    value = OldParser(text, variables).parse()
+    return value if variables is None else value.with_variables(variables)
 
 
 def old_polynomial_evaluate(p: Polynomial, point) -> Fraction:
@@ -877,3 +910,245 @@ class OldEchelon:
 def old_matmul(a, b):
     cols = list(zip(*b))
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols] for row in a]
+
+
+# -- the Fraction algebra paths that the sparse int kernels of `models` replaced -----
+
+class OldCoordinates:
+    """Coordinates over fixed independent vectors from one `rref` of [b | I],
+    read and re-checked in `Fraction` arithmetic."""
+
+    def __init__(self, basis):
+        m = len(basis)
+        width = len(basis[0]) if basis else 0
+        one, zero = Fraction(1), Fraction(0)
+        reduced, pivots = linalg.rref([list(b) + [one if j == i else zero for j in range(m)]
+                                       for i, b in enumerate(basis)])
+        self._pivot_rows = [(p, [(i, x) for i, x in enumerate(row[width:]) if x != 0])
+                            for p, row in zip(pivots, reduced) if p < width]
+        self._basis = [[(i, x) for i, x in enumerate(b) if x != 0] for b in basis]
+
+    def __call__(self, vec):
+        coords = [Fraction(0)] * len(self._basis)
+        for pivot, row in self._pivot_rows:
+            y = vec[pivot]
+            if y != 0:
+                for a, x in row:
+                    coords[a] += y * x
+        combined = [Fraction(0)] * len(vec)
+        for c, entries in zip(coords, self._basis):
+            if c != 0:
+                for pos, x in entries:
+                    combined[pos] += c * x
+        return coords if combined == list(vec) else None
+
+
+def old_commutator(a, b):
+    """AB - BA in `Fraction`s, summing only the nonzero products."""
+    d = len(a)
+    out = [[Fraction(0)] * d for _ in range(d)]
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        y_rows = [[(j, v) for j, v in enumerate(row) if v != 0] for row in y]
+        for out_row, x_row in zip(out, x):
+            for m, xm in enumerate(x_row):
+                if xm != 0:
+                    xm = sign * xm
+                    for j, v in y_rows[m]:
+                        out_row[j] += xm * v
+    return out
+
+
+def old_curvature_endomorphism(r: Tensor, i: int, j: int):
+    d = r.dim
+    return [[r[i, j, k, l] for k in range(d)] for l in range(d)]
+
+
+def old_transvection_subalgebra(model, counter=None):
+    """The Lie closure with every pair of the basis bracketed in every round;
+    `counter`, a list, gets one entry per commutator formed."""
+    from fedosov.models import ModelError
+
+    d = model.space.dim
+    basis: list = []
+    span = OldEchelon()
+
+    def try_add(endo) -> bool:
+        added = span.add([x for row in endo for x in row])
+        if added:
+            basis.append(endo)
+        return added
+
+    for i in range(d):
+        for j in range(i + 1, d):
+            try_add(old_curvature_endomorphism(model.curvature, i, j))
+    limit = d * d
+    for _ in range(limit + 1):
+        added = False
+        snapshot = list(basis)
+        for a in range(len(snapshot)):
+            for b in range(a + 1, len(snapshot)):
+                if counter is not None:
+                    counter.append((a, b))
+                if try_add(old_commutator(snapshot[a], snapshot[b])):
+                    added = True
+        if not added:
+            return basis
+        if len(basis) > limit:
+            raise ModelError("Lie closure exceeded the dimension of End(V)")
+    raise ModelError("Lie closure did not stabilize inside End(V)")
+
+
+def old_presentation_failure(c, dim) -> str | None:
+    """The `ValueError` text of the checks `LieAlgebraPresentation` ran on
+    dense `Fraction` constants, or None: antisymmetry over every pair i <= j,
+    then the Jacobi sum of each triple in `combinations` order."""
+    for i in range(dim):
+        for j in range(i, dim):
+            if any((x or y) and x != -y for x, y in zip(c[i][j], c[j][i])):
+                return f"structure constants not antisymmetric at ({i + 1},{j + 1})"
+    nonzero = [[[(k, x) for k, x in enumerate(row) if x != 0] for row in plane] for plane in c]
+    for i, j, k in itertools.combinations(range(dim), 3):
+        total: dict = {}
+        for (a, b, cc) in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, x in nonzero[b][cc]:
+                for m, y in nonzero[a][l]:
+                    total[m] = total.get(m, 0) + x * y
+        if any(v != 0 for v in total.values()):
+            return f"Jacobi identity fails on basis triple {(i + 1, j + 1, k + 1)}"
+    return None
+
+
+def old_algebra_from_parts(model, h_basis, h_name):
+    """The presentation of V + h from `Fraction` brackets: torsion and
+    curvature read through `Tensor.__getitem__`, coordinates by
+    `OldCoordinates`, and its constants checked by `old_presentation_failure`."""
+    from fedosov.models import LieAlgebraPresentation, ModelError
+
+    d = model.space.dim
+    coords_in_h = OldCoordinates([[x for row in e for x in row] for e in h_basis])
+    m = len(h_basis)
+    dim = d + m
+    zero = Fraction(0)
+    c = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+
+    def set_bracket(i, j, vec):
+        c[i][j] = list(vec)
+        c[j][i] = [-v for v in vec]
+
+    for i in range(d):
+        for j in range(i + 1, d):
+            vec = [zero] * dim
+            for k in range(d):
+                vec[k] = -model.torsion[i, j, k]
+            r_flat = [x for row in old_curvature_endomorphism(model.curvature, i, j) for x in row]
+            if any(v != 0 for v in r_flat):
+                coords = coords_in_h(r_flat)
+                if coords is None:
+                    raise ModelError(
+                        "curvature endomorphism lies outside the isotropy algebra; "
+                        "the model does not satisfy its axioms")
+                for a, value in enumerate(coords):
+                    vec[d + a] = value
+            set_bracket(i, j, vec)
+    for a, endo in enumerate(h_basis):
+        for j in range(d):
+            vec = [zero] * dim
+            for l in range(d):
+                vec[l] = endo[l][j]
+            set_bracket(d + a, j, vec)
+    for a in range(m):
+        for b in range(a + 1, m):
+            coords = coords_in_h([x for row in old_commutator(h_basis[a], h_basis[b])
+                                  for x in row])
+            if coords is None:
+                raise ModelError("isotropy algebra is not closed under commutators")
+            vec = [zero] * dim
+            for pos, value in enumerate(coords):
+                vec[d + pos] = value
+            set_bracket(d + a, d + b, vec)
+    failure = old_presentation_failure(c, dim)
+    if failure is not None:
+        raise ValueError(failure)
+    labels = tuple(f"e{i + 1}" for i in range(d)) + tuple(f"A{a + 1}" for a in range(m))
+    return LieAlgebraPresentation(
+        dim=dim, basis_labels=labels,
+        structure_constants=tuple(tuple(tuple(row) for row in plane) for plane in c),
+        subspaces={"V": tuple(range(d)), h_name: tuple(range(d, dim))})
+
+
+def old_nomizu_algebra(model):
+    return old_algebra_from_parts(model, old_model_stabilizer_algebra(model), "h0")
+
+
+def old_bracket(c, dim, x, y):
+    out = [Fraction(0)] * dim
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            if xi != 0 and yj != 0:
+                for k in range(dim):
+                    if c[i][j][k] != 0:
+                        out[k] += xi * yj * c[i][j][k]
+    return out
+
+
+def old_bianchi_classify(p):
+    """The Bianchi decision tree on brackets of unit vectors, the Killing form
+    as traces of products of adjoint matrices."""
+    from fedosov.models import BianchiType, ModelError, _fraction_sqrt
+
+    if p.dim != 3:
+        raise ValueError("Bianchi classification needs a 3-dimensional algebra")
+    c = p.structure_constants
+
+    def bracket(x, y):
+        return old_bracket(c, 3, x, y)
+
+    unit = [[Fraction(1) if a == b else Fraction(0) for a in range(3)] for b in range(3)]
+    brackets = {(i, j): bracket(unit[i], unit[j]) for i in range(3) for j in range(i + 1, 3)}
+    derived = OldEchelon()
+    derived_rows = [vec for vec in brackets.values() if derived.add(vec)]
+    dd = len(derived_rows)
+    if dd == 0:
+        return BianchiType(tag="I")
+    if dd == 3:
+        ad = [[[c[i][j][k] for j in range(3)] for k in range(3)] for i in range(3)]
+        killing = [[sum((old_matmul(ad[i], ad[j])[k][k] for k in range(3)), Fraction(0))
+                     for j in range(3)] for i in range(3)]
+        neg = [[-x for x in row] for row in killing]
+        minors = [linalg.det([row[:k] for row in neg[:k]]) for k in (1, 2, 3)]
+        return BianchiType(tag="IX" if all(m > 0 for m in minors) else "VIII")
+    if dd == 1:
+        u = derived_rows[0]
+        central = all(all(v == 0 for v in bracket(u, unit[i])) for i in range(3))
+        return BianchiType(tag="II" if central else "III")
+    u, v = derived_rows
+    if any(x != 0 for x in bracket(u, v)):
+        raise ModelError("derived algebra of a 3-dimensional solvable algebra must be abelian")
+    complement = next(e for e in unit if e not in derived)
+    coords_in_derived = OldCoordinates(derived_rows)
+    cu = coords_in_derived(bracket(complement, u))
+    cv = coords_in_derived(bracket(complement, v))
+    if cu is None or cv is None:
+        raise ModelError("adjoint action does not preserve the derived algebra")
+    a_matrix = [[cu[0], cv[0]], [cu[1], cv[1]]]
+    trace = a_matrix[0][0] + a_matrix[1][1]
+    determinant = a_matrix[0][0] * a_matrix[1][1] - a_matrix[0][1] * a_matrix[1][0]
+    if determinant == 0:
+        raise ModelError("adjoint action on a 2-dimensional derived algebra is singular")
+    invariant = trace * trace / determinant
+    unimodular = " (unimodular)" if trace == 0 else ""
+    discriminant = trace * trace - 4 * determinant
+    if discriminant == 0:
+        scalar = (a_matrix[0][1] == 0 and a_matrix[1][0] == 0
+                  and a_matrix[0][0] == a_matrix[1][1])
+        return BianchiType(tag="V" if scalar else "IV", invariant=invariant)
+    if discriminant > 0:
+        root = _fraction_sqrt(discriminant)
+        params = None
+        if root is not None:
+            lam1, lam2 = (trace + root) / 2, (trace - root) / 2
+            params = frozenset((lam1 / lam2, lam2 / lam1))
+        return BianchiType(tag="VI", parameters=params, invariant=invariant,
+                           notes="real distinct adjoint eigenvalues" + unimodular)
+    return BianchiType(tag="VII", parameters=None, invariant=invariant,
+                       notes="complex adjoint eigenvalues" + unimodular)

@@ -1,4 +1,5 @@
 import ast
+import json
 import pathlib
 import random
 import sys
@@ -10,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from fedosov import linalg, rationals
 from fedosov.charts import chart_from_json, model_at_point
 from fedosov.models import (
-    InfinitesimalModel, check_model_axioms, nomizu_algebra, push_tensor, transvection_algebra,
-    transvection_subalgebra, verify_model_isomorphism,
+    InfinitesimalModel, bianchi_classify, check_model_axioms, model_from_json, nomizu_algebra,
+    push_tensor, transvection_algebra, transvection_subalgebra, verify_model_isomorphism,
 )
 from fedosov.rationals import RationalFunction, parse_ratfun
 from conftest import (
@@ -482,11 +483,16 @@ FRACTION_CODES = {Fraction.__new__.__code__: "Fraction.__new__",
                   Fraction._mul.__code__: "Fraction._mul",
                   Fraction._div.__code__: "Fraction._div"}
 ELIMINATION_PARENT = {"Fraction.__new__": 5382, "Fraction._mul": 1356, "Fraction._div": 608}
-ELIMINATION_BOUNDS = {"Fraction.__new__": 1551, "Fraction._mul": 372, "Fraction._div": 8}
+ELIMINATION_BOUNDS = {"Fraction.__new__": 1376, "Fraction._mul": 364, "Fraction._div": 8}
 # `check-model` and `transvection` on one product-chart model, before the
 # model kernels read their data as ints over one denominator
 MODEL_PARENT = {"Fraction.__new__": 466, "Fraction._mul": 52, "Fraction._div": 0}
-MODEL_BOUNDS = {"Fraction.__new__": 154, "Fraction._mul": 8, "Fraction._div": 0}
+MODEL_BOUNDS = {"Fraction.__new__": 21, "Fraction._mul": 0, "Fraction._div": 0}
+# `nomizu` and `transvection` on one product-chart model and `bianchi` on the
+# 3-dimensional Nomizu algebra of the second fixture model, before the
+# algebra kernels read their brackets off sparse ints
+ALGEBRA_PARENT = {"Fraction.__new__": 408, "Fraction._mul": 46, "Fraction._div": 5}
+ALGEBRA_BOUNDS = {"Fraction.__new__": 111, "Fraction._mul": 15, "Fraction._div": 5}
 
 
 def product_model() -> InfinitesimalModel:
@@ -543,3 +549,20 @@ def test_model_steps_form_few_fractions():
     over = {name: count for name, count in counts.items() if count > MODEL_BOUNDS[name]}
     assert not over, (f"counts {over} passed their bounds {MODEL_BOUNDS}; before the "
                       f"one-denominator model kernels the steps took {MODEL_PARENT}")
+
+
+def test_algebra_steps_form_few_fractions():
+    model = product_model()
+    path = pathlib.Path(__file__).parent / "data" / "models" / "example2_x1_y0.json"
+    small = nomizu_algebra(model_from_json(json.loads(path.read_text(encoding="utf-8"))))
+    assert small.dim == 3
+
+    def steps():
+        nomizu_algebra(model)
+        transvection_algebra(model)
+        bianchi_classify(small)
+
+    counts = fraction_counts(steps)
+    over = {name: count for name, count in counts.items() if count > ALGEBRA_BOUNDS[name]}
+    assert not over, (f"counts {over} passed their bounds {ALGEBRA_BOUNDS}; before the "
+                      f"sparse int algebra kernels the steps took {ALGEBRA_PARENT}")

@@ -275,8 +275,9 @@ def mutant(name: str, old: str, new: str):
 
 
 MUTANTS = {
-    "rotation-dropped": ("_sorted_rotations", "for rot in rotations[ijk]:",
-                         "for rot in rotations[ijk][:2]:"),
+    "rotation-dropped": ("_first_cyclic_failure",
+                         "for i, j, k in ((x, y, z), (y, z, x), (z, x, y)):",
+                         "for i, j, k in ((x, y, z), (y, z, x)):"),
     "con-cov-swapped": ("_derivation_scatter", "if kind == CON:", "if kind == COV:"),
 }
 

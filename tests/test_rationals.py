@@ -1,12 +1,15 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from fedosov import rationals
 from fedosov.rationals import (
     ParseError, PoleError, Polynomial, RationalFunction, parse_ratfun,
 )
-from conftest import random_rational_function
+from conftest import old_parse_ratfun, random_rational_function
 
 
 def rf(text, variables=("x", "y")):
@@ -178,3 +181,70 @@ def test_polynomial_divmod_exactness():
 def test_denominator_zero_rejected():
     with pytest.raises(ZeroDivisionError):
         RationalFunction(Polynomial.variable("x"), Polynomial.constant(0, ("x",)))
+
+
+# -- atoms over the chart's coordinates, against the parser that aligned them ---------
+
+DATA = pathlib.Path(__file__).parent / "data" / "charts"
+FIXTURES = pathlib.Path(rationals.__file__).parent / "data"
+
+
+def chart_texts() -> set[tuple[tuple[str, ...], str]]:
+    """(coordinates, text) of every entry of the built-in and test-data charts."""
+    found = set()
+    for path in [*FIXTURES.glob("*.json"), *DATA.glob("*.json")]:
+        chart = json.loads(path.read_text(encoding="utf-8"))
+        if "coords" not in chart:
+            continue
+        coords = tuple(chart["coords"])
+        tables = [chart.get("omega", {}), chart.get("christoffel", {})]
+        tables += [field.get("components", {}) for field in chart.get("fields", {}).values()]
+        found.update((coords, str(text)) for table in tables for text in table.values())
+    return found
+
+
+def random_expression(rng: random.Random, names, depth: int = 0) -> str:
+    roll = rng.random()
+    if depth > 3 or roll < 0.3:
+        return str(rng.randint(0, 4)) if rng.random() < 0.4 else rng.choice(names)
+    if roll < 0.4:
+        return f"-{random_expression(rng, names, depth + 1)}"
+    if roll < 0.5:
+        return f"({random_expression(rng, names, depth + 1)})^{rng.randint(1, 3)}"
+    op = rng.choice("+-*/")
+    return (f"({random_expression(rng, names, depth + 1)}){op}"
+            f"({random_expression(rng, names, depth + 1)})")
+
+
+def parsed(parse, text, variables):
+    """What `parse` gives, as text, or the type and text of what it raised."""
+    try:
+        value = parse(text, variables)
+    except (ValueError, ZeroDivisionError) as err:
+        return type(err).__name__, str(err)
+    return str(value.num), str(value.den), value.variables
+
+
+def test_chart_entries_parse_as_with_aligned_atoms():
+    texts = chart_texts()
+    assert len(texts) > 20
+    for coords, text in texts:
+        assert parsed(parse_ratfun, text, coords) == parsed(old_parse_ratfun, text, coords), text
+
+
+def test_random_expressions_parse_as_with_aligned_atoms():
+    rng = random.Random(30)
+    names = ["x", "y", "u", "v"]
+    outcomes = set()
+    for _ in range(1500):
+        coords = tuple(rng.sample(names, rng.randint(2, 4)))
+        text = random_expression(rng, names)
+        for variables in (coords, None):
+            new = parsed(parse_ratfun, text, variables)
+            assert new == parsed(old_parse_ratfun, text, variables), (text, variables)
+            outcomes.add(new[0] if len(new) == 2 else "value")
+    assert outcomes == {"value", "ParseError"}
+    for text in ("x/(y-y)", "x +", "2*)", "x^0", "w", "(x^40000)*x^40000"):
+        for variables in (("x", "y"), None):
+            assert parsed(parse_ratfun, text, variables) == parsed(old_parse_ratfun, text,
+                                                                   variables), text
