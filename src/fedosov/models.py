@@ -66,7 +66,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from . import linalg
-from .rationals import _scaled_ints
+from .rationals import _scaled_ints, divided
 from .reporting import Check, Report, index_witness
 from .symplectic import (
     COV, CON, SymplecticSpace, Tensor, _changed_comps, _derivation_entries,
@@ -572,7 +572,7 @@ def _algebra_from_parts(model: InfinitesimalModel, h_basis: list,
             raise ModelError(error)
         sums, den = found
         brackets.setdefault((i, j), {}).update(
-            (d + a, Fraction(s, den)) for a, s in enumerate(sums) if s)
+            (d + a, f) for a, f in enumerate(divided(sums, den)) if f)
 
     # [X, Y] = -T_X Y + R_XY
     for flat, value in t.entries.items():

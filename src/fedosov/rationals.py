@@ -50,11 +50,12 @@ instances are immutable.
 
 Kernels built from sums and products run on scaled integers through one
 adapter: `scaled_entries` multiplies exact rationals by the lcm of their
-denominators, and `divided` builds each result once as a `Fraction`.  The
-Sp(V) projectors and `symplectic.change_basis` use it, and so does
-evaluation, which sums integer terms homogenized by each variable's top
-degree over one denominator (`ScaledPoint`).  Past `MAX_SCALE_BITS` bits of
-a denominator the same kernels run on the `Fraction` values.
+denominators, and `divided` builds each distinct result value once as a
+`Fraction`.  The Sp(V) projectors and `symplectic.change_basis` use it,
+and so does evaluation, which sums integer terms homogenized by each
+variable's top degree over one denominator (`ScaledPoint`).  Past
+`MAX_SCALE_BITS` bits of a denominator the same kernels run on the
+`Fraction` values.
 
 The text syntax accepted by `parse_ratfun` covers integer literals, `+`,
 `-`, `*`, `/`, `^` with positive integer exponents, parentheses and
@@ -166,6 +167,8 @@ def scaled_entries(values) -> tuple[list, int] | None:
         denominators = {c.denominator for c in values}
     except AttributeError:
         return None
+    if denominators == {1}:
+        return [c.numerator for c in values], 1
     den = 1
     for d in denominators:
         den = math.lcm(den, d)
@@ -181,11 +184,24 @@ def _scaled_ints(values) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in values], den
 
 
+_ZERO = Fraction(0)
+
+
 def divided(values, den: int) -> list[Fraction]:
     """values / den as `Fraction`s: an int / int would be a float, and a
-    Fraction (left unscaled) / den takes gcds of den's size."""
-    zero = Fraction(0)
-    return [zero if not v else Fraction(v, den) if type(v) is int else v / den for v in values]
+    Fraction (left unscaled) / den takes gcds of den's size.  Each distinct
+    int forms its `Fraction` once per call, and -v negates the one for v;
+    hashing a Fraction costs a modular inverse, so those divide one by one."""
+    formed = {0: _ZERO}
+    out = []
+    for v in values:
+        if type(v) is not int:
+            f = v / den
+        elif (f := formed.get(v)) is None:
+            g = formed.get(-v)
+            f = formed[v] = Fraction(v, den) if g is None else -g
+        out.append(f)
+    return out
 
 
 class _PowerTable(dict):

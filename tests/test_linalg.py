@@ -10,14 +10,18 @@ from hypothesis import given, settings, strategies as st
 
 from fedosov import linalg, rationals
 from fedosov.charts import chart_from_json, model_at_point
+from fedosov.decomposition import (
+    cotorsion_to_torsion, decompose_cotorsion, decompose_torsion, symplectify_torsion,
+)
 from fedosov.models import (
     InfinitesimalModel, bianchi_classify, check_model_axioms, model_from_json, nomizu_algebra,
     push_tensor, transvection_algebra, transvection_subalgebra, verify_model_isomorphism,
 )
 from fedosov.rationals import RationalFunction, parse_ratfun
+from fedosov.symplectic import cyclic_sum
 from conftest import (
-    PRODUCT_CHART, OldEchelon, old_matmul, old_rref, random_rational_function,
-    random_symplectic_matrix,
+    PRODUCT_CHART, OldEchelon, old_matmul, old_rref, random_antisymmetric_tensor,
+    random_rational_function, random_symmetric_tensor, random_symplectic_matrix,
 )
 
 
@@ -483,7 +487,7 @@ FRACTION_CODES = {Fraction.__new__.__code__: "Fraction.__new__",
                   Fraction._mul.__code__: "Fraction._mul",
                   Fraction._div.__code__: "Fraction._div"}
 ELIMINATION_PARENT = {"Fraction.__new__": 5382, "Fraction._mul": 1356, "Fraction._div": 608}
-ELIMINATION_BOUNDS = {"Fraction.__new__": 1376, "Fraction._mul": 364, "Fraction._div": 8}
+ELIMINATION_BOUNDS = {"Fraction.__new__": 1258, "Fraction._mul": 364, "Fraction._div": 8}
 # `check-model` and `transvection` on one product-chart model, before the
 # model kernels read their data as ints over one denominator
 MODEL_PARENT = {"Fraction.__new__": 466, "Fraction._mul": 52, "Fraction._div": 0}
@@ -493,6 +497,10 @@ MODEL_BOUNDS = {"Fraction.__new__": 21, "Fraction._mul": 0, "Fraction._div": 0}
 # algebra kernels read their brackets off sparse ints
 ALGEBRA_PARENT = {"Fraction.__new__": 408, "Fraction._mul": 46, "Fraction._div": 5}
 ALGEBRA_BOUNDS = {"Fraction.__new__": 111, "Fraction._mul": 15, "Fraction._div": 5}
+# `decompose_cotorsion`, `decompose_torsion` and `symplectify_torsion` on one
+# seeded n = 4 triple, before `rationals.divided` formed each distinct value once
+CLASSES_PARENT = {"Fraction.__new__": 2618, "Fraction._mul": 0, "Fraction._div": 0}
+CLASSES_BOUNDS = {"Fraction.__new__": 381, "Fraction._mul": 0, "Fraction._div": 0}
 
 
 def product_model() -> InfinitesimalModel:
@@ -566,3 +574,22 @@ def test_algebra_steps_form_few_fractions():
     over = {name: count for name, count in counts.items() if count > ALGEBRA_BOUNDS[name]}
     assert not over, (f"counts {over} passed their bounds {ALGEBRA_BOUNDS}; before the "
                       f"sparse int algebra kernels the steps took {ALGEBRA_PARENT}")
+
+
+def test_classes_pass_forms_few_fractions():
+    # the triple of one `classes-n4` item: S, an antisymmetric tensor, and
+    # the torsion A(-(S - C(S)/3)) in T1 + T2
+    rng = random.Random(4)
+    sym = random_symmetric_tensor(rng, 4, 5)
+    anti = random_antisymmetric_tensor(rng, 4, 5)
+    torsion = cotorsion_to_torsion(-(sym - cyclic_sum(sym).scale(Fraction(1, 3))))
+
+    def steps():
+        decompose_cotorsion(sym)
+        decompose_torsion(anti)
+        symplectify_torsion(torsion)
+
+    counts = fraction_counts(steps)
+    over = {name: count for name, count in counts.items() if count > CLASSES_BOUNDS[name]}
+    assert not over, (f"counts {over} passed their bounds {CLASSES_BOUNDS}; before `divided` "
+                      f"formed each distinct value once the pass took {CLASSES_PARENT}")

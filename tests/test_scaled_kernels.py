@@ -9,7 +9,9 @@ and divide once.  Past `rationals.MAX_SCALE_BITS` the same kernels take the
 Fraction values.  The oracles in conftest are the old Fraction loops.
 Results must agree by value and by `str`, every returned entry must be a
 `Fraction`, and poles and unassigned variables must raise the same errors
-with the same messages, on both sides of the bound.  Zero entries are read
+with the same messages, on both sides of the bound.  `rationals.divided`,
+which forms each distinct int value's `Fraction` once, must equal the
+per-entry `Fraction(v, den)`.  Zero entries are read
 as Fraction(0) without evaluation, which keeps every pole because a zero
 `RationalFunction` has denominator 1.  A last test pins that the adapter
 lives in `rationals` alone.
@@ -364,6 +366,23 @@ def test_coefficients_above_bound_match_oracle():
         assert_same_value(p.evaluate(point), old_polynomial_evaluate(p, point))
         assert_same_evaluation(RationalFunction(p, den), point)
         assert_same_evaluation(RationalFunction(den, p), point)
+
+
+# -- dividing by the shared denominator -----------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_divided_matches_per_entry_fractions(data):
+    # zeros, +-v pairs and repeats drawn from a few magnitudes, some past
+    # 2**64, with Fractions (the entries past the bound) among them
+    magnitudes = data.draw(st.lists(st.integers(1, 12) | st.integers(2 ** 64, 2 ** 80),
+                                    min_size=1, max_size=5))
+    ints = st.sampled_from([0, *magnitudes, *(-v for v in magnitudes)])
+    values = data.draw(st.lists(ints | st.fractions(max_denominator=9), max_size=30))
+    den = data.draw(st.integers(1, 60) | st.integers(2 ** 64, 2 ** 70))
+    got = rationals.divided(values, den)
+    assert got == [Fraction(v, den) if type(v) is int else v / den for v in values]
+    assert all(type(x) is Fraction for x in got)
 
 
 # -- one adapter ------------------------------------------------------------------------
