@@ -36,9 +36,13 @@ negation and scaling of a normalized pair keep it normalized, sums and
 products of two polynomials (denominator 1) stay polynomials, and a zero
 operand over the same variables makes a sum the other operand and a
 product zero.  Each such fast path yields exactly the pair the
-normalization pass would produce.  Sums, products, powers and partials
-over one variable tuple have a denominator that is a product of normalized
-ones.  By Gauss's lemma (D. E. Knuth, *TAOCP* Vol. 2, 4.6.1) it is
+normalization pass would produce.  A difference is formed directly, not
+as a sum with a negated copy, and the pass tries the exact division only
+on a denominator of two or more terms: a normalized one-term denominator
+is 1 or a monomial, and once the common monomial is stripped some
+numerator term lacks one of its variables.  Sums, products, powers and
+partials over one variable tuple have a denominator that is a product of
+normalized ones.  By Gauss's lemma (D. E. Knuth, *TAOCP* Vol. 2, 4.6.1) it is
 primitive, and its lex-leading coefficient is a product of positive ones,
 so their pass skips the content and the sign.  A quotient, whose
 denominator holds a numerator, a result over merged variables, the public
@@ -146,6 +150,19 @@ def _unpacked(keys: Iterable[int], width: int) -> list[tuple[int, ...]]:
 def _top_degrees(p: Polynomial) -> list[int]:
     """The top degree of each variable in the nonzero polynomial p."""
     return list(map(max, zip(*_unpacked(p.terms, len(p.variables)))))
+
+
+def _check_product(terms: dict, variables: tuple[str, ...]) -> None:
+    """Raise `DegreeError` when a product's raw key sums pass MAX_DEGREE.
+
+    Each field of a key sum is at most 2 * MAX_DEGREE, so it carries into no
+    other field and its guard bit is set exactly when it is over the limit.
+    A variable's top degree in a product is the sum of its factors', so the
+    raw keys over-reach exactly when the product does."""
+    if reduce(or_, terms) & _masks(len(variables))[0]:
+        top, var = max(zip(map(max, zip(*_unpacked(terms, len(variables)))), variables))
+        raise DegreeError(f"a product has degree {top} in {var}, "
+                          f"over the limit of {MAX_DEGREE} per variable")
 
 
 # -- scaled integers ----------------------------------------------------------------
@@ -351,7 +368,8 @@ class Polynomial:
                                _canonical_terms({exp: v * c for exp, v in self.terms.items()}))
 
     def _plus(self, other: Polynomial, negate: bool) -> Polynomial:
-        a, b = Polynomial._aligned(self, other)
+        a, b = (self, other) if self.variables == other.variables else \
+            Polynomial._aligned(self, other)
         terms = dict(a.terms)
         for exp, c in b.terms.items():
             if negate:
@@ -394,29 +412,30 @@ class Polynomial:
             if isinstance(other, (int, Fraction)):
                 return self._scaled(_canonical(other))
             return NotImplemented
-        a, b = Polynomial._aligned(self, other)
+        a, b = (self, other) if self.variables == other.variables else \
+            Polynomial._aligned(self, other)
         if len(b.terms) > len(a.terms):
             a, b = b, a
         if not b.terms:
             return b
         if len(b.terms) == 1:
-            (exp, c), = b.terms.items()
-            if not exp:
-                return a._scaled(c)
-        terms: dict = {}
+            # a monomial shifts every key of a: no two products share a key
+            (eb, cb), = b.terms.items()
+            if not eb:
+                return a._scaled(cb)
+            terms = {ea + eb: ca * cb for ea, ca in a.terms.items()}
+            _check_product(terms, a.variables)
+            # an int product of nonzero ints is canonical
+            if Fraction in map(type, terms.values()):
+                terms = _canonical_terms(terms)
+            return Polynomial._new(a.variables, terms)
+        terms = {}
         get = terms.get
         for ea, ca in a.terms.items():
             for eb, cb in b.terms.items():
                 exp = ea + eb
                 terms[exp] = get(exp, 0) + ca * cb
-        # Each field of a key sum is at most 2 * MAX_DEGREE, so it carries
-        # into no other field and its guard bit is set exactly when it is
-        # over the limit.  A variable's top degree in a product is the sum of
-        # its factors', so the raw keys over-reach exactly when the product does.
-        if reduce(or_, terms) & _masks(len(a.variables))[0]:
-            top, var = max(zip(map(max, zip(*_unpacked(terms, len(a.variables)))), a.variables))
-            raise DegreeError(f"a product has degree {top} in {var}, "
-                              f"over the limit of {MAX_DEGREE} per variable")
+        _check_product(terms, a.variables)
         return Polynomial._new(a.variables, _canonical_terms(terms))
 
     __rmul__ = __mul__
@@ -604,7 +623,9 @@ def _normalized(num: Polynomial, den: Polynomial,
     a product of normalized denominators over the same variables: by Gauss's
     lemma its content is 1, and its leading coefficient is the product of
     theirs, so the content pass is skipped.  Stripping a monomial changes
-    neither.
+    neither.  The division is tried only on a den of two or more terms: a
+    one-term den is then 1 or x^e, e != 0, and after the strip some variable
+    of e has exponent 0 in a term of num, so that term is not divisible.
     """
     if num.is_zero():
         return num, _one(num.variables)
@@ -629,7 +650,7 @@ def _normalized(num: Polynomial, den: Polynomial,
             inv = _canonical(1 / scale)
             num = num._scaled(inv)
             den = den._scaled(inv)
-    if not den.is_one():
+    if len(den.terms) > 1:
         quotient = num.try_exact_div(den)
         if quotient is not None:
             return quotient, _one(num.variables)
@@ -705,7 +726,7 @@ class RationalFunction:
         return RationalFunction(self.num.embed(variables), self.den.embed(variables))
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.terms
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
@@ -731,19 +752,28 @@ class RationalFunction:
             return RationalFunction._polynomial(Polynomial._new(self.variables, {}))
         return RationalFunction._new(self.num._scaled(c), self.den)
 
-    def __add__(self, other) -> RationalFunction:
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        if not (self.num.terms and other.num.terms) and \
-                self.num.variables == other.num.variables:
-            return other if other.num.terms else self
+    def _sum(self, other: RationalFunction, negate: bool) -> RationalFunction:
+        """self + other, or self - other formed directly when `negate`."""
+        a, b = self.num, other.num
+        if not (a.terms and b.terms) and a.variables == b.variables:
+            if not b.terms:
+                return self
+            return RationalFunction._new(-b, other.den) if negate else other
         if self.den.is_one() and other.den.is_one():
-            return RationalFunction._polynomial(self.num + other.num)
+            return RationalFunction._polynomial(a._plus(b, negate))
         if self.den == other.den:
-            return self._joined(other, self.num + other.num, self.den)
-        return self._joined(other, self.num * other.den + other.num * self.den,
+            return self._joined(other, a._plus(b, negate), self.den)
+        return self._joined(other, (a * other.den)._plus(b * self.den, negate),
                             self.den * other.den)
+
+    # An operand of the exact type skips `_coerced`, whose isinstance test
+    # of a `Fraction` goes through the ABC machinery.
+    def __add__(self, other) -> RationalFunction:
+        if type(other) is not RationalFunction:
+            other = self._coerced(other)
+            if other is None:
+                return NotImplemented
+        return self._sum(other, False)
 
     __radd__ = __add__
 
@@ -751,23 +781,25 @@ class RationalFunction:
         return RationalFunction._new(-self.num, self.den)
 
     def __sub__(self, other) -> RationalFunction:
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not RationalFunction:
+            other = self._coerced(other)
+            if other is None:
+                return NotImplemented
+        return self._sum(other, True)
 
     def __rsub__(self, other) -> RationalFunction:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._sum(self, True)
 
     def __mul__(self, other) -> RationalFunction:
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(_canonical(other))
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not RationalFunction:
+            if isinstance(other, (int, Fraction)):
+                return self._scaled(_canonical(other))
+            other = self._coerced(other)
+            if other is None:
+                return NotImplemented
         if not (self.num.terms and other.num.terms) and \
                 self.num.variables == other.num.variables:
             return RationalFunction._polynomial(Polynomial._new(self.variables, {}))

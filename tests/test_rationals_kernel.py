@@ -16,19 +16,27 @@ division, the guard bits of products and the common-factor mask.  Seeded
 tests check that the results normalized without the content pass have the
 keys the full normalization gives, that partials are kept per instance, and
 that exact division, which stops past the dividend's degrees, still finds
-every exact quotient.
+every exact quotient.  The last tests run every operation both on the
+library and on its previous difference, normalization and product code
+(kept below as private oracles) and require the same ordered, typed term
+maps, printed forms and `DegreeError` texts; they also check that no
+division by a one-term denominator is ever exact.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fedosov import rationals
 from fedosov.rationals import (
     MAX_DEGREE, DegreeError, ParseError, PoleError, Polynomial, RationalFunction, parse_ratfun,
 )
@@ -719,3 +727,232 @@ def test_seeded_expressions_match_sympy_cancel():
                              (a.partial(q.variables[0]),
                               sympy.diff(ps / qs, symbols[q.variables[0]]))):
             assert sympy.cancel(to_sympy(ours) - theirs) == 0
+
+
+# -- direct differences, exact-type dispatch, one-term denominators ------------------------
+#
+# The private oracles below are the previous library code: a difference was
+# a sum with a negated copy, the normalization tried the exact division on
+# every denominator other than 1, and every product of two non-constant
+# polynomials ran the accumulation loop.  Under `_previous_arithmetic` the
+# library runs on them, so each operation can be computed both ways.
+
+
+def _previous_normalized(one_term_dens, num, den, primitive):
+    """The previous `_normalized`; it appends each one-term denominator it
+    divides by to `one_term_dens`, and asserts that no such division is exact."""
+    if num.is_zero():
+        return num, rationals._one(num.variables)
+    guards, lows = rationals._masks(len(num.variables))
+    common = guards
+    for exp in itertools.chain(num.terms, den.terms):
+        common &= exp + lows
+        if not common:
+            break
+    if common:
+        shift = rationals._pack(map(min, num.min_exponents(), den.min_exponents()))
+        num = num.shift_down(shift)
+        den = den.shift_down(shift)
+    if not primitive:
+        scale = den.content()
+        if den._leading()[1] < 0:
+            scale = -scale
+        if scale != 1:
+            inv = rationals._canonical(1 / scale)
+            num = num._scaled(inv)
+            den = den._scaled(inv)
+    if not den.is_one():
+        quotient = num.try_exact_div(den)
+        if len(den.terms) == 1:
+            assert quotient is None, f"{num} is divisible by the one-term {den}"
+            one_term_dens.append(den)
+        if quotient is not None:
+            return quotient, rationals._one(num.variables)
+    return num, den
+
+
+def _previous_product(self, other):
+    if not isinstance(other, Polynomial):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(rationals._canonical(other))
+        return NotImplemented
+    a, b = Polynomial._aligned(self, other)
+    if len(b.terms) > len(a.terms):
+        a, b = b, a
+    if not b.terms:
+        return b
+    if len(b.terms) == 1:
+        (exp, c), = b.terms.items()
+        if not exp:
+            return a._scaled(c)
+    terms = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            terms[ea + eb] = terms.get(ea + eb, 0) + ca * cb
+    if functools.reduce(operator.or_, terms) & rationals._masks(len(a.variables))[0]:
+        width = len(a.variables)
+        top, var = max(zip(map(max, zip(*rationals._unpacked(terms, width))), a.variables))
+        raise DegreeError(f"a product has degree {top} in {var}, "
+                          f"over the limit of {MAX_DEGREE} per variable")
+    return Polynomial._new(a.variables, rationals._canonical_terms(terms))
+
+
+def _previous_sub(self, other):
+    other = self._coerced(other)
+    if other is None:
+        return NotImplemented
+    return self + (-other)
+
+
+def _previous_rsub(self, other):
+    other = self._coerced(other)
+    if other is None:
+        return NotImplemented
+    return other + (-self)
+
+
+@contextlib.contextmanager
+def _previous_arithmetic():
+    """Run the library on the previous code; yields the list of one-term
+    denominators met."""
+    one_term_dens = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rationals, "_normalized",
+                      functools.partial(_previous_normalized, one_term_dens))
+        patch.setattr(Polynomial, "__mul__", _previous_product)
+        patch.setattr(Polynomial, "__rmul__", _previous_product)
+        patch.setattr(RationalFunction, "__sub__", _previous_sub)
+        patch.setattr(RationalFunction, "__rsub__", _previous_rsub)
+        yield one_term_dens
+
+
+def term_list(p):
+    """The term map in order, with each coefficient's type."""
+    return [(exp, type(c), c) for exp, c in p.terms.items()]
+
+
+def assert_identical(new, old):
+    assert type(new) is type(old)
+    if isinstance(new, RationalFunction):
+        assert new.variables == old.variables
+        assert term_list(new.num) == term_list(old.num)
+        assert term_list(new.den) == term_list(old.den)
+    else:
+        assert (new.variables, term_list(new)) == (old.variables, term_list(old))
+    assert str(new) == str(old)
+
+
+nonzero_coefficients = coefficients.filter(bool)
+DEN_SHAPES = ("zero", "den 1", "one term", "multi-term")
+
+
+def _poly_of(draw, variables, size):
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=3) for _ in variables])
+    return Polynomial(variables, draw(st.dictionaries(
+        exponents, nonzero_coefficients, min_size=size[0], max_size=size[1])))
+
+
+@st.composite
+def shaped_operands(draw):
+    """(a, b): each zero, over the denominator 1, or over a one-term or
+    multi-term denominator; b over a's variables or other ones, and its
+    numerator often a multiple of a's denominator, so that a * b and a
+    difference over a shared denominator can collapse by exact division."""
+    operands = []
+    variables = draw(st.sampled_from(VARIABLE_TUPLES))
+    for _ in range(2):
+        shape = draw(st.sampled_from(DEN_SHAPES))
+        if shape == "zero":
+            operands.append(RationalFunction.constant(0, variables))
+        else:
+            num = _poly_of(draw, variables, (1, 4))
+            if operands and not operands[0].is_zero() and draw(st.booleans()):
+                num = num * operands[0].den.embed(
+                    sorted(set(variables) | set(operands[0].variables)))
+            if shape == "den 1":
+                operands.append(RationalFunction(num))
+            else:
+                # over no variables there is one monomial, so one term
+                size = (2, 3) if shape == "multi-term" and variables else (1, 1)
+                den = _poly_of(draw, variables, size)
+                if den.is_constant() and len(den.terms) == 1 and variables:
+                    den = den * Polynomial.variable(variables[0])
+                operands.append(RationalFunction(num, den))
+        if not draw(st.booleans()):
+            variables = draw(st.sampled_from(VARIABLE_TUPLES))
+    return tuple(operands)
+
+
+def _operations(a, b, scalar):
+    """Each binary operation on a and b, both orders, and with scalars and a
+    polynomial on either side."""
+    results = [a + b, b + a, a - b, b - a, a * b, b * a, a - a, a + scalar, scalar - a,
+               a - scalar, a * scalar, a - b.num, b.num - a, a * b.num, a ** 2]
+    if not b.is_zero():
+        results.append(a / b)
+    results += [a.partial(v) for v in a.variables]
+    return results
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands=shaped_operands(), scalar=coefficients)
+def test_operations_match_the_previous_arithmetic(operands, scalar):
+    new = _operations(*operands, scalar)
+    with _previous_arithmetic():
+        # fresh instances: a partial, once formed, is kept on its instance
+        old = _operations(*(RationalFunction._new(f.num, f.den) for f in operands), scalar)
+    assert len(new) == len(old)
+    for got, want in zip(new, old):
+        assert_identical(got, want)
+        assert_canonical(got.num)
+        assert_canonical(got.den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_products_match_the_previous_loop(data):
+    # one-term factors (constant or not) and Fraction coefficients whose
+    # products are integral, over equal and different variable tuples
+    p = _poly_of(data.draw, data.draw(st.sampled_from(VARIABLE_TUPLES)), (0, 4))
+    q = _poly_of(data.draw, data.draw(st.sampled_from(VARIABLE_TUPLES)), (0, 2))
+    for a, b in ((p, q), (q, p), (q, q), (p, p)):
+        want = _previous_product(a, b)
+        assert_identical(a * b, want)
+        assert_canonical(a * b)
+
+
+def test_degree_errors_match_the_previous_loop():
+    rng = random.Random(9600)
+    variables = ("u", "x", "y")
+    raised = 0
+    for _ in range(200):
+        a_vars = tuple(rng.sample(variables, rng.randint(1, 3)))
+        b_vars = tuple(rng.sample(variables, rng.randint(1, 3)))
+        a = Polynomial(a_vars, _drawn_terms(rng, a_vars, rng.choice((1, 3)), high=True))
+        b = Polynomial(b_vars, _drawn_terms(rng, b_vars, 1, high=True))
+        try:
+            want = _previous_product(a, b)
+        except DegreeError as err:
+            raised += 1
+            with pytest.raises(DegreeError) as caught:
+                a * b
+            assert str(caught.value) == str(err)
+        else:
+            assert_identical(a * b, want)
+    assert raised > 20
+
+
+def test_one_term_denominators_never_divide():
+    # The previous normalization met one-term denominators (each then 1 or a
+    # monomial x^e) and no division by one was exact; drawn operands above
+    # also assert it, on every one-term denominator they meet.
+    rng = random.Random(9700)
+    pool = [_seeded_ratfun(rng) for _ in range(30)]
+    with _previous_arithmetic() as one_term_dens:
+        for a, b in itertools.product(pool, repeat=2):
+            a - b, a * b
+            if not b.is_zero():
+                a / b
+    assert len(one_term_dens) > 20
+    assert all(den.terms.get(0) is None and list(den.terms.values()) == [1]
+               for den in one_term_dens)

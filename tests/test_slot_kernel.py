@@ -15,9 +15,11 @@ by printed form and by type, on every slot of seeded `Fraction`, `int` and
 `RationalFunction` tensors, and a mutant that sums each entry's terms in
 decreasing order must be caught.
 
-One test counts the polynomial products, content passes and partials of
-one `verify-chart --suite all` on the benchmark's seed-1 swell chart, so
-that undoing the sharing of chart quantities fails here.
+One test counts the polynomial products, content passes, partials and
+exact divisions, and the rational-function negations and sums, of one
+`verify-chart --suite all` on the benchmark's seed-1 swell chart, so that
+undoing the sharing of chart quantities, or forming a difference through
+a negated copy, fails here.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from fedosov.charts import (
     linear_type_structure, load_example, omega_tensor,
 )
 from fedosov.models import derivation_action, push_tensor
-from fedosov.rationals import Polynomial, parse_ratfun
+from fedosov.rationals import Polynomial, RationalFunction, parse_ratfun
 from fedosov.symplectic import (
     COV, CON, SymplecticSpace, Tensor, _contract_slot, change_basis, cotorsion_lower,
     cotorsion_raise, insert_vector, torsion_lower, torsion_raise,
@@ -236,12 +238,16 @@ def swell_chart(a=1, b=1, c=1):
 
 
 # Parent-commit counts in one `verify-chart --suite all` on the seed-1
-# benchmark chart, where every sum, product, partial and power ran the
-# content pass and every partial was formed again at each reader.
+# benchmark chart: for the first three, where every sum, product, partial
+# and power ran the content pass and every partial was formed again at each
+# reader; for the last three, where a difference was a sum with a negated
+# copy and the normalization divided by every one-term denominator.
 SHARING_PARENT = {"Polynomial.__mul__": 1061, "Polynomial.content": 448,
-                  "Polynomial.partial": 294}
+                  "Polynomial.partial": 294, "Polynomial.try_exact_div": 382,
+                  "RationalFunction.__neg__": 586, "RationalFunction.__add__": 810}
 SHARING_BOUNDS = {"Polynomial.__mul__": 802, "Polynomial.content": 13,
-                  "Polynomial.partial": 176}
+                  "Polynomial.partial": 176, "Polynomial.try_exact_div": 335,
+                  "RationalFunction.__neg__": 150, "RationalFunction.__add__": 374}
 
 
 def test_swell_verification_forms_each_quantity_once(tmp_path, monkeypatch, capsys):
@@ -250,14 +256,15 @@ def test_swell_verification_forms_each_quantity_once(tmp_path, monkeypatch, caps
     path.write_text(json.dumps(swell_json(1, 1, 2)), encoding="utf-8")
     counts = dict.fromkeys(SHARING_BOUNDS, 0)
     for name in SHARING_BOUNDS:
-        method = name.split(".")[1]
-        original = getattr(Polynomial, method)
+        kind, method = name.split(".")
+        owner = {"Polynomial": Polynomial, "RationalFunction": RationalFunction}[kind]
+        original = getattr(owner, method)
 
         def counted(*args, _name=name, _original=original):
             counts[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(Polynomial, method, counted)
+        monkeypatch.setattr(owner, method, counted)
     assert cli.main(["verify-chart", str(path), "--suite", "all"]) == 1
     capsys.readouterr()
     over = {name: count for name, count in counts.items() if count > SHARING_BOUNDS[name]}
