@@ -577,15 +577,21 @@ def chart_from_json(data: dict) -> Chart:
     _check_coordinates(coords)
 
     parsed = {}
+    dens = {}
 
     def parse(text, context):
-        # equal texts give one shared entry, whose partials are formed once
+        # equal texts give one shared entry, whose partials are formed once,
+        # and equal denominators share one object, whose products with other
+        # denominators are formed once; the key is the ordered term map, so
+        # that every entry keeps its own term order
         text = str(text)
         if text not in parsed:
             try:
-                parsed[text] = parse_ratfun(text, coords)
+                value = parse_ratfun(text, coords)
             except ValueError as err:
                 raise ChartFormatError(f"{context}: {err}") from None
+            den = dens.setdefault(tuple(value.den.terms.items()), value.den)
+            parsed[text] = RationalFunction._new(value.num, den)
         return parsed[text]
 
     omega_entries = {}

@@ -52,6 +52,17 @@ A rational function forms each partial derivative once: the instance keeps
 it and returns the same object on every later call, which is safe because
 instances are immutable.
 
+A denominator forms each product with another denominator once
+(`Polynomial._times`): the left factor keeps the product, keyed by the
+right factor's id beside a weakref to it, and a hit needs the weakref to
+give that factor back, so a reused id misses.  The memo holds no strong
+reference to the right factor and a product none to either factor, so no
+reference cycle forms and each memo is freed with its owner by reference
+counting; nothing outlives the operands.  A factor 1 over the same
+variables gives the other factor before any memo is read, so the shared
+`_one` never keeps one.  `charts.chart_from_json` gives equal denominators
+one object, so the products of a chart's denominators are formed once.
+
 Kernels built from sums and products run on scaled integers through one
 adapter: `scaled_entries` multiplies exact rationals by the lcm of their
 denominators, and `divided` builds each distinct result value once as a
@@ -71,6 +82,7 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain
@@ -281,7 +293,7 @@ class Polynomial:
     be modified after construction.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "terms", "_products", "__weakref__")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[tuple[int, ...], Fraction]):
         self.variables: tuple[str, ...] = tuple(variables)
@@ -439,6 +451,30 @@ class Polynomial:
         return Polynomial._new(a.variables, _canonical_terms(terms))
 
     __rmul__ = __mul__
+
+    def _times(self, other: Polynomial) -> Polynomial:
+        """self * other, computed in that operand order and formed once per
+        pair (see the module docstring): `self` keeps it keyed by id(other)
+        beside a weakref to `other`, and a hit needs the weakref to give
+        `other` back.  A factor 1 over the same variables gives the other
+        factor and no memo; over different variables this is the plain
+        product."""
+        if self.variables != other.variables:
+            return self * other
+        if self.is_one():
+            return other
+        if other.is_one():
+            return self
+        try:
+            memo = self._products
+        except AttributeError:
+            memo = self._products = {}
+        hit = memo.get(id(other))
+        if hit and hit[0]() is other:
+            return hit[1]
+        product = self * other
+        memo[id(other)] = weakref.ref(other), product
+        return product
 
     def __pow__(self, k: int) -> Polynomial:
         if not isinstance(k, int) or k < 0:
@@ -761,10 +797,10 @@ class RationalFunction:
             return RationalFunction._new(-b, other.den) if negate else other
         if self.den.is_one() and other.den.is_one():
             return RationalFunction._polynomial(a._plus(b, negate))
-        if self.den == other.den:
+        if self.den is other.den or self.den == other.den:
             return self._joined(other, a._plus(b, negate), self.den)
         return self._joined(other, (a * other.den)._plus(b * self.den, negate),
-                            self.den * other.den)
+                            self.den._times(other.den))
 
     # An operand of the exact type skips `_coerced`, whose isinstance test
     # of a `Fraction` goes through the ABC machinery.
@@ -805,7 +841,7 @@ class RationalFunction:
             return RationalFunction._polynomial(Polynomial._new(self.variables, {}))
         if self.den.is_one() and other.den.is_one():
             return RationalFunction._polynomial(self.num * other.num)
-        return self._joined(other, self.num * other.num, self.den * other.den)
+        return self._joined(other, self.num * other.num, self.den._times(other.den))
 
     __rmul__ = __mul__
 
@@ -860,7 +896,7 @@ class RationalFunction:
             else:
                 dd = self.den.partial(var)
                 value = RationalFunction._primitive(dn * self.den - self.num * dd,
-                                                    self.den * self.den)
+                                                    self.den._times(self.den))
             memo[var] = value
         return value
 

@@ -20,17 +20,25 @@ every exact quotient.  The last tests run every operation both on the
 library and on its previous difference, normalization and product code
 (kept below as private oracles) and require the same ordered, typed term
 maps, printed forms and `DegreeError` texts; they also check that no
-division by a one-term denominator is ever exact.
+division by a one-term denominator is ever exact.  The tests of
+`Polynomial._times` run rational functions with shared denominator objects
+both on the library and on the previous plain products, and check that a
+product is formed once, that a factor 1 gives the other factor and keeps no
+memo, that a chart command leaves no memo alive, that memos are freed by
+reference counting alone, and that a reused id misses.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import gc
 import itertools
+import json
 import math
 import operator
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -956,3 +964,183 @@ def test_one_term_denominators_never_divide():
     assert len(one_term_dens) > 20
     assert all(den.terms.get(0) is None and list(den.terms.values()) == [1]
                for den in one_term_dens)
+
+
+# -- each product of two denominators formed once ------------------------------------------
+#
+# The private oracles below are the previous library code at the three sites
+# that now call `Polynomial._times`: a product, a sum over two different
+# denominators and a partial each formed the product of the denominators
+# with `Polynomial.__mul__`, and a sum compared the denominators by value
+# only.  Under `_plain_products` the library runs on them.
+
+
+def _previous_sum(self, other, negate):
+    a, b = self.num, other.num
+    if not (a.terms and b.terms) and a.variables == b.variables:
+        if not b.terms:
+            return self
+        return RationalFunction._new(-b, other.den) if negate else other
+    if self.den.is_one() and other.den.is_one():
+        return RationalFunction._polynomial(a._plus(b, negate))
+    if self.den == other.den:
+        return self._joined(other, a._plus(b, negate), self.den)
+    return self._joined(other, (a * other.den)._plus(b * self.den, negate),
+                        self.den * other.den)
+
+
+def _previous_mul(self, other):
+    if type(other) is not RationalFunction:
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(rationals._canonical(other))
+        other = self._coerced(other)
+        if other is None:
+            return NotImplemented
+    if not (self.num.terms and other.num.terms) and \
+            self.num.variables == other.num.variables:
+        return RationalFunction._polynomial(Polynomial._new(self.variables, {}))
+    if self.den.is_one() and other.den.is_one():
+        return RationalFunction._polynomial(self.num * other.num)
+    return self._joined(other, self.num * other.num, self.den * other.den)
+
+
+def _previous_partial(self, var):
+    if var not in self.variables:
+        raise ValueError(f"unknown variable {var!r}")
+    dn = self.num.partial(var)
+    if self.den.is_one():
+        return RationalFunction._new(dn, self.den)
+    dd = self.den.partial(var)
+    return RationalFunction._primitive(dn * self.den - self.num * dd, self.den * self.den)
+
+
+@contextlib.contextmanager
+def _plain_products():
+    """Run the library with every product of denominators formed by
+    `Polynomial.__mul__`, as the previous code did."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RationalFunction, "_sum", _previous_sum)
+        patch.setattr(RationalFunction, "__mul__", _previous_mul)
+        patch.setattr(RationalFunction, "__rmul__", _previous_mul)
+        patch.setattr(RationalFunction, "partial", _previous_partial)
+        yield
+
+
+@st.composite
+def shared_den_operands(draw):
+    """Rational functions whose equal denominators are one object, as a
+    parsed chart's are: each normalized denominator joins a pool keyed by
+    its ordered term map, and the pair is rebuilt on the pooled object.  The
+    last operand is sometimes over other variables."""
+    variables = draw(st.sampled_from(VARIABLE_TUPLES[1:]))
+    dens = [_poly_of(draw, variables, (1, 3)) for _ in range(3)]
+    pool = {}
+    operands = []
+    for k in range(4):
+        if k == 3 and draw(st.booleans()):
+            variables = draw(st.sampled_from(VARIABLE_TUPLES))
+            dens = [d.embed(sorted(set(d.variables) | set(variables))) for d in dens]
+        num = _poly_of(draw, variables, (0, 3))
+        den = draw(st.sampled_from(dens + [Polynomial.constant(1, variables)]))
+        f = RationalFunction(num, den)
+        shared = pool.setdefault((f.variables, tuple(f.den.terms.items())), f.den)
+        operands.append(RationalFunction._new(f.num, shared))
+    return operands
+
+
+def _den_product_operations(operands):
+    """Products, sums and differences of every ordered pair, chained
+    products, and every partial; a second round reads the memos the first
+    one filled."""
+    results = []
+    for _ in range(2):
+        for a, b in itertools.product(operands, repeat=2):
+            results += [a * b, a + b, a - b]
+        a, b, c, d = operands
+        results += [a * b * c, (a * b) * (c * d), a * b + c * d, (a - b) * (c + d)]
+        results += [f.partial(v) for f in operands for v in f.variables]
+    return results
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands=shared_den_operands())
+def test_shared_denominators_match_plain_products(operands):
+    new = _den_product_operations(operands)
+    with _plain_products():
+        # fresh instances: a partial, once formed, is kept on its instance
+        old = _den_product_operations([RationalFunction._new(f.num, f.den) for f in operands])
+    assert len(new) == len(old)
+    for got, want in zip(new, old):
+        assert_identical(got, want)
+
+
+def test_a_product_of_denominators_is_formed_once():
+    variables = ("x", "y")
+    q = Polynomial(variables, {(2, 0): 1, (0, 2): 1, (0, 0): 2})
+    e = Polynomial(variables, {(1, 0): 1, (0, 0): 1})
+    x = Polynomial(variables, {(1, 0): 1})
+    for a, b in ((q, e), (e, q), (q, q), (x, q), (q, x)):
+        assert a._times(b) is a._times(b)
+        assert_identical(a._times(b), a * b)
+    assert q._times(e) is not e._times(q)
+    one = rationals._one(variables)
+    for f in (q, e, x, Polynomial.constant(3, variables)):
+        assert one._times(f) is f and f._times(one) is f
+        assert_identical(one * f, f)
+    assert one._times(one) is one
+    assert not hasattr(one, "_products")
+    # over other variables the plain product, and no memo on either side
+    one_x = rationals._one(("x",))
+    assert_identical(one_x._times(q), one_x * q)
+    assert_identical(q._times(one_x), q * one_x)
+    assert not hasattr(one_x, "_products")
+
+
+def test_a_chart_command_leaves_no_memo(tmp_path, capsys):
+    from fedosov import cli
+    from test_slot_kernel import swell_json
+
+    path = tmp_path / "swell.json"
+    path.write_text(json.dumps(swell_json(1, 1, 2)), encoding="utf-8")
+    gc.collect()
+    # held, so that no new polynomial can reuse one of their ids
+    before = [p for p in gc.get_objects() if type(p) is Polynomial and hasattr(p, "_products")]
+    seen = set(map(id, before))
+    assert cli.main(["verify-chart", str(path), "--suite", "all"]) == 1
+    capsys.readouterr()
+    assert not hasattr(rationals._one(("x", "y", "u", "v")), "_products")
+    gc.collect()
+    kept = [p for p in gc.get_objects()
+            if type(p) is Polynomial and hasattr(p, "_products") and id(p) not in seen]
+    assert not kept
+
+
+def test_memos_are_freed_by_reference_counting():
+    variables = ("x", "y")
+    gc.disable()
+    try:
+        p = Polynomial(variables, {(2, 0): 1, (0, 0): 1})
+        q = Polynomial(variables, {(0, 2): 1, (1, 0): 3})
+        products = [p._times(q), q._times(p), p._times(p), q._times(q)]
+        refs = [weakref.ref(f) for f in (p, q, *products)]
+        del p, q, products
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_a_reused_id_misses_the_memo():
+    variables = ("x", "y")
+    p = Polynomial(variables, {(1, 0): 1, (0, 0): 2})
+    q = Polynomial(variables, {(0, 1): 1, (0, 0): 1})
+    stale, old_id = p._times(q), id(q)
+    del q
+    for k in range(1000):
+        r = Polynomial(variables, {(0, 2): 1, (0, 0): k + 1})
+        if id(r) == old_id:
+            break
+        del r
+    else:
+        pytest.skip("no new polynomial took the freed id")
+    assert p._times(r) is not stale
+    assert_identical(p._times(r), p * r)

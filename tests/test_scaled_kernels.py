@@ -11,7 +11,8 @@ Results must agree by value and by `str`, every returned entry must be a
 `Fraction`, and poles and unassigned variables must raise the same errors
 with the same messages, on both sides of the bound.  `rationals.divided`,
 which forms each distinct int value's `Fraction` once, must equal the
-per-entry `Fraction(v, den)`.  Zero entries are read
+per-entry `Fraction(v, den)`, and `rationals.scaled_entries` scales ints and
+`Fraction`s and nothing else.  Zero entries are read
 as Fraction(0) without evaluation, which keeps every pole because a zero
 `RationalFunction` has denominator 1.  A last test pins that the adapter
 lives in `rationals` alone.
@@ -383,6 +384,21 @@ def test_divided_matches_per_entry_fractions(data):
     got = rationals.divided(values, den)
     assert got == [Fraction(v, den) if type(v) is int else v / den for v in values]
     assert all(type(x) is Fraction for x in got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(-2 ** 70, 2 ** 70) | st.fractions(max_denominator=30),
+                       max_size=20))
+def test_scaled_entries_take_ints_and_fractions_only(values):
+    # ints and Fractions scale by the lcm of their denominators; one float
+    # (which has an integer ratio too) or `RationalFunction` entry gives None
+    scaled = rationals.scaled_entries(values)
+    den = math.lcm(*(Fraction(v).denominator for v in values))
+    assert scaled == ([int(v * den) for v in values], den)
+    assert all(type(n) is int for n in scaled[0])
+    for other in (0.5, 2.0, RationalFunction.variable("x")):
+        assert rationals.scaled_entries(values + [other]) is None
+        assert rationals.scaled_entries([other] + values) is None
 
 
 # -- one adapter ------------------------------------------------------------------------

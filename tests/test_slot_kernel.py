@@ -15,11 +15,12 @@ by printed form and by type, on every slot of seeded `Fraction`, `int` and
 `RationalFunction` tensors, and a mutant that sums each entry's terms in
 decreasing order must be caught.
 
-One test counts the polynomial products, content passes, partials and
-exact divisions, and the rational-function negations and sums, of one
+One test counts the polynomial products (all of them, and those of two
+factors with two or more terms each), content passes, partials and exact
+divisions, and the rational-function negations and sums, of one
 `verify-chart --suite all` on the benchmark's seed-1 swell chart, so that
-undoing the sharing of chart quantities, or forming a difference through
-a negated copy, fails here.
+undoing the sharing of chart quantities or of denominator products, or
+forming a difference through a negated copy, fails here.
 """
 
 from __future__ import annotations
@@ -240,14 +241,19 @@ def swell_chart(a=1, b=1, c=1):
 # Parent-commit counts in one `verify-chart --suite all` on the seed-1
 # benchmark chart: for the first three, where every sum, product, partial
 # and power ran the content pass and every partial was formed again at each
-# reader; for the last three, where a difference was a sum with a negated
-# copy and the normalization divided by every one-term denominator.
+# reader; for the next three, where a difference was a sum with a negated
+# copy and the normalization divided by every one-term denominator; for
+# the products of two factors of two or more terms each, where every
+# product of two denominators was formed again and equal parsed
+# denominators were separate objects (`Polynomial.__mul__` took 802 there).
 SHARING_PARENT = {"Polynomial.__mul__": 1061, "Polynomial.content": 448,
                   "Polynomial.partial": 294, "Polynomial.try_exact_div": 382,
-                  "RationalFunction.__neg__": 586, "RationalFunction.__add__": 810}
-SHARING_BOUNDS = {"Polynomial.__mul__": 802, "Polynomial.content": 13,
+                  "RationalFunction.__neg__": 586, "RationalFunction.__add__": 810,
+                  "products of two sums": 208}
+SHARING_BOUNDS = {"Polynomial.__mul__": 507, "Polynomial.content": 13,
                   "Polynomial.partial": 176, "Polynomial.try_exact_div": 335,
-                  "RationalFunction.__neg__": 150, "RationalFunction.__add__": 374}
+                  "RationalFunction.__neg__": 150, "RationalFunction.__add__": 374,
+                  "products of two sums": 44}
 
 
 def test_swell_verification_forms_each_quantity_once(tmp_path, monkeypatch, capsys):
@@ -256,12 +262,17 @@ def test_swell_verification_forms_each_quantity_once(tmp_path, monkeypatch, caps
     path.write_text(json.dumps(swell_json(1, 1, 2)), encoding="utf-8")
     counts = dict.fromkeys(SHARING_BOUNDS, 0)
     for name in SHARING_BOUNDS:
+        if "." not in name:
+            continue
         kind, method = name.split(".")
         owner = {"Polynomial": Polynomial, "RationalFunction": RationalFunction}[kind]
         original = getattr(owner, method)
 
         def counted(*args, _name=name, _original=original):
             counts[_name] += 1
+            if _name == "Polynomial.__mul__" and isinstance(args[1], Polynomial) and \
+                    len(args[0].terms) > 1 and len(args[1].terms) > 1:
+                counts["products of two sums"] += 1
             return _original(*args)
 
         monkeypatch.setattr(owner, method, counted)
