@@ -281,7 +281,8 @@ def cmd_transvection(args) -> int:
 
 
 def _three_dimensional_presentation(data: dict) -> mo.LieAlgebraPresentation:
-    # Reject a wrong dimension before building dim^3 constants and the Jacobi scan.
+    # Reject a wrong dimension before reading the constants, running the Jacobi
+    # check and forming the default `dim` basis labels.
     dim = data.get("dim")
     if isinstance(dim, int) and dim != 3:
         raise InputError("Bianchi classification needs a 3-dimensional algebra")

@@ -47,13 +47,17 @@ denominator, and tries only the pairs that include an element added in
 the previous round; `_algebra_from_parts` reads [X,Y] off the scaled
 torsion and the nonzero curvature endomorphisms and puts each curvature
 endomorphism and each [A,B] in coordinates on h from its ints
-(`linalg.Coordinates._ints`).  A presentation checks antisymmetry and the
-Jacobi identity on its nonzero constants, as ints over the lcm of their
-denominators, and `bianchi_classify` reads each bracket and the Killing
-form off the constants.  `Fraction`s are formed only for what is kept or
-printed: witness values (the same value, hence the same text), bases,
-structure constants and JSON.  The `Fraction` paths these replaced are
-the oracles in the tests.
+(`linalg.Coordinates._ints`).  A presentation keeps its constants in the
+form they are built, checked and written in: {(i, j): {k: c_ij^k}} over
+the nonzero constants of each pair i < j, the JSON format's form, so it is
+antisymmetric by construction.  It checks the Jacobi identity on those
+constants, both orders of each pair, as ints over the lcm of their
+denominators; `bracket` and the JSON writer read them directly, and the
+dense dim^3 `structure_constants` is a view formed on first read, which
+only `bianchi_classify` (dimension 3) reads.  `Fraction`s are formed only
+for what is kept or printed: witness values (the same value, hence the
+same text), bases, structure constants and JSON.  The `Fraction` paths
+these replaced are the oracles in the tests.
 """
 
 from __future__ import annotations
@@ -62,7 +66,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import linalg
@@ -467,73 +473,79 @@ def _annihilates(endo, targets: list[_Scaled]) -> bool:
 
 @dataclass(frozen=True)
 class LieAlgebraPresentation:
-    """Structure constants [b_i, b_j] = sum_k c[i][j][k] b_k on a labeled basis.
+    """Structure constants [b_i, b_j] = sum_k c_ij^k b_k on a labeled basis.
 
-    Antisymmetry and the Jacobi identity are verified exactly on
-    construction, so every instance is a genuine Lie algebra presentation.
+    `brackets` maps each pair i < j whose bracket is nonzero to {k: c_ij^k}
+    over its nonzero constants; [b_j, b_i] is its negative and [b_i, b_i]
+    is zero, so the form is antisymmetric by construction.  The Jacobi
+    identity is verified exactly on construction, and the instance keeps a
+    read-only copy of `brackets`, so every instance is a genuine Lie algebra
+    presentation.  `structure_constants`, c[i][j][k] as a dense nested
+    tuple of `Fraction`s, is a view formed on first read.
     """
 
     dim: int
     basis_labels: tuple[str, ...]
-    structure_constants: tuple  # c[i][j][k] as a nested tuple of Fractions
+    brackets: dict  # {(i, j): {k: c_ij^k}}, i < j, nonzero constants only
     subspaces: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        c = self.structure_constants
-        if len(c) != self.dim or any(len(plane) != self.dim or any(
-                len(row) != self.dim for row in plane) for plane in c):
-            raise ValueError("structure constant array has wrong shape")
-        constants = _constant_ints(c)
-        bad = _first_antisymmetry_violation(constants, self.dim, 3)
-        if bad is not None:
-            i, j, _ = bad
-            raise ValueError(f"structure constants not antisymmetric at ({i + 1},{j + 1})")
-        bad = _first_jacobi_failure(constants, self.dim)
+        # a read-only copy, so that the checks below hold for the instance's life
+        object.__setattr__(self, "brackets", MappingProxyType(
+            {pair: MappingProxyType(dict(row)) for pair, row in self.brackets.items()}))
+        for (i, j), row in self.brackets.items():
+            if not (0 <= i < j < self.dim and row
+                    and all(x and 0 <= k < self.dim for k, x in row.items())):
+                raise ValueError(f"bracket ({i + 1},{j + 1}) is not a pair i < j of nonzero "
+                                 f"constants at indices 1..{self.dim}")
+        bad = self.first_jacobi_failure()
         if bad is not None:
             raise ValueError(f"Jacobi identity fails on basis triple {bad}")
 
+    @cached_property
+    def structure_constants(self) -> tuple:
+        c = [[[Fraction(0)] * self.dim for _ in range(self.dim)] for _ in range(self.dim)]
+        for (i, j), row in self.brackets.items():
+            for k, x in row.items():
+                c[i][j][k], c[j][i][k] = x, -x
+        return tuple(tuple(map(tuple, plane)) for plane in c)
+
     def bracket(self, x: list, y: list) -> list:
-        c = self.structure_constants
+        """[x, y] in coordinates, summed over the nonzero coordinates of x and y."""
         out = [Fraction(0)] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
-            if xi == 0:
+            if not xi:
                 continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                row = c[i][j]
-                for k in range(self.dim):
-                    if row[k] != 0:
-                        out[k] += xi * yj * row[k]
+            for j, yj in ys:
+                if row := self.brackets.get((i, j) if i < j else (j, i)):
+                    w = xi * yj
+                    for k, c in row.items():
+                        out[k] = out[k] + w * c if i < j else out[k] - w * c
         return out
 
     def first_jacobi_failure(self) -> tuple[int, int, int] | None:
-        """First basis triple, 1-based, on which the cyclic Jacobi sum is nonzero."""
-        return _first_jacobi_failure(_constant_ints(self.structure_constants), self.dim)
+        """The first triple i < j < k, 1-based and in `combinations` order, whose
+        cyclic sum [b_i, [b_j, b_k]] + [b_j, [b_k, b_i]] + [b_k, [b_i, b_j]] is
+        nonzero.
 
-
-def _constant_ints(c) -> dict[int, int]:
-    """{(i * dim + j) * dim + k: L c[i][j][k]} over the nonzero constants,
-    as ints over L, the lcm of their denominators."""
-    dim = len(c)
-    nonzero = {ij * dim + k: x for ij, row in enumerate(itertools.chain.from_iterable(c))
-               for k, x in enumerate(row) if x}
-    return dict(zip(nonzero, _scaled_ints(nonzero.values())[0]))
-
-
-def _first_jacobi_failure(constants: dict, dim: int) -> tuple[int, int, int] | None:
-    """The first triple i < j < k, 1-based and in `combinations` order, whose
-    cyclic sum [b_i, [b_j, b_k]] + [b_j, [b_k, b_i]] + [b_k, [b_i, b_j]] is
-    nonzero, for antisymmetric constants {flat: int}.
-
-    By antisymmetry [b_a, [b_b, b_c]]_m = -sum_l c[b][c][l] c[l][a][m], the
-    constants paired through their first slot (`_pair_through_first_slot`)
-    at (b, c, a, m); the cyclic sum of that over (b, c, a) is minus the
-    Jacobi sum of the triple, and vanishes where two indices are equal.
-    """
-    paired = _pair_through_first_slot(constants, constants, dim, dim * dim)
-    bad = _first_cyclic_failure(paired, dim, dim)
-    return None if bad is None else tuple(i + 1 for i in _unflat(dim, 4, bad)[:3])
+        The constants are read as ints over the lcm of their denominators,
+        at flat (i * dim + j) * dim + k for both orders of each pair.  By
+        antisymmetry [b_a, [b_b, b_c]]_m = -sum_l c[b][c][l] c[l][a][m], the
+        constants paired through their first slot (`_pair_through_first_slot`)
+        at (b, c, a, m); the cyclic sum of that over (b, c, a) is minus the
+        Jacobi sum of the triple, and vanishes where two indices are equal.
+        """
+        dim = self.dim
+        ints = iter(_scaled_ints([x for row in self.brackets.values() for x in row.values()])[0])
+        constants = {}
+        for (i, j), row in self.brackets.items():
+            for k in row:
+                constants[(i * dim + j) * dim + k] = v = next(ints)
+                constants[(j * dim + i) * dim + k] = -v
+        paired = _pair_through_first_slot(constants, constants, dim, dim * dim)
+        bad = _first_cyclic_failure(paired, dim, dim)
+        return None if bad is None else tuple(i + 1 for i in _unflat(dim, 4, bad)[:3])
 
 
 def _flatten_endo(endo) -> list[Fraction]:
@@ -557,8 +569,8 @@ def _algebra_from_parts(model: InfinitesimalModel, h_basis: list,
     curvature endomorphisms, [A, X] = A X from the entries of A, and
     [A, B] = AB - BA as an int matrix over den_A den_B.  A curvature
     endomorphism or a commutator is put in coordinates on h from its ints
-    (`linalg.Coordinates._ints`), and c[j][i] negates the nonzero entries of
-    c[i][j].
+    (`linalg.Coordinates._ints`).  Each bracket is filed under its pair
+    i < j, so [A, X_j] = A X_j goes under (j, d + a) as [X_j, A] = -A X_j.
     """
     d = model.space.dim
     r, t = _scaled(model.curvature), _scaled(model.torsion)
@@ -571,8 +583,8 @@ def _algebra_from_parts(model: InfinitesimalModel, h_basis: list,
         if found is None:
             raise ModelError(error)
         sums, den = found
-        brackets.setdefault((i, j), {}).update(
-            (d + a, f) for a, f in enumerate(divided(sums, den)) if f)
+        if row := {d + a: s for a, s in enumerate(sums) if s}:
+            brackets.setdefault((i, j), {}).update(zip(row, divided(row.values(), den)))
 
     # [X, Y] = -T_X Y + R_XY
     for flat, value in t.entries.items():
@@ -584,11 +596,11 @@ def _algebra_from_parts(model: InfinitesimalModel, h_basis: list,
              "curvature endomorphism lies outside the isotropy algebra; "
              "the model does not satisfy its axioms")
 
-    # [A, X] = A X
+    # [X, A] = -A X
     for a, endo in enumerate(h_basis):
         for j in range(d):
-            if column := {l: row[j] for l, row in enumerate(endo) if row[j]}:
-                brackets[d + a, j] = column
+            if column := {l: -row[j] for l, row in enumerate(endo) if row[j]}:
+                brackets[j, d + a] = column
 
     # [A, B] = AB - BA
     h_ints = [_endo_ints(endo) for endo in h_basis]
@@ -598,20 +610,9 @@ def _algebra_from_parts(model: InfinitesimalModel, h_basis: list,
             in_h(d + a, d + b, _commutator(x, y), dx * dy,
                  "isotropy algebra is not closed under commutators")
 
-    dim, zero = d + m, Fraction(0)
-    c = [[(zero,) * dim] * dim for _ in range(dim)]
-    for (i, j), vec in brackets.items():
-        row, negated = [zero] * dim, [zero] * dim
-        for k, value in vec.items():
-            row[k], negated[k] = value, -value
-        c[i][j], c[j][i] = tuple(row), tuple(negated)
     labels = tuple(f"e{i + 1}" for i in range(d)) + tuple(f"A{a + 1}" for a in range(m))
-    return LieAlgebraPresentation(
-        dim=dim,
-        basis_labels=labels,
-        structure_constants=tuple(map(tuple, c)),
-        subspaces={"V": tuple(range(d)), h_name: tuple(range(d, dim))},
-    )
+    return LieAlgebraPresentation(dim=d + m, basis_labels=labels, brackets=brackets,
+                                  subspaces={"V": tuple(range(d)), h_name: tuple(range(d, d + m))})
 
 
 def _sparse_rows(matrix) -> list[list[tuple[int, object]]]:
@@ -789,13 +790,8 @@ def bianchi_classify(p: LieAlgebraPresentation) -> BianchiType:
 # -- serialization ---------------------------------------------------------------------
 
 def presentation_to_json(p: LieAlgebraPresentation) -> dict:
-    constants = {}
-    for i in range(p.dim):
-        for j in range(i + 1, p.dim):
-            row = {str(k + 1): str(c) for k, c in enumerate(p.structure_constants[i][j])
-                   if c != 0}
-            if row:
-                constants[f"[{i + 1},{j + 1}]"] = row
+    constants = {f"[{i + 1},{j + 1}]": {str(k + 1): str(c) for k, c in sorted(row.items())}
+                 for (i, j), row in sorted(p.brackets.items())}
     return {
         "dim": p.dim,
         "basis_labels": list(p.basis_labels),
@@ -812,7 +808,8 @@ def presentation_from_json(data: dict) -> LieAlgebraPresentation:
     `structure_constants` an object of objects whose values are strings and
     `subspaces` an object of lists of basis indices 1..dim.  A pair given
     under both orders, such as `[1,2]` and `[2,1]`, must give brackets that
-    are negatives of each other.
+    are negatives of each other, and no bracket may give a component index
+    twice, as `"3"` and `"03"`.  Zero constants are dropped.
     """
     dim = data["dim"]
     if not _is_int(dim) or dim < 0:
@@ -825,8 +822,7 @@ def presentation_from_json(data: dict) -> LieAlgebraPresentation:
     constants = data.get("structure_constants", {})
     if not isinstance(constants, dict):
         raise ValueError("'structure_constants' must be a JSON object")
-    zero = Fraction(0)
-    c = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    brackets = {}
     keys = {}  # (i, j) with i < j -> the key that gave [e_i, e_j]
     for key, row in constants.items():
         inner = key.strip()
@@ -839,7 +835,7 @@ def presentation_from_json(data: dict) -> LieAlgebraPresentation:
             raise ValueError(f"bad bracket key {key!r}")
         if not isinstance(row, dict):
             raise ValueError(f"bracket {key!r} must be a JSON object")
-        bracket = [zero] * dim
+        bracket = {}
         for k_text, value in row.items():
             try:
                 k = int(k_text) - 1
@@ -847,24 +843,26 @@ def presentation_from_json(data: dict) -> LieAlgebraPresentation:
                 k = -1
             if not 0 <= k < dim:
                 raise ValueError(f"bad component index in {key!r}")
+            if k in bracket:
+                raise ValueError(f"component {k_text!r} of {key!r} repeats an index given before")
             if not isinstance(value, str):
                 raise ValueError(f"component {k_text!r} of {key!r} must be a string, "
                                  f"got {type(value).__name__}")
             bracket[k] = parse_fraction(value)
-        if i > j:
-            i, j, bracket = j, i, [-x for x in bracket]
-        if (i, j) in keys and c[i][j] != bracket:
+        bracket = {k: x if i < j else -x for k, x in bracket.items() if x}
+        i, j = min(i, j), max(i, j)
+        if (i, j) in keys and brackets.get((i, j), {}) != bracket:
             raise ValueError(f"brackets {keys[i, j]!r} and {key!r} disagree")
         keys[i, j] = key
-        c[i][j], c[j][i] = bracket, [-x for x in bracket]
+        if bracket:
+            brackets[i, j] = bracket
     subspaces = data.get("subspaces", {})
     if not (isinstance(subspaces, dict) and all(
             isinstance(idx, list) and all(_is_int(i) and 1 <= i <= dim for i in idx)
             for idx in subspaces.values())):
         raise ValueError(f"'subspaces' must map names to lists of indices 1..{dim}")
     return LieAlgebraPresentation(
-        dim=dim, basis_labels=tuple(labels),
-        structure_constants=tuple(tuple(tuple(row) for row in plane) for plane in c),
+        dim=dim, basis_labels=tuple(labels), brackets=brackets,
         subspaces={name: tuple(i - 1 for i in idx) for name, idx in subspaces.items()})
 
 

@@ -741,7 +741,8 @@ def tensor_from_json(data: dict, *, space: SymplecticSpace | None = None) -> Ten
 
     Malformed input raises `ValueError` (`KeyError` for a missing field): the
     tensor must be an object, `n` an integer in 1..MAX_N, `valence` a list
-    of at most MAX_RANK slots, `components` an object whose values are strings.
+    of at most MAX_RANK slots, `components` an object whose values are strings,
+    with no index given twice (as "1,2" and "01,2").
     """
     if not isinstance(data, dict):
         raise ValueError(f"a tensor must be a JSON object, got {type(data).__name__}")
@@ -771,6 +772,8 @@ def tensor_from_json(data: dict, *, space: SymplecticSpace | None = None) -> Ten
         flat = 0
         for i in idx:
             flat = flat * dim + i
+        if flat in given:
+            raise ValueError(f"component {key!r} repeats an index given before")
         comps[flat] = parse_fraction(text)
         given.add(flat)
     t = Tensor(dim, valence, comps, space=space)

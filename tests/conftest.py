@@ -24,7 +24,12 @@ elimination kernel of `linalg` replaced for rational input.  The algebra
 oracles (`OldCoordinates`, `old_commutator`, `old_transvection_subalgebra`,
 `old_presentation_failure`, `old_algebra_from_parts`, `old_nomizu_algebra`,
 `old_bianchi_classify`) are the dense `Fraction` paths that the sparse int
-kernels of the Nomizu, transvection and Bianchi steps replaced, and
+kernels of the Nomizu, transvection and Bianchi steps replaced;
+`old_algebra_constants` keeps their dense constants c[i][j][k], which
+`old_presentation_to_json` writes and `old_bracket` reads as the dense
+presentation did, `sparse_brackets` turns them into the `brackets` of a
+`LieAlgebraPresentation`, and `dense_presentation_json` writes every entry
+of them, both orders of each pair, for the reader; and
 `old_parse_ratfun` is the parser that built each atom over its own
 variables and aligned them operation by operation.  `chart_suite` runs
 the chart suites of one `ChartRun` into one report.
@@ -1018,11 +1023,58 @@ def old_presentation_failure(c, dim) -> str | None:
     return None
 
 
-def old_algebra_from_parts(model, h_basis, h_name):
-    """The presentation of V + h from `Fraction` brackets: torsion and
+def sparse_brackets(c) -> dict:
+    """The `brackets` of dense constants c[i][j][k]: {(i, j): {k: c[i][j][k]}}
+    for i < j over the nonzero constants; c[j][i] is not read."""
+    return {(i, j): row for i, j in itertools.combinations(range(len(c)), 2)
+            if (row := {k: x for k, x in enumerate(c[i][j]) if x})}
+
+
+def dense_presentation_json(c) -> dict:
+    """`presentation_from_json` input that gives every entry of the dense
+    constants c: [i,j] then [j,i] for each pair i < j, and [i,i], wherever
+    an entry of the pair is nonzero, in the pair order (i <= j) of the
+    antisymmetry scan of `old_presentation_failure`."""
+    constants = {}
+    for i, j in itertools.combinations_with_replacement(range(len(c)), 2):
+        if any(c[i][j]) or any(c[j][i]):
+            for a, b in ((i, j), (j, i))[:1 + (i < j)]:
+                constants[f"[{a + 1},{b + 1}]"] = {str(k + 1): str(x)
+                                                   for k, x in enumerate(c[a][b]) if x}
+    return {"dim": len(c), "structure_constants": constants}
+
+
+def old_reader_failure(c) -> str | None:
+    """What `presentation_from_json(dense_presentation_json(c))` must raise:
+    the text of `old_presentation_failure`, with its first pair that is not
+    antisymmetric named as the reader names it."""
+    text = old_presentation_failure(c, len(c))
+    if text is None or not text.startswith("structure"):
+        return text
+    i, j = text[text.index("(") + 1:-1].split(",")
+    if i == j:
+        return f"bad bracket key '[{i},{i}]'"
+    return f"brackets '[{i},{j}]' and '[{j},{i}]' disagree"
+
+
+def old_presentation_to_json(c, labels, subspaces) -> dict:
+    """The JSON of the dense constants c, written by scanning every pair i < j."""
+    dim = len(c)
+    constants = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            row = {str(k + 1): str(x) for k, x in enumerate(c[i][j]) if x != 0}
+            if row:
+                constants[f"[{i + 1},{j + 1}]"] = row
+    return {"dim": dim, "basis_labels": list(labels), "structure_constants": constants,
+            "subspaces": {name: [i + 1 for i in idx] for name, idx in subspaces.items()}}
+
+
+def old_algebra_constants(model, h_basis):
+    """The dense constants of V + h from `Fraction` brackets: torsion and
     curvature read through `Tensor.__getitem__`, coordinates by
-    `OldCoordinates`, and its constants checked by `old_presentation_failure`."""
-    from fedosov.models import LieAlgebraPresentation, ModelError
+    `OldCoordinates`, checked by `old_presentation_failure`."""
+    from fedosov.models import ModelError
 
     d = model.space.dim
     coords_in_h = OldCoordinates([[x for row in e for x in row] for e in h_basis])
@@ -1069,11 +1121,19 @@ def old_algebra_from_parts(model, h_basis, h_name):
     failure = old_presentation_failure(c, dim)
     if failure is not None:
         raise ValueError(failure)
+    return c
+
+
+def old_algebra_from_parts(model, h_basis, h_name):
+    """The presentation of `old_algebra_constants`."""
+    from fedosov.models import LieAlgebraPresentation
+
+    d, m = model.space.dim, len(h_basis)
     labels = tuple(f"e{i + 1}" for i in range(d)) + tuple(f"A{a + 1}" for a in range(m))
+    brackets = sparse_brackets(old_algebra_constants(model, h_basis))
     return LieAlgebraPresentation(
-        dim=dim, basis_labels=labels,
-        structure_constants=tuple(tuple(tuple(row) for row in plane) for plane in c),
-        subspaces={"V": tuple(range(d)), h_name: tuple(range(d, dim))})
+        dim=d + m, basis_labels=labels, brackets=brackets,
+        subspaces={"V": tuple(range(d)), h_name: tuple(range(d, d + m))})
 
 
 def old_nomizu_algebra(model):

@@ -2,25 +2,31 @@
 
 `nomizu_algebra`, `transvection_algebra` and `transvection_subalgebra` read
 their brackets off int data (`models._algebra_from_parts`, `_commutator`,
-`linalg.Coordinates._ints`); `LieAlgebraPresentation` checks antisymmetry
-and the Jacobi identity on its nonzero constants as ints over one
-denominator; `bianchi_classify` reads each bracket and the Killing form off
-the constants; and `change_basis` contracts the nonzero entries of a
-constant tensor as {flat: int}, slot by slot.  The oracles are the dense
-`Fraction` paths they replaced, in `conftest.py`.  Presentations, bases,
-Bianchi types, tensors and every error text must be equal, on:
+`linalg.Coordinates._ints`); `LieAlgebraPresentation` keeps only the
+nonzero constants of each pair i < j and checks the Jacobi identity on them
+as ints over one denominator; `presentation_from_json` checks that a pair
+given under both orders agrees; `bianchi_classify` reads each bracket and
+the Killing form off the constants; and `change_basis` contracts the
+nonzero entries of a constant tensor as {flat: int}, slot by slot.  The
+oracles are the dense `Fraction` paths they replaced, in `conftest.py`.
+Presentations (their JSON, key order included, and their brackets),
+bases, Bianchi types, tensors and every error text must be equal, on:
 
 * `valid_random_model` for n = 1..3, and those models pushed by symplectic
   maps with fractional entries;
 * the fixture models in `tests/data/models`, the product-chart model and
-  trivial models;
+  trivial models, `trivial_model(n)` for n <= 6 against the dense
+  constants and their JSON writer;
 * sparse random models, which fail their axioms, for the `ModelError`
   paths, and bases of End(V) that are not closed under commutators;
 * seeded 3-dimensional Lie algebras of every Bianchi type in random bases;
-* seeded constants of dimension 3 to 6, for the antisymmetry and Jacobi
-  errors, many with several failing triples.
+* seeded constants of dimension 3 to 6, for the antisymmetry (now the
+  reader's disagreement) and Jacobi errors, many with several failing
+  triples.
 
-Six mutants must be caught: the sign of c[j][i] flipped, AB - BA swapped,
+Neither the algebras nor the JSON round trip form the dense view
+`structure_constants`.  Six mutants must be caught: the sign of [X, A]
+flipped, AB - BA swapped,
 the torsion sign in [X, Y] flipped, a covariant slot contracted with the
 inverse transposed, and the Jacobi triples read out of order (the last
 failing triple, or each triple keyed by its descending rotation).
@@ -49,10 +55,12 @@ from fedosov.rationals import RationalFunction
 from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor, change_basis
 
 from conftest import (
-    coprime_denominators, old_algebra_from_parts, old_bianchi_classify, old_change_basis,
-    old_nomizu_algebra, old_presentation_failure, old_transvection_algebra,
+    coprime_denominators, dense_presentation_json, old_algebra_constants,
+    old_algebra_from_parts, old_bianchi_classify, old_bracket, old_change_basis,
+    old_model_stabilizer_algebra, old_nomizu_algebra, old_presentation_failure,
+    old_presentation_to_json, old_reader_failure, old_transvection_algebra,
     old_transvection_subalgebra, random_rational_function, random_symplectic_matrix,
-    valid_random_model,
+    sparse_brackets, valid_random_model,
 )
 from test_linalg import product_model
 from test_model_ints import fractional_symplectic_matrix, pushed, sparse_model
@@ -66,7 +74,7 @@ def outcome(build, *args):
         result = build(*args)
     except ValueError as err:
         return type(err).__name__, str(err)
-    return presentation_to_json(result) if hasattr(result, "structure_constants") else result
+    return presentation_to_json(result) if hasattr(result, "brackets") else result
 
 
 def closure_model(rng: random.Random, count: int) -> InfinitesimalModel:
@@ -199,13 +207,13 @@ def drawn_constants(rng: random.Random, dim: int):
     return tuple(tuple(tuple(row) for row in plane) for plane in c)
 
 
-def presentation_outcome(c, dim):
+def presentation_outcome(c):
+    """The presentation the reader builds from every entry of c, or the
+    text it raised."""
     try:
-        LieAlgebraPresentation(dim=dim, basis_labels=tuple(f"b{i}" for i in range(dim)),
-                               structure_constants=c)
+        return presentation_from_json(dense_presentation_json(c))
     except ValueError as err:
         return str(err)
-    return None
 
 
 def jacobi_failures(c, dim) -> int:
@@ -223,31 +231,107 @@ def presentation_mismatches() -> list[int]:
     for case in range(120):
         dim = rng.randint(3, 6)
         c = drawn_constants(rng, dim)
-        if presentation_outcome(c, dim) != old_presentation_failure(c, dim):
+        result = presentation_outcome(c)
+        if (result if isinstance(result, str) else None) != old_reader_failure(c):
             bad.append(case)
     return bad
+
+
+def sparse_vector(rng: random.Random, dim: int) -> list[Fraction]:
+    return [Fraction(rng.choice((-2, 1, 3)), rng.choice((1, 2, 5)))
+            if rng.random() < 3 / dim else Fraction(0) for _ in range(dim)]
 
 
 def test_presentation_checks_match_the_dense_scans():
     assert presentation_mismatches() == []
     rng = random.Random(32)
-    texts, several = set(), 0
+    texts, several, built = set(), 0, 0
     for _ in range(120):
         dim = rng.randint(3, 6)
         c = drawn_constants(rng, dim)
         text = old_presentation_failure(c, dim)
         texts.add(text and text.split(" ")[0])
         several += text is not None and text.startswith("Jacobi") and jacobi_failures(c, dim) > 1
-    assert texts == {None, "structure", "Jacobi"} and several > 20
+        if text is None:
+            p = presentation_outcome(c)
+            expected = old_presentation_to_json(c, p.basis_labels, {})
+            assert json.dumps(presentation_to_json(p)) == json.dumps(expected)
+            x, y = sparse_vector(rng, dim), sparse_vector(rng, dim)
+            assert p.bracket(x, y) == old_bracket(c, dim, x, y)
+            assert p.structure_constants == c
+            built += 1
+    assert texts == {None, "structure", "Jacobi"} and several > 20 and built > 10
 
 
-def test_presentation_rejects_a_short_row():
-    zero = Fraction(0)
-    planes = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
-    planes[1][2] = [zero, zero]
-    with pytest.raises(ValueError, match="structure constant array has wrong shape"):
-        LieAlgebraPresentation(dim=3, basis_labels=("a", "b", "c"),
-                               structure_constants=tuple(tuple(map(tuple, p)) for p in planes))
+def test_presentation_rejects_brackets_off_their_range():
+    one = {2: Fraction(1)}
+    for brackets in ({(1, 0): one}, {(0, 3): one}, {(1, 1): one}, {(-1, 2): one},
+                     {(0, 1): {3: Fraction(1)}}, {(0, 1): {-1: Fraction(1)}},
+                     {(0, 1): {2: Fraction(0)}}, {(0, 1): {}}):
+        (i, j), = brackets
+        with pytest.raises(ValueError, match=rf"^bracket \({i + 1},{j + 1}\) is not a pair i < j "
+                                             r"of nonzero constants at indices 1\.\.3$"):
+            LieAlgebraPresentation(dim=3, basis_labels=("a", "b", "c"), brackets=brackets)
+
+
+def test_presentation_brackets_are_read_only():
+    given = {(0, 1): {2: Fraction(1)}}
+    p = LieAlgebraPresentation(dim=3, basis_labels=("a", "b", "c"), brackets=given)
+    given[0, 2], given[0, 1][0] = {1: Fraction(1)}, Fraction(1)  # would fail the Jacobi identity
+    assert p.brackets == {(0, 1): {2: Fraction(1)}} and p.first_jacobi_failure() is None
+    with pytest.raises(TypeError):
+        p.brackets[0, 2] = {1: Fraction(1)}
+    with pytest.raises(TypeError):
+        p.brackets[0, 1][0] = Fraction(1)
+
+
+def test_reader_rejects_brackets_that_disagree():
+    heisenberg = {"[1,2]": {"3": "1"}, "[2,1]": {"3": "-1"}}
+    for other in ({"3": "-1"}, {"3": "-2/2", "2": "0"}):  # a zero constant is no constant
+        data = {"dim": 3, "structure_constants": {**heisenberg, "[2,1]": other}}
+        assert presentation_from_json(data).brackets == {(0, 1): {2: Fraction(1)}}
+    for other in ({"3": "1"}, {"3": "-1", "1": "2"}, {}):
+        data = {"dim": 3, "structure_constants": {**heisenberg, "[2,1]": other}}
+        with pytest.raises(ValueError, match=r"^brackets '\[1,2\]' and '\[2,1\]' disagree$"):
+            presentation_from_json(data)
+
+
+def dense_oracle_models():
+    rng = random.Random(36)
+    return ([(f"trivial-n{n}", trivial_model(n)) for n in range(1, 7)]
+            + [(f"valid-n{n}", valid_random_model(rng, n)) for n in (1, 2, 2, 3)])
+
+
+def test_algebras_match_the_dense_constants():
+    """Each algebra's JSON, key order included, is the dense writer's on the
+    oracle's constants, reads back to an equal presentation, and brackets
+    as the dense constants do; the dense view is formed only when read."""
+    rng = random.Random(37)
+    for label, model in dense_oracle_models():
+        for build, h in ((nomizu_algebra, old_model_stabilizer_algebra(model)),
+                         (transvection_algebra, old_transvection_subalgebra(model))):
+            p = build(model)
+            c = old_algebra_constants(model, h)
+            expected = old_presentation_to_json(c, p.basis_labels, p.subspaces)
+            assert json.dumps(presentation_to_json(p)) == json.dumps(expected), label
+            again = presentation_from_json(expected)
+            assert again == p, label
+            for _ in range(3):
+                x, y = sparse_vector(rng, p.dim), sparse_vector(rng, p.dim)
+                assert p.bracket(x, y) == old_bracket(c, p.dim, x, y), label
+            assert "structure_constants" not in p.__dict__ | again.__dict__, label
+            assert p.structure_constants == tuple(tuple(map(tuple, plane)) for plane in c)
+
+
+def test_algebras_never_form_the_dense_view(cases):
+    for label, model in cases:
+        for build in (nomizu_algebra, transvection_algebra):
+            try:
+                p = build(model)
+            except ValueError:
+                continue
+            again = presentation_from_json(presentation_to_json(p))
+            assert "structure_constants" not in p.__dict__ | again.__dict__, label
 
 
 def bianchi_normal_forms() -> dict[str, dict]:
@@ -273,8 +357,7 @@ def in_basis(brackets: dict, p) -> LieAlgebraPresentation:
                   for a in range(3) for b in range(3) for k in range(3)), Fraction(0))
              for l in range(3)] for j in range(3)] for i in range(3)]
     return LieAlgebraPresentation(dim=3, basis_labels=("f1", "f2", "f3"),
-                                  structure_constants=tuple(tuple(map(tuple, plane))
-                                                            for plane in new))
+                                  brackets=sparse_brackets(new))
 
 
 def bianchi_cases():
@@ -384,8 +467,7 @@ def change_mismatches() -> int:
 
 
 MUTANTS = {
-    "negation-dropped": (models, "_algebra_from_parts", "value, -value", "value, value",
-                         mismatches),
+    "negation-dropped": (models, "_algebra_from_parts", "-row[j]", "row[j]", mismatches),
     "commutator-swapped": (models, "_commutator", "((a, b, 1), (b, a, -1))",
                            "((a, b, -1), (b, a, 1))", mismatches),
     "torsion-sign": (models, "_algebra_from_parts", "Fraction(-value, t.den)",

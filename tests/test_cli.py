@@ -623,6 +623,14 @@ ALGEBRA = json.loads((DATA / "algebras" / "nomizu_example2_x1_y0.json").read_tex
      "brackets '[1,2]' and '[2,1]' disagree"),
     ("check-model", {**MODEL, "torsion": {**MODEL["torsion"], "components": {"1,x,2": "1"}}},
      "bad component index '1,x,2' for dimension 2"),
+    # once the last spelling of an index won, and either order classified as type II
+    ("bianchi", {**ALGEBRA, "structure_constants": {"[1,2]": {"3": "1", "03": "2"}}},
+     "component '03' of '[1,2]' repeats an index given before"),
+    ("bianchi", {**ALGEBRA, "structure_constants": {"[1,2]": {"3": "2", "03": "1"}}},
+     "component '03' of '[1,2]' repeats an index given before"),
+    ("check-model", {**MODEL, "torsion": {**MODEL["torsion"],
+                                          "components": {"1,2,2": "1", "01,2,2": "2"}}},
+     "component '01,2,2' repeats an index given before"),
 ])
 def test_malformed_model_or_algebra_is_input_error(tmp_path, capsys, command, payload, message):
     path = write_json(tmp_path, "m.json", payload)

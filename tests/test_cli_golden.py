@@ -22,7 +22,9 @@ through all three suites, which fail with witnesses, and through
 `contact_4d.json` (xi_kernel_integrable: omega(., xi) = dx + u dy is a
 contact form), while `block_4d.json` (the second worked chart's block
 times a flat plane, with zero base curvature) passes every check; the zero model `models/zero_n2.json` has all of gl(V) as
-its stabilizer; and `model-at-point` and `obstruction` at x = 0 on the
+its stabilizer, and the trivial n = 3 model `models/zero_n3.json`
+(zero curvature and torsion, aux = (omega,)) has sp(V), so its Nomizu
+algebra has dimension 27; and `model-at-point` and `obstruction` at x = 0 on the
 second worked chart exit 2 on a vanishing denominator, and on a point
 that names a coordinate the chart does not have, names one twice or
 leaves one out.  The
@@ -87,7 +89,8 @@ COMMANDS = [
     *(["verify-chart", "charts/hamiltonian_2d.json", "--suite", suite, "--structure", "S"]
       for suite in ("as", "linear-type", "all")),
     ["model-at-point", "charts/hamiltonian_2d.json", "--at", "x=1,y=2", "--structure", "S"],
-    *([command, "models/zero_n2.json"] for command in ("nomizu", "transvection")),
+    *([command, f"models/{model}.json"]
+      for model in ("zero_n2", "zero_n3") for command in ("nomizu", "transvection")),
     ["model-at-point", "example2", "--at", "x=1,y=2,z=3"],
     ["obstruction", "example2", "--at", "x=1,y=0,z=5"],
     ["model-at-point", "example2", "--at", "x=1,x=2,y=0"],

@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import pathlib
 import random
@@ -15,7 +16,8 @@ from fedosov.decomposition import (
 )
 from fedosov.models import (
     InfinitesimalModel, bianchi_classify, check_model_axioms, model_from_json, nomizu_algebra,
-    push_tensor, transvection_algebra, transvection_subalgebra, verify_model_isomorphism,
+    presentation_from_json, presentation_to_json, push_tensor, transvection_algebra,
+    transvection_subalgebra, trivial_model, verify_model_isomorphism,
 )
 from fedosov.rationals import RationalFunction, parse_ratfun
 from fedosov.symplectic import cyclic_sum
@@ -487,7 +489,7 @@ FRACTION_CODES = {Fraction.__new__.__code__: "Fraction.__new__",
                   Fraction._mul.__code__: "Fraction._mul",
                   Fraction._div.__code__: "Fraction._div"}
 ELIMINATION_PARENT = {"Fraction.__new__": 5382, "Fraction._mul": 1356, "Fraction._div": 608}
-ELIMINATION_BOUNDS = {"Fraction.__new__": 1258, "Fraction._mul": 364, "Fraction._div": 8}
+ELIMINATION_BOUNDS = {"Fraction.__new__": 1253, "Fraction._mul": 364, "Fraction._div": 8}
 # `check-model` and `transvection` on one product-chart model, before the
 # model kernels read their data as ints over one denominator
 MODEL_PARENT = {"Fraction.__new__": 466, "Fraction._mul": 52, "Fraction._div": 0}
@@ -496,11 +498,19 @@ MODEL_BOUNDS = {"Fraction.__new__": 21, "Fraction._mul": 0, "Fraction._div": 0}
 # 3-dimensional Nomizu algebra of the second fixture model, before the
 # algebra kernels read their brackets off sparse ints
 ALGEBRA_PARENT = {"Fraction.__new__": 408, "Fraction._mul": 46, "Fraction._div": 5}
-ALGEBRA_BOUNDS = {"Fraction.__new__": 111, "Fraction._mul": 15, "Fraction._div": 5}
+ALGEBRA_BOUNDS = {"Fraction.__new__": 99, "Fraction._mul": 13, "Fraction._div": 5}
 # `decompose_cotorsion`, `decompose_torsion` and `symplectify_torsion` on one
 # seeded n = 4 triple, before `rationals.divided` formed each distinct value once
 CLASSES_PARENT = {"Fraction.__new__": 2618, "Fraction._mul": 0, "Fraction._div": 0}
 CLASSES_BOUNDS = {"Fraction.__new__": 381, "Fraction._mul": 0, "Fraction._div": 0}
+# `nomizu_algebra(trivial_model(3))` written to JSON and read back, before the
+# presentation kept only its nonzero constants, and all Python calls
+PRESENTATION_CODES = {Fraction.__bool__.__code__: "Fraction.__bool__",
+                      Fraction.__new__.__code__: "Fraction.__new__"}
+PRESENTATION_PARENT = {"Fraction.__bool__": 46395, "Fraction.__new__": 4180,
+                       "Python calls": 86869}
+PRESENTATION_BOUNDS = {"Fraction.__bool__": 3042, "Fraction.__new__": 428,
+                       "Python calls": 23429}
 
 
 def product_model() -> InfinitesimalModel:
@@ -521,27 +531,37 @@ def product_pipeline():
     assert verify_model_isomorphism(f, model, pushed).passed
 
 
-def fraction_counts(run) -> dict[str, int]:
-    """The `Fraction` constructions, products and quotients of one call of
-    `run`, after a first call has filled the caches."""
+def fraction_counts(run, codes=FRACTION_CODES) -> dict[str, int]:
+    """The calls of each code in `codes`, by default the `Fraction`
+    constructions, products and quotients, and all Python calls ("Python
+    calls") of one call of `run`, after a first call has filled the caches.
+    The garbage collector is off while counting: the callbacks it runs (one
+    is hypothesis's) would count as calls wherever a collection happened."""
     run()
-    counts = dict.fromkeys(FRACTION_CODES.values(), 0)
+    counts = dict.fromkeys([*codes.values(), "Python calls"], 0)
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code in FRACTION_CODES:
-            counts[FRACTION_CODES[frame.f_code]] += 1
+        if event == "call":
+            counts["Python calls"] += 1
+            if frame.f_code in codes:
+                counts[codes[frame.f_code]] += 1
 
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         run()
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return counts
 
 
 def test_product_pipeline_forms_few_fractions():
     counts = fraction_counts(product_pipeline)
-    over = {name: count for name, count in counts.items() if count > ELIMINATION_BOUNDS[name]}
+    over = {name: counts[name] for name, bound in ELIMINATION_BOUNDS.items()
+            if counts[name] > bound}
     assert not over, (f"counts {over} passed their bounds {ELIMINATION_BOUNDS}; before the "
                       f"integer elimination kernel the pipeline took {ELIMINATION_PARENT}")
 
@@ -554,7 +574,7 @@ def test_model_steps_form_few_fractions():
         transvection_algebra(model)
 
     counts = fraction_counts(steps)
-    over = {name: count for name, count in counts.items() if count > MODEL_BOUNDS[name]}
+    over = {name: counts[name] for name, bound in MODEL_BOUNDS.items() if counts[name] > bound}
     assert not over, (f"counts {over} passed their bounds {MODEL_BOUNDS}; before the "
                       f"one-denominator model kernels the steps took {MODEL_PARENT}")
 
@@ -571,7 +591,7 @@ def test_algebra_steps_form_few_fractions():
         bianchi_classify(small)
 
     counts = fraction_counts(steps)
-    over = {name: count for name, count in counts.items() if count > ALGEBRA_BOUNDS[name]}
+    over = {name: counts[name] for name, bound in ALGEBRA_BOUNDS.items() if counts[name] > bound}
     assert not over, (f"counts {over} passed their bounds {ALGEBRA_BOUNDS}; before the "
                       f"sparse int algebra kernels the steps took {ALGEBRA_PARENT}")
 
@@ -590,6 +610,17 @@ def test_classes_pass_forms_few_fractions():
         symplectify_torsion(torsion)
 
     counts = fraction_counts(steps)
-    over = {name: count for name, count in counts.items() if count > CLASSES_BOUNDS[name]}
+    over = {name: counts[name] for name, bound in CLASSES_BOUNDS.items() if counts[name] > bound}
     assert not over, (f"counts {over} passed their bounds {CLASSES_BOUNDS}; before `divided` "
                       f"formed each distinct value once the pass took {CLASSES_PARENT}")
+
+
+def test_presentation_round_trip_keeps_to_the_nonzero_constants():
+    def steps():
+        presentation_from_json(presentation_to_json(nomizu_algebra(trivial_model(3))))
+
+    counts = fraction_counts(steps, PRESENTATION_CODES)
+    over = {name: counts[name] for name, bound in PRESENTATION_BOUNDS.items()
+            if counts[name] > bound}
+    assert not over, (f"counts {over} passed their bounds {PRESENTATION_BOUNDS}; with dense "
+                      f"dim^3 constants the steps took {PRESENTATION_PARENT}")

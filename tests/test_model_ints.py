@@ -132,7 +132,7 @@ def outcome(build, *args):
         result = build(*args)
     except (AssertionError, ValueError) as err:
         return type(err).__name__, str(err)
-    return presentation_to_json(result) if hasattr(result, "structure_constants") else result
+    return presentation_to_json(result) if hasattr(result, "brackets") else result
 
 
 def mismatches(cases, check=check_model_axioms, stabilizer=model_stabilizer_algebra,

@@ -17,7 +17,8 @@ from fedosov.models import (
 )
 from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor, is_symplectic_matrix
 from conftest import (
-    matvec, random_structure_tensor, random_symplectic_matrix, valid_random_model,
+    dense_presentation_json, matvec, random_structure_tensor, random_symplectic_matrix,
+    sparse_brackets, valid_random_model,
 )
 
 
@@ -46,7 +47,7 @@ def presentation(brackets, dim=3):
             c[j][i][k] = -Fraction(v)
     return LieAlgebraPresentation(
         dim=dim, basis_labels=tuple(f"b{i + 1}" for i in range(dim)),
-        structure_constants=tuple(tuple(tuple(r) for r in p) for p in c))
+        brackets=sparse_brackets(c))
 
 
 def test_trivial_model_passes_axioms():
@@ -293,7 +294,7 @@ def test_transvection_zero_curvature():
     algebra = transvection_algebra(model)
     assert algebra.dim == 2
     # bracket [e1, e2] = -T(e1,e2) = -e1
-    assert algebra.structure_constants[0][1][0] == -1
+    assert algebra.brackets == {(0, 1): {0: -1}}
 
 
 def test_transvection_contained_in_stabilizer_for_random_models():
@@ -391,6 +392,9 @@ def _first_antisymmetry_failure(c, dim):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_presentation_checks_match_dense_scans(data):
+    """Given every entry of dense constants, both orders of each pair, the
+    reader rejects the first pair that is not antisymmetric, and the
+    presentation then the first triple that fails the Jacobi identity."""
     dim = data.draw(st.integers(1, 5))
     entry = st.sampled_from((0, 0, 0, 1, -1, 2, Fraction(1, 2)))
     c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
@@ -402,19 +406,19 @@ def test_presentation_checks_match_dense_scans(data):
     if data.draw(st.booleans()):  # break antisymmetry in one entry
         i, j, k = (data.draw(st.integers(0, dim - 1)) for _ in range(3))
         c[i][j][k] += 1
-    constants = tuple(tuple(tuple(row) for row in plane) for plane in c)
     bad_pair = _first_antisymmetry_failure(c, dim)
     bad_triple = _dense_jacobi_failure(c, dim)
-    labels = tuple(f"b{i + 1}" for i in range(dim))
     if bad_pair is not None:
-        message = f"structure constants not antisymmetric at ({bad_pair[0]},{bad_pair[1]})"
+        i, j = bad_pair
+        message = (f"bad bracket key '[{i},{i}]'" if i == j
+                   else f"brackets '[{i},{j}]' and '[{j},{i}]' disagree")
     elif bad_triple is not None:
         message = f"Jacobi identity fails on basis triple {bad_triple}"
     else:
-        LieAlgebraPresentation(dim=dim, basis_labels=labels, structure_constants=constants)
+        presentation_from_json(dense_presentation_json(c))
         return
     with pytest.raises(ValueError) as err:
-        LieAlgebraPresentation(dim=dim, basis_labels=labels, structure_constants=constants)
+        presentation_from_json(dense_presentation_json(c))
     assert str(err.value) == message
 
 
@@ -422,11 +426,11 @@ def test_presentation_json_round_trip():
     alg = presentation({(0, 1): (0, 3, 1), (2, 0): (0, 2, 0)})
     data = presentation_to_json(alg)
     again = presentation_from_json(data)
-    assert again.structure_constants == alg.structure_constants
+    assert again.brackets == alg.brackets
     assert again.basis_labels == alg.basis_labels
     # a pair may also be given under both orders, when they agree
     data["structure_constants"]["[2,1]"] = {"2": "-3", "3": "-1"}
-    assert presentation_from_json(data).structure_constants == alg.structure_constants
+    assert presentation_from_json(data).brackets == alg.brackets
 
 
 def test_model_json_round_trip():
@@ -505,10 +509,7 @@ def test_bianchi_parameters_invariant_under_bracket_scaling():
 
 
 def test_bianchi_rejects_wrong_dimension():
-    small = LieAlgebraPresentation(
-        dim=2, basis_labels=("a", "b"),
-        structure_constants=((((Fraction(0),) * 2), ((Fraction(0),) * 2)),
-                             (((Fraction(0),) * 2), ((Fraction(0),) * 2))))
+    small = LieAlgebraPresentation(dim=2, basis_labels=("a", "b"), brackets={})
     with pytest.raises(ValueError):
         bianchi_classify(small)
 
