@@ -37,11 +37,12 @@ integers.
 list of ints, taken as its own scaled form without a `scaled_entries`
 pass, and reduced in place.  It has three callers.  The back pass hands
 it each integer row of the forward pass, which is primitive ints already.
-`models.model_stabilizer_algebra` hands it the stabilizer equations, ints
-over each model tensor's denominator, and takes their nullspace from the
-`Echelon` it filled (`Echelon._nullspace`); `models.transvection_subalgebra`
-hands it each curvature endomorphism and commutator, ints over its own
-denominator.
+`models._stabilizer` hands it the stabilizer equations, ints over each
+model tensor's denominator, and takes their nullspace from the `Echelon`
+it filled (`Echelon._nullspace`); `models._closure` hands it each
+curvature endomorphism and commutator, ints over its own denominator.
+Both keep each element of their basis as ints over one denominator, and
+`models._algebra_from_parts` builds its `Coordinates` on those int rows.
 
 `det` keeps its own fraction-producing loop, the only other elimination
 here.  Its callers need a value: the signs of a Killing form's leading

@@ -42,15 +42,23 @@ where h0 is the exact annihilator of all model data inside End(V), with
 brackets [A,B] = AB - BA, [A,X] = AX and [X,Y] = -T_X Y + R_XY.  The
 transvection algebra replaces h0 by the Lie closure of the curvature
 endomorphisms; it is always contained in h0 for a valid model.  Both run
-on ints too: the closure brackets int matrices, each over its own
-denominator, and tries only the pairs that include an element added in
-the previous round; `_algebra_from_parts` reads [X,Y] off the scaled
-torsion and the nonzero curvature endomorphisms and puts each curvature
-endomorphism and each [A,B] in coordinates on h from its ints
-(`linalg.Coordinates._ints`).  A presentation keeps its constants in the
+on ints too, and each element A of h keeps one form, (den A as int rows,
+den), from where it is built to where it is bracketed.  The stabilizer
+scales each nullspace vector to ints once (`_stabilizer`); the closure
+brackets int matrices, each over its own denominator, and tries only the
+pairs that include an element added in the previous round (`_closure`).
+The annihilation re-check of either basis reads those ints.
+`_algebra_from_parts` reads [X,Y] off the scaled torsion and the nonzero
+curvature endomorphisms, [X,A] off the ints of A over den, and [A,B] off
+their int commutator; it puts each curvature endomorphism and each [A,B]
+in coordinates on the den A from its ints (`linalg.Coordinates._ints`),
+and each coordinate times den is the coordinate on A.  The public
+`model_stabilizer_algebra` and `transvection_subalgebra` divide each
+element's ints by its den once.  A presentation keeps its constants in the
 form they are built, checked and written in: {(i, j): {k: c_ij^k}} over
 the nonzero constants of each pair i < j, the JSON format's form, so it is
-antisymmetric by construction.  It checks the Jacobi identity on those
+antisymmetric by construction.  It checks that it has one label per basis
+vector and subspace indices 0..dim-1, and the Jacobi identity on those
 constants, both orders of each pair, as ints over the lcm of their
 denominators; `bracket` and the JSON writer read them directly, and the
 dense dim^3 `structure_constants` is a view formed on first read, which
@@ -445,9 +453,15 @@ def model_stabilizer_algebra(model: InfinitesimalModel) -> list[list[list[Fracti
     There can be far more of them than the d^2 unknowns; they enter
     `linalg.Echelon` as ints, which keeps only the rows independent of
     those before them (at most d^2), and its back pass reduces those
-    alone.  Every returned matrix is re-verified to annihilate all model
-    data through `_annihilates`.
+    alone.  Each nullspace vector is scaled to ints once, as (den A as int
+    rows, den) (`_stabilizer`), and re-verified on those ints to annihilate
+    all model data (`_annihilates`); the matrices returned are their ints
+    divided by den.
     """
+    return _fractions(_stabilizer(model))
+
+
+def _stabilizer(model: InfinitesimalModel) -> list:
     d = model.space.dim
     targets = _scaled_targets(model)
     span = linalg.Echelon()
@@ -455,19 +469,22 @@ def model_stabilizer_algebra(model: InfinitesimalModel) -> list[list[list[Fracti
         span.add(row, _ints=True)
     basis = []
     for vec in span._nullspace(d * d):
-        endo = [vec[a * d:(a + 1) * d] for a in range(d)]
-        if not _annihilates(endo, targets):
+        ints, den = _scaled_ints(vec)
+        rows = [ints[a * d:(a + 1) * d] for a in range(d)]
+        if not _annihilates(rows, targets):
             raise AssertionError("stabilizer candidate fails to annihilate model data")
-        basis.append(endo)
+        basis.append((rows, den))
     return basis
 
 
-def _annihilates(endo, targets: list[_Scaled]) -> bool:
-    """Whether the rational matrix endo annihilates every scaled target,
-    read off `_derivation_scatter` on its lcm-scaled ints."""
-    ints, _ = _scaled_ints([x for row in endo for x in row])
-    d = len(endo)
-    endo = [ints[a * d:(a + 1) * d] for a in range(d)]
+def _fractions(basis: list) -> list:
+    """The matrix A of each (den A as int rows, den) in `basis`."""
+    return [[divided(row, den) for row in rows] for rows, den in basis]
+
+
+def _annihilates(endo: list[list[int]], targets: list[_Scaled]) -> bool:
+    """Whether the int matrix endo, den A for some den > 0, annihilates
+    every scaled target, read off `_derivation_scatter`."""
     return not any(any(_derivation_scatter(endo, t).values()) for t in targets)
 
 
@@ -477,11 +494,14 @@ class LieAlgebraPresentation:
 
     `brackets` maps each pair i < j whose bracket is nonzero to {k: c_ij^k}
     over its nonzero constants; [b_j, b_i] is its negative and [b_i, b_i]
-    is zero, so the form is antisymmetric by construction.  The Jacobi
-    identity is verified exactly on construction, and the instance keeps a
-    read-only copy of `brackets`, so every instance is a genuine Lie algebra
-    presentation.  `structure_constants`, c[i][j][k] as a dense nested
-    tuple of `Fraction`s, is a view formed on first read.
+    is zero, so the form is antisymmetric by construction.  On construction
+    there must be one label per basis vector and each subspace must list
+    indices 0..dim-1, and the Jacobi identity is verified exactly; the
+    instance keeps read-only copies of `brackets` and `subspaces`, so every
+    instance is a genuine Lie algebra presentation that `presentation_to_json`
+    writes and `presentation_from_json` reads back.  `structure_constants`,
+    c[i][j][k] as a dense nested tuple of `Fraction`s, is a view formed on
+    first read.
     """
 
     dim: int
@@ -490,9 +510,16 @@ class LieAlgebraPresentation:
     subspaces: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # a read-only copy, so that the checks below hold for the instance's life
+        # read-only copies, so that the checks below hold for the instance's life
         object.__setattr__(self, "brackets", MappingProxyType(
             {pair: MappingProxyType(dict(row)) for pair, row in self.brackets.items()}))
+        object.__setattr__(self, "subspaces", MappingProxyType(
+            {name: tuple(idx) for name, idx in self.subspaces.items()}))
+        if len(self.basis_labels) != self.dim:
+            raise ValueError(f"{len(self.basis_labels)} basis labels for dimension {self.dim}")
+        if not all(_is_int(i) and 0 <= i < self.dim
+                   for idx in self.subspaces.values() for i in idx):
+            raise ValueError(f"'subspaces' must map names to lists of indices 1..{self.dim}")
         for (i, j), row in self.brackets.items():
             if not (0 <= i < j < self.dim and row
                     and all(x and 0 <= k < self.dim for k, x in row.items())):
@@ -548,33 +575,28 @@ class LieAlgebraPresentation:
         return None if bad is None else tuple(i + 1 for i in _unflat(dim, 4, bad)[:3])
 
 
-def _flatten_endo(endo) -> list[Fraction]:
+def _flatten_endo(endo) -> list:
     return [x for row in endo for x in row]
-
-
-def _endo_ints(endo) -> tuple[list, int]:
-    """A rational matrix A as (`_sparse_rows` of den A, as ints, den), den
-    the lcm of its denominators."""
-    d = len(endo)
-    ints, den = _scaled_ints(_flatten_endo(endo))
-    return _sparse_rows([ints[a * d:(a + 1) * d] for a in range(d)]), den
 
 
 def _algebra_from_parts(model: InfinitesimalModel, h_basis: list,
                         h_name: str) -> LieAlgebraPresentation:
-    """The presentation of V + h, h spanned by the rational matrices h_basis.
+    """The presentation of V + h, h spanned by the matrices A given as
+    (den A as int rows, den) in h_basis.
 
     Every bracket is read off int data and only its nonzero constants are
     formed: [X, Y] = -T_X Y + R_XY from the scaled torsion and the nonzero
-    curvature endomorphisms, [A, X] = A X from the entries of A, and
+    curvature endomorphisms, [A, X] = A X from the ints of A over den, and
     [A, B] = AB - BA as an int matrix over den_A den_B.  A curvature
-    endomorphism or a commutator is put in coordinates on h from its ints
-    (`linalg.Coordinates._ints`).  Each bracket is filed under its pair
-    i < j, so [A, X_j] = A X_j goes under (j, d + a) as [X_j, A] = -A X_j.
+    endomorphism or a commutator is put in coordinates on the den A from
+    its ints (`linalg.Coordinates._ints`), and each coordinate times den is
+    its coordinate on A.  Each bracket is filed under its pair i < j, so
+    [A, X_j] = A X_j goes under (j, d + a) as [X_j, A] = -A X_j.
     """
     d = model.space.dim
     r, t = _scaled(model.curvature), _scaled(model.torsion)
-    coords_in_h = linalg.Coordinates([_flatten_endo(e) for e in h_basis])
+    coords_in_h = linalg.Coordinates([_flatten_endo(rows) for rows, _ in h_basis])
+    dens = [den for _, den in h_basis]
     m = len(h_basis)
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
 
@@ -583,7 +605,8 @@ def _algebra_from_parts(model: InfinitesimalModel, h_basis: list,
         if found is None:
             raise ModelError(error)
         sums, den = found
-        if row := {d + a: s for a, s in enumerate(sums) if s}:
+        # sums / den are the coordinates on the den_a A_a: on A_a, den_a times that
+        if row := {d + a: s * dens[a] for a, s in enumerate(sums) if s}:
             brackets.setdefault((i, j), {}).update(zip(row, divided(row.values(), den)))
 
     # [X, Y] = -T_X Y + R_XY
@@ -597,18 +620,16 @@ def _algebra_from_parts(model: InfinitesimalModel, h_basis: list,
              "the model does not satisfy its axioms")
 
     # [X, A] = -A X
-    for a, endo in enumerate(h_basis):
+    for a, (rows, den) in enumerate(h_basis):
         for j in range(d):
-            if column := {l: -row[j] for l, row in enumerate(endo) if row[j]}:
-                brackets[j, d + a] = column
+            if column := {l: -row[j] for l, row in enumerate(rows) if row[j]}:
+                brackets[j, d + a] = dict(zip(column, divided(column.values(), den)))
 
     # [A, B] = AB - BA
-    h_ints = [_endo_ints(endo) for endo in h_basis]
-    for a, (x, dx) in enumerate(h_ints):
-        for b in range(a + 1, m):
-            y, dy = h_ints[b]
-            in_h(d + a, d + b, _commutator(x, y), dx * dy,
-                 "isotropy algebra is not closed under commutators")
+    sparse = [_sparse_rows(rows) for rows, _ in h_basis]
+    for a, b in itertools.combinations(range(m), 2):
+        in_h(d + a, d + b, _commutator(sparse[a], sparse[b]), dens[a] * dens[b],
+             "isotropy algebra is not closed under commutators")
 
     labels = tuple(f"e{i + 1}" for i in range(d)) + tuple(f"A{a + 1}" for a in range(m))
     return LieAlgebraPresentation(dim=d + m, basis_labels=labels, brackets=brackets,
@@ -636,30 +657,37 @@ def _commutator(a: list, b: list) -> list:
 
 def nomizu_algebra(model: InfinitesimalModel) -> LieAlgebraPresentation:
     """Transitive algebra V + h0 with h0 the full model stabilizer."""
-    return _algebra_from_parts(model, model_stabilizer_algebra(model), "h0")
+    return _algebra_from_parts(model, _stabilizer(model), "h0")
 
 
 def transvection_subalgebra(model: InfinitesimalModel) -> list[list[list[Fraction]]]:
     """Lie closure of the curvature endomorphisms inside End(V).
 
-    The closure runs on int matrices, each element A kept as (den A, den):
-    the nonzero curvature endomorphisms in (i, j) order, then in each round
-    the commutators of the pairs a < b, in order, that include an element
-    added in the previous round, each kept when it is independent of the
-    elements before it (`linalg.Echelon`, on its ints).  A pair of older
-    elements was tried against a smaller span in an earlier round, and
-    spans only grow, so bracketing every pair would add the same elements.
+    The closure runs on int matrices, each element A kept as (den A as int
+    rows, den) (`_closure`): the nonzero curvature endomorphisms in (i, j)
+    order, then in each round the commutators of the pairs a < b, in order,
+    that include an element added in the previous round, each kept when it
+    is independent of the elements before it (`linalg.Echelon`, on its
+    ints).  A pair of older elements was tried against a smaller span in an
+    earlier round, and spans only grow, so bracketing every pair would add
+    the same elements.  The matrices returned are their ints divided by den.
     """
+    return _fractions(_closure(model))
+
+
+def _closure(model: InfinitesimalModel) -> list:
     d = model.space.dim
     r = _scaled(model.curvature)
-    basis: list[tuple[list, int, list]] = []  # (`_sparse_rows` of den A, den, den A)
+    basis = []  # (den A as int rows, den)
+    sparse = []  # `_sparse_rows` of each den A
     span = linalg.Echelon()
 
     def try_add(flat: list[int], den: int):
         if span.add(list(flat), _ints=True):
             g = math.gcd(den, *flat)
             rows = [[x // g for x in flat[a * d:(a + 1) * d]] for a in range(d)]
-            basis.append((_sparse_rows(rows), den // g, rows))
+            basis.append((rows, den // g))
+            sparse.append(_sparse_rows(rows))
 
     for endo in _curvature_endos(r).values():
         try_add(_flatten_endo(endo), r.den)
@@ -669,12 +697,9 @@ def transvection_subalgebra(model: InfinitesimalModel) -> list[list[list[Fractio
         end = len(basis)
         for a in range(end):
             for b in range(max(a + 1, start), end):
-                (x, dx, _), (y, dy, _) = basis[a], basis[b]
-                try_add(_commutator(x, y), dx * dy)
+                try_add(_commutator(sparse[a], sparse[b]), basis[a][1] * basis[b][1])
         if len(basis) == end:
-            zero = Fraction(0)
-            return [[[Fraction(x, den) if x else zero for x in row] for row in rows]
-                    for _, den, rows in basis]
+            return basis
         if len(basis) > limit:
             raise ModelError("Lie closure exceeded the dimension of End(V)")
         start = end
@@ -684,12 +709,12 @@ def transvection_subalgebra(model: InfinitesimalModel) -> list[list[list[Fractio
 def transvection_algebra(model: InfinitesimalModel) -> LieAlgebraPresentation:
     """Algebra V + h0' where h0' is Lie-generated by curvature endomorphisms.
 
-    The containment h0' inside the full stabilizer h0 is re-verified: every
-    element of h0' must annihilate all model data.
+    The containment h0' inside the full stabilizer h0 is re-verified on the
+    closure's ints: every element of h0' must annihilate all model data.
     """
-    h0p = transvection_subalgebra(model)
+    h0p = _closure(model)
     targets = _scaled_targets(model)
-    if not all(_annihilates(endo, targets) for endo in h0p):
+    if not all(_annihilates(rows, targets) for rows, _ in h0p):
         raise ModelError("transvection algebra is not contained in the stabilizer")
     return _algebra_from_parts(model, h0p, "h0")
 
@@ -817,8 +842,9 @@ def presentation_from_json(data: dict) -> LieAlgebraPresentation:
     labels = data.get("basis_labels") or [f"b{i + 1}" for i in range(dim)]
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ValueError("'basis_labels' must be a list of strings")
-    if len(labels) != dim:
-        raise ValueError(f"{len(labels)} basis labels for dimension {dim}")
+    # the constructor checks the label count: an empty presentation checks it
+    # here, before the brackets, whose errors come after it
+    LieAlgebraPresentation(dim, tuple(labels), {})
     constants = data.get("structure_constants", {})
     if not isinstance(constants, dict):
         raise ValueError("'structure_constants' must be a JSON object")
@@ -858,9 +884,9 @@ def presentation_from_json(data: dict) -> LieAlgebraPresentation:
             brackets[i, j] = bracket
     subspaces = data.get("subspaces", {})
     if not (isinstance(subspaces, dict) and all(
-            isinstance(idx, list) and all(_is_int(i) and 1 <= i <= dim for i in idx)
-            for idx in subspaces.values())):
+            isinstance(idx, list) and all(map(_is_int, idx)) for idx in subspaces.values())):
         raise ValueError(f"'subspaces' must map names to lists of indices 1..{dim}")
+    # the constructor checks the subspace indices
     return LieAlgebraPresentation(
         dim=dim, basis_labels=tuple(labels), brackets=brackets,
         subspaces={name: tuple(i - 1 for i in idx) for name, idx in subspaces.items()})

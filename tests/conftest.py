@@ -29,7 +29,9 @@ kernels of the Nomizu, transvection and Bianchi steps replaced;
 `old_presentation_to_json` writes and `old_bracket` reads as the dense
 presentation did, `sparse_brackets` turns them into the `brackets` of a
 `LieAlgebraPresentation`, and `dense_presentation_json` writes every entry
-of them, both orders of each pair, for the reader; and
+of them, both orders of each pair, for the reader; `int_form` turns a
+`Fraction` matrix into the (den A as int rows, den) form the int algebra
+kernels take; and
 `old_parse_ratfun` is the parser that built each atom over its own
 variables and aligned them operation by operation.  `chart_suite` runs
 the chart suites of one `ChartRun` into one report.
@@ -38,6 +40,7 @@ the chart suites of one `ChartRun` into one report.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -396,6 +399,15 @@ def old_annihilates(endo, targets) -> bool:
     """`models._annihilates` from whole derivation actions: every entry of
     endo acting on each tensor of `targets` is zero."""
     return all(old_derivation_first_nonzero(endo, t) is None for t in targets)
+
+
+def int_form(endo) -> tuple[list[list[int]], int]:
+    """A rational matrix A as (den A as int rows, den), den the lcm of its
+    denominators: the form in which `models._algebra_from_parts` takes each
+    element of h and `models._annihilates` its int rows.  Tests that hand
+    those kernels `Fraction` matrices convert them here."""
+    den = math.lcm(*(Fraction(x).denominator for row in endo for x in row))
+    return [[int(x * den) for x in row] for row in endo], den
 
 
 # -- the Fraction model paths that the one-denominator int kernels replaced ----------

@@ -2,9 +2,12 @@
 
 `nomizu_algebra`, `transvection_algebra` and `transvection_subalgebra` read
 their brackets off int data (`models._algebra_from_parts`, `_commutator`,
-`linalg.Coordinates._ints`); `LieAlgebraPresentation` keeps only the
+`linalg.Coordinates._ints`), each element A of h kept as (den A as int rows,
+den) from the stabilizer (`models._stabilizer`) or the closure
+(`models._closure`) on; `LieAlgebraPresentation` keeps only the
 nonzero constants of each pair i < j and checks the Jacobi identity on them
-as ints over one denominator; `presentation_from_json` checks that a pair
+as ints over one denominator, and refuses labels and subspaces that would
+not round-trip through JSON; `presentation_from_json` checks that a pair
 given under both orders agrees; `bianchi_classify` reads each bracket and
 the Killing form off the constants; and `change_basis` contracts the
 nonzero entries of a constant tensor as {flat: int}, slot by slot.  The
@@ -19,14 +22,18 @@ bases, Bianchi types, tensors and every error text must be equal, on:
   constants and their JSON writer;
 * sparse random models, which fail their axioms, for the `ModelError`
   paths, and bases of End(V) that are not closed under commutators;
+* stabilizer and closure bases whose elements lie over several
+  denominators greater than 1, in their int form, the closures of the
+  failing models also on the trivial model;
 * seeded 3-dimensional Lie algebras of every Bianchi type in random bases;
 * seeded constants of dimension 3 to 6, for the antisymmetry (now the
   reader's disagreement) and Jacobi errors, many with several failing
   triples.
 
 Neither the algebras nor the JSON round trip form the dense view
-`structure_constants`.  Six mutants must be caught: the sign of [X, A]
-flipped, AB - BA swapped,
+`structure_constants`.  Eight mutants must be caught: the sign of [X, A]
+flipped, the den of an element dropped from its coordinate in `in_h` or
+from the division of its [X, A] column, AB - BA swapped,
 the torsion sign in [X, Y] flipped, a covariant slot contracted with the
 inverse transposed, and the Jacobi triples read out of order (the last
 failing triple, or each triple keyed by its descending rotation).
@@ -48,14 +55,14 @@ import pytest
 from fedosov import linalg, models, symplectic
 from fedosov.models import (
     InfinitesimalModel, LieAlgebraPresentation, _algebra_from_parts, bianchi_classify,
-    model_from_json, nomizu_algebra, presentation_from_json, presentation_to_json,
-    transvection_algebra, transvection_subalgebra, trivial_model,
+    model_from_json, model_stabilizer_algebra, nomizu_algebra, presentation_from_json,
+    presentation_to_json, transvection_algebra, transvection_subalgebra, trivial_model,
 )
 from fedosov.rationals import RationalFunction
 from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor, change_basis
 
 from conftest import (
-    coprime_denominators, dense_presentation_json, old_algebra_constants,
+    coprime_denominators, dense_presentation_json, int_form, old_algebra_constants,
     old_algebra_from_parts, old_bianchi_classify, old_bracket, old_change_basis,
     old_model_stabilizer_algebra, old_nomizu_algebra, old_presentation_failure,
     old_presentation_to_json, old_reader_failure, old_transvection_algebra,
@@ -155,7 +162,7 @@ def test_unclosed_bases_fail_as_the_fraction_path():
               for _ in range(2)] for _ in range(rng.randint(1, 3))]
         if linalg.rank([[x for row in e for x in row] for e in h]) < len(h):
             continue
-        result = outcome(_algebra_from_parts, model, h, "h")
+        result = outcome(_algebra_from_parts, model, [int_form(e) for e in h], "h")
         assert result == outcome(old_algebra_from_parts, model, h, "h")
         seen.add(result[1] if isinstance(result, tuple) else "built")
     assert "isotropy algebra is not closed under commutators" in seen
@@ -164,9 +171,46 @@ def test_unclosed_bases_fail_as_the_fraction_path():
     h = old_transvection_subalgebra(closure_model(rng, 2))
     assert len(h) >= 4
     model = trivial_model(2)
-    built = outcome(_algebra_from_parts, model, h, "h")
+    built = outcome(_algebra_from_parts, model, [int_form(e) for e in h], "h")
     assert built == outcome(old_algebra_from_parts, model, h, "h")
     assert built["dim"] == 4 + len(h)
+
+
+def int_basis_mismatches(cases) -> list[str]:
+    """Each case's stabilizer and Lie closure, in the int form (den A as int
+    rows, den) that `models._stabilizer` and `models._closure` hand to
+    `_algebra_from_parts`, against the `Fraction` oracles: the bases, and
+    V + h built on each (or the error it raises).  The closure of a
+    `closure_model`, which fails its axioms, is also built on the trivial
+    model, where h + V is a Lie algebra."""
+    bad = []
+    for label, model in cases:
+        for ints, public, oracle in (
+                (models._stabilizer, model_stabilizer_algebra, old_model_stabilizer_algebra),
+                (models._closure, transvection_subalgebra, old_transvection_subalgebra)):
+            h, expected = ints(model), oracle(model)
+            matrices = [[[Fraction(x, den) for x in row] for row in rows] for rows, den in h]
+            if public(model) != expected or matrices != expected:
+                bad.append(f"{label}: {public.__name__}")
+            on = [model, trivial_model(model.space.n)][:1 + label.startswith("closure")]
+            if any(outcome(models._algebra_from_parts, base, h, "h")
+                   != outcome(old_algebra_from_parts, base, expected, "h") for base in on):
+                bad.append(f"{label}: {ints.__name__} algebra")
+    return bad
+
+
+def test_int_bases_match_the_fraction_paths(cases):
+    """The cases include bases over several denominators greater than 1, so
+    that each coordinate in `in_h` must take its element's den, and each
+    [X, A] column must be divided by it."""
+    assert int_basis_mismatches(cases) == []
+    kinds = (models._stabilizer, models._closure)
+    spread = [(label, ints) for label, model in cases for ints in kinds
+              if len({den for _, den in ints(model)} - {1}) >= 2]
+    assert len(spread) >= 8 and {ints for _, ints in spread} == set(kinds)
+    built = [outcome(models._algebra_from_parts, trivial_model(2), models._closure(model), "h")
+             for label, model in cases if label.startswith("closure")]
+    assert len(built) == 3 and all(isinstance(p, dict) for p in built)
 
 
 def test_closure_brackets_each_pair_once(cases, monkeypatch):
@@ -283,6 +327,50 @@ def test_presentation_brackets_are_read_only():
         p.brackets[0, 2] = {1: Fraction(1)}
     with pytest.raises(TypeError):
         p.brackets[0, 1][0] = Fraction(1)
+
+
+def test_constructed_presentations_round_trip_through_json():
+    """Whatever the constructor accepts, the writer writes and the reader
+    reads back to an equal presentation; labels and subspaces it cannot
+    write so are refused with the reader's texts."""
+    rng = random.Random(35)
+    empty = LieAlgebraPresentation(dim=0, basis_labels=(), brackets={}, subspaces={"h": ()})
+    assert presentation_from_json(presentation_to_json(empty)) == empty
+    built, refused = 0, set()
+    for _ in range(200):
+        dim = rng.randint(1, 5)
+        labels = tuple(f"x{i}" for i in range(dim + rng.choice((0, 0, 0, -1, 1))))
+        subspaces = {name: tuple(rng.randint(-1, dim) if rng.random() < 0.05
+                                 else rng.randrange(dim) for _ in range(rng.randint(0, dim)))
+                     for name in ("V", "h")[:rng.randint(0, 2)]}
+        c = drawn_constants(rng, dim)
+        try:
+            p = LieAlgebraPresentation(dim=dim, basis_labels=labels, brackets=sparse_brackets(c),
+                                       subspaces=subspaces)
+        except ValueError as err:
+            refused.add(str(err).split(" ")[1 if str(err)[0].isdigit() else 0])
+            continue
+        assert presentation_from_json(json.loads(json.dumps(presentation_to_json(p)))) == p
+        built += 1
+    assert built > 40 and refused == {"basis", "'subspaces'", "Jacobi"}
+    for labels, subspaces, text in ((("a",), {"V": (0, 1)}, "1 basis labels for dimension 2"),
+                                    (("a", "b"), {"V": (5, -1)}, "'subspaces' must map names "
+                                                                 "to lists of indices 1..2"),
+                                    (("a", "b"), {"V": (True,)}, "'subspaces' must map names "
+                                                                 "to lists of indices 1..2")):
+        with pytest.raises(ValueError) as err:
+            LieAlgebraPresentation(dim=2, basis_labels=labels, brackets={}, subspaces=subspaces)
+        assert str(err.value) == text
+
+
+def test_presentation_subspaces_are_read_only():
+    given = {"V": [0, 1]}
+    p = LieAlgebraPresentation(dim=2, basis_labels=("a", "b"), brackets={}, subspaces=given)
+    given["V"].append(7)
+    given["h"] = (9,)
+    assert p.subspaces == {"V": (0, 1)}
+    with pytest.raises(TypeError):
+        p.subspaces["h"] = (9,)
 
 
 def test_reader_rejects_brackets_that_disagree():
@@ -467,7 +555,12 @@ def change_mismatches() -> int:
 
 
 MUTANTS = {
-    "negation-dropped": (models, "_algebra_from_parts", "-row[j]", "row[j]", mismatches),
+    "negation-dropped": (models, "_algebra_from_parts", "{l: -row[j] for l, row in",
+                         "{l: row[j] for l, row in", mismatches),
+    "coordinate-den-dropped": (models, "_algebra_from_parts", "s * dens[a]", "s",
+                               int_basis_mismatches),
+    "column-division-dropped": (models, "_algebra_from_parts", "divided(column.values(), den)",
+                                "column.values()", int_basis_mismatches),
     "commutator-swapped": (models, "_commutator", "((a, b, 1), (b, a, -1))",
                            "((a, b, -1), (b, a, 1))", mismatches),
     "torsion-sign": (models, "_algebra_from_parts", "Fraction(-value, t.den)",

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedosov import linalg, rationals
+from fedosov import linalg, models, rationals
 from fedosov.charts import chart_from_json, model_at_point
 from fedosov.decomposition import (
     cotorsion_to_torsion, decompose_cotorsion, decompose_torsion, symplectify_torsion,
@@ -470,9 +470,10 @@ def test_back_pass_matches_the_field_loops(kinds, seed, scale_bound):
             assert_fractions(reduced)
 
 
-def test_one_fraction_free_elimination():
-    """`Echelon` is the only code in `linalg` that eliminates with gcds."""
-    tree = ast.parse(pathlib.Path(linalg.__file__).read_text(encoding="utf-8"))
+def module_calls(module) -> dict[str, list[str]]:
+    """{function: the names it calls, once per call site} for each top-level
+    function and method of `module`, read off its source."""
+    tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
     functions = {}
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
@@ -480,10 +481,35 @@ def test_one_fraction_free_elimination():
         elif isinstance(node, ast.ClassDef):
             functions.update((f"{node.name}.{func.name}", func) for func in node.body
                              if isinstance(func, ast.FunctionDef))
-    assert {name for name, func in functions.items() for node in ast.walk(func)
-            if isinstance(node, ast.Call)
-            and "gcd" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-            } == {"Echelon._reduce", "Echelon.add"}
+    return {name: [getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                   for node in ast.walk(func) if isinstance(node, ast.Call)]
+            for name, func in functions.items()}
+
+
+def test_one_fraction_free_elimination():
+    """`Echelon` is the only code in `linalg` that eliminates with gcds."""
+    assert {name for name, calls in module_calls(linalg).items()
+            if "gcd" in calls} == {"Echelon._reduce", "Echelon.add"}
+
+
+def test_each_lie_basis_element_is_scaled_once():
+    """In `models`, `_scaled_ints` scales each model tensor (`_scaled`), each
+    stabilizer element (`_stabilizer`) and a presentation's constants
+    (`first_jacobi_failure`), one call site each; a Lie basis element keeps
+    that int form up to `_algebra_from_parts`, and the closure's elements
+    are never made `Fraction`s on the way there."""
+    calls = module_calls(models)
+    assert sorted(name for name, called in calls.items() for callee in called
+                  if callee == "_scaled_ints") == [
+        "LieAlgebraPresentation.first_jacobi_failure", "_scaled", "_stabilizer"]
+    assert "_endo_ints" not in calls
+    for name in ("_stabilizer", "_closure", "_annihilates", "nomizu_algebra",
+                 "transvection_algebra"):
+        assert not {"Fraction", "divided", "_fractions", "model_stabilizer_algebra",
+                    "transvection_subalgebra"} & set(calls[name]), name
+    assert "_stabilizer" in calls["nomizu_algebra"]
+    assert "_closure" in calls["transvection_algebra"]
+
 
 FRACTION_CODES = {Fraction.__new__.__code__: "Fraction.__new__",
                   Fraction._mul.__code__: "Fraction._mul",
@@ -511,6 +537,16 @@ PRESENTATION_PARENT = {"Fraction.__bool__": 46395, "Fraction.__new__": 4180,
                        "Python calls": 86869}
 PRESENTATION_BOUNDS = {"Fraction.__bool__": 3042, "Fraction.__new__": 428,
                        "Python calls": 23429}
+
+# `nomizu_algebra(trivial_model(4))` and `transvection_algebra` on one
+# product-chart model, while each Lie basis element was scaled to ints three
+# times (a `Fraction` matrix rescaled by `_annihilates`, `Coordinates` and
+# `_endo_ints`), and all Python calls
+BASIS_CODES = {**FRACTION_CODES, Fraction.denominator.fget.__code__: "Fraction.denominator"}
+BASIS_PARENT = {"Fraction.__new__": 516, "Fraction._mul": 0, "Fraction._div": 0,
+                "Fraction.denominator": 21008, "Python calls": 51016}
+BASIS_BOUNDS = {"Fraction.__new__": 513, "Fraction._mul": 0, "Fraction._div": 0,
+                "Fraction.denominator": 9228, "Python calls": 29604}
 
 
 def product_model() -> InfinitesimalModel:
@@ -624,3 +660,16 @@ def test_presentation_round_trip_keeps_to_the_nonzero_constants():
             if counts[name] > bound}
     assert not over, (f"counts {over} passed their bounds {PRESENTATION_BOUNDS}; with dense "
                       f"dim^3 constants the steps took {PRESENTATION_PARENT}")
+
+
+def test_lie_bases_are_scaled_once():
+    trivial, product = trivial_model(4), product_model()
+
+    def steps():
+        nomizu_algebra(trivial)
+        transvection_algebra(product)
+
+    counts = fraction_counts(steps, BASIS_CODES)
+    over = {name: counts[name] for name, bound in BASIS_BOUNDS.items() if counts[name] > bound}
+    assert not over, (f"counts {over} passed their bounds {BASIS_BOUNDS}; with each basis "
+                      f"element scaled three times the steps took {BASIS_PARENT}")

@@ -52,8 +52,8 @@ from fedosov.models import (
 from fedosov.symplectic import Tensor
 
 from conftest import (
-    PRODUCT_CHART, old_annihilates, old_check_model_axioms, old_derivation_action,
-    old_derivation_first_nonzero, old_model_stabilizer_algebra, old_transvection_algebra,
+    PRODUCT_CHART, int_form, old_annihilates, old_check_model_axioms, old_derivation_action,
+    old_derivation_first_nonzero, old_nomizu_algebra, old_transvection_algebra,
     valid_random_model,
 )
 from test_lazy_checks import y_chart
@@ -160,10 +160,10 @@ def algebra_outcomes(cases) -> list:
 @pytest.fixture(scope="module")
 def expected(cases):
     """Per case, the dense report, and the algebras from the `Fraction`
-    stabilizer and the dense annihilation check."""
+    stabilizer and closure and the dense annihilation check."""
     reports = [old_check_model_axioms(model).to_json() for _, model in cases]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(models, "model_stabilizer_algebra", old_model_stabilizer_algebra)
+        patch.setattr(models, "nomizu_algebra", old_nomizu_algebra)
         patch.setattr(models, "transvection_algebra", old_transvection_algebra)
         algebras = algebra_outcomes(cases)
     return reports, algebras
@@ -228,7 +228,7 @@ def test_derivation_witnesses_are_the_same_fractions(cases, no_dense_kernel):
                 if hit is not None:
                     assert type(hit[1]) is Fraction
                     seen += 1
-                assert _annihilates(endo, [target]) == (hit is None)
+                assert _annihilates(int_form(endo)[0], [target]) == (hit is None)
     assert seen > 100
 
 
@@ -241,7 +241,7 @@ def test_annihilation_matches_on_drawn_endomorphisms(cases, no_dense_kernel):
         for _ in range(3):
             endo = [[Fraction(rng.choice([0, 0, 0, 1, -1, 2])) for _ in range(d)]
                     for _ in range(d)]
-            verdict = _annihilates(endo, _scaled_targets(model))
+            verdict = _annihilates(int_form(endo)[0], _scaled_targets(model))
             assert verdict == old_annihilates(endo, targets)
             verdicts.add(verdict)
     assert verdicts == {True, False}
