@@ -54,8 +54,8 @@ from .models import InfinitesimalModel, standard_omega_tensor
 from .rationals import RationalFunction, ScaledPoint, parse_ratfun
 from .reporting import Check, Report, index_witness
 from .symplectic import (
-    COV, CON, MAX_N, MAX_RANK, SymplecticSpace, Tensor, _derivation_entries, _unflat,
-    change_basis, insert_vector, tensor_to_json,
+    COV, CON, MAX_N, MAX_RANK, MAX_TENSORS, SymplecticSpace, Tensor, _derivation_entries,
+    _unflat, change_basis, insert_vector, tensor_to_json,
 )
 
 
@@ -602,7 +602,10 @@ def chart_from_json(data: dict) -> Chart:
         christoffel_entries[_index_key(key, 3, dim, "christoffel")] = parse(
             text, f"christoffel[{key}]")
     fields = {}
-    for name, field_data in _entries(data, "fields").items():
+    named = _entries(data, "fields")
+    if len(named) > MAX_TENSORS:
+        raise ChartFormatError(f"charts have at most {MAX_TENSORS} fields, got {len(named)}")
+    for name, field_data in named.items():
         if not isinstance(field_data, dict):
             raise ChartFormatError(f"field {name!r} must be a JSON object")
         valence = field_data.get("valence", [])

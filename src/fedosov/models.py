@@ -20,10 +20,13 @@ torsion form:
 Model data are sparse exact constants, and every check reads them as ints
 over one denominator: each tensor t as D_t, the lcm of the denominators of
 its nonzero entries, and {flat: D_t t[flat]} (`_scaled`, built once per
-public entry point).  A derivation check scatters each nonzero int entry
-of the target through the nonzero entries of a curvature endomorphism,
-scaled once by D_R (`_derivation_scatter`), and reads the smallest reached
-position with a nonzero sum, D_R D_t times the entry of the action.  The
+public entry point and handed on from there).  A derivation check
+scatters each nonzero int entry of the target, slot by slot, through the
+nonzero entries of a curvature endomorphism scaled once by D_R
+(`_derivation_scatter`, on the slot kernel of `symplectic`: the move
+tables of endo^T and -endo, `_derivation_moves`, and `_scatter`), and
+reads the smallest reached position with a nonzero sum, D_R D_t times
+the entry of the action.  The
 Bianchi checks pair nonzero entries into F = R + T.T, over the common
 denominator D_R D_T^2, and G = T.R, over D_T D_R, and evaluate each cyclic
 sum only at the sorted rotations (i <= j <= k) of nonzero F and G
@@ -83,10 +86,10 @@ from . import linalg
 from .rationals import _scaled_ints, divided
 from .reporting import Check, Report, index_witness
 from .symplectic import (
-    COV, CON, SymplecticSpace, Tensor, _changed_comps, _derivation_entries,
-    _first_antisymmetry_violation, _first_cyclic_failure, _half_dimension, _is_int,
-    _pair_through_first_slot, _scalar_zero, _unflat, change_basis, first_symplectic_defect,
-    insert_vector, parse_fraction, tensor_from_json, tensor_to_json,
+    COV, CON, MAX_TENSORS, SymplecticSpace, Tensor, _changed_comps, _derivation_entries,
+    _first_antisymmetry_violation, _first_cyclic_failure, _half_dimension, _is_int, _moves,
+    _pair_through_first_slot, _scalar_zero, _scatter, _unflat, change_basis,
+    first_symplectic_defect, insert_vector, parse_fraction, tensor_from_json, tensor_to_json,
 )
 
 
@@ -177,42 +180,34 @@ def _scaled_targets(model: InfinitesimalModel) -> list[_Scaled]:
     return [_scaled(t) for t in _targets(model)]
 
 
-def _derivation_scatter(endo: list[list[int]], target: _Scaled) -> dict[int, int]:
-    """{flat: value} of den_endo * den * `derivation_action`, for `endo` the
-    int matrix den_endo * A and `target` den * t, at the positions it reaches.
+def _derivation_moves(endo: list[list[int]]) -> tuple[list, list]:
+    """The `_moves` of endo^T and of -endo, for the int matrix endo: a
+    contravariant slot holding l sends t[flat] * endo[a][l] to the entry
+    with a in that slot, a covariant one sends -t[flat] * endo[l][a]."""
+    return (_moves(linalg.transpose(endo)),
+            [[(shift, -x) for shift, x in row] for row in _moves(endo)])
 
-    Each nonzero entry of the target is scattered through the nonzero
-    entries of endo, slot by slot: a contravariant slot holding l sends
-    t[flat] * endo[a][l] to the entry with a in that slot, a covariant one
-    sends -t[flat] * endo[l][a].  Positions no product reaches are absent
-    (their entry is zero); a reached one may still sum to zero.
-    """
+
+def _derivation_scatter(moves: tuple[list, list], target: _Scaled) -> dict[int, int]:
+    """{flat: value} of den_endo * den * `derivation_action`, for `moves`
+    the `_derivation_moves` of the int matrix den_endo * A and `target` den
+    * t, at the positions it reaches: each slot scatters the nonzero
+    entries of the target (`_scatter`).  Positions no product reaches are
+    absent (their entry is zero); a reached one may still sum to zero."""
     t = target.tensor
     d, rank = t.dim, len(t.valence)
-    slots = []
-    for slot, kind in enumerate(t.valence):
-        stride = d ** (rank - 1 - slot)
-        # moves[l]: the (flat shift, factor) pairs for slot value l
-        if kind == CON:
-            moves = [[((a - l) * stride, row[l]) for a, row in enumerate(endo) if row[l]]
-                     for l in range(d)]
-        else:
-            moves = [[((a - l) * stride, -x) for a, x in enumerate(endo[l]) if x]
-                     for l in range(d)]
-        slots.append((stride, moves))
+    on_con, on_cov = moves
     out: dict[int, int] = {}
-    for flat, value in target.entries.items():
-        for stride, moves in slots:
-            for shift, factor in moves[flat // stride % d]:
-                target_flat = flat + shift
-                out[target_flat] = out.get(target_flat, 0) + value * factor
+    for slot, kind in enumerate(t.valence):
+        _scatter(target.entries, on_con if kind == CON else on_cov, d ** (rank - 1 - slot), out)
     return out
 
 
-def _derivation_first_nonzero(endo: list[list[int]], endo_den: int, target: _Scaled):
+def _derivation_first_nonzero(moves: tuple[list, list], endo_den: int, target: _Scaled):
     """`derivation_action(endo / endo_den, t).first_nonzero()` for the scaled
-    target t, read off `_derivation_scatter`; the value is a `Fraction`."""
-    entries = _derivation_scatter(endo, target)
+    target t and the `_derivation_moves` of the int matrix endo, read off
+    `_derivation_scatter`; the value is a `Fraction`."""
+    entries = _derivation_scatter(moves, target)
     nonzero = [flat for flat, value in entries.items() if value]
     if not nonzero:
         return None
@@ -236,8 +231,9 @@ def check_model_axioms(model: InfinitesimalModel) -> Report:
     each antisymmetry check pairs the nonzero entries with their swaps
     (`_first_antisymmetry_violation`), each derivation check is read off
     `_derivation_scatter` per curvature endomorphism R(e_i, e_j), i < j,
-    and each Bianchi identity is evaluated by `_first_cyclic_failure` at
-    the sorted rotations of the nonzero entries of F = R + T.T or G = T.R.
+    whose move tables are built once for all targets, and each Bianchi
+    identity is evaluated by `_first_cyclic_failure` at the sorted
+    rotations of the nonzero entries of F = R + T.T or G = T.R.
     The witness is the first failure in (i, j) order and then flat order,
     and for the Bianchi identities the lexicographically first
     (i <= j <= k, l) or (i <= j <= k, w, l).
@@ -251,11 +247,11 @@ def check_model_axioms(model: InfinitesimalModel) -> Report:
         bad = _first_antisymmetry_violation(target.entries, d, len(target.tensor.valence))
         checks.append(Check(name, bad is None, None if bad is None else index_witness(bad)))
 
-    endos = _curvature_endos(r_s)
+    endos = {ij: _derivation_moves(endo) for ij, endo in _curvature_endos(r_s).items()}
 
     def derivation_check(name: str, target: _Scaled):
-        for (i, j), endo in endos.items():
-            hit = _derivation_first_nonzero(endo, r_s.den, target)
+        for (i, j), moves in endos.items():
+            hit = _derivation_first_nonzero(moves, r_s.den, target)
             if hit is not None:
                 checks.append(Check(name, False,
                                     f"R(e{i + 1},e{j + 1}) acting at "
@@ -458,12 +454,11 @@ def model_stabilizer_algebra(model: InfinitesimalModel) -> list[list[list[Fracti
     all model data (`_annihilates`); the matrices returned are their ints
     divided by den.
     """
-    return _fractions(_stabilizer(model))
+    return _fractions(_stabilizer(_scaled_targets(model)))
 
 
-def _stabilizer(model: InfinitesimalModel) -> list:
-    d = model.space.dim
-    targets = _scaled_targets(model)
+def _stabilizer(targets: list[_Scaled]) -> list:
+    d = targets[0].tensor.dim
     span = linalg.Echelon()
     for row in _stabilizer_rows(targets):
         span.add(row, _ints=True)
@@ -485,7 +480,8 @@ def _fractions(basis: list) -> list:
 def _annihilates(endo: list[list[int]], targets: list[_Scaled]) -> bool:
     """Whether the int matrix endo, den A for some den > 0, annihilates
     every scaled target, read off `_derivation_scatter`."""
-    return not any(any(_derivation_scatter(endo, t).values()) for t in targets)
+    moves = _derivation_moves(endo)
+    return not any(any(_derivation_scatter(moves, t).values()) for t in targets)
 
 
 @dataclass(frozen=True)
@@ -579,10 +575,11 @@ def _flatten_endo(endo) -> list:
     return [x for row in endo for x in row]
 
 
-def _algebra_from_parts(model: InfinitesimalModel, h_basis: list,
+def _algebra_from_parts(targets: list[_Scaled], h_basis: list,
                         h_name: str) -> LieAlgebraPresentation:
     """The presentation of V + h, h spanned by the matrices A given as
-    (den A as int rows, den) in h_basis.
+    (den A as int rows, den) in h_basis, for the model whose scaled
+    curvature and torsion lead `targets`.
 
     Every bracket is read off int data and only its nonzero constants are
     formed: [X, Y] = -T_X Y + R_XY from the scaled torsion and the nonzero
@@ -593,8 +590,8 @@ def _algebra_from_parts(model: InfinitesimalModel, h_basis: list,
     its coordinate on A.  Each bracket is filed under its pair i < j, so
     [A, X_j] = A X_j goes under (j, d + a) as [X_j, A] = -A X_j.
     """
-    d = model.space.dim
-    r, t = _scaled(model.curvature), _scaled(model.torsion)
+    r, t = targets[:2]
+    d = r.tensor.dim
     coords_in_h = linalg.Coordinates([_flatten_endo(rows) for rows, _ in h_basis])
     dens = [den for _, den in h_basis]
     m = len(h_basis)
@@ -657,7 +654,8 @@ def _commutator(a: list, b: list) -> list:
 
 def nomizu_algebra(model: InfinitesimalModel) -> LieAlgebraPresentation:
     """Transitive algebra V + h0 with h0 the full model stabilizer."""
-    return _algebra_from_parts(model, _stabilizer(model), "h0")
+    targets = _scaled_targets(model)
+    return _algebra_from_parts(targets, _stabilizer(targets), "h0")
 
 
 def transvection_subalgebra(model: InfinitesimalModel) -> list[list[list[Fraction]]]:
@@ -672,12 +670,11 @@ def transvection_subalgebra(model: InfinitesimalModel) -> list[list[list[Fractio
     earlier round, and spans only grow, so bracketing every pair would add
     the same elements.  The matrices returned are their ints divided by den.
     """
-    return _fractions(_closure(model))
+    return _fractions(_closure(_scaled(model.curvature)))
 
 
-def _closure(model: InfinitesimalModel) -> list:
-    d = model.space.dim
-    r = _scaled(model.curvature)
+def _closure(r: _Scaled) -> list:
+    d = r.tensor.dim
     basis = []  # (den A as int rows, den)
     sparse = []  # `_sparse_rows` of each den A
     span = linalg.Echelon()
@@ -712,11 +709,11 @@ def transvection_algebra(model: InfinitesimalModel) -> LieAlgebraPresentation:
     The containment h0' inside the full stabilizer h0 is re-verified on the
     closure's ints: every element of h0' must annihilate all model data.
     """
-    h0p = _closure(model)
     targets = _scaled_targets(model)
+    h0p = _closure(targets[0])
     if not all(_annihilates(rows, targets) for rows, _ in h0p):
         raise ModelError("transvection algebra is not contained in the stabilizer")
-    return _algebra_from_parts(model, h0p, "h0")
+    return _algebra_from_parts(targets, h0p, "h0")
 
 
 # -- Bianchi classification --------------------------------------------------------------
@@ -906,12 +903,15 @@ def model_from_json(data: dict) -> InfinitesimalModel:
 
     Malformed input raises `ValueError` (`KeyError` for a missing field): `n`
     must be an integer in 1..MAX_N, `curvature` and `torsion` tensors and
-    `aux` a list of tensors, each in the `tensor_from_json` format.
+    `aux` a list of at most MAX_TENSORS tensors, each in the
+    `tensor_from_json` format.
     """
     n = _half_dimension(data)
     aux = data.get("aux", [])
     if not isinstance(aux, list):
         raise ValueError("'aux' must be a list of tensors")
+    if len(aux) > MAX_TENSORS:
+        raise ValueError(f"'aux' has at most {MAX_TENSORS} tensors, got {len(aux)}")
     space = SymplecticSpace(n)
     curvature = tensor_from_json(data["curvature"], space=space)
     torsion = tensor_from_json(data["torsion"], space=space)

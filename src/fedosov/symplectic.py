@@ -17,38 +17,41 @@ Conventions fixed here and used everywhere else:
 
 * Every action of a matrix on a tensor -- change of basis, push-forward,
   derivations, covariant derivatives, raising and lowering -- goes through
-  one kernel, `_contract_slot(t, slot, M)`, which replaces the index in
-  one slot by out[..., a, ...] = sum_l t[..., l, ...] M[l][a]: the slot
-  index meets the matrix's row index and the column index becomes the
-  new slot.  A matrix acting on vectors (row = output) therefore enters a
-  contravariant slot transposed.  Vectors go through the same kernel: a
-  d x 1 matrix makes the slot drop out, and `insert_vector(t, slot, v)`
-  is that interior product.  Musical isomorphisms and every chart
-  contraction with a vector field are built on it.  The kernel scatters
-  each entry of t's support (`Tensor.support`, the nonzero positions,
-  found once per tensor) through the nonzero entries of its matrix row,
-  so every output entry sums its terms over l in increasing order.
-  A derivation sums one such contraction per slot; `_derivation_entries`
-  forms that sum one entry at a time, in the same order, and forms only
-  the entries that the support of its input reaches, since chart data are
-  sparse; a check that stops at a nonzero entry computes nothing after
-  it.  Its fixed summation order is what keeps the unreduced
-  `RationalFunction` witnesses of the chart suites stable.  Its readers
-  are the chart covariant derivatives (`charts._nabla_entries`, which
-  adds the partials on the support of its field) and the public
-  `models.derivation_action`.  The model checks, whose entries are exact
-  constants, scatter the nonzero model data instead, as ints
-  (`models._derivation_scatter`).
-  `change_basis` (and so every push-forward) contracts scaled ints when
-  the tensor and both matrices are constant: each is scaled by the lcm of
-  its denominators (`rationals.scaled_entries`), the tensor's nonzero
-  entries are kept as {flat: int}, and each slot scatters every one of
-  them through the nonzero entries of its matrix row (`_changed_comps`),
-  so only nonzero coordinates are visited; each result entry is divided
-  once, and the result's support is known without a scan.
-  `models.verify_model_isomorphism` reads the undivided ints.  Other
-  entries (`RationalFunction`s, or a denominator past
-  `rationals.MAX_SCALE_BITS`) go through `_contract_slot`.
+  one kernel.  `_moves(M)` lists, for each row l of a matrix, the pairs
+  (a - l, M[l][a]) of its nonzero entries, and `_scatter` adds each entry
+  of a {flat: value} map, times each factor of the row of its slot value
+  l, into the entry with a in that slot, at flat + (a - l) * stride.
+  Entries go in flat order, so an output entry sums its terms over l in
+  increasing order, and it starts from its first term.
+  `_contract_slot(t, slot, M)` scatters t's support (`Tensor.support`,
+  the nonzero positions, found once per tensor): out[..., a, ...] =
+  sum_l t[..., l, ...] M[l][a], the slot index meets the matrix's row
+  index and the column index becomes the new slot.  A matrix acting on
+  vectors (row = output) therefore enters a contravariant slot
+  transposed.  Vectors go through the same kernel: a d x 1 matrix makes
+  the slot drop out, and `insert_vector(t, slot, v)` is that interior
+  product.  Musical isomorphisms and every chart contraction with a
+  vector field are built on it.
+  A derivation sums one such contraction per slot, endo^T on a
+  contravariant slot and -endo on a covariant one, both tables built once
+  per endomorphism.  The model checks, whose entries are exact constants,
+  scatter the nonzero model data as ints (`models._derivation_scatter`).
+  `_derivation_entries` forms the same sums one entry at a time, gathered
+  from the same tables in the same order, and forms only the entries that
+  the support of its input reaches, since chart data are sparse; a check
+  that stops at a nonzero entry computes nothing after it.  Its fixed
+  summation order is what keeps the unreduced `RationalFunction`
+  witnesses of the chart suites stable.  Its readers are the chart
+  covariant derivatives (`charts._nabla_entries`, which adds the partials
+  on the support of its field) and the public `models.derivation_action`.
+  `change_basis` (and so every push-forward) scatters one slot after the
+  other (`_changed_comps`), so only nonzero coordinates are visited.  When
+  the tensor and both matrices are constant they are scaled to ints
+  first, each by the lcm of its denominators (`rationals.scaled_entries`);
+  each result entry is then divided once, and the result's support is
+  known without a scan.  `models.verify_model_isomorphism` reads the
+  undivided ints.  Other entries (`RationalFunction`s, or a denominator
+  past `rationals.MAX_SCALE_BITS`) go through the same loop as they are.
 
 * Three kernels read sparse arrays, {flat: value} with absent meaning
   zero: the first antisymmetry failure in the first two slots
@@ -89,6 +92,12 @@ MAX_N = 6
 # the curvature, the largest any command reads.  Checked before the
 # dim ** rank components are allocated.
 MAX_RANK = 4
+
+# Most tensors a file may declare in a list of its own: the `aux` tensors of
+# a model and the `fields` of a chart.  Each takes up to 12^4 slots before
+# anything reads it, about 0.16 MB, so the count is checked before any is
+# allocated.  The fixtures declare at most two.
+MAX_TENSORS = 16
 
 
 class SymplecticSpace:
@@ -357,41 +366,49 @@ def _resolve_omega_inverse(t: Tensor, omega):
     return linalg.inverse([list(row) for row in omega])
 
 
-def _contract_slot(t: Tensor, slot: int, matrix: Sequence[Sequence]) -> list:
-    """Components of t with one slot contracted against the rows of a d x k matrix.
+def _moves(matrix: Sequence[Sequence]) -> list[list[tuple[int, object]]]:
+    """moves[l]: the (a - l, matrix[l][a]) pairs of the nonzero entries of
+    row l, a increasing.  An int or `Fraction` entry is its own zero test."""
+    return [[(a - l, x) for a, x in enumerate(row)
+             if (x if type(x) in (int, Fraction) else not is_zero_scalar(x))]
+            for l, row in enumerate(matrix)]
 
-    out[..., a, ...] = sum_l t[..., l, ...] * matrix[l][a] for a < k, with
-    k = len(matrix[0]); the slot runs over k values afterwards, so a single
-    column (a vector) makes it drop out.  Each t[flat] of `t.support`, in
-    flat order, is scattered through the nonzero entries of the matrix row
-    of its slot value.  An output entry therefore sums its terms over l in
-    increasing order, skips zero terms and starts from the first nonzero
-    one; an entry no term reaches is the zero of t's scalar type.
+
+def _scatter(entries: dict, moves: list, stride: int, out: dict) -> dict:
+    """Add each entries[flat] * x into out[flat + shift * stride], over the
+    (shift, x) pairs of moves[l], l the slot value of flat at that stride:
+    the slot moves from l to l + shift.  Entries go in the order of
+    `entries`, each through its moves in order, and an entry of `out` that
+    has none yet starts from its first term.  Returns `out`."""
+    d = len(moves)
+    for flat, value in entries.items():
+        for shift, factor in moves[flat // stride % d]:
+            target = flat + shift * stride
+            total = out.get(target)
+            out[target] = value * factor if total is None else total + value * factor
+    return out
+
+
+def _contract_slot(t: Tensor, slot: int, matrix: Sequence[Sequence]) -> list:
+    """Components of t with one slot contracted against the rows of a d x k
+    matrix, k <= d.
+
+    out[..., a, ...] = sum_l t[..., l, ...] * matrix[l][a] for a < k; the
+    slot runs over k values afterwards, so a single column (a vector) makes
+    it drop out.  The entries of `t.support` are scattered in flat order
+    (`_scatter`), so an output entry sums its terms over l in increasing
+    order, skips zero terms and starts from the first nonzero one; an entry
+    no term reaches is the zero of t's scalar type.
     """
-    d = t.dim
-    k = len(matrix[0])
+    d, k = t.dim, len(matrix[0])
     stride = d ** (len(t.valence) - 1 - slot)
-    comps = t.comps
-    # moves[l]: the (output offset, matrix[l][a]) pairs of row l with a nonzero
-    # entry, a increasing; the offset (a - l) * stride moves the slot from l to a
-    moves = [[((a - l) * stride, x) for a, x in enumerate(row) if not is_zero_scalar(x)]
-             for l, row in enumerate(matrix)]
     # a k-column matrix shifts each block of d * stride entries by (k - d) * stride
     block, shift = d * stride, (k - d) * stride
-    zero = _scalar_zero(t)
-    # Every term is a new product object, so an entry is still `zero` itself
-    # exactly when no term has reached it.
-    out = [zero] * (len(comps) // d * k)
-    for flat in t.support:
-        terms = moves[flat // stride % d]
-        if not terms:
-            continue
-        value = comps[flat]
-        base = flat + flat // block * shift
-        for offset, factor in terms:
-            term = value * factor
-            total = out[base + offset]
-            out[base + offset] = term if total is zero else total + term
+    comps = t.comps
+    out = [_scalar_zero(t)] * (len(comps) // d * k)
+    for flat, value in _scatter({flat: comps[flat] for flat in t.support}, _moves(matrix),
+                                stride, {}).items():
+        out[flat + flat // block * shift] = value
     return out
 
 
@@ -401,14 +418,16 @@ def _scalar_zero(t: Tensor):
     return Fraction(0) if isinstance(sample, (int, Fraction)) else sample - sample
 
 
-def _column_sum(comps: list, nonzero: bytearray, base: int, column: list, zero):
-    """sum comps[base + offset] * factor over the (offset, factor) terms of a
-    column, in order, skipping the terms whose component `nonzero` marks as
-    zero and starting from the first nonzero one; `zero` if none."""
+def _column_sum(comps: list, nonzero: bytearray, flat: int, stride: int, column: list, zero):
+    """sum comps[flat + shift * stride] * factor over the (shift, factor)
+    terms of a column, in order, skipping the terms whose component
+    `nonzero` marks as zero and starting from the first nonzero one; `zero`
+    if none."""
     total = None
-    for offset, factor in column:
-        if nonzero[base + offset]:
-            term = comps[base + offset] * factor
+    for shift, factor in column:
+        at = flat + shift * stride
+        if nonzero[at]:
+            term = comps[at] * factor
             total = term if total is None else total + term
     return zero if total is None else total
 
@@ -439,38 +458,28 @@ def _derivation_entries(endo: Sequence[Sequence], t: Tensor):
     nonzero = bytearray(len(comps))
     for flat in support:
         nonzero[flat] = 1
+    # The `_moves` of endo and endo^T, once per call.  Slot value a gathers
+    # endo[a][l] (row a of endo) on a contravariant slot and -endo[l][a]
+    # (row a of -endo^T, negated only if a slot needs it) on a covariant
+    # one; slot value l reaches the a of row l of the other table.
+    rows, cols = _moves(endo), _moves(linalg.transpose(endo))
+    negated = [[(shift, -x) for shift, x in row] for row in cols] if COV in t.valence else None
+    slots = [(d ** (rank - 1 - slot), *((rows, cols) if kind == CON else (negated, rows)))
+             for slot, kind in enumerate(t.valence)]
     # walk[flat]: 2 where some entry of t reaches flat, 1 where only the support is walked
     walk = bytearray(nonzero)
-    slots = []
-    for slot, kind in enumerate(t.valence):
-        stride = d ** (rank - 1 - slot)
-        # columns[a]: the (l * stride, factor) terms of slot value a, l increasing
-        if kind == CON:  # endo^T: factor endo[a][l]
-            columns = [[(l * stride, x) for l, x in enumerate(endo[a]) if not is_zero_scalar(x)]
-                       for a in range(d)]
-        else:  # -endo: factor -endo[l][a]
-            columns = [[(l * stride, -endo[l][a]) for l in range(d)
-                        if not is_zero_scalar(endo[l][a])] for a in range(d)]
-        slots.append((stride, columns))
-        # feeds[l]: the output offsets a * stride that slot value l contributes to
-        feeds = [[] for _ in range(d)]
-        for a, column in enumerate(columns):
-            for offset, _ in column:
-                feeds[offset // stride].append(a * stride)
+    for stride, _, reach in slots:
         for flat in support:
-            l = flat // stride % d
-            base = flat - l * stride
-            for offset in feeds[l]:
-                walk[base + offset] = 2
+            for shift, _ in reach[flat // stride % d]:
+                walk[flat + shift * stride] = 2
     zero = _scalar_zero(t)
     for flat in itertools.compress(range(len(comps)), walk):
         if walk[flat] != 2:
             yield flat, None
             continue
         total = None  # Fraction(0), the start of the merge, which a zero part replaces
-        for stride, columns in slots:
-            a = flat // stride % d
-            part = _column_sum(comps, nonzero, flat - a * stride, columns[a], zero)
+        for stride, gather, _ in slots:
+            part = _column_sum(comps, nonzero, flat, stride, gather[flat // stride % d], zero)
             if total is None or is_zero_scalar(total):
                 total = part
             elif not is_zero_scalar(part):
@@ -631,9 +640,9 @@ def _changed_comps(t: Tensor, basis_matrix: Sequence[Sequence], basis_inverse=No
     {flat: value}, times den as ints when t and both matrices scale to
     ints, and otherwise as they are, with den None.
 
-    On ints each slot is contracted by scattering every nonzero entry
-    through the nonzero entries of its scaled matrix row, so only nonzero
-    coordinates are visited; other entries go through `_contract_slot`.
+    Each slot scatters every nonzero entry, in flat order, through the
+    nonzero entries of its matrix row (`_scatter`), so only nonzero
+    coordinates are visited.
     """
     m = [list(row) for row in basis_matrix]
     minv = basis_inverse if basis_inverse is not None else linalg.inverse(m)
@@ -643,27 +652,18 @@ def _changed_comps(t: Tensor, basis_matrix: Sequence[Sequence], basis_inverse=No
     scaled = isinstance(t.comps[0], (int, Fraction)) and scaled_entries(
         [t.comps[flat] for flat in t.support])
     on_cov, on_con = _scaled_matrix(m), _scaled_matrix(minv_t)
-    if not (scaled and on_cov and on_con):
-        comps = t.comps
-        for slot, kind in enumerate(t.valence):
-            comps = _contract_slot(Tensor(t.dim, t.valence, comps), slot,
-                                   m if kind == COV else minv_t)
-        return {flat: x for flat, x in enumerate(comps) if not is_zero_scalar(x)}, None
+    if not (scaled and on_cov and on_con):  # the entries as they are
+        scaled, on_cov, on_con = ([t.comps[flat] for flat in t.support], None), (m, 1), (minv_t, 1)
     ints, den = scaled
+    on_cov, on_con = [(_moves(matrix), scale) for matrix, scale in (on_cov, on_con)]
     entries = dict(zip(t.support, ints))
     d, rank = t.dim, len(t.valence)
     for slot, kind in enumerate(t.valence):
-        matrix, scale = on_cov if kind == COV else on_con
-        den *= scale
-        stride = d ** (rank - 1 - slot)
-        # moves[l]: the (flat shift, factor) pairs of row l with a nonzero entry
-        moves = [[((a - l) * stride, x) for a, x in enumerate(row) if x]
-                 for l, row in enumerate(matrix)]
-        out: dict[int, int] = {}
-        for flat, value in entries.items():
-            for shift, factor in moves[flat // stride % d]:
-                out[flat + shift] = out.get(flat + shift, 0) + value * factor
-        entries = {flat: value for flat, value in out.items() if value}
+        moves, scale = on_cov if kind == COV else on_con
+        den = den and den * scale
+        reached = _scatter(entries, moves, d ** (rank - 1 - slot), {})
+        entries = {flat: x for flat, x in sorted(reached.items())
+                   if (x if den else not is_zero_scalar(x))}
     return entries, den
 
 

@@ -54,7 +54,7 @@ import pytest
 
 from fedosov import linalg, models, symplectic
 from fedosov.models import (
-    InfinitesimalModel, LieAlgebraPresentation, _algebra_from_parts, bianchi_classify,
+    InfinitesimalModel, LieAlgebraPresentation, _scaled, _scaled_targets, bianchi_classify,
     model_from_json, model_stabilizer_algebra, nomizu_algebra, presentation_from_json,
     presentation_to_json, transvection_algebra, transvection_subalgebra, trivial_model,
 )
@@ -73,6 +73,21 @@ from test_linalg import product_model
 from test_model_ints import fractional_symplectic_matrix, pushed, sparse_model
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+
+def stabilizer_ints(model):
+    """`models._stabilizer` on the scaled data of `model`."""
+    return models._stabilizer(_scaled_targets(model))
+
+
+def closure_ints(model):
+    """`models._closure` on the scaled curvature of `model`."""
+    return models._closure(_scaled(model.curvature))
+
+
+def algebra_on(model, h_basis, h_name):
+    """`models._algebra_from_parts` on the scaled data of `model`."""
+    return models._algebra_from_parts(_scaled_targets(model), h_basis, h_name)
 
 
 def outcome(build, *args):
@@ -162,7 +177,7 @@ def test_unclosed_bases_fail_as_the_fraction_path():
               for _ in range(2)] for _ in range(rng.randint(1, 3))]
         if linalg.rank([[x for row in e for x in row] for e in h]) < len(h):
             continue
-        result = outcome(_algebra_from_parts, model, [int_form(e) for e in h], "h")
+        result = outcome(algebra_on, model, [int_form(e) for e in h], "h")
         assert result == outcome(old_algebra_from_parts, model, h, "h")
         seen.add(result[1] if isinstance(result, tuple) else "built")
     assert "isotropy algebra is not closed under commutators" in seen
@@ -171,7 +186,7 @@ def test_unclosed_bases_fail_as_the_fraction_path():
     h = old_transvection_subalgebra(closure_model(rng, 2))
     assert len(h) >= 4
     model = trivial_model(2)
-    built = outcome(_algebra_from_parts, model, [int_form(e) for e in h], "h")
+    built = outcome(algebra_on, model, [int_form(e) for e in h], "h")
     assert built == outcome(old_algebra_from_parts, model, h, "h")
     assert built["dim"] == 4 + len(h)
 
@@ -186,14 +201,14 @@ def int_basis_mismatches(cases) -> list[str]:
     bad = []
     for label, model in cases:
         for ints, public, oracle in (
-                (models._stabilizer, model_stabilizer_algebra, old_model_stabilizer_algebra),
-                (models._closure, transvection_subalgebra, old_transvection_subalgebra)):
+                (stabilizer_ints, model_stabilizer_algebra, old_model_stabilizer_algebra),
+                (closure_ints, transvection_subalgebra, old_transvection_subalgebra)):
             h, expected = ints(model), oracle(model)
             matrices = [[[Fraction(x, den) for x in row] for row in rows] for rows, den in h]
             if public(model) != expected or matrices != expected:
                 bad.append(f"{label}: {public.__name__}")
             on = [model, trivial_model(model.space.n)][:1 + label.startswith("closure")]
-            if any(outcome(models._algebra_from_parts, base, h, "h")
+            if any(outcome(algebra_on, base, h, "h")
                    != outcome(old_algebra_from_parts, base, expected, "h") for base in on):
                 bad.append(f"{label}: {ints.__name__} algebra")
     return bad
@@ -204,11 +219,11 @@ def test_int_bases_match_the_fraction_paths(cases):
     that each coordinate in `in_h` must take its element's den, and each
     [X, A] column must be divided by it."""
     assert int_basis_mismatches(cases) == []
-    kinds = (models._stabilizer, models._closure)
+    kinds = (stabilizer_ints, closure_ints)
     spread = [(label, ints) for label, model in cases for ints in kinds
               if len({den for _, den in ints(model)} - {1}) >= 2]
     assert len(spread) >= 8 and {ints for _, ints in spread} == set(kinds)
-    built = [outcome(models._algebra_from_parts, trivial_model(2), models._closure(model), "h")
+    built = [outcome(algebra_on, trivial_model(2), closure_ints(model), "h")
              for label, model in cases if label.startswith("closure")]
     assert len(built) == 3 and all(isinstance(p, dict) for p in built)
 

@@ -668,6 +668,17 @@ LIMIT_CASES = [
     (["verify-chart", "FILE", "--suite", "all"],
      {"coords": ["x", "y"], "fields": {"big": {"valence": ["cov"] * 22, "components": {}}}},
      "FILE: field 'big': valence has at most 4 slots, got 22"),
+    # each declared tensor is allocated at (2n)^rank slots: 200 empty
+    # rank-4 tensors at n = 6 took 50 MB before the count was checked
+    (["nomizu", "FILE"],
+     {"n": 6, "curvature": {"n": 6, "valence": ["cov", "cov", "cov", "con"]},
+      "torsion": {"n": 6, "valence": ["cov", "cov", "con"]},
+      "aux": [{"n": 6, "valence": ["cov"] * 4}] * 17},
+     "FILE: 'aux' has at most 16 tensors, got 17"),
+    (["verify-chart", "--suite", "as", "FILE"],
+     {"coords": [f"x{i}" for i in range(12)],
+      "fields": {f"f{i}": {"valence": ["cov"] * 4} for i in range(200)}},
+     "FILE: charts have at most 16 fields, got 200"),
     (["verify-chart", "FILE", "--suite", "as"],
      {"coords": ["x", "y"], "omega": {"1,2": "(x+y+1)^3000"}},
      "FILE: omega[1,2]: power ^3000 of a 3-term polynomial is over the budget of 1000 terms "

@@ -18,7 +18,9 @@ hypothesis-drawn Fraction models for n = 1..3, on zero tensors and on
 tensors whose first slot contributes nothing.
 
 Two mutants of the kernel's own source, the slots merged in reverse order
-and endo acting untransposed on contravariant slots, must each be caught.
+and endo acting untransposed on contravariant slots, must each be caught,
+and so must a mutant of the move-table builder it shares with every slot
+contraction (`symplectic._moves`, each row read from its far end).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor, _contract_slot
 
 from conftest import PRODUCT_CHART, old_derivation_action
 from test_lazy_checks import all_charts, structures, y_chart
-from test_slot_kernel import swell_chart
+from test_slot_kernel import mirror_moves, swell_chart
 from test_stabilizer import models as drawn_models
 
 
@@ -237,10 +239,9 @@ def mutant_kernel(old: str, new: str):
 
 
 MUTANTS = {
-    "merge-order-reversed": ("for stride, columns in slots:",
-                             "for stride, columns in reversed(slots):"),
-    "on-con-untransposed": ("for l, x in enumerate(endo[a])",
-                            "for l, x in enumerate(row[a] for row in endo)"),
+    "merge-order-reversed": ("for stride, gather, _ in slots:",
+                             "for stride, gather, _ in reversed(slots):"),
+    "on-con-untransposed": ("(rows, cols) if kind == CON", "(cols, rows) if kind == CON"),
 }
 
 
@@ -249,4 +250,9 @@ def test_comparison_catches_kernel_mutants(chart_fields, monkeypatch, name):
     kernel = mutant_kernel(*MUTANTS[name])
     for module in (symplectic, models, charts):
         monkeypatch.setattr(module, "_derivation_entries", kernel)
+    assert chart_mismatches(chart_fields)
+
+
+def test_comparison_catches_mirrored_moves(chart_fields, monkeypatch):
+    mirror_moves(monkeypatch)
     assert chart_mismatches(chart_fields)

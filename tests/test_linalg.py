@@ -15,9 +15,10 @@ from fedosov.decomposition import (
     cotorsion_to_torsion, decompose_cotorsion, decompose_torsion, symplectify_torsion,
 )
 from fedosov.models import (
-    InfinitesimalModel, bianchi_classify, check_model_axioms, model_from_json, nomizu_algebra,
-    presentation_from_json, presentation_to_json, push_tensor, transvection_algebra,
-    transvection_subalgebra, trivial_model, verify_model_isomorphism,
+    InfinitesimalModel, bianchi_classify, check_model_axioms, model_from_json,
+    model_stabilizer_algebra, nomizu_algebra, presentation_from_json, presentation_to_json,
+    push_tensor, transvection_algebra, transvection_subalgebra, trivial_model,
+    verify_model_isomorphism,
 )
 from fedosov.rationals import RationalFunction, parse_ratfun
 from fedosov.symplectic import cyclic_sum
@@ -511,6 +512,35 @@ def test_each_lie_basis_element_is_scaled_once():
     assert "_closure" in calls["transvection_algebra"]
 
 
+def test_each_model_tensor_is_scaled_once_per_entry_point(monkeypatch):
+    """Each public entry point of `models` scales each model tensor it reads
+    to ints once (`_scaled`) and hands the scaled form on: at the parent
+    commit `transvection_algebra` scaled the curvature three times and the
+    torsion twice, and `nomizu_algebra` each of them twice."""
+    model = product_model()
+    tensors = [model.curvature, model.torsion, *model.aux]
+    scaled = []
+    kernel = models._scaled
+
+    def counted(t):
+        scaled.append(t)
+        return kernel(t)
+
+    monkeypatch.setattr(models, "_scaled", counted)
+    every = [1] * len(tensors)
+    unit = [[Fraction(int(i == j)) for j in range(model.space.dim)]
+            for i in range(model.space.dim)]
+    for entry, expected in (
+            (check_model_axioms, every), (model_stabilizer_algebra, every),
+            (nomizu_algebra, every), (transvection_algebra, every),
+            (transvection_subalgebra, [1] + [0] * (len(tensors) - 1)),
+            (lambda m: verify_model_isomorphism(unit, m, m), every)):
+        scaled.clear()
+        entry(model)
+        assert [sum(s is t for s in scaled) for t in tensors] == expected, entry
+        assert len(scaled) == sum(expected), entry
+
+
 FRACTION_CODES = {Fraction.__new__.__code__: "Fraction.__new__",
                   Fraction._mul.__code__: "Fraction._mul",
                   Fraction._div.__code__: "Fraction._div"}
@@ -536,7 +566,7 @@ PRESENTATION_CODES = {Fraction.__bool__.__code__: "Fraction.__bool__",
 PRESENTATION_PARENT = {"Fraction.__bool__": 46395, "Fraction.__new__": 4180,
                        "Python calls": 86869}
 PRESENTATION_BOUNDS = {"Fraction.__bool__": 3042, "Fraction.__new__": 428,
-                       "Python calls": 23429}
+                       "Python calls": 15930}
 
 # `nomizu_algebra(trivial_model(4))` and `transvection_algebra` on one
 # product-chart model, while each Lie basis element was scaled to ints three
@@ -546,7 +576,7 @@ BASIS_CODES = {**FRACTION_CODES, Fraction.denominator.fget.__code__: "Fraction.d
 BASIS_PARENT = {"Fraction.__new__": 516, "Fraction._mul": 0, "Fraction._div": 0,
                 "Fraction.denominator": 21008, "Python calls": 51016}
 BASIS_BOUNDS = {"Fraction.__new__": 513, "Fraction._mul": 0, "Fraction._div": 0,
-                "Fraction.denominator": 9228, "Python calls": 29604}
+                "Fraction.denominator": 9204, "Python calls": 28032}
 
 
 def product_model() -> InfinitesimalModel:

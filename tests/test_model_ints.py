@@ -33,9 +33,9 @@ import pytest
 
 from fedosov import models, rationals
 from fedosov.models import (
-    InfinitesimalModel, _curvature_endos, _derivation_first_nonzero, _scaled, check_model_axioms,
-    curvature_endomorphism, model_stabilizer_algebra, presentation_to_json, push_tensor,
-    transvection_algebra, verify_model_isomorphism,
+    InfinitesimalModel, _curvature_endos, _derivation_first_nonzero, _derivation_moves, _scaled,
+    check_model_axioms, curvature_endomorphism, model_stabilizer_algebra, presentation_to_json,
+    push_tensor, transvection_algebra, verify_model_isomorphism,
 )
 from fedosov.symplectic import SymplecticSpace, Tensor
 
@@ -171,7 +171,7 @@ def test_derivation_witnesses_are_the_same_fractions(cases):
         for (i, j), ints in _curvature_endos(r).items():
             endo = curvature_endomorphism(model.curvature, i, j)
             for t in (model.curvature, model.torsion, *model.aux):
-                hit = _derivation_first_nonzero(ints, r.den, _scaled(t))
+                hit = _derivation_first_nonzero(_derivation_moves(ints), r.den, _scaled(t))
                 assert hit == old_derivation_first_nonzero(endo, t), label
                 if hit is not None:
                     assert type(hit[1]) is Fraction

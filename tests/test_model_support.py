@@ -23,11 +23,13 @@ curvature derivation at n <= 2 (every witness value, at any n, must be a
   late triple, one whose only nonzero F entry is a triple's third rotation,
   and one where two rotations cancel before a later failure.
 
-Two mutants must be caught: one rotation dropped from the Bianchi
-candidates, and the contravariant and covariant branches of the int
-scatter swapped.  A structural guard makes `_derivation_entries` raise and shows
-that the model checks and algebras never reach it, while the public
-`derivation_action` still does and still matches the oracle on chart fields.
+Three mutants must be caught: one rotation dropped from the Bianchi
+candidates, the contravariant and covariant branches of the int scatter
+swapped, and the move-table builder that every slot contraction shares
+(`symplectic._moves`) reading each row from its far end.  A structural
+guard makes `_derivation_entries` raise and shows that the model checks
+and algebras never reach it, while the public `derivation_action` still
+does and still matches the oracle on chart fields.
 """
 
 from __future__ import annotations
@@ -45,9 +47,9 @@ from fedosov.charts import (
     omega_tensor,
 )
 from fedosov.models import (
-    InfinitesimalModel, _annihilates, _curvature_endos, _derivation_first_nonzero, _scaled,
-    _scaled_targets, _targets, check_model_axioms, curvature_endomorphism, derivation_action,
-    presentation_to_json, trivial_model,
+    InfinitesimalModel, _annihilates, _curvature_endos, _derivation_first_nonzero,
+    _derivation_moves, _scaled, _scaled_targets, _targets, check_model_axioms,
+    curvature_endomorphism, derivation_action, presentation_to_json, trivial_model,
 )
 from fedosov.symplectic import Tensor
 
@@ -57,6 +59,7 @@ from conftest import (
     valid_random_model,
 )
 from test_lazy_checks import y_chart
+from test_slot_kernel import mirror_moves
 from test_stabilizer import zero_model
 from test_support_kernels import mutants as random_mutants, same
 
@@ -222,7 +225,7 @@ def test_derivation_witnesses_are_the_same_fractions(cases, no_dense_kernel):
             endo = curvature_endomorphism(model.curvature, i, j)
             for t in _targets(model):
                 target = _scaled(t)
-                hit = _derivation_first_nonzero(ints, r.den, target)
+                hit = _derivation_first_nonzero(_derivation_moves(ints), r.den, target)
                 if d <= 4:
                     assert hit == old_derivation_first_nonzero(endo, t), label
                 if hit is not None:
@@ -278,7 +281,8 @@ MUTANTS = {
     "rotation-dropped": ("_first_cyclic_failure",
                          "for i, j, k in ((x, y, z), (y, z, x), (z, x, y)):",
                          "for i, j, k in ((x, y, z), (y, z, x)):"),
-    "con-cov-swapped": ("_derivation_scatter", "if kind == CON:", "if kind == COV:"),
+    "con-cov-swapped": ("_derivation_scatter", "on_con if kind == CON else on_cov",
+                        "on_con if kind == COV else on_cov"),
 }
 
 
@@ -287,3 +291,9 @@ def test_comparison_catches_mutants(cases, expected, monkeypatch, name):
     target, old, new = MUTANTS[name]
     monkeypatch.setattr(models, target, mutant(target, old, new))
     assert report_mismatches(cases, expected)
+
+
+def test_comparison_catches_mirrored_moves(cases, expected, monkeypatch):
+    mirror_moves(monkeypatch)
+    assert report_mismatches(cases, expected)
+    assert algebra_outcomes(cases) != expected[1]

@@ -13,7 +13,12 @@ The kernel itself scatters each nonzero entry through a matrix row; it is
 compared with the dense column sum it replaced (`conftest.old_contract_slot`)
 by printed form and by type, on every slot of seeded `Fraction`, `int` and
 `RationalFunction` tensors, and a mutant that sums each entry's terms in
-decreasing order must be caught.
+decreasing order must be caught.  Every slot contraction in `symplectic`
+and `models` builds its tables with `symplectic._moves` and scatters with
+`symplectic._scatter`: a structural test keeps it so, and a mutant of the
+shared builder must be caught here, by the model checks
+(`test_model_support`) and by the chart derivatives
+(`test_derivation_kernel`).
 
 One test counts the polynomial products (all of them, and those of two
 factors with two or more terms each), content passes, partials and exact
@@ -25,16 +30,18 @@ forming a difference through a negated copy, fails here.
 
 from __future__ import annotations
 
+import ast
 import inspect
 import itertools
 import json
+import pathlib
 import random
 import textwrap
 from fractions import Fraction
 
 import pytest
 
-from fedosov import cli, linalg, symplectic
+from fedosov import cli, linalg, models, symplectic
 from fedosov.charts import (
     chart_curvature, chart_from_json, chart_torsion, covariant_derivative,
     linear_type_structure, load_example, omega_tensor,
@@ -47,6 +54,7 @@ from fedosov.symplectic import (
 )
 
 from conftest import old_contract_slot
+from test_linalg import module_calls
 
 VALENCES = [(COV, COV), (COV, COV, CON), (COV, COV, COV), (COV, COV, COV, CON)]
 MAX_NONZERO = 24  # keeps the d^r oracle cheap at n = 3, valence (1,3)
@@ -252,7 +260,7 @@ SHARING_PARENT = {"Polynomial.__mul__": 1061, "Polynomial.content": 448,
                   "products of two sums": 208}
 SHARING_BOUNDS = {"Polynomial.__mul__": 507, "Polynomial.content": 13,
                   "Polynomial.partial": 176, "Polynomial.try_exact_div": 335,
-                  "RationalFunction.__neg__": 150, "RationalFunction.__add__": 374,
+                  "RationalFunction.__neg__": 96, "RationalFunction.__add__": 374,
                   "products of two sums": 44}
 
 
@@ -391,9 +399,73 @@ def test_scatter_contraction_matches_column_sum():
 
 def test_comparison_catches_decreasing_summation(monkeypatch):
     source = textwrap.dedent(inspect.getsource(symplectic._contract_slot))
-    old = "for flat in t.support:"
+    old = "for flat in t.support}"
     assert source.count(old) == 1
     namespace = dict(vars(symplectic))
-    exec(source.replace(old, "for flat in reversed(t.support):"), namespace)
+    exec(source.replace(old, "for flat in reversed(t.support)}"), namespace)
     monkeypatch.setattr(symplectic, "_contract_slot", namespace["_contract_slot"])
     assert "order" in contraction_mismatches(CONTRACTION_CASES)
+
+
+def mirror_moves(monkeypatch):
+    """Bind `_moves` in `symplectic` and `models` to the shared move-table
+    builder with each row read from its far end, so that every term lands
+    in the mirrored column."""
+    source = textwrap.dedent(inspect.getsource(symplectic._moves))
+    old = "for a, x in enumerate(row)"
+    assert source.count(old) == 1
+    namespace = dict(vars(symplectic))
+    exec(source.replace(old, "for a, x in enumerate(reversed(row))"), namespace)
+    for module in (symplectic, models):
+        monkeypatch.setattr(module, "_moves", namespace["_moves"])
+
+
+def test_comparison_catches_mirrored_moves(monkeypatch):
+    mirror_moves(monkeypatch)
+    bad = contraction_mismatches(CONTRACTION_CASES)
+    assert {label.split("/")[0] for label in bad} == {"fraction", "int", "ratfun"}
+
+
+def slot_kernel_sites(module) -> tuple[set[str], set[str]]:
+    """The functions of `module` that build a move table, a filtered
+    comprehension of (offset, factor) pairs whose offset is computed, and
+    those that read a slot value off a flat position, `flat // stride % d`.
+    A nested function counts for the function around it too."""
+    tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+    builders, slot_readers = set(), set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, (ast.ListComp, ast.GeneratorExp))
+                    and isinstance(node.elt, ast.Tuple) and isinstance(node.elt.elts[0], ast.BinOp)
+                    and any(generator.ifs for generator in node.generators)):
+                builders.add(func.name)
+            left = getattr(node, "left", None)
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                    and isinstance(left, ast.BinOp) and isinstance(left.op, ast.FloorDiv)):
+                slot_readers.add(func.name)
+    return builders, slot_readers
+
+
+def test_slots_contract_in_one_kernel():
+    """`_moves` is the one move-table builder and `_scatter` the one scatter
+    loop of `symplectic` and `models`.  Besides `_scatter`, only the lazy
+    gather of `_derivation_entries` (its column sums and the walk over the
+    positions its input reaches), the stabilizer's equations (A -> A.t, the
+    transpose problem) and the cyclic-sum kernel read a slot value off a
+    flat position, so a hand-rolled table or scatter put back into a
+    contraction fails here."""
+    sites = [slot_kernel_sites(module) for module in (symplectic, models)]
+    assert set.union(*(builders for builders, _ in sites)) == {"_moves"}
+    assert set.union(*(readers for _, readers in sites)) == {
+        "_scatter", "_derivation_entries", "_first_cyclic_failure", "_stabilizer_rows"}
+    calls = {**module_calls(symplectic), **module_calls(models)}
+    for name in ("_contract_slot", "_changed_comps", "_derivation_scatter"):
+        assert "_scatter" in calls[name], name
+    for name in ("_contract_slot", "_changed_comps", "_derivation_entries", "_derivation_moves"):
+        assert "_moves" in calls[name], name
+    # one loop, on scaled ints or on the entries as they are
+    changed = next(node for node in ast.walk(ast.parse(textwrap.dedent(
+        inspect.getsource(symplectic._changed_comps)))) if isinstance(node, ast.FunctionDef))
+    assert sum(isinstance(node, ast.For) for node in ast.walk(changed)) == 1
