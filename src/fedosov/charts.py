@@ -54,8 +54,8 @@ from .models import InfinitesimalModel, standard_omega_tensor
 from .rationals import RationalFunction, ScaledPoint, parse_ratfun
 from .reporting import Check, Report, index_witness
 from .symplectic import (
-    COV, CON, MAX_N, MAX_RANK, MAX_TENSORS, SymplecticSpace, Tensor, _derivation_entries,
-    _unflat, change_basis, insert_vector, tensor_to_json,
+    COV, CON, MAX_N, MAX_RANK, MAX_TENSORS, SymplecticSpace, Tensor, _derivation_entries, _flat,
+    _index_of_key, _unflat, change_basis, insert_vector, tensor_to_json,
 )
 
 
@@ -148,8 +148,7 @@ def omega_is_closed(chart: Chart) -> tuple[bool, tuple | None]:
         return (_partial(w[j][k], coords[i]) + _partial(w[k][i], coords[j])
                 + _partial(w[i][j], coords[k]))
 
-    ordered = ((i * d + j) * d + k for i, j, k in itertools.combinations(range(d), 3))
-    hit = _first_nonzero_at(d, 3, ordered, entry)
+    hit = _first_nonzero_at(itertools.combinations(range(d), 3), entry)
     return (True, None) if hit is None else (False, hit[0])
 
 
@@ -357,16 +356,15 @@ def _zero_check(name: str, hit: tuple | None) -> Check:
                  None if hit is None else f"component {index_witness(hit[0])} = {hit[1]}")
 
 
-def _first_nonzero_at(d: int, rank: int, positions, entry) -> tuple | None:
-    """The first nonzero (multi-index, value) of the d^rank field whose
-    component at an index is `entry(*index)`, or None.
+def _first_nonzero_at(positions, entry) -> tuple | None:
+    """The first nonzero (multi-index, value) of the field whose component
+    at an index is `entry(*index)`, or None.
 
-    `positions` are increasing flat positions outside which every component
-    is zero; `entry` is called only there, and only up to the first nonzero
-    value.
+    `positions` are multi-index tuples in flat order (for tuples of one
+    length, sorted order) outside which every component is zero; `entry` is
+    called only there, and only up to the first nonzero value.
     """
-    for flat in positions:
-        idx = _unflat(d, rank, flat)
+    for idx in positions:
         value = entry(*idx)
         if not is_zero_scalar(value):
             return idx, value
@@ -543,13 +541,11 @@ def model_at_point(chart: Chart, structure: Tensor, point: dict):
 # -- serialization and the packaged examples -------------------------------------------
 
 def _index_key(key: str, arity: int, dim: int, what: str) -> tuple[int, ...]:
-    """0-based indices of a 1-based comma-joined chart key such as ``"1,2"``;
-    the empty key is the empty index of a scalar."""
-    try:
-        idx = tuple(int(p) - 1 for p in key.split(",")) if key else ()
-    except ValueError:
-        idx = None
-    if idx is None or len(idx) != arity:
+    """0-based indices of a 1-based comma-joined chart key such as ``"1,2"``,
+    read by `symplectic._index_of_key` and checked against the chart's
+    dimension."""
+    idx = _index_of_key(key, arity)
+    if idx is None:
         raise ChartFormatError(f"bad {what} key {key!r}")
     if not all(0 <= i < dim for i in idx):
         raise ChartFormatError(f"{what} key {key!r} out of range")
@@ -564,6 +560,13 @@ def _entries(data: dict, name: str) -> dict:
 
 
 def chart_from_json(data: dict) -> Chart:
+    """Inverse of `chart_to_json`.
+
+    The omega, christoffel and field-component objects go through one
+    reader: each 1-based key through `_index_key`, each entry parsed over
+    the chart's coordinates, and no index given twice (as "1,2" and "01,2").
+    Malformed input raises `ChartFormatError`.
+    """
     try:
         coords = data["coords"]
     except KeyError:
@@ -594,13 +597,19 @@ def chart_from_json(data: dict) -> Chart:
             parsed[text] = RationalFunction._new(value.num, den)
         return parsed[text]
 
-    omega_entries = {}
-    for key, text in _entries(data, "omega").items():
-        omega_entries[_index_key(key, 2, dim, "omega")] = parse(text, f"omega[{key}]")
-    christoffel_entries = {}
-    for key, text in _entries(data, "christoffel").items():
-        christoffel_entries[_index_key(key, 3, dim, "christoffel")] = parse(
-            text, f"christoffel[{key}]")
+    def read(entries, arity, what, context):
+        # {0-based index: parsed entry}; an index given twice, as "1,2" and
+        # "01,2", is malformed, as in tensor and model files
+        out = {}
+        for key, text in entries.items():
+            idx = _index_key(key, arity, dim, what)
+            if idx in out:
+                raise ChartFormatError(f"{what} key {key!r} repeats an index given before")
+            out[idx] = parse(text, f"{context}[{key}]")
+        return out
+
+    omega_entries = read(_entries(data, "omega"), 2, "omega", "omega")
+    christoffel_entries = read(_entries(data, "christoffel"), 3, "christoffel", "christoffel")
     fields = {}
     named = _entries(data, "fields")
     if len(named) > MAX_TENSORS:
@@ -617,11 +626,9 @@ def chart_from_json(data: dict) -> Chart:
                                    f"got {len(valence)}")
         zero = RationalFunction.constant(0, coords)
         comps = [zero] * (dim ** len(valence))
-        for key, text in _entries(field_data, "components").items():
-            flat = 0
-            for i in _index_key(key, len(valence), dim, f"field {name!r} component"):
-                flat = flat * dim + i
-            comps[flat] = parse(text, f"fields[{name!r}][{key}]")
+        for idx, value in read(_entries(field_data, "components"), len(valence),
+                               f"field {name!r} component", f"fields[{name!r}]").items():
+            comps[_flat(dim, idx)] = value
         fields[name] = Tensor(dim, valence, comps)
     return make_chart(coords, omega_entries, christoffel_entries, fields,
                       excluded_locus=data.get("excluded_locus", ""))

@@ -29,7 +29,7 @@ from . import charts
 from .linalg import is_zero_scalar
 from .rationals import RationalFunction
 from .reporting import Check
-from .symplectic import COV, CON, Tensor, _contract_slot, _unflat, insert_vector
+from .symplectic import COV, CON, Tensor, _contract_slot, _flat, _unflat, insert_vector
 
 
 class NotLinearTypeError(ValueError):
@@ -78,15 +78,10 @@ def xi_perp_field(chart: charts.Chart, xi: Tensor) -> Tensor:
     raise ValueError("the vector field vanishes identically; no transversal exists")
 
 
-def _positions(d: int, *families) -> list[int]:
-    """The distinct flat positions of the multi-indices in some families, increasing."""
-    flats = set()
-    for idx in itertools.chain(*families):
-        flat = 0
-        for i in idx:
-            flat = flat * d + i
-        flats.add(flat)
-    return sorted(flats)
+def _positions(*families) -> list[tuple[int, ...]]:
+    """The distinct multi-index tuples in some families, in flat order: for
+    tuples of one length, that is their sorted order."""
+    return sorted(set(itertools.chain(*families)))
 
 
 def _support_indices(t: Tensor) -> list[tuple[int, ...]]:
@@ -128,8 +123,8 @@ def linear_type_checks(run: charts.ChartRun, xi_perp: Tensor | None = None) -> l
     xi_rows = _nonzero_indices(omega_xi)
     nabla_xi = charts.covariant_derivative(chart, xi)
     checks.append(charts._zero_check("nabla_xi_linear_form", charts._first_nonzero_at(
-        d, 2, _positions(d, _support_indices(nabla_xi),
-                         itertools.product(xi_rows, _nonzero_indices(xi.comps))),
+        _positions(_support_indices(nabla_xi),
+                   itertools.product(xi_rows, _nonzero_indices(xi.comps))),
         lambda i, k: nabla_xi[i, k] - omega_xi[i] * xi[(k,)])))
 
     r = run.curvature
@@ -139,16 +134,15 @@ def linear_type_checks(run: charts.ChartRun, xi_perp: Tensor | None = None) -> l
     # r[i,j,k,l] - r[i,k,j,l] is nonzero only on R's support and its (j, k) mirror
     r_support = _support_indices(r)
     slot_swap = [zero] * d ** 4
-    for flat in _positions(d, r_support, ((i, k, j, l) for i, j, k, l in r_support)):
-        i, j, k, l = _unflat(d, 4, flat)
-        slot_swap[flat] = r[i, j, k, l] - r[i, k, j, l]
+    for i, j, k, l in _positions(r_support, ((i, k, j, l) for i, j, k, l in r_support)):
+        slot_swap[_flat(d, (i, j, k, l))] = r[i, j, k, l] - r[i, k, j, l]
     checks.append(charts._zero_check("curvature_xi_slot_symmetry", insert_vector(
         Tensor(d, (COV, COV, COV, CON), slot_swap), 0, xi.comps).first_nonzero()))
 
     r4 = Tensor(d, (COV, COV, COV, COV), _contract_slot(r, 3, chart.omega))
     r4_support = _support_indices(r4)
     checks.append(charts._zero_check("curvature_last_pair_symmetry", charts._first_nonzero_at(
-        d, 4, _positions(d, r4_support, ((i, j, m, k) for i, j, k, m in r4_support)),
+        _positions(r4_support, ((i, j, m, k) for i, j, k, m in r4_support)),
         lambda i, j, k, m: r4[i, j, k, m] - r4[i, j, m, k])))
 
     r_xi = insert_vector(r4, 0, xi.comps)
@@ -165,15 +159,15 @@ def linear_type_checks(run: charts.ChartRun, xi_perp: Tensor | None = None) -> l
         return chart.omega[a][b] * r_xi[c, u, w] + omega_xi[a] * r4[b, c, u, w]
 
     checks.append(charts._zero_check("curvature_cyclic_xi_identity", charts._first_nonzero_at(
-        d, 5, _positions(d, (rotation for a, b, c, u, w in terms for rotation in (
+        _positions((rotation for a, b, c, u, w in terms for rotation in (
             (a, b, c, u, w), (c, a, b, u, w), (b, c, a, u, w)))),
         lambda x, y, z, u, w: sum(
             (rotated(a, b, c, u, w) for (a, b, c) in ((x, y, z), (y, z, x), (z, x, y))),
             zero))))
 
     checks.append(charts._zero_check("curvature_xi_proportionality", charts._first_nonzero_at(
-        d, 4, _positions(d, ((x,) + s for x in xi_rows for s in r_xi_support),
-                         ((s[0], y) + s[1:] for y in xi_rows for s in r_xi_support)),
+        _positions(((x,) + s for x in xi_rows for s in r_xi_support),
+                   ((s[0], y) + s[1:] for y in xi_rows for s in r_xi_support)),
         lambda x, y, u, w: omega_xi[x] * r_xi[y, u, w] - omega_xi[y] * r_xi[x, u, w])))
 
     if xi_perp is not None:
@@ -199,7 +193,7 @@ def linear_type_checks(run: charts.ChartRun, xi_perp: Tensor | None = None) -> l
     xi_products = [] if is_zero_scalar(scalar_c) else xi_rows
 
     checks.append(charts._zero_check("curvature_xi_rank_one", charts._first_nonzero_at(
-        d, 3, _positions(d, r_xi_support, itertools.product(xi_products, repeat=3)),
+        _positions(r_xi_support, itertools.product(xi_products, repeat=3)),
         lambda x, y, z: (r_xi[x, y, z]
                          - omega_xi[x] * omega_xi[y] * omega_xi[z] * scalar_c))))
 
@@ -218,8 +212,8 @@ def linear_type_checks(run: charts.ChartRun, xi_perp: Tensor | None = None) -> l
         return r4[x, y, u, w] - value
 
     checks.append(charts._zero_check("curvature_leafwise_flatness", charts._first_nonzero_at(
-        d, 4, _positions(
-            d, r4_support,
+        _positions(
+            r4_support,
             ((x,) + s for x in xi_rows for s in _support_indices(perp_second)),
             ((s[0], y) + s[1:] for y in xi_rows for s in _support_indices(perp_first)),
             itertools.product(range(d), range(d), xi_products, xi_products)),

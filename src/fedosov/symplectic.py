@@ -7,6 +7,14 @@ Conventions fixed here and used everywhere else:
   pairing in the upper triangle is 0.  Indices are 0-based in code, 1-based
   in serialized form and error messages.
 
+* One codec maps multi-indices: (i_1, ..., i_r) of a dim^r array sits at
+  flat position (...(i_1 dim + i_2) dim + ...) dim + i_r, so for indices
+  of one length flat order is lexicographic order.  `_flat` and `_unflat`
+  convert between the two, and `_index_of_key` reads the 1-based
+  comma-joined key of a tensor, model or chart file ("1,2") as the 0-based
+  tuple.  Each reader checks the range and words its own errors; a kernel
+  of one fixed rank may write the position out in closed form.
+
 * A (1,2)-tensor written A_X Y is stored with slot order (X, Y, output);
   a (1,3)-tensor written A_XY Z with slot order (X, Y, Z, output).
 
@@ -171,14 +179,8 @@ class Tensor:
 
     # -- indexing ----------------------------------------------------------
 
-    def _flat(self, idx: tuple[int, ...]) -> int:
-        flat = 0
-        for i in idx:
-            flat = flat * self.dim + i
-        return flat
-
     def __getitem__(self, idx: tuple[int, ...]):
-        return self.comps[self._flat(idx)]
+        return self.comps[_flat(self.dim, idx)]
 
     def indices(self):
         return itertools.product(range(self.dim), repeat=len(self.valence))
@@ -254,6 +256,14 @@ class Tensor:
         return f"Tensor(dim={self.dim}, valence={self.valence}, nonzero={len(self.support)})"
 
 
+def _flat(dim: int, idx: Iterable[int]) -> int:
+    """The flat position of a multi-index in a dim^rank array, the inverse of `_unflat`."""
+    flat = 0
+    for i in idx:
+        flat = flat * dim + i
+    return flat
+
+
 def _unflat(dim: int, rank: int, flat: int) -> tuple[int, ...]:
     """The multi-index at a flat position of a dim^rank array."""
     idx = []
@@ -275,9 +285,7 @@ def _swap_pairs(dim: int, rank: int, a: int, b: int, anti: bool) -> tuple[tuple[
     for flat, idx in enumerate(itertools.product(range(dim), repeat=rank)):
         swapped = list(idx)
         swapped[a], swapped[b] = swapped[b], swapped[a]
-        other = 0
-        for i in swapped:
-            other = other * dim + i
+        other = _flat(dim, swapped)
         if flat < other or (anti and flat == other):
             pairs.append((flat, other))
     return tuple(pairs)
@@ -706,6 +714,18 @@ def tensor_to_json(t: Tensor) -> dict:
     return {"n": t.dim // 2, "valence": list(t.valence), "components": components}
 
 
+def _index_of_key(key: str, rank: int) -> tuple[int, ...] | None:
+    """The 0-based multi-index of a 1-based comma-joined file key such as
+    "1,2" (the empty key is the empty index of a scalar), or None when a
+    part is no integer or the key has not `rank` parts.  The caller checks
+    the range, and words its own error."""
+    try:
+        idx = tuple(int(part) - 1 for part in key.split(",")) if key else ()
+    except ValueError:
+        return None
+    return idx if len(idx) == rank else None
+
+
 def _is_int(value) -> bool:
     """A JSON integer (`bool` is an `int` subclass but not one)."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -761,17 +781,12 @@ def tensor_from_json(data: dict, *, space: SymplecticSpace | None = None) -> Ten
     comps = list(Tensor.zeros(dim, valence, space=space).comps)
     given = set()
     for key, text in components.items():
-        try:
-            idx = tuple(int(part) - 1 for part in key.split(",")) if key else ()
-        except ValueError:
-            idx = None
-        if idx is None or len(idx) != len(valence) or any(i < 0 or i >= dim for i in idx):
+        idx = _index_of_key(key, len(valence))
+        if idx is None or any(i < 0 or i >= dim for i in idx):
             raise ValueError(f"bad component index {key!r} for dimension {dim}")
         if not isinstance(text, str):
             raise ValueError(f"component {key!r} must be a string, got {type(text).__name__}")
-        flat = 0
-        for i in idx:
-            flat = flat * dim + i
+        flat = _flat(dim, idx)
         if flat in given:
             raise ValueError(f"component {key!r} repeats an index given before")
         comps[flat] = parse_fraction(text)

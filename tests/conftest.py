@@ -34,14 +34,22 @@ of them, both orders of each pair, for the reader; `int_form` turns a
 kernels take; and
 `old_parse_ratfun` is the parser that built each atom over its own
 variables and aligned them operation by operation.  `chart_suite` runs
-the chart suites of one `ChartRun` into one report.
+the chart suites of one `ChartRun` into one report.  Two helpers serve the
+other modules' tests: `mutant` rebuilds a function from its source with
+one text replaced, for the mutants the oracle comparisons must catch, and
+`work_counts` counts the calls of code objects in one run, for the work
+budgets.
 """
 
 from __future__ import annotations
 
+import gc
+import inspect
 import itertools
 import math
 import random
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -71,6 +79,50 @@ PRODUCT_CHART = {
                      "components": {"1,1,1": "-1/x", "1,2,2": "1/x", "2,1,2": "-2/x",
                                     "3,3,3": "-1/u", "3,4,4": "1/u", "4,3,4": "-2/u"}}},
 }
+
+
+def mutant(module, name: str, old: str, new: str):
+    """`module.<name>` rebuilt from its source with the one occurrence of
+    `old` replaced by `new`, in a copy of the module's namespace."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, f"{old!r} does not occur exactly once in {name}"
+    namespace = dict(vars(module))
+    exec(source.replace(old, new), namespace)
+    return namespace[name]
+
+
+def work_counts(run, codes: dict, when: dict | None = None) -> dict[str, int]:
+    """The calls of each code object in `codes` ({code: name}) and all
+    Python calls ("Python calls") of one call of `run`, after a first call
+    has filled the caches.  `when` maps further names to (code, test), the
+    code one of `codes`: a call of it counts under the name too when
+    `test(frame)` holds, its arguments read off `frame.f_locals`.  The garbage collector is off
+    while counting: the callbacks it runs (one is hypothesis's) would count
+    as calls wherever a collection happened."""
+    run()
+    when = when or {}
+    counts = dict.fromkeys([*codes.values(), *when, "Python calls"], 0)
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts["Python calls"] += 1
+            code = frame.f_code
+            if code in codes:
+                counts[codes[code]] += 1
+                for name, (target, test) in when.items():
+                    if code is target and test(frame):
+                        counts[name] += 1
+
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return counts
 
 
 @pytest.fixture(params=["scaled", "unscaled"])

@@ -42,12 +42,10 @@ failing triple, or each triple keyed by its descending rotation).
 from __future__ import annotations
 
 import ast
-import inspect
 import itertools
 import json
 import pathlib
 import random
-import textwrap
 from fractions import Fraction
 
 import pytest
@@ -62,7 +60,7 @@ from fedosov.rationals import RationalFunction
 from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor, change_basis
 
 from conftest import (
-    coprime_denominators, dense_presentation_json, int_form, old_algebra_constants,
+    coprime_denominators, dense_presentation_json, int_form, mutant, old_algebra_constants,
     old_algebra_from_parts, old_bianchi_classify, old_bracket, old_change_basis,
     old_model_stabilizer_algebra, old_nomizu_algebra, old_presentation_failure,
     old_presentation_to_json, old_reader_failure, old_transvection_algebra,
@@ -554,15 +552,6 @@ def test_change_basis_of_rational_functions_keeps_their_zeros():
 
 
 # -- mutants -----------------------------------------------------------------------------------
-
-def mutant(module, name: str, old: str, new: str):
-    """`module.<name>` with one source line changed, in the module's namespace."""
-    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
-    assert source.count(old) == 1
-    namespace = dict(vars(module))
-    exec(source.replace(old, new), namespace)
-    return namespace[name]
-
 
 def change_mismatches() -> int:
     return sum(change_basis(t, m).comps != old_change_basis(t, m, linalg.inverse(m)).comps

@@ -577,6 +577,18 @@ def test_charts_differentiate_in_one_kernel():
     ({"coords": ["x", "y", "u", "y"]}, "coordinate 'y' appears more than once"),
     ({"coords": ["x", "y"], "fields": {"f": {"valence": [], "components": {"hello": "1"}}}},
      "bad field 'f' component key 'hello'"),
+    # read as the last of the two spellings, these charts verified with exit 1
+    ({"coords": ["x", "y"], "omega": {"1,2": "1/x^2", "01,2": "5"},
+      "christoffel": {"1,1,1": "-2/x"},
+      "fields": {"xi": {"valence": ["con"], "components": {"2": "x"}}}},
+     "omega key '01,2' repeats an index given before"),
+    ({"coords": ["x", "y"], "omega": {"1,2": "1/x^2"},
+      "christoffel": {"1,1,1": "-2/x", "01,1,1": "5"},
+      "fields": {"xi": {"valence": ["con"], "components": {"2": "x"}}}},
+     "christoffel key '01,1,1' repeats an index given before"),
+    ({"coords": ["x", "y"], "omega": {"1,2": "1/x^2"}, "christoffel": {"1,1,1": "-2/x"},
+      "fields": {"xi": {"valence": ["con"], "components": {"2": "x", "02": "5"}}}},
+     "field 'xi' component key '02' repeats an index given before"),
 ])
 def test_malformed_chart_structure_is_input_error(tmp_path, capsys, payload, message):
     path = write_json(tmp_path, "c.json", payload)

@@ -25,9 +25,7 @@ contraction (`symplectic._moves`, each row read from its far end).
 
 from __future__ import annotations
 
-import inspect
 import random
-import textwrap
 from fractions import Fraction
 
 import pytest
@@ -43,7 +41,7 @@ from fedosov.models import curvature_endomorphism, derivation_action
 from fedosov.rationals import parse_ratfun
 from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor, _contract_slot, _unflat
 
-from conftest import PRODUCT_CHART, old_derivation_action
+from conftest import PRODUCT_CHART, mutant, old_derivation_action
 from test_lazy_checks import all_charts, structures, y_chart
 from test_slot_kernel import mirror_moves, swell_chart
 from test_stabilizer import models as drawn_models
@@ -229,15 +227,6 @@ def test_edge_tensors_match_merge(label, endo, t):
 
 # -- mutants of the kernel's source ----------------------------------------------------------
 
-def mutant_kernel(old: str, new: str):
-    """`_derivation_entries` with one source line changed, in the module's namespace."""
-    source = textwrap.dedent(inspect.getsource(symplectic._derivation_entries))
-    assert source.count(old) == 1
-    namespace = dict(vars(symplectic))
-    exec(source.replace(old, new), namespace)
-    return namespace["_derivation_entries"]
-
-
 MUTANTS = {
     "merge-order-reversed": ("for stride, gather, _ in slots:",
                              "for stride, gather, _ in reversed(slots):"),
@@ -247,7 +236,7 @@ MUTANTS = {
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_comparison_catches_kernel_mutants(chart_fields, monkeypatch, name):
-    kernel = mutant_kernel(*MUTANTS[name])
+    kernel = mutant(symplectic, "_derivation_entries", *MUTANTS[name])
     for module in (symplectic, models, charts):
         monkeypatch.setattr(module, "_derivation_entries", kernel)
     assert chart_mismatches(chart_fields)

@@ -32,7 +32,6 @@ components, and none after its witness; a zero field forms none at all.
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import itertools
 import json
 import pathlib
@@ -54,7 +53,7 @@ from fedosov.reporting import Check
 from fedosov.symplectic import (
     COV, CON, Tensor, _contract_slot, _unflat, insert_vector,
 )
-from conftest import PRODUCT_CHART, old_derivation_action
+from conftest import PRODUCT_CHART, mutant, old_derivation_action
 from test_slot_kernel import swell_chart
 
 CHART_DIR = pathlib.Path(__file__).parent / "data" / "charts"
@@ -295,21 +294,22 @@ def test_omega_closed_matches_full_cyclic_sum():
 
 # -- mutants the comparison must catch ------------------------------------------------
 
-def off_by_one_unflat(dim, rank, positions, entry):
-    for flat in positions:
-        value = entry(*_unflat(dim, rank, flat))
+def off_by_one_unflat(positions, entry):
+    """Reports the index one past the first nonzero one in its last slot."""
+    for idx in positions:
+        value = entry(*idx)
         if not is_zero_scalar(value):
-            return _unflat(dim, rank, flat + 1), value
+            return idx[:-1] + (idx[-1] + 1,), value
     return None
 
 
-def stops_at_zero_entry(dim, rank, positions, entry):
+def stops_at_zero_entry(positions, entry):
     """Takes a zero entry for the end of the positions."""
-    for flat in positions:
-        value = entry(*_unflat(dim, rank, flat))
+    for idx in positions:
+        value = entry(*idx)
         if is_zero_scalar(value):
             return None
-        return _unflat(dim, rank, flat), value
+        return idx, value
     return None
 
 
@@ -350,15 +350,6 @@ def test_comparison_catches_mutants(cases, monkeypatch, target, mutant):
     assert mismatches(cases)
 
 
-def mutant_suite(old: str, new: str):
-    """`lineartype.linear_type_checks` with one source line changed, in the module's namespace."""
-    source = inspect.getsource(lineartype.linear_type_checks)
-    assert source.count(old) == 1
-    namespace = dict(vars(lineartype))
-    exec(source.replace(old, new), namespace)
-    return namespace["linear_type_checks"]
-
-
 POSITION_MUTANTS = {
     "dropped-cyclic-rotation": ("(a, b, c, u, w), (c, a, b, u, w), (b, c, a, u, w)",
                                 "(a, b, c, u, w), (c, a, b, u, w)"),
@@ -369,7 +360,8 @@ POSITION_MUTANTS = {
 
 @pytest.mark.parametrize("name", sorted(POSITION_MUTANTS))
 def test_comparison_catches_position_mutants(cases, monkeypatch, name):
-    monkeypatch.setattr(lineartype, "linear_type_checks", mutant_suite(*POSITION_MUTANTS[name]))
+    monkeypatch.setattr(lineartype, "linear_type_checks",
+                        mutant(lineartype, "linear_type_checks", *POSITION_MUTANTS[name]))
     assert mismatches(cases)
 
 

@@ -1,9 +1,7 @@
 import ast
-import gc
 import json
 import pathlib
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -24,7 +22,7 @@ from fedosov.rationals import RationalFunction, parse_ratfun
 from fedosov.symplectic import cyclic_sum
 from conftest import (
     PRODUCT_CHART, OldEchelon, old_matmul, old_rref, random_antisymmetric_tensor,
-    random_rational_function, random_symmetric_tensor, random_symplectic_matrix,
+    random_rational_function, random_symmetric_tensor, random_symplectic_matrix, work_counts,
 )
 
 
@@ -597,35 +595,8 @@ def product_pipeline():
     assert verify_model_isomorphism(f, model, pushed).passed
 
 
-def fraction_counts(run, codes=FRACTION_CODES) -> dict[str, int]:
-    """The calls of each code in `codes`, by default the `Fraction`
-    constructions, products and quotients, and all Python calls ("Python
-    calls") of one call of `run`, after a first call has filled the caches.
-    The garbage collector is off while counting: the callbacks it runs (one
-    is hypothesis's) would count as calls wherever a collection happened."""
-    run()
-    counts = dict.fromkeys([*codes.values(), "Python calls"], 0)
-
-    def profile(frame, event, arg):
-        if event == "call":
-            counts["Python calls"] += 1
-            if frame.f_code in codes:
-                counts[codes[frame.f_code]] += 1
-
-    collecting = gc.isenabled()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        run()
-    finally:
-        sys.setprofile(None)
-        if collecting:
-            gc.enable()
-    return counts
-
-
 def test_product_pipeline_forms_few_fractions():
-    counts = fraction_counts(product_pipeline)
+    counts = work_counts(product_pipeline, FRACTION_CODES)
     over = {name: counts[name] for name, bound in ELIMINATION_BOUNDS.items()
             if counts[name] > bound}
     assert not over, (f"counts {over} passed their bounds {ELIMINATION_BOUNDS}; before the "
@@ -639,7 +610,7 @@ def test_model_steps_form_few_fractions():
         assert check_model_axioms(model).passed
         transvection_algebra(model)
 
-    counts = fraction_counts(steps)
+    counts = work_counts(steps, FRACTION_CODES)
     over = {name: counts[name] for name, bound in MODEL_BOUNDS.items() if counts[name] > bound}
     assert not over, (f"counts {over} passed their bounds {MODEL_BOUNDS}; before the "
                       f"one-denominator model kernels the steps took {MODEL_PARENT}")
@@ -656,7 +627,7 @@ def test_algebra_steps_form_few_fractions():
         transvection_algebra(model)
         bianchi_classify(small)
 
-    counts = fraction_counts(steps)
+    counts = work_counts(steps, FRACTION_CODES)
     over = {name: counts[name] for name, bound in ALGEBRA_BOUNDS.items() if counts[name] > bound}
     assert not over, (f"counts {over} passed their bounds {ALGEBRA_BOUNDS}; before the "
                       f"sparse int algebra kernels the steps took {ALGEBRA_PARENT}")
@@ -675,7 +646,7 @@ def test_classes_pass_forms_few_fractions():
         decompose_torsion(anti)
         symplectify_torsion(torsion)
 
-    counts = fraction_counts(steps)
+    counts = work_counts(steps, FRACTION_CODES)
     over = {name: counts[name] for name, bound in CLASSES_BOUNDS.items() if counts[name] > bound}
     assert not over, (f"counts {over} passed their bounds {CLASSES_BOUNDS}; before `divided` "
                       f"formed each distinct value once the pass took {CLASSES_PARENT}")
@@ -685,7 +656,7 @@ def test_presentation_round_trip_keeps_to_the_nonzero_constants():
     def steps():
         presentation_from_json(presentation_to_json(nomizu_algebra(trivial_model(3))))
 
-    counts = fraction_counts(steps, PRESENTATION_CODES)
+    counts = work_counts(steps, PRESENTATION_CODES)
     over = {name: counts[name] for name, bound in PRESENTATION_BOUNDS.items()
             if counts[name] > bound}
     assert not over, (f"counts {over} passed their bounds {PRESENTATION_BOUNDS}; with dense "
@@ -699,7 +670,7 @@ def test_lie_bases_are_scaled_once():
         nomizu_algebra(trivial)
         transvection_algebra(product)
 
-    counts = fraction_counts(steps, BASIS_CODES)
+    counts = work_counts(steps, BASIS_CODES)
     over = {name: counts[name] for name, bound in BASIS_BOUNDS.items() if counts[name] > bound}
     assert not over, (f"counts {over} passed their bounds {BASIS_BOUNDS}; with each basis "
                       f"element scaled three times the steps took {BASIS_PARENT}")

@@ -40,11 +40,10 @@ from fedosov.models import (
 from fedosov.symplectic import SymplecticSpace, Tensor
 
 from conftest import (
-    coprime_denominators, old_check_model_axioms, old_derivation_first_nonzero,
+    coprime_denominators, mutant, old_check_model_axioms, old_derivation_first_nonzero,
     old_model_stabilizer_algebra, old_transvection_algebra, old_verify_model_isomorphism,
     valid_random_model,
 )
-from test_model_support import mutant
 from test_stabilizer import AUX_VALENCES, CURVATURE, TORSION
 
 
@@ -229,6 +228,6 @@ MUTANTS = {
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_comparison_catches_mutants(cases, monkeypatch, name):
     target, old, new = MUTANTS[name]
-    monkeypatch.setattr(models, target, mutant(target, old, new))
+    monkeypatch.setattr(models, target, mutant(models, target, old, new))
     assert mismatches(cases, check=models.check_model_axioms,
                       stabilizer=models.model_stabilizer_algebra)

@@ -34,9 +34,7 @@ does and still matches the oracle on chart fields.
 
 from __future__ import annotations
 
-import inspect
 import random
-import textwrap
 from fractions import Fraction
 
 import pytest
@@ -54,9 +52,9 @@ from fedosov.models import (
 from fedosov.symplectic import Tensor
 
 from conftest import (
-    PRODUCT_CHART, int_form, old_annihilates, old_check_model_axioms, old_derivation_action,
-    old_derivation_first_nonzero, old_nomizu_algebra, old_transvection_algebra,
-    valid_random_model,
+    PRODUCT_CHART, int_form, mutant, old_annihilates, old_check_model_axioms,
+    old_derivation_action, old_derivation_first_nonzero, old_nomizu_algebra,
+    old_transvection_algebra, valid_random_model,
 )
 from test_lazy_checks import y_chart
 from test_slot_kernel import mirror_moves
@@ -91,7 +89,7 @@ def moved(model, which: str, changes) -> InfinitesimalModel:
     tensor = getattr(model, which)
     comps = list(tensor.comps)
     for idx, value in changes:
-        comps[tensor._flat(idx)] += Fraction(value)
+        comps[symplectic._flat(tensor.dim, idx)] += Fraction(value)
     parts = {"curvature": model.curvature, "torsion": model.torsion,
              which: Tensor(tensor.dim, tensor.valence, comps, space=tensor.space)}
     return InfinitesimalModel(space=model.space, aux=model.aux, **parts)
@@ -268,15 +266,6 @@ def test_derivation_action_still_uses_the_dense_kernel(cases, no_dense_kernel):
 
 # -- mutants ----------------------------------------------------------------------------
 
-def mutant(name: str, old: str, new: str):
-    """`models.<name>` with one source line changed, in the module's namespace."""
-    source = textwrap.dedent(inspect.getsource(getattr(models, name)))
-    assert source.count(old) == 1
-    namespace = dict(vars(models))
-    exec(source.replace(old, new), namespace)
-    return namespace[name]
-
-
 MUTANTS = {
     "rotation-dropped": ("_first_cyclic_failure",
                          "for i, j, k in ((x, y, z), (y, z, x), (z, x, y)):",
@@ -289,7 +278,7 @@ MUTANTS = {
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_comparison_catches_mutants(cases, expected, monkeypatch, name):
     target, old, new = MUTANTS[name]
-    monkeypatch.setattr(models, target, mutant(target, old, new))
+    monkeypatch.setattr(models, target, mutant(models, target, old, new))
     assert report_mismatches(cases, expected)
 
 

@@ -53,7 +53,7 @@ from fedosov.symplectic import (
     cotorsion_raise, insert_vector, torsion_lower, torsion_raise,
 )
 
-from conftest import old_contract_slot
+from conftest import mutant, old_contract_slot, work_counts
 from test_linalg import module_calls
 
 VALENCES = [(COV, COV), (COV, COV, CON), (COV, COV, COV), (COV, COV, COV, CON)]
@@ -264,29 +264,31 @@ SHARING_BOUNDS = {"Polynomial.__mul__": 507, "Polynomial.content": 13,
                   "products of two sums": 44}
 
 
-def test_swell_verification_forms_each_quantity_once(tmp_path, monkeypatch, capsys):
+SHARING_CODES = {getattr(owner, method).__code__: f"{owner.__name__}.{method}"
+                 for owner, method in ((Polynomial, "__mul__"), (Polynomial, "content"),
+                                       (Polynomial, "partial"), (Polynomial, "try_exact_div"),
+                                       (RationalFunction, "__neg__"),
+                                       (RationalFunction, "__add__"))}
+
+
+def is_product_of_two_sums(frame) -> bool:
+    """A `Polynomial.__mul__` call whose two factors have two or more terms each."""
+    self, other = frame.f_locals["self"], frame.f_locals["other"]
+    return isinstance(other, Polynomial) and len(self.terms) > 1 and len(other.terms) > 1
+
+
+def test_swell_verification_forms_each_quantity_once(tmp_path, capsys):
     # a = b = 1, c = 2 is the chart of the benchmark's seed 1
     path = tmp_path / "swell.json"
     path.write_text(json.dumps(swell_json(1, 1, 2)), encoding="utf-8")
-    counts = dict.fromkeys(SHARING_BOUNDS, 0)
-    for name in SHARING_BOUNDS:
-        if "." not in name:
-            continue
-        kind, method = name.split(".")
-        owner = {"Polynomial": Polynomial, "RationalFunction": RationalFunction}[kind]
-        original = getattr(owner, method)
 
-        def counted(*args, _name=name, _original=original):
-            counts[_name] += 1
-            if _name == "Polynomial.__mul__" and isinstance(args[1], Polynomial) and \
-                    len(args[0].terms) > 1 and len(args[1].terms) > 1:
-                counts["products of two sums"] += 1
-            return _original(*args)
+    def verify():
+        assert cli.main(["verify-chart", str(path), "--suite", "all"]) == 1
 
-        monkeypatch.setattr(owner, method, counted)
-    assert cli.main(["verify-chart", str(path), "--suite", "all"]) == 1
+    counts = work_counts(verify, SHARING_CODES, {
+        "products of two sums": (Polynomial.__mul__.__code__, is_product_of_two_sums)})
     capsys.readouterr()
-    over = {name: count for name, count in counts.items() if count > SHARING_BOUNDS[name]}
+    over = {name: counts[name] for name, bound in SHARING_BOUNDS.items() if counts[name] > bound}
     assert not over, (f"counts {over} passed their bounds {SHARING_BOUNDS}; the parent "
                       f"commit of the sharing took {SHARING_PARENT}")
 
@@ -398,12 +400,9 @@ def test_scatter_contraction_matches_column_sum():
 
 
 def test_comparison_catches_decreasing_summation(monkeypatch):
-    source = textwrap.dedent(inspect.getsource(symplectic._contract_slot))
-    old = "for flat in t.support}"
-    assert source.count(old) == 1
-    namespace = dict(vars(symplectic))
-    exec(source.replace(old, "for flat in reversed(t.support)}"), namespace)
-    monkeypatch.setattr(symplectic, "_contract_slot", namespace["_contract_slot"])
+    monkeypatch.setattr(symplectic, "_contract_slot", mutant(
+        symplectic, "_contract_slot", "for flat in t.support}",
+        "for flat in reversed(t.support)}"))
     assert "order" in contraction_mismatches(CONTRACTION_CASES)
 
 
@@ -411,13 +410,10 @@ def mirror_moves(monkeypatch):
     """Bind `_moves` in `symplectic` and `models` to the shared move-table
     builder with each row read from its far end, so that every term lands
     in the mirrored column."""
-    source = textwrap.dedent(inspect.getsource(symplectic._moves))
-    old = "for a, x in enumerate(row)"
-    assert source.count(old) == 1
-    namespace = dict(vars(symplectic))
-    exec(source.replace(old, "for a, x in enumerate(reversed(row))"), namespace)
+    moves = mutant(symplectic, "_moves", "for a, x in enumerate(row)",
+                   "for a, x in enumerate(reversed(row))")
     for module in (symplectic, models):
-        monkeypatch.setattr(module, "_moves", namespace["_moves"])
+        monkeypatch.setattr(module, "_moves", moves)
 
 
 def test_comparison_catches_mirrored_moves(monkeypatch):

@@ -40,7 +40,7 @@ from fedosov.charts import covariant_derivative, gradient, linear_type_structure
 from fedosov.models import InfinitesimalModel, check_model_axioms
 from fedosov.models import derivation_action
 from fedosov.rationals import RationalFunction, parse_ratfun
-from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor
+from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor, _flat
 
 from conftest import (
     _zero, old_check_model_axioms, old_derivation_action, old_symmetry_violation,
@@ -249,10 +249,10 @@ def mutants(rng, model):
             idx = [rng.randrange(d) for _ in tensor.valence]
             idx[1] = (idx[0] + 1 + rng.randrange(d - 1)) % d
             c = Fraction(rng.choice([-2, -1, 1, 2]))
-            comps[tensor._flat(tuple(idx))] += c
+            comps[_flat(d, idx)] += c
             if pair:
                 idx[0], idx[1] = idx[1], idx[0]
-                comps[tensor._flat(tuple(idx))] -= c
+                comps[_flat(d, idx)] -= c
             changed = Tensor(d, tensor.valence, comps, space=tensor.space)
             parts = {"curvature": model.curvature, "torsion": model.torsion, which: changed}
             yield InfinitesimalModel(space=model.space, aux=model.aux, **parts)
@@ -285,9 +285,9 @@ def symmetric_like(rng, d, valence, kind, anti, density):
     for idx in t.indices():
         if idx[0] <= idx[1] and rng.random() < DENSITY[density]:
             value = zero if anti and idx[0] == idx[1] else draw(rng)
-            comps[t._flat(idx)] = value
+            comps[_flat(d, idx)] = value
             swapped = (idx[1], idx[0]) + idx[2:]
-            comps[t._flat(swapped)] = -value if anti else value
+            comps[_flat(d, swapped)] = -value if anti else value
     if rng.random() < 0.7:
         comps[rng.randrange(len(comps))] = draw(rng)
     return Tensor(d, valence, comps)

@@ -1,10 +1,13 @@
+import ast
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from fedosov import symplectic
 from fedosov.symplectic import (
-    COV, CON, SymplecticSpace, Tensor,
+    COV, CON, SymplecticSpace, Tensor, _flat, _index_of_key, _unflat,
     change_basis, contract_s13, contract_t12, contract_t13,
     cotorsion_lower, cotorsion_raise, cyclic_sum, is_symplectic_matrix,
     musical_flat, musical_sharp, tensor_from_json, tensor_to_json,
@@ -292,3 +295,62 @@ def test_symmetry_scan_and_cyclic_sum_match_index_definitions():
                 if len(valence) == 3:
                     assert cyclic_sum(t) == Tensor.build(
                         t.dim, valence, lambda i, j, k: t[i, j, k] + t[j, k, i] + t[k, i, j])
+
+
+# -- the multi-index codec ------------------------------------------------------------------
+
+def test_flat_inverts_unflat():
+    for dim, rank in ((1, 0), (2, 3), (3, 4), (4, 2)):
+        for flat in range(dim ** rank):
+            assert _flat(dim, _unflat(dim, rank, flat)) == flat
+
+
+def test_index_keys_parse_to_zero_based_tuples():
+    assert _index_of_key("1,2", 2) == (0, 1)
+    assert _index_of_key("01,3", 2) == (0, 2)
+    assert _index_of_key("", 0) == ()
+    assert _index_of_key("0,5", 2) == (-1, 4)  # the range is the reader's to check
+    for key, rank in (("1,2", 3), ("1,2", 1), ("", 1), ("a,2", 2), ("1,,2", 3), ("1;2", 2)):
+        assert _index_of_key(key, rank) is None
+
+
+def codec_sites() -> tuple[set[str], set[str]]:
+    """The top-level functions and methods of the package that fold a flat
+    position over an index sequence (`x = x * dim + i`), and those that
+    read a comma-joined key (a comprehension of `int(...)` over a
+    `.split(",")`).  A nested function counts for the function around it."""
+    folds, key_parses = set(), set()
+    for path in sorted(pathlib.Path(symplectic.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        functions += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+                      if isinstance(cls, ast.ClassDef)
+                      for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for name, func in functions:
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                        and isinstance(node.value, ast.BinOp)
+                        and isinstance(node.value.op, ast.Add)
+                        and isinstance(node.value.left, ast.BinOp)
+                        and isinstance(node.value.left.op, ast.Mult)
+                        and isinstance(node.value.left.left, ast.Name)
+                        and node.value.left.left.id == node.targets[0].id):
+                    folds.add(f"{path.stem}.{name}")
+                if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)) and any(
+                        isinstance(gen.iter, ast.Call) and isinstance(gen.iter.func, ast.Attribute)
+                        and gen.iter.func.attr == "split" and gen.iter.args
+                        and isinstance(gen.iter.args[0], ast.Constant)
+                        and gen.iter.args[0].value == "," for gen in node.generators) and any(
+                        isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                        and call.func.id == "int" for call in ast.walk(node.elt)):
+                    key_parses.add(f"{path.stem}.{name}")
+    return folds, key_parses
+
+
+def test_indices_convert_in_one_codec():
+    # `_flat` is the one generic index-to-flat conversion, and one parser
+    # reads the index keys of tensor, model and chart files; the "[i,j]"
+    # bracket keys of a presentation file are another format, parsed in place
+    folds, key_parses = codec_sites()
+    assert folds == {"symplectic._flat"}
+    assert key_parses == {"symplectic._index_of_key", "models.presentation_from_json"}
