@@ -49,7 +49,6 @@ from fractions import Fraction
 from importlib import resources
 
 from . import linalg
-from .linalg import is_zero_scalar
 from .models import InfinitesimalModel, standard_omega_tensor
 from .rationals import RationalFunction, ScaledPoint, parse_ratfun
 from .reporting import Check, Report, index_witness
@@ -114,12 +113,15 @@ def make_chart(coords, omega_entries, christoffel_entries, fields=None,
     _check_coordinates(coords)
     zero = RationalFunction.constant(0, coords)
     omega = [[zero] * d for _ in range(d)]
+    given = set()  # the pairs i <= j given so far, under either key order
     for (i, j), value in omega_entries.items():
         value = _rf(coords, value)
-        if i == j and not value.is_zero():
+        if i == j and value:
             raise ChartFormatError("omega must vanish on the diagonal")
-        if not omega[i][j].is_zero() and not (omega[i][j] == value):
-            raise ChartFormatError(f"conflicting omega entries at ({i + 1},{j + 1})")
+        pair = min(i, j), max(i, j)
+        if pair in given and not (omega[i][j] == value):
+            raise ChartFormatError(f"conflicting omega entries at ({pair[0] + 1},{pair[1] + 1})")
+        given.add(pair)
         omega[i][j] = value
         omega[j][i] = -value
     gamma = [[[zero] * d for _ in range(d)] for _ in range(d)]
@@ -153,7 +155,7 @@ def omega_is_closed(chart: Chart) -> tuple[bool, tuple | None]:
 
 
 def omega_is_nondegenerate(chart: Chart) -> bool:
-    return not linalg.det([list(row) for row in chart.omega]).is_zero()
+    return bool(linalg.det([list(row) for row in chart.omega]))
 
 
 def verify_chart_structure(chart: Chart) -> Report:
@@ -187,7 +189,7 @@ def _partial(value: RationalFunction, coord: str) -> RationalFunction:
     unchanged -- share one formed partial; `chart_from_json` makes equal
     entries one object, which shares them too.
     """
-    return value if value.is_zero() else value.partial(coord)
+    return value.partial(coord) if value else value
 
 
 def _partial_planes(chart: Chart, t: Tensor):
@@ -253,10 +255,10 @@ def _curvature(chart: Chart, gamma) -> Tensor:
             for l in range(d):
                 a = _partial(gamma[l][j][k], coords[i])
                 b = _partial(gamma[l][i][k], coords[j])
-                r_ij, r_ji = (a, a) if a.is_zero() and b.is_zero() else (-a + b, -b + a)
+                r_ij, r_ji = (-a + b, -b + a) if a or b else (a, a)
                 for x, y, u, v in zip(jk, gamma[l][i], ik, gamma[l][j]):
-                    p = None if x.is_zero() or y.is_zero() else x * y
-                    q = None if u.is_zero() or v.is_zero() else u * v
+                    p = x * y if x and y else None
+                    q = u * v if u and v else None
                     if p is not None:
                         r_ij = r_ij - p
                     if q is not None:
@@ -289,8 +291,7 @@ def _nabla_entries(chart: Chart, t: Tensor, gamma):
         connection = _derivation_entries([[gamma[a][i][b] for b in range(d)] for a in range(d)], t)
         for flat, c in connection:
             p = _partial(comps[flat], coord)
-            yield i * size + flat, (p if c is None or is_zero_scalar(c)
-                                    else c if p.is_zero() else c + p)
+            yield i * size + flat, (c + p if p else c) if c else p
 
 
 def covariant_derivative(chart: Chart, tensor: Tensor,
@@ -366,7 +367,7 @@ def _first_nonzero_at(positions, entry) -> tuple | None:
     """
     for idx in positions:
         value = entry(*idx)
-        if not is_zero_scalar(value):
+        if value:
             return idx, value
     return None
 
@@ -377,7 +378,7 @@ def _nabla_first_nonzero(chart: Chart, t: Tensor, gamma) -> tuple | None:
     which it draws up to that component: no connection entry and no
     partial after it is formed, and a zero t forms none at all."""
     for flat, value in _nabla_entries(chart, t, gamma):
-        if not is_zero_scalar(value):
+        if value:
             return _unflat(chart.dim, len(t.valence) + 1, flat), value
     return None
 
@@ -456,7 +457,7 @@ def _evaluated(entries, point: ScaledPoint) -> list[Fraction]:
     """A zero entry is Fraction(0) unevaluated: a zero `RationalFunction` has
     denominator 1, so it has no pole to raise."""
     zero = Fraction(0)
-    return [zero if is_zero_scalar(c) else c.evaluate(point) if isinstance(c, RationalFunction)
+    return [zero if not c else c.evaluate(point) if isinstance(c, RationalFunction)
             else Fraction(c) for c in entries]
 
 
@@ -647,13 +648,13 @@ def chart_to_json(chart: Chart) -> dict:
     omega = {}
     for i in range(d):
         for j in range(i + 1, d):
-            if not chart.omega[i][j].is_zero():
+            if chart.omega[i][j]:
                 omega[f"{i + 1},{j + 1}"] = str(chart.omega[i][j])
     christoffel = {}
     for k in range(d):
         for i in range(d):
             for j in range(d):
-                if not chart.christoffel[k][i][j].is_zero():
+                if chart.christoffel[k][i][j]:
                     christoffel[f"{k + 1},{i + 1},{j + 1}"] = str(chart.christoffel[k][i][j])
     fields = {name: field_to_json(tensor) for name, tensor in chart.fields.items()}
     out = {"coords": list(chart.coords), "omega": omega, "christoffel": christoffel}
@@ -705,7 +706,7 @@ def emend_chart_signs(chart: Chart) -> Chart:
     """
     entries = [(k, i, j) for k in range(chart.dim)
                for i in range(chart.dim) for j in range(chart.dim)
-               if not chart.christoffel[k][i][j].is_zero()]
+               if chart.christoffel[k][i][j]]
     winners = []
     for signs in itertools.product((1, -1), repeat=len(entries)):
         candidate = make_chart(

@@ -419,28 +419,20 @@ def cmd_examples(args) -> int:
                 json.dump(data, handle, indent=2, sort_keys=True)
                 handle.write("\n")
             written.append(path)
-        if args.json:
-            print(json.dumps({"command": "examples", "checks": [],
-                              "artifacts": {"written": written}},
-                             indent=2, sort_keys=True))
-        else:
-            for path in written:
-                print(f"wrote {path}")
-        return 0
-    if args.show:
+        artifacts, lines = {"written": written}, [f"wrote {path}" for path in written]
+    elif args.show:
         if args.show not in ch.EXAMPLE_FILES:
             raise InputError(f"unknown example {args.show!r}; "
                              f"choose from {sorted(ch.EXAMPLE_FILES)}")
         print(json.dumps(ch._load_fixture(ch.EXAMPLE_FILES[args.show]),
                          indent=2, sort_keys=True))
         return 0
-    if args.json:
-        print(json.dumps({"command": "examples", "checks": [],
-                          "artifacts": {"available": sorted(ch.EXAMPLE_FILES)}},
-                         indent=2, sort_keys=True))
     else:
-        for name in sorted(ch.EXAMPLE_FILES):
-            print(name)
+        artifacts = {"available": sorted(ch.EXAMPLE_FILES)}
+        lines = artifacts["available"]
+    if args.json:
+        return _emit(args, "examples", Report(title="examples"), artifacts)
+    print("\n".join(lines))
     return 0
 
 

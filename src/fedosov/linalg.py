@@ -60,20 +60,15 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .rationals import RationalFunction, _scaled_ints, scaled_entries
+from .rationals import _scaled_ints, scaled_entries
 
 
 def is_zero_scalar(x) -> bool:
-    # Exact types first: `isinstance(x, Fraction)` goes through the ABC
-    # machinery, which a `RationalFunction` would pay on every call.
-    cls = type(x)
-    if cls is Fraction or cls is int:
-        return not x
-    if cls is RationalFunction:
-        return x.is_zero()
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    return x.is_zero()
+    """Whether an entry is zero.  Every scalar is falsy exactly when it is
+    zero, so this is a truth test.  It stays a function of its own, behind
+    the entry tests of this module, because a test of the benchmark's
+    tracer expects calls of it in a traced `chart-to-model` pass."""
+    return not x
 
 
 def rref(matrix: Sequence[Sequence]) -> tuple[list[list], list[int]]:
@@ -159,8 +154,7 @@ class Echelon:
         return True
 
     def __contains__(self, vec: Sequence) -> bool:
-        vec, exact = self._reduce(vec)
-        return not any(vec) if exact else all(is_zero_scalar(x) for x in vec)
+        return not any(self._reduce(vec)[0])
 
     def _reduced(self, ncols: int) -> tuple[list[list], list[int]]:
         """The nonzero rows of the reduced row echelon form of the kept

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import charts
-from .linalg import is_zero_scalar
 from .rationals import RationalFunction
 from .reporting import Check
 from .symplectic import COV, CON, Tensor, _contract_slot, _flat, _unflat, insert_vector
@@ -57,7 +56,7 @@ def lie_derivative_omega(chart: charts.Chart, xi: Tensor) -> Tensor:
     def entry(i, j):
         total = chart.rf_zero()
         for m in range(d):
-            if not xi[(m,)].is_zero():
+            if xi[(m,)]:
                 total = total + xi[(m,)] * d_omega[m, i, j]
             total = total + w[m][j] * d_xi[i, m]
             total = total + w[i][m] * d_xi[j, m]
@@ -71,7 +70,7 @@ def xi_perp_field(chart: charts.Chart, xi: Tensor) -> Tensor:
     nonvanishing pairing, rescaled in the function field."""
     omega_xi = pairing_with(chart, xi)  # omega(d_a, xi)
     for a in range(chart.dim):
-        if not omega_xi[a].is_zero():
+        if omega_xi[a]:
             scale = 1 / omega_xi[a]
             return Tensor.build(chart.dim, (CON,),
                                 lambda k: scale if k == a else chart.rf_zero())
@@ -91,7 +90,7 @@ def _support_indices(t: Tensor) -> list[tuple[int, ...]]:
 
 def _nonzero_indices(values) -> list[int]:
     """The indices of the nonzero values, increasing."""
-    return [a for a, value in enumerate(values) if not is_zero_scalar(value)]
+    return [a for a, value in enumerate(values) if value]
 
 
 def linear_type_checks(run: charts.ChartRun, xi_perp: Tensor | None = None) -> list[Check]:
@@ -172,7 +171,7 @@ def linear_type_checks(run: charts.ChartRun, xi_perp: Tensor | None = None) -> l
 
     if xi_perp is not None:
         normalization = insert_vector(Tensor(d, (COV,), omega_xi), 0, xi_perp.comps)
-        if not (normalization.comps[0] - 1).is_zero():
+        if normalization.comps[0] - 1:
             raise ValueError("the supplied transversal field does not satisfy "
                              "omega(xi_perp, xi) = 1")
         perp = xi_perp
@@ -190,7 +189,7 @@ def linear_type_checks(run: charts.ChartRun, xi_perp: Tensor | None = None) -> l
     weights = [pb * pc * pe for pb, pc, pe in itertools.product(perp.comps, repeat=3)]
     scalar_c = insert_vector(Tensor(d ** 3, (COV,), r_xi.comps), 0, weights).comps[0]
     # the omega_xi products of the two checks below carry the factor c
-    xi_products = [] if is_zero_scalar(scalar_c) else xi_rows
+    xi_products = xi_rows if scalar_c else []
 
     checks.append(charts._zero_check("curvature_xi_rank_one", charts._first_nonzero_at(
         _positions(r_xi_support, itertools.product(xi_products, repeat=3)),
@@ -244,7 +243,7 @@ def integrability_check(chart: charts.Chart, xi: Tensor) -> Check:
     """
     d, coords = chart.dim, chart.coords
     beta = pairing_with(chart, xi)
-    a = next((a for a in range(d) if not beta[a].is_zero()), None)
+    a = next((a for a in range(d) if beta[a]), None)
     if a is None:
         return Check("xi_kernel_integrable", False, "vector field vanishes identically")
 
@@ -254,7 +253,7 @@ def integrability_check(chart: charts.Chart, xi: Tensor) -> Check:
 
     others = [j for j in range(d) if j != a]
     for (s, j), (t, k) in itertools.combinations(enumerate(others, 1), 2):
-        if not (beta[a] * curl(j, k) - beta[j] * curl(a, k) + beta[k] * curl(a, j)).is_zero():
+        if beta[a] * curl(j, k) - beta[j] * curl(a, k) + beta[k] * curl(a, j):
             return Check("xi_kernel_integrable", False,
                          f"bracket of spanning fields {s},{t} leaves the kernel")
     return Check("xi_kernel_integrable", True, None)

@@ -635,7 +635,7 @@ def _algebra_from_parts(targets: list[_Scaled], h_basis: list,
 
 def _sparse_rows(matrix) -> list[list[tuple[int, object]]]:
     """The (column, entry) pairs of the nonzero entries of each row."""
-    return [[(j, v) for j, v in enumerate(row) if v != 0] for row in matrix]
+    return [[(j, v) for j, v in enumerate(row) if v] for row in matrix]
 
 
 def _commutator(a: list, b: list) -> list:

@@ -6,7 +6,9 @@ the common case -- integer polynomials such as every normalized
 denominator -- runs on machine-speed integer arithmetic.  A polynomial
 stores an ordered tuple of variable names plus a sparse map from packed
 exponent vectors to nonzero coefficients; the zero polynomial has an empty
-map.  Binary operations align the two variable tuples by taking their
+map.  As with `int` and `Fraction`, a polynomial or rational function is
+falsy exactly when it is zero, so a zero test of any scalar is a truth
+test.  Binary operations align the two variable tuples by taking their
 sorted union, so polynomials over different variable sets combine
 transparently.
 
@@ -22,13 +24,13 @@ field that would borrow.  Printing, evaluation, re-indexing and the public
 tuple-keyed constructor unpack and pack through one pair of helpers.
 
 Rational functions are numerator/denominator pairs and are *not* reduced to
-lowest terms (there is no multivariate gcd engine): equality and zero tests
-use cross multiplication, which is exact.  A cheap normalization pass --
-common monomial factor, denominator content and sign, a single
-exact-division attempt -- keeps representations from growing during long
-computations such as curvature expansions.  The division ends at the first
-quotient term that an exact quotient could not have: a term of q = a/b has,
-in each variable, at most a's degree less b's.
+lowest terms (there is no multivariate gcd engine): equality uses cross
+multiplication, which is exact, and one is zero exactly when its numerator
+is.  A cheap normalization pass -- common monomial factor, denominator
+content and sign, a single exact-division attempt -- keeps representations
+from growing during long computations such as curvature expansions.  The
+division ends at the first quotient term that an exact quotient could not
+have: a term of q = a/b has, in each variable, at most a's degree less b's.
 
 Results that are already in normal form skip the normalization: products
 with a scalar or a constant polynomial scale the coefficients directly,
@@ -330,6 +332,9 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_one(self) -> bool:
         return len(self.terms) == 1 and self.terms.get(0) == 1
 
@@ -569,9 +574,9 @@ class Polynomial:
     def try_exact_div(self, den: Polynomial) -> Polynomial | None:
         """Quotient self/den if the division is exact (lex order), else None."""
         a, b = Polynomial._aligned(self, den)
-        if b.is_zero():
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        if a.is_zero():
+        if not a:
             return a
         lead_exp, lead_c = b._leading()
         divisor = b.terms.items()
@@ -663,7 +668,7 @@ def _normalized(num: Polynomial, den: Polynomial,
     one-term den is then 1 or x^e, e != 0, and after the strip some variable
     of e has exponent 0 in a term of num, so that term is not divisible.
     """
-    if num.is_zero():
+    if not num:
         return num, _one(num.variables)
     # A field of k + lows has its guard bit set exactly when the exponent is
     # nonzero, so `common` keeps the variables that divide every term of
@@ -711,7 +716,7 @@ class RationalFunction:
         if den is None:
             den = _one(num.variables)
         num, den = Polynomial._aligned(num, den)
-        if den.is_zero():
+        if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         self.num, self.den = _normalized(num, den, primitive=False)
 
@@ -763,6 +768,9 @@ class RationalFunction:
 
     def is_zero(self) -> bool:
         return not self.num.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.num.terms)
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
@@ -849,7 +857,7 @@ class RationalFunction:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
@@ -874,7 +882,7 @@ class RationalFunction:
             return NotImplemented
         if self.den.is_one() and other.den.is_one():
             return self.num == other.num
-        return (self.num * other.den - other.num * self.den).is_zero()
+        return not (self.num * other.den - other.num * self.den)
 
     __hash__ = None
 
@@ -1017,7 +1025,7 @@ class _Parser:
             if tok[1] == "*":
                 value = value * rhs
             else:
-                if rhs.is_zero():
+                if not rhs:
                     raise ParseError("division by zero", tok[2], tok[3])
                 value = value / rhs
 

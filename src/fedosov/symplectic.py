@@ -83,7 +83,6 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from . import linalg
-from .linalg import is_zero_scalar
 from .rationals import divided, scaled_entries
 
 COV = "cov"
@@ -222,8 +221,7 @@ class Tensor:
     def support(self) -> tuple[int, ...]:
         """The flat positions of the nonzero entries, increasing."""
         if self._support is None:
-            self._support = tuple(flat for flat, value in enumerate(self.comps)
-                                  if not is_zero_scalar(value))
+            self._support = tuple(itertools.compress(itertools.count(), self.comps))
         return self._support
 
     def is_zero(self) -> bool:
@@ -376,10 +374,8 @@ def _resolve_omega_inverse(t: Tensor, omega):
 
 def _moves(matrix: Sequence[Sequence]) -> list[list[tuple[int, object]]]:
     """moves[l]: the (a - l, matrix[l][a]) pairs of the nonzero entries of
-    row l, a increasing.  An int or `Fraction` entry is its own zero test."""
-    return [[(a - l, x) for a, x in enumerate(row)
-             if (x if type(x) in (int, Fraction) else not is_zero_scalar(x))]
-            for l, row in enumerate(matrix)]
+    row l, a increasing.  Every entry is its own zero test."""
+    return [[(a - l, x) for a, x in enumerate(row) if x] for l, row in enumerate(matrix)]
 
 
 def _scatter(entries: dict, moves: list, stride: int, out: dict) -> dict:
@@ -488,9 +484,9 @@ def _derivation_entries(endo: Sequence[Sequence], t: Tensor):
         total = None  # Fraction(0), the start of the merge, which a zero part replaces
         for stride, gather, _ in slots:
             part = _column_sum(comps, nonzero, flat, stride, gather[flat // stride % d], zero)
-            if total is None or is_zero_scalar(total):
+            if not total:
                 total = part
-            elif not is_zero_scalar(part):
+            elif part:
                 total = total + part
         yield flat, total
 
@@ -670,8 +666,7 @@ def _changed_comps(t: Tensor, basis_matrix: Sequence[Sequence], basis_inverse=No
         moves, scale = on_cov if kind == COV else on_con
         den = den and den * scale
         reached = _scatter(entries, moves, d ** (rank - 1 - slot), {})
-        entries = {flat: x for flat, x in sorted(reached.items())
-                   if (x if den else not is_zero_scalar(x))}
+        entries = {flat: x for flat, x in sorted(reached.items()) if x}
     return entries, den
 
 

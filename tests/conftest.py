@@ -63,7 +63,6 @@ from fedosov.decomposition import DecompositionResult
 from fedosov.lineartype import (
     NotLinearTypeError, ObstructionVerdict, linear_type_checks, pairing_with,
 )
-from fedosov.linalg import is_zero_scalar
 from fedosov.models import InfinitesimalModel, standard_omega_tensor
 from fedosov.rationals import PoleError, Polynomial, RationalFunction, ScaledPoint
 from fedosov.reporting import Check, Report
@@ -906,7 +905,7 @@ def old_metric_obstruction(s_point: Tensor, omega_p: list[list[Fraction]]):
             if a != b:
                 entries[b][a] = entries[b][a] + mono
     determinant = linalg.det([[RationalFunction(e) for e in row] for row in entries])
-    return ObstructionVerdict(obstructed=is_zero_scalar(determinant),
+    return ObstructionVerdict(obstructed=_zero(determinant),
                               degenerate_input=False, xi=xi,
                               solution_dimension=len(solutions))
 
@@ -924,7 +923,7 @@ def old_rref(matrix):
     for c in range(ncols):
         pivot_row = None
         for i in range(r, len(rows)):
-            if not is_zero_scalar(rows[i][c]):
+            if not _zero(rows[i][c]):
                 pivot_row = i
                 break
         if pivot_row is None:
@@ -937,7 +936,7 @@ def old_rref(matrix):
             if i == r:
                 continue
             factor = rows[i][c]
-            if is_zero_scalar(factor):
+            if _zero(factor):
                 continue
             rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
@@ -957,23 +956,23 @@ class OldEchelon:
         vec = list(vec)
         for pivot, row in self._rows:
             factor = vec[pivot]
-            if not is_zero_scalar(factor):
+            if not _zero(factor):
                 for c, x in row:
                     vec[c] = vec[c] - factor * x
         return vec
 
     def add(self, vec) -> bool:
         vec = self._reduce(vec)
-        pivot = next((i for i, x in enumerate(vec) if not is_zero_scalar(x)), None)
+        pivot = next((i for i, x in enumerate(vec) if not _zero(x)), None)
         if pivot is None:
             return False
         inv = vec[pivot]
         self._rows.append((pivot, [(i, x / inv) for i, x in enumerate(vec)
-                                   if not is_zero_scalar(x)]))
+                                   if not _zero(x)]))
         return True
 
     def __contains__(self, vec) -> bool:
-        return all(is_zero_scalar(x) for x in self._reduce(vec))
+        return all(_zero(x) for x in self._reduce(vec))
 
 
 def old_matmul(a, b):

@@ -33,11 +33,10 @@ from fedosov.lineartype import (
     NotLinearTypeError, hamiltonian_oneform, lie_derivative_omega, linear_type_checks,
     metric_obstruction, pairing_with,
 )
-from fedosov.linalg import is_zero_scalar
 from fedosov.rationals import Polynomial, RationalFunction, parse_ratfun
 from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor, insert_vector
 
-from conftest import old_derivation_action
+from conftest import _zero, old_derivation_action
 from test_slot_kernel import swell_chart
 
 CHART_FILES = sorted((pathlib.Path(__file__).parent / "data" / "charts").glob("*.json"))
@@ -89,7 +88,7 @@ def oracle_covariant_derivative(chart, tensor, structure=None):
     for i, coord in enumerate(chart.coords):
         connection = old_derivation_action([[gamma[a][i][b] for b in range(d)]
                                             for a in range(d)], tensor)
-        comps.extend(p if is_zero_scalar(c) else c if p.is_zero() else c + p
+        comps.extend(p if _zero(c) else c if p.is_zero() else c + p
                      for c, p in zip(connection.comps,
                                      (value.partial(coord) for value in tensor.comps)))
     return Tensor(d, (COV,) + tensor.valence, comps)

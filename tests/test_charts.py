@@ -52,6 +52,21 @@ def test_load_examples():
     assert c2.omega[1][0] == rf(c2, "-1/x^2")
 
 
+def test_omega_pairs_load_when_both_key_orders_agree():
+    # a pair given under both key orders must satisfy omega_ji = -omega_ij,
+    # an explicit zero included, whichever order comes first
+    coords = ("x", "y")
+    w, zero = parse_ratfun("1/x^2", coords), parse_ratfun("0", coords)
+    for value in (w, zero):
+        for entries in ({(0, 1): value, (1, 0): -value}, {(1, 0): -value, (0, 1): value}):
+            chart = make_chart(coords, entries, {})
+            assert chart.omega[0][1] == value and chart.omega[1][0] == -value
+    for entries in ({(0, 1): zero, (1, 0): -w}, {(1, 0): -w, (0, 1): zero},
+                    {(0, 1): w, (1, 0): w}, {(1, 0): w, (0, 1): w}):
+        with pytest.raises(ChartFormatError, match=r"^conflicting omega entries at \(1,2\)$"):
+            make_chart(coords, entries, {})
+
+
 def test_chart_structure_checks():
     for chart in (load_example(1), load_example(2), flat_chart()):
         report = verify_chart_structure(chart)

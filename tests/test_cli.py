@@ -282,6 +282,41 @@ def test_examples_listing_and_show(capsys):
     assert json.loads(out)["christoffel"] == {"1,1,1": "-2/x"}
 
 
+def test_examples_output_is_pinned(tmp_path, capsys):
+    # the listing and --export, in both output modes, as they were printed
+    # before both went through `_emit`
+    names = ["example1", "example1-emended", "example2"]
+    assert run_cli(capsys, "examples") == (0, "".join(f"{name}\n" for name in names), "")
+    assert run_cli(capsys, "--json", "examples") == (0, """{
+  "artifacts": {
+    "available": [
+      "example1",
+      "example1-emended",
+      "example2"
+    ]
+  },
+  "checks": [],
+  "command": "examples"
+}
+""", "")
+    written = [json.dumps(os.path.join(str(tmp_path), name))
+               for name in ("example1.json", "example1_emended.json", "example2.json")]
+    assert run_cli(capsys, "--json", "examples", "--export", str(tmp_path)) == (0, """{
+  "artifacts": {
+    "written": [
+      %s,
+      %s,
+      %s
+    ]
+  },
+  "checks": [],
+  "command": "examples"
+}
+""" % tuple(written), "")
+    assert run_cli(capsys, "examples", "--export", str(tmp_path)) == (
+        0, "".join(f"wrote {json.loads(path)}\n" for path in written), "")
+
+
 def test_missing_file_is_input_error(capsys):
     code, out, err = run_cli(capsys, "check-model", "/nonexistent/model.json")
     assert code == 2
@@ -589,6 +624,15 @@ def test_charts_differentiate_in_one_kernel():
     ({"coords": ["x", "y"], "omega": {"1,2": "1/x^2"}, "christoffel": {"1,1,1": "-2/x"},
       "fields": {"xi": {"valence": ["con"], "components": {"2": "x", "02": "5"}}}},
      "field 'xi' component key '02' repeats an index given before"),
+    # an explicit zero once read as "not given", so this chart verified with exit 0
+    ({"coords": ["x", "y"], "omega": {"1,2": "0", "2,1": "-1/x^2"},
+      "christoffel": {"1,1,1": "-2/x"},
+      "fields": {"xi": {"valence": ["con"], "components": {"2": "x"}}}},
+     "conflicting omega entries at (1,2)"),
+    ({"coords": ["x", "y"], "omega": {"2,1": "-1/x^2", "1,2": "0"},
+      "christoffel": {"1,1,1": "-2/x"},
+      "fields": {"xi": {"valence": ["con"], "components": {"2": "x"}}}},
+     "conflicting omega entries at (1,2)"),
 ])
 def test_malformed_chart_structure_is_input_error(tmp_path, capsys, payload, message):
     path = write_json(tmp_path, "c.json", payload)

@@ -36,12 +36,11 @@ from fedosov.charts import (
     _gamma, _nabla_first_nonzero, chart_curvature, chart_from_json, chart_torsion,
     covariant_derivative, omega_tensor,
 )
-from fedosov.linalg import is_zero_scalar
 from fedosov.models import curvature_endomorphism, derivation_action
 from fedosov.rationals import parse_ratfun
 from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor, _contract_slot, _unflat
 
-from conftest import PRODUCT_CHART, mutant, old_derivation_action
+from conftest import PRODUCT_CHART, _zero, mutant, old_derivation_action
 from test_lazy_checks import all_charts, structures, y_chart
 from test_slot_kernel import mirror_moves, swell_chart
 from test_stabilizer import models as drawn_models
@@ -57,7 +56,7 @@ def old_covariant_planes(chart, tensor, structure=None):
         partials = [value.partial(coord) for value in tensor.comps]
         connection = old_derivation_action([[gamma[a][i][b] for b in range(d)]
                                             for a in range(d)], tensor)
-        yield [p if is_zero_scalar(c) else c if p.is_zero() else c + p
+        yield [p if _zero(c) else c if p.is_zero() else c + p
                for c, p in zip(connection.comps, partials)]
 
 
@@ -122,7 +121,7 @@ def chart_fields():
 
 def first_nonzero(comps, dim, rank):
     for flat, value in enumerate(comps):
-        if not is_zero_scalar(value):
+        if not _zero(value):
             return _unflat(dim, rank, flat), str(value)
     return None
 
@@ -221,7 +220,7 @@ def test_edge_tensors_match_merge(label, endo, t):
     assert same(acted.comps, old_derivation_action(endo, t).comps)
     if label.startswith("first-slot-zero"):
         on_cov = [[-x for x in row] for row in endo]
-        assert all(is_zero_scalar(c) for c in _contract_slot(t, 0, on_cov))
+        assert all(_zero(c) for c in _contract_slot(t, 0, on_cov))
         assert not acted.is_zero()
 
 

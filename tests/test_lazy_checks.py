@@ -47,13 +47,12 @@ from fedosov.charts import (
 )
 from fedosov.lineartype import pairing_with, xi_perp_field
 from fedosov.cli import main
-from fedosov.linalg import is_zero_scalar
 from fedosov.rationals import RationalFunction, parse_ratfun
 from fedosov.reporting import Check
 from fedosov.symplectic import (
     COV, CON, Tensor, _contract_slot, _unflat, insert_vector,
 )
-from conftest import PRODUCT_CHART, mutant, old_derivation_action
+from conftest import PRODUCT_CHART, _zero, mutant, old_derivation_action
 from test_slot_kernel import swell_chart
 
 CHART_DIR = pathlib.Path(__file__).parent / "data" / "charts"
@@ -129,7 +128,7 @@ def structures(chart):
 def scan(name, tensor):
     for idx in tensor.indices():
         value = tensor[idx]
-        if not is_zero_scalar(value):
+        if not _zero(value):
             return Check(name, False, f"component ({','.join(str(i + 1) for i in idx)}) = {value}")
     return Check(name, True, None)
 
@@ -144,7 +143,7 @@ def full_nabla(chart, t, structure=None):
     for i in range(d):
         connection = old_derivation_action([[gamma[a][i][b] for b in range(d)]
                                             for a in range(d)], t)
-        comps.extend(p if is_zero_scalar(c) else c if p.is_zero() else c + p
+        comps.extend(p if _zero(c) else c if p.is_zero() else c + p
                      for c, p in zip(connection.comps, partials[i * size:(i + 1) * size]))
     return Tensor(d, (COV,) + t.valence, comps)
 
@@ -298,7 +297,7 @@ def off_by_one_unflat(positions, entry):
     """Reports the index one past the first nonzero one in its last slot."""
     for idx in positions:
         value = entry(*idx)
-        if not is_zero_scalar(value):
+        if not _zero(value):
             return idx[:-1] + (idx[-1] + 1,), value
     return None
 
@@ -307,7 +306,7 @@ def stops_at_zero_entry(positions, entry):
     """Takes a zero entry for the end of the positions."""
     for idx in positions:
         value = entry(*idx)
-        if is_zero_scalar(value):
+        if _zero(value):
             return None
         return idx, value
     return None
@@ -316,7 +315,7 @@ def stops_at_zero_entry(positions, entry):
 def first_in(dim, rank, entries):
     """The first nonzero (index, value) of a stream of (flat, value) pairs."""
     for flat, value in entries:
-        if not is_zero_scalar(value):
+        if not _zero(value):
             return _unflat(dim, rank, flat), value
     return None
 
@@ -380,14 +379,14 @@ def reached_positions(chart, t, gamma, i):
     d, rank = chart.dim, len(t.valence)
     out = set()
     for flat, value in enumerate(t.comps):
-        if is_zero_scalar(value):
+        if _zero(value):
             continue
         idx = _unflat(d, rank, flat)
         for slot, kind in enumerate(t.valence):
             l = idx[slot]
             for a in range(d):
                 factor = gamma[a][i][l] if kind == CON else gamma[l][i][a]
-                if not is_zero_scalar(factor):
+                if not _zero(factor):
                     out.add(flat_index(d, idx[:slot] + (a,) + idx[slot + 1:]))
     return out
 
@@ -430,7 +429,7 @@ def test_failing_covariant_checks_draw_one_plane(tmp_path, monkeypatch, capsys):
         hit = nabla(chart, t, gamma)
         plane = len(t.comps)
         witness = chart.dim * plane - 1 if hit is None else flat_index(chart.dim, hit[0])
-        nonzero = sum(not is_zero_scalar(t.comps[flat % plane]) for flat in range(witness + 1))
+        nonzero = sum(not _zero(t.comps[flat % plane]) for flat in range(witness + 1))
         reached = sorted(i * plane + flat for i in range(chart.dim)
                          for flat in reached_positions(chart, t, gamma, i))
         streams.append((formed["partials"] - partials, formed["entries"][entries:],

@@ -21,7 +21,7 @@ from fedosov.models import (
 from fedosov.rationals import RationalFunction, parse_ratfun
 from fedosov.symplectic import cyclic_sum
 from conftest import (
-    PRODUCT_CHART, OldEchelon, old_matmul, old_rref, random_antisymmetric_tensor,
+    PRODUCT_CHART, OldEchelon, _zero, old_matmul, old_rref, random_antisymmetric_tensor,
     random_rational_function, random_symmetric_tensor, random_symplectic_matrix, work_counts,
 )
 
@@ -436,7 +436,7 @@ def shuffled_pivot_matrix(rng, kinds):
     for lead in leads:
         kind = rng.choice(kinds)
         row = drawn_vector(rng, kind, cols)
-        while linalg.is_zero_scalar(row[lead]):
+        while _zero(row[lead]):
             row[lead] = drawn_vector(rng, kind, 1)[0]
         rows.append([x * 0 for x in row[:lead]] + row[lead:])
         if rng.random() < 0.5:
@@ -542,8 +542,12 @@ def test_each_model_tensor_is_scaled_once_per_entry_point(monkeypatch):
 FRACTION_CODES = {Fraction.__new__.__code__: "Fraction.__new__",
                   Fraction._mul.__code__: "Fraction._mul",
                   Fraction._div.__code__: "Fraction._div"}
-ELIMINATION_PARENT = {"Fraction.__new__": 5382, "Fraction._mul": 1356, "Fraction._div": 608}
-ELIMINATION_BOUNDS = {"Fraction.__new__": 1253, "Fraction._mul": 364, "Fraction._div": 8}
+# `product_pipeline`, before the integer elimination kernel, and all Python
+# calls before a zero polynomial or rational function was falsy
+ELIMINATION_PARENT = {"Fraction.__new__": 5382, "Fraction._mul": 1356, "Fraction._div": 608,
+                      "Python calls": 17442}
+ELIMINATION_BOUNDS = {"Fraction.__new__": 1253, "Fraction._mul": 364, "Fraction._div": 8,
+                      "Python calls": 16148}
 # `check-model` and `transvection` on one product-chart model, before the
 # model kernels read their data as ints over one denominator
 MODEL_PARENT = {"Fraction.__new__": 466, "Fraction._mul": 52, "Fraction._div": 0}
@@ -564,7 +568,7 @@ PRESENTATION_CODES = {Fraction.__bool__.__code__: "Fraction.__bool__",
 PRESENTATION_PARENT = {"Fraction.__bool__": 46395, "Fraction.__new__": 4180,
                        "Python calls": 86869}
 PRESENTATION_BOUNDS = {"Fraction.__bool__": 3042, "Fraction.__new__": 428,
-                       "Python calls": 15930}
+                       "Python calls": 14373}
 
 # `nomizu_algebra(trivial_model(4))` and `transvection_algebra` on one
 # product-chart model, while each Lie basis element was scaled to ints three
@@ -600,7 +604,8 @@ def test_product_pipeline_forms_few_fractions():
     over = {name: counts[name] for name, bound in ELIMINATION_BOUNDS.items()
             if counts[name] > bound}
     assert not over, (f"counts {over} passed their bounds {ELIMINATION_BOUNDS}; before the "
-                      f"integer elimination kernel the pipeline took {ELIMINATION_PARENT}")
+                      f"integer elimination kernel (the Python calls: before the truth-test "
+                      f"zero test) the pipeline took {ELIMINATION_PARENT}")
 
 
 def test_model_steps_form_few_fractions():

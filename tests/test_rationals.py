@@ -1,3 +1,4 @@
+import ast
 import json
 import pathlib
 import random
@@ -29,6 +30,27 @@ def test_sum_of_chart_terms_is_nonzero():
     value = rf("-2/(3*x^3)") + rf("2/(9*x^3)")
     assert not value.is_zero()
     assert value == rf("-4/(9*x^3)")
+
+
+def test_truth_value_is_the_zero_test():
+    # like an int or a Fraction, a polynomial or rational function is falsy
+    # exactly when it is zero
+    x, y = Polynomial.variable("x"), Polynomial.variable("y")
+    polynomials = [Polynomial.constant(0), Polynomial.constant(0, ("x", "y")), x - x,
+                   x * y - y * x, Polynomial.constant(Fraction(-2, 3), ("x",)), x, x + y]
+    functions = [rf("0"), RationalFunction.constant(0), rf("(x*y - y*x)/x"), rf("5"),
+                 rf("1/x"), rf("x", ("x",)) - rf("x", ("x", "y")),
+                 rf("x", ("x",)) + rf("y", ("y",)), rf("-2/(3*x^3)") + rf("2/(9*x^3)")]
+    rng = random.Random(38)
+    for _ in range(100):
+        a = random_rational_function(rng, nvars=rng.randint(1, 2))
+        b = random_rational_function(rng, nvars=rng.randint(1, 2))
+        functions += [a, a - a, a - b, a * b, a + b - b]
+        polynomials += [a.num, a.den, a.num - a.num, a.num * b.den - b.num * a.den]
+    for value in polynomials + functions:
+        assert bool(value) is not value.is_zero(), value
+    for values in (polynomials, functions):
+        assert {bool(value) for value in values} == {False, True}
 
 
 def test_partial_quotient_rule_example():
@@ -248,3 +270,76 @@ def test_random_expressions_parse_as_with_aligned_atoms():
         for variables in (("x", "y"), None):
             assert parsed(parse_ratfun, text, variables) == parsed(old_parse_ratfun, text,
                                                                    variables), text
+
+
+# -- one zero test --------------------------------------------------------------------------
+
+SCALAR_TYPES = {"int", "Fraction", "Polynomial", "RationalFunction"}
+
+
+def is_zero_test(node) -> bool:
+    """`not v`, `v == 0`, `v != 0`, `v.is_zero()`, `is_zero_scalar(v)`, or
+    `all`/`any` over one of them."""
+    if isinstance(node, ast.UnaryOp):
+        return isinstance(node.op, ast.Not)
+    if isinstance(node, ast.Compare):
+        return (len(node.ops) == 1 and isinstance(node.ops[0], (ast.Eq, ast.NotEq))
+                and isinstance(node.comparators[0], ast.Constant)
+                and node.comparators[0].value == 0)
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        return name in ("is_zero", "is_zero_scalar") or (
+            name in ("all", "any") and len(node.args) == 1
+            and isinstance(node.args[0], ast.GeneratorExp) and is_zero_test(node.args[0].elt))
+    return False
+
+
+def reads_type(node) -> bool:
+    """Whether an expression reads a type: `type(...)`, `isinstance(...)` or a
+    scalar type's name."""
+    return any(isinstance(n, ast.Call) and getattr(n.func, "id", None) in ("type", "isinstance")
+               or isinstance(n, ast.Name) and n.id in SCALAR_TYPES for n in ast.walk(node))
+
+
+def zero_test_sites() -> tuple[set[str], set[str]]:
+    """The modules of the package that name `is_zero_scalar`, and the
+    functions with a conditional that picks a zero test by the scalar's
+    type: its condition reads a type and an arm is a zero test, or its two
+    arms test one value for zero in two ways (`x if c else not f(x)`, or
+    two zero tests).  An arm of an `if` statement is a value it returns."""
+    named, switched = set(), set()
+    for path in sorted(pathlib.Path(rationals.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(getattr(n, "id", getattr(n, "attr", getattr(n, "name", None))) == "is_zero_scalar"
+               for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))):
+            named.add(path.stem)
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.IfExp):
+                    arms = [node.body, node.orelse]
+                elif isinstance(node, ast.If):
+                    arms = [stmt.value for stmt in node.body if isinstance(stmt, ast.Return)]
+                else:
+                    continue
+                tested = [arm for arm in arms if is_zero_test(arm)]
+                names = {arm.id for arm in arms if isinstance(arm, ast.Name)}
+                if tested and (reads_type(node.test) or len(tested) == 2 or any(
+                        isinstance(n, ast.Name) and n.id in names
+                        for arm in tested for n in ast.walk(arm))):
+                    switched.add(f"{path.stem}.{func.name}")
+    return named, switched
+
+
+def test_zero_tests_are_truth_tests():
+    # every scalar is falsy exactly when it is zero, so no zero test switches
+    # on the scalar's type; `linalg.is_zero_scalar` stays only as a truth test
+    # behind linalg's own entry tests
+    named, switched = zero_test_sites()
+    assert named == {"linalg"}
+    assert switched == set()
+    source = pathlib.Path(rationals.__file__).with_name("linalg.py").read_text(encoding="utf-8")
+    func = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name == "is_zero_scalar")
+    assert ast.unparse(func.body[-1]) == "return not x"

@@ -53,7 +53,7 @@ from fedosov.symplectic import (
     cotorsion_raise, insert_vector, torsion_lower, torsion_raise,
 )
 
-from conftest import mutant, old_contract_slot, work_counts
+from conftest import _zero, mutant, old_contract_slot, work_counts
 from test_linalg import module_calls
 
 VALENCES = [(COV, COV), (COV, COV, CON), (COV, COV, COV), (COV, COV, COV, CON)]
@@ -395,7 +395,7 @@ def test_scatter_contraction_matches_column_sum():
     assert len(CONTRACTION_CASES) > 150
     # the cases contain entries that sum to zero from nonzero terms
     cancel = [case for case in CONTRACTION_CASES if case[0].endswith("/cancel")]
-    assert all(all(linalg.is_zero_scalar(x) for x in _contract_slot(t, slot, m))
+    assert all(all(_zero(x) for x in _contract_slot(t, slot, m))
                for _, t, slot, m in cancel) and len(cancel) == 3
 
 
