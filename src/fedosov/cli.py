@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -20,11 +21,11 @@ from . import charts as ch
 from . import decomposition as dec
 from . import lineartype as lt
 from . import models as mo
-from .rationals import DegreeError, ParseError, PoleError
+from .rationals import DegreeError, ParseError, PoleError, parse_ratfun
 from .reporting import Check, Report
 from .symplectic import (
-    COV, CON, MAX_N, SymplecticSpace, Tensor, _require_shape, cotorsion_lower, parse_fraction,
-    tensor_from_json, tensor_to_json, torsion_lower,
+    COV, CON, MAX_N, SymplecticSpace, Tensor, _is_int, _require_shape, cotorsion_lower,
+    parse_fraction, tensor_from_json, tensor_to_json, torsion_lower,
 )
 
 
@@ -284,7 +285,7 @@ def _three_dimensional_presentation(data: dict) -> mo.LieAlgebraPresentation:
     # Reject a wrong dimension before reading the constants, running the Jacobi
     # check and forming the default `dim` basis labels.
     dim = data.get("dim")
-    if isinstance(dim, int) and dim != 3:
+    if _is_int(dim) and dim != 3:
         raise InputError("Bianchi classification needs a 3-dimensional algebra")
     return mo.presentation_from_json(data)
 
@@ -324,7 +325,6 @@ def cmd_verify_chart(args) -> int:
             raise InputError(str(err)) from None
         candidate = None
         if args.hamiltonian is not None:
-            from .rationals import parse_ratfun
             try:
                 candidate = parse_ratfun(_bound_digits(args.hamiltonian, "--hamiltonian"),
                                          chart.coords)
@@ -409,7 +409,6 @@ def cmd_model_at_point(args) -> int:
 
 def cmd_examples(args) -> int:
     if args.export:
-        import os
         os.makedirs(args.export, exist_ok=True)
         written = []
         for name, filename in sorted(ch.EXAMPLE_FILES.items()):

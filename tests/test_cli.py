@@ -687,6 +687,8 @@ ALGEBRA = json.loads((DATA / "algebras" / "nomizu_example2_x1_y0.json").read_tex
     ("check-model", {**MODEL, "torsion": {**MODEL["torsion"],
                                           "components": {"1,2,2": "1", "01,2,2": "2"}}},
      "component '01,2,2' repeats an index given before"),
+    # once read as the integer 1 and refused as a wrong dimension, without the path
+    ("bianchi", {**ALGEBRA, "dim": True}, "'dim' must be a non-negative integer, got True"),
 ])
 def test_malformed_model_or_algebra_is_input_error(tmp_path, capsys, command, payload, message):
     path = write_json(tmp_path, "m.json", payload)
