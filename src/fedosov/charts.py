@@ -50,11 +50,12 @@ from importlib import resources
 
 from . import linalg
 from .models import InfinitesimalModel, standard_omega_tensor
-from .rationals import RationalFunction, ScaledPoint, parse_ratfun
+from .rationals import RationalFunction, ScaledPoint, _scaled_ints, divided, parse_ratfun
 from .reporting import Check, Report, index_witness
 from .symplectic import (
     COV, CON, MAX_N, MAX_RANK, MAX_TENSORS, SymplecticSpace, Tensor, _derivation_entries, _flat,
-    _index_of_key, _unflat, change_basis, insert_vector, tensor_to_json,
+    _index_of_key, _moves, _pullback_defect, _scatter, _unflat, change_basis, insert_vector,
+    tensor_to_json,
 )
 
 
@@ -518,13 +519,18 @@ def model_at_point(chart: Chart, structure: Tensor, point: dict):
     s_p = evaluate_tensor(structure, point)
 
     m = symplectic_basis_matrix(omega_p)
-    n = chart.n
-    space = SymplecticSpace(n)
-    pulled = linalg.matmul(linalg.transpose(m), omega_p)
-    product = linalg.matmul(pulled, m)
-    if any(product[i][j] != space.omega[i][j] for i in range(2 * n) for j in range(2 * n)):
+    space = SymplecticSpace(chart.n)
+    if _pullback_defect(space, omega_p, m) is not None:
         raise AssertionError("change of basis failed to reach the standard form")
-    m_inv = linalg.matmul(space.omega_inv, pulled)  # m^T omega_p m = Omega
+    # m^T omega_p m = Omega, so m^-1 = Omega^-1 m^T omega_p: slot 0 of omega_p scattered
+    # against m, then against (Omega^-1)^T = Omega, all three as ints over one D
+    d = space.dim
+    ints, den = _scaled_ints([x for a in (omega_p, m, space.omega) for row in a for x in row])
+    rows = [ints[i:i + d] for i in range(0, 3 * d * d, d)]
+    entries = {flat: x for flat, x in enumerate(ints[:d * d]) if x}
+    for matrix in (rows[d:2 * d], rows[2 * d:]):
+        entries = _scatter(entries, _moves(matrix), d, {})
+    m_inv = [divided([entries.get(i * d + j, 0) for j in range(d)], den ** 3) for i in range(d)]
 
     def standardize(t: Tensor) -> Tensor:
         out = change_basis(t, m, m_inv)

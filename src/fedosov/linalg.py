@@ -1,4 +1,9 @@
-"""Exact dense linear algebra over any field with exact Python arithmetic.
+"""Exact dense elimination over any field with exact Python arithmetic.
+
+The module holds elimination only: `Echelon`, `rref`, `rank`, `nullspace`,
+`inverse`, `Coordinates` and `det`, and `transpose`.  A matrix acting on
+a vector or a tensor, the pullback M^T omega M included, is a slot
+contraction in `symplectic`.
 
 Entries may be `int`, `fractions.Fraction` or `RationalFunction`; the
 routines never pivot by magnitude (the first nonzero entry wins), so every
@@ -23,15 +28,13 @@ Sorted by pivot column, each row is divided by its pivot, one division per
 output entry, so `Fraction`s are formed once, for the output.  The reduced
 row echelon form is unique, so the result is the one that elimination over
 Q gives: on Q input every output entry is a `Fraction`, and the rows past
-the rank are zero rows.  `nullspace`, `solve`, `inverse` and `Coordinates`
-go through these two passes, and every greedy basis (class generators,
+the rank are zero rows.  `nullspace`, `inverse` and `Coordinates` go
+through these two passes, and every greedy basis (class generators,
 symplectic frames, Lie closures, derived algebras) and every membership
 test that needs no coordinates through `Echelon`.  `nullspace` negates
 only the nonzero entries of the reduced rows.  `Coordinates` reduces a
 fixed basis once and then reads the coordinates of many vectors in its
-span, each checked by recombination in integers; `solve` is left for
-one-off linear systems.  `matmul` multiplies the two scaled operands in
-integers.
+span, each checked by recombination in integers.
 
 `Echelon.add(vec, _ints=True)` is the private int-row entry: `vec` is a
 list of ints, taken as its own scaled form without a `scaled_entries`
@@ -57,7 +60,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
 from typing import Sequence
 
 from .rationals import _scaled_ints, scaled_entries
@@ -262,22 +264,6 @@ def nullspace(matrix: Sequence[Sequence], ncols: int | None = None) -> list[list
     return span._nullspace(ncols)
 
 
-def solve(matrix: Sequence[Sequence], rhs: Sequence) -> list | None:
-    """A particular solution of A x = b (free variables set to 0), or None."""
-    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    if not rows:
-        return []
-    ncols = len(matrix[0])
-    reduced, pivots = rref(rows)
-    if pivots and pivots[-1] == ncols:
-        return None
-    zero = Fraction(0)
-    x = [zero] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = reduced[i][ncols]
-    return x
-
-
 def inverse(matrix: Sequence[Sequence]) -> list[list]:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -323,23 +309,6 @@ def det(matrix: Sequence[Sequence]):
             ratio = factor / pivot
             rows[i] = [a - ratio * b for a, b in zip(rows[i], rows[c])]
     return result if sign == 1 else -result
-
-
-def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    scaled_a = scaled_entries([x for row in a for x in row])
-    scaled_b = scaled_entries([x for row in b for x in row])
-    if scaled_a is None or scaled_b is None:
-        cols = list(zip(*b))
-        return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols]
-                for row in a]
-    # (A da)(B db) / (da db), one Fraction per nonzero entry
-    den = scaled_a[1] * scaled_b[1]
-    ints_a, ints_b = iter(scaled_a[0]), iter(scaled_b[0])
-    rows = [[next(ints_a) for _ in row] for row in a]
-    cols = list(zip(*[[next(ints_b) for _ in row] for row in b]))
-    zero = Fraction(0)
-    return [[Fraction(s, den) if (s := sum(map(mul, row, col))) else zero for col in cols]
-            for row in rows]
 
 
 def transpose(matrix: Sequence[Sequence]) -> list[list]:

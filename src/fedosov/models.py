@@ -86,10 +86,11 @@ from . import linalg
 from .rationals import _scaled_ints, divided
 from .reporting import Check, Report, index_witness
 from .symplectic import (
-    COV, CON, MAX_TENSORS, SymplecticSpace, Tensor, _changed_comps, _derivation_entries,
-    _first_antisymmetry_violation, _first_cyclic_failure, _half_dimension, _is_int, _moves,
-    _pair_through_first_slot, _scalar_zero, _scatter, _unflat, change_basis,
-    first_symplectic_defect, insert_vector, parse_fraction, tensor_from_json, tensor_to_json,
+    COV, CON, MAX_TENSORS, SymplecticSpace, Tensor, _derivation_entries,
+    _first_antisymmetry_violation, _first_changed_difference, _first_cyclic_failure,
+    _half_dimension, _is_int, _moves, _pair_through_first_slot, _require_square_map,
+    _scalar_zero, _scatter, _unflat, change_basis, first_symplectic_defect, insert_vector,
+    parse_fraction, tensor_from_json, tensor_to_json,
 )
 
 
@@ -346,16 +347,7 @@ def push_tensor(f: list[list], t: Tensor, f_inv: list[list] | None = None) -> Te
     This is the change of basis to the columns of f^-1.
     """
     _require_square_map(f, t.dim)
-    if f_inv is None:
-        f_inv = linalg.inverse(f)
-    return change_basis(t, f_inv, f)
-
-
-def _require_square_map(f: list[list], dim: int) -> None:
-    widths = sorted({len(row) for row in f})
-    if len(f) != dim or widths != [dim]:
-        shape = f"{len(f)}x{'/'.join(map(str, widths)) or 0}"
-        raise ValueError(f"the linear map is {shape}, not {dim}x{dim}")
+    return change_basis(t, linalg.inverse(f) if f_inv is None else f_inv, f)
 
 
 def verify_model_isomorphism(f: list[list], source: InfinitesimalModel,
@@ -374,15 +366,8 @@ def verify_model_isomorphism(f: list[list], source: InfinitesimalModel,
     checks = []
 
     def push_check(name: str, a: Tensor, b: Tensor):
-        # pushed = entries / den, compared with b only where either is nonzero
-        entries, den = _changed_comps(a, f_inv, f)
-        den = den or 1  # a map past the int path: the pushed entries themselves
         b_s = _scaled(b)
-        diff = None
-        for flat in sorted(entries.keys() | b_s.entries.keys()):
-            if x := entries.get(flat, 0) * b_s.den - b_s.entries.get(flat, 0) * den:
-                diff = _unflat(b.dim, len(b.valence), flat), Fraction(x, den * b_s.den)
-                break
+        diff = _first_changed_difference(a, f_inv, f, b_s.entries, b_s.den)
         checks.append(Check(name, diff is None,
                             None if diff is None else
                             f"component {index_witness(diff[0])} differs by {diff[1]}"))

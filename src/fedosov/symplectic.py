@@ -53,13 +53,19 @@ Conventions fixed here and used everywhere else:
   covariant derivatives (`charts._nabla_entries`, which adds the partials
   on the support of its field) and the public `models.derivation_action`.
   `change_basis` (and so every push-forward) scatters one slot after the
-  other (`_changed_comps`), so only nonzero coordinates are visited.  When
-  the tensor and both matrices are constant they are scaled to ints
-  first, each by the lcm of its denominators (`rationals.scaled_entries`);
-  each result entry is then divided once, and the result's support is
-  known without a scan.  `models.verify_model_isomorphism` reads the
-  undivided ints.  Other entries (`RationalFunction`s, or a denominator
-  past `rationals.MAX_SCALE_BITS`) go through the same loop as they are.
+  other (`_changed_comps`), so only nonzero coordinates are visited; the
+  matrix must be d x d, and its inverse is formed only when a
+  contravariant slot reads it.  The pullback M^T omega M of the
+  symplectic-map check and of `charts.model_at_point` is the change of
+  basis of omega as a (0,2)-tensor.  When the tensor and both matrices
+  are constant they are scaled to ints first, each by the lcm of its
+  denominators (`rationals.scaled_entries`); each result entry is then
+  divided once, and the result's support is known without a scan.
+  Other entries (`RationalFunction`s, or a denominator past
+  `rationals.MAX_SCALE_BITS`) go through the same loop as they are.  One
+  reader, `_first_changed_difference`, finds the first entry at which the
+  undivided result differs from a target, for the isomorphism check, the
+  symplectic-map check and `model_at_point`'s standard form.
 
 * Three kernels read sparse arrays, {flat: value} with absent meaning
   zero: the first antisymmetry failure in the first two slots
@@ -629,14 +635,24 @@ def change_basis(t: Tensor, basis_matrix: Sequence[Sequence], basis_inverse=None
 
     On constant entries the contractions run on D t, d_M M and d_Minv Minv
     as ints, and each entry is divided once by D d_M^#cov d_Minv^#con.
+    A matrix that is not d x d, or not invertible, raises `ValueError`.
     """
     entries, den = _changed_comps(t, basis_matrix, basis_inverse)
+    if basis_inverse is None and CON not in t.valence:
+        linalg.inverse(basis_matrix)  # raises `matrix is singular` when the columns are no basis
     comps = [0 if den else _scalar_zero(t)] * len(t.comps)
     for flat, value in entries.items():
         comps[flat] = value
     out = Tensor(t.dim, t.valence, divided(comps, den) if den else comps, space=t.space)
     out._support = tuple(sorted(entries))
     return out
+
+
+def _require_square_map(f: Sequence[Sequence], dim: int) -> None:
+    widths = sorted({len(row) for row in f})
+    if len(f) != dim or widths != [dim]:
+        shape = f"{len(f)}x{'/'.join(map(str, widths)) or 0}"
+        raise ValueError(f"the linear map is {shape}, not {dim}x{dim}")
 
 
 def _changed_comps(t: Tensor, basis_matrix: Sequence[Sequence], basis_inverse=None):
@@ -646,10 +662,13 @@ def _changed_comps(t: Tensor, basis_matrix: Sequence[Sequence], basis_inverse=No
 
     Each slot scatters every nonzero entry, in flat order, through the
     nonzero entries of its matrix row (`_scatter`), so only nonzero
-    coordinates are visited.
+    coordinates are visited.  An inverse not given is formed only when a
+    contravariant slot reads it (M stands in), so forms pull back along any M.
     """
+    _require_square_map(basis_matrix, t.dim)
     m = [list(row) for row in basis_matrix]
-    minv = basis_inverse if basis_inverse is not None else linalg.inverse(m)
+    minv = m if CON not in t.valence else (  # M stands in where no slot reads Minv
+        basis_inverse if basis_inverse is not None else linalg.inverse(m))
     minv_t = linalg.transpose(minv)
     # the type test keeps a zero `RationalFunction` tensor, whose support is
     # empty, off the int path
@@ -670,6 +689,20 @@ def _changed_comps(t: Tensor, basis_matrix: Sequence[Sequence], basis_inverse=No
     return entries, den
 
 
+def _first_changed_difference(t: Tensor, basis_matrix: Sequence[Sequence], basis_inverse,
+                              wanted: dict[int, int], wanted_den: int):
+    """The first (multi-index, value), in flat order, at which
+    change_basis(t, basis_matrix, basis_inverse) differs from the target
+    {flat: y} / wanted_den (its nonzero entries), or None, read off the
+    undivided x / den where either is nonzero: x wanted_den - y den."""
+    entries, den = _changed_comps(t, basis_matrix, basis_inverse)
+    den = den or 1  # entries past the int path are taken as they are
+    for flat in sorted(entries.keys() | wanted.keys()):
+        if x := entries.get(flat, 0) * wanted_den - wanted.get(flat, 0) * den:
+            return _unflat(t.dim, len(t.valence), flat), divided([x], den * wanted_den)[0]
+    return None
+
+
 def _scaled_matrix(matrix: list[list]) -> tuple[list[list], int] | None:
     """`scaled_entries` of a matrix, kept as rows, or None."""
     scaled = scaled_entries([x for row in matrix for x in row])
@@ -687,12 +720,16 @@ def is_symplectic_matrix(space: SymplecticSpace, matrix: Sequence[Sequence]) -> 
 
 def first_symplectic_defect(space: SymplecticSpace, matrix: Sequence[Sequence]):
     """First ((i, j), value) with (M^T omega M - omega)[i][j] = value nonzero, or None."""
-    mt = linalg.transpose(matrix)
-    product = linalg.matmul(linalg.matmul(mt, [list(r) for r in space.omega]), matrix)
-    for i, j in itertools.product(range(space.dim), repeat=2):
-        if product[i][j] != space.omega[i][j]:
-            return (i, j), product[i][j] - space.omega[i][j]
-    return None
+    return _pullback_defect(space, space.omega, matrix)
+
+
+def _pullback_defect(space: SymplecticSpace, form: Sequence[Sequence], matrix):
+    """The first ((i, j), value) at which M^T form M - omega is nonzero, or
+    None.  M^T form M is the change of basis of form, a (0,2)-tensor, to
+    the columns of M."""
+    omega = {flat: int(x) for flat, x in enumerate(y for row in space.omega for y in row) if x}
+    form = Tensor(space.dim, (COV, COV), [x for row in form for x in row])
+    return _first_changed_difference(form, matrix, None, omega, 1)
 
 
 # -- serialization --------------------------------------------------------------

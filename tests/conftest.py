@@ -523,7 +523,6 @@ def old_verify_model_isomorphism(f, source, target) -> Report:
     entry of the dense difference `push_tensor(f, a) - b` per tensor."""
     from fedosov.models import push_tensor
     from fedosov.reporting import index_witness
-    from fedosov.symplectic import first_symplectic_defect
 
     f_inv = linalg.inverse(f)
     checks = []
@@ -541,10 +540,20 @@ def old_verify_model_isomorphism(f, source, target) -> Report:
                                 "auxiliary tensors have different valences"))
             continue
         push_check(f"aux{pos + 1}_pushforward", a, b)
-    defect = first_symplectic_defect(source.space, f)
+    defect = old_symplectic_defect(source.space, f)
     checks.append(Check("map_is_symplectic", defect is None, None if defect is None else
                         f"(f^T omega f - omega) at {index_witness(defect[0])} is {defect[1]}"))
     return Report(title="model isomorphism", checks=checks)
+
+
+def old_symplectic_defect(space, f):
+    """The first ((i, j), value) of the dense M^T omega M - omega, from
+    `old_matmul`, or None."""
+    product = old_matmul(old_matmul(linalg.transpose(f), space.omega), f)
+    for i, j in itertools.product(range(space.dim), repeat=2):
+        if product[i][j] != space.omega[i][j]:
+            return (i, j), product[i][j] - space.omega[i][j]
+    return None
 
 
 def coprime_denominators(count: int, bits: int) -> list[int]:
@@ -653,6 +662,20 @@ def sympy_solve_columns(columns: list[list[Fraction]], rhs: list[Fraction]):
     vector = sympy.Matrix([sympy.Rational(v) for v in rhs])
     solution = matrix.solve(vector)
     return [Fraction(int(v.p), int(v.q)) for v in solution]
+
+
+def rref_solve(matrix, rhs):
+    """A particular solution of matrix x = rhs, free variables set to 0,
+    read off the reduced row echelon form of [matrix | rhs]; None when the
+    system is inconsistent."""
+    ncols = len(matrix[0])
+    reduced, pivots = linalg.rref([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, p in zip(reduced, pivots):
+        x[p] = row[ncols]
+    return x
 
 
 def matvec(matrix, vec) -> list[Fraction]:
@@ -817,7 +840,7 @@ def old_model_at_point(chart: Chart, structure: Tensor, point: dict):
     m_inv = linalg.inverse(m)
     n = chart.n
     space = SymplecticSpace(n)
-    product = linalg.matmul(linalg.matmul(linalg.transpose(m), omega_p), m)
+    product = old_matmul(old_matmul(linalg.transpose(m), omega_p), m)
     if any(product[i][j] != space.omega[i][j] for i in range(2 * n) for j in range(2 * n)):
         raise AssertionError("change of basis failed to reach the standard form")
 

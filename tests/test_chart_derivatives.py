@@ -5,9 +5,10 @@
 The oracles here are the code they replaced: the hand-written partial
 loops of `omega_is_closed`, `chart_curvature`, `covariant_derivative`,
 `lie_bracket`, `lie_derivative_omega` and the Hamiltonian checks, the
-per-entry linear-type form, and the d^3 x d `linalg.solve` that recovered
-xi.  Every function that kept its summation order must agree entry by
-entry in value and in printed form, so every witness stays byte-identical;
+per-entry linear-type form, and the d^3 x d solve that recovered xi (a
+particular solution read off `linalg.rref`, `conftest.rref_solve`).  Every
+function that kept its summation order must agree entry by entry in value
+and in printed form, so every witness stays byte-identical;
 `lie_bracket` now sums through `insert_vector` and is compared by value.
 The charts are the built-in examples, the chart files in `data/charts/`,
 the 4D swell chart and hypothesis-drawn 4D charts.
@@ -23,7 +24,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedosov import linalg
 from fedosov.charts import (
     ChartRun, chart_curvature, chart_torsion, covariant_derivative, lie_bracket,
     linear_type_structure, load_chart_file, load_example, make_chart, omega_is_closed,
@@ -36,7 +36,7 @@ from fedosov.lineartype import (
 from fedosov.rationals import Polynomial, RationalFunction, parse_ratfun
 from fedosov.symplectic import COV, CON, SymplecticSpace, Tensor, insert_vector
 
-from conftest import _zero, old_derivation_action
+from conftest import _zero, old_derivation_action, rref_solve
 from test_slot_kernel import swell_chart
 
 CHART_FILES = sorted((pathlib.Path(__file__).parent / "data" / "charts").glob("*.json"))
@@ -171,7 +171,7 @@ def oracle_linear_type_vector(s_point, omega_p):
                     row.append(coeff)
                 rows.append(row)
                 rhs.append(s_point[i, j, k])
-    xi = linalg.solve(rows, rhs)
+    xi = rref_solve(rows, rhs)
     if xi is None:
         raise NotLinearTypeError("structure tensor is not of linear type")
     residual_ok = all(

@@ -36,8 +36,8 @@ from fedosov.rationals import PoleError, parse_ratfun
 from fedosov.symplectic import COV, CON, Tensor
 
 from conftest import (
-    PRODUCT_CHART, old_integrability_check, old_metric_obstruction, old_model_at_point,
-    old_symplectic_basis_matrix,
+    PRODUCT_CHART, old_integrability_check, old_matmul, old_metric_obstruction,
+    old_model_at_point, old_symplectic_basis_matrix,
 )
 from test_slot_kernel import swell_chart
 
@@ -160,7 +160,7 @@ def drawn_form(rng: random.Random, d: int, rank: int, dense: bool = True):
     else:
         order = rng.sample(range(d), d)
         p = [[Fraction(int(order[i] == j)) for j in range(d)] for i in range(d)]
-    return linalg.matmul(linalg.matmul(linalg.transpose(p), b), p), p
+    return old_matmul(old_matmul(linalg.transpose(p), b), p), p
 
 
 def test_symplectic_basis_matches_filtered_projection():

@@ -22,7 +22,8 @@ from fedosov.rationals import RationalFunction, parse_ratfun
 from fedosov.symplectic import cyclic_sum
 from conftest import (
     PRODUCT_CHART, OldEchelon, _zero, old_matmul, old_rref, random_antisymmetric_tensor,
-    random_rational_function, random_symmetric_tensor, random_symplectic_matrix, work_counts,
+    random_rational_function, random_symmetric_tensor, random_symplectic_matrix, rref_solve,
+    sympy_solve_columns, work_counts,
 )
 
 
@@ -50,14 +51,6 @@ def test_nullspace_of_empty_conditions():
     assert len(basis) == 3
 
 
-def test_solve_consistent_and_inconsistent():
-    a = frac_matrix([[1, 1], [1, -1]])
-    x = linalg.solve(a, [Fraction(3), Fraction(1)])
-    assert x == [Fraction(2), Fraction(1)]
-    b = frac_matrix([[1, 1], [2, 2]])
-    assert linalg.solve(b, [Fraction(1), Fraction(3)]) is None
-
-
 def test_inverse_round_trip():
     rng = random.Random(3)
     for _ in range(20):
@@ -66,8 +59,8 @@ def test_inverse_round_trip():
         if linalg.det(m) == 0:
             continue
         inv = linalg.inverse(m)
-        assert linalg.matmul(m, inv) == [[Fraction(1) if i == j else Fraction(0)
-                                          for j in range(n)] for i in range(n)]
+        assert old_matmul(m, inv) == [[Fraction(1) if i == j else Fraction(0)
+                                       for j in range(n)] for i in range(n)]
 
 
 def test_inverse_singular_raises():
@@ -145,7 +138,7 @@ def test_generic_field_elimination_with_rational_functions():
     d = linalg.det(m)
     assert d == parse_ratfun("x^2 - 1", ("x",))
     inv = linalg.inverse(m)
-    prod = linalg.matmul(m, inv)
+    prod = old_matmul(m, inv)
     assert prod[0][0] == 1 and prod[1][1] == 1
     assert prod[0][1].is_zero() and prod[1][0].is_zero()
 
@@ -212,10 +205,13 @@ def test_echelon_agrees_with_rank(vecs):
 
 
 def _coords_by_solve(rows, vec):
-    """Coordinates over independent rows by one fresh solve per vector (the old path)."""
+    """Coordinates over independent rows by one fresh sympy solve per vector."""
     if not rows:
         return None if any(v != 0 for v in vec) else []
-    return linalg.solve(linalg.transpose(rows), vec)
+    try:
+        return sympy_solve_columns(rows, vec)
+    except ValueError:  # sympy's NonInvertibleMatrixError: vec is outside the span
+        return None
 
 
 @settings(max_examples=200, deadline=None)
@@ -311,8 +307,8 @@ def test_nullspace_and_solve_match_the_field_loops(seed, scale_bound):
         x = [drawn_entry(rng, "frac") for _ in range(ncols)]
         for rhs in ([sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in m],
                     [drawn_entry(rng, "int") for _ in m]):
-            solution = linalg.solve(m, rhs)
-            assert solution == with_old_rref(linalg.solve, as_fractions(m),
+            solution = rref_solve(m, rhs)
+            assert solution == with_old_rref(rref_solve, as_fractions(m),
                                              [Fraction(v) for v in rhs])
             if solution is not None:
                 assert_fractions([solution])
@@ -354,19 +350,6 @@ def test_coordinates_match_the_field_loops(seed, scale_bound):
             assert (coords(vec) is None) is (vec not in span)
             if coords(vec) is not None:
                 assert_fractions([coords(vec)])
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_matmul_matches_the_field_loops(seed, scale_bound):
-    rng = random.Random(400 + seed)
-    for t in range(60):
-        kind = ("int", "frac", "huge")[t % 3]
-        rows, inner, cols = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
-        a = drawn_matrix(rng, kind, rows, inner)
-        b = drawn_matrix(rng, rng.choice(("int", "frac")), inner, cols)
-        product = linalg.matmul(a, b)
-        assert product == old_matmul(as_fractions(a), as_fractions(b))
-        assert_fractions(product)
 
 
 def drawn_vector(rng, kind, dim):
@@ -421,7 +404,6 @@ def test_rational_function_input_takes_the_field_loops():
         reduced, pivots = linalg.rref(m)
         assert (reduced, pivots) == old_rref(m)
         assert all(type(c) is RationalFunction for row in reduced[:len(pivots)] for c in row)
-        assert linalg.matmul(m, linalg.transpose(m)) == old_matmul(m, linalg.transpose(m))
 
 
 def shuffled_pivot_matrix(rng, kinds):

@@ -61,7 +61,7 @@ def oracle_symplectify(t: Tensor) -> Tensor | None:
     n = t.dim // 2
     elements = [e for label in ("S1", "S2") for e in build_basis(label, n).elements]
     columns = [_vectorize(cotorsion_to_torsion(e.scale(-1)), "torsion") for e in elements]
-    coeffs = linalg.solve(linalg.transpose(columns), _vectorize(t, "torsion"))
+    coeffs = linalg.Coordinates(columns)(_vectorize(t, "torsion"))
     if coeffs is None:
         return None
     s = Tensor.zeros(t.dim, (COV, COV, COV), space=t.space)

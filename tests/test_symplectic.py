@@ -5,17 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from fedosov import symplectic
+from fedosov import linalg, symplectic
+from fedosov.rationals import _scaled_ints
 from fedosov.symplectic import (
     COV, CON, SymplecticSpace, Tensor, _flat, _index_of_key, _unflat,
     change_basis, contract_s13, contract_t12, contract_t13,
-    cotorsion_lower, cotorsion_raise, cyclic_sum, is_symplectic_matrix,
+    cotorsion_lower, cotorsion_raise, cyclic_sum, first_symplectic_defect, is_symplectic_matrix,
     musical_flat, musical_sharp, tensor_from_json, tensor_to_json,
     torsion_lower, torsion_raise,
 )
 from conftest import (
-    random_antisymmetric_tensor, random_symmetric_tensor, random_tensor,
-    random_symplectic_matrix, random_vector,
+    old_change_basis, old_symplectic_defect, random_antisymmetric_tensor,
+    random_symmetric_tensor, random_tensor, random_symplectic_matrix, random_vector,
 )
 
 
@@ -233,6 +234,109 @@ def test_non_symplectic_matrix_detected():
     assert not is_symplectic_matrix(space, m)
 
 
+WRONG_SHAPES = {
+    "3x2": [[1, 0], [0, 1], [0, 0]],
+    "2x3": [[1, 0, 0], [0, 1, 0]],
+    "1x1": [[1]],
+}
+
+
+@pytest.mark.parametrize("shape", WRONG_SHAPES)
+def test_matrices_of_the_wrong_shape_are_rejected(shape):
+    # before, the symplectic check passed the 3x2 and 2x3 maps and raised
+    # IndexError on the 1x1 one, and a change of basis by the 1x1 map left
+    # a 2-dimensional tensor as it was
+    space = SymplecticSpace(1)
+    m = [[Fraction(x) for x in row] for row in WRONG_SHAPES[shape]]
+    message = f"the linear map is {shape}, not 2x2"
+    with pytest.raises(ValueError, match=message):
+        is_symplectic_matrix(space, m)
+    with pytest.raises(ValueError, match=message):
+        first_symplectic_defect(space, m)
+    rng = random.Random(shape)
+    for valence in ((COV, COV), (CON,), (COV, CON)):
+        with pytest.raises(ValueError, match=message):
+            change_basis(random_tensor(rng, 1, valence), m)
+
+
+@pytest.mark.parametrize("valence", [(COV, COV), (CON,), (COV, CON)])
+def test_change_basis_rejects_a_singular_matrix(valence):
+    t = random_tensor(random.Random(33), 1, valence)
+    singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+    with pytest.raises(ValueError, match="matrix is singular"):
+        change_basis(t, singular)
+
+
+def drawn_maps(rng: random.Random, space: SymplecticSpace) -> list[list[list[Fraction]]]:
+    """A seeded symplectic map M D, for D = diag(a, 1/a) with fractional a,
+    so that its entries are not all ints, M D with one entry moved (which
+    may stay symplectic) and 2 M D (which never does)."""
+    n = space.n
+    scale = [Fraction(rng.choice((-2, 3)), rng.choice((1, 5, 7))) for _ in range(n)]
+    diagonal = scale + [1 / a for a in scale]
+    m = [[x * a for x, a in zip(row, diagonal)]
+         for row in random_symplectic_matrix(rng, space)]
+    moved = [list(row) for row in m]
+    moved[rng.randrange(space.dim)][rng.randrange(space.dim)] += Fraction(rng.randint(1, 3), 7)
+    return [m, moved, [[2 * x for x in row] for row in m]]
+
+
+def sparse_tensor(rng: random.Random, n: int, valence) -> Tensor:
+    t = random_tensor(rng, n, valence)
+    return Tensor(t.dim, valence, [x if rng.random() < 0.4 else Fraction(0) for x in t.comps],
+                  space=t.space)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_symplectic_defect_matches_the_dense_product(seed, scale_bound, monkeypatch):
+    # the oracle multiplies M^T omega M out in Fraction loops; the check
+    # forms it as one change of basis, on ints or, past MAX_SCALE_BITS, in
+    # the field loop of `_changed_comps`
+    dens = []
+    kernel = symplectic._changed_comps
+
+    def spied(*args):
+        entries, den = kernel(*args)
+        dens.append(den)
+        return entries, den
+
+    monkeypatch.setattr(symplectic, "_changed_comps", spied)
+    rng = random.Random(400 + seed)
+    defects = 0
+    for n in (1, 2, 3):
+        space = SymplecticSpace(n)
+        for m in drawn_maps(rng, space):
+            dens.clear()
+            defect = first_symplectic_defect(space, m)
+            assert defect == old_symplectic_defect(space, m)
+            assert [den is not None for den in dens] == [scale_bound == "scaled"]
+            assert is_symplectic_matrix(space, m) is (defect is None)
+            defects += defect is not None
+    assert defects >= 3
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_first_changed_difference_matches_the_dense_change(seed, scale_bound):
+    # the reader behind the isomorphism and symplectic checks, against the
+    # first nonzero entry of the dense difference of the Fraction-loop change
+    rng = random.Random(410 + seed)
+    for n in (1, 2):
+        space = SymplecticSpace(n)
+        for m in drawn_maps(rng, space):
+            m_inv = linalg.inverse(m)
+            for valence in ((COV, COV), (CON,), (COV, COV, CON), (COV, CON, COV)):
+                t = sparse_tensor(rng, n, valence)
+                changed = old_change_basis(t, m, m_inv)
+                moved = list(changed.comps)
+                moved[rng.randrange(len(moved))] += Fraction(1, rng.randint(1, 4))
+                for target in (changed, Tensor(t.dim, valence, moved),
+                               sparse_tensor(rng, n, valence)):
+                    ints, den = _scaled_ints([target.comps[flat] for flat in target.support])
+                    wanted = dict(zip(target.support, ints))
+                    assert (symplectic._first_changed_difference(t, m, m_inv, wanted, den)
+                            == (changed - target).first_nonzero())
+
+
 def test_tensor_json_round_trip():
     rng = random.Random(44)
     space = SymplecticSpace(2)
@@ -314,36 +418,44 @@ def test_index_keys_parse_to_zero_based_tuples():
         assert _index_of_key(key, rank) is None
 
 
+def package_functions():
+    """(`module.function` or `module.Class.method`, node) for each top-level
+    function and method of the package."""
+    for path in sorted(pathlib.Path(symplectic.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{path.stem}.{node.name}", node
+            elif isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef):
+                        yield f"{path.stem}.{node.name}.{method.name}", method
+
+
 def codec_sites() -> tuple[set[str], set[str]]:
     """The top-level functions and methods of the package that fold a flat
     position over an index sequence (`x = x * dim + i`), and those that
     read a comma-joined key (a comprehension of `int(...)` over a
     `.split(",")`).  A nested function counts for the function around it."""
     folds, key_parses = set(), set()
-    for path in sorted(pathlib.Path(symplectic.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        functions = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
-        functions += [(f"{cls.name}.{node.name}", node) for cls in tree.body
-                      if isinstance(cls, ast.ClassDef)
-                      for node in cls.body if isinstance(node, ast.FunctionDef)]
-        for name, func in functions:
-            for node in ast.walk(func):
-                if (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
-                        and isinstance(node.value, ast.BinOp)
-                        and isinstance(node.value.op, ast.Add)
-                        and isinstance(node.value.left, ast.BinOp)
-                        and isinstance(node.value.left.op, ast.Mult)
-                        and isinstance(node.value.left.left, ast.Name)
-                        and node.value.left.left.id == node.targets[0].id):
-                    folds.add(f"{path.stem}.{name}")
-                if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)) and any(
-                        isinstance(gen.iter, ast.Call) and isinstance(gen.iter.func, ast.Attribute)
-                        and gen.iter.func.attr == "split" and gen.iter.args
-                        and isinstance(gen.iter.args[0], ast.Constant)
-                        and gen.iter.args[0].value == "," for gen in node.generators) and any(
-                        isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-                        and call.func.id == "int" for call in ast.walk(node.elt)):
-                    key_parses.add(f"{path.stem}.{name}")
+    for name, func in package_functions():
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                    and isinstance(node.value, ast.BinOp)
+                    and isinstance(node.value.op, ast.Add)
+                    and isinstance(node.value.left, ast.BinOp)
+                    and isinstance(node.value.left.op, ast.Mult)
+                    and isinstance(node.value.left.left, ast.Name)
+                    and node.value.left.left.id == node.targets[0].id):
+                folds.add(name)
+            if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)) and any(
+                    isinstance(gen.iter, ast.Call) and isinstance(gen.iter.func, ast.Attribute)
+                    and gen.iter.func.attr == "split" and gen.iter.args
+                    and isinstance(gen.iter.args[0], ast.Constant)
+                    and gen.iter.args[0].value == "," for gen in node.generators) and any(
+                    isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == "int" for call in ast.walk(node.elt)):
+                key_parses.add(name)
     return folds, key_parses
 
 
@@ -354,3 +466,46 @@ def test_indices_convert_in_one_codec():
     folds, key_parses = codec_sites()
     assert folds == {"symplectic._flat"}
     assert key_parses == {"symplectic._index_of_key", "models.presentation_from_json"}
+
+
+def callers() -> dict[str, set[str]]:
+    """{called name: the top-level functions and methods of the package
+    that call it}, a nested function counting for the function around it;
+    `linalg.inverse(...)` and `inverse(...)` both count as calls of `inverse`."""
+    found: dict[str, set[str]] = {}
+    for name, func in package_functions():
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call):
+                called = node.func.attr if isinstance(node.func, ast.Attribute) else (
+                    node.func.id if isinstance(node.func, ast.Name) else None)
+                found.setdefault(called, set()).add(name)
+    return found
+
+
+ELIMINATION = {"Echelon", "rref", "rank", "nullspace", "inverse", "Coordinates", "det",
+               "transpose"}
+
+
+def test_matrices_act_in_one_kernel():
+    # `linalg` keeps elimination only (and `is_zero_scalar`, the entry test
+    # behind it); a matrix acts on a tensor, M^T omega M included, through
+    # `_changed_comps`, whose first difference from a target one reader
+    # finds for the isomorphism check, the symplectic-map check and the
+    # standard-form assertion of `model_at_point`
+    package = pathlib.Path(symplectic.__file__).parent
+    tree = ast.parse((package / "linalg.py").read_text(encoding="utf-8"))
+    public = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    assert public == ELIMINATION | {"is_zero_scalar"}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            named = node.attr if isinstance(node, ast.Attribute) else (
+                node.name if isinstance(node, ast.alias) else None)
+            assert named not in {"matmul", "solve"}, f"{path.name}:{node.lineno} names {named}"
+    calls = callers()
+    assert calls["_changed_comps"] == {"symplectic.change_basis",
+                                       "symplectic._first_changed_difference"}
+    assert calls["_first_changed_difference"] == {"symplectic._pullback_defect",
+                                                  "models.verify_model_isomorphism"}
+    assert calls["_pullback_defect"] == {"symplectic.first_symplectic_defect",
+                                         "charts.model_at_point"}
